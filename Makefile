@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-baseline bench-gate fmt fmt-check clean
+.PHONY: check build vet test race bench bench-baseline bench-gate bench-e2e bench-e2e-smoke fmt fmt-check clean
 
 # The benchmark runs the CI bench gate pins: the fused-vs-scalar sampling
 # kernel comparison, delta-vs-cold-rebuild maintenance and the budgeted
@@ -60,6 +60,18 @@ bench-baseline:
 ## (see cmd/benchdiff). CI runs this on every PR.
 bench-gate:
 	$(BENCH_GATE_RUNS) | $(GO) run ./cmd/benchdiff -baseline results/bench_baseline.json
+
+## bench-e2e-smoke: vet and test the nested benchmark/ module (~7 s). It
+## imports influmax/internal/{imm,server,cluster,rrr} directly but sits
+## outside the root `go test ./...`, so this is what catches a refactor
+## that breaks it. CI runs this on every PR.
+bench-e2e-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+## bench-e2e: the repo's end-to-end + per-layer benchmark, every workload
+## (see benchmark/README.md; results land in benchmark/out/).
+bench-e2e:
+	bash benchmark/run.sh
 
 clean:
 	$(GO) clean ./...

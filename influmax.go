@@ -589,8 +589,8 @@ type (
 	// RouterSelectResult is one routed selection: seeds plus degradation
 	// and per-shard provenance.
 	RouterSelectResult = cluster.SelectResult
-	// RouterQuery is the routed query shape (the cluster face of
-	// SketchQuery); run it with SeedRouter.SelectQuery.
+	// RouterQuery is SketchQuery under its routed name; run it with
+	// SeedRouter.SelectQuery.
 	RouterQuery = cluster.RouterQuery
 	// RouterSpreadResult is one routed spread estimate
 	// (SeedRouter.Spread).

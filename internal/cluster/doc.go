@@ -1,9 +1,9 @@
 // Package cluster turns a fleet of immserve replicas into one logical
 // seed-serving system: each replica owns a shard of the theta RRR samples
 // (a per-rank slice, exactly what one rank of internal/dist would hold)
-// and a thin router runs the sample-partitioned greedy protocol across
-// them — rounds of merged coverage counts and purge decrements, the
-// internal/dist Algorithm 4 re-hosted behind a shard API.
+// and a thin router runs the selection engine (imm.Greedy) over them —
+// fleetCoverage, its coverage backend, fans each start/purge/end out over
+// the shard API and merges the shards' counts and decrements.
 //
 // The shard API has four operations (info, start-session, purge, end) with
 // one binary wire codec spoken over two interchangeable transports: HTTP
@@ -14,12 +14,12 @@
 // locally, or streamed from a peer via GET /v1/snapshot.
 //
 // Because sampling runs in imm.PerSample mode, the union of the shards'
-// samples is the single-process sample set, and the router's greedy loop
-// is the same integer recurrence as imm.SelectSeedsSketch — so a fleet
-// answers POST /v1/seeds byte-identically to one immserve holding the
-// whole sketch. A replica that dies mid-query surfaces as a typed
-// mpi.RankFailedError within the configured net timeout; the router
-// restarts the round on the survivors, replays the seeds already chosen,
-// and serves a degraded result naming the failed shards. DESIGN.md §16 is
-// the normative spec.
+// samples is the single-process sample set, and Router.SelectQuery runs
+// the very loop imm.SelectQuerySketch runs, over merged counts — so a
+// fleet answers POST /v1/seeds byte-identically to one immserve holding
+// the whole sketch. A replica that dies mid-query surfaces as a typed
+// mpi.RankFailedError within the configured net timeout; the backend
+// drops it and reports a restart, the engine replays the seeds already
+// chosen on the survivors, and the router serves a degraded result naming
+// the failed shards. DESIGN.md §16 and §18 are the normative spec.
 package cluster

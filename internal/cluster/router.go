@@ -3,7 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -218,32 +218,10 @@ func (rt *Router) alive() []int {
 	return out
 }
 
-// RouterQuery is one routed selection request — the cluster face of
-// imm.Query (DESIGN.md §17). Audience filtering and blocked purging are
-// per-shard ops; the budgeted argmax runs router-side over the merged
-// counter, exactly like the plain one.
-type RouterQuery struct {
-	// K bounds the seed count (budgeted queries may stop earlier).
-	K int
-	// Costs/Budget select cost-aware greedy (see imm.Query).
-	Costs  []float64
-	Budget float64
-	// Audience restricts coverage to samples rooted in it (requires shard
-	// roots — header-v2 snapshots or fresh builds).
-	Audience []graph.Vertex
-	// Blocked is the rival seed set to exclude and pre-purge.
-	Blocked []graph.Vertex
-}
-
-// Plain reports whether q is the classic top-k selection.
-func (q RouterQuery) Plain() bool {
-	return q.Budget == 0 && len(q.Costs) == 0 && len(q.Audience) == 0 && len(q.Blocked) == 0
-}
-
-// asImm converts to the imm validation/semantics carrier.
-func (q RouterQuery) asImm() imm.Query {
-	return imm.Query{K: q.K, Costs: q.Costs, Budget: q.Budget, Audience: q.Audience, Blocked: q.Blocked}
-}
+// RouterQuery is one routed selection request: imm.Query, answered over
+// the fleet (DESIGN.md §17). Audience filtering and blocked purging are
+// per-shard ops; the argmax runs router-side over the merged counts.
+type RouterQuery = imm.Query
 
 // SelectResult is one routed query's outcome.
 type SelectResult struct {
@@ -257,6 +235,21 @@ type SelectResult struct {
 	// samples; EstimatedSpread is n * CoverageFraction.
 	CoverageFraction float64
 	EstimatedSpread  float64
+	// Eligible is the participating samples passing the audience filter
+	// (equals TotalSamples without one); SpentBudget the summed cost of
+	// Seeds under a budgeted query (0 otherwise).
+	Eligible    int64
+	SpentBudget float64
+	// ShardEpochs is each slot's last-known mutation epoch.
+	ShardEpochs []uint64
+	// Rounds counts greedy purge rounds, including failover replays.
+	Rounds int
+	FleetStatus
+}
+
+// FleetStatus is the part of a routed answer that describes the fleet
+// rather than the question.
+type FleetStatus struct {
 	// Theta is the fleet's sample count; TotalSamples the samples actually
 	// participating (smaller than Theta when shards are down).
 	Theta        int64
@@ -267,15 +260,6 @@ type SelectResult struct {
 	Shards       int
 	FailedShards []int
 	Degraded     bool
-	// ShardEpochs is each slot's last-known mutation epoch.
-	ShardEpochs []uint64
-	// Rounds counts greedy purge rounds, including failover replays.
-	Rounds int
-	// Eligible is the participating samples passing the audience filter
-	// (equals TotalSamples without one); SpentBudget the summed cost of
-	// Seeds under a budgeted query (0 otherwise).
-	Eligible    int64
-	SpentBudget float64
 	// Duration is the query wall time.
 	Duration time.Duration
 }
@@ -288,273 +272,173 @@ func (rt *Router) Select(k int, onSeed func(i int, v graph.Vertex, gain int64)) 
 	return rt.SelectQuery(RouterQuery{K: k}, onSeed)
 }
 
-// SelectQuery runs any routed query shape: plain, budgeted, targeted
-// (audience), blocked, or combinations. The merged-counter greedy is
-// byte-identical to imm.SelectQuerySketch over the union of the shards'
-// samples — audience filtering and blocked purging happen shard-side,
-// while the budgeted ratio argmax runs router-side over the merged counts
-// exactly as the single-process loop runs it over its counters. Failover
-// replays restart the audience-filtered sessions and re-purge the blocked
-// set before replaying committed seeds, so the degraded result is the
-// survivors' exact answer.
+// SelectQuery runs any routed query shape — plain, budgeted, targeted
+// (audience), blocked, or combinations — as the selection engine over the
+// fleet's merged counts (fleetCoverage), so the answer is byte-identical
+// to imm.SelectQuerySketch over the union of the shards' samples. A shard
+// that fails mid-query is dropped and the engine replays the committed
+// state on the survivors, so the degraded result is the survivors' exact
+// answer.
 func (rt *Router) SelectQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
 	start := time.Now()
 	n := rt.canon.NumVertices
 	if q.K < 1 || q.K > rt.canon.KMax {
 		return nil, fmt.Errorf("cluster: k = %d, want 1 <= k <= kMax = %d", q.K, rt.canon.KMax)
 	}
-	iq := q.asImm()
-	if err := iq.Validate(n); err != nil {
+	if err := q.Validate(n); err != nil {
 		return nil, err
 	}
-	alive := rt.alive()
-	if len(alive) == 0 {
+	fc := &fleetCoverage{rt: rt, slots: rt.alive()}
+	if len(fc.slots) == 0 {
 		return nil, ErrNoShards
 	}
 	rt.mQueries.Inc()
-
-	var costs []float64
-	if iq.Budgeted() {
-		costs = q.Costs
-		if costs == nil {
-			costs = make([]float64, n)
-			for i := range costs {
-				costs[i] = 1
-			}
-		}
-	}
-
-	chosen := make([]bool, n)
-	seeds := make([]graph.Vertex, 0, q.K)
-	gains := make([]int64, 0, q.K)
-	var coveredCount, eligible int64
-	var spent float64
-	rounds := 0
-	var counter []int64
-	var session uint64
-
-	// establish opens fresh sessions on the slots and rebuilds the
-	// committed query state: the audience-filtered (or plain) merged
-	// counter, the blocked purges, then the chosen seeds in order with
-	// gains and coverage restated. Used for the initial setup and after
-	// every failover; loops internally until a whole replay survives.
-	establish := func(slots []int) ([]int, error) {
-		for {
-			if len(slots) == 0 {
-				return nil, ErrNoShards
-			}
-			session = rt.nextSession.Add(1)
-			var err error
-			counter, eligible, slots, err = rt.startQueryRound(session, slots, q.Audience)
-			if err != nil {
-				return nil, err
-			}
-			coveredCount = 0
-			ok := true
-			replay := func(v graph.Vertex) bool {
-				rounds++
-				rt.mRounds.Inc()
-				decs, failedNow := rt.purgeRound(session, slots, v)
-				if len(failedNow) > 0 {
-					rt.mFailovers.Inc()
-					rt.markFailed(failedNow)
-					slots = subtract(slots, failedNow)
-					return false
-				}
-				applyDecs(counter, decs)
-				return true
-			}
-			for _, b := range q.Blocked {
-				chosen[b] = true
-				if counter[b] == 0 {
-					continue
-				}
-				if ok = replay(b); !ok {
-					break
-				}
-			}
-			if ok {
-				for i, s := range seeds {
-					gains[i] = counter[s]
-					coveredCount += counter[s]
-					if ok = replay(s); !ok {
-						break
-					}
-				}
-			}
-			if ok {
-				return slots, nil
-			}
-		}
-	}
-	var err error
-	if alive, err = establish(alive); err != nil {
+	// One argmax worker: concurrent queries already occupy the cores.
+	qr, err := imm.Greedy(fc, n, q, 1, onSeed)
+	if err != nil {
 		return nil, err
 	}
-
-	for len(seeds) < q.K {
-		// Identical argmax as the single-process loop: ascending scan with
-		// strictly-better replacement, so ties break to the lowest vertex;
-		// budgeted queries rank by (gain/cost, gain, vertex) over the
-		// affordable candidates (imm's ratioBetter order).
-		best, arg := int64(-1), -1
-		if costs == nil {
-			for v := 0; v < n; v++ {
-				if !chosen[v] && counter[v] > best {
-					best, arg = counter[v], v
-				}
-			}
-		} else {
-			bestR := 0.0
-			for v := 0; v < n; v++ {
-				if chosen[v] || spent+costs[v] > q.Budget {
-					continue
-				}
-				g := counter[v]
-				r := float64(g) / costs[v]
-				if arg < 0 || r > bestR || (r == bestR && g > best) {
-					bestR, best, arg = r, g, v
-				}
-			}
-		}
-		if arg < 0 {
-			break
-		}
-		v := graph.Vertex(arg)
-		seeds = append(seeds, v)
-		gains = append(gains, counter[arg])
-		chosen[arg] = true
-		coveredCount += counter[arg]
-		if costs != nil {
-			spent += costs[arg]
-		}
-		if onSeed != nil {
-			onSeed(len(seeds)-1, v, counter[arg])
-		}
-
-		rounds++
-		rt.mRounds.Inc()
-		decs, failedNow := rt.purgeRound(session, alive, v)
-		if len(failedNow) == 0 {
-			applyDecs(counter, decs)
-			continue
-		}
-
-		// Failover: drop the failed shards and rebuild the full query
-		// state on the survivors (fresh filtered sessions, blocked
-		// re-purged, committed seeds replayed), then continue greedily.
-		rt.mFailovers.Inc()
-		rt.markFailed(failedNow)
-		alive = subtract(alive, failedNow)
-		if alive, err = establish(alive); err != nil {
-			if err == ErrNoShards {
-				return nil, fmt.Errorf("cluster: every shard failed mid-query (last: shard %d)", failedNow[len(failedNow)-1])
-			}
-			return nil, err
-		}
+	res := &SelectResult{
+		Seeds: qr.Seeds, Gains: qr.Gains,
+		Eligible: qr.Eligible, SpentBudget: qr.SpentBudget,
+		Rounds:      fc.rounds,
+		FleetStatus: rt.status(fc.slots, start),
 	}
-	rt.endRound(session, alive)
-
-	var totalSamples int64
 	rt.mu.Lock()
-	for _, slot := range alive {
-		totalSamples += int64(rt.info[slot].Samples)
-	}
-	epochs := make([]uint64, len(rt.conns))
 	for i := range rt.conns {
-		epochs[i] = rt.info[i].Epoch
+		res.ShardEpochs = append(res.ShardEpochs, rt.info[i].Epoch)
 	}
 	rt.mu.Unlock()
-	failedSlots := rt.FailedShards()
-	sort.Ints(failedSlots)
-	if len(failedSlots) > 0 {
-		rt.mDegraded.Inc()
-	}
-	if len(q.Audience) == 0 {
-		eligible = totalSamples
-	}
-
-	res := &SelectResult{
-		Seeds:        seeds,
-		Gains:        gains,
-		Theta:        rt.canon.Theta,
-		TotalSamples: totalSamples,
-		Shards:       len(rt.conns),
-		FailedShards: failedSlots,
-		Degraded:     len(failedSlots) > 0,
-		ShardEpochs:  epochs,
-		Rounds:       rounds,
-		Eligible:     eligible,
-		SpentBudget:  spent,
-		Duration:     time.Since(start),
-	}
-	if totalSamples > 0 {
-		res.CoverageFraction = float64(coveredCount) / float64(totalSamples)
-	}
-	res.EstimatedSpread = res.CoverageFraction * float64(n)
+	res.CoverageFraction, res.EstimatedSpread = res.estimate(qr.Covered, n)
 	rt.mLatency.Observe(res.Duration.Microseconds())
 	return res, nil
 }
 
-// startQueryRound opens session on every slot in parallel — plain or
-// audience-filtered — and merges the shards' coverage counts plus the
-// fleet-wide eligible sample total (0 when unfiltered; the caller
-// substitutes the participating sample count). Transport failures mark
-// and drop the slot like startRound; an in-band shard error (say, a
-// header-v1 snapshot without the root column refusing a filtered start)
-// aborts the query instead — the shard is healthy and its replicas would
-// all refuse alike, so failover would only erase the fleet.
-func (rt *Router) startQueryRound(session uint64, slots []int, audience []graph.Vertex) ([]int64, int64, []int, error) {
-	if len(audience) == 0 {
-		counter, live, err := rt.startRound(session, slots)
-		return counter, 0, live, err
+// status closes a query's books: who took part, who is down.
+func (rt *Router) status(slots []int, start time.Time) FleetStatus {
+	st := FleetStatus{Theta: rt.canon.Theta, TotalSamples: rt.samplesOn(slots), Shards: len(rt.conns)}
+	st.FailedShards = rt.FailedShards()
+	if st.Degraded = len(st.FailedShards) > 0; st.Degraded {
+		rt.mDegraded.Inc()
 	}
+	st.Duration = time.Since(start)
+	return st
+}
+
+// estimate turns a covered-sample count into the coverage fraction over
+// the participating samples and the spread estimate n times that.
+func (st FleetStatus) estimate(covered int64, n int) (fraction, spread float64) {
+	if st.TotalSamples > 0 {
+		fraction = float64(covered) / float64(st.TotalSamples)
+	}
+	return fraction, fraction * float64(n)
+}
+
+// samplesOn sums the sample counts of slots.
+func (rt *Router) samplesOn(slots []int) (total int64) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, slot := range slots {
+		total += int64(rt.info[slot].Samples)
+	}
+	return total
+}
+
+// fleetCoverage is the remote-shard coverage backend of one routed query:
+// a session on every live slot, the shards' counts merged by integer
+// addition. A slot whose purge fails is marked failed and dropped, and
+// the engine is told to restart on the survivors.
+type fleetCoverage struct {
+	rt         *Router
+	slots      []int // live slots holding this query's session
+	session    uint64
+	counter    []int64
+	rounds     int
+	lastFailed int // slot of the latest mid-query failure
+}
+
+func (fc *fleetCoverage) Start(audience []graph.Vertex) ([]int64, int64, error) {
+	if len(fc.slots) == 0 {
+		return nil, 0, fmt.Errorf("cluster: every shard failed mid-query (last: shard %d)", fc.lastFailed)
+	}
+	fc.session = fc.rt.nextSession.Add(1)
+	var eligible int64
+	var err error
+	fc.counter, eligible, fc.slots, err = fc.rt.startRound(fc.session, fc.slots, audience)
+	if err == nil && len(audience) == 0 {
+		eligible = fc.rt.samplesOn(fc.slots)
+	}
+	return fc.counter, eligible, err
+}
+
+func (fc *fleetCoverage) Purge(v graph.Vertex) (bool, error) {
+	fc.rounds++
+	fc.rt.mRounds.Inc()
+	decs := make([][]DecPair, len(fc.slots))
+	errs := fc.rt.fanout(fc.slots, func(i, slot int) (err error) {
+		decs[i], err = fc.rt.conns[slot].Purge(fc.session, v)
+		return err
+	})
+	if failed := failedSlots(fc.slots, errs); len(failed) > 0 {
+		fc.rt.mFailovers.Inc()
+		fc.slots = fc.rt.drop(fc.slots, failed)
+		fc.lastFailed = failed[len(failed)-1]
+		return true, nil
+	}
+	// Subtraction commutes, so arrival order is irrelevant.
+	for _, ds := range decs {
+		for _, p := range ds {
+			fc.counter[p.V] -= int64(p.Dec)
+		}
+	}
+	return false, nil
+}
+
+// End closes the sessions, best-effort.
+func (fc *fleetCoverage) End() {
+	fc.rt.fanout(fc.slots, func(i, slot int) error { return fc.rt.conns[slot].End(fc.session) })
+}
+
+// startRound opens session on every slot in parallel — plain, or filtered
+// to the audience — and merges the shards' coverage counts plus, when
+// filtered, their eligible sample totals. Slots whose transport fails are
+// marked and dropped; an error comes back when nobody survives. A filtered
+// start that a healthy shard refuses in-band (say, a header-v1 snapshot
+// without the root column) aborts the query instead — its replicas would
+// all refuse alike, so failover would only erase the fleet.
+func (rt *Router) startRound(session uint64, slots []int, audience []graph.Vertex) ([]int64, int64, []int, error) {
+	n := rt.canon.NumVertices
 	counts := make([][]int64, len(slots))
 	eligs := make([]int64, len(slots))
-	errs := make([]error, len(slots))
-	var wg sync.WaitGroup
-	for i, slot := range slots {
-		wg.Add(1)
-		go func(i, slot int) {
-			defer wg.Done()
-			var err error
+	errs := rt.fanout(slots, func(i, slot int) (err error) {
+		if len(audience) == 0 {
+			counts[i], err = rt.conns[slot].Start(session)
+		} else {
 			counts[i], eligs[i], err = rt.conns[slot].StartFiltered(session, audience)
-			if err == nil && len(counts[i]) != rt.canon.NumVertices {
-				err = failedErr(slot, fmt.Errorf("cluster: shard %d returned %d counts, want %d", slot, len(counts[i]), rt.canon.NumVertices))
-			}
-			errs[i] = err
-		}(i, slot)
-	}
-	wg.Wait()
-	var failedNow []int
-	for i, err := range errs {
-		if err == nil {
-			continue
 		}
-		var rf *mpi.RankFailedError
-		if !errors.As(err, &rf) {
-			return nil, 0, nil, err
+		if err == nil && len(counts[i]) != n {
+			err = failedErr(slot, fmt.Errorf("cluster: shard %d returned %d counts, want %d", slot, len(counts[i]), n))
 		}
-		failedNow = append(failedNow, slots[i])
-		counts[i] = nil
+		return err
+	})
+	if len(audience) > 0 {
+		if err := refusal(errs); err != nil {
+			return nil, 0, slots, err
+		}
 	}
-	if len(failedNow) > 0 {
-		rt.markFailed(failedNow)
-		slots = subtract(slots, failedNow)
-	}
-	if len(slots) == 0 {
-		return nil, 0, nil, ErrNoShards
-	}
-	merged := make([]int64, rt.canon.NumVertices)
+	merged := make([]int64, n)
 	var eligible int64
 	for i, c := range counts {
-		if c == nil {
+		if errs[i] != nil {
 			continue
 		}
 		eligible += eligs[i]
 		for v, x := range c {
 			merged[v] += x
 		}
+	}
+	if slots = rt.drop(slots, failedSlots(slots, errs)); len(slots) == 0 {
+		return nil, 0, nil, ErrNoShards
 	}
 	return merged, eligible, slots, nil
 }
@@ -566,21 +450,12 @@ type SpreadResult struct {
 	// samples without one).
 	Covered  int64
 	Eligible int64
-	// Theta is the fleet's sample count; TotalSamples the samples actually
-	// participating (smaller when shards are down).
-	Theta        int64
-	TotalSamples int64
 	// CoverageFraction is Covered/TotalSamples; EstimatedSpread is
 	// n * CoverageFraction — with an audience, the expected number of
 	// audience members influenced.
 	CoverageFraction float64
 	EstimatedSpread  float64
-	// Shards/FailedShards/Degraded mirror SelectResult.
-	Shards       int
-	FailedShards []int
-	Degraded     bool
-	// Duration is the query wall time.
-	Duration time.Duration
+	FleetStatus
 }
 
 // Spread estimates the influence of a caller-supplied seed set over the
@@ -612,124 +487,32 @@ func (rt *Router) Spread(seeds, audience []graph.Vertex) (*SpreadResult, error) 
 	rt.mQueries.Inc()
 	covs := make([]int64, len(alive))
 	eligs := make([]int64, len(alive))
-	errs := make([]error, len(alive))
-	var wg sync.WaitGroup
-	for i, slot := range alive {
-		wg.Add(1)
-		go func(i, slot int) {
-			defer wg.Done()
-			covs[i], eligs[i], errs[i] = rt.conns[slot].Spread(seeds, audience)
-		}(i, slot)
+	errs := rt.fanout(alive, func(i, slot int) (err error) {
+		covs[i], eligs[i], err = rt.conns[slot].Spread(seeds, audience)
+		return err
+	})
+	if err := refusal(errs); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	var failedNow []int
-	var covered, eligible int64
+	res := &SpreadResult{}
 	for i, err := range errs {
 		if err == nil {
-			covered += covs[i]
-			eligible += eligs[i]
-			continue
+			res.Covered += covs[i]
+			res.Eligible += eligs[i]
 		}
-		var rf *mpi.RankFailedError
-		if !errors.As(err, &rf) {
-			return nil, err
-		}
-		failedNow = append(failedNow, alive[i])
 	}
-	if len(failedNow) > 0 {
-		rt.markFailed(failedNow)
-		alive = subtract(alive, failedNow)
-	}
-	if len(alive) == 0 {
+	if alive = rt.drop(alive, failedSlots(alive, errs)); len(alive) == 0 {
 		return nil, ErrNoShards
 	}
-
-	var totalSamples int64
-	rt.mu.Lock()
-	for _, slot := range alive {
-		totalSamples += int64(rt.info[slot].Samples)
-	}
-	rt.mu.Unlock()
-	failedSlots := rt.FailedShards()
-	sort.Ints(failedSlots)
-	if len(failedSlots) > 0 {
-		rt.mDegraded.Inc()
-	}
-
-	res := &SpreadResult{
-		Covered:      covered,
-		Eligible:     eligible,
-		Theta:        rt.canon.Theta,
-		TotalSamples: totalSamples,
-		Shards:       len(rt.conns),
-		FailedShards: failedSlots,
-		Degraded:     len(failedSlots) > 0,
-		Duration:     time.Since(start),
-	}
-	if totalSamples > 0 {
-		res.CoverageFraction = float64(covered) / float64(totalSamples)
-	}
-	res.EstimatedSpread = res.CoverageFraction * float64(n)
+	res.FleetStatus = rt.status(alive, start)
+	res.CoverageFraction, res.EstimatedSpread = res.estimate(res.Covered, n)
 	rt.mLatency.Observe(res.Duration.Microseconds())
 	return res, nil
 }
 
-// startRound opens session on every slot in parallel and merges the
-// shards' coverage counts. Slots that fail are marked and dropped; an
-// error comes back only when nobody survives.
-func (rt *Router) startRound(session uint64, slots []int) ([]int64, []int, error) {
-	counts := make([][]int64, len(slots))
-	failedNow := rt.fanout(slots, func(i, slot int) error {
-		var err error
-		counts[i], err = rt.conns[slot].Start(session)
-		if err == nil && len(counts[i]) != rt.canon.NumVertices {
-			err = fmt.Errorf("cluster: shard %d returned %d counts, want %d", slot, len(counts[i]), rt.canon.NumVertices)
-		}
-		return err
-	})
-	if len(failedNow) > 0 {
-		rt.markFailed(failedNow)
-		slots = subtract(slots, failedNow)
-	}
-	if len(slots) == 0 {
-		return nil, nil, ErrNoShards
-	}
-	merged := make([]int64, rt.canon.NumVertices)
-	for _, c := range counts {
-		if c == nil {
-			continue
-		}
-		for v, x := range c {
-			merged[v] += x
-		}
-	}
-	return merged, slots, nil
-}
-
-// purgeRound purges v on every slot in parallel, returning the per-slot
-// sparse decrements and the slots that failed this round.
-func (rt *Router) purgeRound(session uint64, slots []int, v graph.Vertex) ([][]DecPair, []int) {
-	decs := make([][]DecPair, len(slots))
-	failedNow := rt.fanout(slots, func(i, slot int) error {
-		var err error
-		decs[i], err = rt.conns[slot].Purge(session, v)
-		return err
-	})
-	return decs, failedNow
-}
-
-// endRound closes the sessions, best-effort.
-func (rt *Router) endRound(session uint64, slots []int) {
-	rt.fanout(slots, func(i, slot int) error {
-		rt.conns[slot].End(session)
-		return nil
-	})
-}
-
-// fanout runs f(i, slot) concurrently over slots and returns the slots
-// whose call failed, in slots order (deterministic for a given failure
-// set).
-func (rt *Router) fanout(slots []int, f func(i, slot int) error) []int {
+// fanout runs f(i, slot) concurrently over slots and returns each call's
+// error, in slots order.
+func (rt *Router) fanout(slots []int, f func(i, slot int) error) []error {
 	errs := make([]error, len(slots))
 	var wg sync.WaitGroup
 	for i, slot := range slots {
@@ -740,6 +523,12 @@ func (rt *Router) fanout(slots []int, f func(i, slot int) error) []int {
 		}(i, slot)
 	}
 	wg.Wait()
+	return errs
+}
+
+// failedSlots lists the slots whose call failed, in slots order
+// (deterministic for a given failure set).
+func failedSlots(slots []int, errs []error) []int {
 	var failed []int
 	for i, err := range errs {
 		if err != nil {
@@ -749,30 +538,24 @@ func (rt *Router) fanout(slots []int, f func(i, slot int) error) []int {
 	return failed
 }
 
-// applyDecs subtracts every shard's sparse decrements from the merged
-// counter — addition, so arrival order is irrelevant.
-func applyDecs(counter []int64, decs [][]DecPair) {
-	for _, ds := range decs {
-		for _, p := range ds {
-			counter[p.V] -= int64(p.Dec)
+// refusal returns the first error that is not a transport failure: a
+// healthy shard answering the op with an in-band error.
+func refusal(errs []error) error {
+	for _, err := range errs {
+		var rf *mpi.RankFailedError
+		if err != nil && !errors.As(err, &rf) {
+			return err
 		}
 	}
+	return nil
 }
 
-// subtract returns slots minus drop, preserving order.
-func subtract(slots, drop []int) []int {
-	out := slots[:0:len(slots)]
-	for _, s := range slots {
-		dead := false
-		for _, d := range drop {
-			if s == d {
-				dead = true
-				break
-			}
-		}
-		if !dead {
-			out = append(out, s)
-		}
+// drop marks the failed slots and returns slots without them, order
+// preserved.
+func (rt *Router) drop(slots, failed []int) []int {
+	if len(failed) == 0 {
+		return slots
 	}
-	return out
+	rt.markFailed(failed)
+	return slices.DeleteFunc(slots, func(s int) bool { return slices.Contains(failed, s) })
 }

@@ -3,9 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -213,10 +215,15 @@ func (s *RouterServer) writeBackoff(w http.ResponseWriter, status int, format st
 	s.writeJSON(w, status, routerError{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
+// admit is the front half both query handlers share: refuse while
+// draining or saturated, decode the JSON body into req, run the handler's
+// own validation (an error is a 400), then wait for a worker slot until
+// the client hangs up. It returns the release the handler must defer, or
+// nil after having written the refusal.
+func (s *RouterServer) admit(w http.ResponseWriter, r *http.Request, req any, validate func() error) func() {
 	if s.draining.Load() {
 		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
-		return
+		return nil
 	}
 	if s.admitted.Add(1) > s.admitLimit {
 		s.admitted.Add(-1)
@@ -224,36 +231,57 @@ func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		s.writeBackoff(w, http.StatusTooManyRequests,
 			"saturated: %d queries admitted (limit %d running + %d queued)",
 			s.admitLimit, s.cfg.MaxConcurrent, s.cfg.MaxQueue)
-		return
+		return nil
 	}
-	defer s.admitted.Add(-1)
-
-	var req routerSeedsRequest
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, routerError{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
+	err := json.NewDecoder(r.Body).Decode(req)
+	if err != nil {
+		err = fmt.Errorf("bad request body: %v", err)
+	} else {
+		err = validate()
 	}
-	if req.K < 1 || req.K > s.rt.Fleet().KMax {
-		s.writeJSON(w, http.StatusBadRequest, routerError{
-			Error: fmt.Sprintf("k = %d, want 1 <= k <= kMax = %d", req.K, s.rt.Fleet().KMax)})
-		return
-	}
-	q := RouterQuery{K: req.K, Costs: req.Costs, Budget: req.Budget,
-		Audience: req.Audience, Blocked: req.Blocked}
-	if !q.Plain() {
-		if err := q.asImm().Validate(s.rt.Fleet().NumVertices); err != nil {
-			s.writeJSON(w, http.StatusBadRequest, routerError{Error: err.Error()})
-			return
-		}
+	if err != nil {
+		s.admitted.Add(-1)
+		s.writeJSON(w, http.StatusBadRequest, routerError{Error: err.Error()})
+		return nil
 	}
 	select {
 	case s.running <- struct{}{}:
-		defer func() { <-s.running }()
 	case <-r.Context().Done():
+		s.admitted.Add(-1)
 		s.writeBackoff(w, http.StatusServiceUnavailable, "queue wait exceeded: %v", r.Context().Err())
+		return nil
+	}
+	return func() {
+		<-s.running
+		s.admitted.Add(-1)
+	}
+}
+
+// writeFailure answers a query the router could not serve.
+func (s *RouterServer) writeFailure(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	if err == ErrNoShards {
+		status = http.StatusServiceUnavailable
+	}
+	s.writeJSON(w, status, routerError{Error: err.Error()})
+}
+
+func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
+	var req routerSeedsRequest
+	var q RouterQuery
+	release := s.admit(w, r, &req, func() error {
+		if req.K < 1 || req.K > s.rt.Fleet().KMax {
+			return fmt.Errorf("k = %d, want 1 <= k <= kMax = %d", req.K, s.rt.Fleet().KMax)
+		}
+		q = RouterQuery{K: req.K, Costs: req.Costs, Budget: req.Budget,
+			Audience: req.Audience, Blocked: req.Blocked}
+		return q.Validate(s.rt.Fleet().NumVertices)
+	})
+	if release == nil {
 		return
 	}
+	defer release()
 
 	var onSeed func(i int, v graph.Vertex, gain int64)
 	var enc *json.Encoder
@@ -281,11 +309,7 @@ func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
 			enc.Encode(routerError{Error: err.Error()})
 			return
 		}
-		status := http.StatusInternalServerError
-		if err == ErrNoShards {
-			status = http.StatusServiceUnavailable
-		}
-		s.writeJSON(w, status, routerError{Error: err.Error()})
+		s.writeFailure(w, err)
 		return
 	}
 	resp := routerSeedsResponse{
@@ -317,53 +341,27 @@ func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
 // handleSpread serves POST /v1/spread: the routed seed-set spread
 // estimate, under the same admission control as /v1/seeds.
 func (s *RouterServer) handleSpread(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	if s.admitted.Add(1) > s.admitLimit {
-		s.admitted.Add(-1)
-		s.mRejected.Inc()
-		s.writeBackoff(w, http.StatusTooManyRequests,
-			"saturated: %d queries admitted (limit %d running + %d queued)",
-			s.admitLimit, s.cfg.MaxConcurrent, s.cfg.MaxQueue)
-		return
-	}
-	defer s.admitted.Add(-1)
-
 	var req routerSpreadRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, routerError{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	n := s.rt.Fleet().NumVertices
-	if len(req.Seeds) == 0 {
-		s.writeJSON(w, http.StatusBadRequest, routerError{Error: "spread needs at least one seed"})
-		return
-	}
-	for _, v := range append(append([]graph.Vertex{}, req.Seeds...), req.Audience...) {
-		if int(v) >= n {
-			s.writeJSON(w, http.StatusBadRequest, routerError{
-				Error: fmt.Sprintf("vertex %d out of range (n = %d)", v, n)})
-			return
+	release := s.admit(w, r, &req, func() error {
+		if len(req.Seeds) == 0 {
+			return errors.New("spread needs at least one seed")
 		}
-	}
-	select {
-	case s.running <- struct{}{}:
-		defer func() { <-s.running }()
-	case <-r.Context().Done():
-		s.writeBackoff(w, http.StatusServiceUnavailable, "queue wait exceeded: %v", r.Context().Err())
+		n := s.rt.Fleet().NumVertices
+		for _, v := range append(slices.Clone(req.Seeds), req.Audience...) {
+			if int(v) >= n {
+				return fmt.Errorf("vertex %d out of range (n = %d)", v, n)
+			}
+		}
+		return nil
+	})
+	if release == nil {
 		return
 	}
+	defer release()
 
 	res, err := s.rt.Spread(req.Seeds, req.Audience)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if err == ErrNoShards {
-			status = http.StatusServiceUnavailable
-		}
-		s.writeJSON(w, status, routerError{Error: err.Error()})
+		s.writeFailure(w, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, routerSpreadResponse{

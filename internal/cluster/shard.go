@@ -110,10 +110,18 @@ func (sh *Shard) Start(id uint64) []int64 {
 	for v := 0; v < n; v++ {
 		counts[v] = sh.Idx.Degree(graph.Vertex(v))
 	}
+	sh.openSession(id, rrr.NewBitset(sh.Col.Count()))
+	return counts
+}
+
+// openSession installs session id (replacing any session already under
+// that id) with its starting covered set, evicting the oldest session past
+// maxSessions.
+func (sh *Shard) openSession(id uint64, covered rrr.Bitset) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.seq++
-	sh.sessions[id] = &session{seq: sh.seq, covered: rrr.NewBitset(sh.Col.Count())}
+	sh.sessions[id] = &session{seq: sh.seq, covered: covered}
 	if len(sh.sessions) > maxSessions {
 		var oldID uint64
 		oldSeq := sh.seq + 1
@@ -124,7 +132,6 @@ func (sh *Shard) Start(id uint64) []int64 {
 		}
 		delete(sh.sessions, oldID)
 	}
-	return counts
 }
 
 // Purge marks seed v's still-uncovered local samples covered and returns
@@ -198,20 +205,7 @@ func (sh *Shard) StartFiltered(id uint64, audience []graph.Vertex) ([]int64, int
 	for v, c := range acc {
 		counts[v] = int64(c)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.seq++
-	sh.sessions[id] = &session{seq: sh.seq, covered: covered}
-	if len(sh.sessions) > maxSessions {
-		var oldID uint64
-		oldSeq := sh.seq + 1
-		for sid, s := range sh.sessions {
-			if s.seq < oldSeq {
-				oldSeq, oldID = s.seq, sid
-			}
-		}
-		delete(sh.sessions, oldID)
-	}
+	sh.openSession(id, covered)
 	return counts, eligible, nil
 }
 

@@ -352,132 +352,58 @@ func (st *state) selectSeeds() ([]graph.Vertex, int64, error) {
 	return st.selectSeedsIndexed(rrr.BuildIndex(st.col, st.threads))
 }
 
-// selectSeedsIndexed is the distributed Algorithm 4: global counters via
-// AllReduce, identical local argmax on every rank, local purge by index
-// lookup over the rank's shard of R, AllReduce of the decrements. Returns
-// the seeds and the global covered count; on a collective failure the
-// seeds chosen so far come back alongside the error.
+// selectSeedsIndexed is the distributed Algorithm 4: the selection engine
+// over an AllReduce of this rank's shard counts, so every rank runs the
+// identical argmax. Returns the seeds and the global covered count; on a
+// collective failure the seeds chosen so far come back alongside the
+// error.
 func (st *state) selectSeedsIndexed(idx *rrr.Index) ([]graph.Vertex, int64, error) {
-	n := st.g.NumVertices()
-	k := st.opt.K
-	counter := make([]int64, n)
+	var local imm.Coverage[int32]
 	if st.coded != nil {
-		// The shard index's degree column is exactly the population count
-		// CountRange would produce, with no store decode at all.
-		for v := 0; v < n; v++ {
-			counter[v] = idx.Degree(graph.Vertex(v))
-		}
+		local = imm.NewCodedCoverage(st.coded, idx, nil, st.threads)
 	} else {
-		st.countLocal(counter, nil)
+		local = imm.NewFlatCoverage(st.col, idx, nil, st.threads)
 	}
-	if err := mpi.AllReduce(st.c, counter, mpi.Sum); err != nil {
+	res, err := imm.Greedy(&allReduceCoverage{c: st.c, local: local},
+		st.g.NumVertices(), imm.Query{K: st.opt.K}, st.threads, nil)
+	return res.Seeds, res.Covered, err
+}
+
+// allReduceCoverage is the sample-partitioned coverage backend: the local
+// backend keeps this rank's shard counts (and does the purge work,
+// multithreaded), and the global counts are their sum over all ranks,
+// re-reduced after every purge. Sums of integers are exact in any order, so
+// the global counts equal a single process's over the union of the shards.
+// dist selects plain top-k only; eligible stays this rank's share.
+type allReduceCoverage struct {
+	c      mpi.Comm
+	local  imm.Coverage[int32]
+	shard  []int32 // the local backend's counts
+	global []int64
+}
+
+func (a *allReduceCoverage) Start(audience []graph.Vertex) ([]int64, int64, error) {
+	shard, eligible, err := a.local.Start(audience)
+	if err != nil {
 		return nil, 0, err
 	}
-
-	covered := rrr.NewBitset(st.localCount())
-	chosen := make([]bool, n)
-	seeds := make([]graph.Vertex, 0, k)
-	var coveredCount int64
-	dec := make([]int64, n)
-	var matched []int32
-	// Coded shards decode purged samples once, sequentially, into a flat
-	// scratch arena; the parallel decrement pass then filter-scans each
-	// decoded sample (members arrive in code order — the decrements
-	// commute, so the counters match the flat path exactly).
-	var arenaVerts []graph.Vertex
-	arenaOffs := []int64{0}
-	for len(seeds) < k {
-		// Identical argmax on every rank: deterministic tie-breaking.
-		best, arg := int64(-1), -1
-		for v := 0; v < n; v++ {
-			if !chosen[v] && counter[v] > best {
-				best, arg = counter[v], v
-			}
-		}
-		if arg < 0 {
-			break
-		}
-		v := graph.Vertex(arg)
-		seeds = append(seeds, v)
-		chosen[arg] = true
-		coveredCount += counter[v]
-		// Local purge: the seed's uncovered local samples come straight
-		// off its incidence list (marked covered before the parallel
-		// region); decrement accumulation stays multithreaded over vertex
-		// intervals, synchronization-free as in Algorithm 4.
-		clear(dec)
-		matched = matched[:0]
-		for _, j := range idx.SamplesOf(v) {
-			if covered.Get(int(j)) {
-				continue
-			}
-			covered.Set(int(j))
-			matched = append(matched, j)
-		}
-		p := st.threads
-		if p > n {
-			p = n
-		}
-		if st.coded != nil {
-			arenaVerts = arenaVerts[:0]
-			arenaOffs = arenaOffs[:1]
-			for _, j := range matched {
-				arenaVerts = st.coded.AppendMembers(int(j), arenaVerts)
-				arenaOffs = append(arenaOffs, int64(len(arenaVerts)))
-			}
-			par.Run(p, func(rank int) {
-				vl, vh := par.Interval(n, p, rank)
-				for s := 0; s < len(arenaOffs)-1; s++ {
-					for _, u := range arenaVerts[arenaOffs[s]:arenaOffs[s+1]] {
-						if u >= graph.Vertex(vl) && u < graph.Vertex(vh) {
-							dec[u]++
-						}
-					}
-				}
-			})
-		} else {
-			par.Run(p, func(rank int) {
-				vl, vh := par.Interval(n, p, rank)
-				for _, j := range matched {
-					for _, u := range st.col.RangeOf(int(j), graph.Vertex(vl), graph.Vertex(vh)) {
-						dec[u]++
-					}
-				}
-			})
-		}
-		if err := mpi.AllReduce(st.c, dec, mpi.Sum); err != nil {
-			return seeds, coveredCount, err
-		}
-		for u := range counter {
-			counter[u] -= dec[u]
-		}
-	}
-	return seeds, coveredCount, nil
+	a.shard, a.global = shard, make([]int64, len(shard))
+	return a.global, eligible, a.reduce()
 }
 
-// localCount returns the number of samples this rank's resident shard
-// holds, whichever store it lives in.
-func (st *state) localCount() int {
-	if st.coded != nil {
-		return st.coded.Count()
+func (a *allReduceCoverage) Purge(v graph.Vertex) (bool, error) {
+	if _, err := a.local.Purge(v); err != nil {
+		return false, err
 	}
-	return st.col.Count()
+	return false, a.reduce()
 }
 
-// countLocal fills counter with this rank's per-vertex sample membership
-// counts, multithreaded over vertex intervals.
-func (st *state) countLocal(counter []int64, covered []bool) {
-	n := st.g.NumVertices()
-	p := st.threads
-	if p > n {
-		p = n
+func (a *allReduceCoverage) End() { a.local.End() }
+
+// reduce refreshes the global counts from every rank's shard counts.
+func (a *allReduceCoverage) reduce() error {
+	for v, c := range a.shard {
+		a.global[v] = int64(c)
 	}
-	cnt32 := make([]int32, n)
-	par.Run(p, func(rank int) {
-		vl, vh := par.Interval(n, p, rank)
-		st.col.CountRange(cnt32, covered, graph.Vertex(vl), graph.Vertex(vh))
-	})
-	for i, c := range cnt32 {
-		counter[i] = int64(c)
-	}
+	return mpi.AllReduce(a.c, a.global, mpi.Sum)
 }

@@ -60,14 +60,18 @@ func TestDistMatchesSharedMemoryIMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// ... and for any intra-rank thread count: the selection argmax and the
+	// purge run on ThreadsPerRank workers.
 	for _, p := range []int{1, 2, 3, 5} {
-		results := runDist(t, p, g, Options{K: 6, Epsilon: 0.5, Model: diffuse.IC, ThreadsPerRank: 2, Seed: 17})
-		for rank, res := range results {
-			if !slices.Equal(res.Seeds, ref.Seeds) {
-				t.Fatalf("p=%d rank %d: seeds %v != shared-memory %v", p, rank, res.Seeds, ref.Seeds)
-			}
-			if res.Theta != ref.Theta {
-				t.Fatalf("p=%d rank %d: theta %d != %d", p, rank, res.Theta, ref.Theta)
+		for _, threads := range []int{1, 2, 4} {
+			results := runDist(t, p, g, Options{K: 6, Epsilon: 0.5, Model: diffuse.IC, ThreadsPerRank: threads, Seed: 17})
+			for rank, res := range results {
+				if !slices.Equal(res.Seeds, ref.Seeds) {
+					t.Fatalf("p=%d threads=%d rank %d: seeds %v != shared-memory %v", p, threads, rank, res.Seeds, ref.Seeds)
+				}
+				if res.Theta != ref.Theta {
+					t.Fatalf("p=%d threads=%d rank %d: theta %d != %d", p, threads, rank, res.Theta, ref.Theta)
+				}
 			}
 		}
 	}

@@ -15,10 +15,9 @@ import (
 // Query captures the four shapes immserve exposes — budgeted/cost-aware
 // selection, targeted (audience-rooted) influence, competitive selection
 // against a rival's blocked seeds, and direct spread estimation of a given
-// set — and SelectQueryIndexed / SelectQuerySketch run any combination of
-// them over the flat and byte-coded stores with the exact loop discipline
-// of SelectSeedsIndexed / SelectSeedsSketch. A zero-value Query (only K
-// set) is byte-identical to the plain selection at any worker count.
+// set. All of them are policy on the one selection engine (greedy.go); a
+// zero-value Query (only K set) is byte-identical to the plain selection
+// at any worker count.
 
 // Query is one sketch-space selection request.
 type Query struct {
@@ -144,341 +143,26 @@ func RootsAt(seed uint64, ids []int64, n, p int) []graph.Vertex {
 	return roots
 }
 
-// ratioBetter is the budgeted argmax's total order: gain-per-cost
-// descending, then exact gain descending, then vertex ascending. The order
-// is total and scanned ascending by vertex within each worker interval, so
-// the winner is independent of the worker count; and because float64
-// division by a positive constant is monotone (non-strict) in the integer
-// gain, uniform costs reduce the order to the plain (gain, vertex) one —
-// the plain/budgeted equivalence the property tests pin.
-func ratioBetter(r1 float64, g1 int64, v1 int, r2 float64, g2 int64, v2 int) bool {
-	if r1 != r2 {
-		return r1 > r2
-	}
-	if g1 != g2 {
-		return g1 > g2
-	}
-	return v1 < v2
-}
-
-// queryState is the store-independent part of a query run: eligibility,
-// counters, the argmax, and the greedy bookkeeping. The store-specific
-// purge is injected by the two entry points.
-type queryState struct {
-	n, p    int
-	q       Query
-	counter []int32
-	covered rrr.Bitset
-	chosen  []bool
-
-	eligible int64
-	seeds    []graph.Vertex
-	gains    []int64
-	coverCnt int64
-	spent    float64
-
-	bests []int64
-	args  []int
-}
-
-// markAudience pre-covers every sample whose root is outside the audience
-// so neither the counters nor the purges ever see it, and counts the
-// eligible remainder. Returns the excluded mask for flat-store counting
-// (nil when no audience filter is active).
-func (st *queryState) markAudience(roots []graph.Vertex, count int) ([]bool, error) {
-	if len(st.q.Audience) == 0 {
-		st.eligible = int64(count)
-		return nil, nil
-	}
-	if len(roots) != count {
-		return nil, fmt.Errorf("imm: audience query needs %d sample roots, have %d", count, len(roots))
-	}
-	inAud := make([]bool, st.n)
-	for _, v := range st.q.Audience {
-		inAud[v] = true
-	}
-	excluded := make([]bool, count)
-	for j, r := range roots {
-		if inAud[r] {
-			st.eligible++
-			continue
-		}
-		excluded[j] = true
-		st.covered.Set(j)
-	}
-	return excluded, nil
-}
-
-// argmax picks the next seed: the plain integer argmax of
-// SelectSeedsIndexed, or the budgeted ratio argmax when a budget is
-// active. Returns -1 when no candidate remains (all chosen, or none
-// affordable).
-func (st *queryState) argmax(costs []float64) int {
-	if costs == nil {
-		par.Run(st.p, func(rank int) {
-			vl, vh := par.Interval(st.n, st.p, rank)
-			best, arg := int64(-1), -1
-			for v := vl; v < vh; v++ {
-				if st.chosen[v] {
-					continue
-				}
-				if c := int64(st.counter[v]); c > best {
-					best, arg = c, v
-				}
-			}
-			st.bests[rank], st.args[rank] = best, arg
-		})
-		_, arg := par.ReduceMax(st.bests, st.args)
-		return arg
-	}
-	type cand struct {
-		ratio float64
-		gain  int64
-		arg   int
-	}
-	cands := make([]cand, st.p)
-	par.Run(st.p, func(rank int) {
-		vl, vh := par.Interval(st.n, st.p, rank)
-		best := cand{arg: -1}
-		for v := vl; v < vh; v++ {
-			if st.chosen[v] || st.spent+costs[v] > st.q.Budget {
-				continue
-			}
-			g := int64(st.counter[v])
-			r := float64(g) / costs[v]
-			if best.arg < 0 || ratioBetter(r, g, v, best.ratio, best.gain, best.arg) {
-				best = cand{ratio: r, gain: g, arg: v}
-			}
-		}
-		cands[rank] = best
-	})
-	win := cand{arg: -1}
-	for _, c := range cands {
-		if c.arg < 0 {
-			continue
-		}
-		if win.arg < 0 || ratioBetter(c.ratio, c.gain, c.arg, win.ratio, win.gain, win.arg) {
-			win = c
-		}
-	}
-	return win.arg
-}
-
-// resolveCosts returns the effective cost vector (nil when the query is
-// not budgeted; unit costs when budgeted without an explicit vector).
-func (st *queryState) resolveCosts() []float64 {
-	if !st.q.Budgeted() {
-		return nil
-	}
-	if st.q.Costs != nil {
-		return st.q.Costs
-	}
-	unit := make([]float64, st.n)
-	for v := range unit {
-		unit[v] = 1
-	}
-	return unit
-}
-
-// run drives the greedy loop; purge(v) must mark v's still-uncovered
-// samples covered and decrement the counters (the store-specific part).
-func (st *queryState) run(purge func(v graph.Vertex)) {
-	costs := st.resolveCosts()
-	// Competitive selection: the rival's seeds are off the table and the
-	// samples they cover yield no gain to anyone.
-	for _, b := range st.q.Blocked {
-		if st.chosen[b] {
-			continue
-		}
-		st.chosen[b] = true
-		if st.counter[b] > 0 {
-			purge(b)
-		}
-	}
-	for len(st.seeds) < st.q.K {
-		arg := st.argmax(costs)
-		if arg < 0 {
-			break
-		}
-		v := graph.Vertex(arg)
-		gain := int64(st.counter[v])
-		st.seeds = append(st.seeds, v)
-		st.gains = append(st.gains, gain)
-		st.chosen[arg] = true
-		st.coverCnt += gain
-		if costs != nil {
-			st.spent += costs[arg]
-		}
-		if gain == 0 {
-			continue // padding seed: nothing to purge
-		}
-		purge(v)
-	}
-}
-
-func (st *queryState) result() *QueryResult {
-	return &QueryResult{
-		Seeds: st.seeds, Gains: st.gains,
-		Covered: st.coverCnt, Eligible: st.eligible, SpentBudget: st.spent,
-	}
-}
-
-func newQueryState(n, count, p int, q Query) *queryState {
-	if p <= 0 {
-		p = par.DefaultWorkers()
-	}
-	if p > n {
-		p = n
-	}
-	return &queryState{
-		n: n, p: p, q: q,
-		counter: make([]int32, n),
-		covered: rrr.NewBitset(count),
-		chosen:  make([]bool, n),
-		seeds:   make([]graph.Vertex, 0, q.K),
-		gains:   make([]int64, 0, q.K),
-		bests:   make([]int64, p),
-		args:    make([]int, p),
-	}
-}
-
 // SelectQueryIndexed answers q over a flat collection and its incidence
 // index. roots is the per-sample root column (see RootAt); it is required
 // only for audience-filtered queries and may be nil otherwise. A plain q
 // returns exactly SelectSeedsIndexed's seeds, byte-identically, at any
 // worker count.
 func SelectQueryIndexed(col *rrr.Collection, idx *rrr.Index, roots []graph.Vertex, q Query, p int) (*QueryResult, error) {
-	n := col.NumVertices()
-	if err := q.Validate(n); err != nil {
+	if err := q.Validate(col.NumVertices()); err != nil {
 		return nil, err
 	}
-	st := newQueryState(n, col.Count(), p, q)
-	excluded, err := st.markAudience(roots, col.Count())
-	if err != nil {
-		return nil, err
-	}
-	par.Run(st.p, func(rank int) {
-		vl, vh := par.Interval(n, st.p, rank)
-		col.CountRange(st.counter, excluded, graph.Vertex(vl), graph.Vertex(vh))
-	})
-	var matched []int32
-	st.run(func(v graph.Vertex) {
-		matched = matched[:0]
-		for _, j := range idx.SamplesOf(v) {
-			if st.covered.Get(int(j)) {
-				continue
-			}
-			st.covered.Set(int(j))
-			matched = append(matched, j)
-		}
-		par.Run(st.p, func(rank int) {
-			vl, vh := par.Interval(n, st.p, rank)
-			for _, j := range matched {
-				for _, u := range col.RangeOf(int(j), graph.Vertex(vl), graph.Vertex(vh)) {
-					st.counter[u]--
-				}
-			}
-		})
-	})
-	return st.result(), nil
+	return Greedy(NewFlatCoverage(col, idx, roots, p), col.NumVertices(), q, p, nil)
 }
 
-// SelectQuerySketch answers q over a resident byte-coded sketch,
-// copy-on-read like SelectSeedsSketch: col, idx and roots are shared
-// immutable state; all mutable state is query-private, so any number of
-// concurrent queries never disturb the sketch or each other. A plain q
-// returns exactly SelectSeedsSketch's seeds, byte-identically.
+// SelectQuerySketch answers q over a resident byte-coded sketch (see
+// coverage.go for why concurrent queries never disturb each other). A
+// plain q returns exactly SelectSeedsSketch's seeds, byte-identically.
 func SelectQuerySketch(col *rrr.CodedCollection, idx *rrr.Index, roots []graph.Vertex, q Query, p int) (*QueryResult, error) {
-	n := col.NumVertices()
-	if err := q.Validate(n); err != nil {
+	if err := q.Validate(col.NumVertices()); err != nil {
 		return nil, err
 	}
-	st := newQueryState(n, col.Count(), p, q)
-	excluded, err := st.markAudience(roots, col.Count())
-	if err != nil {
-		return nil, err
-	}
-	decs := make([][]int32, st.p)
-	fold := func() {
-		par.Run(st.p, func(rank int) {
-			vl, vh := par.Interval(n, st.p, rank)
-			for _, d := range decs {
-				if d == nil {
-					continue
-				}
-				for v := vl; v < vh; v++ {
-					if d[v] != 0 {
-						st.counter[v] += d[v]
-						d[v] = 0
-					}
-				}
-			}
-		})
-	}
-	if excluded == nil {
-		// No audience filter: the degree column is exactly the population
-		// count, as in SelectSeedsSketch.
-		par.Run(st.p, func(rank int) {
-			vl, vh := par.Interval(n, st.p, rank)
-			for v := vl; v < vh; v++ {
-				st.counter[v] = int32(idx.Degree(graph.Vertex(v)))
-			}
-		})
-	} else {
-		// Audience filter: recount over the eligible samples only — a
-		// parallel decode into per-worker columns, folded without atomics
-		// (sums commute, the §13 determinism argument).
-		par.ForEach(col.Count(), st.p, func(rank, lo, hi int) {
-			d := decs[rank]
-			if d == nil {
-				d = make([]int32, n)
-				decs[rank] = d
-			}
-			for j := lo; j < hi; j++ {
-				if !excluded[j] {
-					col.AccumMembers(j, d)
-				}
-			}
-		})
-		fold()
-	}
-	var matched []int32
-	st.run(func(v graph.Vertex) {
-		matched = matched[:0]
-		for _, j := range idx.SamplesOf(v) {
-			if st.covered.Get(int(j)) {
-				continue
-			}
-			st.covered.Set(int(j))
-			matched = append(matched, j)
-		}
-		par.ForEach(len(matched), st.p, func(rank, lo, hi int) {
-			d := decs[rank]
-			if d == nil {
-				d = make([]int32, n)
-				decs[rank] = d
-			}
-			for _, j := range matched[lo:hi] {
-				col.AccumMembers(int(j), d)
-			}
-		})
-		// Purge folds subtract; negate the columns in place first.
-		par.Run(st.p, func(rank int) {
-			vl, vh := par.Interval(n, st.p, rank)
-			for _, d := range decs {
-				if d == nil {
-					continue
-				}
-				for v := vl; v < vh; v++ {
-					if d[v] != 0 {
-						st.counter[v] -= d[v]
-						d[v] = 0
-					}
-				}
-			}
-		})
-	})
-	return st.result(), nil
+	return Greedy(NewCodedCoverage(col, idx, roots, p), col.NumVertices(), q, p, nil)
 }
 
 // CoverageOf is the exposed CountAll estimator: the number of samples a

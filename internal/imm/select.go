@@ -20,201 +20,25 @@ func SelectSeeds(col *rrr.Collection, k, p int) ([]graph.Vertex, int64) {
 	return SelectSeedsIndexed(col, rrr.BuildIndex(col, p), k, p)
 }
 
-// SelectSeedsIndexed is greedy max-coverage with index-driven purging: the
-// interval-owned counters, deterministic parallel argmax and padding-seed
-// behaviour of Algorithm 4 are unchanged, but when a seed is chosen its
-// uncovered samples come straight from idx.SamplesOf instead of a
-// membership test against every sample, cutting the per-iteration cost from
-// O(|R|) sample visits to O(degree of the seed). idx must have been built
-// from col (or an identical collection).
+// SelectSeedsIndexed is greedy max-coverage with index-driven purging (the
+// engine over a FlatCoverage): the interval-owned counters, deterministic
+// parallel argmax and padding-seed behaviour of Algorithm 4 are unchanged,
+// but a chosen seed's uncovered samples come straight from idx.SamplesOf,
+// cutting the per-iteration cost from O(|R|) sample visits to O(degree of
+// the seed). idx must have been built from col (or an identical collection).
 func SelectSeedsIndexed(col *rrr.Collection, idx *rrr.Index, k, p int) ([]graph.Vertex, int64) {
-	n := col.NumVertices()
-	if n == 0 {
-		return nil, 0
-	}
-	if p <= 0 {
-		p = par.DefaultWorkers()
-	}
-	if p > n {
-		p = n
-	}
-	counter := make([]int32, n)
-	covered := rrr.NewBitset(col.Count())
-
-	// Step 1: population counts, each worker over its own vertex interval.
-	par.Run(p, func(rank int) {
-		vl, vh := par.Interval(n, p, rank)
-		col.CountRange(counter, nil, graph.Vertex(vl), graph.Vertex(vh))
-	})
-
-	seeds := make([]graph.Vertex, 0, k)
-	chosen := make([]bool, n)
-	var coveredCount int64
-
-	bests := make([]int64, p)
-	args := make([]int, p)
-	var matched []int32
-	for len(seeds) < k {
-		// Parallel argmax over vertex intervals.
-		par.Run(p, func(rank int) {
-			vl, vh := par.Interval(n, p, rank)
-			best, arg := int64(-1), -1
-			for v := vl; v < vh; v++ {
-				if chosen[v] {
-					continue
-				}
-				if c := int64(counter[v]); c > best {
-					best, arg = c, v
-				}
-			}
-			bests[rank], args[rank] = best, arg
-		})
-		_, arg := par.ReduceMax(bests, args)
-		if arg < 0 {
-			break // every vertex chosen (k == n)
-		}
-		v := graph.Vertex(arg)
-		gain := int64(counter[v])
-		seeds = append(seeds, v)
-		chosen[arg] = true
-		coveredCount += gain
-		if gain == 0 {
-			continue // padding seed: nothing to purge
-		}
-		// Purge by lookup: the seed's uncovered samples are read off its
-		// incidence list and marked covered before the parallel region, so
-		// the workers' reads of the bitset are race-free; each worker then
-		// decrements the counters of its own vertex interval for exactly
-		// those samples.
-		matched = matched[:0]
-		for _, j := range idx.SamplesOf(v) {
-			if covered.Get(int(j)) {
-				continue
-			}
-			covered.Set(int(j))
-			matched = append(matched, j)
-		}
-		par.Run(p, func(rank int) {
-			vl, vh := par.Interval(n, p, rank)
-			for _, j := range matched {
-				for _, u := range col.RangeOf(int(j), graph.Vertex(vl), graph.Vertex(vh)) {
-					counter[u]--
-				}
-			}
-		})
-	}
-	return seeds, coveredCount
+	// Local backends fail only on an audience filter without roots.
+	res, _ := Greedy(NewFlatCoverage(col, idx, nil, p), col.NumVertices(), Query{K: k}, p, nil)
+	return res.Seeds, res.Covered
 }
 
-// SelectSeedsSketch is SelectSeedsIndexed over a resident byte-coded
-// sketch: col and idx are shared, immutable state (a serving process keeps
-// one copy for all queries), and every call works exclusively on its own
-// copy-on-read state — counters seeded from the index's incidence degrees
-// (exactly the population counts CountRange would produce, without
-// touching the store) and a fresh covered bitset — so any number of
-// concurrent calls never mutate the sketch or each other. The selection
-// loop, argmax discipline and padding-seed behaviour are identical to
-// SelectSeedsIndexed, and so is the output: byte-identical seeds for the
-// same samples at any k and worker count, whatever the store's labeling —
-// counter decrements commute, so the order members decode in is
-// irrelevant (the §13 determinism argument).
+// SelectSeedsSketch is SelectSeedsIndexed over a resident byte-coded sketch
+// (the engine over a CodedCoverage): byte-identical seeds for the same
+// samples at any k and worker count, whatever the store's labeling.
 func SelectSeedsSketch(col *rrr.CodedCollection, idx *rrr.Index, k, p int) ([]graph.Vertex, int64) {
-	n := col.NumVertices()
-	if n == 0 {
-		return nil, 0
-	}
-	if p <= 0 {
-		p = par.DefaultWorkers()
-	}
-	if p > n {
-		p = n
-	}
-	// Copy-on-read: the query-private counter vector is the index's degree
-	// column, the covered bitset starts empty.
-	counter := make([]int32, n)
-	par.Run(p, func(rank int) {
-		vl, vh := par.Interval(n, p, rank)
-		for v := vl; v < vh; v++ {
-			counter[v] = int32(idx.Degree(graph.Vertex(v)))
-		}
-	})
-	covered := rrr.NewBitset(col.Count())
-
-	seeds := make([]graph.Vertex, 0, k)
-	chosen := make([]bool, n)
-	var coveredCount int64
-
-	bests := make([]int64, p)
-	args := make([]int, p)
-	var matched []int32
-	// Purge scratch: each worker decodes its share of the matched samples
-	// into a private decrement column (lazily allocated, reused across
-	// iterations), so the expensive varint decode parallelizes; a second
-	// interval-owned pass folds the columns into the shared counters with
-	// no atomics. Integer sums are exact and commutative, so the counters
-	// — and therefore the seeds — are identical to any other decode order
-	// (the §13 determinism argument).
-	decs := make([][]int32, p)
-	for len(seeds) < k {
-		par.Run(p, func(rank int) {
-			vl, vh := par.Interval(n, p, rank)
-			best, arg := int64(-1), -1
-			for v := vl; v < vh; v++ {
-				if chosen[v] {
-					continue
-				}
-				if c := int64(counter[v]); c > best {
-					best, arg = c, v
-				}
-			}
-			bests[rank], args[rank] = best, arg
-		})
-		_, arg := par.ReduceMax(bests, args)
-		if arg < 0 {
-			break // every vertex chosen (k == n)
-		}
-		v := graph.Vertex(arg)
-		gain := int64(counter[v])
-		seeds = append(seeds, v)
-		chosen[arg] = true
-		coveredCount += gain
-		if gain == 0 {
-			continue // padding seed: nothing to purge
-		}
-		matched = matched[:0]
-		for _, j := range idx.SamplesOf(v) {
-			if covered.Get(int(j)) {
-				continue
-			}
-			covered.Set(int(j))
-			matched = append(matched, j)
-		}
-		par.ForEach(len(matched), p, func(rank, lo, hi int) {
-			d := decs[rank]
-			if d == nil {
-				d = make([]int32, n)
-				decs[rank] = d
-			}
-			for _, j := range matched[lo:hi] {
-				col.AccumMembers(int(j), d)
-			}
-		})
-		par.Run(p, func(rank int) {
-			vl, vh := par.Interval(n, p, rank)
-			for _, d := range decs {
-				if d == nil {
-					continue
-				}
-				for v := vl; v < vh; v++ {
-					if d[v] != 0 {
-						counter[v] -= d[v]
-						d[v] = 0
-					}
-				}
-			}
-		})
-	}
-	return seeds, coveredCount
+	// Local backends fail only on an audience filter without roots.
+	res, _ := Greedy(NewCodedCoverage(col, idx, nil, p), col.NumVertices(), Query{K: k}, p, nil)
+	return res.Seeds, res.Covered
 }
 
 // SelectSeedsScan is the paper's Algorithm 4 verbatim: every purge

@@ -20,10 +20,11 @@
 //     CodedCollection of theta samples (identity labeling under
 //     imm.StoreFlat, frequency-relabeled under imm.StoreCoded — DESIGN.md
 //     §13), its CSR inverted incidence index, and the identifying key
-//     (graph digest, model, epsilon, kMax, seed). Queries run
-//     imm.SelectSeedsSketch, which works on
-//     copy-on-read state (degree-seeded counters, fresh covered bitset),
-//     so concurrent queries never mutate the shared sketch.
+//     (graph digest, model, epsilon, kMax, seed). Every query shape
+//     runs Sketch.QueryEx -> imm.SelectQuerySketch, the selection engine
+//     over an imm.CodedCoverage: copy-on-read state (degree-seeded
+//     counters, fresh covered bitset), so concurrent queries never mutate
+//     the shared sketch.
 //   - Snapshots: the rrr snapshot format (versioned, checksummed, chunked
 //     I/O, max-size guard) persists a sketch so a restarted server
 //     warm-starts in seconds instead of resampling; the graph digest in

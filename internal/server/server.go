@@ -431,165 +431,181 @@ func (s *Server) sketchFor(ctx context.Context, key SketchKey) (*Sketch, bool, e
 	return sk, hit, err
 }
 
-// handleSeeds is the query path: admission control, sketch resolution
-// (cache + single-flight), copy-on-read indexed selection, report.
-func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
+// admit is the front half every query handler shares: refuse while
+// draining, in shard mode or saturated; decode the JSON body into req; run
+// the handler's own validation (an error is a 400); then wait, bounded by
+// QueryTimeout and the client hanging up, for a worker-pool slot. It
+// returns the request context and the release the handler must defer —
+// everything admitted is counted until then, so Shutdown can drain — or a
+// nil release after having written the refusal.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, req any, validate func() error) (context.Context, func()) {
 	if s.draining.Load() {
 		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
-		return
+		return nil, nil
 	}
 	if sh := s.cfg.ClusterShard; sh != nil {
 		s.writeError(w, http.StatusBadRequest,
-			"this replica serves shard %d of %d; POST /v1/seeds to the cluster router instead",
-			sh.ShardIdx, sh.ShardCount)
-		return
+			"this replica serves shard %d of %d; POST %s to the cluster router instead",
+			sh.ShardIdx, sh.ShardCount, r.URL.Path)
+		return nil, nil
 	}
-	// Admission: bounded queue depth. Everything admitted past here is
-	// counted until the handler returns, so Shutdown can drain. The
-	// queue-depth gauge tracks admitted (running + waiting) so saturation
-	// is visible in /v1/metrics before 429s start.
-	if adm := s.admitted.Add(1); adm > s.admitLimit {
-		s.mQueueDepth.Set(s.admitted.Add(-1))
+	// The queue-depth gauge tracks admitted (running + waiting) so
+	// saturation is visible in /v1/metrics before 429s start.
+	adm := s.admitted.Add(1)
+	leave := func() { s.mQueueDepth.Set(s.admitted.Add(-1)) }
+	if adm > s.admitLimit {
+		leave()
 		s.mRejected.Inc()
 		s.writeBackoff(w, http.StatusTooManyRequests,
 			"saturated: %d queries admitted (limit %d running + %d queued)",
 			s.admitLimit, s.cfg.MaxConcurrent, s.cfg.MaxQueue)
-		return
-	} else {
-		s.mQueueDepth.Set(adm)
+		return nil, nil
 	}
-	defer func() { s.mQueueDepth.Set(s.admitted.Add(-1)) }()
-
-	var req seedsRequest
+	s.mQueueDepth.Set(adm)
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+	err := json.NewDecoder(r.Body).Decode(req)
+	if err != nil {
+		err = fmt.Errorf("bad request body: %v", err)
+	} else {
+		err = validate()
 	}
-
-	key := s.DefaultKey()
-	if s.cfg.Dynamic && (req.Model != nil || req.Epsilon != nil || req.Seed != nil) {
-		s.writeError(w, http.StatusBadRequest,
-			"dynamic mode serves one sketch configuration; model/epsilon/seed overrides are not available")
-		return
+	if err != nil {
+		leave()
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil
 	}
-	if req.Model != nil {
-		m, err := diffuse.ParseModel(*req.Model)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		key.Model = m
-	}
-	if req.Epsilon != nil {
-		if *req.Epsilon <= 0 || *req.Epsilon >= 1 {
-			s.writeError(w, http.StatusBadRequest, "epsilon = %v, want 0 < eps < 1", *req.Epsilon)
-			return
-		}
-		key.Epsilon = *req.Epsilon
-	}
-	if req.Seed != nil {
-		key.Seed = *req.Seed
-	}
-	if req.K < 1 || req.K > key.KMax {
-		s.writeError(w, http.StatusBadRequest, "k = %d, want 1 <= k <= kMax = %d", req.K, key.KMax)
-		return
-	}
-	// Resolve the query shape: explicit fields win, absent ones inherit
-	// the server defaults (an explicit empty value clears a default).
-	q := imm.Query{K: req.K, Costs: req.Costs, Budget: s.cfg.DefaultBudget,
-		Audience: s.cfg.DefaultAudience, Blocked: s.cfg.DefaultBlocked}
-	if req.Budget != nil {
-		q.Budget = *req.Budget
-	}
-	if req.Audience != nil {
-		q.Audience = *req.Audience
-	}
-	if req.Blocked != nil {
-		q.Blocked = *req.Blocked
-	}
-	if !q.Plain() {
-		if err := q.Validate(s.cfg.Graph.NumVertices()); err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-
-	// Worker pool: run now or wait (bounded by the timeout and by the
-	// client hanging up).
 	select {
 	case s.running <- struct{}{}:
-		defer func() { <-s.running }()
 	case <-ctx.Done():
 		s.mTimeouts.Inc()
 		s.writeBackoff(w, http.StatusServiceUnavailable, "queue wait exceeded: %v", ctx.Err())
-		return
+		cancel()
+		leave()
+		return nil, nil
 	}
 	s.mInflight.Add(1)
-	defer s.mInflight.Add(-1)
 	if s.testQueryHook != nil {
 		s.testQueryHook()
 	}
+	return ctx, func() {
+		s.mInflight.Add(-1)
+		<-s.running
+		cancel()
+		leave()
+	}
+}
 
-	var (
-		sk  *Sketch
-		hit bool
-		err error
-	)
-	if s.cfg.Dynamic {
-		// Lock-free load of the latest published epoch.
-		sk, hit = s.dynSk.Load(), true
-	} else {
-		sk, hit, err = s.sketchFor(ctx, key)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.mTimeouts.Inc()
-			s.writeBackoff(w, http.StatusServiceUnavailable,
-				"sketch for (%s) still building: %v", key, err)
-			return
-		}
+// keyFor applies a request's model/epsilon/seed overrides to the default
+// sketch key (overriding any of them selects — and, on first use,
+// populates — a different sketch).
+func (s *Server) keyFor(model *string, epsilon *float64, seed *uint64) (SketchKey, error) {
+	key := s.DefaultKey()
+	if s.cfg.Dynamic && (model != nil || epsilon != nil || seed != nil) {
+		return key, errors.New("dynamic mode serves one sketch configuration; model/epsilon/seed overrides are not available")
+	}
+	if model != nil {
+		m, err := diffuse.ParseModel(*model)
 		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, "building sketch: %v", err)
-			return
+			return key, err
 		}
+		key.Model = m
+	}
+	if epsilon != nil {
+		if *epsilon <= 0 || *epsilon >= 1 {
+			return key, fmt.Errorf("epsilon = %v, want 0 < eps < 1", *epsilon)
+		}
+		key.Epsilon = *epsilon
+	}
+	if seed != nil {
+		key.Seed = *seed
+	}
+	return key, nil
+}
+
+// resolveSketch returns the sketch a query runs over: the latest
+// published epoch in dynamic mode (a lock-free load), else the cached or
+// freshly built sketch for key. ok is false after a refusal was written.
+func (s *Server) resolveSketch(ctx context.Context, w http.ResponseWriter, key SketchKey) (sk *Sketch, hit, ok bool) {
+	if s.cfg.Dynamic {
+		return s.dynSk.Load(), true, true
+	}
+	sk, hit, err := s.sketchFor(ctx, key)
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		s.mTimeouts.Inc()
+		s.writeBackoff(w, http.StatusServiceUnavailable, "sketch for (%s) still building: %v", key, err)
+		return nil, false, false
+	}
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "building sketch: %v", err)
+		return nil, false, false
+	}
+	return sk, hit, true
+}
+
+// handleSeeds is the query path: admission control, sketch resolution
+// (cache + single-flight), copy-on-read indexed selection, report.
+func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
+	var (
+		req seedsRequest
+		key SketchKey
+		q   imm.Query
+	)
+	ctx, release := s.admit(w, r, &req, func() (err error) {
+		if key, err = s.keyFor(req.Model, req.Epsilon, req.Seed); err != nil {
+			return err
+		}
+		if req.K < 1 || req.K > key.KMax {
+			return fmt.Errorf("k = %d, want 1 <= k <= kMax = %d", req.K, key.KMax)
+		}
+		// Resolve the query shape: explicit fields win, absent ones inherit
+		// the server defaults (an explicit empty value clears a default).
+		q = imm.Query{K: req.K, Costs: req.Costs, Budget: s.cfg.DefaultBudget,
+			Audience: s.cfg.DefaultAudience, Blocked: s.cfg.DefaultBlocked}
+		if req.Budget != nil {
+			q.Budget = *req.Budget
+		}
+		if req.Audience != nil {
+			q.Audience = *req.Audience
+		}
+		if req.Blocked != nil {
+			q.Blocked = *req.Blocked
+		}
+		return q.Validate(s.cfg.Graph.NumVertices())
+	})
+	if release == nil {
+		return
+	}
+	defer release()
+	sk, hit, ok := s.resolveSketch(ctx, w, key)
+	if !ok {
+		return
 	}
 
 	start := time.Now()
-	var (
-		seeds   []graph.Vertex
-		covered int64
-		qr      *imm.QueryResult
-	)
-	if q.Plain() {
-		seeds, covered = sk.Query(req.K, s.cfg.Workers)
-	} else {
-		qr, err = sk.QueryEx(q, s.cfg.Workers)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		seeds, covered = qr.Seeds, qr.Covered
-		if q.Budgeted() {
-			s.mQueryBudgeted.Inc()
-		}
-		if len(q.Audience) > 0 {
-			s.mQueryTargeted.Inc()
-		}
-		if len(q.Blocked) > 0 {
-			s.mQueryBlocked.Inc()
-		}
+	qr, err := sk.QueryEx(q, s.cfg.Workers)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	dur := time.Since(start)
 	s.mQueries.Inc()
 	s.mLatency.Observe(dur.Microseconds())
+	if q.Budgeted() {
+		s.mQueryBudgeted.Inc()
+	}
+	if len(q.Audience) > 0 {
+		s.mQueryTargeted.Inc()
+	}
+	if len(q.Blocked) > 0 {
+		s.mQueryBlocked.Inc()
+	}
 
-	rep := sk.report(req.K, s.cfg.Workers, dur, seeds, covered)
+	rep := sk.report(req.K, s.cfg.Workers, dur, qr.Seeds, qr.Covered)
 	resp := seedsResponse{
 		K:                req.K,
 		KMax:             sk.Key.KMax,
-		Seeds:            seeds,
+		Seeds:            qr.Seeds,
 		CoverageFraction: rep.CoverageFraction,
 		EstimatedSpread:  rep.EstimatedSpread,
 		Theta:            sk.Theta,
@@ -598,7 +614,8 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		DeltaEpoch:       sk.DeltaEpoch,
 		Report:           rep,
 	}
-	if qr != nil {
+	if !q.Plain() {
+		// Plain responses keep their exact historical shape.
 		resp.Gains = qr.Gains
 		resp.Eligible = qr.Eligible
 		resp.SpentBudget = qr.SpentBudget
@@ -610,112 +627,37 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 // and sketch resolution as /v1/seeds, then a stateless coverage count
 // over the resident samples (no greedy, no purging).
 func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	if sh := s.cfg.ClusterShard; sh != nil {
-		s.writeError(w, http.StatusBadRequest,
-			"this replica serves shard %d of %d; POST /v1/spread to the cluster router instead",
-			sh.ShardIdx, sh.ShardCount)
-		return
-	}
-	if adm := s.admitted.Add(1); adm > s.admitLimit {
-		s.mQueueDepth.Set(s.admitted.Add(-1))
-		s.mRejected.Inc()
-		s.writeBackoff(w, http.StatusTooManyRequests,
-			"saturated: %d queries admitted (limit %d running + %d queued)",
-			s.admitLimit, s.cfg.MaxConcurrent, s.cfg.MaxQueue)
-		return
-	} else {
-		s.mQueueDepth.Set(adm)
-	}
-	defer func() { s.mQueueDepth.Set(s.admitted.Add(-1)) }()
-
-	var req spreadRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-
-	key := s.DefaultKey()
-	if s.cfg.Dynamic && (req.Model != nil || req.Epsilon != nil || req.Seed != nil) {
-		s.writeError(w, http.StatusBadRequest,
-			"dynamic mode serves one sketch configuration; model/epsilon/seed overrides are not available")
-		return
-	}
-	if req.Model != nil {
-		m, err := diffuse.ParseModel(*req.Model)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		key.Model = m
-	}
-	if req.Epsilon != nil {
-		if *req.Epsilon <= 0 || *req.Epsilon >= 1 {
-			s.writeError(w, http.StatusBadRequest, "epsilon = %v, want 0 < eps < 1", *req.Epsilon)
-			return
-		}
-		key.Epsilon = *req.Epsilon
-	}
-	if req.Seed != nil {
-		key.Seed = *req.Seed
-	}
-	if len(req.Seeds) == 0 {
-		s.writeError(w, http.StatusBadRequest, "spread needs at least one seed")
-		return
-	}
-	n := s.cfg.Graph.NumVertices()
-	for _, v := range req.Seeds {
-		if int(v) >= n {
-			s.writeError(w, http.StatusBadRequest, "seed vertex %d out of range (n = %d)", v, n)
-			return
-		}
-	}
-	for _, v := range req.Audience {
-		if int(v) >= n {
-			s.writeError(w, http.StatusBadRequest, "audience vertex %d out of range (n = %d)", v, n)
-			return
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-	select {
-	case s.running <- struct{}{}:
-		defer func() { <-s.running }()
-	case <-ctx.Done():
-		s.mTimeouts.Inc()
-		s.writeBackoff(w, http.StatusServiceUnavailable, "queue wait exceeded: %v", ctx.Err())
-		return
-	}
-	s.mInflight.Add(1)
-	defer s.mInflight.Add(-1)
-	if s.testQueryHook != nil {
-		s.testQueryHook()
-	}
-
 	var (
-		sk  *Sketch
-		hit bool
-		err error
+		req spreadRequest
+		key SketchKey
 	)
-	if s.cfg.Dynamic {
-		sk, hit = s.dynSk.Load(), true
-	} else {
-		sk, hit, err = s.sketchFor(ctx, key)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.mTimeouts.Inc()
-			s.writeBackoff(w, http.StatusServiceUnavailable,
-				"sketch for (%s) still building: %v", key, err)
-			return
+	ctx, release := s.admit(w, r, &req, func() (err error) {
+		if key, err = s.keyFor(req.Model, req.Epsilon, req.Seed); err != nil {
+			return err
 		}
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, "building sketch: %v", err)
-			return
+		if len(req.Seeds) == 0 {
+			return errors.New("spread needs at least one seed")
 		}
+		n := s.cfg.Graph.NumVertices()
+		for _, v := range req.Seeds {
+			if int(v) >= n {
+				return fmt.Errorf("seed vertex %d out of range (n = %d)", v, n)
+			}
+		}
+		for _, v := range req.Audience {
+			if int(v) >= n {
+				return fmt.Errorf("audience vertex %d out of range (n = %d)", v, n)
+			}
+		}
+		return nil
+	})
+	if release == nil {
+		return
+	}
+	defer release()
+	sk, hit, ok := s.resolveSketch(ctx, w, key)
+	if !ok {
+		return
 	}
 
 	start := time.Now()
