@@ -7,15 +7,19 @@ GO ?= go
 .PHONY: check build vet test race bench bench-baseline bench-gate bench-e2e bench-e2e-smoke fmt fmt-check clean
 
 # The benchmark runs the CI bench gate pins: the fused-vs-scalar sampling
-# kernel comparison, delta-vs-cold-rebuild maintenance and the budgeted
-# query loop (internal/imm), and end-to-end seed selection (root).
+# kernel comparison, delta-vs-cold-rebuild maintenance, the budgeted
+# query loop and the four served-regime query shapes (internal/imm), and
+# end-to-end seed selection (root). BenchmarkServeQuery is the only one
+# outside the paper regime: n far above the sample size, where a cost per
+# vertex per round is the whole query.
 # -benchtime 1x yields one ns/op
 # sample per run; -count=5 gives cmd/benchdiff five samples per benchmark
 # to take a median over.
 BENCH_GATE_RUNS = { $(GO) test -run '^$$' -bench '^BenchmarkSelectSeeds$$' -benchtime 1x -count=5 . \
 	&& $(GO) test -run '^$$' -bench '^BenchmarkSampleBatch$$' -benchtime 1x -count=5 ./internal/imm \
 	&& $(GO) test -run '^$$' -bench '^BenchmarkApplyDelta$$' -benchtime 1x -count=5 ./internal/imm \
-	&& $(GO) test -run '^$$' -bench '^BenchmarkSelectBudgeted$$' -benchtime 1x -count=5 ./internal/imm ; }
+	&& $(GO) test -run '^$$' -bench '^BenchmarkSelectBudgeted$$' -benchtime 1x -count=5 ./internal/imm \
+	&& $(GO) test -run '^$$' -bench '^BenchmarkServeQuery$$' -benchtime 1x -count=5 ./internal/imm ; }
 
 ## check: the CI-grade gate — compile everything, check formatting, vet,
 ## and run the full test suite under the race detector.

@@ -293,8 +293,7 @@ func (rt *Router) SelectQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, 
 		return nil, ErrNoShards
 	}
 	rt.mQueries.Inc()
-	// One argmax worker: concurrent queries already occupy the cores.
-	qr, err := imm.Greedy(fc, n, q, 1, onSeed)
+	qr, err := imm.Greedy(fc, n, q, onSeed)
 	if err != nil {
 		return nil, err
 	}

@@ -149,12 +149,13 @@ func (sh *Shard) Purge(id uint64, v graph.Vertex) ([]DecPair, error) {
 		return nil, fmt.Errorf("cluster: unknown session %d (evicted or never started)", id)
 	}
 	sh.touched = sh.touched[:0]
+	run := sh.Col.Run()
 	for _, j := range sh.Idx.SamplesOf(v) {
 		if ses.covered.Get(int(j)) {
 			continue
 		}
 		ses.covered.Set(int(j))
-		sh.members = sh.Col.AppendMembers(int(j), sh.members[:0])
+		sh.members = run.Append(int(j), sh.members[:0])
 		for _, u := range sh.members {
 			if sh.dec[u] == 0 {
 				sh.touched = append(sh.touched, u)
@@ -193,13 +194,14 @@ func (sh *Shard) StartFiltered(id uint64, audience []graph.Vertex) ([]int64, int
 	covered := rrr.NewBitset(sh.Col.Count())
 	var eligible int64
 	acc := make([]int32, n)
+	run := sh.Col.Run()
 	for j, r := range sh.Roots {
 		if !inAud[r] {
 			covered.Set(j)
 			continue
 		}
 		eligible++
-		sh.Col.AccumMembers(j, acc)
+		run.Accum(j, acc, 1)
 	}
 	counts := make([]int64, n)
 	for v, c := range acc {

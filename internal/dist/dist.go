@@ -365,7 +365,7 @@ func (st *state) selectSeedsIndexed(idx *rrr.Index) ([]graph.Vertex, int64, erro
 		local = imm.NewFlatCoverage(st.col, idx, nil, st.threads)
 	}
 	res, err := imm.Greedy(&allReduceCoverage{c: st.c, local: local},
-		st.g.NumVertices(), imm.Query{K: st.opt.K}, st.threads, nil)
+		st.g.NumVertices(), imm.Query{K: st.opt.K}, nil)
 	return res.Seeds, res.Covered, err
 }
 

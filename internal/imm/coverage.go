@@ -2,6 +2,8 @@ package imm
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"influmax/internal/graph"
 	"influmax/internal/par"
@@ -11,11 +13,11 @@ import (
 // The two in-process coverage backends. The store (col), its incidence
 // index and the root column are shared immutable state — a serving process
 // keeps one copy for all queries — and everything a selection mutates
-// (counters, covered bits, scratch) is private to the backend value, so any
-// number of concurrent selections never disturb the sketch or each other.
-// Purges update worker-owned vertex intervals with no atomics; integer
-// decrements commute, so the counters — and therefore the seeds — do not
-// depend on the worker count or on the order members decode in.
+// (localState) is private to the backend value between Start and End, so
+// any number of concurrent selections never disturb the sketch or each
+// other. Integer decrements commute, so the counters — and therefore the
+// seeds — do not depend on the worker count or on the order members decode
+// in.
 
 // localCoverage is what the flat and coded backends share: which samples a
 // seed purges is read off the incidence index, never found by scanning.
@@ -23,19 +25,39 @@ type localCoverage struct {
 	idx   *rrr.Index
 	roots []graph.Vertex
 	n, p  int
+	*localState
+}
 
+// localState is the memory one selection mutates. It comes from a pool
+// and goes back in End, so a served query allocates none of its O(n) and
+// O(theta) state; admission bounds how many are out (DESIGN.md §11).
+type localState struct {
 	counter []int32
 	covered rrr.Bitset
 	matched []int32
+	decs    []int32 // CodedCoverage.apply's p columns of n, zero between uses
 }
 
-// begin allocates the selection-private state for count samples and applies
+var localStatePool = sync.Pool{New: func() any { return new(localState) }}
+
+// zeroed returns s resized to n zero elements, reusing its memory when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// begin takes the selection-private state for count samples and applies
 // the audience filter: samples rooted outside the audience are pre-covered
 // so neither the counts nor the purges ever see them. It returns the
 // excluded mask (nil without a filter) and the eligible sample total.
 func (lc *localCoverage) begin(count int, audience []graph.Vertex) (excluded []bool, eligible int64, err error) {
-	lc.counter = make([]int32, lc.n)
-	lc.covered = rrr.NewBitset(count)
+	if lc.localState == nil {
+		lc.localState = localStatePool.Get().(*localState)
+	}
+	lc.counter = zeroed(lc.counter, lc.n)
+	lc.covered = zeroed(lc.covered, (count+63)/64)
 	if len(audience) == 0 {
 		return nil, int64(count), nil
 	}
@@ -58,9 +80,9 @@ func (lc *localCoverage) begin(count int, audience []graph.Vertex) (excluded []b
 	return excluded, eligible, nil
 }
 
-// uncovered marks v's still-uncovered samples covered and returns them.
-// It runs before the parallel decrement, so the workers' reads of the
-// bitset are race-free.
+// uncovered marks v's still-uncovered samples covered and returns them,
+// ascending. It runs before any parallel decrement, so the workers' reads
+// of the bitset are race-free.
 func (lc *localCoverage) uncovered(v graph.Vertex) []int32 {
 	lc.matched = lc.matched[:0]
 	for _, j := range lc.idx.SamplesOf(v) {
@@ -72,8 +94,14 @@ func (lc *localCoverage) uncovered(v graph.Vertex) []int32 {
 	return lc.matched
 }
 
-// End is a no-op: local selections hold nothing beyond their own memory.
-func (lc *localCoverage) End() {}
+// End returns the selection's state to the pool; the counts Start handed
+// out are void from here on.
+func (lc *localCoverage) End() {
+	if lc.localState != nil {
+		localStatePool.Put(lc.localState)
+		lc.localState = nil
+	}
+}
 
 // FlatCoverage is the backend over a flat collection.
 type FlatCoverage struct {
@@ -125,42 +153,51 @@ func (b *FlatCoverage) Purge(v graph.Vertex) (bool, error) {
 type CodedCoverage struct {
 	localCoverage
 	col *rrr.CodedCollection
-	// decs are per-worker scratch columns (lazily allocated, zero between
-	// uses): each worker decodes its share of a sample list into its own
-	// column, so the expensive varint decode parallelizes; fold then adds
-	// the columns into the shared counters by vertex interval.
-	decs [][]int32
 }
 
 // NewCodedCoverage is NewFlatCoverage for a byte-coded store.
 func NewCodedCoverage(col *rrr.CodedCollection, idx *rrr.Index, roots []graph.Vertex, p int) *CodedCoverage {
 	n := col.NumVertices()
-	lc := localCoverage{idx: idx, roots: roots, n: n, p: clampWorkers(p, n)}
-	return &CodedCoverage{localCoverage: lc, col: col, decs: make([][]int32, lc.p)}
+	return &CodedCoverage{localCoverage{idx: idx, roots: roots, n: n, p: clampWorkers(p, n)}, col}
 }
 
-// column returns worker rank's scratch column.
-func (b *CodedCoverage) column(rank int) []int32 {
-	if b.decs[rank] == nil {
-		b.decs[rank] = make([]int32, b.n)
+// apply adds sign to the counter of every member of the listed samples
+// (ascending ids, so a decoder runs through them). A list expected to
+// carry fewer than n entries — its length times the store's mean sample
+// size — is decoded here and now, straight into the counters: the cost is
+// the entries it touches. A longer one (the paper's regime of few, huge
+// samples) is worth p workers, each decoding its share into a scratch
+// column of its own, and one O(p·n) fold of the columns (DESIGN.md §13.5).
+func (b *CodedCoverage) apply(ids []int32, sign int32) {
+	if len(ids) == 0 || int64(len(ids))*b.col.TotalSize() < int64(b.n)*int64(b.col.Count()) {
+		d := b.col.Run()
+		for _, j := range ids {
+			d.Accum(int(j), b.counter, sign)
+		}
+		return
 	}
-	return b.decs[rank]
+	if len(b.decs) != b.p*b.n {
+		b.decs = zeroed(b.decs, b.p*b.n)
+	}
+	par.ForEach(len(ids), b.p, func(rank, lo, hi int) {
+		d, column := b.col.Run(), b.decs[rank*b.n:][:b.n]
+		for _, j := range ids[lo:hi] {
+			d.Accum(int(j), column, 1)
+		}
+	})
+	b.fold(sign)
 }
 
 // fold adds sign times the per-worker columns into the counters and
 // zeroes them.
 func (b *CodedCoverage) fold(sign int32) {
-	counter := b.counter
 	par.Run(b.p, func(rank int) {
 		vl, vh := par.Interval(b.n, b.p, rank)
-		for _, d := range b.decs {
-			if d == nil {
-				continue
-			}
+		for column := b.decs; len(column) > 0; column = column[b.n:] {
 			for v := vl; v < vh; v++ {
-				if d[v] != 0 {
-					counter[v] += sign * d[v]
-					d[v] = 0
+				if column[v] != 0 {
+					b.counter[v] += sign * column[v]
+					column[v] = 0
 				}
 			}
 		}
@@ -176,39 +213,24 @@ func (b *CodedCoverage) Start(audience []graph.Vertex) ([]int32, int64, error) {
 		return nil, 0, err
 	}
 	if excluded == nil {
-		par.Run(b.p, func(rank int) {
-			vl, vh := par.Interval(b.n, b.p, rank)
-			for v := vl; v < vh; v++ {
-				b.counter[v] = int32(b.idx.Degree(graph.Vertex(v)))
-			}
-		})
-	} else {
-		par.ForEach(len(excluded), b.p, func(rank, lo, hi int) {
-			d := b.column(rank)
-			for j := lo; j < hi; j++ {
-				if !excluded[j] {
-					b.col.AccumMembers(j, d)
-				}
-			}
-		})
-		b.fold(+1)
+		for v := range b.counter {
+			b.counter[v] = int32(b.idx.Degree(graph.Vertex(v)))
+		}
+		return b.counter, eligible, nil
 	}
+	ids := b.matched[:0]
+	for j, x := range excluded {
+		if !x {
+			ids = append(ids, int32(j))
+		}
+	}
+	b.matched = ids
+	b.apply(ids, +1)
 	return b.counter, eligible, nil
 }
 
-// Purge decodes v's uncovered samples into the per-worker columns and
-// folds them out of the counters.
+// Purge takes v's uncovered samples out of the counters.
 func (b *CodedCoverage) Purge(v graph.Vertex) (bool, error) {
-	matched := b.uncovered(v)
-	if len(matched) == 0 {
-		return false, nil
-	}
-	par.ForEach(len(matched), b.p, func(rank, lo, hi int) {
-		d := b.column(rank)
-		for _, j := range matched[lo:hi] {
-			b.col.AccumMembers(int(j), d)
-		}
-	})
-	b.fold(-1)
+	b.apply(b.uncovered(v), -1)
 	return false, nil
 }

@@ -1,6 +1,10 @@
 package imm
 
 import (
+	"math"
+	"slices"
+	"sync"
+
 	"influmax/internal/graph"
 	"influmax/internal/par"
 )
@@ -35,12 +39,11 @@ type Coverage[C Count] interface {
 }
 
 // ratioBetter is the budgeted argmax's total order: gain-per-cost
-// descending, then exact gain descending, then vertex ascending. The order
-// is total and scanned ascending by vertex within each worker interval, so
-// the winner is independent of the worker count; and because float64
-// division by a positive constant is monotone (non-strict) in the integer
-// gain, uniform costs reduce the order to the plain (gain, vertex) one —
-// the plain/budgeted equivalence the property tests pin.
+// descending, then exact gain descending, then vertex ascending. Because
+// float64 division by a positive constant is monotone (non-strict) in the
+// integer gain, uniform costs reduce the order to the plain (gain, vertex)
+// one — the plain/budgeted equivalence the property tests pin, and why a
+// budget without costs (nil costs: cost 1) never divides.
 func ratioBetter(r1 float64, g1 int64, v1 int, r2 float64, g2 int64, v2 int) bool {
 	if r1 != r2 {
 		return r1 > r2
@@ -51,47 +54,58 @@ func ratioBetter(r1 float64, g1 int64, v1 int, r2 float64, g2 int64, v2 int) boo
 	return v1 < v2
 }
 
+// candidate is a lazy-heap entry: a vertex and its count as last seen.
+type candidate[C Count] struct {
+	key C
+	v   graph.Vertex
+}
+
 // greedy is one selection in flight: everything about it that does not
-// depend on where the samples live.
+// depend on where the samples live. The value is pooled for its O(n) parts
+// (chosen, heap), so nothing handed to the caller may point into it.
 type greedy[C Count] struct {
-	be    Coverage[C]
-	n, p  int
-	q     Query
-	costs []float64 // nil unless budgeted
+	be Coverage[C]
+	q  Query // empty q.Costs (nil or "costs":[]) means unit costs, or no budget
 
 	counter []C
 	chosen  []bool
+	heap    []candidate[C] // lazy max-heap over the unchosen vertices (argmax)
+	minCost float64        // cheapest heap entry when it was built
+	pops    int            // heap entries argmax examined: the engine's work count
 	res     QueryResult
-
-	bests  []int64
-	args   []int
-	ratios []float64 // per-worker best ratio, budgeted argmax only
 }
 
-// Greedy runs q over the backend's samples with p argmax workers and
-// returns the seeds in selection order with their marginal gains. onSeed,
-// when non-nil, sees each seed as it is committed (gains there are as of
-// selection time; the result restates them if the backend restarted). The
-// result is never nil: when the backend fails, the seeds committed so far
-// come back with the error. q is not validated here — the plain selectors
-// rely on k >= n selecting every vertex.
-func Greedy[C Count](be Coverage[C], n int, q Query, p int, onSeed func(i int, v graph.Vertex, gain int64)) (*QueryResult, error) {
-	g := &greedy[C]{be: be, n: n, p: clampWorkers(p, n), q: q, chosen: make([]bool, n)}
-	if n == 0 {
-		return &g.res, nil
+// greedyPool recycles greedy values of either counter type; Get drops a
+// value of the other type, so mixing both costs allocations, not errors.
+var greedyPool sync.Pool
+
+// Greedy runs q over the backend's samples and returns the seeds in
+// selection order with their marginal gains. onSeed, when non-nil, sees
+// each seed as it is committed (gains there are as of selection time; the
+// result restates them if the backend restarted). The result is never nil:
+// when the backend fails, the seeds committed so far come back with the
+// error. q is not validated here — the plain selectors rely on k >= n
+// selecting every vertex.
+func Greedy[C Count](be Coverage[C], n int, q Query, onSeed func(i int, v graph.Vertex, gain int64)) (*QueryResult, error) {
+	g, _ := greedyPool.Get().(*greedy[C])
+	if g == nil {
+		g = new(greedy[C])
 	}
+	err := g.run(be, n, q, onSeed)
+	res := g.res
+	*g = greedy[C]{chosen: g.chosen, heap: g.heap[:0]}
+	greedyPool.Put(g)
+	return &res, err
+}
+
+func (g *greedy[C]) run(be Coverage[C], n int, q Query, onSeed func(i int, v graph.Vertex, gain int64)) error {
+	g.be, g.q = be, q
+	if n == 0 {
+		return nil
+	}
+	g.chosen = zeroed(g.chosen, n)
 	g.res.Seeds = make([]graph.Vertex, 0, min(q.K, n))
 	g.res.Gains = make([]int64, 0, min(q.K, n))
-	g.bests, g.args = make([]int64, g.p), make([]int, g.p)
-	if q.Budgeted() {
-		g.ratios = make([]float64, g.p)
-		if g.costs = q.Costs; g.costs == nil {
-			g.costs = make([]float64, n)
-			for v := range g.costs {
-				g.costs[v] = 1
-			}
-		}
-	}
 	err := g.establish()
 	for err == nil && len(g.res.Seeds) < q.K {
 		arg := g.argmax()
@@ -103,8 +117,8 @@ func Greedy[C Count](be Coverage[C], n int, q Query, p int, onSeed func(i int, v
 		g.res.Gains = append(g.res.Gains, gain)
 		g.res.Covered += gain
 		g.chosen[arg] = true
-		if g.costs != nil {
-			g.res.SpentBudget += g.costs[arg]
+		if q.Budgeted() {
+			g.res.SpentBudget += g.cost(v)
 		}
 		if onSeed != nil {
 			onSeed(len(g.res.Seeds)-1, v, gain)
@@ -117,7 +131,7 @@ func Greedy[C Count](be Coverage[C], n int, q Query, p int, onSeed func(i int, v
 		}
 	}
 	be.End()
-	return &g.res, err
+	return err
 }
 
 // clampWorkers resolves a worker count against n items.
@@ -128,18 +142,46 @@ func clampWorkers(p, n int) int {
 	return min(p, max(n, 1))
 }
 
+// cost is v's selection cost under a budget.
+func (g *greedy[C]) cost(v graph.Vertex) float64 {
+	if len(g.q.Costs) == 0 {
+		return 1
+	}
+	return g.q.Costs[v]
+}
+
 // establish (re)builds the committed state on a fresh backend session and
 // is both the set-up of a new query and the recovery after a backend
-// restart; it loops until one replay runs through undisturbed.
+// restart; it loops until one replay runs through undisturbed, then heaps
+// the surviving candidates — the one pass over all n a selection makes.
 func (g *greedy[C]) establish() error {
 	for {
 		var err error
 		if g.counter, g.res.Eligible, err = g.be.Start(g.q.Audience); err != nil {
 			return err
 		}
-		if restarted, err := g.replay(); !restarted || err != nil {
+		if restarted, err := g.replay(); restarted {
+			continue
+		} else if err != nil {
 			return err
 		}
+		g.heap, g.minCost = slices.Grow(g.heap[:0], len(g.counter)), 1
+		if len(g.q.Costs) > 0 {
+			g.minCost = math.Inf(1)
+		}
+		for v, c := range g.counter {
+			if g.chosen[v] {
+				continue
+			}
+			g.heap = append(g.heap, candidate[C]{c, graph.Vertex(v)})
+			if len(g.q.Costs) > 0 {
+				g.minCost = min(g.minCost, g.q.Costs[v])
+			}
+		}
+		for i := len(g.heap)/2 - 1; i >= 0; i-- {
+			g.siftDown(i)
+		}
+		return nil
 	}
 }
 
@@ -168,52 +210,65 @@ func (g *greedy[C]) replay() (restarted bool, err error) {
 	return false, nil
 }
 
-// argmax picks the next seed over the worker-owned vertex intervals of
-// Algorithm 4: the largest count, lowest vertex on ties — or, under a
-// budget, the ratioBetter-best affordable vertex. Returns -1 when no
-// candidate remains.
+// before is the argmax's total order over heap entries: the larger count,
+// lowest vertex on ties — or, under per-vertex costs, ratioBetter.
+func (g *greedy[C]) before(a, b candidate[C]) bool {
+	if len(g.q.Costs) == 0 {
+		return a.key > b.key || a.key == b.key && a.v < b.v
+	}
+	return ratioBetter(float64(a.key)/g.q.Costs[a.v], int64(a.key), int(a.v),
+		float64(b.key)/g.q.Costs[b.v], int64(b.key), int(b.v))
+}
+
+func (g *greedy[C]) siftDown(i int) {
+	h, e := g.heap, g.heap[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && g.before(h[c+1], h[c]) {
+			c++
+		}
+		if !g.before(h[c], e) {
+			break
+		}
+		h[i], i = h[c], c
+	}
+	h[i] = e
+}
+
+// argmax picks the next seed: the best unchosen — under a budget, still
+// affordable — vertex in the before order, or -1 when none remains. Counts
+// only ever fall, so an entry's key is an upper bound on its count and its
+// heap position no later than its true rank: when the top's key equals its
+// count, the top is the exact argmax, ties included (DESIGN.md §18.5). A
+// stale top is re-keyed and sifted; an unaffordable one is dropped for
+// good, since spend only grows. Chosen vertices are never in the heap.
 func (g *greedy[C]) argmax() int {
-	counter, chosen, costs := g.counter, g.chosen, g.costs
-	if costs == nil {
-		par.Run(g.p, func(rank int) {
-			vl, vh := par.Interval(g.n, g.p, rank)
-			best, arg := int64(-1), -1
-			for v := vl; v < vh; v++ {
-				if chosen[v] {
-					continue
-				}
-				if c := int64(counter[v]); c > best {
-					best, arg = c, v
-				}
-			}
-			g.bests[rank], g.args[rank] = best, arg
-		})
-		_, arg := par.ReduceMax(g.bests, g.args)
-		return arg
-	}
 	spent, budget := g.res.SpentBudget, g.q.Budget
-	par.Run(g.p, func(rank int) {
-		vl, vh := par.Interval(g.n, g.p, rank)
-		bestR, best, arg := 0.0, int64(-1), -1
-		for v := vl; v < vh; v++ {
-			if chosen[v] || spent+costs[v] > budget {
-				continue
-			}
-			c := int64(counter[v])
-			if r := float64(c) / costs[v]; arg < 0 || ratioBetter(r, c, v, bestR, best, arg) {
-				bestR, best, arg = r, c, v
-			}
+	if !g.q.Budgeted() {
+		budget = math.Inf(1)
+	} else if spent+g.minCost > budget {
+		return -1 // not even the cheapest fits: popping all n would say the same
+	}
+	for len(g.heap) > 0 {
+		g.pops++
+		top := g.heap[0]
+		drop := spent+g.cost(top.v) > budget
+		if c := g.counter[top.v]; !drop && c != top.key {
+			g.heap[0].key = c
+			g.siftDown(0)
+			continue
 		}
-		g.ratios[rank], g.bests[rank], g.args[rank] = bestR, best, arg
-	})
-	win := -1
-	for rank, arg := range g.args {
-		if arg >= 0 && (win < 0 || ratioBetter(g.ratios[rank], g.bests[rank], arg, g.ratios[win], g.bests[win], g.args[win])) {
-			win = rank
+		last := len(g.heap) - 1
+		g.heap[0] = g.heap[last]
+		if g.heap = g.heap[:last]; last > 0 {
+			g.siftDown(0)
+		}
+		if !drop {
+			return int(top.v)
 		}
 	}
-	if win < 0 {
-		return -1
-	}
-	return g.args[win]
+	return -1
 }

@@ -152,7 +152,7 @@ func SelectQueryIndexed(col *rrr.Collection, idx *rrr.Index, roots []graph.Verte
 	if err := q.Validate(col.NumVertices()); err != nil {
 		return nil, err
 	}
-	return Greedy(NewFlatCoverage(col, idx, roots, p), col.NumVertices(), q, p, nil)
+	return Greedy(NewFlatCoverage(col, idx, roots, p), col.NumVertices(), q, nil)
 }
 
 // SelectQuerySketch answers q over a resident byte-coded sketch (see
@@ -162,7 +162,7 @@ func SelectQuerySketch(col *rrr.CodedCollection, idx *rrr.Index, roots []graph.V
 	if err := q.Validate(col.NumVertices()); err != nil {
 		return nil, err
 	}
-	return Greedy(NewCodedCoverage(col, idx, roots, p), col.NumVertices(), q, p, nil)
+	return Greedy(NewCodedCoverage(col, idx, roots, p), col.NumVertices(), q, nil)
 }
 
 // CoverageOf is the exposed CountAll estimator: the number of samples a

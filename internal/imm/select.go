@@ -21,14 +21,14 @@ func SelectSeeds(col *rrr.Collection, k, p int) ([]graph.Vertex, int64) {
 }
 
 // SelectSeedsIndexed is greedy max-coverage with index-driven purging (the
-// engine over a FlatCoverage): the interval-owned counters, deterministic
-// parallel argmax and padding-seed behaviour of Algorithm 4 are unchanged,
-// but a chosen seed's uncovered samples come straight from idx.SamplesOf,
+// engine over a FlatCoverage): the interval-owned counters, the argmax's
+// order and the padding-seed behaviour of Algorithm 4 are unchanged, but a
+// chosen seed's uncovered samples come straight from idx.SamplesOf,
 // cutting the per-iteration cost from O(|R|) sample visits to O(degree of
 // the seed). idx must have been built from col (or an identical collection).
 func SelectSeedsIndexed(col *rrr.Collection, idx *rrr.Index, k, p int) ([]graph.Vertex, int64) {
 	// Local backends fail only on an audience filter without roots.
-	res, _ := Greedy(NewFlatCoverage(col, idx, nil, p), col.NumVertices(), Query{K: k}, p, nil)
+	res, _ := Greedy(NewFlatCoverage(col, idx, nil, p), col.NumVertices(), Query{K: k}, nil)
 	return res.Seeds, res.Covered
 }
 
@@ -37,7 +37,7 @@ func SelectSeedsIndexed(col *rrr.Collection, idx *rrr.Index, k, p int) ([]graph.
 // samples at any k and worker count, whatever the store's labeling.
 func SelectSeedsSketch(col *rrr.CodedCollection, idx *rrr.Index, k, p int) ([]graph.Vertex, int64) {
 	// Local backends fail only on an audience filter without roots.
-	res, _ := Greedy(NewCodedCoverage(col, idx, nil, p), col.NumVertices(), Query{K: k}, p, nil)
+	res, _ := Greedy(NewCodedCoverage(col, idx, nil, p), col.NumVertices(), Query{K: k}, nil)
 	return res.Seeds, res.Covered
 }
 

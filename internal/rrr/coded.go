@@ -127,94 +127,112 @@ func (c *CodedCollection) Append(set []graph.Vertex) {
 // payload locates the delta payload of sample i: jump to its block's
 // offset, then skip the length-prefixed samples before it in the block.
 func (c *CodedCollection) payload(i int) []byte {
-	pos := c.blockOffs[i>>codedBlockShift]
-	for s := i & (codedBlockSamples - 1); s > 0; s-- {
-		l, k := binary.Uvarint(c.data[pos:])
-		pos += int64(k) + int64(l)
-	}
-	l, k := binary.Uvarint(c.data[pos:])
-	start := pos + int64(k)
-	return c.data[start : start+int64(l)]
+	d := c.Run()
+	return d.payload(i)
 }
 
-// AppendMembers decodes sample i and appends its members, in ascending
-// code order, to buf (which is returned). With the identity labeling that
-// is ascending original-id order; under a frequency relabeling it is not —
+// uvarintTail finishes the uvarint whose first byte b0 (>= 0x80) sits at
+// p[pos-1], returning the value and the position past it. Decode loops
+// test the one-byte form inline — nearly every gap under the frequency
+// relabeling — and come here for the rest: two and three bytes (codes
+// below 2^21) unrolled, longer ones left to encoding/binary.
+func uvarintTail(p []byte, pos int, b0 uint32) (uint32, int) {
+	b0 &= 0x7f
+	b1 := uint32(p[pos])
+	if b1 < 0x80 {
+		return b0 | b1<<7, pos + 1
+	}
+	if b2 := uint32(p[pos+1]); b2 < 0x80 {
+		return b0 | (b1&0x7f)<<7 | b2<<14, pos + 2
+	}
+	x, k := binary.Uvarint(p[pos-1:])
+	return uint32(x), pos - 1 + k
+}
+
+// RunDecoder decodes samples by id, remembering where the last one ended:
+// a run of ascending ids inside one 64-sample block — the matched list of
+// a purge comes ascending off the index — skips only the length prefixes
+// between consecutive ids, where a cold lookup re-walks up to 63 from the
+// block's start. Any id order decodes correctly; only the cost differs.
+// A decoder is a cursor over an immutable store, private to one goroutine.
+type RunDecoder struct {
+	c      *CodedCollection
+	blk, s int // the cursor sits on the length prefix of sample s of block blk,
+	pos    int // at byte pos (the zero cursor is the start of block 0)
+}
+
+// Run returns a decoder positioned at the store's first sample.
+func (c *CodedCollection) Run() RunDecoder { return RunDecoder{c: c} }
+
+// payload returns sample i's delta payload and moves the cursor past it.
+func (d *RunDecoder) payload(i int) []byte {
+	data := d.c.data
+	blk, s := i>>codedBlockShift, i&(codedBlockSamples-1)
+	if blk != d.blk || s < d.s {
+		d.blk, d.s, d.pos = blk, 0, int(d.c.blockOffs[blk])
+	}
+	for {
+		l, start := uint32(data[d.pos]), d.pos+1
+		if l >= 0x80 {
+			l, start = uvarintTail(data, start, l)
+		}
+		d.s, d.pos = d.s+1, start+int(l)
+		if d.s > s {
+			return data[start:d.pos]
+		}
+	}
+}
+
+// Append decodes sample i and appends its members, in ascending code
+// order, to buf (which is returned). With the identity labeling that is
+// ascending original-id order; under a frequency relabeling it is not —
 // the selection paths that consume this are order-insensitive (counter
 // decrements commute), which is why decode never needs to sort.
-func (c *CodedCollection) AppendMembers(i int, buf []graph.Vertex) []graph.Vertex {
-	p := c.payload(i)
-	prev := uint32(0)
-	first := true
+func (d *RunDecoder) Append(i int, buf []graph.Vertex) []graph.Vertex {
+	p, relab := d.payload(i), d.c.relab
+	cur := ^uint32(0) // so the first code, stored verbatim, is cur + 1 + gap too
 	for pos := 0; pos < len(p); {
-		delta, k := binary.Uvarint(p[pos:])
-		pos += k
-		cur := uint32(delta)
-		if !first {
-			cur = prev + 1 + uint32(delta)
+		gap := uint32(p[pos])
+		if pos++; gap >= 0x80 {
+			gap, pos = uvarintTail(p, pos, gap)
 		}
-		if c.relab == nil {
+		cur += 1 + gap
+		if relab == nil {
 			buf = append(buf, graph.Vertex(cur))
 		} else {
-			buf = append(buf, c.relab.Orig(cur))
+			buf = append(buf, relab.Orig(cur))
 		}
-		prev = cur
-		first = false
 	}
 	return buf
 }
 
-// AccumMembers decodes sample i and increments counts at every member's
+// Accum decodes sample i and adds delta to counts at every member's
 // original id — the fused decode+count the purge and counting paths run
-// hot. The varint loop is inlined with a single-byte fast path: under the
-// frequency relabeling most gaps fit one byte (that is the point of the
-// relabeling), so the common case is one branch, one add, one table
-// lookup per member.
-func (c *CodedCollection) AccumMembers(i int, counts []int32) {
-	p := c.payload(i)
-	prev := uint32(0)
-	first := true
-	pos := 0
-	if c.relab == nil {
-		for pos < len(p) {
-			var delta uint32
-			if b := p[pos]; b < 0x80 {
-				delta = uint32(b)
-				pos++
-			} else {
-				d, k := binary.Uvarint(p[pos:])
-				delta = uint32(d)
-				pos += k
-			}
-			cur := prev + 1 + delta
-			if first {
-				cur = delta
-				first = false
-			}
-			counts[cur]++
-			prev = cur
-		}
-		return
+// hot: one add and, under a relabeling, one table lookup per member.
+func (d *RunDecoder) Accum(i int, counts []int32, delta int32) {
+	p := d.payload(i)
+	var orig []uint32
+	if d.c.relab != nil {
+		orig = d.c.relab.orig
 	}
-	orig := c.relab.orig
-	for pos < len(p) {
-		var delta uint32
-		if b := p[pos]; b < 0x80 {
-			delta = uint32(b)
-			pos++
+	cur := ^uint32(0)
+	for pos := 0; pos < len(p); {
+		gap := uint32(p[pos])
+		if pos++; gap >= 0x80 {
+			gap, pos = uvarintTail(p, pos, gap)
+		}
+		if cur += 1 + gap; orig != nil {
+			counts[orig[cur]] += delta
 		} else {
-			d, k := binary.Uvarint(p[pos:])
-			delta = uint32(d)
-			pos += k
+			counts[cur] += delta
 		}
-		cur := prev + 1 + delta
-		if first {
-			cur = delta
-			first = false
-		}
-		counts[orig[cur]]++
-		prev = cur
 	}
+}
+
+// AppendMembers is RunDecoder.Append for one sample looked up cold.
+func (c *CodedCollection) AppendMembers(i int, buf []graph.Vertex) []graph.Vertex {
+	d := c.Run()
+	return d.Append(i, buf)
 }
 
 // SampleSorted decodes sample i into buf (reused if capacious) and returns
@@ -297,11 +315,12 @@ func (c *CodedCollection) visitRange(i int, vl, vh graph.Vertex, visit func(grap
 // samples marked in covered (may be nil to count everything) — the coded
 // analog of Collection.CountRange over the full vertex range.
 func (c *CodedCollection) CountAll(counter []int32, covered Bitset) {
+	d := c.Run()
 	for i := 0; i < c.count; i++ {
 		if covered != nil && covered.Get(i) {
 			continue
 		}
-		c.AccumMembers(i, counter)
+		d.Accum(i, counter, 1)
 	}
 }
 

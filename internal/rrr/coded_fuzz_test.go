@@ -31,6 +31,9 @@ func FuzzDecodeSample(f *testing.F) {
 	f.Add([]byte{0x80}, uint32(50))                               // truncated varint
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, uint32(50))       // delta past n
 	f.Add(binary.AppendUvarint(nil, uint64(1)<<63), uint32(1000)) // huge delta
+	// One gap of every varint width the decoder unrolls (1, 2, 3 bytes) and
+	// one it leaves to encoding/binary (4).
+	f.Add(encode([]graph.Vertex{7, 8, 300, 20000, 20001, 3 << 20}), uint32(1<<22))
 
 	f.Fuzz(func(t *testing.T, p []byte, n uint32) {
 		if n == 0 {

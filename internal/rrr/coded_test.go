@@ -286,3 +286,75 @@ func TestValidateCoded(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDecoderMatchesColdDecode pins the run decoder to the per-sample
+// lookup it shortcuts: for id lists that start mid-block, cross block
+// boundaries, end on the last short block, repeat or run backwards, under
+// both labelings, Append yields AppendMembers' members in the same order
+// and Accum the same counts. The samples hold gaps of every varint width
+// (the identity store's reach past 2^21, the four-byte form) and a few are
+// empty.
+func TestRunDecoderMatchesColdDecode(t *testing.T) {
+	const count = 3*codedBlockSamples + 20
+	for _, relabeled := range []bool{false, true} {
+		n := 1 << 22
+		if relabeled {
+			n = 70000 // the relabel tables are O(n); three-byte codes start at 16384
+		}
+		r := rng.New(rng.NewLCG(31))
+		flat := NewCollection(n)
+		for i := 0; i < count; i++ {
+			var set []graph.Vertex
+			for v, size := r.Intn(50), r.Intn(9); len(set) < size && v < n; {
+				set = append(set, graph.Vertex(v))
+				v += 1 + r.Intn([]int{3, 120, 16000, n / 3}[r.Intn(4)])
+			}
+			flat.Append(set)
+		}
+		var relab *Relabeling
+		if relabeled {
+			relab = NewRelabeling(IncidenceOf(flat, 2))
+		}
+		c := FromCollection(flat, relab)
+
+		var all, strided, backwards []int32
+		for i := 0; i < count; i++ {
+			all = append(all, int32(i))
+			if i%7 == 3 {
+				strided = append(strided, int32(i))
+			}
+			backwards = append(backwards, int32(count-1-i))
+		}
+		lists := map[string][]int32{
+			"all":          all,
+			"mid-block on": all[37:],
+			"strided":      strided,
+			"short block":  all[3*codedBlockSamples:],
+			"last only":    {count - 1},
+			"block seams":  {62, 63, 64, 65, 127, 128, 191, 192},
+			"repeats":      {5, 5, 6, 6, 70, 70},
+			"backwards":    backwards,
+		}
+		for name, ids := range lists {
+			run, acc := c.Run(), c.Run()
+			got, want := make([]int32, n), make([]int32, n)
+			for _, i := range ids {
+				members := c.AppendMembers(int(i), nil)
+				sorted := slices.Clone(members)
+				if slices.Sort(sorted); !slices.Equal(sorted, flat.Sample(int(i))) && len(sorted)+len(flat.Sample(int(i))) > 0 {
+					t.Fatalf("relabeled=%v: sample %d decodes cold to %v, want %v", relabeled, i, sorted, flat.Sample(int(i)))
+				}
+				if ran := run.Append(int(i), nil); !slices.Equal(ran, members) {
+					t.Fatalf("relabeled=%v %s: sample %d decodes in a run to %v, cold to %v", relabeled, name, i, ran, members)
+				}
+				acc.Accum(int(i), got, -1)
+				for _, u := range members {
+					want[u]--
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("relabeled=%v %s: Accum over the run disagrees with the cold decode", relabeled, name)
+			}
+		}
+	}
+}

@@ -23,8 +23,8 @@
 //     (graph digest, model, epsilon, kMax, seed). Every query shape
 //     runs Sketch.QueryEx -> imm.SelectQuerySketch, the selection engine
 //     over an imm.CodedCoverage: copy-on-read state (degree-seeded
-//     counters, fresh covered bitset), so concurrent queries never mutate
-//     the shared sketch.
+//     counters, covered bitset, taken from a pool for the length of the
+//     query), so concurrent queries never mutate the shared sketch.
 //   - Snapshots: the rrr snapshot format (versioned, checksummed, chunked
 //     I/O, max-size guard) persists a sketch so a restarted server
 //     warm-starts in seconds instead of resampling; the graph digest in

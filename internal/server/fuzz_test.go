@@ -22,6 +22,8 @@ func FuzzSeedsRequest(f *testing.F) {
 	f.Add(false, []byte(`{"k":1}`))
 	f.Add(false, []byte(`{"k":3,"budget":2.5}`))
 	f.Add(false, []byte(`{"k":3,"costs":[1,2],"budget":4}`))
+	f.Add(false, []byte(`{"k":3,"costs":[]}`))
+	f.Add(false, []byte(`{"k":3,"costs":[],"budget":2}`))
 	f.Add(false, []byte(`{"k":3,"audience":[0,3,6],"blocked":[1]}`))
 	f.Add(false, []byte(`{"k":3,"budget":0,"audience":[],"blocked":[]}`))
 	f.Add(false, []byte(`{"k":-1,"costs":"x"}`))

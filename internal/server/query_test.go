@@ -91,6 +91,7 @@ func TestSeedsQueryModes(t *testing.T) {
 		{"budgeted", fmt.Sprintf(`{"k":5,"costs":[%s],"budget":6}`, strings.Join(costJSON, ",")),
 			imm.Query{K: 5, Costs: costs, Budget: 6}},
 		{"unit-budget", `{"k":5,"budget":3}`, imm.Query{K: 5, Budget: 3}},
+		{"empty-costs-budget", `{"k":5,"costs":[],"budget":3}`, imm.Query{K: 5, Budget: 3}},
 		{"targeted", fmt.Sprintf(`{"k":5,"audience":%s}`, audJSON), imm.Query{K: 5, Audience: audience}},
 		{"blocked", fmt.Sprintf(`{"k":5,"blocked":%s}`, blockedJSON), imm.Query{K: 5, Blocked: blocked}},
 	}
@@ -108,6 +109,11 @@ func TestSeedsQueryModes(t *testing.T) {
 			t.Fatalf("%s: eligible/spent (%d, %v) != (%d, %v)",
 				tc.name, got.Eligible, got.SpentBudget, want.Eligible, want.SpentBudget)
 		}
+	}
+
+	// An empty costs array is no costs: the request is plain.
+	if status, _, got := postSeeds(t, ts.Client(), ts.URL, `{"k":5,"costs":[]}`); status != http.StatusOK || !slices.Equal(got.Seeds, plain.Seeds) {
+		t.Fatalf("empty costs: status %d seeds %v, plain %v", status, got.Seeds, plain.Seeds)
 	}
 
 	// A plain request keeps the historical response shape: no gains,
@@ -137,7 +143,7 @@ func TestSeedsQueryModes(t *testing.T) {
 	}
 	mr.Body.Close()
 	wantCounters := map[string]int64{
-		"server/query-budgeted": 2,
+		"server/query-budgeted": 3,
 		"server/query-targeted": 1,
 		"server/query-blocked":  1,
 	}
@@ -302,5 +308,35 @@ func TestSpreadShardModeRejected(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(raw), "cluster router") {
 		t.Fatalf("shard-mode spread error does not point at the router: %s", raw)
+	}
+}
+
+// TestQueryExSteadyStateAllocs pins the pooled query state in the served
+// regime (n far above the sample size, so no purge is worth its workers):
+// once warm, a plain Sketch.QueryEx allocates its result and a handful of
+// small headers — not the O(n) counters, heap and covered bits, and not a
+// goroutine per round, which came to about a thousand objects per query.
+// The bound leaves room for a GC cycle emptying the pool, and for the race
+// detector's pool, which drops a quarter of all Puts.
+func TestQueryExSteadyStateAllocs(t *testing.T) {
+	g := testGraph(7, 20000, 30000)
+	g.AssignWeightedCascade()
+	cfg := testConfig(g)
+	sk, err := BuildSketch(g, SketchKey{
+		GraphDigest: g.Digest(), Model: cfg.Model, Epsilon: cfg.Epsilon,
+		KMax: cfg.KMax, Seed: cfg.Seed,
+	}, cfg.Workers, cfg.Schedule, cfg.Kernel, imm.StoreCoded, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := imm.Query{K: cfg.KMax}
+	allocs := testing.AllocsPerRun(50, func() {
+		if res, err := sk.QueryEx(q, cfg.Workers); err != nil || len(res.Seeds) != q.K {
+			t.Fatalf("query: %v", err)
+		}
+	})
+	t.Logf("%.0f allocations per plain query (k %d, n %d)", allocs, q.K, g.NumVertices())
+	if allocs > 40 {
+		t.Fatalf("plain QueryEx allocates %.0f objects per call in steady state, want at most 40", allocs)
 	}
 }
