@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-baseline bench-gate bench-e2e bench-e2e-smoke fmt fmt-check clean
+.PHONY: check build vet test race bench bench-baseline bench-gate bench-gate-runs bench-e2e bench-e2e-smoke fmt fmt-check clean
 
 # The benchmark runs the CI bench gate pins: the fused-vs-scalar sampling
 # kernel comparison, delta-vs-cold-rebuild maintenance, the budgeted
@@ -64,6 +64,12 @@ bench-baseline:
 ## (see cmd/benchdiff). CI runs this on every PR.
 bench-gate:
 	$(BENCH_GATE_RUNS) | $(GO) run ./cmd/benchdiff -baseline results/bench_baseline.json
+
+## bench-gate-runs: print the raw output of the gated benchmark runs, the
+## input bench-gate and bench-baseline reduce. CI pipes it into a file so
+## the list of gated benchmarks lives only in BENCH_GATE_RUNS.
+bench-gate-runs:
+	@$(BENCH_GATE_RUNS)
 
 ## bench-e2e-smoke: vet and test the nested benchmark/ module (~7 s). It
 ## imports influmax/internal/{imm,server,cluster,rrr} directly but sits

@@ -103,7 +103,7 @@ func (sh *Shard) Info() ShardInfo {
 // Start opens greedy session id (replacing any session already under that
 // id) and returns this shard's per-vertex sample membership counts — the
 // local summand of the fleet-merged coverage counter, read straight off
-// the index degree column as in dist.selectSeedsIndexed.
+// the index degree column as in imm.CodedCoverage.
 func (sh *Shard) Start(id uint64) []int64 {
 	n := sh.Col.NumVertices()
 	counts := make([]int64, n)

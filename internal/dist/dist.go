@@ -123,7 +123,6 @@ type Result struct {
 type state struct {
 	c       mpi.Comm
 	g       *graph.Graph
-	opt     Options
 	col     *rrr.Collection
 	coded   *rrr.CodedCollection // non-nil once the shard is transcoded (Store == imm.StoreCoded)
 	global  int64                // samples generated across all ranks so far
@@ -141,20 +140,16 @@ func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
 		opt.L = 1
 	}
 	if opt.ThreadsPerRank <= 0 {
-		opt.ThreadsPerRank = par.DefaultWorkers() / c.Size()
-		if opt.ThreadsPerRank < 1 {
-			opt.ThreadsPerRank = 1
-		}
+		opt.ThreadsPerRank = max(par.DefaultWorkers()/c.Size(), 1)
 	}
-	iopt := imm.Options{K: opt.K, Epsilon: opt.Epsilon, Model: opt.Model, Seed: opt.Seed, L: opt.L, Workers: 1, Store: opt.Store, Kernel: opt.Kernel}
-	if err := validate(iopt, g.NumVertices()); err != nil {
+	if err := validate(opt.K, opt.Epsilon, opt.Store, g.NumVertices()); err != nil {
 		return nil, err
 	}
 
 	res := &Result{Ranks: c.Size(), Rank: c.Rank(), ThreadsPerRank: opt.ThreadsPerRank, Store: opt.Store, FailedRank: -1}
 	startOther := time.Now()
 	st := &state{
-		c: c, g: g, opt: opt,
+		c: c, g: g,
 		col:     rrr.NewCollection(g.NumVertices()),
 		threads: opt.ThreadsPerRank,
 	}
@@ -211,78 +206,34 @@ func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
 		return res, err
 	}
 
-	// Phase 1: distributed EstimateTheta.
-	var phaseErr error
-	res.Phases.Measure(trace.Estimation, func() {
-		lb := 1.0
-		for x := 1; x <= tm.MaxX(); x++ {
-			if err := st.sampleGlobal(tm.ThetaAt(x) - st.global); err != nil {
-				phaseErr = err
-				return
-			}
-			_, cov, err := st.selectSeeds()
-			if err != nil {
-				phaseErr = err
-				return
-			}
-			nF := tm.N() * float64(cov) / float64(st.global)
-			if nF >= tm.ThresholdAt(x) {
-				lb = tm.LowerBound(nF)
-				break
-			}
-		}
-		res.LowerBound = lb
-		res.Theta = tm.FinalTheta(lb)
-	})
-	if phaseErr != nil {
-		return degraded(phaseErr)
+	// Phases 1-2: distributed EstimateTheta and Sample. st extends the
+	// sample set without a collective; only its selections reduce.
+	var err error
+	if res.Theta, res.LowerBound, err = imm.Estimate(st, tm, opt.K, &res.Phases); err != nil {
+		return degraded(err)
 	}
 
-	// Phase 2: distributed Sample.
-	res.Phases.Measure(trace.Sampling, func() {
-		phaseErr = st.sampleGlobal(res.Theta - st.global)
-	})
-	if phaseErr != nil {
-		return degraded(phaseErr)
-	}
-
-	// Transcode: once the final theta samples exist, a coded run
-	// re-expresses this rank's shard under its own frequency relabeling
-	// and drops the flat arena. Local-only — the tables never cross the
-	// wire; collectives exchange original-id counters either way.
-	// Accounted to Other, like the imm pipeline's transcode.
+	// Transcode and final index. A coded run re-expresses this rank's shard
+	// under its own frequency relabeling and drops the flat arena; the
+	// tables never cross the wire, collectives exchange original-id
+	// counters either way.
+	col := st.col
 	if opt.Store == imm.StoreCoded {
-		startT := time.Now()
-		relab := rrr.NewRelabeling(rrr.IncidenceOf(st.col, st.threads))
-		st.coded = rrr.FromCollection(st.col, relab)
 		st.col = nil
-		res.Phases.Add(trace.Other, time.Since(startT))
 	}
-
-	// Phase 2.5: each rank inverts its local shard of R into the
-	// vertex->samples index the purge step looks up (index builds inside
-	// the estimation loop are accounted to Estimation, as in imm.Run).
 	var idx *rrr.Index
-	res.Phases.Measure(trace.IndexBuild, func() {
-		if st.coded != nil {
-			idx = rrr.BuildIndexCoded(st.coded, st.threads)
-		} else {
-			idx = rrr.BuildIndex(st.col, st.threads)
-		}
-	})
+	st.coded, idx = imm.FinalIndex(col, opt.Store, opt.Store == imm.StoreCoded, st.threads, &res.Phases)
 	res.IndexBytes = idx.Bytes()
 
 	// Phase 3: distributed SelectSeeds. On a rank failure the seeds
 	// selected before the collective broke are kept — the partial result.
-	res.Phases.Measure(trace.SelectSeeds, func() {
-		seeds, cov, err := st.selectSeedsIndexed(idx)
-		res.Seeds = seeds
-		res.CoverageFraction = float64(cov) / float64(st.global)
-		res.EstimatedSpread = res.CoverageFraction * tm.N()
-		phaseErr = err
-	})
-	if phaseErr != nil {
-		return degraded(phaseErr)
+	var sel *imm.QueryResult
+	res.Phases.Measure(trace.SelectSeeds, func() { sel, err = st.selectSeeds(idx, opt.K) })
+	res.Seeds = sel.Seeds
+	res.CoverageFraction = float64(sel.Covered) / float64(st.global)
+	res.EstimatedSpread = res.CoverageFraction * tm.N()
+	if err != nil {
+		return degraded(err)
 	}
 
 	// KeepStore: hand the rank's shard to the caller instead of letting it
@@ -311,30 +262,31 @@ func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
 	return res, nil
 }
 
-func validate(o imm.Options, n int) error {
+func validate(k int, eps float64, store imm.StoreKind, n int) error {
 	if n < 2 {
 		return fmt.Errorf("dist: graph must have at least 2 vertices")
 	}
-	if o.K < 1 || o.K > n {
-		return fmt.Errorf("dist: k = %d out of [1, %d]", o.K, n)
+	if k < 1 || k > n {
+		return fmt.Errorf("dist: k = %d out of [1, %d]", k, n)
 	}
-	if o.Epsilon <= 0 || o.Epsilon >= 1 {
-		return fmt.Errorf("dist: epsilon = %v out of (0, 1)", o.Epsilon)
+	if eps <= 0 || eps >= 1 {
+		return fmt.Errorf("dist: epsilon = %v out of (0, 1)", eps)
 	}
-	if o.Store > imm.StoreCoded {
-		return fmt.Errorf("dist: unknown store kind %d", uint8(o.Store))
+	if store > imm.StoreCoded {
+		return fmt.Errorf("dist: unknown store kind %d", uint8(store))
 	}
 	return nil
 }
 
-// sampleGlobal generates `count` samples globally: rank r generates the
-// contiguous sub-batch Interval(count, p, r), multithreaded within the
+// Extend generates count samples globally (imm.Samples): rank r generates
+// the contiguous sub-batch Interval(count, p, r), multithreaded within the
 // rank by the shared batch sampler. Sample identities are the global
 // indices st.global + i, so in PerSample mode the union of all ranks'
-// samples is independent of p — and of the intra-rank schedule.
-func (st *state) sampleGlobal(count int64) error {
+// samples is independent of p — and of the intra-rank schedule. Every rank
+// knows the global total without a collective.
+func (st *state) Extend(count int64) (int64, error) {
 	if count <= 0 {
-		return nil
+		return st.global, nil
 	}
 	lo, hi := par.Interval(int(count), st.c.Size(), st.c.Rank())
 	if local := hi - lo; local > 0 {
@@ -342,31 +294,28 @@ func (st *state) sampleGlobal(count int64) error {
 		st.spans = append(st.spans, [2]int64{st.global + int64(lo), st.global + int64(hi)})
 	}
 	st.global += count
-	return nil
+	return st.global, nil
 }
 
-// selectSeeds builds the local shard's inverted index and runs the indexed
-// distributed selection (the estimation-loop entry point; the final
-// selection times the build separately via trace.IndexBuild).
-func (st *state) selectSeeds() ([]graph.Vertex, int64, error) {
-	return st.selectSeedsIndexed(rrr.BuildIndex(st.col, st.threads))
+// Cover builds the local shard's index and runs the distributed selection
+// (imm.Samples; the final selection times its build via FinalIndex).
+func (st *state) Cover(k int) (int64, error) {
+	sel, err := st.selectSeeds(rrr.BuildIndex(st.col, st.threads), k)
+	return sel.Covered, err
 }
 
-// selectSeedsIndexed is the distributed Algorithm 4: the selection engine
-// over an AllReduce of this rank's shard counts, so every rank runs the
-// identical argmax. Returns the seeds and the global covered count; on a
-// collective failure the seeds chosen so far come back alongside the
-// error.
-func (st *state) selectSeedsIndexed(idx *rrr.Index) ([]graph.Vertex, int64, error) {
+// selectSeeds is the distributed Algorithm 4: the selection engine over an
+// AllReduce of this rank's shard counts, so every rank runs the identical
+// argmax. On a collective failure the seeds chosen so far come back
+// alongside the error.
+func (st *state) selectSeeds(idx *rrr.Index, k int) (*imm.QueryResult, error) {
 	var local imm.Coverage[int32]
 	if st.coded != nil {
 		local = imm.NewCodedCoverage(st.coded, idx, nil, st.threads)
 	} else {
 		local = imm.NewFlatCoverage(st.col, idx, nil, st.threads)
 	}
-	res, err := imm.Greedy(&allReduceCoverage{c: st.c, local: local},
-		st.g.NumVertices(), imm.Query{K: st.opt.K}, nil)
-	return res.Seeds, res.Covered, err
+	return imm.Greedy(&allReduceCoverage{c: st.c, local: local}, st.g.NumVertices(), imm.Query{K: k}, nil)
 }
 
 // allReduceCoverage is the sample-partitioned coverage backend: the local

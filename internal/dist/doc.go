@@ -10,10 +10,14 @@
 //   - pseudorandom numbers come either from Leap Frog substreams of one
 //     global LCG sequence (the paper's TRNG discipline) or from per-sample
 //     derived streams (reproducible irrespective of p);
-//   - seed selection keeps an n-entry counter array per rank: local counts
-//     are AllReduce-summed into global counts, each rank then picks the
-//     same argmax locally, purges its local samples, and the decrements
-//     are AllReduce-summed again — k rounds, O(k n log p) communication;
+//   - seed selection is the shared greedy engine (imm.Greedy) over
+//     allReduceCoverage: local counts are AllReduce-summed into global
+//     counts, each rank then picks the same argmax locally, purges its
+//     local samples, and the decrements are AllReduce-summed again — k
+//     rounds, O(k n log p) communication;
+//   - theta estimation is the shared loop imm.Estimate: each rank
+//     extends its batch and knows the global sample count without a
+//     collective, so only the selections communicate;
 //   - within a rank, sampling and counting are additionally multithreaded
 //     (the hybrid MPI+OpenMP model), via goroutines here.
 //
@@ -24,5 +28,7 @@
 // rank 0 over mpi.GatherBytes and merged there, so a distributed run
 // emits exactly one machine-readable JSON document. RunPartitioned (the
 // graph-partitioned future-work extension) reports through the same
-// RunReport type, minus the per-rank gather.
+// RunReport type, minus the per-rank gather. It runs the same estimation
+// estimation loop and engine, over a backend whose purges move only the touched
+// counts (partitioned.go).
 package dist

@@ -1,9 +1,9 @@
 package dist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -25,18 +25,22 @@ import (
 // reverse traversal expands). Reverse-reachability sampling becomes a
 // bulk-synchronous computation: each superstep expands the local frontier
 // of every in-flight sample, and frontier vertices owned by other ranks
-// are exchanged point-to-point. Edge coins are common-random-numbers —
+// are exchanged all-to-all. Edge coins are common-random-numbers —
 // edge e is live in sample s iff hash(seed, s, e) < p(e) — so the sampled
 // live-edge subgraph, and therefore every RRR set, is a pure function of
 // (seed, sample id), independent of p. The resulting store is
 // vertex-partitioned: rank r holds, for every sample, the members inside
 // its interval.
 //
-// Seed selection exploits that layout: the per-vertex counters of
-// Algorithm 4 are already local (each rank owns its interval), the
-// per-round argmax is a tiny AllGather, and purging broadcasts only the
-// matched sample ids from the owner of the chosen seed — O(k (p + |R_v|))
-// communication instead of the sample-partitioned version's O(k n log p).
+// Seed selection exploits that layout (partCoverage, a backend of the
+// shared imm.Greedy engine): each rank counts its own interval, and Start
+// gathers the intervals once into a count column every rank holds, so the
+// argmax needs no collective. A purge broadcasts the matched sample ids
+// from the owner of the chosen seed and all-gathers the (vertex,
+// decrement) pairs the ranks touched — O(k (p + |R_v| + touched))
+// communication, no round of it O(n), instead of the sample-partitioned
+// version's O(k n log p). Estimation runs through imm.Estimate like every
+// other pipeline.
 
 // PartOptions configures a graph-partitioned run. All ranks must pass
 // identical options.
@@ -176,32 +180,13 @@ func coin(key, id uint64) float64 {
 	return float64(rng.Mix64(key^(id*0x9e3779b97f4a7c15+0x632be59bd9b4e019))>>11) * (1.0 / (1 << 53))
 }
 
-// pair is one frontier item crossing ranks: sample index within the batch
-// plus the vertex entering it.
+// pair is one frontier item: sample index within the batch plus the
+// vertex entering it. Crossing ranks it travels as one word, the vertex
+// above the sample.
 type pair struct {
 	s uint32
 	v graph.Vertex
 }
-
-func encodePairs(ps []pair) []byte {
-	buf := make([]byte, 8*len(ps))
-	for i, p := range ps {
-		binary.LittleEndian.PutUint32(buf[8*i:], p.s)
-		binary.LittleEndian.PutUint32(buf[8*i+4:], uint32(p.v))
-	}
-	return buf
-}
-
-func decodePairs(buf []byte) []pair {
-	ps := make([]pair, len(buf)/8)
-	for i := range ps {
-		ps[i].s = binary.LittleEndian.Uint32(buf[8*i:])
-		ps[i].v = graph.Vertex(binary.LittleEndian.Uint32(buf[8*i+4:]))
-	}
-	return ps
-}
-
-const tagFrontier = 100
 
 // partState carries the run state.
 type partState struct {
@@ -230,8 +215,7 @@ func RunPartitioned(c mpi.Comm, g *graph.Graph, opt PartOptions) (*PartResult, e
 	if opt.Threads <= 0 {
 		opt.Threads = 1
 	}
-	iopt := imm.Options{K: opt.K, Epsilon: opt.Epsilon, Model: opt.Model, Seed: opt.Seed, L: opt.L, Workers: 1, Store: opt.Store, Kernel: opt.Kernel}
-	if err := validate(iopt, g.NumVertices()); err != nil {
+	if err := validate(opt.K, opt.Epsilon, opt.Store, g.NumVertices()); err != nil {
 		return nil, err
 	}
 	res := &PartResult{Ranks: c.Size(), Store: opt.Store, FailedRank: -1}
@@ -270,107 +254,75 @@ func RunPartitioned(c mpi.Comm, g *graph.Graph, opt PartOptions) (*PartResult, e
 		return res, err
 	}
 
-	var phaseErr error
-	res.Phases.Measure(trace.Estimation, func() {
-		lb := 1.0
-		for x := 1; x <= tm.MaxX(); x++ {
-			if err := st.sample(tm.ThetaAt(x) - st.global); err != nil {
-				phaseErr = err
-				return
-			}
-			_, cov, err := st.selectSeeds()
-			if err != nil {
-				phaseErr = err
-				return
-			}
-			nF := tm.N() * float64(cov) / float64(st.global)
-			if nF >= tm.ThresholdAt(x) {
-				lb = tm.LowerBound(nF)
-				break
-			}
-		}
-		res.Theta = tm.FinalTheta(lb)
-	})
-	if phaseErr != nil {
-		return degraded(phaseErr)
+	var err error
+	if res.Theta, _, err = imm.Estimate(st, tm, opt.K, &res.Phases); err != nil {
+		return degraded(err)
 	}
 
-	res.Phases.Measure(trace.Sampling, func() {
-		phaseErr = st.sample(res.Theta - st.global)
-	})
-	if phaseErr != nil {
-		return degraded(phaseErr)
-	}
-
-	// Transcode: a coded run re-expresses this rank's vertex-partitioned
-	// shard under its own frequency relabeling and drops the flat arena
-	// (rank-local, accounted to Other — see dist.Run).
+	// Transcode and final index, rank-local as in dist.Run. The index of
+	// this rank's shard (samples restricted to the owned vertex interval)
+	// makes the seed owner's purge enumeration a lookup.
+	col := st.col
 	if opt.Store == imm.StoreCoded {
-		startT := time.Now()
-		relab := rrr.NewRelabeling(rrr.IncidenceOf(st.col, opt.Threads))
-		st.coded = rrr.FromCollection(st.col, relab)
 		st.col = nil
-		res.Phases.Add(trace.Other, time.Since(startT))
 	}
-
-	// Each rank inverts its local shard (samples restricted to the owned
-	// vertex interval) so the seed owner's purge enumeration is a lookup.
 	var idx *rrr.Index
-	res.Phases.Measure(trace.IndexBuild, func() {
-		if st.coded != nil {
-			idx = rrr.BuildIndexCoded(st.coded, opt.Threads)
-		} else {
-			idx = rrr.BuildIndex(st.col, opt.Threads)
-		}
-	})
+	st.coded, idx = imm.FinalIndex(col, opt.Store, opt.Store == imm.StoreCoded, opt.Threads, &res.Phases)
 	res.IndexBytes = idx.Bytes()
 
-	res.Phases.Measure(trace.SelectSeeds, func() {
-		seeds, cov, err := st.selectSeedsIndexed(idx)
-		res.Seeds = seeds
-		res.CoverageFraction = float64(cov) / float64(st.global)
-		res.EstimatedSpread = res.CoverageFraction * tm.N()
-		phaseErr = err
-	})
-	if phaseErr != nil {
-		return degraded(phaseErr)
+	var sel *imm.QueryResult
+	res.Phases.Measure(trace.SelectSeeds, func() { sel, err = st.selectSeeds(idx, opt.K) })
+	res.Seeds = sel.Seeds
+	res.CoverageFraction = float64(sel.Covered) / float64(st.global)
+	res.EstimatedSpread = res.CoverageFraction * tm.N()
+	if err != nil {
+		return degraded(err)
 	}
 	finish()
 	return res, nil
 }
 
-// sample generates `count` global samples in waves of Batch supersteps.
-func (st *partState) sample(count int64) error {
+// Extend generates count global samples in waves of Batch supersteps
+// (imm.Samples).
+func (st *partState) Extend(count int64) (int64, error) {
 	for count > 0 {
-		b := int64(st.opt.Batch)
-		if b > count {
-			b = count
-		}
+		b := min(int64(st.opt.Batch), count)
 		if err := st.sampleWave(int(b)); err != nil {
-			return err
+			return st.global, err
 		}
 		count -= b
 	}
-	return nil
+	return st.global, nil
 }
 
 // sampleWave runs one BSP wave of `batch` concurrent samples with global
 // ids [st.global, st.global+batch).
 func (st *partState) sampleWave(batch int) error {
 	p := st.part
-	size, rank := st.c.Size(), st.c.Rank()
+	size := st.c.Size()
 	width := int(p.hi - p.lo)
 	if len(st.visited) < batch*width {
 		st.visited = make([]bool, batch*width)
 	} else {
 		clear(st.visited[:batch*width])
 	}
-	visited := func(s int, v graph.Vertex) *bool {
-		return &st.visited[s*width+int(v-p.lo)]
-	}
 	keys := make([]uint64, batch)
 	members := make([][]graph.Vertex, batch)
-	var frontier []pair
+	var frontier, next []pair
+	outgoing := make([][]uint64, size)
+	// visit adds a newly live vertex u to sample s and queues it for the
+	// next superstep, unless another rank owns u: then it goes to the
+	// owner's outbox.
+	visit := func(s uint32, u graph.Vertex) {
+		if u < p.lo || u >= p.hi {
+			dst := owner(p.n, size, u)
+			outgoing[dst] = append(outgoing[dst], uint64(u)<<32|uint64(s))
+		} else if vf := &st.visited[int(s)*width+int(u-p.lo)]; !*vf {
+			*vf = true
+			members[s] = append(members[s], u)
+			next = append(next, pair{s, u})
+		}
+	}
 
 	// Roots: uniform from the sample's own stream; the owner seeds its
 	// frontier.
@@ -378,17 +330,13 @@ func (st *partState) sampleWave(batch int) error {
 		id := st.global + int64(s)
 		keys[s] = sampleKey(st.opt.Seed, id)
 		r := rng.New(rng.Derive(st.opt.Seed, uint64(id)))
-		root := graph.Vertex(r.Intn(p.n))
-		if root >= p.lo && root < p.hi {
-			*visited(s, root) = true
-			members[s] = append(members[s], root)
-			frontier = append(frontier, pair{uint32(s), root})
+		if root := graph.Vertex(r.Intn(p.n)); root >= p.lo && root < p.hi {
+			visit(uint32(s), root)
 		}
 	}
 
-	outgoing := make([][]pair, size)
 	for {
-		var next []pair
+		frontier, next = next, frontier[:0]
 		for i := range outgoing {
 			outgoing[i] = outgoing[i][:0]
 		}
@@ -399,10 +347,9 @@ func (st *partState) sampleWave(batch int) error {
 			switch st.opt.Model {
 			case diffuse.IC:
 				for i, u := range srcs {
-					if coin(keys[s], uint64(slots[i])) >= float64(ws[i]) {
-						continue
+					if coin(keys[s], uint64(slots[i])) < float64(ws[i]) {
+						visit(f.s, u)
 					}
-					st.route(&next, outgoing, visited, members, f.s, u, rank, size)
 				}
 			case diffuse.LT:
 				// One coin per (sample, vertex) selects at most one
@@ -412,35 +359,21 @@ func (st *partState) sampleWave(batch int) error {
 				for i, u := range srcs {
 					cum += float64(ws[i])
 					if t < cum {
-						st.route(&next, outgoing, visited, members, f.s, u, rank, size)
+						visit(f.s, u)
 						break
 					}
 				}
 			}
 		}
-		// Exchange cross-partition frontier items.
-		for dst := 0; dst < size; dst++ {
-			if dst == rank {
-				continue
-			}
-			if err := st.c.Send(dst, tagFrontier, encodePairs(outgoing[dst])); err != nil {
-				return err
-			}
+		// Exchange cross-partition frontier items; each arrives at its
+		// owner.
+		incoming, err := mpi.AllToAll(st.c, outgoing)
+		if err != nil {
+			return err
 		}
-		for src := 0; src < size; src++ {
-			if src == rank {
-				continue
-			}
-			buf, err := st.c.Recv(src, tagFrontier)
-			if err != nil {
-				return err
-			}
-			for _, f := range decodePairs(buf) {
-				if vf := visited(int(f.s), f.v); !*vf {
-					*vf = true
-					members[int(f.s)] = append(members[int(f.s)], f.v)
-					next = append(next, f)
-				}
+		for _, items := range incoming {
+			for _, x := range items {
+				visit(uint32(x), graph.Vertex(x>>32))
 			}
 		}
 		// Global termination: any rank still active?
@@ -451,7 +384,6 @@ func (st *partState) sampleWave(batch int) error {
 		if active[0] == 0 {
 			break
 		}
-		frontier = next
 	}
 	// Commit the wave: every rank appends the batch in sample order. The
 	// member-list sorts are the wave's residual CPU-bound work and are as
@@ -475,134 +407,108 @@ func (st *partState) sampleWave(batch int) error {
 	return nil
 }
 
-// route delivers a newly live vertex either into the local structures or
-// into the outbox of its owner.
-func (st *partState) route(next *[]pair, outgoing [][]pair, visited func(int, graph.Vertex) *bool,
-	members [][]graph.Vertex, s uint32, u graph.Vertex, rank, size int) {
-	if u >= st.part.lo && u < st.part.hi {
-		if vf := visited(int(s), u); !*vf {
-			*vf = true
-			members[s] = append(members[s], u)
-			*next = append(*next, pair{s, u})
-		}
-		return
-	}
-	outgoing[owner(st.part.n, size, u)] = append(outgoing[owner(st.part.n, size, u)], pair{s, u})
+// Cover builds the local-shard index and runs the vertex-partitioned
+// selection (imm.Samples; the final selection times its build via
+// imm.FinalIndex).
+func (st *partState) Cover(k int) (int64, error) {
+	sel, err := st.selectSeeds(rrr.BuildIndex(st.col, st.opt.Threads), k)
+	return sel.Covered, err
 }
 
-// selectSeeds builds the local-shard index and runs the indexed selection
-// (the estimation-loop entry point; RunPartitioned times the final build
-// separately via trace.IndexBuild).
-func (st *partState) selectSeeds() ([]graph.Vertex, int64, error) {
-	return st.selectSeedsIndexed(rrr.BuildIndex(st.col, st.opt.Threads))
+// selectSeeds is the vertex-partitioned Algorithm 4: the selection engine
+// over partCoverage. On a collective failure the seeds chosen so far come
+// back alongside the error.
+func (st *partState) selectSeeds(idx *rrr.Index, k int) (*imm.QueryResult, error) {
+	return imm.Greedy(&partCoverage{st: st, idx: idx}, st.part.n, imm.Query{K: k}, nil)
 }
 
-// localCount returns the number of samples this rank's resident shard
-// holds, whichever store it lives in.
-func (st *partState) localCount() int {
-	if st.coded != nil {
-		return st.coded.Count()
-	}
-	return st.col.Count()
+// partCoverage is the vertex-partitioned coverage backend. Every rank
+// keeps the same dense global count column, so the engine's argmax is
+// local and identical everywhere. Start gathers the ranks' owned intervals
+// into that column, the one O(n) exchange of a selection. A purge moves
+// only what it touches: the seed's owner — the one rank holding its
+// incidence — broadcasts the matched sample ids, each rank decrements its
+// own interval, and the ranks all-gather the (vertex, decrement) pairs
+// they touched. The shard holds only owned members, so a sample's members
+// are exactly the ones this rank decrements. Plain top-k only.
+type partCoverage struct {
+	st      *partState
+	idx     *rrr.Index // over this rank's shard
+	counts  []int64
+	covered rrr.Bitset
+	dec     []int32        // per owned vertex, zero between purges
+	touched []graph.Vertex // owned vertices with a nonzero dec
+	buf     []graph.Vertex // decode scratch of a coded shard
 }
 
-// selectSeedsIndexed is the vertex-partitioned Algorithm 4: counters are
-// local to each interval, the argmax is a small AllGather, and only the
-// owner of the chosen seed knows (and broadcasts) which samples it covers
-// — read directly off the owner's shard index instead of a scan over every
-// local sample.
-func (st *partState) selectSeedsIndexed(idx *rrr.Index) ([]graph.Vertex, int64, error) {
-	p := st.part
-	width := int(p.hi - p.lo)
-	counter := make([]int32, p.n) // only [lo, hi) is used
-	if st.coded != nil {
-		// The shard index's degree column equals the CountRange population
-		// count over the owned interval (members outside it were never
-		// stored in this rank's shard).
-		for v := p.lo; v < p.hi; v++ {
-			counter[v] = int32(idx.Degree(v))
-		}
-	} else {
-		st.col.CountRange(counter, nil, p.lo, p.hi)
+func (b *partCoverage) Start([]graph.Vertex) ([]int64, int64, error) {
+	st, lo := b.st, b.st.part.lo
+	// The index degree of an owned vertex is its population count: the
+	// shard holds every sample's owned members.
+	own := make([]int64, st.part.hi-lo)
+	for i := range own {
+		own[i] = b.idx.Degree(lo + graph.Vertex(i))
 	}
-	covered := rrr.NewBitset(st.localCount())
-	chosen := make([]bool, width)
+	parts, err := mpi.AllGather(st.c, own)
+	if err != nil {
+		return nil, 0, err
+	}
+	b.counts = slices.Concat(parts...) // the intervals tile [0, n) in rank order
+	b.dec = make([]int32, len(own))
+	b.covered = rrr.NewBitset(int(st.global)) // every rank stores every sample
+	return b.counts, st.global, nil
+}
 
-	seeds := make([]graph.Vertex, 0, st.opt.K)
-	var coveredCount int64
-	var decodeBuf []graph.Vertex
-	for len(seeds) < st.opt.K {
-		// Local best.
-		best, arg := int64(-1), int64(-1)
-		for v := p.lo; v < p.hi; v++ {
-			if chosen[v-p.lo] {
-				continue
-			}
-			if c := int64(counter[v]); c > best {
-				best, arg = c, int64(v)
-			}
-		}
-		// Global argmax: gather all (best, arg) pairs.
-		pairs, err := mpi.AllGather(st.c, []int64{best, arg})
-		if err != nil {
-			return seeds, coveredCount, err
-		}
-		gBest, gArg := int64(-1), int64(-1)
-		for _, pr := range pairs {
-			if pr[1] < 0 {
-				continue
-			}
-			if pr[0] > gBest || (pr[0] == gBest && pr[1] < gArg) {
-				gBest, gArg = pr[0], pr[1]
-			}
-		}
-		if gArg < 0 {
-			break
-		}
-		v := graph.Vertex(gArg)
-		seeds = append(seeds, v)
-		coveredCount += gBest
-		ownerRank := owner(p.n, st.c.Size(), v)
-		if ownerRank == st.c.Rank() {
-			chosen[v-p.lo] = true
-		}
-		// The owner reads the uncovered samples containing v off its shard
-		// index (v lies in the owner's interval, so its incidence is fully
-		// local there).
-		var matched []int64
-		if ownerRank == st.c.Rank() {
-			for _, j := range idx.SamplesOf(v) {
-				if !covered.Get(int(j)) {
-					matched = append(matched, int64(j))
-				}
-			}
-		}
-		matched, err = mpi.Broadcast(st.c, ownerRank, matched)
-		if err != nil {
-			return seeds, coveredCount, err
-		}
-		// Everyone purges those samples from their interval's counters. A
-		// coded shard decodes each matched sample and filter-scans the
-		// owned interval; decrements commute, so the counters match the
-		// flat path exactly.
-		for _, j := range matched {
-			covered.Set(int(j))
-			if st.coded != nil {
-				decodeBuf = st.coded.AppendMembers(int(j), decodeBuf[:0])
-				for _, u := range decodeBuf {
-					if u >= p.lo && u < p.hi {
-						counter[u]--
-					}
-				}
-				continue
-			}
-			for _, u := range st.col.RangeOf(int(j), p.lo, p.hi) {
-				counter[u]--
+func (b *partCoverage) Purge(v graph.Vertex) (bool, error) {
+	st, lo := b.st, b.st.part.lo
+	root := owner(st.part.n, st.c.Size(), v)
+	var matched []int64
+	if root == st.c.Rank() {
+		for _, j := range b.idx.SamplesOf(v) {
+			if !b.covered.Get(int(j)) {
+				matched = append(matched, int64(j))
 			}
 		}
 	}
-	return seeds, coveredCount, nil
+	matched, err := mpi.Broadcast(st.c, root, matched)
+	if err != nil {
+		return false, err
+	}
+	for _, j := range matched {
+		b.covered.Set(int(j))
+		var members []graph.Vertex
+		if st.coded != nil {
+			b.buf = st.coded.AppendMembers(int(j), b.buf[:0])
+			members = b.buf
+		} else {
+			members = st.col.Sample(int(j))
+		}
+		for _, u := range members {
+			if b.dec[u-lo]++; b.dec[u-lo] == 1 {
+				b.touched = append(b.touched, u)
+			}
+		}
+	}
+	// A pair is the vertex above its decrement: 8 bytes on the wire.
+	pairs := make([]int64, len(b.touched))
+	for i, u := range b.touched {
+		pairs[i] = int64(u)<<32 | int64(b.dec[u-lo])
+		b.dec[u-lo] = 0
+	}
+	b.touched = b.touched[:0]
+	all, err := mpi.AllGather(st.c, pairs)
+	if err != nil {
+		return false, err
+	}
+	for _, part := range all {
+		for _, x := range part {
+			b.counts[x>>32] -= x & math.MaxUint32
+		}
+	}
+	return false, nil
 }
+
+func (b *partCoverage) End() {}
 
 // String identifies the decomposition for logs.
 func (r *PartResult) String() string {

@@ -93,46 +93,41 @@ func samplePipeline(g *graph.Graph, opt Options, res *Result) (*rrr.Collection, 
 	st := NewBatchSampler(g, opt)
 	tm := NewAnalysis(n, opt.K, opt.Epsilon, opt.L)
 	res.Phases.Add(trace.Other, time.Since(startOther))
-
-	// Phase 1: EstimateTheta (Algorithm 2). The Sample calls made here are
-	// accounted to the Estimation phase, as in the paper's figures.
-	res.Phases.Measure(trace.Estimation, func() {
-		lb := 1.0
-		for x := 1; x <= tm.maxX; x++ {
-			need := tm.ThetaAt(x) - int64(col.Count())
-			st.Sample(col, int(need))
-			_, cov := SelectSeeds(col, opt.K, opt.Workers)
-			nF := tm.N() * float64(cov) / float64(col.Count())
-			if nF >= tm.ThresholdAt(x) {
-				lb = tm.LowerBound(nF)
-				break
-			}
-		}
-		res.LowerBound = lb
-		res.Theta = tm.FinalTheta(lb)
-	})
-
-	// Phase 2: Sample (Algorithm 3), the direct skeleton invocation.
-	res.Phases.Measure(trace.Sampling, func() {
-		st.Sample(col, int(res.Theta)-col.Count())
-	})
+	// Local samples never fail.
+	res.Theta, res.LowerBound, _ = Estimate(localSamples{st, col, opt.Workers}, tm, opt.K, &res.Phases)
 	return col, st, tm
 }
 
 // finishRun records the bookkeeping every pipeline tail shares: sampling
-// balance and the store/balance gauges.
-func finishRun(res *Result, st *BatchSampler, opt Options) {
+// balance, the final index's footprint and the store/balance gauges.
+func finishRun(res *Result, st *BatchSampler, idx *rrr.Index, opt Options) {
 	res.WorkBalance = st.WorkBalance()
 	res.WorkerWork = append([]int64(nil), st.Work...)
 	fs := st.FusedStats()
 	res.FrontierPasses = fs.Passes
 	res.CoinsGenerated = fs.Coins
 	res.BatchOccupancy = fs.Occupancy()
+	res.IndexBytes = idx.Bytes()
 	if opt.Metrics != nil {
 		// Permille, because gauges are integers: 1000 = perfectly balanced.
 		opt.Metrics.Gauge("rrr/balance").Set(int64(res.WorkBalance * 1000))
 		opt.Metrics.Gauge("rrr/store-bytes").Set(res.StoreBytes)
+		opt.Metrics.Gauge("rrr/index-bytes").Set(idx.Bytes())
 	}
+}
+
+// selectFinal times phase 3, SelectSeeds (Algorithm 4), and records the
+// seeds sel picks, their coverage of the count samples and the spread
+// estimate over n vertices.
+func selectFinal(res *Result, n float64, count int, sel func() ([]graph.Vertex, int64)) {
+	res.Phases.Measure(trace.SelectSeeds, func() {
+		var cov int64
+		res.Seeds, cov = sel()
+		if count > 0 {
+			res.CoverageFraction = float64(cov) / float64(count)
+		}
+		res.EstimatedSpread = res.CoverageFraction * n
+	})
 }
 
 func newResult(opt Options) *Result {
@@ -163,29 +158,16 @@ func RunCollect(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Ind
 	// index the purge step looks up. Builds inside the estimation loop are
 	// accounted to Estimation, like the Sample calls made there; this final
 	// build over the full theta samples gets its own bar.
-	var idx *rrr.Index
-	res.Phases.Measure(trace.IndexBuild, func() {
-		idx = rrr.BuildIndex(col, opt.Workers)
-	})
-	res.IndexBytes = idx.Bytes()
-	if opt.Metrics != nil {
-		opt.Metrics.Gauge("rrr/index-bytes").Set(idx.Bytes())
-	}
+	_, idx := FinalIndex(col, opt.Store, false, opt.Workers, &res.Phases)
 
 	// Phase 3: SelectSeeds (Algorithm 4, index-driven purge).
-	res.Phases.Measure(trace.SelectSeeds, func() {
-		seeds, cov := SelectSeedsIndexed(col, idx, opt.K, opt.Workers)
-		res.Seeds = seeds
-		if c := col.Count(); c > 0 {
-			res.CoverageFraction = float64(cov) / float64(c)
-		}
-		res.EstimatedSpread = res.CoverageFraction * tm.N()
+	selectFinal(res, tm.N(), col.Count(), func() ([]graph.Vertex, int64) {
+		return SelectSeedsIndexed(col, idx, opt.K, opt.Workers)
 	})
-
 	res.SamplesGenerated = col.Count()
 	res.StoreBytes = col.Bytes()
 	res.FlatStoreBytes = col.Bytes()
-	finishRun(res, st, opt)
+	finishRun(res, st, idx, opt)
 	return res, col, idx, nil
 }
 
@@ -206,40 +188,14 @@ func RunSketch(g *graph.Graph, opt Options) (*Result, *rrr.CodedCollection, *rrr
 	}
 	res := newResult(opt)
 	col, st, tm := samplePipeline(g, opt, res)
-
-	var coded *rrr.CodedCollection
-	startT := time.Now()
-	if opt.Store == StoreCoded {
-		relab := rrr.NewRelabeling(rrr.IncidenceOf(col, opt.Workers))
-		coded = rrr.FromCollection(col, relab)
-	} else {
-		coded = rrr.FromCollection(col, nil)
-	}
 	res.FlatStoreBytes = col.Bytes()
-	col = nil // drop the flat arena; the coded store is what is kept
-	res.Phases.Add(trace.Other, time.Since(startT))
-
-	var idx *rrr.Index
-	res.Phases.Measure(trace.IndexBuild, func() {
-		idx = rrr.BuildIndexCoded(coded, opt.Workers)
+	coded, idx := FinalIndex(col, opt.Store, true, opt.Workers, &res.Phases)
+	selectFinal(res, tm.N(), coded.Count(), func() ([]graph.Vertex, int64) {
+		return SelectSeedsSketch(coded, idx, opt.K, opt.Workers)
 	})
-	res.IndexBytes = idx.Bytes()
-	if opt.Metrics != nil {
-		opt.Metrics.Gauge("rrr/index-bytes").Set(idx.Bytes())
-	}
-
-	res.Phases.Measure(trace.SelectSeeds, func() {
-		seeds, cov := SelectSeedsSketch(coded, idx, opt.K, opt.Workers)
-		res.Seeds = seeds
-		if c := coded.Count(); c > 0 {
-			res.CoverageFraction = float64(cov) / float64(c)
-		}
-		res.EstimatedSpread = res.CoverageFraction * tm.N()
-	})
-
 	res.SamplesGenerated = coded.Count()
 	res.StoreBytes = coded.Bytes()
-	finishRun(res, st, opt)
+	finishRun(res, st, idx, opt)
 	return res, coded, idx, nil
 }
 
@@ -260,36 +216,11 @@ func RunBaseline(g *graph.Graph, opt Options) (*Result, error) {
 	st := NewBatchSampler(g, opt)
 	tm := NewAnalysis(n, opt.K, opt.Epsilon, opt.L)
 	res.Phases.Add(trace.Other, time.Since(startOther))
-
-	res.Phases.Measure(trace.Estimation, func() {
-		lb := 1.0
-		for x := 1; x <= tm.maxX; x++ {
-			need := tm.ThetaAt(x) - int64(store.Count())
-			st.sampleNaive(store, int(need))
-			_, cov := SelectSeedsNaive(store, opt.K)
-			nF := tm.N() * float64(cov) / float64(store.Count())
-			if nF >= tm.ThresholdAt(x) {
-				lb = tm.LowerBound(nF)
-				break
-			}
-		}
-		res.LowerBound = lb
-		res.Theta = tm.FinalTheta(lb)
+	// The baseline's samples never fail either.
+	res.Theta, res.LowerBound, _ = Estimate(naiveSamples{st, store}, tm, opt.K, &res.Phases)
+	selectFinal(res, tm.N(), store.Count(), func() ([]graph.Vertex, int64) {
+		return SelectSeedsNaive(store, opt.K)
 	})
-
-	res.Phases.Measure(trace.Sampling, func() {
-		st.sampleNaive(store, int(res.Theta)-store.Count())
-	})
-
-	res.Phases.Measure(trace.SelectSeeds, func() {
-		seeds, cov := SelectSeedsNaive(store, opt.K)
-		res.Seeds = seeds
-		if c := store.Count(); c > 0 {
-			res.CoverageFraction = float64(cov) / float64(c)
-		}
-		res.EstimatedSpread = res.CoverageFraction * tm.N()
-	})
-
 	res.SamplesGenerated = store.Count()
 	res.StoreBytes = store.Bytes()
 	return res, nil

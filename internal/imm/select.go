@@ -51,12 +51,7 @@ func SelectSeedsScan(col *rrr.Collection, k, p int) ([]graph.Vertex, int64) {
 	if n == 0 {
 		return nil, 0
 	}
-	if p <= 0 {
-		p = par.DefaultWorkers()
-	}
-	if p > n {
-		p = n
-	}
+	p = clampWorkers(p, n)
 	counter := make([]int32, n)
 	covered := rrr.NewBitset(col.Count())
 

@@ -118,18 +118,10 @@ func RunTIMPlus(g *graph.Graph, opt Options) (*TIMResult, error) {
 	})
 
 	// Phase 4: final selection, over the inverted incidence index.
-	var idx *rrr.Index
-	res.Phases.Measure(trace.IndexBuild, func() {
-		idx = rrr.BuildIndex(col, opt.Workers)
-	})
+	_, idx := FinalIndex(col, StoreFlat, false, opt.Workers, &res.Phases)
 	res.IndexBytes = idx.Bytes()
-	res.Phases.Measure(trace.SelectSeeds, func() {
-		seeds, cov := SelectSeedsIndexed(col, idx, k, opt.Workers)
-		res.Seeds = seeds
-		if c := col.Count(); c > 0 {
-			res.CoverageFraction = float64(cov) / float64(c)
-		}
-		res.EstimatedSpread = res.CoverageFraction * nf
+	selectFinal(&res.Result, nf, col.Count(), func() ([]graph.Vertex, int64) {
+		return SelectSeedsIndexed(col, idx, k, opt.Workers)
 	})
 	res.SamplesGenerated = col.Count()
 	res.StoreBytes = col.Bytes()
