@@ -35,12 +35,8 @@ type BuildOptions struct {
 
 // BuildShards cuts the theta samples for (g, opt) into opt.Shards
 // query-ready shards by running the internal/dist pipeline over an
-// in-process communicator with KeepStore set: shard i is exactly rank i's
-// slice, so a fleet serving these shards answers queries byte-identically
-// to a single process holding all theta samples. Deterministic: the same
-// (graph, options) always yields the same shards, so a replica that
-// rebuilds its shard locally agrees with peers that snapshot-transferred
-// theirs.
+// in-process communicator: shard i is exactly rank i's slice. The same
+// (graph, options) always yields the same shards.
 func BuildShards(g *graph.Graph, opt BuildOptions) ([]*Shard, error) {
 	if opt.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d < 1", opt.Shards)
@@ -88,10 +84,8 @@ func BuildShards(g *graph.Graph, opt BuildOptions) ([]*Shard, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Re-derive the per-sample roots from the global sample ids: in
-		// PerSample mode a sample's root is its stream's first draw, so
-		// the column is a pure function of (seed, id, n) — it powers the
-		// audience-filtered ops and rides in shard snapshots (header v2).
+		// In PerSample mode a sample's root is its stream's first draw: the
+		// root column is a pure function of (seed, id, n).
 		sh.Roots = imm.RootsAt(opt.Seed, res.SampleIDs, g.NumVertices(), threads)
 		shards[r] = sh
 	}

@@ -283,6 +283,26 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardSnapshotRejectsHeaderV1: the pre-roots shard header is refused
+// with an error that tells the operator to rebuild, not loaded rootless.
+func TestShardSnapshotRejectsHeaderV1(t *testing.T) {
+	g := testGraph(9, 50, 300)
+	shards, err := cluster.BuildShards(g, cluster.BuildOptions{K: 4, Epsilon: 0.5, Model: diffuse.IC, Seed: 5, Workers: 2, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cluster.WriteShardSnapshot(&buf, shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	raw[7] = 1 // header version byte
+	_, err = cluster.ReadShardSnapshot(bytes.NewReader(raw), 0, 2)
+	if err == nil || !strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("header v1 shard snapshot: got %v, want a rebuild error", err)
+	}
+}
+
 func TestFetchShardSnapshot(t *testing.T) {
 	g := testGraph(9, 50, 300)
 	opt := cluster.BuildOptions{K: 4, Epsilon: 0.5, Model: diffuse.IC, Seed: 5, Workers: 2, Shards: 2}

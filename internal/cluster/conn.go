@@ -15,13 +15,10 @@ const (
 	tagResponse = 65
 )
 
-// Conn is the router's handle on one shard: the four wire operations over
-// whichever transport. Implementations convert every transport-level
-// failure (timeout, connection error, injected crash) into an
-// *mpi.RankFailedError whose Rank is the shard's fleet slot, so the
-// router's failure handling is transport-agnostic. A Conn is used by one
-// request at a time; the Router serializes per-shard traffic within a
-// query and gives concurrent queries distinct sessions.
+// Conn is the router's handle on one shard: the wire operations over
+// whichever transport. Implementations turn every transport failure into
+// an *mpi.RankFailedError whose Rank is the shard's fleet slot, so the
+// router's failure handling is transport-agnostic.
 type Conn interface {
 	Info() (ShardInfo, error)
 	Start(session uint64) ([]int64, error)
@@ -50,11 +47,66 @@ func failedErr(slot int, err error) error {
 	return &mpi.RankFailedError{Rank: slot, Err: err}
 }
 
+// wireOps implements the shard operations of Conn over one transport's
+// request/response round trip; each transport embeds one.
+type wireOps struct {
+	roundTrip func(request) ([]byte, error)
+}
+
+func (o wireOps) Info() (ShardInfo, error) {
+	resp, err := o.roundTrip(request{op: opInfo})
+	if err != nil {
+		return ShardInfo{}, err
+	}
+	return decodeInfoResp(resp)
+}
+
+func (o wireOps) Start(session uint64) ([]int64, error) {
+	resp, err := o.roundTrip(request{op: opStart, session: session})
+	if err != nil {
+		return nil, err
+	}
+	return decodeCountsResp(resp)
+}
+
+func (o wireOps) StartFiltered(session uint64, audience []graph.Vertex) ([]int64, int64, error) {
+	resp, err := o.roundTrip(request{op: opStartFiltered, session: session, audience: audience})
+	if err != nil {
+		return nil, 0, err
+	}
+	return decodeFilteredCountsResp(resp)
+}
+
+func (o wireOps) Spread(seeds, audience []graph.Vertex) (int64, int64, error) {
+	resp, err := o.roundTrip(request{op: opSpread, seeds: seeds, audience: audience})
+	if err != nil {
+		return 0, 0, err
+	}
+	return decodeSpreadResp(resp)
+}
+
+func (o wireOps) Purge(session uint64, v graph.Vertex) ([]DecPair, error) {
+	resp, err := o.roundTrip(request{op: opPurge, session: session, vertex: v})
+	if err != nil {
+		return nil, err
+	}
+	return decodeDecsResp(resp)
+}
+
+func (o wireOps) End(session uint64) error {
+	resp, err := o.roundTrip(request{op: opEnd, session: session})
+	if err != nil {
+		return err
+	}
+	return decodeAckResp(resp)
+}
+
 // CommConn speaks the shard protocol over an mpi.Comm point-to-point
 // channel to peer — the transport the deterministic failover tests run
 // on, since the comm can be wrapped in mpi.WithFaults kill plans. timeout
 // bounds each response wait; expiry surfaces the shard as failed.
 type CommConn struct {
+	wireOps
 	c       mpi.Comm
 	peer    int
 	slot    int
@@ -64,7 +116,9 @@ type CommConn struct {
 // NewCommConn wraps one peer rank of c as a shard connection for fleet
 // slot `slot`.
 func NewCommConn(c mpi.Comm, peer, slot int, timeout time.Duration) *CommConn {
-	return &CommConn{c: c, peer: peer, slot: slot, timeout: timeout}
+	cc := &CommConn{c: c, peer: peer, slot: slot, timeout: timeout}
+	cc.wireOps = wireOps{cc.roundTrip}
+	return cc
 }
 
 func (cc *CommConn) roundTrip(req request) ([]byte, error) {
@@ -84,54 +138,6 @@ func (cc *CommConn) roundTrip(req request) ([]byte, error) {
 	return payload, nil
 }
 
-func (cc *CommConn) Info() (ShardInfo, error) {
-	resp, err := cc.roundTrip(request{op: opInfo})
-	if err != nil {
-		return ShardInfo{}, err
-	}
-	return decodeInfoResp(resp)
-}
-
-func (cc *CommConn) Start(session uint64) ([]int64, error) {
-	resp, err := cc.roundTrip(request{op: opStart, session: session})
-	if err != nil {
-		return nil, err
-	}
-	return decodeCountsResp(resp)
-}
-
-func (cc *CommConn) StartFiltered(session uint64, audience []graph.Vertex) ([]int64, int64, error) {
-	resp, err := cc.roundTrip(request{op: opStartFiltered, session: session, audience: audience})
-	if err != nil {
-		return nil, 0, err
-	}
-	return decodeFilteredCountsResp(resp)
-}
-
-func (cc *CommConn) Spread(seeds, audience []graph.Vertex) (int64, int64, error) {
-	resp, err := cc.roundTrip(request{op: opSpread, seeds: seeds, audience: audience})
-	if err != nil {
-		return 0, 0, err
-	}
-	return decodeSpreadResp(resp)
-}
-
-func (cc *CommConn) Purge(session uint64, v graph.Vertex) ([]DecPair, error) {
-	resp, err := cc.roundTrip(request{op: opPurge, session: session, vertex: v})
-	if err != nil {
-		return nil, err
-	}
-	return decodeDecsResp(resp)
-}
-
-func (cc *CommConn) End(session uint64) error {
-	resp, err := cc.roundTrip(request{op: opEnd, session: session})
-	if err != nil {
-		return err
-	}
-	return decodeAckResp(resp)
-}
-
 func (cc *CommConn) Close() error { return nil }
 
 // ServeComm runs sh's request loop over c: receive a request from the
@@ -145,13 +151,7 @@ func ServeComm(c mpi.Comm, router int, sh *Shard) error {
 		if err != nil {
 			return err
 		}
-		var resp []byte
-		if req, derr := decodeRequest(payload); derr != nil {
-			resp = encodeErrorResp(derr.Error())
-		} else {
-			resp = sh.handle(req)
-		}
-		if err := c.Send(router, tagResponse, resp); err != nil {
+		if err := c.Send(router, tagResponse, sh.handle(payload)); err != nil {
 			return err
 		}
 	}

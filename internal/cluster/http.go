@@ -6,25 +6,18 @@ import (
 	"io"
 	"net/http"
 	"time"
-
-	"influmax/internal/graph"
 )
 
 // The HTTP transport: a shard-mode immserve mounts the three shard
-// routes (ServeOp, ServeInfo, ServeSnapshot) on its mux, and the router
-// dials them through HTTPConn. Data-plane bodies are the binary protocol
-// codec — the same bytes the mpi transport carries — while /v1/shard/info
-// doubles as a human-readable JSON endpoint.
+// routes (ServeOp, ServeInfo, ServeSnapshot), and the router dials them
+// through HTTPConn with the binary protocol codec as the bodies.
 
 // ShardOpPath is the data-plane route: POST with a binary protocol
 // request body, 200 with a binary protocol response body.
 const ShardOpPath = "/v1/shard/op"
 
-// maxOpBody bounds one shard-op request body. The session ops are a few
-// bytes, but the query-diversity ops (opStartFiltered, opSpread) carry
-// vertex lists — up to two audiences/seed sets of 4 bytes per vertex —
-// so the bound scales to graphs of a few million vertices while still
-// capping a hostile body.
+// maxOpBody bounds one shard-op request body: room for the vertex lists
+// of opStartFiltered and opSpread on graphs of a few million vertices.
 const maxOpBody = 1 << 25
 
 // ServeOp handles POST /v1/shard/op.
@@ -34,14 +27,8 @@ func (sh *Shard) ServeOp(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var resp []byte
-	if req, derr := decodeRequest(body); derr != nil {
-		resp = encodeErrorResp(derr.Error())
-	} else {
-		resp = sh.handle(req)
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(resp)
+	w.Write(sh.handle(body))
 }
 
 // ServeInfo handles GET /v1/shard/info with a JSON ShardInfo.
@@ -70,6 +57,7 @@ func (sh *Shard) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 // base ("http://host:port"). The client timeout is the net timeout: a
 // replica that dies mid-query surfaces as *mpi.RankFailedError within it.
 type HTTPConn struct {
+	wireOps
 	base   string
 	slot   int
 	client *http.Client
@@ -81,7 +69,9 @@ func NewHTTPConn(base string, slot int, timeout time.Duration) *HTTPConn {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	return &HTTPConn{base: base, slot: slot, client: &http.Client{Timeout: timeout}}
+	hc := &HTTPConn{base: base, slot: slot, client: &http.Client{Timeout: timeout}}
+	hc.wireOps = wireOps{hc.roundTrip}
+	return hc
 }
 
 func (hc *HTTPConn) roundTrip(req request) ([]byte, error) {
@@ -100,54 +90,6 @@ func (hc *HTTPConn) roundTrip(req request) ([]byte, error) {
 		return nil, failedErr(hc.slot, err)
 	}
 	return body, nil
-}
-
-func (hc *HTTPConn) Info() (ShardInfo, error) {
-	resp, err := hc.roundTrip(request{op: opInfo})
-	if err != nil {
-		return ShardInfo{}, err
-	}
-	return decodeInfoResp(resp)
-}
-
-func (hc *HTTPConn) Start(session uint64) ([]int64, error) {
-	resp, err := hc.roundTrip(request{op: opStart, session: session})
-	if err != nil {
-		return nil, err
-	}
-	return decodeCountsResp(resp)
-}
-
-func (hc *HTTPConn) StartFiltered(session uint64, audience []graph.Vertex) ([]int64, int64, error) {
-	resp, err := hc.roundTrip(request{op: opStartFiltered, session: session, audience: audience})
-	if err != nil {
-		return nil, 0, err
-	}
-	return decodeFilteredCountsResp(resp)
-}
-
-func (hc *HTTPConn) Spread(seeds, audience []graph.Vertex) (int64, int64, error) {
-	resp, err := hc.roundTrip(request{op: opSpread, seeds: seeds, audience: audience})
-	if err != nil {
-		return 0, 0, err
-	}
-	return decodeSpreadResp(resp)
-}
-
-func (hc *HTTPConn) Purge(session uint64, v graph.Vertex) ([]DecPair, error) {
-	resp, err := hc.roundTrip(request{op: opPurge, session: session, vertex: v})
-	if err != nil {
-		return nil, err
-	}
-	return decodeDecsResp(resp)
-}
-
-func (hc *HTTPConn) End(session uint64) error {
-	resp, err := hc.roundTrip(request{op: opEnd, session: session})
-	if err != nil {
-		return err
-	}
-	return decodeAckResp(resp)
 }
 
 func (hc *HTTPConn) Close() error {

@@ -20,15 +20,10 @@ const (
 	opStart byte = 2 // session id -> dense per-vertex coverage counts
 	opPurge byte = 3 // session id + seed vertex -> sparse decrements
 	opEnd   byte = 4 // session id -> ack
-	// opStartFiltered opens an audience-filtered session (targeted
-	// influence, DESIGN.md §17): session id + audience vertex list ->
-	// dense counts over audience-rooted samples + the eligible sample
-	// count. Later opPurge calls on the session skip the filtered-out
-	// samples automatically.
+	// session id + audience list -> dense counts over audience-rooted
+	// samples + the eligible count; later purges skip the rest.
 	opStartFiltered byte = 5
-	// opSpread is the stateless spread estimate: seed vertex list +
-	// optional audience list -> (covered, eligible) sample counts.
-	opSpread byte = 6
+	opSpread        byte = 6 // seed list + audience list -> (covered, eligible)
 )
 
 // Response status bytes.
@@ -198,8 +193,11 @@ func encodeInfoResp(info ShardInfo) []byte {
 }
 
 func encodeCountsResp(counts []int64) []byte {
-	buf := make([]byte, 0, 5+8*len(counts))
-	buf = append(buf, statusOK)
+	return appendCounts(append(make([]byte, 0, 5+8*len(counts)), statusOK), counts)
+}
+
+// appendCounts appends a length-prefixed list of coverage counts.
+func appendCounts(buf []byte, counts []int64) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(counts)))
 	for _, c := range counts {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
@@ -222,14 +220,8 @@ func encodeDecsResp(pairs []DecPair) []byte {
 // (audience-rooted) sample count, then the dense per-vertex counts over
 // exactly those samples.
 func encodeFilteredCountsResp(counts []int64, eligible int64) []byte {
-	buf := make([]byte, 0, 13+8*len(counts))
-	buf = append(buf, statusOK)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(eligible))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(counts)))
-	for _, c := range counts {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
-	}
-	return buf
+	buf := append(make([]byte, 0, 13+8*len(counts)), statusOK)
+	return appendCounts(binary.LittleEndian.AppendUint64(buf, uint64(eligible)), counts)
 }
 
 // encodeSpreadResp answers opSpread: covered and eligible sample counts.
@@ -294,13 +286,19 @@ func decodeCountsResp(b []byte) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return takeCounts(body, "counts")
+}
+
+// takeCounts decodes a length-prefixed count list that must fill body
+// exactly.
+func takeCounts(body []byte, what string) ([]int64, error) {
 	if len(body) < 4 {
-		return nil, fmt.Errorf("cluster: truncated counts response")
+		return nil, fmt.Errorf("cluster: truncated %s response", what)
 	}
 	n := int(binary.LittleEndian.Uint32(body))
 	body = body[4:]
 	if len(body) != 8*n {
-		return nil, fmt.Errorf("cluster: counts response claims %d entries, carries %d bytes", n, len(body))
+		return nil, fmt.Errorf("cluster: %s response claims %d entries, carries %d bytes", what, n, len(body))
 	}
 	counts := make([]int64, n)
 	for i := range counts {
@@ -332,23 +330,14 @@ func decodeDecsResp(b []byte) ([]DecPair, error) {
 
 func decodeFilteredCountsResp(b []byte) ([]int64, int64, error) {
 	body, err := checkResp(b)
+	if err == nil && len(body) < 8 {
+		err = fmt.Errorf("cluster: truncated filtered-counts response")
+	}
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(body) < 12 {
-		return nil, 0, fmt.Errorf("cluster: truncated filtered-counts response")
-	}
-	eligible := int64(binary.LittleEndian.Uint64(body))
-	n := int(binary.LittleEndian.Uint32(body[8:]))
-	body = body[12:]
-	if len(body) != 8*n {
-		return nil, 0, fmt.Errorf("cluster: filtered-counts response claims %d entries, carries %d bytes", n, len(body))
-	}
-	counts := make([]int64, n)
-	for i := range counts {
-		counts[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
-	}
-	return counts, eligible, nil
+	counts, err := takeCounts(body[8:], "filtered-counts")
+	return counts, int64(binary.LittleEndian.Uint64(body)), err
 }
 
 func decodeSpreadResp(b []byte) (covered, eligible int64, err error) {

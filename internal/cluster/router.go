@@ -22,21 +22,15 @@ const probeInterval = time.Second
 // ErrNoShards reports a query that found no live shard to serve from.
 var ErrNoShards = errors.New("cluster: no shards alive")
 
-// Router fans a seed query out over a shard fleet and runs the
-// sample-partitioned greedy protocol (internal/dist Algorithm 4, re-hosted
-// behind the shard API): one merged coverage counter at session start,
-// then per-seed rounds of identical sequential argmax and merged purge
-// decrements. Because the merge is integer addition and the argmax scans
-// ascending with strict >, the selected seeds are byte-identical to a
-// single process holding the union of the shards' samples.
-//
-// A shard that fails mid-query (typed *mpi.RankFailedError from its Conn,
-// within the transport's net timeout) is dropped: the router starts fresh
-// sessions on the survivors, replays the seeds already chosen to rebuild
-// counter state, and finishes the query degraded — the pre-failure seed
-// prefix stands, the response names the failed shards. Failed shards are
-// re-probed (at most once per second) and rejoin automatically once they
-// answer with a matching identity again.
+// Router fans a seed query out over a shard fleet and runs the selection
+// engine over the shards' merged counts and purge decrements (integer
+// sums, so the seeds are byte-identical to a single process holding the
+// union of the shards' samples). A shard that fails mid-query (a typed
+// *mpi.RankFailedError within the net timeout) is dropped: the engine
+// replays the chosen seeds on fresh sessions over the survivors and the
+// query finishes degraded, naming the failed shards. Failed shards are
+// re-probed at most once per second and rejoin once they answer with a
+// matching identity again.
 type Router struct {
 	conns []Conn
 	canon ShardInfo // fleet-wide configuration (ShardIdx/Samples not meaningful)
@@ -110,7 +104,7 @@ func NewRouter(conns []Conn, reg *metrics.Registry) (*Router, error) {
 			return nil, err
 		}
 	}
-	rt.mShardsAlive.Set(int64(len(rt.aliveLocked())))
+	rt.mShardsAlive.Set(int64(len(rt.slotsLocked(false))))
 	return rt, nil
 }
 
@@ -146,23 +140,14 @@ func (rt *Router) Shards() int { return len(rt.conns) }
 func (rt *Router) FailedShards() []int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.failedLocked()
+	return rt.slotsLocked(true)
 }
 
-func (rt *Router) failedLocked() []int {
+// slotsLocked lists the slots whose failed flag is failed, ascending.
+func (rt *Router) slotsLocked(failed bool) []int {
 	var out []int
 	for i, f := range rt.failed {
-		if f {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (rt *Router) aliveLocked() []int {
-	out := make([]int, 0, len(rt.conns))
-	for i, f := range rt.failed {
-		if !f {
+		if f == failed {
 			out = append(out, i)
 		}
 	}
@@ -175,7 +160,7 @@ func (rt *Router) markFailed(slots []int) {
 	for _, s := range slots {
 		rt.failed[s] = true
 	}
-	alive := len(rt.aliveLocked())
+	alive := len(rt.slotsLocked(false))
 	rt.mu.Unlock()
 	rt.mShardsAlive.Set(int64(alive))
 }
@@ -187,7 +172,7 @@ func (rt *Router) alive() []int {
 	rt.mu.Lock()
 	var toProbe []int
 	if time.Since(rt.lastProbe) >= probeInterval {
-		toProbe = rt.failedLocked()
+		toProbe = rt.slotsLocked(true)
 		rt.lastProbe = time.Now()
 	}
 	rt.mu.Unlock()
@@ -213,7 +198,7 @@ func (rt *Router) alive() []int {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := rt.aliveLocked()
+	out := rt.slotsLocked(false)
 	rt.mShardsAlive.Set(int64(len(out)))
 	return out
 }
@@ -264,21 +249,17 @@ type FleetStatus struct {
 	Duration time.Duration
 }
 
-// Select runs the distributed greedy loop for k seeds — the plain top-k
-// query. onSeed, when non-nil, is called after each seed is committed (the
-// streaming hook); gains reported there are as-of selection time and may
-// be restated in the final result if a failover intervened.
+// Select runs the plain top-k query. onSeed, when non-nil, is called after
+// each seed is committed; its gains are as of selection and may be
+// restated in the result if a failover intervened.
 func (rt *Router) Select(k int, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
 	return rt.SelectQuery(RouterQuery{K: k}, onSeed)
 }
 
-// SelectQuery runs any routed query shape — plain, budgeted, targeted
-// (audience), blocked, or combinations — as the selection engine over the
-// fleet's merged counts (fleetCoverage), so the answer is byte-identical
-// to imm.SelectQuerySketch over the union of the shards' samples. A shard
-// that fails mid-query is dropped and the engine replays the committed
-// state on the survivors, so the degraded result is the survivors' exact
-// answer.
+// SelectQuery runs any routed query shape as the selection engine over
+// the fleet's merged counts (fleetCoverage), byte-identically to
+// imm.SelectQuerySketch over the union of the shards' samples; a degraded
+// result is the survivors' exact answer.
 func (rt *Router) SelectQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
 	start := time.Now()
 	n := rt.canon.NumVertices
@@ -399,12 +380,10 @@ func (fc *fleetCoverage) End() {
 }
 
 // startRound opens session on every slot in parallel — plain, or filtered
-// to the audience — and merges the shards' coverage counts plus, when
-// filtered, their eligible sample totals. Slots whose transport fails are
-// marked and dropped; an error comes back when nobody survives. A filtered
-// start that a healthy shard refuses in-band (say, a header-v1 snapshot
-// without the root column) aborts the query instead — its replicas would
-// all refuse alike, so failover would only erase the fleet.
+// to the audience — and merges the shards' counts and eligible totals.
+// Slots whose transport fails are dropped. A filtered start a healthy
+// shard refuses in-band aborts the query instead: its replicas would all
+// refuse alike, so failover would only erase the fleet.
 func (rt *Router) startRound(session uint64, slots []int, audience []graph.Vertex) ([]int64, int64, []int, error) {
 	n := rt.canon.NumVertices
 	counts := make([][]int64, len(slots))
@@ -462,22 +441,12 @@ type SpreadResult struct {
 // (no session): each shard counts its covered and eligible samples and
 // the router sums, so the estimate is byte-identical to a single process
 // holding the union of the shards' samples. audience may be empty
-// (unrestricted).
+// (unrestricted); a vertex out of range is refused in-band by the shards.
 func (rt *Router) Spread(seeds, audience []graph.Vertex) (*SpreadResult, error) {
 	start := time.Now()
 	n := rt.canon.NumVertices
 	if len(seeds) == 0 {
 		return nil, errors.New("cluster: spread needs at least one seed")
-	}
-	for _, v := range seeds {
-		if int(v) >= n {
-			return nil, fmt.Errorf("cluster: seed vertex %d out of range (n = %d)", v, n)
-		}
-	}
-	for _, v := range audience {
-		if int(v) >= n {
-			return nil, fmt.Errorf("cluster: audience vertex %d out of range (n = %d)", v, n)
-		}
 	}
 	alive := rt.alive()
 	if len(alive) == 0 {

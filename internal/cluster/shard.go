@@ -14,17 +14,12 @@ import (
 // and treats the shard as failed for that query, never a hang).
 const maxSessions = 64
 
-// Shard is one replica's slice of the theta RRR samples, query-ready: the
-// byte-coded collection, its inverted incidence index, and the sketch
-// configuration it was sampled under. The sample slice is exactly what
-// rank ShardIdx of an internal/dist run over ShardCount ranks holds, so
-// the union over a full fleet is the single-process sample set (PerSample
-// RNG mode makes sample i a pure function of (seed, i)).
-//
-// A Shard serves any number of concurrent greedy sessions; each session
-// carries only a covered bitset over the local samples. All mutating
-// calls are serialized on an internal mutex — the per-operation work is
-// proportional to the purge, not the store.
+// Shard is one replica's slice of the theta RRR samples, query-ready:
+// exactly what rank ShardIdx of an internal/dist run over ShardCount ranks
+// holds, so the union over a full fleet is the single-process sample set.
+// It serves any number of concurrent greedy sessions, each carrying only
+// a covered bitset over the local samples; mutating calls are serialized
+// on an internal mutex.
 type Shard struct {
 	// Meta is the sketch configuration (graph digest, model, epsilon,
 	// kMax, seed, theta) shared by every shard of the fleet.
@@ -42,7 +37,7 @@ type Shard struct {
 	// Roots maps each local sample to its root vertex (re-derived from
 	// the global sample ids via imm.RootAt at build time, persisted in
 	// shard-snapshot header v2). Required only by the audience-filtered
-	// ops; nil — e.g. a v1 snapshot — makes those ops answer an in-band
+	// ops; a shard built without it answers those ops with an in-band
 	// error while everything else keeps serving.
 	Roots []graph.Vertex
 
@@ -178,8 +173,8 @@ func (sh *Shard) Purge(id uint64, v graph.Vertex) ([]DecPair, error) {
 // sample roots.
 func (sh *Shard) StartFiltered(id uint64, audience []graph.Vertex) ([]int64, int64, error) {
 	n := sh.Col.NumVertices()
-	if len(sh.Roots) != sh.Col.Count() {
-		return nil, 0, fmt.Errorf("cluster: shard %d has no sample roots (snapshot predates header v2); rebuild or re-snapshot it", sh.ShardIdx)
+	if err := sh.needRoots(); err != nil {
+		return nil, 0, err
 	}
 	if len(audience) == 0 {
 		return nil, 0, fmt.Errorf("cluster: filtered start with an empty audience")
@@ -216,14 +211,22 @@ func (sh *Shard) StartFiltered(id uint64, audience []graph.Vertex) ([]int64, int
 // set covers. Read entirely off the incidence index; never touches a
 // session.
 func (sh *Shard) Spread(seeds, audience []graph.Vertex) (covered, eligible int64, err error) {
-	var roots []graph.Vertex
-	if len(audience) > 0 {
-		if len(sh.Roots) != sh.Col.Count() {
-			return 0, 0, fmt.Errorf("cluster: shard %d has no sample roots (snapshot predates header v2); rebuild or re-snapshot it", sh.ShardIdx)
-		}
-		roots = sh.Roots
+	if len(audience) == 0 {
+		return imm.CoverageOf(sh.Col.Count(), sh.Idx, nil, seeds, nil)
 	}
-	return imm.CoverageOf(sh.Col.Count(), sh.Idx, roots, seeds, audience)
+	if err := sh.needRoots(); err != nil {
+		return 0, 0, err
+	}
+	return imm.CoverageOf(sh.Col.Count(), sh.Idx, sh.Roots, seeds, audience)
+}
+
+// needRoots is the in-band refusal of audience-filtered work on a shard
+// built without its root column.
+func (sh *Shard) needRoots() error {
+	if len(sh.Roots) != sh.Col.Count() {
+		return fmt.Errorf("cluster: shard %d has no sample roots; rebuild it", sh.ShardIdx)
+	}
+	return nil
 }
 
 // End closes session id; unknown ids are a no-op (End is best-effort
@@ -241,10 +244,14 @@ func (sh *Shard) Sessions() int {
 	return len(sh.sessions)
 }
 
-// handle executes one decoded wire request and encodes the reply; it is
-// the single dispatch point both transports (ServeComm and the HTTP
-// handler) call into.
-func (sh *Shard) handle(req request) []byte {
+// handle executes one encoded wire request and encodes the reply (a
+// malformed request is answered in-band); it is the single dispatch point
+// both transports (ServeComm and the HTTP handler) call into.
+func (sh *Shard) handle(payload []byte) []byte {
+	req, err := decodeRequest(payload)
+	if err != nil {
+		return encodeErrorResp(err.Error())
+	}
 	switch req.op {
 	case opInfo:
 		return encodeInfoResp(sh.Info())

@@ -7,29 +7,23 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 
 	"influmax/internal/graph"
 	"influmax/internal/rrr"
 )
 
-// Shard snapshots wrap the standard v3 sketch snapshot (rrr.WriteSnapshot:
-// CRC-guarded, bounded-alloc reader) in a 24-byte shard header carrying
-// what SnapshotMeta cannot: the shard's place in the fleet partition and
-// its mutation epoch. The payload after the header is byte-for-byte a
-// normal snapshot, so all the format's guarantees (and its reader
-// hardening) carry over. The same bytes travel over GET /v1/snapshot for
-// peer bootstrap — net/http chunks the stream.
+// Shard snapshots wrap the standard v3 sketch snapshot (rrr.WriteSnapshot)
+// in a 24-byte shard header carrying what SnapshotMeta cannot: the shard's
+// place in the fleet partition and its mutation epoch. The same bytes
+// travel over GET /v1/snapshot for peer bootstrap.
 
 // shardMagic opens a shard snapshot; the trailing byte is the header
-// version. v1 is the original header; v2 appends the per-sample root
-// column (uint32 count + count little-endian uint32 roots) between the
-// header and the sketch snapshot, powering the audience-filtered query
-// ops after a warm restart. v1 snapshots still load — with Roots nil,
-// those ops answer an in-band error until the shard is re-snapshotted.
+// version. v2 appends the per-sample root column (uint32 count + count
+// little-endian uint32 roots) between the header and the sketch snapshot,
+// powering the audience-filtered query ops after a warm restart.
 var shardMagic = [8]byte{'I', 'M', 'X', 'S', 'H', 'R', 'D', 2}
 
-// shardMagicV1 is the pre-roots header accepted on read.
+// shardMagicV1 is the pre-roots header, refused on read: rebuild the shard.
 var shardMagicV1 = [8]byte{'I', 'M', 'X', 'S', 'H', 'R', 'D', 1}
 
 // WriteShardSnapshot writes sh (header v2 + root column + v3 snapshot) to
@@ -62,35 +56,35 @@ func ReadShardSnapshot(r io.Reader, maxBytes int64, p int) (*Shard, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("cluster: reading shard header: %w", err)
 	}
-	magic := [8]byte(hdr[:8])
-	if magic != shardMagic && magic != shardMagicV1 {
+	switch [8]byte(hdr[:8]) {
+	case shardMagic:
+	case shardMagicV1:
+		return nil, fmt.Errorf("cluster: shard snapshot header v1 (no root column) is no longer read; rebuild the shard and save a fresh snapshot")
+	default:
 		return nil, fmt.Errorf("cluster: not a shard snapshot (bad magic)")
 	}
 	shardIdx := int(binary.LittleEndian.Uint32(hdr[8:]))
 	shardCount := int(binary.LittleEndian.Uint32(hdr[12:]))
 	epoch := binary.LittleEndian.Uint64(hdr[16:])
-	var roots []graph.Vertex
-	if magic == shardMagic {
-		budget := maxBytes
-		if budget <= 0 {
-			budget = rrr.DefaultMaxSnapshotBytes
-		}
-		var cntBuf [4]byte
-		if _, err := io.ReadFull(r, cntBuf[:]); err != nil {
-			return nil, fmt.Errorf("cluster: reading shard root column: %w", err)
-		}
-		cnt := int64(binary.LittleEndian.Uint32(cntBuf[:]))
-		if 4*cnt > budget {
-			return nil, fmt.Errorf("cluster: shard root column claims %d samples, past the %d-byte budget", cnt, budget)
-		}
-		raw := make([]byte, 4*cnt)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return nil, fmt.Errorf("cluster: reading shard root column: %w", err)
-		}
-		roots = make([]graph.Vertex, cnt)
-		for i := range roots {
-			roots[i] = graph.Vertex(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
+	budget := maxBytes
+	if budget <= 0 {
+		budget = rrr.DefaultMaxSnapshotBytes
+	}
+	var cntBuf [4]byte
+	if _, err := io.ReadFull(r, cntBuf[:]); err != nil {
+		return nil, fmt.Errorf("cluster: reading shard root column: %w", err)
+	}
+	cnt := int64(binary.LittleEndian.Uint32(cntBuf[:]))
+	if 4*cnt > budget {
+		return nil, fmt.Errorf("cluster: shard root column claims %d samples, past the %d-byte budget", cnt, budget)
+	}
+	raw := make([]byte, 4*cnt)
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return nil, fmt.Errorf("cluster: reading shard root column: %w", err)
+	}
+	roots := make([]graph.Vertex, cnt)
+	for i := range roots {
+		roots[i] = graph.Vertex(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	meta, col, idx, deltas, err := rrr.ReadSnapshot(r, maxBytes)
 	if err != nil {
@@ -99,7 +93,7 @@ func ReadShardSnapshot(r io.Reader, maxBytes int64, p int) (*Shard, error) {
 	if len(deltas) > 0 {
 		return nil, fmt.Errorf("cluster: shard snapshot carries a delta log; shards serve static sketches")
 	}
-	if roots != nil && len(roots) != col.Count() {
+	if len(roots) != col.Count() {
 		return nil, fmt.Errorf("cluster: shard root column has %d entries for %d samples", len(roots), col.Count())
 	}
 	n := col.NumVertices()
@@ -116,33 +110,9 @@ func ReadShardSnapshot(r io.Reader, maxBytes int64, p int) (*Shard, error) {
 	return sh, nil
 }
 
-// SaveShardSnapshotFile persists sh at path atomically (temp + rename),
-// mirroring rrr.SaveSnapshotFile.
+// SaveShardSnapshotFile persists sh at path atomically (temp + rename).
 func SaveShardSnapshotFile(path string, sh *Shard) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	bw := bufio.NewWriterSize(f, 64<<10)
-	err = WriteShardSnapshot(bw, sh)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
+	return rrr.SaveAtomic(path, func(w io.Writer) error { return WriteShardSnapshot(w, sh) })
 }
 
 // LoadShardSnapshotFile reads a shard snapshot from path.

@@ -29,7 +29,7 @@ import (
 //	relab   present u64 (0|1); if 1: table n*u32 (code -> original id)
 //	index   present u64 (0|1); if 1:
 //	        offsets (n+1)*i64 | samplesLen u64 | samples samplesLen*i32
-//	deltas  (version >= 3) batches u64 | per batch:
+//	deltas  batches u64 | per batch:
 //	        ops u64 | per op: kind u8 | src u32 | dst u32 | wBits u32
 //	        then sectionCRC u32 (CRC-32C of the section bytes above)
 //	crc     uint32  (CRC-32C of every preceding byte, magic included)
@@ -41,7 +41,6 @@ import (
 // per-batch weight re-derivation (weighted cascade, LT normalization) is
 // not replay-once-safe. The section carries its own checksum — guarding
 // the pointer-dense log independently — in addition to the whole-file CRC.
-// Version-2 snapshots (no section) load with a nil log.
 //
 // The reader validates every header field before trusting it, mirroring
 // the TCP transport's frame discipline (internal/mpi/frame.go): a size
@@ -58,14 +57,10 @@ var snapshotMagic = [8]byte{'I', 'M', 'X', 'S', 'N', 'A', 'P', 1}
 // SnapshotVersion is the current snapshot wire-format version. Version 2
 // replaced the per-sample offset/size store of version 1 with the
 // block-coded layout; version 3 appended the CRC-guarded delta-log
-// section (readers still accept version 2, loading an empty log).
-// Version-1 snapshots are rejected with a SnapshotError — snapshots are
-// regenerable caches, so the remedy is to resample and save a fresh one.
+// section. Any other version is rejected with a SnapshotError — snapshots
+// are regenerable caches, so the remedy is to rebuild: resample and save a
+// fresh one.
 const SnapshotVersion = 3
-
-// snapshotVersionV2 is the newest prior version the reader still accepts:
-// identical to 3 minus the delta-log section.
-const snapshotVersionV2 = 2
 
 // DefaultMaxSnapshotBytes is the largest snapshot a reader accepts unless
 // the caller overrides the bound (4 GiB).
@@ -176,7 +171,7 @@ func WriteSnapshot(w io.Writer, meta SnapshotMeta, col *CodedCollection, idx *In
 // ReadSnapshot parses a snapshot from r, accepting at most maxBytes of
 // payload claims (<= 0 uses DefaultMaxSnapshotBytes). The returned Index
 // is nil when the snapshot was written without one, and the returned
-// delta log is nil for version-2 snapshots and empty logs.
+// delta log is nil for an empty log.
 func ReadSnapshot(r io.Reader, maxBytes int64) (SnapshotMeta, *CodedCollection, *Index, []graph.Delta, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxSnapshotBytes
@@ -191,9 +186,9 @@ func ReadSnapshot(r io.Reader, maxBytes int64) (SnapshotMeta, *CodedCollection, 
 		sr.fail("bad magic")
 	}
 	version := sr.u32()
-	if sr.err == nil && version != SnapshotVersion && version != snapshotVersionV2 {
-		sr.fail(fmt.Sprintf("unsupported version %d (want %d or %d; resample and save a fresh snapshot)",
-			version, snapshotVersionV2, SnapshotVersion))
+	if sr.err == nil && version != SnapshotVersion {
+		sr.fail(fmt.Sprintf("unsupported version %d (want %d; rebuild: resample and save a fresh snapshot)",
+			version, SnapshotVersion))
 	}
 
 	meta.GraphDigest = sr.u64()
@@ -264,7 +259,7 @@ func ReadSnapshot(r io.Reader, maxBytes int64) (SnapshotMeta, *CodedCollection, 
 	}
 
 	var deltas []graph.Delta
-	if version >= SnapshotVersion && sr.err == nil {
+	if sr.err == nil {
 		deltas = sr.deltaLog(n)
 	}
 
@@ -283,7 +278,7 @@ func ReadSnapshot(r io.Reader, maxBytes int64) (SnapshotMeta, *CodedCollection, 
 	return meta, col, idx, deltas, nil
 }
 
-// deltaLog parses the v3 delta-log section, verifying its section CRC and
+// deltaLog parses the delta-log section, verifying its section CRC and
 // every op against the vertex universe n before the log is trusted for
 // replay. Returns nil for an empty log.
 func (r *snapshotReader) deltaLog(n int64) []graph.Delta {
@@ -334,9 +329,14 @@ func (r *snapshotReader) deltaLog(n int64) []graph.Delta {
 	return deltas
 }
 
-// SaveSnapshotFile writes the snapshot atomically: to a temp file in the
-// target directory, synced, then renamed over path.
+// SaveSnapshotFile writes the snapshot atomically (see SaveAtomic).
 func SaveSnapshotFile(path string, meta SnapshotMeta, col *CodedCollection, idx *Index, deltas []graph.Delta) error {
+	return SaveAtomic(path, func(w io.Writer) error { return WriteSnapshot(w, meta, col, idx, deltas) })
+}
+
+// SaveAtomic writes a file through write atomically: to a buffered temp
+// file in the target directory, synced, then renamed over path.
+func SaveAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -344,7 +344,7 @@ func SaveSnapshotFile(path string, meta SnapshotMeta, col *CodedCollection, idx 
 	}
 	tmp := f.Name()
 	bw := bufio.NewWriterSize(f, snapshotAllocChunk)
-	err = WriteSnapshot(bw, meta, col, idx, deltas)
+	err = write(bw)
 	if err == nil {
 		err = bw.Flush()
 	}

@@ -325,12 +325,11 @@ func deltaSectionBytes(deltas []graph.Delta) int {
 	return size
 }
 
-// TestSnapshotV2Migration pins the forward-compatibility contract: a
-// version-2 file (no delta section) loads cleanly with a nil delta log,
-// the reader does not touch bytes past its checksum, and re-encoding the
-// loaded state produces a valid (version-3) snapshot that round-trips
-// byte-identically from then on.
-func TestSnapshotV2Migration(t *testing.T) {
+// TestSnapshotRejectsVersion2 pins the end of the version-2 read path: a
+// version-2 file (the v3 layout minus the delta section) is refused with a
+// SnapshotError that names the version and tells the operator to rebuild,
+// exactly like version 1.
+func TestSnapshotRejectsVersion2(t *testing.T) {
 	meta, col, idx := snapshotFixture(5, 60, 10)
 	v3 := encodeSnapshot(t, meta, col, idx, nil)
 
@@ -343,28 +342,13 @@ func TestSnapshotV2Migration(t *testing.T) {
 	binary.LittleEndian.PutUint32(tail[:], crc32.Checksum(prefix, castagnoli))
 	v2 := append(prefix, tail[:]...)
 
-	gotMeta, gotCol, gotIdx, gotDeltas, err := ReadSnapshot(bytes.NewReader(v2), 0)
-	if err != nil {
-		t.Fatalf("v2 snapshot rejected: %v", err)
+	_, _, _, _, err := ReadSnapshot(bytes.NewReader(v2), 0)
+	var serr *SnapshotError
+	if !errors.As(err, &serr) {
+		t.Fatalf("got %v, want SnapshotError", err)
 	}
-	if gotMeta != meta || gotCol.Count() != col.Count() || gotIdx == nil {
-		t.Fatalf("v2 load lost data")
-	}
-	if gotDeltas != nil {
-		t.Fatalf("v2 load produced a delta log: %v", gotDeltas)
-	}
-
-	// A v2 reader consuming from a stream stops at its checksum: trailing
-	// bytes that happen to look like a delta section are not consumed.
-	withTrailer := append(slices.Clone(v2), v3[len(v3)-16:]...)
-	if _, _, _, _, err := ReadSnapshot(bytes.NewReader(withTrailer), 0); err != nil {
-		t.Fatalf("trailing bytes broke the v2 load: %v", err)
-	}
-
-	// Saving the loaded state upgrades to v3 and is byte-stable after.
-	up := encodeSnapshot(t, gotMeta, gotCol, gotIdx, gotDeltas)
-	if !bytes.Equal(up, v3) {
-		t.Fatalf("v2 state re-encoded differently from the v3 encoding of the same sketch")
+	if !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("rejection does not name the version or the remedy: %v", err)
 	}
 }
 

@@ -7,12 +7,10 @@ import (
 )
 
 // sketchCache holds resident sketches keyed by SketchKey with
-// single-flight population: the first query for an uncached key starts
-// exactly one build; a thundering herd of concurrent queries for the same
-// key all wait on that one build (each bounded by its own context) instead
-// of each triggering a sampling run. Builds run detached, so a waiter
-// timing out does not abort the build — the sketch still lands in the
-// cache for the retry the 503/Retry-After response invites.
+// single-flight population: concurrent queries for an uncached key all
+// wait (each bounded by its own context) on one build. Builds run
+// detached, so a waiter timing out does not abort the build — the sketch
+// still lands in the cache for the retry the 503 invites.
 type sketchCache struct {
 	mu      sync.Mutex
 	max     int // resident bound; <= 0 means unbounded

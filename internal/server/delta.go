@@ -1,10 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 
+	"influmax/internal/front"
 	"influmax/internal/graph"
 	"influmax/internal/imm"
 	"influmax/internal/rrr"
@@ -12,11 +13,8 @@ import (
 
 // Dynamic-graph serving: the server owns one imm.DynamicSketch, applies
 // POST /v1/graph/delta batches to it under dynMu, and republishes an
-// immutable query-ready Sketch after each batch. Queries never take the
-// mutation lock — they load the latest published view, so a query racing
-// a delta sees the sketch as of some fully applied epoch (bounded
-// staleness; DESIGN.md §15 gives the freshness contract and the
-// rebuild-vs-repair tradeoff).
+// immutable Sketch after each batch; queries load the latest published
+// view lock-free (bounded staleness, DESIGN.md §15).
 
 // initDynamic builds or restores the dynamic sketch and publishes the
 // first serving view. Called once from New, before any handler runs.
@@ -131,56 +129,16 @@ type deltaOutcome struct {
 }
 
 // handleDelta applies one mutation batch: decode, validate-or-400
-// (rejected batches leave graph and sketch untouched), repair the sketch,
-// publish the new serving view, report the repair counters.
-//
-// Batches are coalesced under load: the decoded delta is queued, then
-// every handler races for the mutation lock and the winner drains the
-// whole queue — batches that piled up while a repair was in flight are
-// concatenated in arrival order and folded in with ONE repair pass (one
-// epoch, one reweight, one publish), which is what keeps repair cost
-// amortized when writers outpace the repair rate. The losers find their
-// batch already applied and just report it.
+// (rejected batches leave graph and sketch untouched), repair, publish,
+// report. Batches are coalesced under load: each handler queues its batch
+// and races for the mutation lock; the winner folds the whole queue in
+// with ONE repair pass (one epoch, one reweight, one publish), which keeps
+// repair cost amortized when writers outpace the repair rate.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	if !s.cfg.Dynamic {
-		s.writeError(w, http.StatusBadRequest,
-			"server is not in dynamic mode; /v1/graph/delta requires it")
+	d, err := s.decodeDelta(w, r)
+	if err != nil {
+		s.front.Error(w, err)
 		return
-	}
-	if s.draining.Load() {
-		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	var req deltaRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Ops) == 0 {
-		s.writeError(w, http.StatusBadRequest, "empty batch: ops is required")
-		return
-	}
-	if len(req.Ops) > s.cfg.MaxDeltaOps {
-		s.writeError(w, http.StatusBadRequest,
-			"batch of %d ops exceeds the %d-op limit", len(req.Ops), s.cfg.MaxDeltaOps)
-		return
-	}
-	d := make(graph.Delta, len(req.Ops))
-	for i, op := range req.Ops {
-		switch op.Op {
-		case "insert":
-			d[i].Kind = graph.DeltaInsert
-		case "delete":
-			d[i].Kind = graph.DeltaDelete
-		default:
-			s.writeError(w, http.StatusBadRequest,
-				"ops[%d].op = %q, want \"insert\" or \"delete\"", i, op.Op)
-			return
-		}
-		d[i].Src = graph.Vertex(op.Src)
-		d[i].Dst = graph.Vertex(op.Dst)
-		d[i].W = op.W
 	}
 
 	pd := &pendingDelta{d: d, done: make(chan deltaOutcome, 1)}
@@ -197,16 +155,51 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.dynMu.Unlock()
 
 	out := <-pd.done
-	if out.err != nil {
-		var de *graph.DeltaError
-		if errors.As(out.err, &de) {
-			s.writeError(w, http.StatusBadRequest, "%v", out.err)
-		} else {
-			s.writeError(w, http.StatusInternalServerError, "applying delta: %v", out.err)
-		}
-		return
+	var de *graph.DeltaError
+	switch {
+	case errors.As(out.err, &de):
+		s.front.Error(w, front.BadRequest(out.err))
+	case out.err != nil:
+		s.front.Error(w, fmt.Errorf("applying delta: %w", out.err))
+	default:
+		front.WriteJSON(w, http.StatusOK, out.resp)
 	}
-	writeJSON(w, http.StatusOK, out.resp)
+}
+
+// decodeDelta refuses the batch outright (not in dynamic mode, draining)
+// or decodes and validates its ops.
+func (s *Server) decodeDelta(w http.ResponseWriter, r *http.Request) (graph.Delta, error) {
+	if !s.cfg.Dynamic {
+		return nil, front.BadRequest(errors.New("server is not in dynamic mode; /v1/graph/delta requires it"))
+	}
+	if s.draining.Load() {
+		return nil, front.Unavailable(errors.New("draining"))
+	}
+	var req deltaRequest
+	if err := front.Decode(w, r, &req); err != nil {
+		return nil, err
+	}
+	if len(req.Ops) == 0 {
+		return nil, front.BadRequest(errors.New("empty batch: ops is required"))
+	}
+	if len(req.Ops) > s.cfg.MaxDeltaOps {
+		return nil, front.BadRequest(fmt.Errorf("batch of %d ops exceeds the %d-op limit", len(req.Ops), s.cfg.MaxDeltaOps))
+	}
+	d := make(graph.Delta, len(req.Ops))
+	for i, op := range req.Ops {
+		switch op.Op {
+		case "insert":
+			d[i].Kind = graph.DeltaInsert
+		case "delete":
+			d[i].Kind = graph.DeltaDelete
+		default:
+			return nil, front.BadRequest(fmt.Errorf("ops[%d].op = %q, want \"insert\" or \"delete\"", i, op.Op))
+		}
+		d[i].Src = graph.Vertex(op.Src)
+		d[i].Dst = graph.Vertex(op.Dst)
+		d[i].W = op.W
+	}
+	return d, nil
 }
 
 // drainDeltasLocked folds every queued batch into the sketch. A multi-
@@ -242,18 +235,9 @@ func (s *Server) drainDeltasLocked() {
 			}
 			continue
 		}
-		s.publishDynamicLocked()
-		s.mDeltaBatches.Inc()
 		s.mCoalesced.Add(int64(len(batch) - 1))
-		resp := deltaResponse{
-			Epoch:              res.Epoch,
-			Applied:            res.Ops,
-			Candidates:         res.Candidates,
-			SamplesInvalidated: res.SamplesInvalidated,
-			SamplesExtended:    res.SamplesExtended,
-			Theta:              s.dyn.Theta(),
-			Coalesced:          len(batch),
-		}
+		resp := s.publishLocked(res)
+		resp.Coalesced = len(batch)
 		for _, pd := range batch {
 			pd.done <- deltaOutcome{resp: resp}
 		}
@@ -268,14 +252,20 @@ func (s *Server) applyOneLocked(pd *pendingDelta) {
 		pd.done <- deltaOutcome{err: err}
 		return
 	}
+	pd.done <- deltaOutcome{resp: s.publishLocked(res)}
+}
+
+// publishLocked publishes the view an applied batch produced and reports
+// its repair counters. Caller holds dynMu.
+func (s *Server) publishLocked(res imm.BatchResult) deltaResponse {
 	s.publishDynamicLocked()
 	s.mDeltaBatches.Inc()
-	pd.done <- deltaOutcome{resp: deltaResponse{
+	return deltaResponse{
 		Epoch:              res.Epoch,
 		Applied:            res.Ops,
 		Candidates:         res.Candidates,
 		SamplesInvalidated: res.SamplesInvalidated,
 		SamplesExtended:    res.SamplesExtended,
 		Theta:              s.dyn.Theta(),
-	}}
+	}
 }

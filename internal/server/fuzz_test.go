@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"influmax/internal/front"
 	"influmax/internal/graph"
 )
 
@@ -17,7 +18,9 @@ import (
 // malformed, hostile or oversized — must produce a well-formed response
 // (200 with valid JSON, or 400 with a JSON error), never a panic, and
 // never disturb the resident sketch (a canonical plain query must answer
-// byte-identical seeds after every fuzzed request).
+// byte-identical seeds after every fuzzed request). A 200 NDJSON stream
+// must be valid JSON on every line, and its last line's seeds must equal
+// the answer to the same request without stream.
 func FuzzSeedsRequest(f *testing.F) {
 	f.Add(false, []byte(`{"k":1}`))
 	f.Add(false, []byte(`{"k":3,"budget":2.5}`))
@@ -27,6 +30,7 @@ func FuzzSeedsRequest(f *testing.F) {
 	f.Add(false, []byte(`{"k":3,"audience":[0,3,6],"blocked":[1]}`))
 	f.Add(false, []byte(`{"k":3,"budget":0,"audience":[],"blocked":[]}`))
 	f.Add(false, []byte(`{"k":-1,"costs":"x"}`))
+	f.Add(false, []byte(`{"k":2,"stream":true}`))
 	f.Add(true, []byte(`{"seeds":[0,1,2]}`))
 	f.Add(true, []byte(`{"seeds":[5],"audience":[0,2,4]}`))
 	f.Add(true, []byte(`{"seeds":[],"audience":[4294967295]}`))
@@ -64,12 +68,34 @@ func FuzzSeedsRequest(f *testing.F) {
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
-		switch rec.Code {
-		case http.StatusOK:
+		switch {
+		case rec.Code == http.StatusOK && rec.Header().Get("Content-Type") == "application/x-ndjson":
+			lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
+			for _, line := range lines {
+				if !json.Valid(line) {
+					t.Fatalf("%s: NDJSON line is not JSON: %q", path, line)
+				}
+			}
+			var last, whole seedsResponse
+			json.Unmarshal(lines[len(lines)-1], &last)
+			var req front.SeedsRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("streamed a body that does not decode: %q", body)
+			}
+			req.Stream = false
+			plain, _ := json.Marshal(req)
+			again := httptest.NewRecorder()
+			h.ServeHTTP(again, httptest.NewRequest("POST", path, bytes.NewReader(plain)))
+			if again.Code != http.StatusOK || json.Unmarshal(again.Body.Bytes(), &whole) != nil ||
+				!slices.Equal(last.Seeds, whole.Seeds) || len(last.Seeds) == 0 {
+				t.Fatalf("%s: stream ends with seeds %v, the same body without stream answers %d %q",
+					path, last.Seeds, again.Code, again.Body.Bytes())
+			}
+		case rec.Code == http.StatusOK:
 			if !json.Valid(rec.Body.Bytes()) {
 				t.Fatalf("%s: 200 with invalid JSON: %q", path, rec.Body.Bytes())
 			}
-		case http.StatusBadRequest:
+		case rec.Code == http.StatusBadRequest:
 			var e struct {
 				Error string `json:"error"`
 			}

@@ -2,19 +2,18 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"influmax/internal/cluster"
 	"influmax/internal/diffuse"
+	"influmax/internal/front"
 	"influmax/internal/graph"
 	"influmax/internal/imm"
 	"influmax/internal/metrics"
@@ -39,33 +38,24 @@ type Config struct {
 	// Workers is the thread count for sampling and per-query selection
 	// (<= 0 uses all cores).
 	Workers int
-	// Schedule is the sampling-loop schedule for sketch builds (dynamic
-	// work-stealing by default; sketch content does not depend on it).
+	// Schedule and Kernel tune sketch builds; the sketch content depends
+	// on neither.
 	Schedule imm.Schedule
-	// Kernel is the sampling kernel for sketch builds (fused CSR frontier
-	// batches by default; sketch content does not depend on it — the two
-	// kernels are byte-identical in the per-sample RNG mode builds use).
-	Kernel imm.Kernel
-	// Store is the RRR store kind sketches are built and served under
-	// (flat identity labeling by default; imm.StoreCoded serves from the
-	// frequency-relabeled byte-coded store — same query seeds, >= 3x
-	// smaller resident sketch).
+	Kernel   imm.Kernel
+	// Store is the RRR store kind sketches are served under (flat by
+	// default; imm.StoreCoded gives the same seeds from a >= 3x smaller
+	// resident sketch).
 	Store imm.StoreKind
-	// MaxConcurrent bounds queries executing at once (the worker pool;
-	// <= 0 defaults to 2).
+	// MaxConcurrent, MaxQueue, QueryTimeout and RetryAfter configure the
+	// front's admission (internal/front): queries running at once (<= 0:
+	// 2), waiting past that before 429 + Retry-After (<= 0: 16), the bound
+	// on one query's slot wait plus sketch population before a 503 — any
+	// build it triggered keeps running (<= 0: 60s) — and the Retry-After
+	// hint (<= 0: 1s).
 	MaxConcurrent int
-	// MaxQueue bounds queries waiting for a pool slot; one more query past
-	// MaxConcurrent+MaxQueue is answered 429 + Retry-After instead of
-	// queueing (<= 0 defaults to 16).
-	MaxQueue int
-	// QueryTimeout bounds one request's total wait: pool admission plus
-	// sketch population. A query that cannot start in time gets 503 +
-	// Retry-After while any build it triggered keeps running (<= 0
-	// defaults to 60s).
-	QueryTimeout time.Duration
-	// RetryAfter is the hint stamped on 429/503 responses (<= 0 defaults
-	// to 1s).
-	RetryAfter time.Duration
+	MaxQueue      int
+	QueryTimeout  time.Duration
+	RetryAfter    time.Duration
 	// MaxSketches bounds resident sketches across distinct query
 	// configurations; the oldest finished sketch is evicted past it
 	// (<= 0 defaults to 4).
@@ -95,40 +85,24 @@ type Config struct {
 	// MaxDeltaOps bounds the edge ops accepted in one delta batch (<= 0
 	// defaults to 4096).
 	MaxDeltaOps int
-	// DefaultBudget, DefaultAudience and DefaultBlocked are query-shape
-	// defaults (the -budget/-audience/-blocked immserve flags): a
-	// /v1/seeds request that leaves the corresponding field absent
-	// inherits them. Zero/nil means plain top-k, exactly as before.
+	// DefaultBudget, DefaultAudience and DefaultBlocked are the query
+	// shape a /v1/seeds request inherits for an absent field.
 	DefaultBudget   float64
 	DefaultAudience []graph.Vertex
 	DefaultBlocked  []graph.Vertex
 	// ClusterShard, when non-nil, runs this server as one shard replica of
 	// a router-fronted fleet (internal/cluster): the shard API is mounted
-	// (POST /v1/shard/op, GET /v1/shard/info, GET /v1/snapshot for peer
-	// bootstrap) and POST /v1/seeds is rejected with a pointer to the
-	// router — a shard holds a slice of the theta samples, so answering
-	// seed queries locally would be silently wrong. The shard's graph
-	// digest must match Graph; Dynamic mode and shard mode are mutually
-	// exclusive.
+	// and queries are refused with a pointer to the router, since a slice
+	// of the samples would answer them silently wrong. Its graph digest
+	// must match Graph; shard mode excludes Dynamic mode.
 	ClusterShard *cluster.Shard
 }
 
-// withDefaults resolves zero values.
+// withDefaults resolves zero values; the front resolves its own
+// (MaxConcurrent, MaxQueue, QueryTimeout, RetryAfter).
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = par.DefaultWorkers()
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 2
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 16
-	}
-	if c.QueryTimeout <= 0 {
-		c.QueryTimeout = 60 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.MaxSketches <= 0 {
 		c.MaxSketches = 4
@@ -139,30 +113,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the resident sketch-serving subsystem. Create one with New,
-// mount Handler on any mux or listener (or use Start), and stop it with
-// Shutdown, which drains in-flight queries.
+// Server is the resident sketch-serving subsystem, the local backend of a
+// front.Front. Create one with New, mount Handler (or use Start), and
+// stop it with Shutdown, which drains in-flight queries.
 type Server struct {
 	cfg    Config
 	digest uint64
 	reg    *metrics.Registry
 	cache  *sketchCache
+	front  *front.Front
 
-	// Admission: admitted counts running+waiting queries (bounded by
-	// admitLimit); running is the worker pool.
-	admitLimit int64
-	admitted   atomic.Int64
-	running    chan struct{}
-
-	draining atomic.Bool
-	mux      *http.ServeMux
-	httpSrv  *http.Server
+	// The front's admission state and instruments, aliased for the delta
+	// route and the load tests.
+	admitted             *atomic.Int64
+	draining             *atomic.Bool
+	mRejected, mTimeouts *metrics.Counter
+	mQueueDepth          *metrics.Gauge
 
 	// Dynamic mode: dynMu serializes mutations to dyn; dynSk holds the
-	// immutable query-ready view, republished after every batch, that
-	// queries load lock-free. A query therefore sees the sketch as of
-	// some fully applied epoch — never a half-applied batch (the bounded
-	// staleness contract).
+	// immutable view, republished after every batch, that queries load
+	// lock-free — never a half-applied batch.
 	dynMu sync.Mutex
 	dyn   *imm.DynamicSketch
 	dynSk atomic.Pointer[Sketch]
@@ -173,14 +143,13 @@ type Server struct {
 	deltaMu      sync.Mutex
 	deltaPending []*pendingDelta
 
-	mQueries, mRejected, mTimeouts, mErrors, mBuilds, mDeltaBatches, mCoalesced *metrics.Counter
-	mQueryBudgeted, mQueryTargeted, mQueryBlocked, mQuerySpread                 *metrics.Counter
-	mInflight, mSketches, mQueueDepth                                           *metrics.Gauge
-	mLatency                                                                    *metrics.Histogram
+	mQueries, mBuilds, mDeltaBatches, mCoalesced *metrics.Counter
+	mSketches                                    *metrics.Gauge
+	mLatency                                     *metrics.Histogram
 
-	// testQueryHook, when set, runs inside the seeds handler after pool
-	// admission — the seam load and drain tests use to hold a query in
-	// flight deterministically.
+	// testQueryHook, when set, runs at the start of every admitted query —
+	// the seam load and drain tests use to hold a query in flight
+	// deterministically.
 	testQueryHook func()
 }
 
@@ -206,27 +175,19 @@ func New(cfg Config) (*Server, error) {
 		reg = metrics.NewRegistry()
 	}
 	s := &Server{
-		cfg:            cfg,
-		digest:         cfg.Graph.Digest(),
-		reg:            reg,
-		cache:          newSketchCache(cfg.MaxSketches),
-		admitLimit:     int64(cfg.MaxConcurrent + cfg.MaxQueue),
-		running:        make(chan struct{}, cfg.MaxConcurrent),
-		mQueries:       reg.Counter("server/queries"),
-		mDeltaBatches:  reg.Counter("server/delta-batches"),
-		mCoalesced:     reg.Counter("server/delta-coalesced"),
-		mRejected:      reg.Counter("server/rejected"),
-		mTimeouts:      reg.Counter("server/timeouts"),
-		mErrors:        reg.Counter("server/errors"),
-		mBuilds:        reg.Counter("server/sketch-builds"),
-		mQueryBudgeted: reg.Counter("server/query-budgeted"),
-		mQueryTargeted: reg.Counter("server/query-targeted"),
-		mQueryBlocked:  reg.Counter("server/query-blocked"),
-		mQuerySpread:   reg.Counter("server/query-spread"),
-		mInflight:      reg.Gauge("server/inflight"),
-		mSketches:      reg.Gauge("server/sketches"),
-		mQueueDepth:    reg.Gauge("server/queue-depth"),
-		mLatency:       reg.Histogram("server/query-us"),
+		cfg:           cfg,
+		digest:        cfg.Graph.Digest(),
+		reg:           reg,
+		cache:         newSketchCache(cfg.MaxSketches),
+		mQueries:      reg.Counter("server/queries"),
+		mDeltaBatches: reg.Counter("server/delta-batches"),
+		mCoalesced:    reg.Counter("server/delta-coalesced"),
+		mRejected:     reg.Counter("server/rejected"),
+		mTimeouts:     reg.Counter("server/timeouts"),
+		mBuilds:       reg.Counter("server/sketch-builds"),
+		mSketches:     reg.Gauge("server/sketches"),
+		mQueueDepth:   reg.Gauge("server/queue-depth"),
+		mLatency:      reg.Histogram("server/query-us"),
 	}
 	if cfg.Sketch != nil && cfg.Sketch.Key.GraphDigest != s.digest {
 		return nil, fmt.Errorf("server: provided sketch is for graph %016x, loaded graph is %016x",
@@ -252,30 +213,39 @@ func New(cfg Config) (*Server, error) {
 		s.cache.put(cfg.Sketch)
 		s.mSketches.Set(int64(s.cache.len()))
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/seeds", s.handleSeeds)
-	s.mux.HandleFunc("POST /v1/spread", s.handleSpread)
-	s.mux.HandleFunc("POST /v1/graph/delta", s.handleDelta)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	s.front = front.New(front.Config{
+		KMax: cfg.KMax, NumVertices: n, Name: "server", Metrics: reg,
+		MaxConcurrent: cfg.MaxConcurrent, MaxQueue: cfg.MaxQueue,
+		QueryTimeout: cfg.QueryTimeout, RetryAfter: cfg.RetryAfter,
+		Defaults: imm.Query{Budget: cfg.DefaultBudget, Audience: cfg.DefaultAudience, Blocked: cfg.DefaultBlocked},
+	}, localBackend{s})
+	s.admitted, s.draining = &s.front.Admitted, &s.front.Draining
+	mux := s.front.Mux
+	mux.HandleFunc("POST /v1/graph/delta", s.handleDelta)
 	if sh := cfg.ClusterShard; sh != nil {
-		s.mux.HandleFunc("POST "+cluster.ShardOpPath, sh.ServeOp)
-		s.mux.HandleFunc("GET /v1/shard/info", sh.ServeInfo)
-		s.mux.HandleFunc("GET /v1/snapshot", sh.ServeSnapshot)
+		mux.HandleFunc("POST "+cluster.ShardOpPath, sh.ServeOp)
+		mux.HandleFunc("GET /v1/shard/info", sh.ServeInfo)
+		mux.HandleFunc("GET /v1/snapshot", sh.ServeSnapshot)
 	}
 	if cfg.EnablePprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return s, nil
 }
 
-// Handler returns the server's HTTP handler (for mounting under httptest
-// or an external mux/listener).
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the server's HTTP handler.
+func (s *Server) Handler() http.Handler { return s.front.Mux }
+
+// Start listens on addr and serves until Shutdown; it returns the bound
+// address.
+func (s *Server) Start(addr string) (net.Addr, error) { return s.front.Start(addr) }
+
+// Shutdown drains the server (see front.Front.Shutdown).
+func (s *Server) Shutdown(ctx context.Context) error { return s.front.Shutdown(ctx) }
 
 // DefaultKey is the sketch key of the server's configured defaults.
 func (s *Server) DefaultKey() SketchKey {
@@ -299,127 +269,6 @@ func (s *Server) Prewarm(ctx context.Context) error {
 	return err
 }
 
-// Start listens on addr and serves until Shutdown; it returns the bound
-// address (useful with ":0").
-func (s *Server) Start(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.httpSrv = &http.Server{Handler: s.mux}
-	go s.httpSrv.Serve(ln)
-	return ln.Addr(), nil
-}
-
-// Shutdown drains the server: health flips to 503 (so load balancers stop
-// routing), no new queries are admitted, and in-flight queries run to
-// completion bounded by ctx. After a Start, the listener closes too.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	if s.httpSrv != nil {
-		return s.httpSrv.Shutdown(ctx)
-	}
-	// Handler-only mode (tests, embedding): wait for in-flight queries.
-	for s.admitted.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-	return nil
-}
-
-// seedsRequest is the POST /v1/seeds body. k is required; the rest
-// defaults to the server configuration (overriding any of them selects —
-// and, on first use, populates — a different sketch).
-type seedsRequest struct {
-	K       int      `json:"k"`
-	Epsilon *float64 `json:"epsilon,omitempty"`
-	Model   *string  `json:"model,omitempty"`
-	Seed    *uint64  `json:"seed,omitempty"`
-	// Query-diversity fields (DESIGN.md §17), all optional. Costs
-	// (per-vertex, length n) with Budget select cost-aware greedy (Budget
-	// alone implies unit costs); Audience restricts coverage to samples
-	// rooted in it; Blocked excludes a rival's seeds and their coverage.
-	// Absent fields inherit the server's Default* configuration; an
-	// all-plain request keeps the exact historical response shape.
-	Costs    []float64       `json:"costs,omitempty"`
-	Budget   *float64        `json:"budget,omitempty"`
-	Audience *[]graph.Vertex `json:"audience,omitempty"`
-	Blocked  *[]graph.Vertex `json:"blocked,omitempty"`
-}
-
-// seedsResponse is the POST /v1/seeds reply.
-type seedsResponse struct {
-	K                int                `json:"k"`
-	KMax             int                `json:"kMax"`
-	Seeds            []graph.Vertex     `json:"seeds"`
-	CoverageFraction float64            `json:"coverageFraction"`
-	EstimatedSpread  float64            `json:"estimatedSpread"`
-	Theta            int64              `json:"theta"`
-	Cached           bool               `json:"cached"`
-	Source           string             `json:"source"`
-	DeltaEpoch       uint64             `json:"deltaEpoch,omitempty"`
-	Report           *metrics.RunReport `json:"report"`
-	// Query-diversity extras, present only on non-plain queries so plain
-	// responses keep their exact historical shape.
-	Gains       []int64 `json:"gains,omitempty"`
-	Eligible    int64   `json:"eligible,omitempty"`
-	SpentBudget float64 `json:"spentBudget,omitempty"`
-}
-
-// spreadRequest is the POST /v1/spread body: estimate the influence of a
-// caller-supplied seed set over the resident sketch's samples, optionally
-// restricted to audience-rooted samples. The epsilon/model/seed overrides
-// select (and on first use populate) a sketch exactly like /v1/seeds.
-type spreadRequest struct {
-	Seeds    []graph.Vertex `json:"seeds"`
-	Audience []graph.Vertex `json:"audience,omitempty"`
-	Epsilon  *float64       `json:"epsilon,omitempty"`
-	Model    *string        `json:"model,omitempty"`
-	Seed     *uint64        `json:"seed,omitempty"`
-}
-
-// spreadResponse is the POST /v1/spread reply. EstimatedSpread is
-// n * covered / theta — with an audience, the expected number of audience
-// members influenced.
-type spreadResponse struct {
-	Covered          int64   `json:"covered"`
-	Eligible         int64   `json:"eligible"`
-	CoverageFraction float64 `json:"coverageFraction"`
-	EstimatedSpread  float64 `json:"estimatedSpread"`
-	Theta            int64   `json:"theta"`
-	Cached           bool    `json:"cached"`
-	Source           string  `json:"source"`
-	DeltaEpoch       uint64  `json:"deltaEpoch,omitempty"`
-}
-
-// errorResponse is the JSON error envelope.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	if status >= 500 {
-		s.mErrors.Inc()
-	}
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeBackoff answers an overload/timeout condition with the Retry-After
-// hint.
-func (s *Server) writeBackoff(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
 // sketchFor resolves (building at most once, concurrently with other
 // keys) the sketch for key.
 func (s *Server) sketchFor(ctx context.Context, key SketchKey) (*Sketch, bool, error) {
@@ -431,275 +280,124 @@ func (s *Server) sketchFor(ctx context.Context, key SketchKey) (*Sketch, bool, e
 	return sk, hit, err
 }
 
-// admit is the front half every query handler shares: refuse while
-// draining, in shard mode or saturated; decode the JSON body into req; run
-// the handler's own validation (an error is a 400); then wait, bounded by
-// QueryTimeout and the client hanging up, for a worker-pool slot. It
-// returns the request context and the release the handler must defer —
-// everything admitted is counted until then, so Shutdown can drain — or a
-// nil release after having written the refusal.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, req any, validate func() error) (context.Context, func()) {
-	if s.draining.Load() {
-		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
-		return nil, nil
-	}
-	if sh := s.cfg.ClusterShard; sh != nil {
-		s.writeError(w, http.StatusBadRequest,
-			"this replica serves shard %d of %d; POST %s to the cluster router instead",
-			sh.ShardIdx, sh.ShardCount, r.URL.Path)
-		return nil, nil
-	}
-	// The queue-depth gauge tracks admitted (running + waiting) so
-	// saturation is visible in /v1/metrics before 429s start.
-	adm := s.admitted.Add(1)
-	leave := func() { s.mQueueDepth.Set(s.admitted.Add(-1)) }
-	if adm > s.admitLimit {
-		leave()
-		s.mRejected.Inc()
-		s.writeBackoff(w, http.StatusTooManyRequests,
-			"saturated: %d queries admitted (limit %d running + %d queued)",
-			s.admitLimit, s.cfg.MaxConcurrent, s.cfg.MaxQueue)
-		return nil, nil
-	}
-	s.mQueueDepth.Set(adm)
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	err := json.NewDecoder(r.Body).Decode(req)
-	if err != nil {
-		err = fmt.Errorf("bad request body: %v", err)
-	} else {
-		err = validate()
-	}
-	if err != nil {
-		leave()
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	select {
-	case s.running <- struct{}{}:
-	case <-ctx.Done():
-		s.mTimeouts.Inc()
-		s.writeBackoff(w, http.StatusServiceUnavailable, "queue wait exceeded: %v", ctx.Err())
-		cancel()
-		leave()
-		return nil, nil
-	}
-	s.mInflight.Add(1)
-	if s.testQueryHook != nil {
-		s.testQueryHook()
-	}
-	return ctx, func() {
-		s.mInflight.Add(-1)
-		<-s.running
-		cancel()
-		leave()
-	}
-}
-
 // keyFor applies a request's model/epsilon/seed overrides to the default
 // sketch key (overriding any of them selects — and, on first use,
 // populates — a different sketch).
-func (s *Server) keyFor(model *string, epsilon *float64, seed *uint64) (SketchKey, error) {
+func (s *Server) keyFor(o front.Overrides) (SketchKey, error) {
 	key := s.DefaultKey()
-	if s.cfg.Dynamic && (model != nil || epsilon != nil || seed != nil) {
-		return key, errors.New("dynamic mode serves one sketch configuration; model/epsilon/seed overrides are not available")
+	if s.cfg.Dynamic && o.Any() {
+		return key, front.ErrFixedSketch
 	}
-	if model != nil {
-		m, err := diffuse.ParseModel(*model)
+	if o.Model != nil {
+		m, err := diffuse.ParseModel(*o.Model)
 		if err != nil {
 			return key, err
 		}
 		key.Model = m
 	}
-	if epsilon != nil {
-		if *epsilon <= 0 || *epsilon >= 1 {
-			return key, fmt.Errorf("epsilon = %v, want 0 < eps < 1", *epsilon)
+	if o.Epsilon != nil {
+		if *o.Epsilon <= 0 || *o.Epsilon >= 1 {
+			return key, fmt.Errorf("epsilon = %v, want 0 < eps < 1", *o.Epsilon)
 		}
-		key.Epsilon = *epsilon
+		key.Epsilon = *o.Epsilon
 	}
-	if seed != nil {
-		key.Seed = *seed
+	if o.Seed != nil {
+		key.Seed = *o.Seed
 	}
 	return key, nil
 }
 
-// resolveSketch returns the sketch a query runs over: the latest
-// published epoch in dynamic mode (a lock-free load), else the cached or
-// freshly built sketch for key. ok is false after a refusal was written.
-func (s *Server) resolveSketch(ctx context.Context, w http.ResponseWriter, key SketchKey) (sk *Sketch, hit, ok bool) {
-	if s.cfg.Dynamic {
-		return s.dynSk.Load(), true, true
+// localBackend answers the front's queries from the server's sketches.
+type localBackend struct{ *Server }
+
+// Check refuses queries on a shard replica — its slice of the samples
+// would give silently wrong answers — and vets the overrides.
+func (b localBackend) Check(o front.Overrides) error {
+	if sh := b.cfg.ClusterShard; sh != nil {
+		return fmt.Errorf("this replica serves shard %d of %d; send queries to the cluster router instead",
+			sh.ShardIdx, sh.ShardCount)
 	}
-	sk, hit, err := s.sketchFor(ctx, key)
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.mTimeouts.Inc()
-		s.writeBackoff(w, http.StatusServiceUnavailable, "sketch for (%s) still building: %v", key, err)
-		return nil, false, false
-	}
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "building sketch: %v", err)
-		return nil, false, false
-	}
-	return sk, hit, true
+	_, err := b.keyFor(o)
+	return err
 }
 
-// handleSeeds is the query path: admission control, sketch resolution
-// (cache + single-flight), copy-on-read indexed selection, report.
-func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	var (
-		req seedsRequest
-		key SketchKey
-		q   imm.Query
-	)
-	ctx, release := s.admit(w, r, &req, func() (err error) {
-		if key, err = s.keyFor(req.Model, req.Epsilon, req.Seed); err != nil {
-			return err
-		}
-		if req.K < 1 || req.K > key.KMax {
-			return fmt.Errorf("k = %d, want 1 <= k <= kMax = %d", req.K, key.KMax)
-		}
-		// Resolve the query shape: explicit fields win, absent ones inherit
-		// the server defaults (an explicit empty value clears a default).
-		q = imm.Query{K: req.K, Costs: req.Costs, Budget: s.cfg.DefaultBudget,
-			Audience: s.cfg.DefaultAudience, Blocked: s.cfg.DefaultBlocked}
-		if req.Budget != nil {
-			q.Budget = *req.Budget
-		}
-		if req.Audience != nil {
-			q.Audience = *req.Audience
-		}
-		if req.Blocked != nil {
-			q.Blocked = *req.Blocked
-		}
-		return q.Validate(s.cfg.Graph.NumVertices())
-	})
-	if release == nil {
-		return
-	}
-	defer release()
-	sk, hit, ok := s.resolveSketch(ctx, w, key)
-	if !ok {
-		return
-	}
+func (b localBackend) Health() (map[string]any, bool) { return map[string]any{"status": "ok"}, true }
 
-	start := time.Now()
-	qr, err := sk.QueryEx(q, s.cfg.Workers)
+// sketch returns the sketch a query runs over: the latest published epoch
+// in dynamic mode (a lock-free load), else the cached or freshly built
+// sketch for the overrides' key.
+func (b localBackend) sketch(ctx context.Context, o front.Overrides) (*Sketch, bool, error) {
+	if b.testQueryHook != nil {
+		b.testQueryHook()
+	}
+	if b.cfg.Dynamic {
+		return b.dynSk.Load(), true, nil
+	}
+	key, err := b.keyFor(o)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false, front.BadRequest(err)
+	}
+	sk, hit, err := b.sketchFor(ctx, key)
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return nil, false, front.Unavailable(fmt.Errorf("sketch for (%s) still building: %w", key, err))
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("building sketch: %w", err)
+	}
+	return sk, hit, nil
+}
+
+// Seeds runs copy-on-read indexed selection over the resolved sketch and
+// reports it.
+func (b localBackend) Seeds(ctx context.Context, o front.Overrides, q imm.Query, onSeed func(int, graph.Vertex, int64)) (*front.SeedsResponse, error) {
+	sk, hit, err := b.sketch(ctx, o)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	qr, err := sk.greedy(q, b.cfg.Workers, onSeed)
+	if err != nil {
+		return nil, front.BadRequest(err)
 	}
 	dur := time.Since(start)
-	s.mQueries.Inc()
-	s.mLatency.Observe(dur.Microseconds())
-	if q.Budgeted() {
-		s.mQueryBudgeted.Inc()
-	}
-	if len(q.Audience) > 0 {
-		s.mQueryTargeted.Inc()
-	}
-	if len(q.Blocked) > 0 {
-		s.mQueryBlocked.Inc()
-	}
-
-	rep := sk.report(req.K, s.cfg.Workers, dur, qr.Seeds, qr.Covered)
-	resp := seedsResponse{
-		K:                req.K,
-		KMax:             sk.Key.KMax,
+	b.mQueries.Inc()
+	b.mLatency.Observe(dur.Microseconds())
+	rep := sk.report(q.K, b.cfg.Workers, dur, qr.Seeds, qr.Covered)
+	return &front.SeedsResponse{
 		Seeds:            qr.Seeds,
 		CoverageFraction: rep.CoverageFraction,
 		EstimatedSpread:  rep.EstimatedSpread,
 		Theta:            sk.Theta,
-		Cached:           hit,
-		Source:           sk.Source,
-		DeltaEpoch:       sk.DeltaEpoch,
-		Report:           rep,
-	}
-	if !q.Plain() {
-		// Plain responses keep their exact historical shape.
-		resp.Gains = qr.Gains
-		resp.Eligible = qr.Eligible
-		resp.SpentBudget = qr.SpentBudget
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Local:            &front.Local{Cached: hit, Source: sk.Source, DeltaEpoch: sk.DeltaEpoch, Report: rep},
+		Gains:            qr.Gains,
+		Eligible:         qr.Eligible,
+		SpentBudget:      qr.SpentBudget,
+	}, nil
 }
 
-// handleSpread is the seed-set estimation path: same admission control
-// and sketch resolution as /v1/seeds, then a stateless coverage count
-// over the resident samples (no greedy, no purging).
-func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
-	var (
-		req spreadRequest
-		key SketchKey
-	)
-	ctx, release := s.admit(w, r, &req, func() (err error) {
-		if key, err = s.keyFor(req.Model, req.Epsilon, req.Seed); err != nil {
-			return err
-		}
-		if len(req.Seeds) == 0 {
-			return errors.New("spread needs at least one seed")
-		}
-		n := s.cfg.Graph.NumVertices()
-		for _, v := range req.Seeds {
-			if int(v) >= n {
-				return fmt.Errorf("seed vertex %d out of range (n = %d)", v, n)
-			}
-		}
-		for _, v := range req.Audience {
-			if int(v) >= n {
-				return fmt.Errorf("audience vertex %d out of range (n = %d)", v, n)
-			}
-		}
-		return nil
-	})
-	if release == nil {
-		return
-	}
-	defer release()
-	sk, hit, ok := s.resolveSketch(ctx, w, key)
-	if !ok {
-		return
-	}
-
-	start := time.Now()
-	covered, eligible, err := sk.Spread(req.Seeds, req.Audience)
+// Spread is a stateless coverage count over the resolved sketch's samples
+// (no greedy, no purging).
+func (b localBackend) Spread(ctx context.Context, o front.Overrides, seeds, audience []graph.Vertex) (*front.SpreadResponse, error) {
+	sk, hit, err := b.sketch(ctx, o)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	dur := time.Since(start)
-	s.mQueries.Inc()
-	s.mQuerySpread.Inc()
-	s.mLatency.Observe(dur.Microseconds())
-
-	resp := spreadResponse{
-		Covered:    covered,
-		Eligible:   eligible,
-		Theta:      sk.Theta,
-		Cached:     hit,
-		Source:     sk.Source,
-		DeltaEpoch: sk.DeltaEpoch,
+	start := time.Now()
+	covered, eligible, err := sk.Spread(seeds, audience)
+	if err != nil {
+		return nil, front.BadRequest(err)
+	}
+	b.mQueries.Inc()
+	b.mLatency.Observe(time.Since(start).Microseconds())
+	resp := &front.SpreadResponse{
+		Covered:  covered,
+		Eligible: eligible,
+		Theta:    sk.Theta,
+		Local:    &front.Local{Cached: hit, Source: sk.Source, DeltaEpoch: sk.DeltaEpoch},
 	}
 	if c := sk.Col.Count(); c > 0 {
 		resp.CoverageFraction = float64(covered) / float64(c)
 	}
 	resp.EstimatedSpread = resp.CoverageFraction * float64(sk.Col.NumVertices())
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleHealthz reports liveness: 200 while serving, 503 while draining.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleMetrics exposes the registry snapshot as JSON.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.reg.Snapshot()
-	if snap == nil {
-		snap = &metrics.Snapshot{}
-	}
-	writeJSON(w, http.StatusOK, snap)
+	return resp, nil
 }

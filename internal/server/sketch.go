@@ -30,18 +30,13 @@ func (k SketchKey) String() string {
 		k.GraphDigest, k.Model, k.Epsilon, k.KMax, k.Seed)
 }
 
-// Sketch is a resident, immutable, query-ready RRR sample store: the
-// byte-coded collection of theta samples, its inverted incidence index,
-// and the build bookkeeping that rides into per-query RunReports. All
-// fields are read-only after construction; queries operate exclusively on
-// copy-on-read state, so a single Sketch serves any number of concurrent
-// queries.
+// Sketch is a resident, immutable, query-ready RRR sample store plus the
+// build bookkeeping that rides into per-query RunReports. Queries run on
+// copy-on-read state, so one Sketch serves any number of them at once.
 type Sketch struct {
 	// Key identifies the configuration the sketch was sampled for.
 	Key SketchKey
-	// Col holds the theta byte-coded samples: delta+varint payloads under
-	// the identity labeling (imm.StoreFlat) or the frequency-ordered
-	// relabeling (imm.StoreCoded); see DESIGN.md §13.
+	// Col holds the theta byte-coded samples (DESIGN.md §13).
 	Col *rrr.CodedCollection
 	// Idx is the CSR vertex -> sample-ids inverted incidence of Col.
 	Idx *rrr.Index
@@ -53,14 +48,11 @@ type Sketch struct {
 	// Source records provenance: "sampled" (built in-process) or
 	// "snapshot" (loaded from disk).
 	Source string
-	// BuildPhases is the wall-clock breakdown of building the sketch
-	// (estimation, sampling, index build — all zero for a snapshot load,
-	// which is the point of having one).
+	// BuildPhases is the wall-clock breakdown of building the sketch (all
+	// zero for a snapshot load).
 	BuildPhases trace.Times
-	// Deltas is the replayable delta log behind this sketch: nil for a
-	// static sketch, else one entry per batch folded in since the base
-	// graph (Key.GraphDigest always names the BASE graph). Persisted by
-	// Save so a warm restart can replay the mutations.
+	// Deltas is the replayable delta log since the base graph that
+	// Key.GraphDigest names (nil for a static sketch), persisted by Save.
 	Deltas []graph.Delta
 	// DeltaEpoch and DeltaStats summarize the maintenance that produced
 	// this sketch (zero for static sketches); they ride into RunReports.
@@ -90,11 +82,21 @@ func (s *Sketch) Roots() []graph.Vertex {
 // byte-identically). Copy-on-read like Query: safe for any number of
 // concurrent callers.
 func (s *Sketch) QueryEx(q imm.Query, p int) (*imm.QueryResult, error) {
+	if err := q.Validate(s.Col.NumVertices()); err != nil {
+		return nil, err
+	}
+	return s.greedy(q, p, nil)
+}
+
+// greedy runs the selection engine over the sketch for a validated q;
+// onSeed, when non-nil, sees each seed as it is committed (the streaming
+// hook).
+func (s *Sketch) greedy(q imm.Query, p int, onSeed func(int, graph.Vertex, int64)) (*imm.QueryResult, error) {
 	var roots []graph.Vertex
 	if len(q.Audience) > 0 {
 		roots = s.Roots()
 	}
-	return imm.SelectQuerySketch(s.Col, s.Idx, roots, q, p)
+	return imm.Greedy(imm.NewCodedCoverage(s.Col, s.Idx, roots, p), s.Col.NumVertices(), q, onSeed)
 }
 
 // Spread estimates the coverage of a caller-supplied seed set: how many
@@ -109,17 +111,11 @@ func (s *Sketch) Spread(seeds, audience []graph.Vertex) (covered, eligible int64
 	return imm.CoverageOf(s.Col.Count(), s.Idx, roots, seeds, audience)
 }
 
-// BuildSketch samples a sketch for key over g: the full estimation +
-// sampling pipeline of Algorithm 1 at K = key.KMax, transcoded into the
-// byte-coded store selected by store (imm.StoreCoded adds the
-// frequency-ordered relabeling; imm.StoreFlat keeps the identity
-// labeling). The plain arena is dropped after transcoding; the index the
-// run built over the coded store is reused as-is. schedule picks the
-// sampling-loop schedule; the sketch content does not depend on it
-// (builds run in PerSample RNG mode), and the query seeds do not depend
-// on store. kernel picks the sampling kernel; builds run in PerSample
-// RNG mode, where the fused and scalar kernels are byte-identical, so it
-// is a pure speed knob.
+// BuildSketch samples a sketch for key over g: Algorithm 1's estimation
+// and sampling at K = key.KMax, transcoded into the byte-coded store
+// selected by store (imm.StoreCoded adds the frequency-ordered
+// relabeling). Builds run in PerSample RNG mode, so neither schedule nor
+// kernel changes the samples, and store does not change the query seeds.
 func BuildSketch(g *graph.Graph, key SketchKey, workers int, schedule imm.Schedule, kernel imm.Kernel, store imm.StoreKind, reg *metrics.Registry) (*Sketch, error) {
 	opt := imm.Options{
 		K: key.KMax, Epsilon: key.Epsilon, Model: key.Model,
@@ -176,15 +172,11 @@ func (s *Sketch) Save(path string) error {
 	return rrr.SaveSnapshotFile(path, s.Meta(), s.Col, s.Idx, s.Deltas)
 }
 
-// LoadSketch reads a snapshot from path and validates it against g: the
-// stored graph digest must match, so a sketch is never served against a
-// graph it was not sampled from. store selects the labeling the loaded
-// sketch must run under; a snapshot written with the other labeling is
-// transcoded once at load time (decode + re-encode — still orders of
-// magnitude cheaper than resampling, and the index is label-invariant so
-// it carries over untouched). A snapshot written without an index gets
-// one rebuilt (workers-wide). maxBytes <= 0 uses
-// rrr.DefaultMaxSnapshotBytes.
+// LoadSketch reads a snapshot from path and validates it against g (the
+// graph digest must match). A snapshot written under the other labeling
+// than store is transcoded once at load time (the index is
+// label-invariant); one written without an index gets it rebuilt.
+// maxBytes <= 0 uses rrr.DefaultMaxSnapshotBytes.
 func LoadSketch(path string, g *graph.Graph, workers int, store imm.StoreKind, maxBytes int64) (*Sketch, error) {
 	start := time.Now()
 	meta, col, idx, deltas, err := rrr.LoadSnapshotFile(path, maxBytes)
