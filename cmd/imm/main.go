@@ -35,9 +35,7 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "random seed")
 		weights     = flag.String("weights", "uniform", "weight scheme when generating: uniform, wc, const:<p>, none")
 		baseline    = flag.Bool("baseline", false, "run the Tang-style sequential baseline instead")
-		leapfrog    = flag.Bool("leapfrog", false, "use leap-frog RNG splitting (paper mode) instead of per-sample")
-		schedule    = flag.String("schedule", "dynamic", "sampling-loop schedule: dynamic (work-stealing) or static (paper's contiguous split)")
-		kernelStr   = flag.String("kernel", "fused", "sampling kernel: fused (batched CSR frontier) or scalar (per-sample reverse BFS; byte-identical results, -leapfrog always uses scalar)")
+		leapfrog    = flag.Bool("leapfrog", false, "sample with the paper's engine: leap-frog RNG splitting, scalar kernel, static split (default: per-sample streams, fused kernel, work-stealing)")
 		storeStr    = flag.String("store", "flat", "RRR store for the final selection: flat (uint32 arena) or coded (byte-coded, ~3x smaller; same seeds)")
 		verify      = flag.Int("verify", 0, "if > 0, evaluate the seed set with this many Monte Carlo cascades")
 		audience    = flag.String("audience", "", "comma-separated vertex ids: maximize influence over this audience only (targeted query mode)")
@@ -63,15 +61,7 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	sched, err := influmax.ParseSchedule(*schedule)
-	if err != nil {
-		fatal("%v", err)
-	}
 	store, err := influmax.ParseStoreKind(*storeStr)
-	if err != nil {
-		fatal("%v", err)
-	}
-	kernel, err := influmax.ParseKernel(*kernelStr)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -114,14 +104,14 @@ func main() {
 	if *audience != "" || *budget > 0 || *blocked != "" {
 		// Query-diversity mode: build a resident sketch and run the general
 		// selection shapes of DESIGN.md §17 over it.
-		if err := runQueryMode(g, st, model, sched, kernel, store, reg,
+		if err := runQueryMode(g, st, model, store, reg,
 			*k, *eps, *seed, *workers, *audience, *budget, *blocked, *verify, *jsonOut); err != nil {
 			fatal("%v", err)
 		}
 		return
 	}
 
-	opt := influmax.Options{K: *k, Epsilon: *eps, Model: model, Workers: *workers, Seed: *seed, Schedule: sched, Store: store, Kernel: kernel}
+	opt := influmax.Options{K: *k, Epsilon: *eps, Model: model, Workers: *workers, Seed: *seed, Store: store}
 	if *leapfrog {
 		opt.RNG = influmax.LeapFrog
 	}
@@ -284,8 +274,7 @@ func splitComma(s string) []string {
 // blocked selection shapes over it, then reports like a normal run (the
 // estimated spread is the RIS estimate over the sketch's samples).
 func runQueryMode(g *influmax.Graph, st influmax.GraphStats, model influmax.Model,
-	sched influmax.Schedule, kernel influmax.Kernel, store influmax.StoreKind,
-	reg *influmax.MetricsRegistry,
+	store influmax.StoreKind, reg *influmax.MetricsRegistry,
 	k int, eps float64, seed uint64, workers int,
 	audience string, budget float64, blocked string, verify int, jsonOut bool) error {
 	aud, err := parseVertexList(audience, g.NumVertices())
@@ -297,7 +286,7 @@ func runQueryMode(g *influmax.Graph, st influmax.GraphStats, model influmax.Mode
 		return fmt.Errorf("-blocked: %w", err)
 	}
 	key := influmax.SketchKey{GraphDigest: g.Digest(), Model: model, Epsilon: eps, KMax: k, Seed: seed}
-	sk, err := influmax.BuildSketch(g, key, workers, sched, kernel, store, reg)
+	sk, err := influmax.BuildSketch(g, key, workers, store, reg)
 	if err != nil {
 		return err
 	}

@@ -37,9 +37,7 @@ func main() {
 		eps         = flag.Float64("eps", 0.13, "accuracy parameter")
 		modelStr    = flag.String("model", "IC", "diffusion model: IC or LT")
 		threads     = flag.Int("threads", 1, "threads per rank (hybrid model)")
-		schedule    = flag.String("schedule", "dynamic", "intra-rank sampling-loop schedule: dynamic (work-stealing) or static (paper's contiguous split)")
 		storeStr    = flag.String("store", "flat", "rank-local RRR store for selection: flat (uint32 arena) or coded (byte-coded, ~3x smaller; same seeds; must agree across ranks)")
-		kernelStr   = flag.String("kernel", "fused", "intra-rank sampling kernel: fused (batched CSR frontier) or scalar (per-sample reverse BFS; same seeds, must agree across ranks)")
 		seed        = flag.Uint64("seed", 1, "random seed (must agree across ranks)")
 		ranks       = flag.Int("ranks", 4, "local mode: number of in-process ranks")
 		rank        = flag.Int("rank", -1, "TCP mode: this process's rank")
@@ -66,15 +64,7 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	sched, err := influmax.ParseSchedule(*schedule)
-	if err != nil {
-		fatal("%v", err)
-	}
 	store, err := influmax.ParseStoreKind(*storeStr)
-	if err != nil {
-		fatal("%v", err)
-	}
-	kernel, err := influmax.ParseKernel(*kernelStr)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -117,8 +107,8 @@ func main() {
 	if model == influmax.LT {
 		g.NormalizeLT()
 	}
-	opt := influmax.DistOptions{K: *k, Epsilon: *eps, Model: model, ThreadsPerRank: *threads, Seed: *seed, Schedule: sched, Store: store, Kernel: kernel}
-	popt := influmax.PartOptions{K: *k, Epsilon: *eps, Model: model, Seed: *seed, Threads: *threads, Schedule: sched, Store: store, Kernel: kernel}
+	opt := influmax.DistOptions{K: *k, Epsilon: *eps, Model: model, ThreadsPerRank: *threads, Seed: *seed, Store: store}
+	popt := influmax.PartOptions{K: *k, Epsilon: *eps, Model: model, Seed: *seed, Threads: *threads, Store: store}
 
 	// writeReport stamps the graph summary on rank 0's merged report and
 	// persists it.

@@ -51,8 +51,6 @@ func main() {
 		modelStr     = flag.String("model", "IC", "diffusion model: IC or LT")
 		seed         = flag.Uint64("seed", 1, "random seed")
 		workers      = flag.Int("workers", 0, "threads for sampling and selection (0 = all cores)")
-		schedule     = flag.String("schedule", "dynamic", "sketch-build sampling schedule: dynamic (work-stealing) or static (paper's contiguous split)")
-		kernelStr    = flag.String("kernel", "fused", "sketch-build sampling kernel: fused (batched CSR frontier) or scalar (per-sample reverse BFS; same sketches and seeds)")
 		storeStr     = flag.String("store", "flat", "resident RRR store: flat (uint32 arena) or coded (byte-coded, ~3x smaller; same seeds)")
 		concurrency  = flag.Int("concurrency", 2, "queries executing at once")
 		queue        = flag.Int("queue", 16, "queries waiting for a slot before 429s start")
@@ -75,15 +73,7 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	sched, err := influmax.ParseSchedule(*schedule)
-	if err != nil {
-		fatal("%v", err)
-	}
 	store, err := influmax.ParseStoreKind(*storeStr)
-	if err != nil {
-		fatal("%v", err)
-	}
-	kernel, err := influmax.ParseKernel(*kernelStr)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -138,7 +128,7 @@ func main() {
 		// changing, so it is persisted after the drain instead.
 		sketch, err = loadWarmSketch(g, key, *snapshot, *workers, store)
 	} else {
-		sketch, err = prepareSketch(g, key, *snapshot, *workers, sched, kernel, store, reg)
+		sketch, err = prepareSketch(g, key, *snapshot, *workers, store, reg)
 	}
 	if err != nil {
 		fatal("%v", err)
@@ -146,7 +136,7 @@ func main() {
 
 	srv, err := influmax.Serve(influmax.ServeConfig{
 		Graph: g, Model: model, Epsilon: *eps, KMax: *kMax, Seed: *seed,
-		Workers: *workers, Schedule: sched, Kernel: kernel, Store: store, MaxConcurrent: *concurrency, MaxQueue: *queue,
+		Workers: *workers, Store: store, MaxConcurrent: *concurrency, MaxQueue: *queue,
 		QueryTimeout: *timeout, Metrics: reg, EnablePprof: *pprofOn,
 		Sketch: sketch, Dynamic: *dynamic, WeightPolicy: policy,
 		DefaultBudget: *budget, DefaultAudience: defAudience, DefaultBlocked: defBlocked,
@@ -277,7 +267,7 @@ func loadWarmSketch(g *influmax.Graph, key influmax.SketchKey, path string, work
 // warm-starts the server (transcoded into the -store kind if it was
 // written with the other one); otherwise the sketch is sampled and — when
 // a path was given — persisted for the next start.
-func prepareSketch(g *influmax.Graph, key influmax.SketchKey, path string, workers int, sched influmax.Schedule, kernel influmax.Kernel, store influmax.StoreKind, reg *influmax.MetricsRegistry) (*influmax.Sketch, error) {
+func prepareSketch(g *influmax.Graph, key influmax.SketchKey, path string, workers int, store influmax.StoreKind, reg *influmax.MetricsRegistry) (*influmax.Sketch, error) {
 	if path != "" {
 		if _, err := os.Stat(path); err == nil {
 			s, err := influmax.LoadSnapshot(path, g, workers, store)
@@ -293,7 +283,7 @@ func prepareSketch(g *influmax.Graph, key influmax.SketchKey, path string, worke
 		}
 	}
 	start := time.Now()
-	s, err := influmax.BuildSketch(g, key, workers, sched, kernel, store, reg)
+	s, err := influmax.BuildSketch(g, key, workers, store, reg)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -201,6 +203,18 @@ func TestCmdIMMMetricsJSON(t *testing.T) {
 	}
 	if rep.Metrics == nil || rep.Metrics.Counters["rrr/samples"] != rep.SamplesGenerated {
 		t.Fatalf("engine metrics: %+v", rep.Metrics)
+	}
+	if rep.Kernel != "fused" || rep.FrontierPasses <= 0 {
+		t.Fatalf("per-sample run: kernel %q, frontierPasses %d; want fused with passes", rep.Kernel, rep.FrontierPasses)
+	}
+
+	// -leapfrog runs the paper's engine, and the report must say so.
+	lpath := filepath.Join(t.TempDir(), "leapfrog.json")
+	runCmd(t, "imm", "-dataset", "cit-HepTh", "-scale", "0.002", "-k", "4", "-eps", "0.5",
+		"-workers", "2", "-leapfrog", "-metrics-json", lpath)
+	lrep := readReport(t, lpath, "IMMmt")
+	if lrep.Kernel != "scalar" || lrep.FrontierPasses != 0 {
+		t.Fatalf("leap-frog run: kernel %q, frontierPasses %d; want scalar with 0", lrep.Kernel, lrep.FrontierPasses)
 	}
 }
 
@@ -514,4 +528,62 @@ func TestCmdExperiments(t *testing.T) {
 	}
 	runCmdExpectError(t, "experiments")                    // no experiment
 	runCmdExpectError(t, "experiments", "nonexistent-exp") // unknown name
+}
+
+// TestReadmeFlagsMatchHelp keeps README's flag documentation in step with
+// the binaries: each ```text flag block under "### cmd/<name>" must equal
+// that binary's -h output minus the "Usage of" line, and the flag column
+// of the immserve table must list exactly the flags immserve -h prints.
+func TestReadmeFlagsMatchHelp(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(raw)
+	help := func(name string) string {
+		out, err := exec.Command(binPath(t, name), "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", name, err, out)
+		}
+		_, body, _ := strings.Cut(string(out), "\n")
+		return body
+	}
+	for _, name := range []string{"imm", "immdist", "graphgen", "experiments"} {
+		_, section, ok := strings.Cut(readme, "### cmd/"+name+" ")
+		if !ok {
+			t.Fatalf("README has no cmd/%s section", name)
+		}
+		_, block, ok := strings.Cut(section, "```text\n")
+		if !ok {
+			t.Fatalf("README cmd/%s section has no text block", name)
+		}
+		block, _, _ = strings.Cut(block, "```")
+		if want := help(name); block != want {
+			t.Errorf("README cmd/%s flag block differs from -h output; want:\n%s", name, want)
+		}
+	}
+
+	var want []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(help("immserve"), -1) {
+		want = append(want, m[1])
+	}
+	_, section, _ := strings.Cut(readme, "## Running immserve")
+	_, table, ok := strings.Cut(section, "| Flag |")
+	if !ok {
+		t.Fatal("README immserve section has no flag table")
+	}
+	var got []string
+	for _, line := range strings.Split(table, "\n")[2:] {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		col := strings.Split(line, "|")[1]
+		for _, m := range regexp.MustCompile("`-([\\w-]+)`").FindAllStringSubmatch(col, -1) {
+			got = append(got, m[1])
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("README immserve table flags %v, immserve -h prints %v", got, want)
+	}
 }

@@ -33,7 +33,7 @@ func run(w io.Writer) error {
 	key := influmax.SketchKey{
 		GraphDigest: g.Digest(), Model: influmax.IC, Epsilon: 0.5, KMax: 20, Seed: 11,
 	}
-	sk, err := influmax.BuildSketch(g, key, 0, influmax.ScheduleDynamic, influmax.KernelFused, influmax.StoreCoded, nil)
+	sk, err := influmax.BuildSketch(g, key, 0, influmax.StoreCoded, nil)
 	if err != nil {
 		return err
 	}

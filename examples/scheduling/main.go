@@ -1,16 +1,16 @@
-// Scheduling: the work-stealing sampling schedule against the paper's
-// static contiguous split — same answer, better balance.
+// Scheduling: the work-stealing sampling loop at one worker and at four —
+// same answer, with the load spread across the workers.
 //
 //	go run ./examples/scheduling
 //
-// The default -schedule dynamic runs the RRR sampling loop on a chunked
-// work-stealing scheduler (DESIGN.md §12). Because the per-sample RNG
+// In the default per-sample RNG mode the RRR sampling loop runs on a
+// chunked work-stealing scheduler (DESIGN.md §12). Because the per-sample
 // discipline derives sample i's randomness from (seed, i) alone, which
-// worker executes an index is invisible to the result: the dynamic
-// schedule at any worker count produces the exact collection, theta, and
-// seed set of the static schedule at one worker. What changes is load:
-// the scheduler reports per-worker work whose mean/max ratio (the
-// rrr/balance gauge, in permille) bounds sampling-phase speedup.
+// worker executes an index is invisible to the result: four workers
+// produce the exact collection, theta, and seed set of one worker. What
+// changes is load: the scheduler reports per-worker work whose mean/max
+// ratio (the rrr/balance gauge, in permille) bounds sampling-phase
+// speedup.
 package main
 
 import (
@@ -29,38 +29,36 @@ func main() {
 	}
 }
 
-// run executes the two schedules and writes the demonstration output to
-// w (the Example test pins this output).
+// run executes the two worker counts and writes the demonstration output
+// to w (the Example test pins this output).
 func run(w io.Writer) error {
 	// A deterministic scaled analog of the cit-HepTh citation network.
 	g := influmax.Generate("cit-HepTh", 0.02, 3)
 	g.AssignUniform(11)
 
-	// Reference: the paper's schedule — one worker, contiguous split.
-	static, err := influmax.Maximize(g, influmax.Options{
+	// Reference: one worker, so nothing is split or stolen.
+	single, err := influmax.Maximize(g, influmax.Options{
 		K: 5, Epsilon: 0.5, Model: influmax.IC, Workers: 1, Seed: 42,
-		Schedule: influmax.ScheduleStatic,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "static  workers=1: theta %d, seeds %v\n", static.Theta, static.Seeds)
+	fmt.Fprintf(w, "workers=1: theta %d, seeds %v\n", single.Theta, single.Seeds)
 
-	// The work-stealing schedule, four workers, instrumented.
+	// Four workers stealing chunks from each other, instrumented.
 	reg := influmax.NewMetricsRegistry()
-	dynamic, err := influmax.Maximize(g, influmax.Options{
-		K: 5, Epsilon: 0.5, Model: influmax.IC, Workers: 4, Seed: 42,
-		Schedule: influmax.ScheduleDynamic, Metrics: reg,
+	multi, err := influmax.Maximize(g, influmax.Options{
+		K: 5, Epsilon: 0.5, Model: influmax.IC, Workers: 4, Seed: 42, Metrics: reg,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "dynamic workers=4: theta %d, seeds %v\n", dynamic.Theta, dynamic.Seeds)
+	fmt.Fprintf(w, "workers=4: theta %d, seeds %v\n", multi.Theta, multi.Seeds)
 
-	// The schedule cannot change the answer — only who did the work.
-	fmt.Fprintf(w, "seed sets identical: %v\n", slices.Equal(static.Seeds, dynamic.Seeds))
+	// The worker count cannot change the answer — only who did the work.
+	fmt.Fprintf(w, "seed sets identical: %v\n", slices.Equal(single.Seeds, multi.Seeds))
 	fmt.Fprintf(w, "same samples generated: %v\n",
-		static.SamplesGenerated == dynamic.SamplesGenerated)
+		single.SamplesGenerated == multi.SamplesGenerated)
 
 	// The scheduler's telemetry: chunks claimed across the run, and the
 	// load balance (mean/max per-worker work, in permille; 1000 = even).

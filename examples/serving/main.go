@@ -48,7 +48,7 @@ func run(w io.Writer) error {
 		GraphDigest: g.Digest(), Model: influmax.IC,
 		Epsilon: 0.5, KMax: 25, Seed: 42,
 	}
-	sketch, err := influmax.BuildSketch(g, key, 2, influmax.ScheduleDynamic, influmax.KernelFused, influmax.StoreFlat, nil)
+	sketch, err := influmax.BuildSketch(g, key, 2, influmax.StoreFlat, nil)
 	if err != nil {
 		return err
 	}

@@ -60,62 +60,14 @@ type Result = imm.Result
 // RNG stream-splitting disciplines.
 const (
 	// PerSample gives every Monte Carlo sample its own derived stream:
-	// results are reproducible for any worker/rank count.
+	// results are reproducible for any worker/rank count. It samples with
+	// the fused CSR frontier kernel under work-stealing — the default.
 	PerSample = imm.PerSample
 	// LeapFrog splits one global LCG sequence across workers, as the
-	// paper does with TRNG.
+	// paper does with TRNG, and samples with the paper's engine: the
+	// per-sample reverse-BFS/walk kernel on the static contiguous split.
 	LeapFrog = imm.LeapFrog
 )
-
-// Schedule selects how the sampling loop is partitioned onto workers.
-type Schedule = imm.Schedule
-
-// Sampling-loop schedules.
-const (
-	// ScheduleDynamic is chunked work-stealing with guided chunk sizing —
-	// the default. In PerSample RNG mode the output is byte-identical to
-	// the static schedule for any worker count.
-	ScheduleDynamic = imm.ScheduleDynamic
-	// ScheduleStatic is the paper's static contiguous split.
-	ScheduleStatic = imm.ScheduleStatic
-)
-
-// ParseSchedule parses "dynamic" or "static" (case-insensitive).
-func ParseSchedule(s string) (Schedule, error) {
-	switch strings.ToLower(s) {
-	case "dynamic":
-		return ScheduleDynamic, nil
-	case "static":
-		return ScheduleStatic, nil
-	}
-	return 0, fmt.Errorf("unknown schedule %q (want dynamic or static)", s)
-}
-
-// Kernel selects the reverse-reachability sampling kernel. Both kernels
-// produce byte-identical collections and seeds in PerSample RNG mode; the
-// fused kernel is faster, the scalar kernel is the reference oracle (and
-// the only one that can consume worker-pinned LeapFrog streams).
-type Kernel = imm.Kernel
-
-// Sampling kernels.
-const (
-	// KernelFused is the fused CSR frontier kernel (batches of up to 64
-	// samples per pass, block-generated coins) — the default.
-	KernelFused = imm.KernelFused
-	// KernelScalar is the per-sample reverse-BFS/walk kernel.
-	KernelScalar = imm.KernelScalar
-)
-
-// ParseKernel parses "fused" or "scalar" (case-insensitive).
-func ParseKernel(s string) (Kernel, error) {
-	switch strings.ToLower(s) {
-	case "fused":
-		return KernelFused, nil
-	case "scalar":
-		return KernelScalar, nil
-	}
-	return 0, fmt.Errorf("unknown kernel %q (want fused or scalar)", s)
-}
 
 // StoreKind selects the in-memory representation of the finished RRR
 // sample store — the memory/decode-time trade-off of DESIGN.md §13. The
@@ -446,12 +398,10 @@ func Serve(cfg ServeConfig) (*SeedServer, error) { return server.New(cfg) }
 
 // BuildSketch samples a query-ready sketch for key over g — the full IMM
 // estimation + sampling pipeline at K = key.KMax, transcoded into the
-// byte-coded store selected by store and indexed. schedule picks the
-// sampling-loop schedule and kernel the sampling kernel (neither the
-// sketch content nor the query seeds depend on them or on store); reg may
-// be nil.
-func BuildSketch(g *Graph, key SketchKey, workers int, schedule Schedule, kernel Kernel, store StoreKind, reg *MetricsRegistry) (*Sketch, error) {
-	return server.BuildSketch(g, key, workers, schedule, kernel, store, reg)
+// byte-coded store selected by store and indexed. Neither the sketch
+// content nor the query seeds depend on workers or store; reg may be nil.
+func BuildSketch(g *Graph, key SketchKey, workers int, store StoreKind, reg *MetricsRegistry) (*Sketch, error) {
+	return server.BuildSketch(g, key, workers, store, reg)
 }
 
 // SaveSnapshot persists a sketch at path in the versioned, checksummed

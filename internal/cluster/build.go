@@ -25,12 +25,10 @@ type BuildOptions struct {
 	// Shards is the partition width — how many shards to cut theta into.
 	Shards int
 	// Workers is the total thread budget across the build (<= 0: all
-	// cores), split evenly over the shard ranks.
+	// cores), split evenly over the shard ranks. Builds run in PerSample
+	// mode (the fused kernel under work-stealing), so the shard content
+	// does not depend on it.
 	Workers int
-	// Schedule and Kernel tune the intra-rank sampling loop; the shard
-	// content does not depend on either (builds run in PerSample mode).
-	Schedule imm.Schedule
-	Kernel   imm.Kernel
 }
 
 // BuildShards cuts the theta samples for (g, opt) into opt.Shards
@@ -48,7 +46,6 @@ func BuildShards(g *graph.Graph, opt BuildOptions) ([]*Shard, error) {
 	dopt := dist.Options{
 		K: opt.K, Epsilon: opt.Epsilon, Model: opt.Model, Seed: opt.Seed,
 		ThreadsPerRank: threads, RNG: imm.PerSample,
-		Schedule: opt.Schedule, Kernel: opt.Kernel,
 		Store: imm.StoreCoded, KeepStore: true,
 	}
 	comms := mpi.NewLocalCluster(opt.Shards)

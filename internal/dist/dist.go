@@ -31,17 +31,10 @@ type Options struct {
 	Seed uint64
 	// RNG selects the stream discipline (imm.PerSample reproduces the
 	// exact same result for any rank count; imm.LeapFrog mirrors the
-	// paper).
+	// paper). It also selects the intra-rank engine, as in imm.Options:
+	// the fused kernel under work-stealing for PerSample, the scalar
+	// kernel on the static split for LeapFrog.
 	RNG imm.RNGMode
-	// Schedule selects the intra-rank sampling-loop schedule (dynamic
-	// work-stealing by default; LeapFrog forces static). Must agree across
-	// ranks, though in PerSample mode the result does not depend on it.
-	Schedule imm.Schedule
-	// Kernel selects the intra-rank sampling kernel (imm.KernelFused by
-	// default; leap-frog runs fall back to the scalar kernel, which is the
-	// only one that can consume worker-pinned streams). Must agree across
-	// ranks, though in PerSample mode the result does not depend on it.
-	Kernel imm.Kernel
 	// Store selects each rank's resident store for the final selection:
 	// imm.StoreCoded transcodes the rank's shard into the byte-coded store
 	// after sampling, under a rank-local frequency relabeling (each shard
@@ -154,8 +147,7 @@ func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
 		threads: opt.ThreadsPerRank,
 	}
 	st.sampler = imm.NewBatchSampler(g, imm.Options{
-		Model: opt.Model, Workers: st.threads, Seed: opt.Seed,
-		RNG: opt.RNG, Schedule: opt.Schedule, Kernel: opt.Kernel,
+		Model: opt.Model, Workers: st.threads, Seed: opt.Seed, RNG: opt.RNG,
 	})
 	if opt.RNG == imm.LeapFrog {
 		// One global sequence split across size*threads consumers: the

@@ -60,18 +60,11 @@ type PartOptions struct {
 	Batch int
 	// Threads is the intra-rank thread count for the CPU-bound pieces of a
 	// wave (member-list sorting, shard index builds); <= 0 means 1. The
-	// result does not depend on it.
+	// result does not depend on it. The wave expansion itself batches every
+	// in-flight sample over each rank's shard by construction (each
+	// superstep is one fused pass over the local CSR), so there is no
+	// kernel to select.
 	Threads int
-	// Schedule selects how those intra-rank loops are scheduled (dynamic
-	// work-stealing by default; the per-wave sorting work is as skewed as
-	// the RRR set sizes themselves).
-	Schedule imm.Schedule
-	// Kernel is accepted for symmetry with dist.Options and validated;
-	// the graph-partitioned wave expansion batches every in-flight sample
-	// over each rank's shard by construction (each superstep is one fused
-	// pass over the local CSR), so there is no separate scalar path to
-	// select and the result does not depend on it.
-	Kernel imm.Kernel
 	// Store selects each rank's resident store for the final selection,
 	// exactly as dist.Options.Store: imm.StoreCoded transcodes the rank's
 	// vertex-partitioned shard after sampling under a rank-local frequency
@@ -387,19 +380,14 @@ func (st *partState) sampleWave(batch int) error {
 	}
 	// Commit the wave: every rank appends the batch in sample order. The
 	// member-list sorts are the wave's residual CPU-bound work and are as
-	// skewed as the sample sizes, so they run under the configured
-	// schedule; the appends stay sequential in sample order (the layout
-	// contract that keeps shards identical across rank counts).
-	sortRange := func(_, lo, hi int) {
+	// skewed as the sample sizes, so they run under work-stealing; the
+	// appends stay sequential in sample order (the layout contract that
+	// keeps shards identical across rank counts).
+	par.Dynamic(batch, st.opt.Threads, 16, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
 			slices.Sort(members[s])
 		}
-	}
-	if st.opt.Schedule == imm.ScheduleDynamic {
-		par.Dynamic(batch, st.opt.Threads, 16, sortRange)
-	} else {
-		par.ForEach(batch, st.opt.Threads, sortRange)
-	}
+	})
 	for s := 0; s < batch; s++ {
 		st.col.Append(members[s])
 	}

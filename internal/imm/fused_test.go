@@ -33,7 +33,7 @@ func TestFusedMatchesScalar(t *testing.T) {
 
 			ref := rrr.NewCollection(gc.n)
 			NewBatchSampler(g, Options{
-				Model: mc.model, Workers: 1, Seed: gc.seed, Kernel: KernelScalar,
+				Model: mc.model, Workers: 1, Seed: gc.seed, scalar: true,
 			}).Sample(ref, count)
 			refSeeds, refCov := SelectSeedsIndexed(ref, rrr.BuildIndex(ref, 1), k, 1)
 
@@ -41,7 +41,7 @@ func TestFusedMatchesScalar(t *testing.T) {
 				for _, batch := range []int{1, 8, 64} {
 					col := rrr.NewCollection(gc.n)
 					bs := NewBatchSampler(g, Options{
-						Model: mc.model, Workers: w, Seed: gc.seed, Kernel: KernelFused,
+						Model: mc.model, Workers: w, Seed: gc.seed,
 					})
 					for done := 0; done < count; done += batch {
 						bs.Sample(col, batch)
@@ -95,11 +95,11 @@ func TestFusedDegenerateInputs(t *testing.T) {
 			for _, count := range []int{3, 200} {
 				ref := rrr.NewCollection(g.NumVertices())
 				NewBatchSampler(g, Options{
-					Model: model, Workers: 2, Seed: 5, Kernel: KernelScalar,
+					Model: model, Workers: 2, Seed: 5, scalar: true,
 				}).Sample(ref, count)
 				col := rrr.NewCollection(g.NumVertices())
 				NewBatchSampler(g, Options{
-					Model: model, Workers: 2, Seed: 5, Kernel: KernelFused,
+					Model: model, Workers: 2, Seed: 5,
 				}).Sample(col, count)
 				if !sameCollection(ref, col) {
 					t.Fatalf("%s/%v count=%d: fused collection != scalar", tc.name, model, count)
@@ -110,20 +110,23 @@ func TestFusedDegenerateInputs(t *testing.T) {
 }
 
 // TestFusedRunPipelineIdentical runs full Algorithm 1 under both kernels:
-// Theta, the seed set, and the coverage must be identical, so flipping
-// -kernel can never change a result. The fused run must also surface its
+// Theta, the seed set, and the coverage must be identical, so the kernel
+// a PerSample run samples with can never change a result. The fused run must also surface its
 // telemetry in the Result and the registry.
 func TestFusedRunPipelineIdentical(t *testing.T) {
 	g := testGraph(44, 140, 1100)
-	ref, err := Run(g, Options{K: 8, Epsilon: 0.5, Model: diffuse.IC, Workers: 2, Seed: 3, Kernel: KernelScalar})
+	ref, err := Run(g, Options{K: 8, Epsilon: 0.5, Model: diffuse.IC, Workers: 2, Seed: 3, scalar: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.FrontierPasses != 0 || ref.CoinsGenerated != 0 || ref.BatchOccupancy != 0 {
 		t.Fatalf("scalar run reported fused telemetry: %+v", ref)
 	}
+	if got := ref.Report(Options{}).Kernel; got != "scalar" {
+		t.Fatalf("scalar run reported kernel %q", got)
+	}
 	reg := metrics.NewRegistry()
-	res, err := Run(g, Options{K: 8, Epsilon: 0.5, Model: diffuse.IC, Workers: 2, Seed: 3, Kernel: KernelFused, Metrics: reg})
+	res, err := Run(g, Options{K: 8, Epsilon: 0.5, Model: diffuse.IC, Workers: 2, Seed: 3, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestFusedRunPipelineIdentical(t *testing.T) {
 		t.Fatalf("rrr/batch-occupancy gauge %d != permille of %v", got, res.BatchOccupancy)
 	}
 
-	rep := res.Report(Options{K: 8, Epsilon: 0.5, Model: diffuse.IC, Workers: 2, Seed: 3, Kernel: KernelFused})
+	rep := res.Report(Options{K: 8, Epsilon: 0.5, Model: diffuse.IC, Workers: 2, Seed: 3})
 	if rep.Kernel != "fused" || rep.FrontierPasses != res.FrontierPasses ||
 		rep.CoinsGenerated != res.CoinsGenerated || rep.BatchOccupancy != res.BatchOccupancy {
 		t.Fatalf("report kernel fields not copied: %+v", rep)
@@ -156,41 +159,26 @@ func TestFusedRunPipelineIdentical(t *testing.T) {
 }
 
 // TestFusedLeapFrogFallsBack: LeapFrog's worker-pinned streams cannot be
-// lane-batched, so a fused-requested LeapFrog run must silently take the
-// scalar path — reproducing the scalar LeapFrog layout exactly, with no
+// lane-batched, so a LeapFrog BatchSampler must always run the scalar
+// kernel — reproducing the scalar-static LeapFrog layout exactly, with no
 // fused telemetry.
 func TestFusedLeapFrogFallsBack(t *testing.T) {
 	g := testGraph(88, 100, 800)
-	const count, w = 400, 4
-	ref := rrr.NewCollection(100)
-	NewBatchSampler(g, Options{
-		Model: diffuse.IC, Workers: w, Seed: 6, RNG: LeapFrog, Kernel: KernelScalar,
-	}).Sample(ref, count)
+	const count = 400
+	for _, w := range []int{1, 4} {
+		ref := rrr.NewCollection(100)
+		NewBatchSampler(g, Options{
+			Model: diffuse.IC, Workers: w, Seed: 6, RNG: LeapFrog, scalar: true, static: true,
+		}).Sample(ref, count)
 
-	col := rrr.NewCollection(100)
-	bs := NewBatchSampler(g, Options{
-		Model: diffuse.IC, Workers: w, Seed: 6, RNG: LeapFrog, Kernel: KernelFused,
-	})
-	bs.Sample(col, count)
-	if !sameCollection(ref, col) {
-		t.Fatal("fused-requested LeapFrog collection != scalar LeapFrog collection")
-	}
-	if st := bs.FusedStats(); st != (diffuse.FusedStats{}) {
-		t.Fatalf("LeapFrog run recorded fused work: %+v", st)
-	}
-}
-
-// TestKernelOptionValidation pins the flag surface: names round-trip and
-// out-of-range values are rejected.
-func TestKernelOptionValidation(t *testing.T) {
-	if KernelFused.String() != "fused" || KernelScalar.String() != "scalar" {
-		t.Fatal("kernel names wrong")
-	}
-	if Kernel(9).String() == "" {
-		t.Fatal("unknown kernel has empty name")
-	}
-	g := testGraph(1, 50, 300)
-	if _, err := Run(g, Options{K: 2, Epsilon: 0.5, Model: diffuse.IC, Kernel: Kernel(7)}); err == nil {
-		t.Fatal("Run accepted an unknown kernel")
+		col := rrr.NewCollection(100)
+		bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: w, Seed: 6, RNG: LeapFrog})
+		bs.Sample(col, count)
+		if !sameCollection(ref, col) {
+			t.Fatalf("workers=%d: LeapFrog collection != scalar-static LeapFrog collection", w)
+		}
+		if st := bs.FusedStats(); st != (diffuse.FusedStats{}) {
+			t.Fatalf("workers=%d: LeapFrog run recorded fused work: %+v", w, st)
+		}
 	}
 }

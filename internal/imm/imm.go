@@ -46,9 +46,6 @@ type Result struct {
 	Phases trace.Times
 	// Workers is the resolved thread count.
 	Workers int
-	// Kernel is the sampling kernel the run was configured with (the
-	// effective kernel can differ: LeapFrog RNG falls back to scalar).
-	Kernel Kernel
 	// FrontierPasses is the number of fused frontier passes executed
 	// (zero under the scalar kernel).
 	FrontierPasses int64
@@ -66,6 +63,10 @@ type Result struct {
 	// WorkerWork is the raw per-worker sampling work (RRR entries each
 	// worker generated) underlying WorkBalance; index = worker rank.
 	WorkerWork []int64
+
+	// scalar records that the scalar kernel sampled (LeapFrog RNG or the
+	// baseline), which the report names instead of "fused".
+	scalar bool
 }
 
 // Run executes parallel IMM (Algorithm 1) over g: IMMopt when
@@ -131,7 +132,7 @@ func selectFinal(res *Result, n float64, count int, sel func() ([]graph.Vertex, 
 }
 
 func newResult(opt Options) *Result {
-	res := &Result{Algorithm: "IMMopt", Workers: opt.Workers, Store: opt.Store, Kernel: opt.Kernel}
+	res := &Result{Algorithm: "IMMopt", Workers: opt.Workers, Store: opt.Store, scalar: !opt.fused()}
 	if opt.Workers > 1 {
 		res.Algorithm = "IMMmt"
 	}
@@ -209,7 +210,7 @@ func RunBaseline(g *graph.Graph, opt Options) (*Result, error) {
 	if err := opt.validate(g.NumVertices()); err != nil {
 		return nil, err
 	}
-	res := &Result{Algorithm: "IMM", Workers: 1}
+	res := &Result{Algorithm: "IMM", Workers: 1, scalar: true}
 	startOther := time.Now()
 	n := g.NumVertices()
 	store := rrr.NewNaiveStore(n)

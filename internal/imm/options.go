@@ -57,68 +57,6 @@ func (m RNGMode) String() string {
 	return fmt.Sprintf("RNGMode(%d)", uint8(m))
 }
 
-// Schedule selects how sample indexes are partitioned onto workers during
-// the sampling phase.
-type Schedule uint8
-
-const (
-	// ScheduleDynamic uses chunked work-stealing with guided chunk sizing
-	// (par.Dynamic): workers that finish their share early steal from the
-	// stragglers, which matters when RRR set sizes are heavy-tailed. In
-	// PerSample RNG mode the generated collection is byte-identical to the
-	// static schedule (every sample's stream is derived from its global
-	// index and output is merged in index order), so dynamic is the
-	// default. LeapFrog mode silently falls back to static, because its
-	// streams are worker-pinned.
-	ScheduleDynamic Schedule = iota
-	// ScheduleStatic uses the paper's static contiguous split
-	// (par.Interval): worker rank of p gets samples [n*rank/p, n*(rank+1)/p).
-	ScheduleStatic
-)
-
-// String names the schedule.
-func (s Schedule) String() string {
-	switch s {
-	case ScheduleDynamic:
-		return "dynamic"
-	case ScheduleStatic:
-		return "static"
-	}
-	return fmt.Sprintf("Schedule(%d)", uint8(s))
-}
-
-// Kernel selects the reverse-reachability sampling kernel.
-type Kernel uint8
-
-const (
-	// KernelFused is the fused CSR frontier kernel (diffuse.FusedSampler):
-	// batches of up to 64 samples expand level-synchronously in one pass
-	// over the shared in-CSR, with visited sets packed one bit per lane
-	// into a single word per vertex and edge coins pre-generated in blocks
-	// from each sample's own SplitMix64 stream. In PerSample RNG mode the
-	// generated collection is byte-identical to the scalar kernel (each
-	// lane consumes its stream in scalar order — DESIGN.md §14), so fused
-	// is the default. LeapFrog mode silently falls back to scalar, because
-	// its worker-pinned streams interleave all of a worker's samples on
-	// one sequence, which a batched expansion cannot reproduce.
-	KernelFused Kernel = iota
-	// KernelScalar is the per-sample reverse-BFS/walk kernel
-	// (diffuse.Sampler) — the original paper kernel, kept as the
-	// byte-identical equivalence oracle.
-	KernelScalar
-)
-
-// String names the kernel, matching the CLI -kernel flag values.
-func (k Kernel) String() string {
-	switch k {
-	case KernelFused:
-		return "fused"
-	case KernelScalar:
-		return "scalar"
-	}
-	return fmt.Sprintf("Kernel(%d)", uint8(k))
-}
-
 // StoreKind selects the in-memory representation of the finished RRR
 // sample collection — the store the final seed selection runs over.
 type StoreKind uint8
@@ -163,16 +101,16 @@ type Options struct {
 	Workers int
 	// Seed feeds the pseudorandom streams.
 	Seed uint64
-	// RNG selects the stream-splitting discipline.
+	// RNG selects the stream-splitting discipline, and with it the
+	// sampling engine. PerSample runs the fused CSR frontier kernel
+	// (diffuse.FusedSampler: batches of up to 64 samples per pass over the
+	// in-CSR) under chunked work-stealing (par.DynamicSteal). LeapFrog
+	// runs the paper's engine: the per-sample reverse-BFS/walk kernel
+	// (diffuse.Sampler) on the static contiguous split, because its
+	// worker-pinned streams interleave all of a worker's samples on one
+	// sequence, which neither a batched expansion nor a stolen chunk can
+	// reproduce (DESIGN.md §12, §14).
 	RNG RNGMode
-	// Schedule selects the sampling-loop schedule (dynamic work-stealing by
-	// default; see ScheduleDynamic for when the two produce identical
-	// collections).
-	Schedule Schedule
-	// Kernel selects the sampling kernel (fused CSR frontier batches by
-	// default; see KernelFused for when the two produce identical
-	// collections — always, in PerSample RNG mode).
-	Kernel Kernel
 	// Store selects the representation of the finished sample collection
 	// (flat arena by default; StoreCoded trades decode time during seed
 	// selection for a >= 3x smaller store). Seeds are identical either way.
@@ -186,7 +124,17 @@ type Options struct {
 	// distribution behind the paper's load-balance discussion). Recording
 	// is atomic and allocation-free; nil disables it entirely.
 	Metrics *metrics.Registry
+
+	// scalar and static force the scalar kernel and the static split in
+	// PerSample mode. The generated collection is byte-identical either
+	// way; this package's tests set them to use the paper's engine as the
+	// oracle for the fused kernel and the work-stealing schedule.
+	scalar, static bool
 }
+
+// fused reports whether sampling runs the fused kernel: PerSample mode,
+// unless a test forced the scalar oracle.
+func (o Options) fused() bool { return o.RNG == PerSample && !o.scalar }
 
 // withDefaults returns a copy of o with zero values resolved.
 func (o Options) withDefaults() Options {
@@ -215,12 +163,6 @@ func (o Options) validate(n int) error {
 	}
 	if o.L < 0 {
 		return fmt.Errorf("imm: l = %v, want l > 0", o.L)
-	}
-	if o.Schedule > ScheduleStatic {
-		return fmt.Errorf("imm: unknown schedule %d", uint8(o.Schedule))
-	}
-	if o.Kernel > KernelScalar {
-		return fmt.Errorf("imm: unknown kernel %d", uint8(o.Kernel))
 	}
 	if o.Store > StoreCoded {
 		return fmt.Errorf("imm: unknown store kind %d", uint8(o.Store))

@@ -23,7 +23,10 @@ func (r *Result) Report(opt Options) *metrics.RunReport {
 	rep.Seeds = r.Seeds
 	rep.CoverageFraction = r.CoverageFraction
 	rep.EstimatedSpread = r.EstimatedSpread
-	rep.Kernel = r.Kernel.String()
+	rep.Kernel = "fused"
+	if r.scalar {
+		rep.Kernel = "scalar"
+	}
 	rep.FrontierPasses = r.FrontierPasses
 	rep.CoinsGenerated = r.CoinsGenerated
 	rep.BatchOccupancy = r.BatchOccupancy

@@ -24,7 +24,9 @@ const minDynamicChunk = 8
 // persistent substream of one global LCG sequence (the paper's TRNG
 // discipline); in PerSample mode each sample's stream is re-derived in
 // place from its global index, making the collection independent of both
-// the worker count and the schedule.
+// the worker count and the schedule. Options.RNG picks the engine: the
+// fused kernel under work-stealing for PerSample, the scalar kernel on the
+// static split for LeapFrog.
 //
 // It is exported for the distributed ranks (internal/dist), which sample
 // disjoint global index ranges into rank-local collections via SampleAt.
@@ -36,7 +38,7 @@ type BatchSampler struct {
 
 	streams  []*rng.Rand // worker-pinned substreams (nil in PerSample mode)
 	samplers []*diffuse.Sampler
-	fused    []*diffuse.FusedSampler // per-worker fused kernels (KernelFused, PerSample mode)
+	fused    []*diffuse.FusedSampler // per-worker fused kernels (PerSample mode)
 	gens     []*rng.SplitMix64       // pooled per-sample generators (PerSample mode)
 	rands    []*rng.Rand             // pooled wrappers over gens
 	arenas   []batchArena
@@ -106,10 +108,8 @@ func NewBatchSampler(g *graph.Graph, opt Options) *BatchSampler {
 		b.gens[w] = rng.NewSplitMix64(0) // re-pointed per sample via Reseed
 		b.rands[w] = rng.New(b.gens[w])
 	}
-	if opt.Kernel == KernelFused && opt.RNG != LeapFrog {
-		// The fused kernel requires per-sample stream derivation; a
-		// leap-frog run keeps the scalar kernel (see KernelFused). The
-		// read-only coin-threshold tables are built once and shared by
+	if opt.fused() {
+		// The read-only coin-threshold tables are built once and shared by
 		// every worker's sampler — they scale with the edge count, where
 		// the per-worker scratch scales with the vertex count.
 		shared := diffuse.NewFusedShared(g, opt.Model)
@@ -152,7 +152,7 @@ func (b *BatchSampler) SetStreams(streams []*rng.Rand) {
 }
 
 // Steals returns the total number of work-stealing operations performed so
-// far (zero under the static schedule). Scheduling telemetry — not
+// far (zero under the static split). Scheduling telemetry — not
 // deterministic.
 func (b *BatchSampler) Steals() int64 { return b.steals }
 
@@ -177,7 +177,7 @@ func (b *BatchSampler) Sample(col *rrr.Collection, count int) {
 // [base, base+count) and appends them to col in index order. Roots are
 // drawn uniformly at random. In PerSample mode the appended layout is a
 // pure function of (seed, base, count) — independent of worker count and
-// schedule; in LeapFrog mode it depends on the worker count (as in the
+// kernel; in LeapFrog mode it depends on the worker count (as in the
 // paper) and base is ignored.
 func (b *BatchSampler) SampleAt(col *rrr.Collection, base uint64, count int) {
 	if count <= 0 {
@@ -233,9 +233,9 @@ func (b *BatchSampler) SampleAt(col *rrr.Collection, base uint64, count int) {
 	}
 
 	// Pinned streams (LeapFrog) make randomness a function of the executing
-	// worker, so only the static split keeps them well-defined; everything
-	// else goes through the work-stealing loop unless static was requested.
-	if b.opt.Schedule == ScheduleDynamic && !pinned && p > 1 {
+	// worker, so only the static split keeps them well-defined; PerSample
+	// runs go through the work-stealing loop.
+	if !pinned && !b.opt.static && p > 1 {
 		st := par.DynamicSteal(count, p, minDynamicChunk, run)
 		b.steals += st.Steals
 		b.chunks += st.Chunks

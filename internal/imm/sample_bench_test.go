@@ -43,16 +43,16 @@ func BenchmarkSampleBatch(b *testing.B) {
 	const workers = 8
 	for _, kc := range []struct {
 		name   string
-		kernel Kernel
+		scalar bool
 	}{
-		{"scalar", KernelScalar},
-		{"fused", KernelFused},
+		{"scalar", true},
+		{"fused", false},
 	} {
 		for _, wc := range weightings {
 			b.Run(kc.name+"/"+wc.name, func(b *testing.B) {
 				g := benchGraph(b, wc.weights)
 				bs := NewBatchSampler(g, Options{
-					Model: diffuse.IC, Workers: workers, Seed: 7, Kernel: kc.kernel,
+					Model: diffuse.IC, Workers: workers, Seed: 7, scalar: kc.scalar,
 				})
 				col := rrr.NewCollection(g.NumVertices())
 				b.ResetTimer()
@@ -81,15 +81,15 @@ func BenchmarkSampleSchedules(b *testing.B) {
 	const count = 20000
 	const workers = 8
 	for _, tc := range []struct {
-		name  string
-		sched Schedule
+		name   string
+		static bool
 	}{
-		{"static", ScheduleStatic},
-		{"dynamic", ScheduleDynamic},
+		{"static", true},
+		{"dynamic", false},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			bs := NewBatchSampler(g, Options{
-				Model: diffuse.IC, Workers: workers, Seed: 7, Schedule: tc.sched, Kernel: KernelScalar,
+				Model: diffuse.IC, Workers: workers, Seed: 7, static: tc.static, scalar: true,
 			})
 			col := rrr.NewCollection(g.NumVertices())
 			b.ResetTimer()
@@ -133,7 +133,7 @@ func TestFusedWorkGate(t *testing.T) {
 			g := d.Generate(0.002, 1)
 			wc.weights(g)
 			const count = 6000
-			bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: 1, Seed: 7, Kernel: KernelFused})
+			bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: 1, Seed: 7})
 			col := rrr.NewCollection(g.NumVertices())
 			bs.Sample(col, count)
 			st := bs.FusedStats()

@@ -31,6 +31,14 @@ func scheduleGraph(seed uint64, n, m int, prep func(*graph.Graph, uint64)) *grap
 	return g
 }
 
+// schedules are the two sampling-loop schedules of a PerSample run: the
+// paper's static split (the unexported oracle) and the work-stealing
+// default.
+var schedules = []struct {
+	name   string
+	static bool
+}{{"static", true}, {"dynamic", false}}
+
 // sameCollection reports whether two collections are byte-identical:
 // equal sample counts and, sample by sample, equal sorted vertex lists
 // (offsets are determined by the lengths, so this is layout equality).
@@ -68,7 +76,7 @@ func TestDynamicMatchesStatic(t *testing.T) {
 
 			ref := rrr.NewCollection(gc.n)
 			NewBatchSampler(g, Options{
-				Model: mc.model, Workers: 1, Seed: gc.seed, Schedule: ScheduleStatic,
+				Model: mc.model, Workers: 1, Seed: gc.seed, static: true,
 			}).Sample(ref, count)
 			refIdx := rrr.BuildIndex(ref, 1)
 			refSeeds, refCov := SelectSeedsIndexed(ref, refIdx, k, 1)
@@ -76,7 +84,7 @@ func TestDynamicMatchesStatic(t *testing.T) {
 			for _, w := range []int{1, 2, 4, 7} {
 				col := rrr.NewCollection(gc.n)
 				NewBatchSampler(g, Options{
-					Model: mc.model, Workers: w, Seed: gc.seed, Schedule: ScheduleDynamic,
+					Model: mc.model, Workers: w, Seed: gc.seed,
 				}).Sample(col, count)
 				if !sameCollection(ref, col) {
 					t.Fatalf("graph=%d model=%s workers=%d: dynamic collection != static workers=1",
@@ -98,24 +106,24 @@ func TestDynamicMatchesStatic(t *testing.T) {
 
 // TestRunSeedsScheduleIndependent runs the full Algorithm 1 pipeline under
 // both schedules and several worker counts: Theta, the seed set, and the
-// coverage must be identical (PerSample mode), so flipping -schedule can
-// never change a result.
+// coverage must be identical (PerSample mode), so the schedule can never
+// change a result.
 func TestRunSeedsScheduleIndependent(t *testing.T) {
 	g := testGraph(77, 140, 1100)
-	ref, err := Run(g, Options{K: 8, Epsilon: 0.5, Model: diffuse.IC, Workers: 1, Seed: 3, Schedule: ScheduleStatic})
+	ref, err := Run(g, Options{K: 8, Epsilon: 0.5, Model: diffuse.IC, Workers: 1, Seed: 3, static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic} {
+	for _, sched := range schedules {
 		for _, w := range []int{1, 2, 4, 7} {
-			res, err := Run(g, Options{K: 8, Epsilon: 0.5, Model: diffuse.IC, Workers: w, Seed: 3, Schedule: sched})
+			res, err := Run(g, Options{K: 8, Epsilon: 0.5, Model: diffuse.IC, Workers: w, Seed: 3, static: sched.static})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(res.Seeds, ref.Seeds) || res.Theta != ref.Theta ||
 				res.CoverageFraction != ref.CoverageFraction {
 				t.Fatalf("schedule=%s workers=%d: (%v, theta=%d) != reference (%v, theta=%d)",
-					sched, w, res.Seeds, res.Theta, ref.Seeds, ref.Theta)
+					sched.name, w, res.Seeds, res.Theta, ref.Seeds, ref.Theta)
 			}
 		}
 	}
@@ -136,10 +144,10 @@ func TestScheduleMetricsDeterminism(t *testing.T) {
 		balance          int64
 	}
 	var ref *audit
-	for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic} {
+	for _, sched := range schedules {
 		for _, w := range []int{1, 2, 4, 7} {
 			reg := metrics.NewRegistry()
-			res, err := Run(g, Options{K: 6, Epsilon: 0.5, Model: diffuse.IC, Workers: w, Seed: 9, Schedule: sched, Metrics: reg})
+			res, err := Run(g, Options{K: 6, Epsilon: 0.5, Model: diffuse.IC, Workers: w, Seed: 9, static: sched.static, Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,19 +165,19 @@ func TestScheduleMetricsDeterminism(t *testing.T) {
 			}
 			if got.samples != int64(res.SamplesGenerated) {
 				t.Fatalf("schedule=%s workers=%d: rrr/samples %d != generated %d",
-					sched, w, got.samples, res.SamplesGenerated)
+					sched.name, w, got.samples, res.SamplesGenerated)
 			}
 			if got.entries != got.sizeSum {
 				t.Fatalf("schedule=%s workers=%d: rrr/entries %d != histogram sum %d",
-					sched, w, got.entries, got.sizeSum)
+					sched.name, w, got.entries, got.sizeSum)
 			}
 			if got.workSum != got.entries {
 				t.Fatalf("schedule=%s workers=%d: sum(workerWork) %d != rrr/entries %d",
-					sched, w, got.workSum, got.entries)
+					sched.name, w, got.workSum, got.entries)
 			}
 			if got.balance < 1 || got.balance > 1000 {
 				t.Fatalf("schedule=%s workers=%d: rrr/balance gauge %d out of (0, 1000]",
-					sched, w, got.balance)
+					sched.name, w, got.balance)
 			}
 			// The balance gauge is the only schedule/worker-dependent field;
 			// blank it before the cross-configuration comparison.
@@ -177,7 +185,7 @@ func TestScheduleMetricsDeterminism(t *testing.T) {
 			if ref == nil {
 				ref = got
 			} else if *got != *ref {
-				t.Fatalf("schedule=%s workers=%d: audit %+v != reference %+v", sched, w, got, ref)
+				t.Fatalf("schedule=%s workers=%d: audit %+v != reference %+v", sched.name, w, got, ref)
 			}
 		}
 	}
@@ -190,7 +198,7 @@ func TestSchedulerCountersReported(t *testing.T) {
 	g := testGraph(66, 120, 1000)
 	reg := metrics.NewRegistry()
 	col := rrr.NewCollection(120)
-	bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: 4, Seed: 4, Schedule: ScheduleDynamic, Metrics: reg})
+	bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: 4, Seed: 4, Metrics: reg})
 	bs.Sample(col, 500)
 	if bs.Chunks() < 4 {
 		t.Fatalf("dynamic run claimed %d chunks, want >= workers", bs.Chunks())
@@ -204,7 +212,7 @@ func TestSchedulerCountersReported(t *testing.T) {
 
 	reg2 := metrics.NewRegistry()
 	col2 := rrr.NewCollection(120)
-	bs2 := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: 4, Seed: 4, Schedule: ScheduleStatic, Metrics: reg2})
+	bs2 := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: 4, Seed: 4, static: true, Metrics: reg2})
 	bs2.Sample(col2, 500)
 	if got := reg2.Counter("par/steals").Value(); got != 0 || bs2.Steals() != 0 {
 		t.Fatalf("static run recorded %d steals, want 0", got)
@@ -215,26 +223,26 @@ func TestSchedulerCountersReported(t *testing.T) {
 }
 
 // TestLeapFrogForcesStatic: worker-pinned streams make stealing unsound,
-// so a LeapFrog run requesting the dynamic schedule must silently take the
-// static path (no steals) and still reproduce the static LeapFrog layout.
+// so a LeapFrog BatchSampler must always run the static split — no steals —
+// and reproduce the scalar-static LeapFrog layout exactly.
 func TestLeapFrogForcesStatic(t *testing.T) {
 	g := testGraph(88, 100, 800)
-	const count, w = 400, 4
-	ref := rrr.NewCollection(100)
-	NewBatchSampler(g, Options{
-		Model: diffuse.IC, Workers: w, Seed: 6, RNG: LeapFrog, Schedule: ScheduleStatic,
-	}).Sample(ref, count)
+	const count = 400
+	for _, w := range []int{1, 4} {
+		ref := rrr.NewCollection(100)
+		NewBatchSampler(g, Options{
+			Model: diffuse.IC, Workers: w, Seed: 6, RNG: LeapFrog, scalar: true, static: true,
+		}).Sample(ref, count)
 
-	col := rrr.NewCollection(100)
-	bs := NewBatchSampler(g, Options{
-		Model: diffuse.IC, Workers: w, Seed: 6, RNG: LeapFrog, Schedule: ScheduleDynamic,
-	})
-	bs.Sample(col, count)
-	if bs.Steals() != 0 {
-		t.Fatalf("LeapFrog run stole %d times; pinned streams must force static", bs.Steals())
-	}
-	if !sameCollection(ref, col) {
-		t.Fatal("LeapFrog dynamic-requested collection != static collection")
+		col := rrr.NewCollection(100)
+		bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: w, Seed: 6, RNG: LeapFrog})
+		bs.Sample(col, count)
+		if bs.Steals() != 0 {
+			t.Fatalf("workers=%d: LeapFrog run stole %d times; pinned streams must force static", w, bs.Steals())
+		}
+		if !sameCollection(ref, col) {
+			t.Fatalf("workers=%d: LeapFrog collection != scalar-static LeapFrog collection", w)
+		}
 	}
 }
 
@@ -249,19 +257,19 @@ func TestSampleBatchSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		sched   Schedule
+		static  bool
 		bound   float64
 	}{
 		// workers=1 runs inline: only the merge scratch and batch
 		// bookkeeping may allocate.
-		{"workers=1", 1, ScheduleDynamic, 8},
+		{"workers=1", 1, false, 8},
 		// Multi-worker runs add goroutine spawns and the scheduler's range
 		// array per batch — still O(workers), never O(samples).
-		{"static-4", 4, ScheduleStatic, 64},
-		{"dynamic-4", 4, ScheduleDynamic, 64},
+		{"static-4", 4, true, 64},
+		{"dynamic-4", 4, false, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: tc.workers, Seed: 12, Schedule: tc.sched})
+			bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: tc.workers, Seed: 12, static: tc.static})
 			col := rrr.NewCollection(200)
 			// Warm-up: grow arenas, scratch, and the collection to steady
 			// state. Dynamic chunk boundaries vary run to run, so several

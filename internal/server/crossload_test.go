@@ -23,7 +23,7 @@ func TestSnapshotCrossLoading(t *testing.T) {
 
 	for _, from := range []imm.StoreKind{imm.StoreFlat, imm.StoreCoded} {
 		for _, to := range []imm.StoreKind{imm.StoreFlat, imm.StoreCoded} {
-			built, err := BuildSketch(g, key, cfg.Workers, cfg.Schedule, cfg.Kernel, from, nil)
+			built, err := BuildSketch(g, key, cfg.Workers, from, nil)
 			if err != nil {
 				t.Fatalf("%v->%v: build: %v", from, to, err)
 			}
@@ -51,7 +51,7 @@ func TestSnapshotCrossLoading(t *testing.T) {
 			}
 			// A directly built sketch of the target kind selects the same
 			// seeds too — the transcode is invisible end to end.
-			direct, err := BuildSketch(g, key, cfg.Workers, cfg.Schedule, cfg.Kernel, to, nil)
+			direct, err := BuildSketch(g, key, cfg.Workers, to, nil)
 			if err != nil {
 				t.Fatalf("%v->%v: direct build: %v", from, to, err)
 			}
@@ -76,7 +76,7 @@ func TestCrossLoadRebuildsRelabeling(t *testing.T) {
 		GraphDigest: g.Digest(), Model: cfg.Model, Epsilon: cfg.Epsilon,
 		KMax: cfg.KMax, Seed: cfg.Seed,
 	}
-	flat, err := BuildSketch(g, key, cfg.Workers, cfg.Schedule, cfg.Kernel, imm.StoreFlat, nil)
+	flat, err := BuildSketch(g, key, cfg.Workers, imm.StoreFlat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCrossLoadRebuildsRelabeling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := BuildSketch(g, key, cfg.Workers, cfg.Schedule, cfg.Kernel, imm.StoreCoded, nil)
+	direct, err := BuildSketch(g, key, cfg.Workers, imm.StoreCoded, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

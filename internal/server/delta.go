@@ -21,9 +21,7 @@ import (
 func (s *Server) initDynamic() error {
 	opt := imm.Options{
 		K: s.cfg.KMax, Epsilon: s.cfg.Epsilon, Model: s.cfg.Model,
-		Workers: s.cfg.Workers, Seed: s.cfg.Seed,
-		Schedule: s.cfg.Schedule, Kernel: s.cfg.Kernel,
-		Metrics: s.reg,
+		Workers: s.cfg.Workers, Seed: s.cfg.Seed, Metrics: s.reg,
 	}
 	if warm := s.cfg.Sketch; warm != nil {
 		// Warm restart: decode the persisted store back to the mutable

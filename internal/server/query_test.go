@@ -325,7 +325,7 @@ func TestQueryExSteadyStateAllocs(t *testing.T) {
 	sk, err := BuildSketch(g, SketchKey{
 		GraphDigest: g.Digest(), Model: cfg.Model, Epsilon: cfg.Epsilon,
 		KMax: cfg.KMax, Seed: cfg.Seed,
-	}, cfg.Workers, cfg.Schedule, cfg.Kernel, imm.StoreCoded, nil)
+	}, cfg.Workers, imm.StoreCoded, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,12 +36,9 @@ type Config struct {
 	// Seed is the default sampling seed.
 	Seed uint64
 	// Workers is the thread count for sampling and per-query selection
-	// (<= 0 uses all cores).
+	// (<= 0 uses all cores). Sketch builds run in PerSample mode, so the
+	// sketch content does not depend on it.
 	Workers int
-	// Schedule and Kernel tune sketch builds; the sketch content depends
-	// on neither.
-	Schedule imm.Schedule
-	Kernel   imm.Kernel
 	// Store is the RRR store kind sketches are served under (flat by
 	// default; imm.StoreCoded gives the same seeds from a >= 3x smaller
 	// resident sketch).
@@ -274,7 +271,7 @@ func (s *Server) Prewarm(ctx context.Context) error {
 func (s *Server) sketchFor(ctx context.Context, key SketchKey) (*Sketch, bool, error) {
 	sk, hit, err := s.cache.get(ctx, key, func() (*Sketch, error) {
 		s.mBuilds.Inc()
-		return BuildSketch(s.cfg.Graph, key, s.cfg.Workers, s.cfg.Schedule, s.cfg.Kernel, s.cfg.Store, s.reg)
+		return BuildSketch(s.cfg.Graph, key, s.cfg.Workers, s.cfg.Store, s.reg)
 	})
 	s.mSketches.Set(int64(s.cache.len()))
 	return sk, hit, err

@@ -133,7 +133,7 @@ func TestSnapshotWarmStart(t *testing.T) {
 	built, err := BuildSketch(g, SketchKey{
 		GraphDigest: g.Digest(), Model: cfg.Model, Epsilon: cfg.Epsilon,
 		KMax: cfg.KMax, Seed: cfg.Seed,
-	}, cfg.Workers, cfg.Schedule, cfg.Kernel, imm.StoreFlat, nil)
+	}, cfg.Workers, imm.StoreFlat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

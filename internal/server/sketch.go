@@ -114,13 +114,13 @@ func (s *Sketch) Spread(seeds, audience []graph.Vertex) (covered, eligible int64
 // BuildSketch samples a sketch for key over g: Algorithm 1's estimation
 // and sampling at K = key.KMax, transcoded into the byte-coded store
 // selected by store (imm.StoreCoded adds the frequency-ordered
-// relabeling). Builds run in PerSample RNG mode, so neither schedule nor
-// kernel changes the samples, and store does not change the query seeds.
-func BuildSketch(g *graph.Graph, key SketchKey, workers int, schedule imm.Schedule, kernel imm.Kernel, store imm.StoreKind, reg *metrics.Registry) (*Sketch, error) {
+// relabeling). Builds run in PerSample RNG mode (the fused kernel under
+// work-stealing), so workers does not change the samples, and store does
+// not change the query seeds.
+func BuildSketch(g *graph.Graph, key SketchKey, workers int, store imm.StoreKind, reg *metrics.Registry) (*Sketch, error) {
 	opt := imm.Options{
 		K: key.KMax, Epsilon: key.Epsilon, Model: key.Model,
-		Workers: workers, Seed: key.Seed, Schedule: schedule,
-		Kernel: kernel, Store: store, Metrics: reg,
+		Workers: workers, Seed: key.Seed, Store: store, Metrics: reg,
 	}
 	res, coded, idx, err := imm.RunSketch(g, opt)
 	if err != nil {
