@@ -7,6 +7,12 @@ import (
 	"testing"
 
 	"influmax"
+	"influmax/internal/baseline"
+	"influmax/internal/centrality"
+	"influmax/internal/diffuse"
+	"influmax/internal/gen"
+	"influmax/internal/graph"
+	"influmax/internal/mpi"
 )
 
 // TestEndToEndWorkflow exercises the public facade the way the README's
@@ -40,7 +46,7 @@ func TestPublicBuildersAndIO(t *testing.T) {
 	b.Add(1, 2, 0.9)
 	g := b.Build()
 	var buf bytes.Buffer
-	if err := influmax.WriteEdgeList(&buf, g); err != nil {
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	g2, _, err := influmax.ParseEdgeList(&buf)
@@ -51,10 +57,10 @@ func TestPublicBuildersAndIO(t *testing.T) {
 		t.Fatalf("round trip lost edges: %d", g2.NumEdges())
 	}
 	var bin bytes.Buffer
-	if err := influmax.WriteBinary(&bin, g); err != nil {
+	if err := graph.WriteBinary(&bin, g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := influmax.ReadBinary(&bin); err != nil {
+	if _, err := graph.ReadBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,9 +97,9 @@ func TestPublicDistributedMatchesShared(t *testing.T) {
 }
 
 func TestPublicFaultInjection(t *testing.T) {
-	// The facade's fault-tolerance surface: parse a plan, run distributed
-	// IMM through the injector, read the counters back.
-	plan, err := influmax.ParseFaultPlan("seed=7,delay=0.1/1ms,dup=0.2,reorder=0.2")
+	// Distributed IMM through the facade, with the transport wrapped in
+	// the fault injector: parse a plan, run, read the counters back.
+	plan, err := mpi.ParseFaultPlan("seed=7,delay=0.1/1ms,dup=0.2,reorder=0.2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,19 +115,19 @@ func TestPublicFaultInjection(t *testing.T) {
 	const p = 2
 	comms := influmax.LocalCluster(p)
 	results := make([]*influmax.DistResult, p)
-	stats := make([]influmax.CommStats, p)
+	stats := make([]mpi.CommStats, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c := influmax.WithFaults(comms[rank], plan)
+			c := mpi.WithFaults(comms[rank], plan)
 			defer c.Close()
 			results[rank], errs[rank] = influmax.MaximizeDistributed(c, g, influmax.DistOptions{
 				K: 4, Epsilon: 0.5, Model: influmax.IC, Seed: 11, ThreadsPerRank: 1,
 			})
-			stats[rank] = influmax.CommStatsOf(c)
+			stats[rank] = mpi.StatsOf(c)
 		}(r)
 	}
 	wg.Wait()
@@ -141,7 +147,7 @@ func TestPublicFaultInjection(t *testing.T) {
 }
 
 func TestPublicBaselinesRun(t *testing.T) {
-	g := influmax.ErdosRenyi(40, 200, 1)
+	g := gen.ErdosRenyi(40, 200, 1)
 	g.AssignUniform(2)
 	seeds, gains, err := influmax.CELF(g, influmax.IC, 3, 100, 2, 1)
 	if err != nil || len(seeds) != 3 || len(gains) != 3 {
@@ -150,17 +156,17 @@ func TestPublicBaselinesRun(t *testing.T) {
 	if got := influmax.TopDegree(g, 3); len(got) != 3 {
 		t.Fatal("TopDegree")
 	}
-	if got := influmax.SingleDiscount(g, 3); len(got) != 3 {
+	if got := baseline.SingleDiscount(g, 3); len(got) != 3 {
 		t.Fatal("SingleDiscount")
 	}
 	if got := influmax.DegreeDiscount(g, 3, 0.1); len(got) != 3 {
 		t.Fatal("DegreeDiscount")
 	}
-	bc := influmax.Betweenness(g, 2)
+	bc := centrality.Betweenness(g, 2)
 	if len(bc) != 40 {
 		t.Fatal("Betweenness length")
 	}
-	if got := influmax.TopCentral(bc, 5); len(got) != 5 {
+	if got := centrality.TopK(bc, 5); len(got) != 5 {
 		t.Fatal("TopCentral")
 	}
 }
@@ -170,10 +176,10 @@ func TestPublicGenerators(t *testing.T) {
 		t.Fatal("dataset names")
 	}
 	for _, g := range []*influmax.Graph{
-		influmax.ErdosRenyi(64, 128, 1),
-		influmax.BarabasiAlbert(64, 3, 1),
-		influmax.WattsStrogatz(64, 3, 0.2, 1),
-		influmax.RMAT(64, 256, 0.5, 0.2, 0.2, 1),
+		gen.ErdosRenyi(64, 128, 1),
+		gen.BarabasiAlbert(64, 3, 1),
+		gen.WattsStrogatz(64, 3, 0.2, 1),
+		gen.RMAT(64, 256, 0.5, 0.2, 0.2, 1),
 	} {
 		if g.NumVertices() != 64 {
 			t.Fatalf("generator size %d", g.NumVertices())
@@ -182,17 +188,17 @@ func TestPublicGenerators(t *testing.T) {
 }
 
 func TestPublicModelParsing(t *testing.T) {
-	m, err := influmax.ParseModel("lt")
+	m, err := diffuse.ParseModel("lt")
 	if err != nil || m != influmax.LT {
 		t.Fatal("ParseModel lt")
 	}
-	if _, err := influmax.ParseModel("zz"); err == nil {
+	if _, err := diffuse.ParseModel("zz"); err == nil {
 		t.Fatal("bad model accepted")
 	}
 }
 
 func TestPublicPhaseAccess(t *testing.T) {
-	g := influmax.ErdosRenyi(100, 600, 3)
+	g := gen.ErdosRenyi(100, 600, 3)
 	g.AssignUniform(4)
 	res, err := influmax.Maximize(g, influmax.Options{K: 3, Epsilon: 0.5, Model: influmax.IC, Seed: 1})
 	if err != nil {

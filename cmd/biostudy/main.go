@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"os"
 
-	"influmax"
 	"influmax/internal/bio"
 	"influmax/internal/centrality"
+	"influmax/internal/diffuse"
+	"influmax/internal/graph"
+	"influmax/internal/imm"
 )
 
 func main() {
@@ -57,8 +59,8 @@ func main() {
 	}
 	pathways := bio.SyntheticPathways(expr, *decoys, *noise, *seed^0xDB)
 
-	res, err := influmax.Maximize(g, influmax.Options{
-		K: kk, Epsilon: *eps, Model: influmax.IC, Workers: *workers, Seed: *seed,
+	res, err := imm.Run(g, imm.Options{
+		K: kk, Epsilon: *eps, Model: diffuse.IC, Workers: *workers, Seed: *seed,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "biostudy: %v\n", err)
@@ -67,7 +69,7 @@ func main() {
 
 	methods := []struct {
 		name  string
-		picks []influmax.Vertex
+		picks []graph.Vertex
 	}{
 		{fmt.Sprintf("IMM (k=%d, eps=%.2f)", kk, *eps), res.Seeds},
 		{"degree centrality", centrality.TopK(centrality.TotalDegree(g), kk)},

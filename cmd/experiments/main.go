@@ -16,8 +16,9 @@ import (
 	"strconv"
 	"strings"
 
-	"influmax"
+	"influmax/internal/cli"
 	"influmax/internal/harness"
+	"influmax/internal/metrics"
 )
 
 func main() {
@@ -45,12 +46,8 @@ func main() {
 		fatal("pass experiment names (fig1..fig8, table2, table3, bio) or 'all'")
 	}
 
-	if *pprofAddr != "" {
-		srv, err := influmax.StartPprofServer(*pprofAddr)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: pprof on http://%s/debug/pprof/\n", srv.Addr)
+	if err := cli.ServePprof("experiments", *pprofAddr); err != nil {
+		fatal("%v", err)
 	}
 
 	cfg := harness.Config{
@@ -73,13 +70,11 @@ func main() {
 		fatal("-ranks: %v", err)
 	}
 	if *metricsJSON != "" {
-		cfg.Reports = influmax.NewReportLog()
+		cfg.Reports = metrics.NewReportLog()
 	}
-	stopCPU := func() error { return nil }
-	if *cpuProfile != "" {
-		if stopCPU, err = influmax.StartCPUProfile(*cpuProfile); err != nil {
-			fatal("%v", err)
-		}
+	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal("%v", err)
 	}
 
 	wanted := map[string]bool{}
@@ -118,13 +113,8 @@ func main() {
 	if ran == 0 {
 		fatal("no experiment matched %v", flag.Args())
 	}
-	if err := stopCPU(); err != nil {
+	if err := stopProfiles(); err != nil {
 		fatal("%v", err)
-	}
-	if *memProfile != "" {
-		if err := influmax.WriteHeapProfile(*memProfile); err != nil {
-			fatal("%v", err)
-		}
 	}
 	if *metricsJSON != "" {
 		if err := cfg.Reports.WriteFile(*metricsJSON); err != nil {

@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"os"
 
-	"influmax"
+	"influmax/internal/cli"
+	"influmax/internal/gen"
+	"influmax/internal/graph"
 )
 
 func main() {
@@ -35,48 +37,39 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range influmax.DatasetNames() {
-			fmt.Println(name)
+		for _, d := range gen.Datasets() {
+			fmt.Println(d.Name)
 		}
 		return
 	}
 
-	var g *influmax.Graph
+	weigh, err := cli.Weighting(*weights, *seed)
+	if err != nil {
+		fatal("%v", err)
+	}
+	var g *graph.Graph
 	switch {
 	case *dataset != "":
-		g = influmax.Generate(*dataset, *scale, *seed)
+		if g, err = cli.Generate(*dataset, *scale, *seed); err != nil {
+			fatal("%v", err)
+		}
 	case *family != "":
 		switch *family {
 		case "er":
-			g = influmax.ErdosRenyi(*n, *m, *seed)
+			g = gen.ErdosRenyi(*n, *m, *seed)
 		case "ba":
-			g = influmax.BarabasiAlbert(*n, *mPer, *seed)
+			g = gen.BarabasiAlbert(*n, *mPer, *seed)
 		case "ws":
-			g = influmax.WattsStrogatz(*n, *mPer, *beta, *seed)
+			g = gen.WattsStrogatz(*n, *mPer, *beta, *seed)
 		case "rmat":
-			g = influmax.RMAT(*n, *m, 0.57, 0.19, 0.19, *seed)
+			g = gen.RMAT(*n, *m, 0.57, 0.19, 0.19, *seed)
 		default:
 			fatal("unknown family %q (want er, ba, ws, rmat)", *family)
 		}
 	default:
 		fatal("pass -dataset or -family (try -list)")
 	}
-
-	switch {
-	case *weights == "uniform":
-		g.AssignUniform(*seed ^ 0x5eed)
-	case *weights == "wc":
-		g.AssignWeightedCascade()
-	case *weights == "none":
-	case len(*weights) > 6 && (*weights)[:6] == "const:":
-		var p float64
-		if _, err := fmt.Sscanf(*weights, "const:%g", &p); err != nil {
-			fatal("bad -weights %q: %v", *weights, err)
-		}
-		g.AssignConstant(float32(p))
-	default:
-		fatal("unknown -weights %q", *weights)
-	}
+	weigh(g)
 	if *lt {
 		g.NormalizeLT()
 	}
@@ -90,12 +83,11 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	var err error
 	switch *format {
 	case "txt":
-		err = influmax.WriteEdgeList(w, g)
+		err = graph.WriteEdgeList(w, g)
 	case "bin":
-		err = influmax.WriteBinary(w, g)
+		err = graph.WriteBinary(w, g)
 	default:
 		fatal("unknown -format %q", *format)
 	}

@@ -16,10 +16,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
-	"influmax"
+	"influmax/internal/cli"
+	"influmax/internal/diffuse"
+	"influmax/internal/graph"
+	"influmax/internal/imm"
+	"influmax/internal/metrics"
+	"influmax/internal/server"
 )
 
 func main() {
@@ -49,19 +52,15 @@ func main() {
 	)
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		srv, err := influmax.StartPprofServer(*pprofAddr)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "imm: pprof on http://%s/debug/pprof/\n", srv.Addr)
+	if err := cli.ServePprof("imm", *pprofAddr); err != nil {
+		fatal("%v", err)
 	}
 
-	model, err := influmax.ParseModel(*modelStr)
+	model, err := diffuse.ParseModel(*modelStr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	store, err := influmax.ParseStoreKind(*storeStr)
+	store, err := imm.ParseStoreKind(*storeStr)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -71,28 +70,28 @@ func main() {
 	// counters have accumulated, Interrupted=true) before exiting. Armed
 	// before the slow phases (graph load, maximization) so a kill at any
 	// point is caught.
-	var reg *influmax.MetricsRegistry
+	var reg *metrics.Registry
 	var disarm func()
 	if *metricsJSON != "" {
-		reg = influmax.NewMetricsRegistry()
+		reg = metrics.NewRegistry()
 		alg := "IMMmt"
 		if *baseline {
 			alg = "IMM"
 		}
-		disarm = flushOnSignal("imm", *metricsJSON, func() *influmax.RunReport {
-			rep := influmax.NewPartialReport(alg)
+		disarm = cli.FlushOnSignal("imm", *metricsJSON, alg, func(rep *metrics.RunReport) {
 			rep.Model = model.String()
 			rep.K, rep.Epsilon, rep.Seed, rep.Workers = *k, *eps, *seed, *workers
 			rep.Metrics = reg.Snapshot()
-			return rep
 		})
 	}
 
-	g, err := loadGraph(*graphPath, *binary, *dataset, *scale, *seed, *weights)
+	g, err := cli.LoadGraph(cli.GraphInput{
+		Path: *graphPath, Binary: *binary, Dataset: *dataset, Scale: *scale, Seed: *seed, Weights: *weights,
+	})
 	if err != nil {
 		fatal("%v", err)
 	}
-	if model == influmax.LT {
+	if model == diffuse.LT {
 		g.NormalizeLT()
 	}
 	st := g.ComputeStats()
@@ -111,53 +110,42 @@ func main() {
 		return
 	}
 
-	opt := influmax.Options{K: *k, Epsilon: *eps, Model: model, Workers: *workers, Seed: *seed, Store: store}
+	opt := imm.Options{K: *k, Epsilon: *eps, Model: model, Workers: *workers, Seed: *seed, Store: store}
 	if *leapfrog {
-		opt.RNG = influmax.LeapFrog
+		opt.RNG = imm.LeapFrog
 	}
 	if *metricsJSON != "" {
 		opt.Metrics = reg
 	}
-	stopCPU := func() error { return nil }
-	if *cpuProfile != "" {
-		stopCPU, err = influmax.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			fatal("%v", err)
-		}
+	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal("%v", err)
 	}
-	var res *influmax.Result
+	var res *imm.Result
 	if *baseline {
-		res, err = influmax.MaximizeBaseline(g, opt)
+		res, err = imm.RunBaseline(g, opt)
 	} else {
-		res, err = influmax.Maximize(g, opt)
+		res, err = imm.Run(g, opt)
 	}
-	if stopErr := stopCPU(); stopErr != nil {
+	if stopErr := stopProfiles(); stopErr != nil {
 		fatal("%v", stopErr)
 	}
 	if err != nil {
 		fatal("%v", err)
 	}
-	if *memProfile != "" {
-		if err := influmax.WriteHeapProfile(*memProfile); err != nil {
-			fatal("%v", err)
-		}
-	}
 
 	var verified *verifiedSpread
 	if *verify > 0 {
-		mean, se := influmax.Spread(g, model, res.Seeds, *verify, *workers, *seed^0xe7a1)
+		mean, se := diffuse.EstimateSpread(g, model, res.Seeds, *verify, *workers, *seed^0xe7a1)
 		verified = &verifiedSpread{Mean: mean, StdErr: se, Trials: *verify}
 	}
 
 	if *metricsJSON != "" {
 		disarm() // the run finished; the complete report supersedes the partial one
-		rep := influmax.Report(res, opt)
-		rep.Graph = &influmax.GraphInfo{
-			Vertices: st.Vertices, Edges: st.Edges,
-			AvgDegree: st.AvgDegree, MaxDegree: st.MaxDegree,
-		}
+		rep := res.Report(opt)
+		rep.Graph = metrics.GraphInfoFor(st)
 		if verified != nil {
-			rep.Verified = &influmax.VerifiedSpread{
+			rep.Verified = &metrics.VerifiedSpread{
 				Mean: verified.Mean, StdErr: verified.StdErr, Trials: verified.Trials,
 			}
 		}
@@ -189,7 +177,7 @@ func main() {
 
 	fmt.Printf("theta: %d (lower bound on OPT: %.1f); samples generated: %d; store: %.2f MB (%s)\n",
 		res.Theta, res.LowerBound, res.SamplesGenerated, float64(res.StoreBytes)/(1<<20), res.Store)
-	if res.Store == influmax.StoreCoded && res.StoreBytes > 0 {
+	if res.Store == imm.StoreCoded && res.StoreBytes > 0 {
 		fmt.Printf("store compression: %.2fx vs flat (%.2f MB)\n",
 			float64(res.FlatStoreBytes)/float64(res.StoreBytes), float64(res.FlatStoreBytes)/(1<<20))
 	}
@@ -217,21 +205,21 @@ type verifiedSpread struct {
 }
 
 type jsonResult struct {
-	Graph            jsonGraph         `json:"graph"`
-	Model            string            `json:"model"`
-	K                int               `json:"k"`
-	Epsilon          float64           `json:"epsilon"`
-	Workers          int               `json:"workers"`
-	Seeds            []influmax.Vertex `json:"seeds"`
-	Theta            int64             `json:"theta"`
-	SamplesGenerated int               `json:"samplesGenerated"`
-	EstimatedSpread  float64           `json:"estimatedSpread"`
-	CoverageFraction float64           `json:"coverageFraction"`
-	Store            string            `json:"store"`
-	StoreBytes       int64             `json:"storeBytes"`
-	FlatStoreBytes   int64             `json:"flatStoreBytes,omitempty"`
-	TotalSeconds     float64           `json:"totalSeconds"`
-	Verified         *verifiedSpread   `json:"verified,omitempty"`
+	Graph            jsonGraph       `json:"graph"`
+	Model            string          `json:"model"`
+	K                int             `json:"k"`
+	Epsilon          float64         `json:"epsilon"`
+	Workers          int             `json:"workers"`
+	Seeds            []graph.Vertex  `json:"seeds"`
+	Theta            int64           `json:"theta"`
+	SamplesGenerated int             `json:"samplesGenerated"`
+	EstimatedSpread  float64         `json:"estimatedSpread"`
+	CoverageFraction float64         `json:"coverageFraction"`
+	Store            string          `json:"store"`
+	StoreBytes       int64           `json:"storeBytes"`
+	FlatStoreBytes   int64           `json:"flatStoreBytes,omitempty"`
+	TotalSeconds     float64         `json:"totalSeconds"`
+	Verified         *verifiedSpread `json:"verified,omitempty"`
 	// Query-diversity extras (present only in -audience/-budget/-blocked
 	// mode).
 	Gains       []int64 `json:"gains,omitempty"`
@@ -240,58 +228,28 @@ type jsonResult struct {
 	SpentBudget float64 `json:"spentBudget,omitempty"`
 }
 
-// parseVertexList parses a comma-separated vertex-id list ("" = empty).
-func parseVertexList(s string, n int) ([]influmax.Vertex, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []influmax.Vertex
-	for _, part := range splitComma(s) {
-		var v uint64
-		if _, err := fmt.Sscanf(part, "%d", &v); err != nil || int64(v) >= int64(n) {
-			return nil, fmt.Errorf("bad vertex id %q (want 0 <= id < %d)", part, n)
-		}
-		out = append(out, influmax.Vertex(v))
-	}
-	return out, nil
-}
-
-func splitComma(s string) []string {
-	var parts []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				parts = append(parts, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return parts
-}
-
 // runQueryMode builds a resident sketch and runs the budgeted / targeted /
 // blocked selection shapes over it, then reports like a normal run (the
 // estimated spread is the RIS estimate over the sketch's samples).
-func runQueryMode(g *influmax.Graph, st influmax.GraphStats, model influmax.Model,
-	store influmax.StoreKind, reg *influmax.MetricsRegistry,
+func runQueryMode(g *graph.Graph, st graph.Stats, model diffuse.Model,
+	store imm.StoreKind, reg *metrics.Registry,
 	k int, eps float64, seed uint64, workers int,
 	audience string, budget float64, blocked string, verify int, jsonOut bool) error {
-	aud, err := parseVertexList(audience, g.NumVertices())
+	aud, err := cli.ParseVertexList(audience, g.NumVertices())
 	if err != nil {
 		return fmt.Errorf("-audience: %w", err)
 	}
-	blk, err := parseVertexList(blocked, g.NumVertices())
+	blk, err := cli.ParseVertexList(blocked, g.NumVertices())
 	if err != nil {
 		return fmt.Errorf("-blocked: %w", err)
 	}
-	key := influmax.SketchKey{GraphDigest: g.Digest(), Model: model, Epsilon: eps, KMax: k, Seed: seed}
-	sk, err := influmax.BuildSketch(g, key, workers, store, reg)
+	key := server.SketchKey{GraphDigest: g.Digest(), Model: model, Epsilon: eps, KMax: k, Seed: seed}
+	sk, err := server.BuildSketch(g, key, workers, store, reg)
 	if err != nil {
 		return err
 	}
-	q := influmax.SketchQuery{K: k, Budget: budget, Audience: aud, Blocked: blk}
-	qr, err := influmax.QuerySketch(sk, q, workers)
+	q := imm.Query{K: k, Budget: budget, Audience: aud, Blocked: blk}
+	qr, err := sk.QueryEx(q, workers)
 	if err != nil {
 		return err
 	}
@@ -304,7 +262,7 @@ func runQueryMode(g *influmax.Graph, st influmax.GraphStats, model influmax.Mode
 
 	var verified *verifiedSpread
 	if verify > 0 && len(qr.Seeds) > 0 {
-		mean, se := influmax.Spread(g, model, qr.Seeds, verify, workers, seed^0xe7a1)
+		mean, se := diffuse.EstimateSpread(g, model, qr.Seeds, verify, workers, seed^0xe7a1)
 		verified = &verifiedSpread{Mean: mean, StdErr: se, Trials: verify}
 	}
 
@@ -343,59 +301,6 @@ func runQueryMode(g *influmax.Graph, st influmax.GraphStats, model influmax.Mode
 			verified.Mean, 2*verified.StdErr, verified.Trials)
 	}
 	return nil
-}
-
-// loadGraph resolves the input source and assigns weights for generated
-// graphs (file inputs keep their stored weights unless they are all zero).
-func loadGraph(path string, binary bool, dataset string, scale float64, seed uint64, weights string) (*influmax.Graph, error) {
-	switch {
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if binary {
-			return influmax.ReadBinary(f)
-		}
-		g, _, err := influmax.ParseEdgeList(f)
-		return g, err
-	case dataset != "":
-		g := influmax.Generate(dataset, scale, seed)
-		switch {
-		case weights == "uniform":
-			g.AssignUniform(seed ^ 0x5eed)
-		case weights == "wc":
-			g.AssignWeightedCascade()
-		case weights == "none":
-		default:
-			var p float64
-			if _, err := fmt.Sscanf(weights, "const:%g", &p); err != nil {
-				return nil, fmt.Errorf("bad -weights %q", weights)
-			}
-			g.AssignConstant(float32(p))
-		}
-		return g, nil
-	}
-	return nil, fmt.Errorf("pass -graph <file> or -dataset <name>")
-}
-
-// flushOnSignal arranges for SIGINT/SIGTERM to write partial() to path
-// and exit 130; the returned disarm stops listening once the real report
-// has been written.
-func flushOnSignal(prog, path string, partial func() *influmax.RunReport) func() {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		if err := partial().WriteFile(path); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: flushing partial report: %v\n", prog, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "%s: interrupted; partial report written to %s\n", prog, path)
-		os.Exit(130)
-	}()
-	return func() { signal.Stop(sig) }
 }
 
 func fatal(format string, args ...any) {

@@ -20,12 +20,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
 
-	"influmax"
+	"influmax/internal/cli"
+	"influmax/internal/diffuse"
+	"influmax/internal/dist"
+	"influmax/internal/imm"
+	"influmax/internal/metrics"
+	"influmax/internal/mpi"
 )
 
 func main() {
@@ -52,23 +55,19 @@ func main() {
 	)
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		srv, err := influmax.StartPprofServer(*pprofAddr)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "immdist: pprof on http://%s/debug/pprof/\n", srv.Addr)
+	if err := cli.ServePprof("immdist", *pprofAddr); err != nil {
+		fatal("%v", err)
 	}
 
-	model, err := influmax.ParseModel(*modelStr)
+	model, err := diffuse.ParseModel(*modelStr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	store, err := influmax.ParseStoreKind(*storeStr)
+	store, err := imm.ParseStoreKind(*storeStr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	plan, err := influmax.ParseFaultPlan(*faultPlan)
+	plan, err := mpi.ParseFaultPlan(*faultPlan)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -91,34 +90,30 @@ func main() {
 		if *part {
 			alg = "IMMpart"
 		}
-		disarm = flushOnSignal(*metricsJSON, func() *influmax.RunReport {
-			rep := influmax.NewPartialReport(alg)
+		disarm = cli.FlushOnSignal("immdist", *metricsJSON, alg, func(rep *metrics.RunReport) {
 			rep.Model = model.String()
 			rep.K, rep.Epsilon, rep.Seed = *k, *eps, *seed
 			rep.Ranks, rep.ThreadsPerRank = nranks, *threads
-			return rep
 		})
 	}
 
-	g, err := loadGraph(*graphPath, *dataset, *scale, *seed)
+	g, err := cli.LoadGraph(cli.GraphInput{
+		Path: *graphPath, Dataset: *dataset, Scale: *scale, Seed: *seed, Weights: "uniform",
+	})
 	if err != nil {
 		fatal("%v", err)
 	}
-	if model == influmax.LT {
+	if model == diffuse.LT {
 		g.NormalizeLT()
 	}
-	opt := influmax.DistOptions{K: *k, Epsilon: *eps, Model: model, ThreadsPerRank: *threads, Seed: *seed, Store: store}
-	popt := influmax.PartOptions{K: *k, Epsilon: *eps, Model: model, Seed: *seed, Threads: *threads, Store: store}
+	opt := dist.Options{K: *k, Epsilon: *eps, Model: model, ThreadsPerRank: *threads, Seed: *seed, Store: store}
+	popt := dist.PartOptions{K: *k, Epsilon: *eps, Model: model, Seed: *seed, Threads: *threads, Store: store}
 
 	// writeReport stamps the graph summary on rank 0's merged report and
 	// persists it.
-	writeReport := func(rep *influmax.RunReport) error {
+	writeReport := func(rep *metrics.RunReport) error {
 		disarm() // the run finished; the merged report supersedes the partial one
-		st := g.ComputeStats()
-		rep.Graph = &influmax.GraphInfo{
-			Vertices: st.Vertices, Edges: st.Edges,
-			AvgDegree: st.AvgDegree, MaxDegree: st.MaxDegree,
-		}
+		rep.Graph = metrics.GraphInfoFor(g.ComputeStats())
 		return rep.WriteFile(*metricsJSON)
 	}
 
@@ -127,9 +122,9 @@ func main() {
 	// quiet suppresses the per-rank progress line in local mode. Callers
 	// wrap the transport with the fault plan and close the wrapped comm
 	// when run returns (Close releases the injector's in-flight state).
-	run := func(c influmax.Comm, quiet bool) error {
+	run := func(c mpi.Comm, quiet bool) error {
 		if *part {
-			res, err := influmax.MaximizePartitioned(c, g, popt)
+			res, err := dist.RunPartitioned(c, g, popt)
 			if err != nil {
 				if res != nil {
 					fmt.Fprintf(os.Stderr, "immdist: rank %d degraded (blames rank %d): %d samples survive locally\n",
@@ -142,11 +137,11 @@ func main() {
 				reportComm(res.CommStats)
 			}
 			if *metricsJSON != "" && c.Rank() == 0 {
-				return writeReport(influmax.ReportPartitioned(popt, res))
+				return writeReport(dist.ReportPartitioned(popt, res))
 			}
 			return nil
 		}
-		res, err := influmax.MaximizeDistributed(c, g, opt)
+		res, err := dist.Run(c, g, opt)
 		if err != nil {
 			if res != nil {
 				fmt.Fprintf(os.Stderr, "immdist: rank %d degraded (blames rank %d): %d local samples survive, %d/%d seeds selected\n",
@@ -159,7 +154,7 @@ func main() {
 			reportComm(res.CommStats)
 		}
 		if *metricsJSON != "" {
-			rep, err := influmax.ReportDistributed(c, opt, res)
+			rep, err := dist.Report(c, opt, res)
 			if err != nil {
 				return err
 			}
@@ -170,12 +165,9 @@ func main() {
 		return nil
 	}
 
-	stopCPU := func() error { return nil }
-	if *cpuProfile != "" {
-		stopCPU, err = influmax.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			fatal("%v", err)
-		}
+	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal("%v", err)
 	}
 
 	if *addrsStr != "" {
@@ -184,7 +176,7 @@ func main() {
 		if *rank < 0 || *rank >= len(addrs) {
 			fatal("TCP mode needs -rank in [0, %d)", len(addrs))
 		}
-		inner, err := influmax.DialTCPConfig(influmax.TCPConfig{
+		inner, err := mpi.DialTCP(mpi.TCPConfig{
 			Rank:        *rank,
 			Addrs:       addrs,
 			SendTimeout: *netTimeout,
@@ -193,21 +185,21 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		c := influmax.WithFaults(inner, plan)
+		c := mpi.WithFaults(inner, plan)
 		defer c.Close()
 		if err := run(c, false); err != nil {
 			fatal("rank %d: %v", *rank, err)
 		}
 	} else {
 		// Local mode: spin all ranks in-process.
-		comms := influmax.LocalCluster(*ranks)
+		comms := mpi.NewLocalCluster(*ranks)
 		errs := make([]error, *ranks)
 		var wg sync.WaitGroup
 		for r := 0; r < *ranks; r++ {
 			wg.Add(1)
 			go func(rk int) {
 				defer wg.Done()
-				c := influmax.WithFaults(comms[rk], plan)
+				c := mpi.WithFaults(comms[rk], plan)
 				defer c.Close()
 				errs[rk] = run(c, rk != 0)
 			}(r)
@@ -220,17 +212,12 @@ func main() {
 		}
 	}
 
-	if err := stopCPU(); err != nil {
+	if err := stopProfiles(); err != nil {
 		fatal("%v", err)
-	}
-	if *memProfile != "" {
-		if err := influmax.WriteHeapProfile(*memProfile); err != nil {
-			fatal("%v", err)
-		}
 	}
 }
 
-func reportPart(rank int, res *influmax.PartResult) {
+func reportPart(rank int, res *dist.PartResult) {
 	if rank != 0 {
 		fmt.Printf("rank %d done: own [%d, %d)\n", rank, res.OwnedLo, res.OwnedHi)
 		return
@@ -242,7 +229,7 @@ func reportPart(rank int, res *influmax.PartResult) {
 	fmt.Printf("seeds: %v\n", res.Seeds)
 }
 
-func report(rank int, res *influmax.DistResult) {
+func report(rank int, res *dist.Result) {
 	if rank != 0 {
 		fmt.Printf("rank %d done: %d local samples\n", rank, res.LocalSamples)
 		return
@@ -256,43 +243,10 @@ func report(rank int, res *influmax.DistResult) {
 
 // reportComm prints rank 0's nonzero transport/fault counters; silent on
 // a clean in-process run (the local transport tracks nothing).
-func reportComm(st influmax.CommStats) {
+func reportComm(st mpi.CommStats) {
 	if m := st.Map(); m != nil {
 		fmt.Printf("comm: %v\n", m)
 	}
-}
-
-func loadGraph(path, dataset string, scale float64, seed uint64) (*influmax.Graph, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, _, err := influmax.ParseEdgeList(f)
-		return g, err
-	}
-	g := influmax.Generate(dataset, scale, seed)
-	g.AssignUniform(seed ^ 0x5eed)
-	return g, nil
-}
-
-// flushOnSignal arranges for SIGINT/SIGTERM to write partial() to path
-// and exit 130; the returned disarm stops listening once the real report
-// has been written.
-func flushOnSignal(path string, partial func() *influmax.RunReport) func() {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		if err := partial().WriteFile(path); err != nil {
-			fmt.Fprintf(os.Stderr, "immdist: flushing partial report: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "immdist: interrupted; partial report written to %s\n", path)
-		os.Exit(130)
-	}()
-	return func() { signal.Stop(sig) }
 }
 
 func fatal(format string, args ...any) {

@@ -38,7 +38,8 @@ import (
 	"syscall"
 	"time"
 
-	"influmax"
+	"influmax/internal/cluster"
+	"influmax/internal/metrics"
 )
 
 func main() {
@@ -57,17 +58,17 @@ func main() {
 	if *shardsFlag == "" {
 		fatal("pass -shards url,url,... (one base URL per shard replica)")
 	}
-	var conns []influmax.ShardConn
+	var conns []cluster.Conn
 	for i, base := range strings.Split(*shardsFlag, ",") {
 		base = strings.TrimSpace(base)
 		if base == "" {
 			fatal("-shards entry %d is empty", i)
 		}
-		conns = append(conns, influmax.NewShardHTTPConn(base, i, *netTimeout))
+		conns = append(conns, cluster.NewHTTPConn(base, i, *netTimeout))
 	}
 
-	reg := influmax.NewMetricsRegistry()
-	rt, err := influmax.NewSeedRouter(conns, reg)
+	reg := metrics.NewRegistry()
+	rt, err := cluster.NewRouter(conns, reg)
 	if err != nil {
 		fatal("probing fleet: %v", err)
 	}
@@ -78,7 +79,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "immrouter: shards %v did not answer the startup probe; serving degraded until they rejoin\n", failed)
 	}
 
-	srv := influmax.ServeRouter(rt, influmax.RouterServerConfig{
+	srv := cluster.NewRouterServer(rt, cluster.RouterServerConfig{
 		MaxConcurrent: *concurrency, MaxQueue: *queue, RetryAfter: *retryAfter,
 	})
 	sig := make(chan os.Signal, 1)

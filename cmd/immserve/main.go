@@ -35,7 +35,13 @@ import (
 	"syscall"
 	"time"
 
-	"influmax"
+	"influmax/internal/cli"
+	"influmax/internal/cluster"
+	"influmax/internal/diffuse"
+	"influmax/internal/graph"
+	"influmax/internal/imm"
+	"influmax/internal/metrics"
+	"influmax/internal/server"
 )
 
 func main() {
@@ -69,30 +75,32 @@ func main() {
 	)
 	flag.Parse()
 
-	model, err := influmax.ParseModel(*modelStr)
+	model, err := diffuse.ParseModel(*modelStr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	store, err := influmax.ParseStoreKind(*storeStr)
+	store, err := imm.ParseStoreKind(*storeStr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	policy, err := influmax.ParseWeightPolicy(*policyStr)
+	policy, err := imm.ParseWeightPolicy(*policyStr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	g, err := loadGraph(*graphPath, *binary, *dataset, *scale, *seed, *weights)
+	g, err := cli.LoadGraph(cli.GraphInput{
+		Path: *graphPath, Binary: *binary, Dataset: *dataset, Scale: *scale, Seed: *seed, Weights: *weights,
+	})
 	if err != nil {
 		fatal("%v", err)
 	}
-	if model == influmax.LT {
+	if model == diffuse.LT {
 		g.NormalizeLT()
 	}
-	defAudience, err := parseVertexList(*audience, g.NumVertices())
+	defAudience, err := cli.ParseVertexList(*audience, g.NumVertices())
 	if err != nil {
 		fatal("-audience: %v", err)
 	}
-	defBlocked, err := parseVertexList(*blocked, g.NumVertices())
+	defBlocked, err := cli.ParseVertexList(*blocked, g.NumVertices())
 	if err != nil {
 		fatal("-blocked: %v", err)
 	}
@@ -100,12 +108,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "immserve: graph: %d vertices, %d edges, avg degree %.2f\n",
 		st.Vertices, st.Edges, st.AvgDegree)
 
-	key := influmax.SketchKey{
+	key := server.SketchKey{
 		GraphDigest: g.Digest(), Model: model, Epsilon: *eps, KMax: *kMax, Seed: *seed,
 	}
-	reg := influmax.NewMetricsRegistry()
-	var sketch *influmax.Sketch
-	var shard *influmax.ClusterShard
+	reg := metrics.NewRegistry()
+	var sketch *server.Sketch
+	var shard *cluster.Shard
 	if *shardCount > 0 {
 		// Cluster shard mode: this replica serves one slice of the fleet's
 		// samples through the shard API and refuses seed queries (POST
@@ -134,7 +142,7 @@ func main() {
 		fatal("%v", err)
 	}
 
-	srv, err := influmax.Serve(influmax.ServeConfig{
+	srv, err := server.New(server.Config{
 		Graph: g, Model: model, Epsilon: *eps, KMax: *kMax, Seed: *seed,
 		Workers: *workers, Store: store, MaxConcurrent: *concurrency, MaxQueue: *queue,
 		QueryTimeout: *timeout, Metrics: reg, EnablePprof: *pprofOn,
@@ -166,7 +174,7 @@ func main() {
 	}
 	if *dynamic && *snapshot != "" {
 		sk := srv.ServingSketch()
-		if err := influmax.SaveSnapshot(*snapshot, sk); err != nil {
+		if err := sk.Save(*snapshot); err != nil {
 			fatal("persisting dynamic sketch: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "immserve: dynamic sketch persisted to %s (epoch %d)\n", *snapshot, sk.DeltaEpoch)
@@ -180,14 +188,14 @@ func main() {
 // keeps its own slice. Whatever the source, the shard's identity must
 // match the flags — a slice from the wrong fleet would silently poison
 // routed selections.
-func prepareShard(g *influmax.Graph, key influmax.SketchKey, idx, count int, path, from string, workers int) (*influmax.ClusterShard, error) {
-	load := func(sh *influmax.ClusterShard, src string) (*influmax.ClusterShard, error) {
+func prepareShard(g *graph.Graph, key server.SketchKey, idx, count int, path, from string, workers int) (*cluster.Shard, error) {
+	load := func(sh *cluster.Shard, src string) (*cluster.Shard, error) {
 		info := sh.Info()
 		if info.ShardIdx != idx || info.ShardCount != count {
 			return nil, fmt.Errorf("%s holds shard %d of %d, flags say %d of %d",
 				src, info.ShardIdx, info.ShardCount, idx, count)
 		}
-		if info.GraphDigest != key.GraphDigest || influmax.Model(info.Model) != key.Model ||
+		if info.GraphDigest != key.GraphDigest || diffuse.Model(info.Model) != key.Model ||
 			info.Epsilon != key.Epsilon || info.KMax != key.KMax || info.Seed != key.Seed {
 			return nil, fmt.Errorf("%s was sampled with a different configuration than the flags; delete it or match the flags", src)
 		}
@@ -197,7 +205,7 @@ func prepareShard(g *influmax.Graph, key influmax.SketchKey, idx, count int, pat
 	}
 	if path != "" {
 		if _, err := os.Stat(path); err == nil {
-			sh, err := influmax.LoadShardSnapshot(path, 0, workers)
+			sh, err := cluster.LoadShardSnapshotFile(path, 0, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -205,7 +213,7 @@ func prepareShard(g *influmax.Graph, key influmax.SketchKey, idx, count int, pat
 		}
 	}
 	if from != "" {
-		sh, err := influmax.FetchShardSnapshot(from, nil, 0, workers)
+		sh, err := cluster.FetchShardSnapshot(from, nil, 0, workers)
 		if err != nil {
 			return nil, fmt.Errorf("bootstrapping from peer %s: %w", from, err)
 		}
@@ -213,7 +221,7 @@ func prepareShard(g *influmax.Graph, key influmax.SketchKey, idx, count int, pat
 			return nil, err
 		}
 		if path != "" {
-			if err := influmax.SaveShardSnapshot(path, sh); err != nil {
+			if err := cluster.SaveShardSnapshotFile(path, sh); err != nil {
 				return nil, err
 			}
 			fmt.Fprintf(os.Stderr, "immserve: shard snapshot written to %s\n", path)
@@ -221,7 +229,7 @@ func prepareShard(g *influmax.Graph, key influmax.SketchKey, idx, count int, pat
 		return sh, nil
 	}
 	start := time.Now()
-	shards, err := influmax.BuildShards(g, influmax.BuildShardsOptions{
+	shards, err := cluster.BuildShards(g, cluster.BuildOptions{
 		K: key.KMax, Epsilon: key.Epsilon, Model: key.Model, Seed: key.Seed,
 		Shards: count, Workers: workers,
 	})
@@ -232,7 +240,7 @@ func prepareShard(g *influmax.Graph, key influmax.SketchKey, idx, count int, pat
 	fmt.Fprintf(os.Stderr, "immserve: shard %d/%d sampled in %v (%d of %d fleet samples)\n",
 		idx, count, time.Since(start).Round(time.Millisecond), sh.Info().Samples, sh.Info().Theta)
 	if path != "" {
-		if err := influmax.SaveShardSnapshot(path, sh); err != nil {
+		if err := cluster.SaveShardSnapshotFile(path, sh); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "immserve: shard snapshot written to %s\n", path)
@@ -243,14 +251,14 @@ func prepareShard(g *influmax.Graph, key influmax.SketchKey, idx, count int, pat
 // loadWarmSketch resolves the dynamic-mode warm start: a snapshot at path
 // (written by a previous dynamic run's drain) restores the mutated state;
 // no snapshot means Serve builds the initial sketch from the graph.
-func loadWarmSketch(g *influmax.Graph, key influmax.SketchKey, path string, workers int, store influmax.StoreKind) (*influmax.Sketch, error) {
+func loadWarmSketch(g *graph.Graph, key server.SketchKey, path string, workers int, store imm.StoreKind) (*server.Sketch, error) {
 	if path == "" {
 		return nil, nil
 	}
 	if _, err := os.Stat(path); err != nil {
 		return nil, nil
 	}
-	s, err := influmax.LoadSnapshot(path, g, workers, store)
+	s, err := server.LoadSketch(path, g, workers, store, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -267,10 +275,10 @@ func loadWarmSketch(g *influmax.Graph, key influmax.SketchKey, path string, work
 // warm-starts the server (transcoded into the -store kind if it was
 // written with the other one); otherwise the sketch is sampled and — when
 // a path was given — persisted for the next start.
-func prepareSketch(g *influmax.Graph, key influmax.SketchKey, path string, workers int, store influmax.StoreKind, reg *influmax.MetricsRegistry) (*influmax.Sketch, error) {
+func prepareSketch(g *graph.Graph, key server.SketchKey, path string, workers int, store imm.StoreKind, reg *metrics.Registry) (*server.Sketch, error) {
 	if path != "" {
 		if _, err := os.Stat(path); err == nil {
-			s, err := influmax.LoadSnapshot(path, g, workers, store)
+			s, err := server.LoadSketch(path, g, workers, store, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -283,78 +291,19 @@ func prepareSketch(g *influmax.Graph, key influmax.SketchKey, path string, worke
 		}
 	}
 	start := time.Now()
-	s, err := influmax.BuildSketch(g, key, workers, store, reg)
+	s, err := server.BuildSketch(g, key, workers, store, reg)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "immserve: sketch sampled in %v (theta %d)\n",
 		time.Since(start).Round(time.Millisecond), s.Theta)
 	if path != "" {
-		if err := influmax.SaveSnapshot(path, s); err != nil {
+		if err := s.Save(path); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "immserve: snapshot written to %s\n", path)
 	}
 	return s, nil
-}
-
-// parseVertexList parses a comma-separated vertex-id list ("" = empty),
-// mirroring cmd/imm.
-func parseVertexList(s string, n int) ([]influmax.Vertex, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []influmax.Vertex
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i != len(s) && s[i] != ',' {
-			continue
-		}
-		if i > start {
-			part := s[start:i]
-			var v uint64
-			if _, err := fmt.Sscanf(part, "%d", &v); err != nil || int64(v) >= int64(n) {
-				return nil, fmt.Errorf("bad vertex id %q (want 0 <= id < %d)", part, n)
-			}
-			out = append(out, influmax.Vertex(v))
-		}
-		start = i + 1
-	}
-	return out, nil
-}
-
-// loadGraph resolves the input source, mirroring cmd/imm.
-func loadGraph(path string, binary bool, dataset string, scale float64, seed uint64, weights string) (*influmax.Graph, error) {
-	switch {
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if binary {
-			return influmax.ReadBinary(f)
-		}
-		g, _, err := influmax.ParseEdgeList(f)
-		return g, err
-	case dataset != "":
-		g := influmax.Generate(dataset, scale, seed)
-		switch {
-		case weights == "uniform":
-			g.AssignUniform(seed ^ 0x5eed)
-		case weights == "wc":
-			g.AssignWeightedCascade()
-		case weights == "none":
-		default:
-			var p float64
-			if _, err := fmt.Sscanf(weights, "const:%g", &p); err != nil {
-				return nil, fmt.Errorf("bad -weights %q", weights)
-			}
-			g.AssignConstant(float32(p))
-		}
-		return g, nil
-	}
-	return nil, fmt.Errorf("pass -graph <file> or -dataset <name>")
 }
 
 func fatal(format string, args ...any) {

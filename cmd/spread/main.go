@@ -10,10 +10,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
-	"influmax"
+	"influmax/internal/cli"
+	"influmax/internal/diffuse"
 )
 
 func main() {
@@ -30,53 +29,29 @@ func main() {
 	)
 	flag.Parse()
 
-	model, err := influmax.ParseModel(*modelStr)
+	model, err := diffuse.ParseModel(*modelStr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	var g *influmax.Graph
-	switch {
-	case *graphPath != "":
-		f, err := os.Open(*graphPath)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		if *binary {
-			g, err = influmax.ReadBinary(f)
-		} else {
-			g, _, err = influmax.ParseEdgeList(f)
-		}
-		if err != nil {
-			fatal("%v", err)
-		}
-	case *dataset != "":
-		g = influmax.Generate(*dataset, *scale, *seed)
-		g.AssignUniform(*seed ^ 0x5eed)
-	default:
-		fatal("pass -graph or -dataset")
+	g, err := cli.LoadGraph(cli.GraphInput{
+		Path: *graphPath, Binary: *binary, Dataset: *dataset, Scale: *scale, Seed: *seed, Weights: "uniform",
+	})
+	if err != nil {
+		fatal("%v", err)
 	}
-	if model == influmax.LT {
+	if model == diffuse.LT {
 		g.NormalizeLT()
 	}
 
-	var seeds []influmax.Vertex
-	for _, part := range strings.Split(*seedsStr, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(part, 10, 32)
-		if err != nil || int(v) >= g.NumVertices() {
-			fatal("bad seed vertex %q (graph has %d vertices)", part, g.NumVertices())
-		}
-		seeds = append(seeds, influmax.Vertex(v))
+	seeds, err := cli.ParseVertexList(*seedsStr, g.NumVertices())
+	if err != nil {
+		fatal("-seeds: %v", err)
 	}
 	if len(seeds) == 0 {
 		fatal("pass -seeds v1,v2,...")
 	}
 
-	mean, se := influmax.Spread(g, model, seeds, *trials, *workers, *seed)
+	mean, se := diffuse.EstimateSpread(g, model, seeds, *trials, *workers, *seed)
 	fmt.Printf("seeds: %v\n", seeds)
 	fmt.Printf("expected spread (%s, %d trials): %.2f ± %.2f (95%% CI)\n", model, *trials, mean, 2*se)
 	fmt.Printf("fraction of graph: %.2f%%\n", 100*mean/float64(g.NumVertices()))

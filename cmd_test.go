@@ -5,6 +5,7 @@ package influmax_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"influmax"
+	"influmax/internal/metrics"
 )
 
 var (
@@ -111,6 +113,57 @@ func TestCmdGraphgenErrors(t *testing.T) {
 	runCmdExpectError(t, "graphgen", "-family", "er", "-weights", "wat") // bad weights
 }
 
+// TestCmdBadGraphInput drives every binary that reads a graph with a bad
+// dataset name, scale or weight scheme: each must refuse it with one
+// "<prog>: ..." line and exit status 1, never panic, and never run on a
+// NaN graph or NaN weights.
+func TestCmdBadGraphInput(t *testing.T) {
+	// Flags that keep a wrongly accepted input quick to finish.
+	fast := map[string][]string{
+		"imm":      {"-k", "2", "-eps", "0.5"},
+		"immserve": {"-k-max", "2", "-eps", "0.5", "-addr", "127.0.0.1:0"},
+		"immdist":  {"-ranks", "2", "-k", "2", "-eps", "0.5"},
+		"spread":   {"-seeds", "0", "-trials", "10"},
+		"graphgen": {"-o", filepath.Join(t.TempDir(), "g.txt")},
+	}
+	bad := [][]string{
+		{"-dataset", "nosuch"},
+		{"-dataset", "cit-HepTh", "-scale", "NaN"},
+		{"-dataset", "cit-HepTh", "-scale", "0"},
+		{"-dataset", "cit-HepTh", "-scale", "2"},
+	}
+	var cases [][]string
+	for _, prog := range []string{"imm", "immserve", "immdist", "spread", "graphgen"} {
+		for _, args := range bad {
+			cases = append(cases, append([]string{prog}, args...))
+		}
+	}
+	for _, prog := range []string{"imm", "immserve", "graphgen"} { // the binaries with -weights
+		for _, w := range []string{"const:NaN", "const:7", "const:-0.1", "const:0.1x", "bogus"} {
+			cases = append(cases, []string{prog, "-dataset", "cit-HepTh", "-scale", "0.002", "-weights", w})
+		}
+	}
+	for _, c := range cases {
+		prog, args := c[0], append(c[1:], fast[c[0]]...)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, binPath(t, prog), args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		msg := stderr.String()
+		if code := cmd.ProcessState.ExitCode(); code != 1 {
+			t.Errorf("%s %v: exit %d (%v), want 1\n%s", prog, args, code, err, msg)
+			continue
+		}
+		if strings.Contains(msg, "panic:") || strings.Contains(msg, "goroutine") {
+			t.Errorf("%s %v panicked:\n%s", prog, args, msg)
+		} else if !strings.HasPrefix(msg, prog+": ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%s %v: want one %q line on stderr, got:\n%s", prog, args, prog+": ", msg)
+		}
+	}
+}
+
 func TestCmdSpread(t *testing.T) {
 	out := runCmd(t, "spread", "-dataset", "cit-HepTh", "-scale", "0.01", "-seeds", "0,1,2", "-trials", "500")
 	if !strings.Contains(out, "expected spread") {
@@ -172,8 +225,8 @@ func readReport(t *testing.T, path, algorithm string) *influmax.RunReport {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("decoding %s: %v", path, err)
 	}
-	if rep.Schema != influmax.ReportSchemaVersion {
-		t.Fatalf("schema = %d, want %d", rep.Schema, influmax.ReportSchemaVersion)
+	if rep.Schema != metrics.SchemaVersion {
+		t.Fatalf("schema = %d, want %d", rep.Schema, metrics.SchemaVersion)
 	}
 	if rep.Algorithm != algorithm {
 		t.Fatalf("algorithm = %q, want %q", rep.Algorithm, algorithm)
@@ -522,7 +575,7 @@ func TestCmdExperiments(t *testing.T) {
 		t.Fatal("no run reports collected")
 	}
 	for _, rep := range reps {
-		if rep.Schema != influmax.ReportSchemaVersion || rep.Theta <= 0 {
+		if rep.Schema != metrics.SchemaVersion || rep.Theta <= 0 {
 			t.Fatalf("bad collected report: %+v", rep)
 		}
 	}

@@ -100,3 +100,21 @@ func TestEveryInternalPackageIsReachable(t *testing.T) {
 		}
 	}
 }
+
+// TestCmdDoesNotImportFacade keeps the root package a library surface:
+// the binaries under cmd/ import the engine packages directly, so the
+// facade holds only what a library caller needs, not what a CLI happens
+// to use.
+func TestCmdDoesNotImportFacade(t *testing.T) {
+	dirs := goDirs(t, "cmd")
+	if len(dirs) == 0 {
+		t.Fatal("found no cmd packages: the walk is not looking at the tree")
+	}
+	for _, dir := range dirs {
+		for _, path := range importsOf(t, dir) {
+			if path == "influmax" {
+				t.Errorf("%s imports the influmax facade: import the internal package behind it", dir)
+			}
+		}
+	}
+}

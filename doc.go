@@ -33,8 +33,25 @@
 //   - MaximizeDistributed: IMMdist over an mpi.Comm (see LocalCluster for
 //     in-process ranks and the cmd/immdist tool for TCP clusters).
 //
-// Classic baselines (Kempe greedy, CELF, degree discount), centrality
-// measures, Monte Carlo spread evaluation, synthetic graph generators, and
-// the paper's full experiment harness are included; see the cmd and
-// examples directories.
+// # Surface
+//
+// This package is the library surface; the command-line tools under cmd/
+// import the engine packages directly. It holds five groups:
+//
+//   - graphs: Graph, Vertex, Edge, NewBuilder, FromEdges, ParseEdgeList,
+//     and Generate over DatasetNames for synthetic SNAP analogs;
+//   - models, options and phases: Model (IC, LT), Options, Result, the
+//     PerSample and LeapFrog RNG disciplines, StoreKind (StoreFlat,
+//     StoreCoded), and Phase with the five Algorithm 1 phases;
+//   - maximizing: Maximize, MaximizeBaseline, and MaximizeDistributed over
+//     LocalCluster's Comms with DistOptions and DistResult;
+//   - spread and baselines: Spread, SpreadCurve, CELF, TopDegree and
+//     DegreeDiscount; metrics: MetricsRegistry, RunReport and Report;
+//   - serving: Serve a ServeConfig as a SeedServer, or drive a Sketch
+//     directly with BuildSketch, SaveSnapshot, LoadSnapshot, QuerySketch
+//     and EstimateSpread; WeightPolicy configures a dynamic server.
+//
+// The paper's experiment harness, the distributed transports and fault
+// injection, the shard fleet and the other baselines live under internal/
+// and ship through the cmd and examples directories.
 package influmax

@@ -202,7 +202,7 @@ func ByName(name string) (Dataset, error) {
 // result has at least 64 vertices. Weights are zero; assign a scheme
 // afterwards.
 func (d Dataset) Generate(scale float64, seed uint64) *graph.Graph {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		panic("gen: scale out of (0, 1]")
 	}
 	n := int(float64(d.Vertices) * scale)

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"influmax/internal/graph"
@@ -128,6 +129,7 @@ func TestGeneratorPanics(t *testing.T) {
 		"WS bad beta":   func() { WattsStrogatz(10, 2, 1.5, 1) },
 		"RMAT bad prob": func() { RMAT(10, 5, 0.8, 0.2, 0.2, 1) },
 		"scale>1":       func() { Datasets()[0].Generate(2, 1) },
+		"scale NaN":     func() { Datasets()[0].Generate(math.NaN(), 1) },
 	} {
 		func() {
 			defer func() {

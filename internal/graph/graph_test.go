@@ -163,12 +163,16 @@ func TestAssignConstant(t *testing.T) {
 }
 
 func TestAssignConstantPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AssignConstant(1.5) did not panic")
-		}
-	}()
-	diamond(0).AssignConstant(1.5)
+	for _, p := range []float32{1.5, float32(math.NaN())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AssignConstant(%v) did not panic", p)
+				}
+			}()
+			diamond(0).AssignConstant(p)
+		}()
+	}
 }
 
 func TestAssignUniformDeterministicAndConsistent(t *testing.T) {

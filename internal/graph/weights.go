@@ -23,7 +23,7 @@ func (g *Graph) AssignUniform(seed uint64) {
 // AssignConstant sets every edge's activation probability to p (Tang et
 // al.'s setup with p = 0.10).
 func (g *Graph) AssignConstant(p float32) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic("graph: probability out of [0,1]")
 	}
 	for i := range g.inW {

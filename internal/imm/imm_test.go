@@ -525,3 +525,28 @@ func TestTIMPlusValidation(t *testing.T) {
 		t.Fatal("TIM+ accepted k=0")
 	}
 }
+
+// TestFlagEnumsRoundTrip pins the -store and -weight-policy parsers to
+// the String names they print, and checks that unknown names are refused.
+func TestFlagEnumsRoundTrip(t *testing.T) {
+	store := func(s string) (string, error) { v, err := ParseStoreKind(s); return v.String(), err }
+	policy := func(s string) (string, error) { v, err := ParseWeightPolicy(s); return v.String(), err }
+	for _, tc := range []struct {
+		parse func(string) (string, error)
+		names []string
+	}{
+		{store, []string{StoreFlat.String(), StoreCoded.String()}},
+		{policy, []string{WeightsExplicit.String(), WeightsWC.String()}},
+	} {
+		for _, name := range tc.names {
+			if got, err := tc.parse(name); err != nil || got != name {
+				t.Errorf("parse(%q) = %q, %v; want the name back", name, got, err)
+			}
+		}
+		for _, bad := range []string{"", "nosuch", "flat,coded"} {
+			if _, err := tc.parse(bad); err == nil {
+				t.Errorf("parse(%q) accepted an unknown name", bad)
+			}
+		}
+	}
+}

@@ -25,6 +25,7 @@ package imm
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"influmax/internal/diffuse"
 	"influmax/internal/metrics"
@@ -85,6 +86,18 @@ func (s StoreKind) String() string {
 		return "coded"
 	}
 	return fmt.Sprintf("StoreKind(%d)", uint8(s))
+}
+
+// ParseStoreKind parses the -store flag values "flat" and "coded"
+// (case-insensitive).
+func ParseStoreKind(s string) (StoreKind, error) {
+	switch strings.ToLower(s) {
+	case "flat":
+		return StoreFlat, nil
+	case "coded":
+		return StoreCoded, nil
+	}
+	return 0, fmt.Errorf("unknown store kind %q (want flat or coded)", s)
 }
 
 // Options configures an IMM run.
