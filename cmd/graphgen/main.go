@@ -54,17 +54,8 @@ func main() {
 			fatal("%v", err)
 		}
 	case *family != "":
-		switch *family {
-		case "er":
-			g = gen.ErdosRenyi(*n, *m, *seed)
-		case "ba":
-			g = gen.BarabasiAlbert(*n, *mPer, *seed)
-		case "ws":
-			g = gen.WattsStrogatz(*n, *mPer, *beta, *seed)
-		case "rmat":
-			g = gen.RMAT(*n, *m, 0.57, 0.19, 0.19, *seed)
-		default:
-			fatal("unknown family %q (want er, ba, ws, rmat)", *family)
+		if g, err = cli.Family(*family, *n, *m, *mPer, *beta, *seed); err != nil {
+			fatal("%v", err)
 		}
 	default:
 		fatal("pass -dataset or -family (try -list)")

@@ -143,6 +143,22 @@ func TestCmdBadGraphInput(t *testing.T) {
 			cases = append(cases, []string{prog, "-dataset", "cit-HepTh", "-scale", "0.002", "-weights", w})
 		}
 	}
+	for _, fam := range [][]string{ // graphgen's parametric families
+		{"-family", "er", "-n", "1"},
+		{"-family", "er", "-m", "-1"},
+		{"-family", "ba", "-n", "8", "-mper", "8"},
+		{"-family", "ba", "-mper", "0"},
+		{"-family", "ws", "-n", "9", "-mper", "8"},
+		{"-family", "ws", "-mper", "0"},
+		{"-family", "ws", "-beta", "1.5"},
+		{"-family", "ws", "-beta", "NaN"},
+		{"-family", "rmat", "-n", "1"},
+		{"-family", "rmat", "-m", "-1"},
+		{"-family", "rmat", "-n", "4", "-m", "13"}, // more distinct edges than 4 vertices hold
+		{"-family", "bogus"},
+	} {
+		cases = append(cases, append([]string{"graphgen"}, fam...))
+	}
 	for _, c := range cases {
 		prog, args := c[0], append(c[1:], fast[c[0]]...)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

@@ -47,7 +47,7 @@ func coverageOracle(seed uint64, n, sets, maxLen int) SpreadOracle {
 func testCosts(n int) []float64 {
 	costs := make([]float64, n)
 	for v := range costs {
-		costs[v] = float64(1 + (v*2654435761)%4)
+		costs[v] = float64(1 + uint64(v)*2654435761%4)
 	}
 	return costs
 }

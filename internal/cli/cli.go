@@ -75,6 +75,40 @@ func Generate(dataset string, scale float64, seed uint64) (*graph.Graph, error) 
 	return d.Generate(scale, seed), nil
 }
 
+// Family synthesizes a parametric random graph of the named family (er,
+// ba, ws or rmat; graphgen's flags -n, -m, -mper and -beta), refusing the
+// sizes and rewiring probabilities the generators cannot honour — where
+// gen would panic, or where R-MAT, drawing m distinct edges, could never
+// finish.
+func Family(name string, n, m, mPer int, beta float64, seed uint64) (*graph.Graph, error) {
+	switch name {
+	case "er":
+		if n < 2 || m < 0 {
+			return nil, fmt.Errorf("-family er needs -n >= 2 and -m >= 0 (got -n %d -m %d)", n, m)
+		}
+		return gen.ErdosRenyi(n, m, seed), nil
+	case "ba":
+		if mPer < 1 || n <= mPer {
+			return nil, fmt.Errorf("-family ba needs -n > -mper >= 1 (got -n %d -mper %d)", n, mPer)
+		}
+		return gen.BarabasiAlbert(n, mPer, seed), nil
+	case "ws":
+		if mPer < 1 || n-2 < mPer {
+			return nil, fmt.Errorf("-family ws needs -n >= -mper + 2 and -mper >= 1 (got -n %d -mper %d)", n, mPer)
+		}
+		if !(beta >= 0 && beta <= 1) {
+			return nil, fmt.Errorf("-beta %v out of [0, 1]", beta)
+		}
+		return gen.WattsStrogatz(n, mPer, beta, seed), nil
+	case "rmat":
+		if n < 2 || m < 0 || int64(m) > int64(n)*int64(n-1) {
+			return nil, fmt.Errorf("-family rmat needs -n >= 2 and 0 <= -m <= n(n-1) (got -n %d -m %d)", n, m)
+		}
+		return gen.RMAT(n, m, 0.57, 0.19, 0.19, seed), nil
+	}
+	return nil, fmt.Errorf("unknown family %q (want er, ba, ws, rmat)", name)
+}
+
 // Weighting parses a -weights scheme into the function that applies it:
 // uniform (U[0,1) draws from seed), wc (weighted cascade), const:<p> with
 // p in [0, 1] (NaN refused), or none (weights stay as they are).

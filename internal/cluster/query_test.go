@@ -37,7 +37,7 @@ func refQuery(t *testing.T, g *graph.Graph, opt cluster.BuildOptions, q imm.Quer
 func queryTestInputs(n int, refSeeds []graph.Vertex) (costs []float64, audience, blocked []graph.Vertex) {
 	costs = make([]float64, n)
 	for v := range costs {
-		costs[v] = float64(1 + (v*2654435761)%4)
+		costs[v] = float64(1 + uint64(v)*2654435761%4)
 	}
 	for v := 0; v < n; v += 4 {
 		audience = append(audience, graph.Vertex(v))

@@ -33,8 +33,8 @@ const coinBlock = 64
 // generator call per edge. See DESIGN.md §14 for the full cost model.
 //
 // The kernel is byte-identical to the scalar Sampler in per-sample RNG
-// mode: lane b of a batch rooted at global index base consumes the exact
-// stream rng.Derive(seed, base+b), in the exact order the scalar kernel
+// mode: lane b of a batch holding global sample id i consumes the exact
+// stream rng.Derive(seed, i), in the exact order the scalar kernel
 // would. Lanes are mutually independent (no coin crosses lanes), which
 // frees the scheduler to expand them in any interleaving; the IC kernel
 // drains each lane's BFS queue to exhaustion before the next so the byte
@@ -74,6 +74,8 @@ type FusedSampler struct {
 	// shared holds the read-only per-edge tables all workers' samplers can
 	// reuse (the IC coin thresholds).
 	shared *FusedShared
+
+	stream [MaxLanes]uint64 // lane b's sample id (stream index) this batch
 
 	// Per-lane SplitMix64 states and coin buffers. The IC kernel draws
 	// each scan's coins inline in the decide loop (uniform thresholds) or
@@ -209,26 +211,41 @@ func icThreshold(w float32) uint32 {
 
 // NewFusedShared precomputes the shared tables for fused sampling over g.
 func NewFusedShared(g *graph.Graph, model Model) *FusedShared {
-	s := &FusedShared{}
+	return (*FusedShared)(nil).Rebind(nil, g, model, nil)
+}
+
+// Rebind returns the shared tables for ng, given that s holds them for
+// prev and ng differs from prev only in the in-lists of the vertices
+// changed marks (over the same vertex set): every other vertex keeps its
+// class, and its thresholds are copied to its slots in ng, so only the
+// changed in-lists are classified again. A nil s or prev classifies
+// every in-list, as NewFusedShared does.
+func (s *FusedShared) Rebind(prev, ng *graph.Graph, model Model, changed []bool) *FusedShared {
+	out := &FusedShared{}
 	if model != IC {
-		return s
+		return out
 	}
-	n := g.NumVertices()
-	s.thresh = make([]uint32, g.NumEdges())
-	s.uniform = make([]uint32, n)
+	n := ng.NumVertices()
+	out.thresh = make([]uint32, ng.NumEdges())
+	out.uniform = make([]uint32, n)
 	seen := make([]int32, n)
 	for i := range seen {
 		seen[i] = -1
 	}
 	for v := 0; v < n; v++ {
-		base := g.InEdgeBase(graph.Vertex(v))
-		srcs, ws := g.InNeighbors(graph.Vertex(v))
+		base := ng.InEdgeBase(graph.Vertex(v))
+		srcs, ws := ng.InNeighbors(graph.Vertex(v))
+		if s != nil && prev != nil && !changed[v] {
+			copy(out.thresh[base:base+int64(len(ws))], s.thresh[prev.InEdgeBase(graph.Vertex(v)):])
+			out.uniform[v] = s.uniform[v]
+			continue
+		}
 		uni := uint32(0)
 		sameT := true
 		dupFree := true
 		for i, w := range ws {
 			t := icThreshold(w)
-			s.thresh[base+int64(i)] = t
+			out.thresh[base+int64(i)] = t
 			if i == 0 {
 				uni = t
 			} else if t != uni {
@@ -241,14 +258,14 @@ func NewFusedShared(g *graph.Graph, model Model) *FusedShared {
 		}
 		switch {
 		case sameT && dupFree:
-			s.uniform[v] = uni
+			out.uniform[v] = uni
 		case sameT:
-			s.uniform[v] = uni | dupMark
+			out.uniform[v] = uni | dupMark
 		default:
-			s.uniform[v] = nonUniform
+			out.uniform[v] = nonUniform
 		}
 	}
-	return s
+	return out
 }
 
 // NewFusedSampler returns a fused sampler over g for the given model,
@@ -307,19 +324,35 @@ func (f *FusedSampler) TakeStats() FusedStats {
 // Samples appear in index order, so the appended layout is byte-identical
 // to count sequential scalar GenerateRR calls over the same streams.
 func (f *FusedSampler) Generate(seed, base uint64, count int, verts []graph.Vertex, sizes []int32) ([]graph.Vertex, []int32) {
-	for done := 0; done < count; {
-		lanes := count - done
-		if lanes > MaxLanes {
-			lanes = MaxLanes
+	for done := 0; done < count; done += MaxLanes {
+		lanes := min(count-done, MaxLanes)
+		for b := range lanes {
+			f.stream[b] = base + uint64(done+b)
 		}
-		verts, sizes = f.batch(seed, base+uint64(done), lanes, verts, sizes)
-		done += lanes
+		verts, sizes = f.batch(seed, lanes, verts, sizes)
 	}
 	return verts, sizes
 }
 
-// batch runs one fused expansion of `lanes` samples (lanes <= MaxLanes).
-func (f *FusedSampler) batch(seed, base uint64, lanes int, verts []graph.Vertex, sizes []int32) ([]graph.Vertex, []int32) {
+// GenerateIDs is Generate over an arbitrary list of stream indices: the
+// i-th appended sample is drawn from rng.Derive(seed, uint64(ids[i])), so
+// it is byte-identical to the sample a contiguous Generate emits for that
+// global index. Ids may be unsorted, repeated or gapped; they are
+// expanded in batches of MaxLanes in list order.
+func (f *FusedSampler) GenerateIDs(seed uint64, ids []int32, verts []graph.Vertex, sizes []int32) ([]graph.Vertex, []int32) {
+	for done := 0; done < len(ids); done += MaxLanes {
+		lanes := min(len(ids)-done, MaxLanes)
+		for b, id := range ids[done : done+lanes] {
+			f.stream[b] = uint64(id)
+		}
+		verts, sizes = f.batch(seed, lanes, verts, sizes)
+	}
+	return verts, sizes
+}
+
+// batch runs one fused expansion of `lanes` samples (lanes <= MaxLanes),
+// lane b drawing from the stream rng.Derive(seed, f.stream[b]).
+func (f *FusedSampler) batch(seed uint64, lanes int, verts []graph.Vertex, sizes []int32) ([]graph.Vertex, []int32) {
 	n := uint64(f.g.NumVertices())
 	f.frontier = f.frontier[:0]
 	f.next = f.next[:0]
@@ -327,7 +360,7 @@ func (f *FusedSampler) batch(seed, base uint64, lanes int, verts []graph.Vertex,
 	// Roots: each lane's first draw is Intn(n) off its own fresh stream
 	// (Lemire multiply-shift, exactly as rng.Rand.Intn computes it).
 	for b := 0; b < lanes; b++ {
-		st := rng.SplitMixState(seed, base+uint64(b)) + rng.SplitMixGamma
+		st := rng.SplitMixState(seed, f.stream[b]) + rng.SplitMixGamma
 		f.state[b] = st
 		f.coinPos[b] = coinBlock // buffer empty; first use refills
 		root, _ := bits.Mul64(rng.Mix64(st), n)

@@ -168,3 +168,95 @@ func TestFusedStats(t *testing.T) {
 		t.Fatal("zero-pass occupancy must be 0")
 	}
 }
+
+// TestFusedGenerateIDsMatchesScalar: GenerateIDs over an arbitrary id list
+// (unsorted, repeated, gapped) must emit, for each id in list order, the
+// exact sample the scalar kernel draws after Reseed(seed, id) — at every
+// batch shape from empty to several batches, and on every IC scan class
+// (uniform duplicate-free, uniform with duplicate sources, per-edge
+// thresholds) plus LT. One sampler serves every length, so stale lane
+// state between calls would show too.
+func TestFusedGenerateIDsMatchesScalar(t *testing.T) {
+	// simpleGraph drops randomGraph's parallel edges, so every in-list is
+	// duplicate-free and a constant weight makes the uniform class.
+	simpleGraph := func(seed uint64, n, m int) *graph.Graph {
+		r := rng.New(rng.NewLCG(seed))
+		b := graph.NewBuilder(n)
+		seen := map[[2]int]bool{}
+		for i := 0; i < m; i++ {
+			u, v := r.Intn(n), r.Intn(n)
+			if u == v || seen[[2]int{u, v}] {
+				continue
+			}
+			seen[[2]int{u, v}] = true
+			b.Add(graph.Vertex(u), graph.Vertex(v), 0)
+		}
+		return b.Build()
+	}
+	cases := []struct {
+		name  string
+		model Model
+		g     func() *graph.Graph
+		class func(uni uint32) bool // an in-list class the case must contain
+	}{
+		{"IC-uniform", IC, func() *graph.Graph {
+			g := simpleGraph(3, 150, 1200)
+			g.AssignConstant(0.2)
+			return g
+		}, func(uni uint32) bool { return uni&dupMark == 0 && uni != 0 }},
+		{"IC-dup", IC, func() *graph.Graph {
+			g := randomGraph(5, 120, 1500)
+			g.AssignConstant(0.15)
+			return g
+		}, func(uni uint32) bool { return uni != nonUniform && uni&dupMark != 0 }},
+		{"IC-general", IC, func() *graph.Graph {
+			g := randomGraph(9, 200, 1800)
+			g.AssignUniform(9)
+			return g
+		}, func(uni uint32) bool { return uni == nonUniform }},
+		{"LT", LT, func() *graph.Graph {
+			g := randomGraph(11, 200, 2000)
+			g.AssignUniform(11)
+			g.NormalizeLT()
+			return g
+		}, nil},
+	}
+	const seed = 77
+	for _, tc := range cases {
+		g := tc.g()
+		if tc.class != nil && !slices.ContainsFunc(NewFusedShared(g, tc.model).uniform, tc.class) {
+			t.Fatalf("%s: graph has no in-list of the intended scan class", tc.name)
+		}
+		f := NewFusedSampler(g, tc.model)
+		s := NewSampler(g, tc.model)
+		gen := rng.NewSplitMix64(0)
+		r := rng.New(gen)
+		for _, length := range []int{0, 1, 63, 64, 65, 130} {
+			// Gapped (stride 5 plus an offset), unsorted (random draws),
+			// repeated (last == first, plus birthday collisions), and one
+			// id far beyond any contiguous range.
+			pick := rng.New(rng.NewLCG(uint64(length) + 1))
+			ids := make([]int32, length)
+			for i := range ids {
+				ids[i] = int32(3 + 5*pick.Intn(2*length+1))
+			}
+			if length > 1 {
+				ids[length-1] = ids[0]
+				ids[length/2] = 1 << 30
+			}
+			var wantV []graph.Vertex
+			var wantS []int32
+			for _, id := range ids {
+				gen.Reseed(seed, uint64(id))
+				root := graph.Vertex(r.Intn(g.NumVertices()))
+				before := len(wantV)
+				wantV = s.GenerateRR(r, root, wantV)
+				wantS = append(wantS, int32(len(wantV)-before))
+			}
+			gotV, gotS := f.GenerateIDs(seed, ids, nil, nil)
+			if !slices.Equal(gotV, wantV) || !slices.Equal(gotS, wantS) {
+				t.Fatalf("%s len=%d: GenerateIDs != scalar after Reseed(seed, id)", tc.name, length)
+			}
+		}
+	}
+}

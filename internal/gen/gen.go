@@ -72,7 +72,7 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) *graph.Graph {
 	if n < k+2 || k < 1 {
 		panic("gen: WattsStrogatz needs n >= k+2, k >= 1")
 	}
-	if beta < 0 || beta > 1 {
+	if !(beta >= 0 && beta <= 1) {
 		panic("gen: beta out of [0,1]")
 	}
 	r := rng.New(rng.NewLCG(seed))
@@ -101,8 +101,8 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) *graph.Graph {
 // relation once. Higher a produces heavier degree skew — the signature of
 // social networks like com-YouTube and com-Orkut.
 func RMAT(n, m int, a, b, c float64, seed uint64) *graph.Graph {
-	if n < 2 {
-		panic("gen: RMAT needs n >= 2")
+	if n < 2 || m < 0 || int64(m) > int64(n)*int64(n-1) {
+		panic("gen: RMAT needs n >= 2 and 0 <= m <= n(n-1)")
 	}
 	if a <= 0 || b < 0 || c < 0 || a+b+c >= 1 {
 		panic("gen: RMAT quadrant probabilities invalid")

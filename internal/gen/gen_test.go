@@ -127,7 +127,9 @@ func TestGeneratorPanics(t *testing.T) {
 		"ER n<2":        func() { ErdosRenyi(1, 5, 1) },
 		"BA n<=mPer":    func() { BarabasiAlbert(5, 5, 1) },
 		"WS bad beta":   func() { WattsStrogatz(10, 2, 1.5, 1) },
+		"WS NaN beta":   func() { WattsStrogatz(10, 2, math.NaN(), 1) },
 		"RMAT bad prob": func() { RMAT(10, 5, 0.8, 0.2, 0.2, 1) },
+		"RMAT m>n(n-1)": func() { RMAT(4, 13, 0.5, 0.2, 0.2, 1) },
 		"scale>1":       func() { Datasets()[0].Generate(2, 1) },
 		"scale NaN":     func() { Datasets()[0].Generate(math.NaN(), 1) },
 	} {

@@ -125,6 +125,10 @@ type DynamicSketch struct {
 	theta int64
 	lower float64
 
+	// shared is the fused kernel's tables over g, kept in step with it
+	// batch by batch (nil until the first batch).
+	shared *diffuse.FusedShared
+
 	epoch uint64
 	log   []graph.Delta
 	stats DeltaStats
@@ -271,13 +275,12 @@ func extensionSeed(seed, epoch uint64) uint64 {
 	return rng.Mix64(seed ^ rng.Mix64(epoch+0x9E3779B97F4A7C15))
 }
 
-// deltaWorker is one repair worker's scratch, rebuilt per batch (the
-// sampler binds the new graph).
+// deltaWorker is one repair worker's op-walk scratch, rebuilt per batch
+// (it binds the new graph).
 type deltaWorker struct {
-	g       *graph.Graph // the post-batch compacted graph
-	sampler *diffuse.Sampler
-	gen     *rng.SplitMix64
-	stream  *rng.Rand
+	g      *graph.Graph // the post-batch compacted graph
+	gen    *rng.SplitMix64
+	stream *rng.Rand
 
 	member []uint32 // epoch-stamped membership of the sample being repaired
 	stamp  uint32
@@ -310,6 +313,12 @@ func (s *DynamicSketch) ApplyDelta(d graph.Delta) (BatchResult, error) {
 	}
 	ng := ov.Compact()
 	reweight(ng, s.opt, s.policy)
+	// Only the op targets' in-lists (and so their coins) changed.
+	changed := make([]bool, ng.NumVertices())
+	for _, op := range d {
+		changed[op.Dst] = true
+	}
+	s.shared = s.shared.Rebind(s.g, ng, s.opt.Model, changed)
 
 	// An op invalidates affected samples unless it is an IC insertion
 	// under explicit weights (the only case where existing coins keep
@@ -353,9 +362,13 @@ func (s *DynamicSketch) ApplyDelta(d graph.Delta) (BatchResult, error) {
 
 // repair re-derives every candidate sample against the mutated graph ng
 // and swaps the repaired collection + index in. Each candidate is an
-// independent pure function of its id, so the loop parallelizes over
-// contiguous candidate ranges with no cross-worker state; the stitched
-// collection is identical at any worker count.
+// independent pure function of its id, so the op walk parallelizes over
+// contiguous candidate ranges with no cross-worker state. The walk only
+// flags invalidated samples; they are regenerated afterwards, in
+// candidate order, on the fused kernel over s.shared: 64-lane batches of
+// ids handed out by work stealing, since regeneration cost is as skewed
+// as cold sampling's. The stitched collection is identical at any worker
+// count.
 func (s *DynamicSketch) repair(ng *graph.Graph, ov *graph.Overlay, d graph.Delta,
 	cands []int32, invalidates func(graph.DeltaOp) bool) (invalidated, extended int64) {
 	n := s.g.NumVertices()
@@ -371,43 +384,50 @@ func (s *DynamicSketch) repair(ng *graph.Graph, ov *graph.Overlay, d graph.Delta
 		}
 	}
 
-	p := s.opt.Workers
-	if p > len(cands) {
-		p = len(cands)
-	}
+	p := min(s.opt.Workers, len(cands))
 	// replaced[ci] == nil keeps the old sample; workers own disjoint ci
-	// ranges, so the slice needs no synchronization. A regenerated or
+	// ranges, so the slices need no synchronization. A regenerated or
 	// extended empty sample cannot occur (the root is always a member).
 	replaced := make([][]graph.Vertex, len(cands))
-	invPer := make([]int64, p)
-	extPer := make([]int64, p)
-
+	inval := make([]bool, len(cands))
 	par.ForEach(len(cands), p, func(rank, lo, hi int) {
 		w := &deltaWorker{
-			g:       ng,
-			sampler: diffuse.NewSampler(ng, s.opt.Model),
-			gen:     rng.NewSplitMix64(0),
-			member:  make([]uint32, n),
-			exam:    make([]bool, len(d)),
+			g:      ng,
+			gen:    rng.NewSplitMix64(0),
+			member: make([]uint32, n),
+			exam:   make([]bool, len(d)),
 		}
 		w.stream = rng.New(w.gen)
 		for ci := lo; ci < hi; ci++ {
-			id := int(cands[ci])
-			out, inv, ext := s.repairOne(w, ng, d, appendedOps, extSeed, id, invalidates)
-			if out != nil {
-				replaced[ci] = out
-			}
-			if inv {
-				invPer[rank]++
-			}
-			if ext {
-				extPer[rank]++
-			}
+			replaced[ci], inval[ci] = s.repairOne(w, d, appendedOps, extSeed, int(cands[ci]), invalidates)
 		}
 	})
-	for rank := 0; rank < p; rank++ {
-		invalidated += invPer[rank]
-		extended += extPer[rank]
+	var regen []int32 // invalidated ids in candidate order
+	var at []int      // their candidate positions
+	for ci, inv := range inval {
+		if inv {
+			regen = append(regen, cands[ci])
+			at = append(at, ci)
+		} else if replaced[ci] != nil {
+			extended++
+		}
+	}
+	invalidated = int64(len(regen))
+
+	if len(regen) > 0 {
+		fused := make([]*diffuse.FusedSampler, s.opt.Workers)
+		batches := (len(regen) + diffuse.MaxLanes - 1) / diffuse.MaxLanes
+		par.Dynamic(batches, s.opt.Workers, 1, func(rank, lo, hi int) {
+			if fused[rank] == nil {
+				fused[rank] = diffuse.NewFusedSamplerShared(ng, s.opt.Model, s.shared)
+			}
+			first := lo * diffuse.MaxLanes
+			ids := regen[first:min(hi*diffuse.MaxLanes, len(regen))]
+			verts, sizes := fused[rank].GenerateIDs(s.opt.Seed, ids, nil, nil)
+			for i, sz := range sizes {
+				replaced[at[first+i]], verts = verts[:sz], verts[sz:]
+			}
+		})
 	}
 
 	ncol := rrr.NewCollection(n)
@@ -437,16 +457,16 @@ func (s *DynamicSketch) repair(ng *graph.Graph, ov *graph.Overlay, d graph.Delta
 }
 
 // repairOne walks the batch ops in order against one sample's evolving
-// membership and returns the repaired vertex list (nil if untouched).
-// Invalidation wins immediately: the sample is regenerated with its
-// original stream on the mutated graph, byte-identical to a cold build's
-// sample id. Extensions accumulate: each unexamined IC insertion whose
-// target is a current member draws one coin from the sample's epoch
-// stream and, on success, reverse-BFSes from the inserted source across
-// vertices not yet in the sample.
-func (s *DynamicSketch) repairOne(w *deltaWorker, ng *graph.Graph, d graph.Delta,
+// membership and returns the extended vertex list (nil if untouched).
+// Invalidation wins immediately: it only reports the sample, which repair
+// then regenerates with its original stream on the mutated graph,
+// byte-identical to a cold build's sample id. Extensions accumulate: each
+// unexamined IC insertion whose target is a current member draws one coin
+// from the sample's epoch stream and, on success, reverse-BFSes from the
+// inserted source across vertices not yet in the sample.
+func (s *DynamicSketch) repairOne(w *deltaWorker, d graph.Delta,
 	appendedOps map[graph.Vertex][]int32, extSeed uint64, id int,
-	invalidates func(graph.DeltaOp) bool) (out []graph.Vertex, invalidated, extended bool) {
+	invalidates func(graph.DeltaOp) bool) (out []graph.Vertex, invalidated bool) {
 	members := s.col.Sample(id)
 	w.nextStamp()
 	for _, v := range members {
@@ -461,10 +481,7 @@ func (s *DynamicSketch) repairOne(w *deltaWorker, ng *graph.Graph, d graph.Delta
 			continue
 		}
 		if invalidates(op) {
-			w.gen.Reseed(s.opt.Seed, uint64(id))
-			root := graph.Vertex(w.stream.Intn(ng.NumVertices()))
-			w.buf = w.sampler.GenerateRR(w.stream, root, w.buf[:0])
-			return append([]graph.Vertex(nil), w.buf...), true, false
+			return nil, true
 		}
 		if w.exam[t] {
 			continue
@@ -481,17 +498,16 @@ func (s *DynamicSketch) repairOne(w *deltaWorker, ng *graph.Graph, d graph.Delta
 		}
 		if w.stream.Float32() < op.W {
 			w.extend(appendedOps, op.Src)
-			extended = true
 		}
 	}
-	if !extended {
-		return nil, false, false
+	if len(w.buf) == 0 {
+		return nil, false // no extension fired
 	}
 	out = make([]graph.Vertex, 0, len(members)+len(w.buf))
 	out = append(out, members...)
 	out = append(out, w.buf...)
 	slices.Sort(out)
-	return out, false, true
+	return out, false
 }
 
 // extend grows the current sample by reverse BFS from src (which just

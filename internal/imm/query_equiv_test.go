@@ -75,7 +75,7 @@ func queryStores(t *testing.T, gc struct {
 func queryCosts(n int) []float64 {
 	costs := make([]float64, n)
 	for v := range costs {
-		costs[v] = float64(1 + (v*2654435761)%4)
+		costs[v] = float64(1 + uint64(v)*2654435761%4)
 	}
 	return costs
 }

@@ -33,7 +33,7 @@ func propStore(seed uint64) (*rrr.Collection, *rrr.Index, *rrr.CodedCollection, 
 	return col, idx, coded, cidx, roots, n
 }
 
-func propK(seed uint64, n int) int { return 1 + int(seed>>8)%(n/2) }
+func propK(seed uint64, n int) int { return 1 + int(seed>>8%uint64(n/2)) }
 
 // runBoth answers q over the two stores and requires them identical.
 func runBoth(t *testing.T, col *rrr.Collection, idx *rrr.Index, coded *rrr.CodedCollection, cidx *rrr.Index, roots []graph.Vertex, q Query) (*QueryResult, bool) {

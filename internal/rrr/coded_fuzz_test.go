@@ -2,6 +2,7 @@ package rrr
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 // and oversized deltas.
 func FuzzDecodeSample(f *testing.F) {
 	encode := func(set []graph.Vertex) []byte {
-		c := NewCodedCollection(1<<31, nil)
+		c := NewCodedCollection(min(1<<31, math.MaxInt), nil) // 2^31, or MaxInt32 on a 32-bit int
 		c.Append(set)
 		return slices.Clone(c.payload(0))
 	}

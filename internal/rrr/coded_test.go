@@ -1,6 +1,7 @@
 package rrr
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -147,8 +148,10 @@ func TestCodedEmptySample(t *testing.T) {
 }
 
 func TestCodedLargeIDs(t *testing.T) {
-	// Multi-byte varints: ids near the top of the uint32 range.
-	n := 1 << 31
+	// Multi-byte varints: ids near the top of the uint32 range. The
+	// universe is 2^31, one short of it on a 32-bit int (Append reads
+	// only the ids).
+	n := min(1<<31, math.MaxInt)
 	c := NewCodedCollection(n, nil)
 	set := []graph.Vertex{5, 1 << 20, 1 << 28, 1<<31 - 1}
 	c.Append(set)

@@ -74,7 +74,7 @@ func TestFrontConformance(t *testing.T) {
 
 	costs := make([]string, n)
 	for v := range costs {
-		costs[v] = fmt.Sprint(1 + (v*2654435761)%4)
+		costs[v] = fmt.Sprint(1 + uint64(v)*2654435761%4)
 	}
 	costsJSON := "[" + strings.Join(costs, ",") + "]"
 	const audience, blocked = "[0,3,6,9,12,15,18,21,24,27,30]", "[1,2]"

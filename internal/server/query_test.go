@@ -71,7 +71,7 @@ func TestSeedsQueryModes(t *testing.T) {
 	costs := make([]float64, n)
 	costJSON := make([]string, n)
 	for v := range costs {
-		costs[v] = float64(1 + (v*2654435761)%4)
+		costs[v] = float64(1 + uint64(v)*2654435761%4)
 		costJSON[v] = fmt.Sprintf("%g", costs[v])
 	}
 	var audience []graph.Vertex
