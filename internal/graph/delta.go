@@ -75,7 +75,6 @@ func (e *DeltaError) Error() string {
 type insRec struct {
 	src, dst Vertex
 	w        float32
-	op       int32 // op index within the applied batch
 	dead     bool  // deleted again later in the same batch
 	inSlot   int64 // in-CSR slot in the compacted graph (set by Compact)
 }
@@ -178,7 +177,7 @@ func (ov *Overlay) Apply(d Delta) error {
 				return &DeltaError{Index: t, Op: op, Reason: "edge already exists"}
 			}
 			ri := int32(len(ov.ins))
-			ov.ins = append(ov.ins, insRec{src: op.Src, dst: op.Dst, w: op.W, op: int32(t)})
+			ov.ins = append(ov.ins, insRec{src: op.Src, dst: op.Dst, w: op.W})
 			ov.insByDst[op.Dst] = append(ov.insByDst[op.Dst], ri)
 			ov.insBySrc[op.Src] = append(ov.insBySrc[op.Src], ri)
 			ov.liveIns++
@@ -200,21 +199,6 @@ func (ov *Overlay) Apply(d Delta) error {
 
 // Mutated reports whether the applied batch changed the edge set at all.
 func (ov *Overlay) Mutated() bool { return ov.deadCount > 0 || ov.liveIns > 0 }
-
-// AppendedInOps returns, for vertex v in the compacted graph, the batch op
-// indices of the inserted edges occupying the tail of v's in-adjacency
-// list, aligned with those tail positions (the last len(result) in-slots
-// of v, in order). Valid after Compact; incremental RRR maintenance uses
-// it to mark batch edges whose coins an extension BFS already flipped.
-func (ov *Overlay) AppendedInOps(v Vertex) []int32 {
-	var ops []int32
-	for _, ri := range ov.insByDst[v] {
-		if r := &ov.ins[ri]; !r.dead {
-			ops = append(ops, r.op)
-		}
-	}
-	return ops
-}
 
 // Compact materializes the mutated graph as a fresh CSR in canonical edge
 // order: per vertex, surviving base edges keep their base relative order

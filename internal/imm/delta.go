@@ -9,7 +9,6 @@ import (
 	"influmax/internal/graph"
 	"influmax/internal/metrics"
 	"influmax/internal/par"
-	"influmax/internal/rng"
 	"influmax/internal/rrr"
 )
 
@@ -21,41 +20,27 @@ import (
 // never drew a coin on any edge into v. A delta op targeting v therefore
 // affects exactly the samples whose membership includes v — located in
 // O(degree) through the inverted incidence index — and every other sample
-// remains a valid draw from the mutated graph's distribution untouched.
+// is, byte for byte, what a cold traversal of the mutated graph draws.
 //
-// Affected samples are repaired two ways:
-//
-//   - Invalidation. If the op deletes an edge, or changes the coin
-//     distribution of v's whole in-list (weighted-cascade policy, where
-//     1/indeg(v) moves for every in-edge, or the LT model, where the
-//     single-edge selection at v is a function of all in-weights), the
-//     sample is regenerated from scratch on the mutated graph with its
-//     original per-sample stream: Reseed(seed, id) reproduces the root
-//     draw, so the result is byte-identical to what a cold build at the
-//     same theta would produce for that id.
-//
-//   - Extension. An IC-model insertion under explicit weights leaves every
-//     existing coin's distribution intact — the new edge only adds one
-//     more coin. The sample is extended in place: flip the new edge's coin
-//     from a fresh per-(sample, epoch) stream and, on success, continue
-//     the reverse BFS from the inserted source over vertices not yet in
-//     the sample.
-//
-// Both repairs are pure functions of (sample id, epoch), so maintenance is
-// deterministic across worker counts and schedules, exactly like PerSample
-// cold sampling.
+// Every affected sample is regenerated from scratch on the mutated graph
+// with its original per-sample stream: Reseed(seed, id) reproduces the
+// root draw, so the result is byte-identical to what a cold build at the
+// same theta produces for that id. The maintained sketch at epoch e is
+// therefore exactly a cold build over the epoch-e graph at the pinned
+// theta, for every model and weight policy, and maintenance is
+// deterministic across worker counts and schedules.
 
-// WeightPolicy declares how edge weights behave under deltas, which
-// decides whether insertions can extend samples or must invalidate them.
+// WeightPolicy declares how edge weights behave under deltas: whether
+// each batch re-derives them or keeps the weights the ops carry.
 type WeightPolicy uint8
 
 const (
 	// WeightsExplicit: every delta op carries its own weight and existing
-	// weights never move. IC insertions extend affected samples in place.
+	// weights never move.
 	WeightsExplicit WeightPolicy = iota
 	// WeightsWC: weights are re-derived as w(u,v) = 1/indeg(v) after every
 	// batch (the weighted-cascade scheme), so any op at v reshapes all of
-	// v's in-coins and every affected sample is invalidated.
+	// v's in-coins.
 	WeightsWC
 )
 
@@ -82,7 +67,7 @@ func ParseWeightPolicy(s string) (WeightPolicy, error) {
 }
 
 // DeltaStats accumulates maintenance telemetry across a sketch's lifetime;
-// the three rrr/ counters mirror it into the metrics registry.
+// the two rrr/ counters mirror it into the metrics registry.
 type DeltaStats struct {
 	// DeltasApplied is the total number of edge ops applied.
 	DeltasApplied int64
@@ -90,8 +75,6 @@ type DeltaStats struct {
 	Batches int64
 	// SamplesInvalidated is the number of samples regenerated from scratch.
 	SamplesInvalidated int64
-	// SamplesExtended is the number of samples extended in place.
-	SamplesExtended int64
 }
 
 // BatchResult reports one ApplyDelta call.
@@ -101,12 +84,13 @@ type BatchResult struct {
 	// Ops is the number of edge ops in the batch.
 	Ops int
 	// Candidates is the number of samples whose membership included an op
-	// target (the repair working set).
+	// target (the repair working set). Every candidate is regenerated, so
+	// it always equals SamplesInvalidated.
 	Candidates int
-	// SamplesInvalidated and SamplesExtended are this batch's repairs.
+	// SamplesInvalidated is the number of samples this batch regenerated,
+	// always Candidates. Both are kept because the delta response and the
+	// benchmark report each.
 	SamplesInvalidated int64
-	// SamplesExtended is the number of samples extended in place.
-	SamplesExtended int64
 }
 
 // DynamicSketch is a resident RRR sketch that tracks a mutating graph:
@@ -133,7 +117,20 @@ type DynamicSketch struct {
 	log   []graph.Delta
 	stats DeltaStats
 
-	mApplied, mInvalidated, mExtended *metrics.Counter
+	mApplied, mInvalidated *metrics.Counter
+}
+
+// checkDynamic rejects what a dynamic sketch cannot maintain; both
+// constructors call it, so a restored sketch accepts exactly the options
+// and policies a fresh build does.
+func checkDynamic(opt Options, policy WeightPolicy) error {
+	if opt.RNG != PerSample {
+		return errors.New("imm: dynamic sketches require the per-sample RNG mode")
+	}
+	if policy > WeightsWC {
+		return fmt.Errorf("imm: unknown weight policy %d", uint8(policy))
+	}
+	return nil
 }
 
 // NewDynamicSketch builds the initial sketch over g with a full IMM run
@@ -142,11 +139,8 @@ type DynamicSketch struct {
 // replays — and LeapFrog mode is rejected.
 func NewDynamicSketch(g *graph.Graph, opt Options, policy WeightPolicy) (*DynamicSketch, *Result, error) {
 	opt = opt.withDefaults()
-	if opt.RNG != PerSample {
-		return nil, nil, errors.New("imm: dynamic sketches require the per-sample RNG mode")
-	}
-	if policy > WeightsWC {
-		return nil, nil, fmt.Errorf("imm: unknown weight policy %d", uint8(policy))
+	if err := checkDynamic(opt, policy); err != nil {
+		return nil, nil, err
 	}
 	res, col, idx, err := RunCollect(g, opt)
 	if err != nil {
@@ -166,13 +160,13 @@ func NewDynamicSketch(g *graph.Graph, opt Options, policy WeightPolicy) (*Dynami
 // collection, the pinned theta and the delta log. The log is replayed
 // batch-by-batch — weight re-derivation (weighted cascade, LT
 // normalization) is per-batch, so replaying one concatenated batch would
-// not reproduce the live weights. Repair counters restart at zero; epoch
-// resumes at the batch count so extension streams keep advancing.
+// not reproduce the live weights. The invalidation counter restarts at
+// zero; the epoch resumes at the batch count.
 func RestoreDynamicSketch(base *graph.Graph, opt Options, policy WeightPolicy,
 	col *rrr.Collection, theta int64, log []graph.Delta) (*DynamicSketch, error) {
 	opt = opt.withDefaults()
-	if opt.RNG != PerSample {
-		return nil, errors.New("imm: dynamic sketches require the per-sample RNG mode")
+	if err := checkDynamic(opt, policy); err != nil {
+		return nil, err
 	}
 	if col.NumVertices() != base.NumVertices() {
 		return nil, fmt.Errorf("imm: collection over %d vertices, graph has %d",
@@ -208,7 +202,6 @@ func (s *DynamicSketch) bindMetrics() {
 	}
 	s.mApplied = s.opt.Metrics.Counter("rrr/deltas-applied")
 	s.mInvalidated = s.opt.Metrics.Counter("rrr/samples-invalidated")
-	s.mExtended = s.opt.Metrics.Counter("rrr/samples-extended")
 }
 
 // reweight re-derives scheme-dependent weights on a freshly compacted
@@ -268,38 +261,9 @@ func (s *DynamicSketch) Query(k, workers int) ([]graph.Vertex, int64) {
 	return SelectSeedsIndexed(s.col, s.idx, k, workers)
 }
 
-// extensionSeed derives the seed of the per-sample extension streams for
-// one epoch: independent of the build streams (which Reseed(opt.Seed, id)
-// replays) and of every other epoch's extensions.
-func extensionSeed(seed, epoch uint64) uint64 {
-	return rng.Mix64(seed ^ rng.Mix64(epoch+0x9E3779B97F4A7C15))
-}
-
-// deltaWorker is one repair worker's op-walk scratch, rebuilt per batch
-// (it binds the new graph).
-type deltaWorker struct {
-	g      *graph.Graph // the post-batch compacted graph
-	gen    *rng.SplitMix64
-	stream *rng.Rand
-
-	member []uint32 // epoch-stamped membership of the sample being repaired
-	stamp  uint32
-	queue  []graph.Vertex
-	buf    []graph.Vertex
-	exam   []bool // per batch-op: coin already drawn during an extension BFS
-}
-
-func (w *deltaWorker) nextStamp() {
-	w.stamp++
-	if w.stamp == 0 {
-		clear(w.member)
-		w.stamp = 1
-	}
-}
-
 // ApplyDelta folds one batch of edge ops into the sketch: mutate the graph
-// (overlay + compact + reweight), repair exactly the samples whose
-// membership includes an op target, rebuild the incidence index, and
+// (overlay + compact + reweight), regenerate exactly the samples whose
+// membership includes an op target, patch the incidence index, and
 // append the batch to the replay log. On a validation error the sketch is
 // unchanged and the error is a *graph.DeltaError identifying the op.
 // An empty batch is a no-op.
@@ -320,224 +284,69 @@ func (s *DynamicSketch) ApplyDelta(d graph.Delta) (BatchResult, error) {
 	}
 	s.shared = s.shared.Rebind(s.g, ng, s.opt.Model, changed)
 
-	// An op invalidates affected samples unless it is an IC insertion
-	// under explicit weights (the only case where existing coins keep
-	// their distribution and the sample can be extended instead).
-	invalidateAll := s.policy == WeightsWC || s.opt.Model == diffuse.LT
-	invalidates := func(op graph.DeltaOp) bool {
-		return invalidateAll || op.Kind == graph.DeltaDelete
-	}
-
-	// The repair working set: samples whose pre-batch membership includes
-	// any op target. Mid-batch extensions can only add an op target to a
-	// sample that already contained an earlier op's target, so the
-	// pre-batch union is complete.
+	// The repair working set: samples whose membership includes any op
+	// target. Each of them visited a changed in-list, so each is redrawn.
 	var cands []int32
 	for _, op := range d {
 		cands = append(cands, s.idx.SamplesOf(op.Dst)...)
 	}
 	slices.Sort(cands)
 	cands = slices.Compact(cands)
-
-	res := BatchResult{Ops: len(d), Candidates: len(cands)}
 	if len(cands) > 0 {
-		res.SamplesInvalidated, res.SamplesExtended = s.repair(ng, ov, d, cands, invalidates)
+		s.repair(ng, cands)
 	}
 
 	s.g = ng
 	s.epoch++
 	s.log = append(s.log, append(graph.Delta(nil), d...))
-	res.Epoch = s.epoch
+	res := BatchResult{Epoch: s.epoch, Ops: len(d), Candidates: len(cands), SamplesInvalidated: int64(len(cands))}
 	s.stats.DeltasApplied += int64(len(d))
 	s.stats.Batches++
 	s.stats.SamplesInvalidated += res.SamplesInvalidated
-	s.stats.SamplesExtended += res.SamplesExtended
 	if s.mApplied != nil {
 		s.mApplied.Add(int64(len(d)))
 		s.mInvalidated.Add(res.SamplesInvalidated)
-		s.mExtended.Add(res.SamplesExtended)
 	}
 	return res, nil
 }
 
-// repair re-derives every candidate sample against the mutated graph ng
-// and swaps the repaired collection + index in. Each candidate is an
-// independent pure function of its id, so the op walk parallelizes over
-// contiguous candidate ranges with no cross-worker state. The walk only
-// flags invalidated samples; they are regenerated afterwards, in
-// candidate order, on the fused kernel over s.shared: 64-lane batches of
-// ids handed out by work stealing, since regeneration cost is as skewed
-// as cold sampling's. The stitched collection is identical at any worker
-// count.
-func (s *DynamicSketch) repair(ng *graph.Graph, ov *graph.Overlay, d graph.Delta,
-	cands []int32, invalidates func(graph.DeltaOp) bool) (invalidated, extended int64) {
-	n := s.g.NumVertices()
-	extSeed := extensionSeed(s.opt.Seed, s.epoch)
-
-	// Tail in-slots of the compacted graph hold the batch's inserted
-	// edges; slot -> op index lets an extension BFS mark coins it already
-	// drew so the sequential op loop does not draw them again.
-	appendedOps := make(map[graph.Vertex][]int32)
-	for _, op := range d {
-		if _, ok := appendedOps[op.Dst]; !ok {
-			appendedOps[op.Dst] = ov.AppendedInOps(op.Dst)
+// repair regenerates the candidate samples (sorted ids) on the mutated
+// graph ng and swaps the repaired collection + index in. Each id is redrawn
+// with its original stream on the fused kernel over s.shared: 64-lane
+// batches of ids handed out by work stealing, since regeneration cost is
+// as skewed as cold sampling's. The stitched collection is identical at
+// any worker count.
+func (s *DynamicSketch) repair(ng *graph.Graph, cands []int32) {
+	fresh := make([][]graph.Vertex, len(cands))
+	fused := make([]*diffuse.FusedSampler, s.opt.Workers)
+	batches := (len(cands) + diffuse.MaxLanes - 1) / diffuse.MaxLanes
+	par.Dynamic(batches, s.opt.Workers, 1, func(rank, lo, hi int) {
+		if fused[rank] == nil {
+			fused[rank] = diffuse.NewFusedSamplerShared(ng, s.opt.Model, s.shared)
 		}
-	}
-
-	p := min(s.opt.Workers, len(cands))
-	// replaced[ci] == nil keeps the old sample; workers own disjoint ci
-	// ranges, so the slices need no synchronization. A regenerated or
-	// extended empty sample cannot occur (the root is always a member).
-	replaced := make([][]graph.Vertex, len(cands))
-	inval := make([]bool, len(cands))
-	par.ForEach(len(cands), p, func(rank, lo, hi int) {
-		w := &deltaWorker{
-			g:      ng,
-			gen:    rng.NewSplitMix64(0),
-			member: make([]uint32, n),
-			exam:   make([]bool, len(d)),
-		}
-		w.stream = rng.New(w.gen)
-		for ci := lo; ci < hi; ci++ {
-			replaced[ci], inval[ci] = s.repairOne(w, d, appendedOps, extSeed, int(cands[ci]), invalidates)
+		first := lo * diffuse.MaxLanes
+		ids := cands[first:min(hi*diffuse.MaxLanes, len(cands))]
+		verts, sizes := fused[rank].GenerateIDs(s.opt.Seed, ids, nil, nil)
+		for i, sz := range sizes {
+			fresh[first+i], verts = verts[:sz], verts[sz:]
 		}
 	})
-	var regen []int32 // invalidated ids in candidate order
-	var at []int      // their candidate positions
-	for ci, inv := range inval {
-		if inv {
-			regen = append(regen, cands[ci])
-			at = append(at, ci)
-		} else if replaced[ci] != nil {
-			extended++
-		}
-	}
-	invalidated = int64(len(regen))
 
-	if len(regen) > 0 {
-		fused := make([]*diffuse.FusedSampler, s.opt.Workers)
-		batches := (len(regen) + diffuse.MaxLanes - 1) / diffuse.MaxLanes
-		par.Dynamic(batches, s.opt.Workers, 1, func(rank, lo, hi int) {
-			if fused[rank] == nil {
-				fused[rank] = diffuse.NewFusedSamplerShared(ng, s.opt.Model, s.shared)
-			}
-			first := lo * diffuse.MaxLanes
-			ids := regen[first:min(hi*diffuse.MaxLanes, len(regen))]
-			verts, sizes := fused[rank].GenerateIDs(s.opt.Seed, ids, nil, nil)
-			for i, sz := range sizes {
-				replaced[at[first+i]], verts = verts[:sz], verts[sz:]
-			}
-		})
-	}
-
-	ncol := rrr.NewCollection(n)
+	ncol := rrr.NewCollection(ng.NumVertices())
 	ncol.Reserve(s.col.Count(), s.col.TotalSize())
-	changed := make([]int32, 0, len(cands))
 	ci := 0
 	for id := 0; id < s.col.Count(); id++ {
 		if ci < len(cands) && int(cands[ci]) == id {
-			if r := replaced[ci]; r != nil {
-				ncol.Append(r)
-				changed = append(changed, cands[ci])
-			} else {
-				ncol.Append(s.col.Sample(id))
-			}
+			ncol.Append(fresh[ci])
 			ci++
 			continue
 		}
 		ncol.Append(s.col.Sample(id))
 	}
-	// Patch the incidence index instead of rebuilding: only the changed
-	// samples' memberships moved, and a full rebuild's fixed navigation
-	// cost (every worker walks all theta samples twice) would dwarf the
-	// actual repair work of a small batch.
-	s.idx = rrr.PatchIndex(s.idx, s.col, ncol, changed, s.opt.Workers)
+	// Patch the incidence index instead of rebuilding: only the
+	// regenerated samples' memberships moved, and a full rebuild's fixed
+	// navigation cost (every worker walks all theta samples twice) would
+	// dwarf the actual repair work of a small batch.
+	s.idx = rrr.PatchIndex(s.idx, s.col, ncol, cands, s.opt.Workers)
 	s.col = ncol
-	return invalidated, extended
-}
-
-// repairOne walks the batch ops in order against one sample's evolving
-// membership and returns the extended vertex list (nil if untouched).
-// Invalidation wins immediately: it only reports the sample, which repair
-// then regenerates with its original stream on the mutated graph,
-// byte-identical to a cold build's sample id. Extensions accumulate: each
-// unexamined IC insertion whose target is a current member draws one coin
-// from the sample's epoch stream and, on success, reverse-BFSes from the
-// inserted source across vertices not yet in the sample.
-func (s *DynamicSketch) repairOne(w *deltaWorker, d graph.Delta,
-	appendedOps map[graph.Vertex][]int32, extSeed uint64, id int,
-	invalidates func(graph.DeltaOp) bool) (out []graph.Vertex, invalidated bool) {
-	members := s.col.Sample(id)
-	w.nextStamp()
-	for _, v := range members {
-		w.member[v] = w.stamp
-	}
-	w.buf = w.buf[:0]
-	clear(w.exam) // the invalidation path below returns before any reset
-	streamReady := false
-
-	for t, op := range d {
-		if w.member[op.Dst] != w.stamp {
-			continue
-		}
-		if invalidates(op) {
-			return nil, true
-		}
-		if w.exam[t] {
-			continue
-		}
-		w.exam[t] = true
-		if w.member[op.Src] == w.stamp {
-			// The edge connects two members: a cold traversal would have
-			// skipped it via the visited check before drawing a coin.
-			continue
-		}
-		if !streamReady {
-			w.gen.Reseed(extSeed, uint64(id))
-			streamReady = true
-		}
-		if w.stream.Float32() < op.W {
-			w.extend(appendedOps, op.Src)
-		}
-	}
-	if len(w.buf) == 0 {
-		return nil, false // no extension fired
-	}
-	out = make([]graph.Vertex, 0, len(members)+len(w.buf))
-	out = append(out, members...)
-	out = append(out, w.buf...)
-	slices.Sort(out)
-	return out, false
-}
-
-// extend grows the current sample by reverse BFS from src (which just
-// joined through an activated insertion): newly added vertices have never
-// been visited by this sample, so every one of their in-edges draws a
-// fresh coin — except edges from existing members, which a cold traversal
-// skips before the coin, and other batch insertions, whose coins are
-// marked examined so the op loop does not draw them twice.
-func (w *deltaWorker) extend(appendedOps map[graph.Vertex][]int32, src graph.Vertex) {
-	w.member[src] = w.stamp
-	w.buf = append(w.buf, src)
-	w.queue = append(w.queue[:0], src)
-	for head := 0; head < len(w.queue); head++ {
-		x := w.queue[head]
-		srcs, ws := w.g.InNeighbors(x)
-		ops := appendedOps[x]
-		base := len(srcs) - len(ops)
-		for i, u := range srcs {
-			if i >= base {
-				// A batch-inserted edge: this BFS is its one coin draw.
-				w.exam[ops[i-base]] = true
-			}
-			if w.member[u] == w.stamp {
-				continue
-			}
-			if w.stream.Float32() < ws[i] {
-				w.member[u] = w.stamp
-				w.queue = append(w.queue, u)
-				w.buf = append(w.buf, u)
-			}
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"strings"
 	"testing"
 
 	"influmax/internal/diffuse"
@@ -11,10 +12,9 @@ import (
 )
 
 // The differential consistency harness: after any delta sequence, the
-// maintained sketch must agree with a cold rebuild on the mutated graph —
-// byte-identically where the theory promises identity (invalidation-only
-// repairs), within the approximation guarantee where it promises
-// distribution (insertion extensions) — across models, weight policies,
+// maintained sketch must equal a cold rebuild on the mutated graph at the
+// pinned theta, byte for byte, and its answers must stay inside the
+// approximation band of a cold IMM run — across models, weight policies,
 // stores and worker counts.
 
 // deltaConfig is one (model, weight scheme, policy) point of the harness
@@ -174,7 +174,7 @@ func sameCollections(t *testing.T, ctx string, a, b *rrr.Collection) {
 // coldResample regenerates every sample id of the maintained collection
 // directly on g with the scalar kernel and the original per-sample
 // streams — the reference a correct maintenance pass must reproduce
-// byte-for-byte whenever every repair was an invalidation.
+// byte-for-byte.
 func coldResample(g *graph.Graph, model diffuse.Model, seed uint64, count int) *rrr.Collection {
 	col := rrr.NewCollection(g.NumVertices())
 	sampler := diffuse.NewSampler(g, model)
@@ -190,23 +190,16 @@ func coldResample(g *graph.Graph, model diffuse.Model, seed uint64, count int) *
 	return col
 }
 
-// TestDeltaByteIdentityOracle pins the invalidation rule itself: when
-// every op invalidates (WC policy, LT model, or delete-only scripts under
-// explicit weights), the maintained collection after a delta script must
-// be byte-identical to regenerating all of its sample ids cold on the
-// mutated graph — including the samples maintenance never touched, which
-// is exactly the claim that a sample not containing the op target never
-// drew a coin on the mutated in-list.
+// TestDeltaByteIdentityOracle pins the repair rule itself: for every
+// model, weight policy and script kind, the maintained collection after a
+// delta script must be byte-identical to regenerating all of its sample
+// ids cold on the mutated graph — including the samples maintenance never
+// touched, which is exactly the claim that a sample not containing the op
+// target never drew a coin on the mutated in-list.
 func TestDeltaByteIdentityOracle(t *testing.T) {
 	for _, gd := range deltaGraphs() {
 		for _, cfg := range deltaConfigs() {
-			kinds := []string{"insert", "delete", "mixed"}
-			if cfg.policy == WeightsExplicit && cfg.model == diffuse.IC {
-				// Insertions extend rather than invalidate: byte identity
-				// only holds for pure deletion scripts here.
-				kinds = []string{"delete"}
-			}
-			for _, kind := range kinds {
+			for _, kind := range []string{"insert", "delete", "mixed"} {
 				t.Run(gd.name+"/"+cfg.name+"/"+kind, func(t *testing.T) {
 					g := gd.build()
 					dyn := buildDynamic(t, g, cfg, 4)
@@ -240,10 +233,10 @@ func coverageOn(col *rrr.Collection, seeds []graph.Vertex) int64 {
 }
 
 // TestDeltaDifferentialConsistency is the epsilon layer: for mixed and
-// insertion-heavy scripts (where IC-explicit extensions make incremental
-// and cold sampling distributionally — not byte — equivalent), the seeds
-// served from the maintained sketch must cover, on a cold rebuild's own
-// samples, at least the cold seeds' coverage minus epsilon. This is the
+// insertion-heavy scripts, the seeds served from the maintained sketch
+// must cover, on a cold rebuild's own samples (whose theta is re-derived
+// on the mutated graph, unlike the maintained sketch's pinned one), at
+// least the cold seeds' coverage minus epsilon. This is the
 // bounded-staleness contract: maintained answers stay inside the same
 // approximation band a fresh build would promise.
 func TestDeltaDifferentialConsistency(t *testing.T) {
@@ -254,10 +247,6 @@ func TestDeltaDifferentialConsistency(t *testing.T) {
 					g := gd.build()
 					dyn := buildDynamic(t, g, cfg, 4)
 					applyScript(t, dyn, randomScript(dyn.Graph(), kind, 97, 4, 8))
-					if cfg.policy == WeightsExplicit && cfg.model == diffuse.IC &&
-						dyn.Stats().SamplesExtended == 0 {
-						t.Fatalf("insertion script extended nothing; the extension path went untested")
-					}
 
 					incSeeds, _ := dyn.Query(dyn.Options().K, 4)
 
@@ -369,8 +358,7 @@ func TestDeltaBothStores(t *testing.T) {
 // TestDeltaRestoreReplay pins the warm-restart path: a sketch restored
 // from (base graph, post-delta collection, delta log) must reproduce the
 // live sketch's graph and answers, and must stay in lockstep with it on
-// further deltas — which requires the replay to land on the same epoch so
-// extension streams keep matching.
+// further deltas — which requires the replay to land on the same epoch.
 func TestDeltaRestoreReplay(t *testing.T) {
 	for _, cfg := range deltaConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -436,5 +424,35 @@ func TestDeltaValidationLeavesSketchUntouched(t *testing.T) {
 	}
 	if dyn.Epoch() != 0 {
 		t.Fatalf("rejected batch advanced the epoch to %d", dyn.Epoch())
+	}
+}
+
+// TestDynamicSketchRejectsUnknownPolicy: both constructors refuse a weight
+// policy outside the declared range, and the option a dynamic sketch
+// cannot maintain, with the same errors.
+func TestDynamicSketchRejectsUnknownPolicy(t *testing.T) {
+	cfg := deltaConfigs()[0]
+	live := buildDynamic(t, gen.ErdosRenyi(60, 240, 1), cfg, 2)
+	for _, tc := range []struct {
+		name   string
+		opt    Options
+		policy WeightPolicy
+		want   string
+	}{
+		{"policy 2", live.Options(), WeightsWC + 1, "unknown weight policy 2"},
+		{"policy 9", live.Options(), WeightPolicy(9), "unknown weight policy 9"},
+		{"leapfrog", Options{K: 5, Epsilon: 0.4, Workers: 2, RNG: LeapFrog}, WeightsExplicit, "per-sample RNG"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := gen.ErdosRenyi(60, 240, 1)
+			cfg.weight(base)
+			if _, _, err := NewDynamicSketch(base, tc.opt, tc.policy); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("NewDynamicSketch = %v, want an error naming %q", err, tc.want)
+			}
+			if _, err := RestoreDynamicSketch(base, tc.opt, tc.policy, live.Collection(), live.Theta(), nil); err == nil ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Errorf("RestoreDynamicSketch = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }

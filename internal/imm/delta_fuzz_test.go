@@ -36,15 +36,23 @@ func decodeDeltaScript(data []byte, n int) []graph.Delta {
 }
 
 // FuzzApplyDelta drives a dynamic sketch with arbitrary (including
-// invalid) delta scripts and checks the structural invariants that must
-// hold no matter what: rejected batches leave the sketch untouched,
-// accepted batches keep the collection well-formed at its pinned size,
-// and the whole run is a pure function of the script (a second identical
-// run produces an identical sketch).
+// invalid) delta scripts and checks the invariants that must hold no
+// matter what: rejected batches leave the sketch untouched, accepted
+// batches keep the collection well-formed at its pinned size and equal to
+// a cold regeneration of every sample id on the current graph, and the
+// whole run is a pure function of the script (a second identical run
+// produces an identical sketch).
 func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 100, 0, 0, 1, 1, 2, 0, 1, 0})
 	f.Add([]byte{0, 3, 7, 200, 3, 0, 0, 7, 3, 120, 0, 0, 1, 3, 7, 0, 2, 0})
 	f.Add([]byte{2, 0, 0, 255, 0, 0})
+	// Insert-heavy, explicit IC: weight-1 and mid-weight insertions across
+	// the ring, in two batches, then one deletion of an inserted edge.
+	f.Add([]byte{
+		0, 0, 32, 250, 1, 0, 0, 5, 40, 250, 1, 0, 0, 10, 50, 200, 1, 0,
+		0, 20, 60, 250, 0, 0, 0, 33, 3, 250, 1, 0, 0, 47, 17, 120, 1, 0,
+		0, 32, 0, 250, 1, 0, 1, 0, 32, 0, 0, 0,
+	})
 
 	base := func() *graph.Graph {
 		g := gen.WattsStrogatz(64, 4, 0.2, 1)
@@ -64,7 +72,8 @@ func FuzzApplyDelta(f *testing.F) {
 			for _, d := range script {
 				digest := dyn.Graph().Digest()
 				epoch := dyn.Epoch()
-				if _, err := dyn.ApplyDelta(d); err != nil {
+				_, err := dyn.ApplyDelta(d)
+				if err != nil {
 					if _, ok := err.(*graph.DeltaError); !ok {
 						t.Fatalf("ApplyDelta error is %T (%v), want *graph.DeltaError", err, err)
 					}
@@ -78,6 +87,10 @@ func FuzzApplyDelta(f *testing.F) {
 				}
 				if bad := col.CheckInvariants(); bad != -1 {
 					t.Fatalf("collection invariant broken at sample %d", bad)
+				}
+				if err == nil {
+					cold := coldResample(dyn.Graph(), opt.Model, opt.Seed, count)
+					sameCollections(t, "maintained vs cold resample", col, cold)
 				}
 			}
 			return dyn

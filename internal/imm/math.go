@@ -41,13 +41,18 @@ func NewAnalysis(n int, k int, eps, l float64) Analysis {
 	m.logNK = stats.LogBinomial(int64(n), int64(k))
 	m.maxX = int(math.Max(1, math.Floor(math.Log2(m.n))-1))
 
+	// Every product that meets an addition is wrapped in float64(...): an
+	// explicit conversion rounds, so no platform may fuse it into an FMA,
+	// and theta is the same on every GOARCH (TestNoFusedMultiplyAdd).
 	e := m.epsPrime
-	m.lambdaP = (2 + 2.0/3.0*e) * (m.logNK + m.l*m.lnN + math.Log(math.Log2(m.n))) * m.n / (e * e)
+	lnNL := float64(m.l * m.lnN)
+	m.lambdaP = (2 + float64(2.0/3.0*e)) * (m.logNK + lnNL + math.Log(math.Log2(m.n))) * m.n / (e * e)
 
-	alpha := math.Sqrt(m.l*m.lnN + math.Ln2)
+	alpha := math.Sqrt(lnNL + math.Ln2)
 	oneMinusInvE := 1 - 1/math.E
-	beta := math.Sqrt(oneMinusInvE * (m.logNK + m.l*m.lnN + math.Ln2))
-	m.lambdaS = 2 * m.n * (oneMinusInvE*alpha + beta) * (oneMinusInvE*alpha + beta) / (eps * eps)
+	beta := math.Sqrt(oneMinusInvE * (m.logNK + lnNL + math.Ln2))
+	ab := float64(oneMinusInvE*alpha) + beta
+	m.lambdaS = 2 * m.n * ab * ab / (eps * eps)
 	return m
 }
 

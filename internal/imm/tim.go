@@ -55,7 +55,7 @@ func RunTIMPlus(g *graph.Graph, opt Options) (*TIMResult, error) {
 		kpt := 1.0
 		maxI := int(math.Max(1, math.Floor(math.Log2(nf))-1))
 		for i := 1; i <= maxI; i++ {
-			ci := int64((6*l*math.Log(nf) + 6*math.Log(math.Log2(nf))) * math.Pow(2, float64(i)))
+			ci := int64((float64(6*l*math.Log(nf)) + float64(6*math.Log(math.Log2(nf)))) * math.Pow(2, float64(i)))
 			// Grow the collection to ci total samples.
 			if int64(col.Count()) < ci {
 				st.Sample(col, int(ci)-col.Count())
@@ -80,7 +80,7 @@ func RunTIMPlus(g *graph.Graph, opt Options) (*TIMResult, error) {
 		// Phase 2 ("+"): refine KPT with an intermediate greedy. Select
 		// seeds on the current collection, then estimate their coverage on
 		// a fresh batch; KPT+ = max(KPT*, F*n/(1+eps')).
-		epsPrime := 5 * math.Cbrt(l*opt.Epsilon*opt.Epsilon/(l+float64(k)))
+		epsPrime := float64(5 * math.Cbrt(l*opt.Epsilon*opt.Epsilon/(l+float64(k))))
 		seeds, _ := SelectSeeds(col, k, opt.Workers)
 		lambdaPrime := (2 + epsPrime) * l * nf * math.Log(nf) / (epsPrime * epsPrime)
 		need := int64(math.Ceil(lambdaPrime / kpt))
@@ -111,7 +111,7 @@ func RunTIMPlus(g *graph.Graph, opt Options) (*TIMResult, error) {
 	// Phase 3: sampling with TIM's lambda.
 	res.Phases.Measure(trace.Sampling, func() {
 		lambda := (8 + 2*opt.Epsilon) * nf *
-			(l*math.Log(nf) + stats.LogBinomial(int64(n), int64(k)) + math.Ln2) /
+			(float64(l*math.Log(nf)) + stats.LogBinomial(int64(n), int64(k)) + math.Ln2) /
 			(opt.Epsilon * opt.Epsilon)
 		res.Theta = int64(math.Ceil(lambda / res.KPTPlus))
 		st.Sample(col, int(res.Theta)-col.Count())

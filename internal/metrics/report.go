@@ -124,7 +124,6 @@ type RunReport struct {
 	DeltaEpoch         uint64 `json:"deltaEpoch,omitempty"`
 	DeltasApplied      int64  `json:"deltasApplied,omitempty"`
 	SamplesInvalidated int64  `json:"samplesInvalidated,omitempty"`
-	SamplesExtended    int64  `json:"samplesExtended,omitempty"`
 
 	// Metrics carries an optional registry snapshot (engine-internal
 	// counters and histograms such as RRR set sizes).

@@ -109,7 +109,6 @@ type deltaResponse struct {
 	Applied            int    `json:"applied"`
 	Candidates         int    `json:"candidates"`
 	SamplesInvalidated int64  `json:"samplesInvalidated"`
-	SamplesExtended    int64  `json:"samplesExtended"`
 	Theta              int64  `json:"theta"`
 	Coalesced          int    `json:"coalesced,omitempty"`
 }
@@ -263,7 +262,6 @@ func (s *Server) publishLocked(res imm.BatchResult) deltaResponse {
 		Applied:            res.Ops,
 		Candidates:         res.Candidates,
 		SamplesInvalidated: res.SamplesInvalidated,
-		SamplesExtended:    res.SamplesExtended,
 		Theta:              s.dyn.Theta(),
 	}
 }

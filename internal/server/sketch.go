@@ -259,6 +259,5 @@ func (s *Sketch) report(k, workers int, selectDur time.Duration, seeds []graph.V
 	rep.DeltaEpoch = s.DeltaEpoch
 	rep.DeltasApplied = s.DeltaStats.DeltasApplied
 	rep.SamplesInvalidated = s.DeltaStats.SamplesInvalidated
-	rep.SamplesExtended = s.DeltaStats.SamplesExtended
 	return rep
 }
