@@ -237,8 +237,12 @@ func prepareShard(g *graph.Graph, key server.SketchKey, idx, count int, path, fr
 		return nil, err
 	}
 	sh := shards[idx]
+	fleet := 0
+	for _, s := range shards {
+		fleet += s.Col.Count()
+	}
 	fmt.Fprintf(os.Stderr, "immserve: shard %d/%d sampled in %v (%d of %d fleet samples)\n",
-		idx, count, time.Since(start).Round(time.Millisecond), sh.Info().Samples, sh.Info().Theta)
+		idx, count, time.Since(start).Round(time.Millisecond), sh.Col.Count(), fleet)
 	if path != "" {
 		if err := cluster.SaveShardSnapshotFile(path, sh); err != nil {
 			return nil, err

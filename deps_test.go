@@ -1,6 +1,7 @@
 package influmax_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -116,5 +117,39 @@ func TestCmdDoesNotImportFacade(t *testing.T) {
 				t.Errorf("%s imports the influmax facade: import the internal package behind it", dir)
 			}
 		}
+	}
+}
+
+// TestClusterDoesNotRunDist keeps the shard fleet off the distributed
+// pipeline: a shard is an id range of one in-process sample draw, so
+// internal/cluster imports neither internal/dist nor the in-process
+// communicator that would run it (mpi.NewLocalCluster).
+func TestClusterDoesNotRunDist(t *testing.T) {
+	const dir = "internal/cluster"
+	for _, path := range importsOf(t, dir) {
+		if path == "influmax/internal/dist" {
+			t.Errorf("%s imports %s", dir, path)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewLocalCluster" {
+				t.Errorf("%s calls %s.NewLocalCluster", fset.Position(sel.Pos()), sel.X)
+			}
+			return true
+		})
 	}
 }

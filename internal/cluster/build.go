@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"influmax/internal/diffuse"
-	"influmax/internal/dist"
 	"influmax/internal/graph"
 	"influmax/internal/imm"
-	"influmax/internal/mpi"
+	"influmax/internal/par"
 	"influmax/internal/rrr"
 )
 
@@ -22,68 +20,55 @@ type BuildOptions struct {
 	Model diffuse.Model
 	// Seed feeds the per-sample pseudorandom streams.
 	Seed uint64
-	// Shards is the partition width — how many shards to cut theta into.
+	// Shards is the partition width — how many id ranges to cut the
+	// sample set into.
 	Shards int
-	// Workers is the total thread budget across the build (<= 0: all
-	// cores), split evenly over the shard ranks. Builds run in PerSample
-	// mode (the fused kernel under work-stealing), so the shard content
-	// does not depend on it.
+	// Workers is the thread budget of the build (<= 0: all cores); the
+	// whole budget goes to the one sample draw, then to each shard's
+	// transcode and index. The draw runs in PerSample mode (the fused
+	// kernel under work-stealing), so the shard content does not depend
+	// on it.
 	Workers int
 }
 
-// BuildShards cuts the theta samples for (g, opt) into opt.Shards
-// query-ready shards by running the internal/dist pipeline over an
-// in-process communicator: shard i is exactly rank i's slice. The same
-// (graph, options) always yields the same shards.
+// BuildShards draws the sample set for (g, opt) once, with imm.RunCollect
+// in PerSample mode, and cuts it into opt.Shards query-ready shards: shard
+// r holds the contiguous id range par.Interval(N, Shards, r) of the N
+// drawn samples, coded under its own frequency relabeling. Sample i is a
+// pure function of (seed, i), so the shards' union is the single-process
+// sample set, and the same (graph, options) always yields the same shards.
 func BuildShards(g *graph.Graph, opt BuildOptions) ([]*Shard, error) {
 	if opt.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d < 1", opt.Shards)
 	}
-	threads := opt.Workers / opt.Shards
-	if threads < 1 {
-		threads = 1
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = par.DefaultWorkers()
 	}
-	dopt := dist.Options{
+	res, col, _, err := imm.RunCollect(g, imm.Options{
 		K: opt.K, Epsilon: opt.Epsilon, Model: opt.Model, Seed: opt.Seed,
-		ThreadsPerRank: threads, RNG: imm.PerSample,
-		Store: imm.StoreCoded, KeepStore: true,
+		Workers: workers, RNG: imm.PerSample,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: drawing the fleet's samples: %w", err)
 	}
-	comms := mpi.NewLocalCluster(opt.Shards)
-	results := make([]*dist.Result, opt.Shards)
-	errs := make([]error, opt.Shards)
-	var wg sync.WaitGroup
-	for r := 0; r < opt.Shards; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer comms[rank].Close()
-			results[rank], errs[rank] = dist.Run(comms[rank], g, dopt)
-		}(r)
+	meta := rrr.SnapshotMeta{
+		GraphDigest: g.Digest(),
+		Model:       uint8(opt.Model),
+		Epsilon:     opt.Epsilon,
+		KMax:        opt.K,
+		Seed:        opt.Seed,
+		Theta:       res.Theta,
 	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building shard %d: %w", r, err)
-		}
-	}
-	digest := g.Digest()
 	shards := make([]*Shard, opt.Shards)
-	for r, res := range results {
-		meta := rrr.SnapshotMeta{
-			GraphDigest: digest,
-			Model:       uint8(opt.Model),
-			Epsilon:     opt.Epsilon,
-			KMax:        opt.K,
-			Seed:        opt.Seed,
-			Theta:       res.Theta,
-		}
-		sh, err := NewShard(meta, res.Coded, res.Index, r, opt.Shards, 0, threads)
+	for r := range shards {
+		lo, hi := par.Interval(col.Count(), opt.Shards, r)
+		part := col.Range(lo, hi)
+		coded := rrr.FromCollection(part, rrr.NewRelabeling(rrr.IncidenceOf(part, workers)))
+		sh, err := NewShard(meta, coded, nil, r, opt.Shards, uint64(lo), 0, workers)
 		if err != nil {
 			return nil, err
 		}
-		// In PerSample mode a sample's root is its stream's first draw: the
-		// root column is a pure function of (seed, id, n).
-		sh.Roots = imm.RootsAt(opt.Seed, res.SampleIDs, g.NumVertices(), threads)
 		shards[r] = sh
 	}
 	return shards, nil

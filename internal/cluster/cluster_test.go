@@ -19,6 +19,7 @@ import (
 	"influmax/internal/graph"
 	"influmax/internal/imm"
 	"influmax/internal/mpi"
+	"influmax/internal/par"
 	"influmax/internal/rng"
 )
 
@@ -249,6 +250,12 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	if got.Info() != shards[1].Info() {
 		t.Fatalf("loaded shard info %+v != %+v", got.Info(), shards[1].Info())
 	}
+	// The header carries the first id, from which the reload re-derives
+	// the same root column.
+	if got.First != shards[1].First || !slices.Equal(got.Roots, shards[1].Roots) {
+		t.Fatalf("reloaded shard: first id %d, %d roots; built: first id %d, %d roots (or the roots differ)",
+			got.First, len(got.Roots), shards[1].First, len(shards[1].Roots))
+	}
 	// The reloaded shard must serve the same counts and purges.
 	a, b := shards[1].Start(1), got.Start(1)
 	if !slices.Equal(a, b) {
@@ -283,8 +290,9 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardSnapshotRejectsHeaderV1: the pre-roots shard header is refused
-// with an error that tells the operator to rebuild, not loaded rootless.
+// TestShardSnapshotRejectsHeaderV1: the pre-roots shard header (v1) and
+// the root-column header over interleaved rank slices (v2) are refused
+// with an error that tells the operator to rebuild, not loaded.
 func TestShardSnapshotRejectsHeaderV1(t *testing.T) {
 	g := testGraph(9, 50, 300)
 	shards, err := cluster.BuildShards(g, cluster.BuildOptions{K: 4, Epsilon: 0.5, Model: diffuse.IC, Seed: 5, Workers: 2, Shards: 2})
@@ -295,11 +303,73 @@ func TestShardSnapshotRejectsHeaderV1(t *testing.T) {
 	if err := cluster.WriteShardSnapshot(&buf, shards[0]); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	raw[7] = 1 // header version byte
-	_, err = cluster.ReadShardSnapshot(bytes.NewReader(raw), 0, 2)
-	if err == nil || !strings.Contains(err.Error(), "rebuild") {
-		t.Fatalf("header v1 shard snapshot: got %v, want a rebuild error", err)
+	for _, version := range []byte{1, 2} {
+		raw := bytes.Clone(buf.Bytes())
+		raw[7] = version // header version byte
+		_, err = cluster.ReadShardSnapshot(bytes.NewReader(raw), 0, 2)
+		if err == nil || !strings.Contains(err.Error(), "rebuild") {
+			t.Fatalf("header v%d shard snapshot: got %v, want a rebuild error", version, err)
+		}
+	}
+}
+
+// TestBuildShardsTileOneDraw pins what a shard is: shard r of a width-S
+// build holds exactly ids par.Interval(N, S, r) of the sample set
+// imm.RunCollect draws at the same options, the ranges tile [0, N), each
+// shard's roots are RootsRange over its range, and the build does not
+// depend on its worker budget.
+func TestBuildShardsTileOneDraw(t *testing.T) {
+	g := testGraph(13, 90, 600)
+	opt := cluster.BuildOptions{K: 6, Epsilon: 0.5, Model: diffuse.IC, Seed: 21}
+	_, col, _, err := imm.RunCollect(g, imm.Options{
+		K: opt.K, Epsilon: opt.Epsilon, Model: opt.Model, Seed: opt.Seed, Workers: 2, RNG: imm.PerSample,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, total := g.NumVertices(), col.Count()
+	snapshot := func(sh *cluster.Shard) []byte {
+		var buf bytes.Buffer
+		if err := cluster.WriteShardSnapshot(&buf, sh); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, s := range []int{1, 2, 3, 5} {
+		opt.Shards = s
+		builds := make([][]*cluster.Shard, 2)
+		for i, w := range []int{1, 4} {
+			opt.Workers = w
+			if builds[i], err = cluster.BuildShards(g, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := 0
+		var buf []graph.Vertex
+		for r, sh := range builds[0] {
+			lo, hi := par.Interval(total, s, r)
+			if lo != next || sh.First != uint64(lo) || sh.Col.Count() != hi-lo {
+				t.Fatalf("s=%d shard %d: first id %d, %d samples; want ids [%d, %d) after %d",
+					s, r, sh.First, sh.Col.Count(), lo, hi, next)
+			}
+			next = hi
+			for j := 0; j < sh.Col.Count(); j++ {
+				buf = sh.Col.SampleSorted(j, buf)
+				if !slices.Equal(buf, col.Sample(lo+j)) {
+					t.Fatalf("s=%d shard %d: local sample %d = %v, global sample %d = %v",
+						s, r, j, buf, lo+j, col.Sample(lo+j))
+				}
+			}
+			if want := imm.RootsRange(opt.Seed, uint64(lo), hi-lo, n, 2); !slices.Equal(sh.Roots, want) {
+				t.Fatalf("s=%d shard %d: roots differ from RootsRange over [%d, %d)", s, r, lo, hi)
+			}
+			if !bytes.Equal(snapshot(sh), snapshot(builds[1][r])) {
+				t.Fatalf("s=%d shard %d: builds at 1 and 4 workers differ", s, r)
+			}
+		}
+		if next != total {
+			t.Fatalf("s=%d: shards cover [0, %d) of %d samples", s, next, total)
+		}
 	}
 }
 

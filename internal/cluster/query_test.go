@@ -26,7 +26,7 @@ func refQuery(t *testing.T, g *graph.Graph, opt cluster.BuildOptions, q imm.Quer
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := imm.RootsRange(opt.Seed, coded.Count(), g.NumVertices(), 2)
+	roots := imm.RootsRange(opt.Seed, 0, coded.Count(), g.NumVertices(), 2)
 	qr, err := imm.SelectQuerySketch(coded, idx, roots, q, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestRouterQueryModesMatchSingleProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		roots := imm.RootsRange(opt.Seed, coded.Count(), g.NumVertices(), 2)
+		roots := imm.RootsRange(opt.Seed, 0, coded.Count(), g.NumVertices(), 2)
 		for _, aud := range [][]graph.Vertex{nil, audience} {
 			wantCovered, wantEligible, err := imm.CoverageOf(coded.Count(), idx, roots, plainRef.Seeds, aud)
 			if err != nil {

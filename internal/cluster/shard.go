@@ -14,9 +14,10 @@ import (
 // and treats the shard as failed for that query, never a hang).
 const maxSessions = 64
 
-// Shard is one replica's slice of the theta RRR samples, query-ready:
-// exactly what rank ShardIdx of an internal/dist run over ShardCount ranks
-// holds, so the union over a full fleet is the single-process sample set.
+// Shard is one replica's slice of the fleet's RRR samples, query-ready:
+// the contiguous id range [First, First+Col.Count()) of the one sample
+// draw BuildShards makes, so the union over a full fleet is the
+// single-process sample set.
 // It serves any number of concurrent greedy sessions, each carrying only
 // a covered bitset over the local samples; mutating calls are serialized
 // on an internal mutex.
@@ -30,15 +31,18 @@ type Shard struct {
 	// ShardIdx/ShardCount place this shard in the fleet's partition.
 	ShardIdx   int
 	ShardCount int
+	// First is the global id of local sample 0: local sample j is global
+	// sample First+j.
+	First uint64
 	// Epoch counts the mutation batches folded into this shard (zero for
 	// static sketches). The router refuses to merge counts across shards
 	// at different epochs.
 	Epoch uint64
-	// Roots maps each local sample to its root vertex (re-derived from
-	// the global sample ids via imm.RootAt at build time, persisted in
-	// shard-snapshot header v2). Required only by the audience-filtered
-	// ops; a shard built without it answers those ops with an in-band
-	// error while everything else keeps serving.
+	// Roots maps each local sample to its root vertex, re-derived by
+	// NewShard from First (imm.RootsRange): a PerSample root is a pure
+	// function of (seed, global id, n), so it is never stored. Required
+	// only by the audience-filtered ops; a shard without it answers those
+	// ops with an in-band error while everything else keeps serving.
 	Roots []graph.Vertex
 
 	mu       sync.Mutex
@@ -58,9 +62,10 @@ type session struct {
 	covered rrr.Bitset
 }
 
-// NewShard assembles a query-ready shard. idx may be nil, in which case
-// the incidence index is rebuilt with p workers.
-func NewShard(meta rrr.SnapshotMeta, col *rrr.CodedCollection, idx *rrr.Index, shardIdx, shardCount int, epoch uint64, p int) (*Shard, error) {
+// NewShard assembles a query-ready shard whose samples are global ids
+// [first, first+col.Count()), deriving their roots with p workers. idx may
+// be nil, in which case the incidence index is built with p workers too.
+func NewShard(meta rrr.SnapshotMeta, col *rrr.CodedCollection, idx *rrr.Index, shardIdx, shardCount int, first, epoch uint64, p int) (*Shard, error) {
 	if col == nil {
 		return nil, fmt.Errorf("cluster: shard needs a sample collection")
 	}
@@ -72,7 +77,8 @@ func NewShard(meta rrr.SnapshotMeta, col *rrr.CodedCollection, idx *rrr.Index, s
 	}
 	return &Shard{
 		Meta: meta, Col: col, Idx: idx,
-		ShardIdx: shardIdx, ShardCount: shardCount, Epoch: epoch,
+		ShardIdx: shardIdx, ShardCount: shardCount, First: first, Epoch: epoch,
+		Roots:    imm.RootsRange(meta.Seed, first, col.Count(), col.NumVertices(), p),
 		sessions: make(map[uint64]*session),
 		dec:      make([]uint32, col.NumVertices()),
 	}, nil
@@ -221,7 +227,7 @@ func (sh *Shard) Spread(seeds, audience []graph.Vertex) (covered, eligible int64
 }
 
 // needRoots is the in-band refusal of audience-filtered work on a shard
-// built without its root column.
+// whose root column is missing.
 func (sh *Shard) needRoots() error {
 	if len(sh.Roots) != sh.Col.Count() {
 		return fmt.Errorf("cluster: shard %d has no sample roots; rebuild it", sh.ShardIdx)

@@ -8,41 +8,37 @@ import (
 	"net/http"
 	"os"
 
-	"influmax/internal/graph"
 	"influmax/internal/rrr"
 )
 
 // Shard snapshots wrap the standard v3 sketch snapshot (rrr.WriteSnapshot)
-// in a 24-byte shard header carrying what SnapshotMeta cannot: the shard's
-// place in the fleet partition and its mutation epoch. The same bytes
-// travel over GET /v1/snapshot for peer bootstrap.
+// in a 32-byte shard header carrying what SnapshotMeta cannot: the shard's
+// place in the fleet partition, its mutation epoch and the global id of
+// its first sample, from which NewShard re-derives the root column. The
+// same bytes travel over GET /v1/snapshot for peer bootstrap.
 
 // shardMagic opens a shard snapshot; the trailing byte is the header
-// version. v2 appends the per-sample root column (uint32 count + count
-// little-endian uint32 roots) between the header and the sketch snapshot,
-// powering the audience-filtered query ops after a warm restart.
-var shardMagic = [8]byte{'I', 'M', 'X', 'S', 'H', 'R', 'D', 2}
+// version.
+var shardMagic = [8]byte{'I', 'M', 'X', 'S', 'H', 'R', 'D', 3}
 
-// shardMagicV1 is the pre-roots header, refused on read: rebuild the shard.
-var shardMagicV1 = [8]byte{'I', 'M', 'X', 'S', 'H', 'R', 'D', 1}
+// Headers v1 (no roots) and v2 (a root column over the interleaved ids of
+// the former rank slices) are refused on read: mixed into a fleet of
+// id-range shards, a v2 shard would count some samples twice and drop
+// others.
+var (
+	shardMagicV1 = [8]byte{'I', 'M', 'X', 'S', 'H', 'R', 'D', 1}
+	shardMagicV2 = [8]byte{'I', 'M', 'X', 'S', 'H', 'R', 'D', 2}
+)
 
-// WriteShardSnapshot writes sh (header v2 + root column + v3 snapshot) to
-// w.
+// WriteShardSnapshot writes sh (header v3 + v3 sketch snapshot) to w.
 func WriteShardSnapshot(w io.Writer, sh *Shard) error {
-	var hdr [24]byte
+	var hdr [32]byte
 	copy(hdr[:8], shardMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(sh.ShardIdx))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(sh.ShardCount))
 	binary.LittleEndian.PutUint64(hdr[16:], sh.Epoch)
+	binary.LittleEndian.PutUint64(hdr[24:], sh.First)
 	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	roots := make([]byte, 4+4*len(sh.Roots))
-	binary.LittleEndian.PutUint32(roots, uint32(len(sh.Roots)))
-	for i, r := range sh.Roots {
-		binary.LittleEndian.PutUint32(roots[4+4*i:], uint32(r))
-	}
-	if _, err := w.Write(roots); err != nil {
 		return err
 	}
 	return rrr.WriteSnapshot(w, sh.Meta, sh.Col, sh.Idx, nil)
@@ -50,42 +46,24 @@ func WriteShardSnapshot(w io.Writer, sh *Shard) error {
 
 // ReadShardSnapshot reads a shard snapshot from r. maxBytes bounds the
 // inner snapshot's payload claims (<= 0 uses rrr.DefaultMaxSnapshotBytes);
-// p is the worker count for an index rebuild if the snapshot carries none.
+// p is the worker count for the root column and for an index rebuild if
+// the snapshot carries none.
 func ReadShardSnapshot(r io.Reader, maxBytes int64, p int) (*Shard, error) {
-	var hdr [24]byte
+	var hdr [32]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("cluster: reading shard header: %w", err)
 	}
-	switch [8]byte(hdr[:8]) {
+	switch magic := [8]byte(hdr[:8]); magic {
 	case shardMagic:
-	case shardMagicV1:
-		return nil, fmt.Errorf("cluster: shard snapshot header v1 (no root column) is no longer read; rebuild the shard and save a fresh snapshot")
+	case shardMagicV1, shardMagicV2:
+		return nil, fmt.Errorf("cluster: shard snapshot header v%d is no longer read; rebuild the shard and save a fresh snapshot", magic[7])
 	default:
 		return nil, fmt.Errorf("cluster: not a shard snapshot (bad magic)")
 	}
 	shardIdx := int(binary.LittleEndian.Uint32(hdr[8:]))
 	shardCount := int(binary.LittleEndian.Uint32(hdr[12:]))
 	epoch := binary.LittleEndian.Uint64(hdr[16:])
-	budget := maxBytes
-	if budget <= 0 {
-		budget = rrr.DefaultMaxSnapshotBytes
-	}
-	var cntBuf [4]byte
-	if _, err := io.ReadFull(r, cntBuf[:]); err != nil {
-		return nil, fmt.Errorf("cluster: reading shard root column: %w", err)
-	}
-	cnt := int64(binary.LittleEndian.Uint32(cntBuf[:]))
-	if 4*cnt > budget {
-		return nil, fmt.Errorf("cluster: shard root column claims %d samples, past the %d-byte budget", cnt, budget)
-	}
-	raw := make([]byte, 4*cnt)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, fmt.Errorf("cluster: reading shard root column: %w", err)
-	}
-	roots := make([]graph.Vertex, cnt)
-	for i := range roots {
-		roots[i] = graph.Vertex(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
+	first := binary.LittleEndian.Uint64(hdr[24:])
 	meta, col, idx, deltas, err := rrr.ReadSnapshot(r, maxBytes)
 	if err != nil {
 		return nil, err
@@ -93,21 +71,7 @@ func ReadShardSnapshot(r io.Reader, maxBytes int64, p int) (*Shard, error) {
 	if len(deltas) > 0 {
 		return nil, fmt.Errorf("cluster: shard snapshot carries a delta log; shards serve static sketches")
 	}
-	if len(roots) != col.Count() {
-		return nil, fmt.Errorf("cluster: shard root column has %d entries for %d samples", len(roots), col.Count())
-	}
-	n := col.NumVertices()
-	for _, rt := range roots {
-		if int(rt) >= n {
-			return nil, fmt.Errorf("cluster: shard root %d out of range (n = %d)", rt, n)
-		}
-	}
-	sh, err := NewShard(meta, col, idx, shardIdx, shardCount, epoch, p)
-	if err != nil {
-		return nil, err
-	}
-	sh.Roots = roots
-	return sh, nil
+	return NewShard(meta, col, idx, shardIdx, shardCount, first, epoch, p)
 }
 
 // SaveShardSnapshotFile persists sh at path atomically (temp + rename).

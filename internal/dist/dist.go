@@ -36,21 +36,14 @@ type Options struct {
 	// kernel on the static split for LeapFrog.
 	RNG imm.RNGMode
 	// Store selects each rank's resident store for the final selection:
-	// imm.StoreCoded transcodes the rank's shard into the byte-coded store
-	// after sampling, under a rank-local frequency relabeling (each shard
-	// gets its own table — the labeling never crosses the wire, only
-	// original-id counters do, so the seeds are unchanged). Must agree
-	// across ranks.
+	// imm.StoreCoded transcodes the rank's samples into the byte-coded
+	// store after sampling, under a rank-local frequency relabeling (each
+	// rank gets its own table — the labeling never crosses the wire, only
+	// original-id counters do, so the seeds are unchanged). The store
+	// lives only for the run. Must agree across ranks.
 	Store imm.StoreKind
 	// L is the confidence exponent (0 means 1).
 	L float64
-	// KeepStore retains this rank's sample shard on the Result after the
-	// run: Coded holds the rank's slice of the theta samples (transcoded
-	// into the byte-coded representation if the run was flat) and Index its
-	// inverted incidence. This is how shard-serving tooling
-	// (internal/cluster.BuildShards) extracts a per-rank shard instead of
-	// letting the stores die with the run.
-	KeepStore bool
 }
 
 // Result reports a distributed run; all ranks return identical seed sets.
@@ -97,19 +90,6 @@ type Result struct {
 	// returned it together with a RankFailedError, and Seeds holds only
 	// the seeds selected before the failure.
 	FailedRank int
-	// Coded and Index are this rank's retained sample shard (byte-coded)
-	// and its inverted incidence, populated only under Options.KeepStore on
-	// a clean run.
-	Coded *rrr.CodedCollection
-	Index *rrr.Index
-	// SampleIDs maps the retained shard's local sample ids to the global
-	// sample indices of the single-process run (KeepStore only). The local
-	// slice is a union of per-batch contiguous intervals, not one
-	// contiguous range, so the mapping cannot be recomputed from
-	// (rank, size) alone; with it, per-sample state that is a pure
-	// function of the global index — like PerSample roots, see
-	// imm.RootAt — can be re-derived for any shard.
-	SampleIDs []int64
 }
 
 // state carries the per-rank machinery across phases.
@@ -119,7 +99,6 @@ type state struct {
 	col     *rrr.Collection
 	coded   *rrr.CodedCollection // non-nil once the shard is transcoded (Store == imm.StoreCoded)
 	global  int64                // samples generated across all ranks so far
-	spans   [][2]int64           // global [lo, hi) of each local sample batch, in append order
 	threads int
 
 	sampler *imm.BatchSampler // intra-rank multithreaded sampling machinery
@@ -185,9 +164,9 @@ func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
 		res.CommStats = mpi.StatsOf(c)
 	}
 	// degraded converts a rank failure into a partial-result-with-error
-	// report: the surviving rank's RRR shard, counters, and any seeds
-	// already selected stay available to the caller (and to shard-merging
-	// tooling) alongside the typed error. Non-rank failures stay fatal.
+	// report: the surviving rank's shard counters and any seeds already
+	// selected stay available to the caller alongside the typed error.
+	// Non-rank failures stay fatal.
 	degraded := func(err error) (*Result, error) {
 		var rf *mpi.RankFailedError
 		if !errors.As(err, &rf) {
@@ -228,28 +207,6 @@ func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
 		return degraded(err)
 	}
 
-	// KeepStore: hand the rank's shard to the caller instead of letting it
-	// die with the run. A flat run is transcoded into the byte-coded store
-	// under the identity labeling first — the representation shard
-	// snapshots and transfers speak (the index is labeling-invariant, so
-	// it carries over untouched).
-	if opt.KeepStore {
-		if st.coded == nil {
-			startK := time.Now()
-			st.coded = rrr.FromCollection(st.col, nil)
-			st.col = nil
-			res.Phases.Add(trace.Other, time.Since(startK))
-		}
-		res.Coded = st.coded
-		res.Index = idx
-		res.SampleIDs = make([]int64, 0, st.coded.Count())
-		for _, sp := range st.spans {
-			for g := sp[0]; g < sp[1]; g++ {
-				res.SampleIDs = append(res.SampleIDs, g)
-			}
-		}
-	}
-
 	finish()
 	return res, nil
 }
@@ -283,7 +240,6 @@ func (st *state) Extend(count int64) (int64, error) {
 	lo, hi := par.Interval(int(count), st.c.Size(), st.c.Rank())
 	if local := hi - lo; local > 0 {
 		st.sampler.SampleAt(st.col, uint64(st.global+int64(lo)), local)
-		st.spans = append(st.spans, [2]int64{st.global + int64(lo), st.global + int64(hi)})
 	}
 	st.global += count
 	return st.global, nil

@@ -29,6 +29,10 @@
 // emits exactly one machine-readable JSON document. RunPartitioned (the
 // graph-partitioned future-work extension) reports through the same
 // RunReport type, minus the per-rank gather. It runs the same estimation
-// estimation loop and engine, over a backend whose purges move only the touched
+// loop and engine, over a backend whose purges move only the touched
 // counts (partitioned.go).
+//
+// dist is the paper's algorithm and only that: a run's per-rank sample
+// stores die with it. A serving fleet (internal/cluster) does not run
+// dist; it cuts one in-process sample draw into id ranges instead.
 package dist

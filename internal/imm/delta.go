@@ -84,8 +84,10 @@ type BatchResult struct {
 	// Ops is the number of edge ops in the batch.
 	Ops int
 	// Candidates is the number of samples whose membership included an op
-	// target (the repair working set). Every candidate is regenerated, so
-	// it always equals SamplesInvalidated.
+	// target whose in-list the batch changed in sources or weights (the
+	// repair working set); a batch that nets to no change, like an insert
+	// then delete of one edge, has none. Every candidate is regenerated,
+	// so it always equals SamplesInvalidated.
 	Candidates int
 	// SamplesInvalidated is the number of samples this batch regenerated,
 	// always Candidates. Both are kept because the delta response and the
@@ -263,8 +265,8 @@ func (s *DynamicSketch) Query(k, workers int) ([]graph.Vertex, int64) {
 
 // ApplyDelta folds one batch of edge ops into the sketch: mutate the graph
 // (overlay + compact + reweight), regenerate exactly the samples whose
-// membership includes an op target, patch the incidence index, and
-// append the batch to the replay log. On a validation error the sketch is
+// membership includes an op target whose in-list changed, patch the
+// incidence index, and append the batch to the replay log. On a validation error the sketch is
 // unchanged and the error is a *graph.DeltaError identifying the op.
 // An empty batch is a no-op.
 func (s *DynamicSketch) ApplyDelta(d graph.Delta) (BatchResult, error) {
@@ -277,18 +279,25 @@ func (s *DynamicSketch) ApplyDelta(d graph.Delta) (BatchResult, error) {
 	}
 	ng := ov.Compact()
 	reweight(ng, s.opt, s.policy)
-	// Only the op targets' in-lists (and so their coins) changed.
+	// Only an op target's in-list (and so its coins) can change, and only
+	// if the batch leaves it different in sources or weights: an insert
+	// then delete of one edge nets to nothing, and an unchanged in-list
+	// draws the same coins.
 	changed := make([]bool, ng.NumVertices())
+	var targets []graph.Vertex
 	for _, op := range d {
-		changed[op.Dst] = true
+		if v := op.Dst; !changed[v] && inListChanged(s.g, ng, v) {
+			changed[v] = true
+			targets = append(targets, v)
+		}
 	}
 	s.shared = s.shared.Rebind(s.g, ng, s.opt.Model, changed)
 
-	// The repair working set: samples whose membership includes any op
+	// The repair working set: samples whose membership includes a changed
 	// target. Each of them visited a changed in-list, so each is redrawn.
 	var cands []int32
-	for _, op := range d {
-		cands = append(cands, s.idx.SamplesOf(op.Dst)...)
+	for _, v := range targets {
+		cands = append(cands, s.idx.SamplesOf(v)...)
 	}
 	slices.Sort(cands)
 	cands = slices.Compact(cands)
@@ -308,6 +317,14 @@ func (s *DynamicSketch) ApplyDelta(d graph.Delta) (BatchResult, error) {
 		s.mInvalidated.Add(res.SamplesInvalidated)
 	}
 	return res, nil
+}
+
+// inListChanged reports whether v's in-list differs between prev and ng
+// in sources or weights, slot by slot.
+func inListChanged(prev, ng *graph.Graph, v graph.Vertex) bool {
+	ps, pw := prev.InNeighbors(v)
+	ns, nw := ng.InNeighbors(v)
+	return !slices.Equal(ps, ns) || !slices.Equal(pw, nw)
 }
 
 // repair regenerates the candidate samples (sorted ids) on the mutated

@@ -113,30 +113,16 @@ func RootAt(seed, index uint64, n int) graph.Vertex {
 	return graph.Vertex(rng.New(rng.Derive(seed, index)).Intn(n))
 }
 
-// RootsRange derives the roots of global samples [0, count) with p
-// workers — the root column of a single-process sketch.
-func RootsRange(seed uint64, count, n, p int) []graph.Vertex {
+// RootsRange derives the roots of global samples [first, first+count)
+// with p workers — the root column of a sketch (first 0) or of a shard's
+// id range.
+func RootsRange(seed, first uint64, count, n, p int) []graph.Vertex {
 	roots := make([]graph.Vertex, count)
 	par.ForEach(count, p, func(_, lo, hi int) {
 		gen := new(rng.SplitMix64)
 		r := rng.New(gen)
 		for i := lo; i < hi; i++ {
-			gen.Reseed(seed, uint64(i))
-			roots[i] = graph.Vertex(r.Intn(n))
-		}
-	})
-	return roots
-}
-
-// RootsAt derives the roots of the given global sample ids (a shard's
-// local-to-global id column) with p workers.
-func RootsAt(seed uint64, ids []int64, n, p int) []graph.Vertex {
-	roots := make([]graph.Vertex, len(ids))
-	par.ForEach(len(ids), p, func(_, lo, hi int) {
-		gen := new(rng.SplitMix64)
-		r := rng.New(gen)
-		for i := lo; i < hi; i++ {
-			gen.Reseed(seed, uint64(ids[i]))
+			gen.Reseed(seed, first+uint64(i))
 			roots[i] = graph.Vertex(r.Intn(n))
 		}
 	})

@@ -74,7 +74,7 @@ func servedSketch(tb testing.TB, scale float64, k int) (*rrr.CodedCollection, *r
 		tb.Fatal(err)
 	}
 	tb.Logf("n %d, %d samples of mean size %.1f", col.NumVertices(), col.Count(), float64(col.TotalSize())/float64(col.Count()))
-	return col, idx, RootsRange(opt.Seed, col.Count(), col.NumVertices(), 2)
+	return col, idx, RootsRange(opt.Seed, 0, col.Count(), col.NumVertices(), 2)
 }
 
 // servedQueries is one query of each shape over a served sketch: a 1 %

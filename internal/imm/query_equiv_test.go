@@ -67,7 +67,7 @@ func queryStores(t *testing.T, gc struct {
 	if ccol.Count() != col.Count() {
 		t.Fatalf("stores disagree on sample count: %d vs %d", ccol.Count(), col.Count())
 	}
-	roots := RootsRange(gc.seed, col.Count(), g.NumVertices(), 4)
+	roots := RootsRange(gc.seed, 0, col.Count(), g.NumVertices(), 4)
 	return g, col, idx, ccol, cidx, roots
 }
 

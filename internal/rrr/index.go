@@ -13,7 +13,7 @@ import (
 // the sequential NaiveStore baseline, but built on demand from the compact
 // one-directional store so sampling keeps its halved memory footprint.
 //
-// Unlike Hypergraph, which maintains per-vertex slices incrementally during
+// Unlike NaiveStore, which maintains per-vertex slices incrementally during
 // Append (one allocation-prone slice per vertex, resident for the whole
 // run), Index is two flat arrays built in one parallel pass after sampling
 // finishes and dropped when selection ends.

@@ -26,11 +26,12 @@ func randomCollection(seed uint64, n, count int, density float64) (*Collection, 
 }
 
 // TestIndexMatchesHypergraph checks the parallel build against the
-// incrementally maintained incidence of Hypergraph, vertex by vertex.
+// incrementally maintained incidence of NaiveStore (the bidirectional
+// hypergraph layout), vertex by vertex.
 func TestIndexMatchesHypergraph(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 8} {
 		col, sets := randomCollection(uint64(p)*7+1, 40, 120, 0.12)
-		hyper := NewHypergraph(40)
+		hyper := NewNaiveStore(40)
 		for _, s := range sets {
 			hyper.Append(s)
 		}
@@ -187,7 +188,7 @@ func TestPatchIndexNoChanges(t *testing.T) {
 }
 
 // TestIndexBytes checks the accounting: 4 bytes per association plus the
-// offsets array, i.e. half a Hypergraph's incidence overhead structure-for-
+// offsets array, i.e. half a NaiveStore's incidence overhead structure-for-
 // structure (no per-vertex slice headers).
 func TestIndexBytes(t *testing.T) {
 	col, _ := randomCollection(11, 20, 50, 0.15)

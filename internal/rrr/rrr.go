@@ -11,10 +11,11 @@
 //     [vl, vh) occupies contiguous memory within every sample (counting
 //     proceeds in cache order) and its bounds are found by binary search.
 //
-//   - Hypergraph additionally stores the inverted vertex-to-sample
-//     incidence, as Tang et al.'s reference implementation does. It makes
-//     seed selection cheaper but roughly doubles the memory footprint —
-//     the trade-off quantified in Table 2.
+//   - NaiveStore (naive.go) keeps every sample as its own allocation and
+//     additionally materializes the inverted vertex-to-sample incidence,
+//     as Tang et al.'s reference implementation does. It makes seed
+//     selection cheaper but roughly doubles the memory footprint — the
+//     trade-off quantified in Table 2.
 package rrr
 
 import (
@@ -105,6 +106,18 @@ func (c *Collection) Truncate(count int) {
 	c.verts = c.verts[:c.offsets[count]]
 }
 
+// Range returns samples [lo, hi) as a collection that shares this one's
+// vertex arena instead of copying it (capacity-capped, so an Append to
+// either never writes into the other).
+func (c *Collection) Range(lo, hi int) *Collection {
+	base, end := c.offsets[lo], c.offsets[hi]
+	offs := make([]int64, hi-lo+1)
+	for i := range offs {
+		offs[i] = c.offsets[lo+i] - base
+	}
+	return &Collection{n: c.n, offsets: offs, verts: c.verts[base:end:end]}
+}
+
 // Bytes returns the memory footprint of the stored samples, matching the
 // accounting used for Table 2's memory columns.
 func (c *Collection) Bytes() int64 {
@@ -141,46 +154,4 @@ func (c *Collection) CountRange(counter []int32, covered []bool, vl, vh graph.Ve
 			counter[u]++
 		}
 	}
-}
-
-// Hypergraph is the bidirectional representation used by the Tang et al.
-// reference implementation: alongside the sample->vertex lists it keeps,
-// for every vertex, the list of samples containing it. Each association is
-// stored twice ("Thus, each association between a sample and a vertex is
-// stored twice" — Section 3.1).
-type Hypergraph struct {
-	Collection
-	incidence [][]int32 // vertex -> indices of samples containing it
-}
-
-// NewHypergraph returns an empty hypergraph over n vertices.
-func NewHypergraph(n int) *Hypergraph {
-	return &Hypergraph{
-		Collection: Collection{n: n, offsets: []int64{0}},
-		incidence:  make([][]int32, n),
-	}
-}
-
-// Append adds one sorted sample and updates the inverted incidence.
-func (h *Hypergraph) Append(set []graph.Vertex) {
-	idx := int32(h.Count())
-	h.Collection.Append(set)
-	for _, v := range set {
-		h.incidence[v] = append(h.incidence[v], idx)
-	}
-}
-
-// SamplesOf returns the indices of the samples containing v.
-func (h *Hypergraph) SamplesOf(v graph.Vertex) []int32 { return h.incidence[v] }
-
-// Bytes returns the memory footprint including the inverted incidence —
-// the quantity that makes the baseline's footprint roughly twice the
-// compact layout's in Table 2.
-func (h *Hypergraph) Bytes() int64 {
-	b := h.Collection.Bytes()
-	for _, inc := range h.incidence {
-		b += int64(len(inc)) * 4
-	}
-	b += int64(len(h.incidence)) * 24 // slice headers
-	return b
 }

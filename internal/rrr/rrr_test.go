@@ -192,8 +192,11 @@ func TestCollectionBytesGrow(t *testing.T) {
 	}
 }
 
+// The TestHypergraph* tests pin NaiveStore, the bidirectional layout of
+// Table 2's sequential baseline.
+
 func TestHypergraphIncidence(t *testing.T) {
-	h := NewHypergraph(5)
+	h := NewNaiveStore(5)
 	h.Append([]graph.Vertex{0, 2})
 	h.Append([]graph.Vertex{2, 3})
 	h.Append([]graph.Vertex{0})
@@ -214,7 +217,7 @@ func TestHypergraphIncidence(t *testing.T) {
 func TestHypergraphBytesExceedCompact(t *testing.T) {
 	// The whole point of Table 2: the bidirectional store costs more.
 	c := NewCollection(100)
-	h := NewHypergraph(100)
+	h := NewNaiveStore(100)
 	set := make([]graph.Vertex, 50)
 	for i := range set {
 		set[i] = graph.Vertex(i * 2)
@@ -224,7 +227,7 @@ func TestHypergraphBytesExceedCompact(t *testing.T) {
 		h.Append(set)
 	}
 	if h.Bytes() <= c.Bytes() {
-		t.Fatalf("hypergraph bytes (%d) not larger than compact (%d)", h.Bytes(), c.Bytes())
+		t.Fatalf("naive store bytes (%d) not larger than compact (%d)", h.Bytes(), c.Bytes())
 	}
 }
 
@@ -232,7 +235,7 @@ func TestHypergraphIncidenceMatchesMembership(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(rng.NewLCG(seed))
 		n := 30
-		h := NewHypergraph(n)
+		h := NewNaiveStore(n)
 		for s := 0; s < 10; s++ {
 			var set []graph.Vertex
 			for v := 0; v < n; v++ {
@@ -279,5 +282,33 @@ func TestReserveRetainsContentAndPreventsGrowth(t *testing.T) {
 	}
 	if got := c.CheckInvariants(); got != -1 {
 		t.Fatalf("invariants broken at sample %d", got)
+	}
+}
+
+// TestCollectionRange: a range view holds exactly the parent's samples
+// [lo, hi), and appends to either side never show through to the other.
+func TestCollectionRange(t *testing.T) {
+	col, sets := randomCollection(5, 30, 40, 0.2)
+	for _, r := range [][2]int{{0, 40}, {0, 0}, {7, 19}, {19, 40}, {40, 40}} {
+		part := col.Range(r[0], r[1])
+		if part.Count() != r[1]-r[0] || part.NumVertices() != col.NumVertices() {
+			t.Fatalf("Range%v: %d samples over %d vertices", r, part.Count(), part.NumVertices())
+		}
+		for j := 0; j < part.Count(); j++ {
+			if !slices.Equal(part.Sample(j), sets[r[0]+j]) {
+				t.Fatalf("Range%v: sample %d = %v, want %v", r, j, part.Sample(j), sets[r[0]+j])
+			}
+		}
+	}
+	head := col.Range(0, 10)
+	head.Append([]graph.Vertex{29})
+	if !slices.Equal(col.Sample(10), sets[10]) {
+		t.Fatal("appending to a range view overwrote the parent's next sample")
+	}
+	col.Append([]graph.Vertex{0, 1})
+	tail := col.Range(30, 41)
+	col.Append([]graph.Vertex{2})
+	if tail.Count() != 11 || !slices.Equal(tail.Sample(10), []graph.Vertex{0, 1}) {
+		t.Fatal("appending to the parent changed a range view")
 	}
 }

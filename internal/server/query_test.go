@@ -39,7 +39,7 @@ func queryTestServer(t *testing.T, cfg Config) (ts *httptest.Server, ref func(im
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := imm.RootsRange(cfg.Seed, col.Count(), cfg.Graph.NumVertices(), cfg.Workers)
+	roots := imm.RootsRange(cfg.Seed, 0, col.Count(), cfg.Graph.NumVertices(), cfg.Workers)
 	ref = func(q imm.Query) *imm.QueryResult {
 		qr, err := imm.SelectQueryIndexed(col, idx, roots, q, cfg.Workers)
 		if err != nil {

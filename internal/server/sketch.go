@@ -72,7 +72,7 @@ type Sketch struct {
 // roots are invariant across epochs. Safe for concurrent callers.
 func (s *Sketch) Roots() []graph.Vertex {
 	s.rootsOnce.Do(func() {
-		s.roots = imm.RootsRange(s.Key.Seed, s.Col.Count(), s.Col.NumVertices(), 0)
+		s.roots = imm.RootsRange(s.Key.Seed, 0, s.Col.Count(), s.Col.NumVertices(), 0)
 	})
 	return s.roots
 }
