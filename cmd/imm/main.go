@@ -255,8 +255,8 @@ func runQueryMode(g *graph.Graph, st graph.Stats, model diffuse.Model,
 	}
 	theta := sk.Theta
 	coverage := 0.0
-	if theta > 0 {
-		coverage = float64(qr.Covered) / float64(theta)
+	if c := sk.Col.Count(); c > 0 {
+		coverage = float64(qr.Covered) / float64(c)
 	}
 	estimated := coverage * float64(g.NumVertices())
 

@@ -57,7 +57,7 @@ func main() {
 		modelStr     = flag.String("model", "IC", "diffusion model: IC or LT")
 		seed         = flag.Uint64("seed", 1, "random seed")
 		workers      = flag.Int("workers", 0, "threads for sampling and selection (0 = all cores)")
-		storeStr     = flag.String("store", "flat", "resident RRR store: flat (uint32 arena) or coded (byte-coded, ~3x smaller; same seeds)")
+		storeStr     = flag.String("store", "flat", "resident RRR store, byte-coded either way: flat (identity labels) or coded (frequency relabeling); same seeds")
 		concurrency  = flag.Int("concurrency", 2, "queries executing at once")
 		queue        = flag.Int("queue", 16, "queries waiting for a slot before 429s start")
 		timeout      = flag.Duration("timeout", 60*time.Second, "per-query budget (queue wait + sketch build)")
@@ -128,15 +128,8 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-	} else if *dynamic {
-		// Dynamic mode: a snapshot, when present, warm-restarts the
-		// mutated state (its delta log is replayed over the base graph);
-		// otherwise Serve samples the initial sketch itself. The static
-		// sample-then-persist path does not apply — the sketch keeps
-		// changing, so it is persisted after the drain instead.
-		sketch, err = loadWarmSketch(g, key, *snapshot, *workers, store)
 	} else {
-		sketch, err = prepareSketch(g, key, *snapshot, *workers, store, reg)
+		sketch, err = prepareSketch(g, key, *snapshot, *workers, store, reg, *dynamic)
 	}
 	if err != nil {
 		fatal("%v", err)
@@ -184,10 +177,10 @@ func main() {
 
 // prepareShard resolves this replica's sample shard: a shard snapshot at
 // path warm-starts it; otherwise a running peer (-shard-from) streams its
-// snapshot over; otherwise the fleet is sampled locally and this replica
-// keeps its own slice. Whatever the source, the shard's identity must
-// match the flags — a slice from the wrong fleet would silently poison
-// routed selections.
+// snapshot over; otherwise the fleet's samples are drawn locally and only
+// this replica's id range is coded and indexed. Whatever the source, the
+// shard's identity must match the flags — a slice from the wrong fleet
+// would silently poison routed selections.
 func prepareShard(g *graph.Graph, key server.SketchKey, idx, count int, path, from string, workers int) (*cluster.Shard, error) {
 	load := func(sh *cluster.Shard, src string) (*cluster.Shard, error) {
 		info := sh.Info()
@@ -212,37 +205,27 @@ func prepareShard(g *graph.Graph, key server.SketchKey, idx, count int, path, fr
 			return load(sh, path)
 		}
 	}
+	var sh *cluster.Shard
+	var err error
 	if from != "" {
-		sh, err := cluster.FetchShardSnapshot(from, nil, 0, workers)
-		if err != nil {
+		if sh, err = cluster.FetchShardSnapshot(from, nil, 0, workers); err != nil {
 			return nil, fmt.Errorf("bootstrapping from peer %s: %w", from, err)
 		}
 		if sh, err = load(sh, from); err != nil {
 			return nil, err
 		}
-		if path != "" {
-			if err := cluster.SaveShardSnapshotFile(path, sh); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "immserve: shard snapshot written to %s\n", path)
+	} else {
+		start := time.Now()
+		var fleet int
+		if sh, fleet, err = cluster.BuildShard(g, cluster.BuildOptions{
+			K: key.KMax, Epsilon: key.Epsilon, Model: key.Model, Seed: key.Seed,
+			Shards: count, Workers: workers,
+		}, idx); err != nil {
+			return nil, err
 		}
-		return sh, nil
+		fmt.Fprintf(os.Stderr, "immserve: shard %d/%d sampled in %v (ids [%d, %d) of %d fleet samples)\n",
+			idx, count, time.Since(start).Round(time.Millisecond), sh.First, sh.First+uint64(sh.Col.Count()), fleet)
 	}
-	start := time.Now()
-	shards, err := cluster.BuildShards(g, cluster.BuildOptions{
-		K: key.KMax, Epsilon: key.Epsilon, Model: key.Model, Seed: key.Seed,
-		Shards: count, Workers: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sh := shards[idx]
-	fleet := 0
-	for _, s := range shards {
-		fleet += s.Col.Count()
-	}
-	fmt.Fprintf(os.Stderr, "immserve: shard %d/%d sampled in %v (%d of %d fleet samples)\n",
-		idx, count, time.Since(start).Round(time.Millisecond), sh.Col.Count(), fleet)
 	if path != "" {
 		if err := cluster.SaveShardSnapshotFile(path, sh); err != nil {
 			return nil, err
@@ -252,34 +235,15 @@ func prepareShard(g *graph.Graph, key server.SketchKey, idx, count int, path, fr
 	return sh, nil
 }
 
-// loadWarmSketch resolves the dynamic-mode warm start: a snapshot at path
-// (written by a previous dynamic run's drain) restores the mutated state;
-// no snapshot means Serve builds the initial sketch from the graph.
-func loadWarmSketch(g *graph.Graph, key server.SketchKey, path string, workers int, store imm.StoreKind) (*server.Sketch, error) {
-	if path == "" {
-		return nil, nil
-	}
-	if _, err := os.Stat(path); err != nil {
-		return nil, nil
-	}
-	s, err := server.LoadSketch(path, g, workers, store, 0)
-	if err != nil {
-		return nil, err
-	}
-	if s.Key != key {
-		return nil, fmt.Errorf("snapshot %s was sampled with (%s), flags say (%s); delete it or match the flags",
-			path, s.Key, key)
-	}
-	fmt.Fprintf(os.Stderr, "immserve: dynamic sketch warm-started from %s (theta %d, epoch %d)\n",
-		path, s.Theta, s.DeltaEpoch)
-	return s, nil
-}
-
 // prepareSketch resolves the resident sketch: a valid snapshot at path
 // warm-starts the server (transcoded into the -store kind if it was
-// written with the other one); otherwise the sketch is sampled and — when
-// a path was given — persisted for the next start.
-func prepareSketch(g *graph.Graph, key server.SketchKey, path string, workers int, store imm.StoreKind, reg *metrics.Registry) (*server.Sketch, error) {
+// written with the other one; in dynamic mode it restores the mutated
+// state, whose delta log New replays over the base graph). Otherwise a
+// static sketch is sampled and — when a path was given — persisted for the
+// next start. Dynamic mode returns nil instead: New samples the initial
+// sketch itself, and since it keeps changing it is persisted after the
+// drain.
+func prepareSketch(g *graph.Graph, key server.SketchKey, path string, workers int, store imm.StoreKind, reg *metrics.Registry, dynamic bool) (*server.Sketch, error) {
 	if path != "" {
 		if _, err := os.Stat(path); err == nil {
 			s, err := server.LoadSketch(path, g, workers, store, 0)
@@ -290,9 +254,17 @@ func prepareSketch(g *graph.Graph, key server.SketchKey, path string, workers in
 				return nil, fmt.Errorf("snapshot %s was sampled with (%s), flags say (%s); delete it or match the flags",
 					path, s.Key, key)
 			}
-			fmt.Fprintf(os.Stderr, "immserve: sketch warm-started from %s (theta %d, store %s)\n", path, s.Theta, s.Store())
+			if dynamic {
+				fmt.Fprintf(os.Stderr, "immserve: dynamic sketch warm-started from %s (theta %d, epoch %d)\n",
+					path, s.Theta, s.DeltaEpoch)
+			} else {
+				fmt.Fprintf(os.Stderr, "immserve: sketch warm-started from %s (theta %d, store %s)\n", path, s.Theta, s.Store())
+			}
 			return s, nil
 		}
+	}
+	if dynamic {
+		return nil, nil
 	}
 	start := time.Now()
 	s, err := server.BuildSketch(g, key, workers, store, reg)

@@ -219,6 +219,45 @@ func TestCmdIMMBaselineFlag(t *testing.T) {
 	}
 }
 
+// TestCmdIMMQueryModeCoverage pins imm's query mode to the plain run's
+// coverage: a budget that admits all k seeds picks the same seeds, so the
+// coverage over the sketch's samples must match too. The configuration is
+// one where the search overshoots theta (10,566 samples for theta 8,945),
+// so a coverage divided by theta instead of the sample count shows.
+func TestCmdIMMQueryModeCoverage(t *testing.T) {
+	type result struct {
+		Theta            int64   `json:"theta"`
+		SamplesGenerated int     `json:"samplesGenerated"`
+		Seeds            []int   `json:"seeds"`
+		CoverageFraction float64 `json:"coverageFraction"`
+		EstimatedSpread  float64 `json:"estimatedSpread"`
+		Covered          int64   `json:"covered"`
+	}
+	run := func(extra ...string) result {
+		args := append([]string{"-dataset", "cit-HepTh", "-scale", "0.05", "-model", "LT",
+			"-k", "10", "-eps", "0.5", "-seed", "1", "-json"}, extra...)
+		var r result
+		if err := json.Unmarshal([]byte(runCmd(t, "imm", args...)), &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	plain, budgeted := run(), run("-budget", "1000")
+	if plain.Theta == int64(plain.SamplesGenerated) {
+		t.Fatalf("theta %d equals the sample count; the case no longer tells the divisors apart", plain.Theta)
+	}
+	if !slices.Equal(plain.Seeds, budgeted.Seeds) {
+		t.Fatalf("budgeted seeds %v, plain seeds %v", budgeted.Seeds, plain.Seeds)
+	}
+	if want := float64(budgeted.Covered) / float64(budgeted.SamplesGenerated); budgeted.CoverageFraction != want {
+		t.Errorf("query-mode coverage %v, want covered/samples = %v", budgeted.CoverageFraction, want)
+	}
+	if budgeted.CoverageFraction != plain.CoverageFraction || budgeted.EstimatedSpread != plain.EstimatedSpread {
+		t.Errorf("query mode reports coverage %v, spread %v; the plain run %v, %v",
+			budgeted.CoverageFraction, budgeted.EstimatedSpread, plain.CoverageFraction, plain.EstimatedSpread)
+	}
+}
+
 func TestCmdImmdistLocalAndPartitioned(t *testing.T) {
 	out := runCmd(t, "immdist", "-dataset", "com-YouTube", "-scale", "0.001", "-ranks", "2", "-k", "4", "-eps", "0.5")
 	if !strings.Contains(out, "ranks: 2") || !strings.Contains(out, "seeds:") {

@@ -31,26 +31,54 @@ type BuildOptions struct {
 	Workers int
 }
 
-// BuildShards draws the sample set for (g, opt) once, with imm.RunCollect
-// in PerSample mode, and cuts it into opt.Shards query-ready shards: shard
-// r holds the contiguous id range par.Interval(N, Shards, r) of the N
-// drawn samples, coded under its own frequency relabeling. Sample i is a
-// pure function of (seed, i), so the shards' union is the single-process
+// BuildShards draws the sample set for (g, opt) once, with imm.Draw in
+// PerSample mode, and cuts it into opt.Shards query-ready shards: shard r
+// holds the contiguous id range par.Interval(N, Shards, r) of the N drawn
+// samples, coded under its own frequency relabeling. Sample i is a pure
+// function of (seed, i), so the shards' union is the single-process
 // sample set, and the same (graph, options) always yields the same shards.
 func BuildShards(g *graph.Graph, opt BuildOptions) ([]*Shard, error) {
 	if opt.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d < 1", opt.Shards)
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
+	cut, _, err := draw(g, opt)
+	if err != nil {
+		return nil, err
 	}
-	res, col, _, err := imm.RunCollect(g, imm.Options{
+	shards := make([]*Shard, opt.Shards)
+	for r := range shards {
+		if shards[r], err = cut(r); err != nil {
+			return nil, err
+		}
+	}
+	return shards, nil
+}
+
+// BuildShard builds shard r of BuildShards(g, opt) alone, byte-identical:
+// the same draw, with only range r coded and indexed. It also returns the
+// draw's sample count N; the shard holds ids par.Interval(N, Shards, r).
+func BuildShard(g *graph.Graph, opt BuildOptions, r int) (*Shard, int, error) {
+	if r < 0 || r >= opt.Shards {
+		return nil, 0, fmt.Errorf("cluster: shard index %d out of [0, %d)", r, opt.Shards)
+	}
+	cut, n, err := draw(g, opt)
+	if err != nil {
+		return nil, 0, err
+	}
+	sh, err := cut(r)
+	return sh, n, err
+}
+
+// draw runs the fleet's one sample draw and returns its sample count N and
+// cut, which codes shard r (ids par.Interval(N, Shards, r)) under its own
+// frequency relabeling and indexes it.
+func draw(g *graph.Graph, opt BuildOptions) (cut func(r int) (*Shard, error), n int, err error) {
+	res, col, err := imm.Draw(g, imm.Options{
 		K: opt.K, Epsilon: opt.Epsilon, Model: opt.Model, Seed: opt.Seed,
-		Workers: workers, RNG: imm.PerSample,
+		Workers: opt.Workers, RNG: imm.PerSample,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("cluster: drawing the fleet's samples: %w", err)
+		return nil, 0, fmt.Errorf("cluster: drawing the fleet's samples: %w", err)
 	}
 	meta := rrr.SnapshotMeta{
 		GraphDigest: g.Digest(),
@@ -60,16 +88,9 @@ func BuildShards(g *graph.Graph, opt BuildOptions) ([]*Shard, error) {
 		Seed:        opt.Seed,
 		Theta:       res.Theta,
 	}
-	shards := make([]*Shard, opt.Shards)
-	for r := range shards {
+	return func(r int) (*Shard, error) {
 		lo, hi := par.Interval(col.Count(), opt.Shards, r)
-		part := col.Range(lo, hi)
-		coded := rrr.FromCollection(part, rrr.NewRelabeling(rrr.IncidenceOf(part, workers)))
-		sh, err := NewShard(meta, coded, nil, r, opt.Shards, uint64(lo), 0, workers)
-		if err != nil {
-			return nil, err
-		}
-		shards[r] = sh
-	}
-	return shards, nil
+		coded := imm.Transcode(col.Range(lo, hi), imm.StoreCoded, res.Workers)
+		return NewShard(meta, coded, nil, r, opt.Shards, uint64(lo), 0, res.Workers)
+	}, col.Count(), nil
 }

@@ -373,6 +373,53 @@ func TestBuildShardsTileOneDraw(t *testing.T) {
 	}
 }
 
+// TestBuildShardMatchesBuildShards: a replica that builds only its own
+// shard gets, as a snapshot, exactly the shard the whole-fleet build cuts
+// at that index, at any width and worker count, and learns the draw's
+// sample count N its range is taken from.
+func TestBuildShardMatchesBuildShards(t *testing.T) {
+	g := testGraph(13, 90, 600)
+	opt := cluster.BuildOptions{K: 6, Epsilon: 0.5, Model: diffuse.IC, Seed: 21}
+	snapshot := func(sh *cluster.Shard) []byte {
+		var buf bytes.Buffer
+		if err := cluster.WriteShardSnapshot(&buf, sh); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, w := range []int{1, 4} {
+		opt.Workers = w
+		for _, s := range []int{1, 2, 3, 5} {
+			opt.Shards = s
+			fleet, err := cluster.BuildShards(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, sh := range fleet {
+				total += sh.Col.Count()
+			}
+			for r, want := range fleet {
+				got, n, err := cluster.BuildShard(g, opt, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != total {
+					t.Fatalf("w=%d s=%d shard %d: N = %d, fleet holds %d", w, s, r, n, total)
+				}
+				if !bytes.Equal(snapshot(got), snapshot(want)) {
+					t.Fatalf("w=%d s=%d shard %d: BuildShard differs from BuildShards[%d]", w, s, r, r)
+				}
+			}
+			for _, r := range []int{-1, s} {
+				if _, _, err := cluster.BuildShard(g, opt, r); err == nil {
+					t.Fatalf("w=%d s=%d: BuildShard accepted index %d", w, s, r)
+				}
+			}
+		}
+	}
+}
+
 func TestFetchShardSnapshot(t *testing.T) {
 	g := testGraph(9, 50, 300)
 	opt := cluster.BuildOptions{K: 4, Epsilon: 0.5, Model: diffuse.IC, Seed: 5, Workers: 2, Shards: 2}

@@ -15,8 +15,8 @@ import (
 const maxSessions = 64
 
 // Shard is one replica's slice of the fleet's RRR samples, query-ready:
-// the contiguous id range [First, First+Col.Count()) of the one sample
-// draw BuildShards makes, so the union over a full fleet is the
+// the contiguous id range [First, First+Col.Count()) of the fleet's one
+// sample draw (BuildShards, BuildShard), so the union over a fleet is the
 // single-process sample set.
 // It serves any number of concurrent greedy sessions, each carrying only
 // a covered bitset over the local samples; mutating calls are serialized

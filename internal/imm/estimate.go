@@ -88,22 +88,16 @@ func (s naiveSamples) Cover(k int) (int64, error) {
 	return cov, nil
 }
 
-// FinalIndex readies the finished samples for the final selection; it is
-// the one place a pipeline transcodes. With transcode set, col is
-// re-encoded into the byte-coded store — under the frequency relabeling
-// (DESIGN.md §13) for StoreCoded, the identity labeling otherwise —
-// accounted to Other, and the index is built over the coded store;
-// without, coded is nil and the index is over col. Either build is
-// accounted to IndexBuild. A caller that transcodes should hold no other
-// reference to col: the flat arena is garbage once the coded store exists.
+// FinalIndex readies the finished samples for the final selection. With
+// transcode set, col is re-encoded by Transcode, accounted to Other, and
+// the index is built over the coded store; without, coded is nil and the
+// index is over col. Either build is accounted to IndexBuild. A caller
+// that transcodes should hold no other reference to col: the flat arena
+// is garbage once the coded store exists.
 func FinalIndex(col *rrr.Collection, store StoreKind, transcode bool, p int, phases *trace.Times) (coded *rrr.CodedCollection, idx *rrr.Index) {
 	if transcode {
 		start := time.Now()
-		var relab *rrr.Relabeling
-		if store == StoreCoded {
-			relab = rrr.NewRelabeling(rrr.IncidenceOf(col, p))
-		}
-		coded, col = rrr.FromCollection(col, relab), nil
+		coded, col = Transcode(col, store, p), nil
 		phases.Add(trace.Other, time.Since(start))
 	}
 	phases.Measure(trace.IndexBuild, func() {
@@ -114,4 +108,16 @@ func FinalIndex(col *rrr.Collection, store StoreKind, transcode bool, p int, pha
 		}
 	})
 	return coded, idx
+}
+
+// Transcode re-encodes col into the byte-coded store: under the frequency
+// relabeling (DESIGN.md §13) of col's own incidence for StoreCoded, the
+// identity labeling otherwise. It is the one place a flat arena is
+// transcoded; FinalIndex, the shard cut and dynamic publication call it.
+func Transcode(col *rrr.Collection, store StoreKind, p int) *rrr.CodedCollection {
+	var relab *rrr.Relabeling
+	if store == StoreCoded {
+		relab = rrr.NewRelabeling(rrr.IncidenceOf(col, p))
+	}
+	return rrr.FromCollection(col, relab)
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"influmax/internal/graph"
+	"influmax/internal/metrics"
 	"influmax/internal/rrr"
 	"influmax/internal/trace"
 )
@@ -82,12 +83,22 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 	return res, err
 }
 
-// samplePipeline runs phases 1-2 — theta estimation (Algorithm 2) and
-// sampling to theta (Algorithm 3) — into a flat arena, filling res's
-// theta bookkeeping. Both store kinds share this front half: estimation
-// appends and re-selects incrementally, which only the flat arena
-// supports, so a coded run transcodes once after the final samples exist.
-func samplePipeline(g *graph.Graph, opt Options, res *Result) (*rrr.Collection, *BatchSampler, Analysis) {
+// Draw is the front half of Algorithm 1: theta estimation (Algorithm 2)
+// and sampling to theta (Algorithm 3) into a flat arena — the only store
+// estimation's incremental appends and re-selections run on. It fills
+// only the sampling bookkeeping (theta, lower bound, sample count, flat
+// footprint, balance, fused-kernel counters, rrr/balance gauge): no index
+// is built and no seeds are selected. Every pipeline composes Draw,
+// FinalIndex and, when it wants seeds, a selection.
+func Draw(g *graph.Graph, opt Options) (*Result, *rrr.Collection, error) {
+	opt = opt.withDefaults()
+	if err := opt.validate(g.NumVertices()); err != nil {
+		return nil, nil, err
+	}
+	res := &Result{Algorithm: "IMMopt", Workers: opt.Workers, Store: opt.Store, scalar: !opt.fused()}
+	if opt.Workers > 1 {
+		res.Algorithm = "IMMmt"
+	}
 	startOther := time.Now()
 	n := g.NumVertices()
 	col := rrr.NewCollection(n)
@@ -96,47 +107,42 @@ func samplePipeline(g *graph.Graph, opt Options, res *Result) (*rrr.Collection, 
 	res.Phases.Add(trace.Other, time.Since(startOther))
 	// Local samples never fail.
 	res.Theta, res.LowerBound, _ = Estimate(localSamples{st, col, opt.Workers}, tm, opt.K, &res.Phases)
-	return col, st, tm
-}
-
-// finishRun records the bookkeeping every pipeline tail shares: sampling
-// balance, the final index's footprint and the store/balance gauges.
-func finishRun(res *Result, st *BatchSampler, idx *rrr.Index, opt Options) {
+	res.SamplesGenerated = col.Count()
+	res.FlatStoreBytes = col.Bytes()
 	res.WorkBalance = st.WorkBalance()
 	res.WorkerWork = append([]int64(nil), st.Work...)
 	fs := st.FusedStats()
 	res.FrontierPasses = fs.Passes
 	res.CoinsGenerated = fs.Coins
 	res.BatchOccupancy = fs.Occupancy()
-	res.IndexBytes = idx.Bytes()
 	if opt.Metrics != nil {
 		// Permille, because gauges are integers: 1000 = perfectly balanced.
 		opt.Metrics.Gauge("rrr/balance").Set(int64(res.WorkBalance * 1000))
-		opt.Metrics.Gauge("rrr/store-bytes").Set(res.StoreBytes)
-		opt.Metrics.Gauge("rrr/index-bytes").Set(idx.Bytes())
 	}
+	return res, col, nil
 }
 
-// selectFinal times phase 3, SelectSeeds (Algorithm 4), and records the
-// seeds sel picks, their coverage of the count samples and the spread
-// estimate over n vertices.
-func selectFinal(res *Result, n float64, count int, sel func() ([]graph.Vertex, int64)) {
+// selectFinal records the footprints of the selection's store and index
+// idx (and their gauges, when reg is set), then times phase 3, SelectSeeds
+// (Algorithm 4): the seeds sel picks, their coverage of the
+// res.SamplesGenerated samples and the spread estimate over n vertices.
+func selectFinal(res *Result, n float64, storeBytes int64, idx *rrr.Index, reg *metrics.Registry, sel func() ([]graph.Vertex, int64)) {
+	res.StoreBytes = storeBytes
+	if idx != nil {
+		res.IndexBytes = idx.Bytes()
+	}
+	if reg != nil {
+		reg.Gauge("rrr/store-bytes").Set(res.StoreBytes)
+		reg.Gauge("rrr/index-bytes").Set(res.IndexBytes)
+	}
 	res.Phases.Measure(trace.SelectSeeds, func() {
 		var cov int64
 		res.Seeds, cov = sel()
-		if count > 0 {
-			res.CoverageFraction = float64(cov) / float64(count)
+		if res.SamplesGenerated > 0 {
+			res.CoverageFraction = float64(cov) / float64(res.SamplesGenerated)
 		}
 		res.EstimatedSpread = res.CoverageFraction * n
 	})
-}
-
-func newResult(opt Options) *Result {
-	res := &Result{Algorithm: "IMMopt", Workers: opt.Workers, Store: opt.Store, scalar: !opt.fused()}
-	if opt.Workers > 1 {
-		res.Algorithm = "IMMmt"
-	}
-	return res
 }
 
 // RunCollect executes the same pipeline as Run but additionally returns
@@ -147,28 +153,18 @@ func newResult(opt Options) *Result {
 // RunCollect always works on the flat arena (opt.Store is ignored);
 // callers that want the byte-coded store use RunSketch.
 func RunCollect(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Index, error) {
-	opt = opt.withDefaults()
 	opt.Store = StoreFlat
-	if err := opt.validate(g.NumVertices()); err != nil {
+	res, col, err := Draw(g, opt)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	res := newResult(opt)
-	col, st, tm := samplePipeline(g, opt, res)
-
-	// Phase 2.5: invert the finished collection into the vertex->samples
-	// index the purge step looks up. Builds inside the estimation loop are
-	// accounted to Estimation, like the Sample calls made there; this final
-	// build over the full theta samples gets its own bar.
-	_, idx := FinalIndex(col, opt.Store, false, opt.Workers, &res.Phases)
-
+	// Phase 2.5: the vertex->samples index the purge looks up. Builds in the
+	// estimation loop count as Estimation; this final one gets its own bar.
+	_, idx := FinalIndex(col, StoreFlat, false, res.Workers, &res.Phases)
 	// Phase 3: SelectSeeds (Algorithm 4, index-driven purge).
-	selectFinal(res, tm.N(), col.Count(), func() ([]graph.Vertex, int64) {
-		return SelectSeedsIndexed(col, idx, opt.K, opt.Workers)
+	selectFinal(res, float64(g.NumVertices()), col.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
+		return SelectSeedsIndexed(col, idx, opt.K, res.Workers)
 	})
-	res.SamplesGenerated = col.Count()
-	res.StoreBytes = col.Bytes()
-	res.FlatStoreBytes = col.Bytes()
-	finishRun(res, st, idx, opt)
 	return res, col, idx, nil
 }
 
@@ -183,20 +179,14 @@ func RunCollect(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Ind
 // transcode (incidence count, relabel-table build, re-encode) is
 // accounted to the Other phase.
 func RunSketch(g *graph.Graph, opt Options) (*Result, *rrr.CodedCollection, *rrr.Index, error) {
-	opt = opt.withDefaults()
-	if err := opt.validate(g.NumVertices()); err != nil {
+	res, col, err := Draw(g, opt)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	res := newResult(opt)
-	col, st, tm := samplePipeline(g, opt, res)
-	res.FlatStoreBytes = col.Bytes()
-	coded, idx := FinalIndex(col, opt.Store, true, opt.Workers, &res.Phases)
-	selectFinal(res, tm.N(), coded.Count(), func() ([]graph.Vertex, int64) {
-		return SelectSeedsSketch(coded, idx, opt.K, opt.Workers)
+	coded, idx := FinalIndex(col, opt.Store, true, res.Workers, &res.Phases)
+	selectFinal(res, float64(g.NumVertices()), coded.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
+		return SelectSeedsSketch(coded, idx, opt.K, res.Workers)
 	})
-	res.SamplesGenerated = coded.Count()
-	res.StoreBytes = coded.Bytes()
-	finishRun(res, st, idx, opt)
 	return res, coded, idx, nil
 }
 
@@ -219,10 +209,9 @@ func RunBaseline(g *graph.Graph, opt Options) (*Result, error) {
 	res.Phases.Add(trace.Other, time.Since(startOther))
 	// The baseline's samples never fail either.
 	res.Theta, res.LowerBound, _ = Estimate(naiveSamples{st, store}, tm, opt.K, &res.Phases)
-	selectFinal(res, tm.N(), store.Count(), func() ([]graph.Vertex, int64) {
+	res.SamplesGenerated = store.Count()
+	selectFinal(res, tm.N(), store.Bytes(), nil, nil, func() ([]graph.Vertex, int64) {
 		return SelectSeedsNaive(store, opt.K)
 	})
-	res.SamplesGenerated = store.Count()
-	res.StoreBytes = store.Bytes()
 	return res, nil
 }

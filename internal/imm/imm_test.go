@@ -10,6 +10,7 @@ import (
 	"influmax/internal/graph"
 	"influmax/internal/rng"
 	"influmax/internal/rrr"
+	"influmax/internal/trace"
 )
 
 // refGreedy is a trivially correct sequential greedy max-coverage used as
@@ -408,6 +409,44 @@ func TestWorkBalanceRecorded(t *testing.T) {
 	}
 	if res1.WorkBalance != 1 {
 		t.Fatalf("1-worker balance = %v, want 1", res1.WorkBalance)
+	}
+}
+
+// TestDrawMatchesRunCollect: Draw is RunCollect's front half alone — the
+// same samples, byte for byte, and the same sampling bookkeeping, with no
+// index built and no seeds selected.
+func TestDrawMatchesRunCollect(t *testing.T) {
+	g := testGraph(30, 150, 1000)
+	for _, mode := range []RNGMode{PerSample, LeapFrog} {
+		for _, w := range []int{1, 4} {
+			opt := Options{K: 5, Epsilon: 0.4, Model: diffuse.IC, Workers: w, Seed: 3, RNG: mode}
+			full, fullCol, _, err := RunCollect(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, col, err := Draw(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCollection(col, fullCol) {
+				t.Fatalf("%s w=%d: Draw's collection differs from RunCollect's", mode, w)
+			}
+			if res.Theta != full.Theta || res.LowerBound != full.LowerBound ||
+				res.SamplesGenerated != full.SamplesGenerated || res.CoinsGenerated != full.CoinsGenerated ||
+				res.FlatStoreBytes != full.FlatStoreBytes {
+				t.Fatalf("%s w=%d: Draw theta %d lb %v samples %d coins %d flat %d; RunCollect %d %v %d %d %d",
+					mode, w, res.Theta, res.LowerBound, res.SamplesGenerated, res.CoinsGenerated, res.FlatStoreBytes,
+					full.Theta, full.LowerBound, full.SamplesGenerated, full.CoinsGenerated, full.FlatStoreBytes)
+			}
+			for _, ph := range []trace.Phase{trace.IndexBuild, trace.SelectSeeds} {
+				if d := res.Phases.Get(ph); d != 0 {
+					t.Errorf("%s w=%d: Draw spent %v in %s, want 0", mode, w, d, ph)
+				}
+			}
+			if res.Seeds != nil || res.IndexBytes != 0 {
+				t.Errorf("%s w=%d: Draw selected %v or indexed %d bytes", mode, w, res.Seeds, res.IndexBytes)
+			}
+		}
 	}
 }
 

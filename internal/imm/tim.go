@@ -119,12 +119,10 @@ func RunTIMPlus(g *graph.Graph, opt Options) (*TIMResult, error) {
 
 	// Phase 4: final selection, over the inverted incidence index.
 	_, idx := FinalIndex(col, StoreFlat, false, opt.Workers, &res.Phases)
-	res.IndexBytes = idx.Bytes()
-	selectFinal(&res.Result, nf, col.Count(), func() ([]graph.Vertex, int64) {
+	res.SamplesGenerated = col.Count()
+	selectFinal(&res.Result, nf, col.Bytes(), idx, nil, func() ([]graph.Vertex, int64) {
 		return SelectSeedsIndexed(col, idx, k, opt.Workers)
 	})
-	res.SamplesGenerated = col.Count()
-	res.StoreBytes = col.Bytes()
 	res.LowerBound = res.KPTPlus
 	return res, nil
 }

@@ -54,14 +54,9 @@ func (s *Server) initDynamic() error {
 // Sketch (transcoding into the configured store) and publishes it for
 // queries. Caller holds dynMu (or is still inside New).
 func (s *Server) publishDynamicLocked() *Sketch {
-	flat := s.dyn.Collection()
-	var relab *rrr.Relabeling
-	if s.cfg.Store == imm.StoreCoded {
-		relab = rrr.NewRelabeling(rrr.IncidenceOf(flat, s.cfg.Workers))
-	}
 	sk := &Sketch{
 		Key: s.DefaultKey(),
-		Col: rrr.FromCollection(flat, relab),
+		Col: imm.Transcode(s.dyn.Collection(), s.cfg.Store, s.cfg.Workers),
 		// The incidence index is labeling-invariant, so the dynamic
 		// sketch's own (rebuilt per batch, then immutable) carries over.
 		Idx:        s.dyn.Index(),

@@ -123,6 +123,34 @@ func TestSeedsEquivalence(t *testing.T) {
 	}
 }
 
+// TestBuildSketchSelectsNothing: building a sketch draws, transcodes and
+// indexes but runs no selection, so a served report's SelectSeeds time is
+// the query's own; the footprint gauges still describe the resident store.
+func TestBuildSketchSelectsNothing(t *testing.T) {
+	g := testGraph(7, 200, 1500)
+	cfg := testConfig(g)
+	key := SketchKey{GraphDigest: g.Digest(), Model: cfg.Model, Epsilon: cfg.Epsilon, KMax: cfg.KMax, Seed: cfg.Seed}
+	for _, store := range []imm.StoreKind{imm.StoreFlat, imm.StoreCoded} {
+		reg := metrics.NewRegistry()
+		sk, err := BuildSketch(g, key, cfg.Workers, store, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sk.BuildPhases.Get(trace.SelectSeeds); d != 0 {
+			t.Errorf("store %s: building the sketch spent %v in SelectSeeds, want 0", store, d)
+		}
+		if sk.BuildPhases.Get(trace.Sampling) <= 0 {
+			t.Errorf("store %s: no sampling time recorded", store)
+		}
+		if got := reg.Gauge("rrr/store-bytes").Value(); got != sk.Col.Bytes() {
+			t.Errorf("store %s: rrr/store-bytes %d, store holds %d", store, got, sk.Col.Bytes())
+		}
+		if got := reg.Gauge("rrr/index-bytes").Value(); got != sk.Idx.Bytes() {
+			t.Errorf("store %s: rrr/index-bytes %d, index holds %d", store, got, sk.Idx.Bytes())
+		}
+	}
+}
+
 // TestSnapshotWarmStart: a server started from a snapshot answers its
 // first query with zero estimation/sampling time in the report, and with
 // the same seeds the sampling server serves.
