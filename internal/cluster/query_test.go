@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"influmax/internal/diffuse"
 	"influmax/internal/graph"
 	"influmax/internal/imm"
+	"influmax/internal/metrics"
 	"influmax/internal/mpi"
 )
 
@@ -190,6 +192,130 @@ func TestRouterQueryFailover(t *testing.T) {
 	res2 := run(t)
 	if !slices.Equal(res2.Seeds, res.Seeds) || res2.Eligible != res.Eligible || res2.SpentBudget != res.SpentBudget {
 		t.Fatalf("failover not deterministic: %+v vs %+v", res, res2)
+	}
+}
+
+// dyingConn is a shard connection that goes down at its purgeAt-th purge
+// (never when 0) — a replica dying mid-selection, at a chosen round — and
+// stays down until the test clears down.
+type dyingConn struct {
+	cluster.Conn
+	purgeAt, purges int
+	down            bool
+}
+
+func (c *dyingConn) dead() error {
+	return &mpi.RankFailedError{Rank: 2, Err: errors.New("replica down")}
+}
+
+func (c *dyingConn) Info() (cluster.ShardInfo, error) {
+	if c.down {
+		return cluster.ShardInfo{}, c.dead()
+	}
+	return c.Conn.Info()
+}
+
+func (c *dyingConn) Start(session uint64) ([]int64, error) {
+	if c.down {
+		return nil, c.dead()
+	}
+	return c.Conn.Start(session)
+}
+
+func (c *dyingConn) Purge(session uint64, v graph.Vertex) ([]cluster.DecPair, error) {
+	if c.purges++; c.purges == c.purgeAt {
+		c.down = true
+	}
+	if c.down {
+		return nil, c.dead()
+	}
+	return c.Conn.Purge(session, v)
+}
+
+// trajectoryFleet is a 4-shard comm fleet whose shard 2 is a dyingConn,
+// with the router's trajectory-build counter.
+func trajectoryFleet(t *testing.T, purgeAt int) (*cluster.Router, *dyingConn, *metrics.Counter) {
+	t.Helper()
+	g := testGraph(3, 90, 650)
+	shards, err := cluster.BuildShards(g, cluster.BuildOptions{K: 8, Epsilon: 0.5, Model: diffuse.IC, Seed: 11, Workers: 2, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := startCommFleet(t, shards, nil, 5*time.Second)
+	dc := &dyingConn{Conn: fleet.conns[2], purgeAt: purgeAt}
+	fleet.conns[2] = dc
+	reg := metrics.NewRegistry()
+	rt, err := cluster.NewRouter(fleet.conns, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt, dc, reg.Counter("router/trajectory-builds")
+}
+
+// checkPlain serves k plain seeds and holds them against the memo-free
+// SelectQuery over the same live slots, the failed slots and the rounds
+// the served answer cost.
+func checkPlain(t *testing.T, rt *cluster.Router, k int, failed []int, rounds int) {
+	t.Helper()
+	got, err := rt.ServeQuery(cluster.RouterQuery{K: k}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rt.SelectQuery(cluster.RouterQuery{K: k}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Seeds, want.Seeds) || !slices.Equal(got.Gains, want.Gains) || got.CoverageFraction != want.CoverageFraction {
+		t.Fatalf("k=%d: served %v %v, the live slots' greedy %v %v", k, got.Seeds, got.Gains, want.Seeds, want.Gains)
+	}
+	if !slices.Equal(got.FailedShards, failed) || got.Rounds != rounds {
+		t.Fatalf("k=%d: failed %v rounds %d, want %v and %d", k, got.FailedShards, got.Rounds, failed, rounds)
+	}
+}
+
+// TestRouterTrajectoryAfterFailover: a trajectory build that loses a
+// shard mid-run answers its own query degraded but is not kept, since its
+// committed prefix was chosen over samples that did not all survive. The
+// next plain query builds over the survivors from scratch and is their
+// exact greedy answer, and later ones reuse that build.
+func TestRouterTrajectoryAfterFailover(t *testing.T) {
+	rt, _, builds := trajectoryFleet(t, 3)
+	first, err := rt.ServeQuery(cluster.RouterQuery{K: 6}, nil)
+	if err != nil || !slices.Equal(first.FailedShards, []int{2}) || first.Rounds <= 8 || builds.Value() != 1 {
+		t.Fatalf("failover build: %+v, %d builds, %v; want shard 2 lost at round 3 and a replay", first, builds.Value(), err)
+	}
+	checkPlain(t, rt, 6, []int{2}, 8)
+	checkPlain(t, rt, 8, []int{2}, 0)
+	checkPlain(t, rt, 3, []int{2}, 0)
+	if builds.Value() != 2 {
+		t.Fatalf("%d trajectory builds, want the failover build plus one over the survivors", builds.Value())
+	}
+}
+
+// TestRouterTrajectoryFollowsLiveSlots: the memo is keyed by the slots
+// that built it. A memo hit contacts no shard, so it does not notice a
+// death; a query that runs rounds does, and the next plain query rebuilds
+// over the survivors. The shard's rejoin makes the one after that rebuild
+// over the whole fleet again.
+func TestRouterTrajectoryFollowsLiveSlots(t *testing.T) {
+	rt, dc, builds := trajectoryFleet(t, 0)
+	checkPlain(t, rt, 5, nil, 8)
+	checkPlain(t, rt, 7, nil, 0)
+	dc.down = true
+	if res, err := rt.ServeQuery(cluster.RouterQuery{K: 7}, nil); err != nil || res.Degraded || res.Rounds != 0 {
+		t.Fatalf("a memo hit with shard 2 down: %+v, %v; want the full fleet's answer, no rounds", res, err)
+	}
+	if res, err := rt.SelectQuery(cluster.RouterQuery{K: 4, Blocked: []graph.Vertex{0}}, nil); err != nil || !res.Degraded {
+		t.Fatalf("the blocked query must notice shard 2's death: %+v, %v", res, err)
+	}
+	checkPlain(t, rt, 5, []int{2}, 8)
+	checkPlain(t, rt, 7, []int{2}, 0)
+	dc.down = false
+	time.Sleep(time.Second) // the rejoin probe's rate limit
+	checkPlain(t, rt, 5, nil, 8)
+	checkPlain(t, rt, 7, nil, 0)
+	if builds.Value() != 3 {
+		t.Fatalf("%d trajectory builds, want one per live slot set", builds.Value())
 	}
 }
 

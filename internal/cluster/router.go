@@ -41,9 +41,11 @@ type Router struct {
 	lastProbe time.Time
 
 	nextSession atomic.Uint64
+	memo        trajMemo
 
 	reg                                      *metrics.Registry
 	mQueries, mDegraded, mFailovers, mRounds *metrics.Counter
+	mTrajBuilds                              *metrics.Counter
 	mShardsAlive                             *metrics.Gauge
 	mLatency                                 *metrics.Histogram
 }
@@ -70,6 +72,7 @@ func NewRouter(conns []Conn, reg *metrics.Registry) (*Router, error) {
 		mDegraded:    reg.Counter("router/degraded"),
 		mFailovers:   reg.Counter("router/failovers"),
 		mRounds:      reg.Counter("router/rounds"),
+		mTrajBuilds:  reg.Counter("router/trajectory-builds"),
 		mShardsAlive: reg.Gauge("router/shards-alive"),
 		mLatency:     reg.Histogram("router/query-us"),
 	}
@@ -259,14 +262,11 @@ func (rt *Router) Select(k int, onSeed func(i int, v graph.Vertex, gain int64)) 
 // SelectQuery runs any routed query shape as the selection engine over
 // the fleet's merged counts (fleetCoverage), byte-identically to
 // imm.SelectQuerySketch over the union of the shards' samples; a degraded
-// result is the survivors' exact answer.
+// result is the survivors' exact answer. It never reads the trajectory,
+// so it is the reference ServeQuery is checked against.
 func (rt *Router) SelectQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
 	start := time.Now()
-	n := rt.canon.NumVertices
-	if q.K < 1 || q.K > rt.canon.KMax {
-		return nil, fmt.Errorf("cluster: k = %d, want 1 <= k <= kMax = %d", q.K, rt.canon.KMax)
-	}
-	if err := q.Validate(n); err != nil {
+	if err := rt.check(q); err != nil {
 		return nil, err
 	}
 	fc := &fleetCoverage{rt: rt, slots: rt.alive()}
@@ -274,24 +274,116 @@ func (rt *Router) SelectQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, 
 		return nil, ErrNoShards
 	}
 	rt.mQueries.Inc()
-	qr, err := imm.Greedy(fc, n, q, onSeed)
+	qr, err := imm.Greedy(fc, rt.canon.NumVertices, q, onSeed)
 	if err != nil {
 		return nil, err
 	}
+	return rt.result(qr, fc.slots, fc.rounds, start), nil
+}
+
+// ServeQuery answers q the way the router's front serves it: a Prefix
+// query (imm.Query.Prefix) from the live slots' trajectory, which costs
+// no shard round once built, and any other shape by SelectQuery. The
+// trajectory's lines carry the result's gains.
+func (rt *Router) ServeQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
+	if !q.Prefix() {
+		return rt.SelectQuery(q, onSeed)
+	}
+	start := time.Now()
+	if err := rt.check(q); err != nil {
+		return nil, err
+	}
+	t, slots, rounds, err := rt.trajectory()
+	if err != nil {
+		return nil, err
+	}
+	qr, ok := t.Answer(q, onSeed)
+	if !ok {
+		return rt.SelectQuery(q, onSeed)
+	}
+	rt.mQueries.Inc()
+	return rt.result(qr, slots, rounds, start), nil
+}
+
+// check validates q against the fleet.
+func (rt *Router) check(q RouterQuery) error {
+	if q.K < 1 || q.K > rt.canon.KMax {
+		return fmt.Errorf("cluster: k = %d, want 1 <= k <= kMax = %d", q.K, rt.canon.KMax)
+	}
+	return q.Validate(rt.canon.NumVertices)
+}
+
+// trajMemo is the router's plain trajectory (imm.Trajectory), keyed by the
+// slots whose samples built it: shard sketches are immutable and admit
+// pins the epoch, so the slot set is the whole key. At most one build is
+// in flight; queries that need it wait on building.
+type trajMemo struct {
+	mu       sync.Mutex
+	slots    []int
+	t        *imm.Trajectory
+	building chan struct{} // closed when the build in flight ends
+}
+
+// trajectory returns the trajectory of the live slots, the slots it was
+// built over and the rounds this call spent: 0 on a memo hit, which sends
+// no shard op (alive's rate-limited rejoin probe of failed shards aside),
+// so a shard that dies is noticed by the next query that runs rounds.
+// When the memo holds another slot set's, the call builds one or waits
+// for the build in flight.
+func (rt *Router) trajectory() (*imm.Trajectory, []int, int, error) {
+	m := &rt.memo
+	for {
+		slots := rt.alive()
+		if len(slots) == 0 {
+			return nil, nil, 0, ErrNoShards
+		}
+		m.mu.Lock()
+		if m.t != nil && slices.Equal(m.slots, slots) {
+			t := m.t
+			m.mu.Unlock()
+			return t, slots, 0, nil
+		}
+		if wait := m.building; wait != nil {
+			m.mu.Unlock()
+			<-wait
+			continue
+		}
+		done := make(chan struct{})
+		m.building = done
+		m.mu.Unlock()
+
+		rt.mTrajBuilds.Inc()
+		fc := &fleetCoverage{rt: rt, slots: slots}
+		t, err := imm.NewTrajectory(fc, rt.canon.NumVertices, rt.canon.KMax)
+		m.mu.Lock()
+		if err == nil && fc.restarts == 0 {
+			// The greedy run over fc.slots: a slot lost at Start never
+			// joined it, one lost at a purge would have restarted it.
+			m.t, m.slots = t, slices.Clone(fc.slots)
+		}
+		m.building = nil
+		m.mu.Unlock()
+		close(done)
+		return t, fc.slots, fc.rounds, err
+	}
+}
+
+// result closes a routed selection's books over the slots that took part.
+func (rt *Router) result(qr *imm.QueryResult, slots []int, rounds int, start time.Time) *SelectResult {
 	res := &SelectResult{
 		Seeds: qr.Seeds, Gains: qr.Gains,
 		Eligible: qr.Eligible, SpentBudget: qr.SpentBudget,
-		Rounds:      fc.rounds,
-		FleetStatus: rt.status(fc.slots, start),
+		Rounds:      rounds,
+		FleetStatus: rt.status(slots, start),
 	}
 	rt.mu.Lock()
 	for i := range rt.conns {
 		res.ShardEpochs = append(res.ShardEpochs, rt.info[i].Epoch)
 	}
 	rt.mu.Unlock()
-	res.CoverageFraction, res.EstimatedSpread = res.estimate(qr.Covered, n)
+	res.CoverageFraction, res.EstimatedSpread = res.estimate(qr.Covered, rt.canon.NumVertices)
 	rt.mLatency.Observe(res.Duration.Microseconds())
-	return res, nil
+	return res
 }
 
 // status closes a query's books: who took part, who is down.
@@ -334,6 +426,7 @@ type fleetCoverage struct {
 	session    uint64
 	counter    []int64
 	rounds     int
+	restarts   int // purges that lost a slot and restarted the engine
 	lastFailed int // slot of the latest mid-query failure
 }
 
@@ -361,6 +454,7 @@ func (fc *fleetCoverage) Purge(v graph.Vertex) (bool, error) {
 	})
 	if failed := failedSlots(fc.slots, errs); len(failed) > 0 {
 		fc.rt.mFailovers.Inc()
+		fc.restarts++
 		fc.slots = fc.rt.drop(fc.slots, failed)
 		fc.lastFailed = failed[len(failed)-1]
 		return true, nil

@@ -92,7 +92,7 @@ func (b fleetBackend) Check(o front.Overrides) error {
 }
 
 func (b fleetBackend) Seeds(_ context.Context, _ front.Overrides, q imm.Query, onSeed func(int, graph.Vertex, int64)) (*front.SeedsResponse, error) {
-	res, err := b.rt.SelectQuery(q, onSeed)
+	res, err := b.rt.ServeQuery(q, onSeed)
 	if err != nil {
 		return nil, fleetErr(err)
 	}

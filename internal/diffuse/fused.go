@@ -120,8 +120,8 @@ type laneVertex struct {
 type FusedStats struct {
 	// Batches is the number of fused batches executed.
 	Batches int64
-	// Passes is the total number of frontier expansions (head scans for
-	// IC, walk rounds for LT) across all batches.
+	// Passes is the total number of frontier expansions (BFS levels per
+	// lane for IC, walk rounds for LT) across all batches.
 	Passes int64
 	// Coins is the number of pseudorandom coins generated (edge draws
 	// plus one root draw per sample; LT counts whole block refills).
@@ -457,11 +457,12 @@ func (f *FusedSampler) expandIC(lanes int) {
 	allThresh := f.shared.thresh
 	uniform := f.shared.uniform
 	vb := f.vbyte
-	var scans, coins int64
+	var levels, coins int64
 	for b := 0; b < lanes; b++ {
 		vb[f.queue[b][0]] = 1
-		coins += f.expandLane(uint32(b), uniform, allThresh)
-		scans += int64(len(f.queue[b]))
+		c, l := f.expandLane(uint32(b), uniform, allThresh)
+		coins += c
+		levels += l
 		// Lane done: its queue IS its sample. One short walk resets the
 		// byte map and publishes the lane's bits to the packed bitset and
 		// the drain's dirty summary — moving both random stores off the
@@ -473,16 +474,16 @@ func (f *FusedSampler) expandIC(lanes int) {
 			f.dirty[v>>6] |= 1 << (v & 63)
 		}
 	}
-	f.stats.Passes += scans
+	f.stats.Passes += levels
 	f.stats.Coins += coins
 }
 
 // expandLane drains lane b's BFS queue to exhaustion and returns the
-// coins consumed. The lane's stream state and queue stay in registers
-// across all its scans — per-scan spills to the sampler struct would
-// cost as much as the scans themselves on low-degree graphs. The scan
-// over a uniform duplicate-free in-list (both standard IC weightings)
-// is inlined here in two branch-disciplined phases:
+// coins consumed and the BFS levels expanded. The lane's stream state and
+// queue stay in registers across all its scans — per-scan spills to the
+// sampler struct would cost as much as the scans themselves on low-degree
+// graphs. The scan over a uniform duplicate-free in-list (both standard IC
+// weightings) is inlined here in two branch-disciplined phases:
 //
 //  1. gather — a branch-free pass that compacts the unvisited neighbors,
 //     hand unrolled to keep several visited-byte loads in flight. A
@@ -500,70 +501,75 @@ func (f *FusedSampler) expandIC(lanes int) {
 // Lists with duplicate sources or per-edge thresholds take the out-of-
 // line scanDup/scanGeneral paths (the lane state is written back around
 // the call).
-func (f *FusedSampler) expandLane(b uint32, uniform, allThresh []uint32) int64 {
+func (f *FusedSampler) expandLane(b uint32, uniform, allThresh []uint32) (coins, levels int64) {
 	g := f.g
 	vb := f.vbyte
 	st := f.state[b]
 	q := f.queue[b]
-	var coins int64
-	for qi := 0; qi < len(q); qi++ {
-		srcs := g.InSources(q[qi])
-		if len(srcs) == 0 {
-			continue
-		}
-		uni := uniform[q[qi]]
-		if uni&dupMark != 0 {
-			// Outcome-dependent coin consumption: spill the lane state,
-			// run the ordered out-of-line scan, reload.
-			f.state[b] = st
-			f.queue[b] = q
-			if uni != nonUniform {
-				coins += f.scanDup(srcs, uni&^dupMark, b)
-			} else {
-				coins += f.scanGeneral(q[qi], srcs, allThresh, b)
+	// Each outer pass expands one level, which ends where the queue stood
+	// when it began: the inner bound is the only per-vertex compare.
+	for head := 0; head < len(q); levels++ {
+		levelEnd := len(q)
+		for qi := head; qi < levelEnd; qi++ {
+			srcs := g.InSources(q[qi])
+			if len(srcs) == 0 {
+				continue
 			}
-			st = f.state[b]
-			q = f.queue[b]
-			continue
-		}
+			uni := uniform[q[qi]]
+			if uni&dupMark != 0 {
+				// Outcome-dependent coin consumption: spill the lane state,
+				// run the ordered out-of-line scan, reload.
+				f.state[b] = st
+				f.queue[b] = q
+				if uni != nonUniform {
+					coins += f.scanDup(srcs, uni&^dupMark, b)
+				} else {
+					coins += f.scanGeneral(q[qi], srcs, allThresh, b)
+				}
+				st = f.state[b]
+				q = f.queue[b]
+				continue
+			}
 
-		gu := f.gatherU
-		if len(gu) < len(srcs) {
-			gu = make([]graph.Vertex, pow2AtLeast(len(srcs)))
-			f.gatherU = gu
-		}
-		cnt := 0
-		i := 0
-		for ; i+4 <= len(srcs); i += 4 {
-			u0, u1, u2, u3 := srcs[i], srcs[i+1], srcs[i+2], srcs[i+3]
-			h0, h1, h2, h3 := vb[u0], vb[u1], vb[u2], vb[u3]
-			gu[cnt] = u0
-			cnt += 1 - int(h0)
-			gu[cnt] = u1
-			cnt += 1 - int(h1)
-			gu[cnt] = u2
-			cnt += 1 - int(h2)
-			gu[cnt] = u3
-			cnt += 1 - int(h3)
-		}
-		for ; i < len(srcs); i++ {
-			u := srcs[i]
-			gu[cnt] = u
-			cnt += 1 - int(vb[u])
-		}
-		coins += int64(cnt)
+			gu := f.gatherU
+			if len(gu) < len(srcs) {
+				gu = make([]graph.Vertex, pow2AtLeast(len(srcs)))
+				f.gatherU = gu
+			}
+			cnt := 0
+			i := 0
+			for ; i+4 <= len(srcs); i += 4 {
+				u0, u1, u2, u3 := srcs[i], srcs[i+1], srcs[i+2], srcs[i+3]
+				h0, h1, h2, h3 := vb[u0], vb[u1], vb[u2], vb[u3]
+				gu[cnt] = u0
+				cnt += 1 - int(h0)
+				gu[cnt] = u1
+				cnt += 1 - int(h1)
+				gu[cnt] = u2
+				cnt += 1 - int(h2)
+				gu[cnt] = u3
+				cnt += 1 - int(h3)
+			}
+			for ; i < len(srcs); i++ {
+				u := srcs[i]
+				gu[cnt] = u
+				cnt += 1 - int(vb[u])
+			}
+			coins += int64(cnt)
 
-		for _, u := range gu[:cnt] {
-			st += rng.SplitMixGamma
-			if rng.Mix64Hi24(st) < uni {
-				vb[u] = 1
-				q = append(q, u)
+			for _, u := range gu[:cnt] {
+				st += rng.SplitMixGamma
+				if rng.Mix64Hi24(st) < uni {
+					vb[u] = 1
+					q = append(q, u)
+				}
 			}
 		}
+		head = levelEnd
 	}
 	f.state[b] = st
 	f.queue[b] = q
-	return coins
+	return coins, levels
 }
 
 // scanDup is the scan for a uniform in-list that carries parallel

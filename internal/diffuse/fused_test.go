@@ -128,6 +128,45 @@ func TestFusedDegenerateGraphs(t *testing.T) {
 	}
 }
 
+// TestFusedPassesCountLevels pins what Passes means on IC: BFS levels,
+// not dequeued vertices. On a directed path of d layers of width w (every
+// vertex of a layer feeds every vertex of the next) with p = 1, a lane
+// rooted in layer L holds 1 + L*w vertices over L+1 levels — d levels from
+// the last layer — alone or sharing a batch with 63 other lanes.
+func TestFusedPassesCountLevels(t *testing.T) {
+	const d = 6
+	for _, w := range []int{1, 3} {
+		b := graph.NewBuilder(d * w)
+		for l := 0; l+1 < d; l++ {
+			for i := 0; i < w; i++ {
+				for j := 0; j < w; j++ {
+					b.Add(graph.Vertex(l*w+i), graph.Vertex((l+1)*w+j), 1)
+				}
+			}
+		}
+		g := b.Build()
+		g.AssignConstant(1)
+		f := NewFusedSampler(g, IC)
+		var want, entries int64
+		for id := uint64(0); id < MaxLanes; id++ {
+			_, sizes := f.Generate(5, id, 1, nil, nil)
+			layer := int64(sizes[0]-1) / int64(w)
+			if got := f.TakeStats().Passes; got != layer+1 {
+				t.Fatalf("w=%d sample %d: %d vertices over %d passes, want %d levels", w, id, sizes[0], got, layer+1)
+			}
+			want += layer + 1
+			entries += int64(sizes[0])
+		}
+		f.Generate(5, 0, MaxLanes, nil, nil)
+		if got := f.TakeStats().Passes; got != want {
+			t.Fatalf("w=%d: a full batch reports %d passes, its lanes %d levels", w, got, want)
+		}
+		if w > 1 && want >= entries {
+			t.Fatalf("w=%d: %d levels for %d entries; a wide path must expand fewer levels than vertices", w, want, entries)
+		}
+	}
+}
+
 // TestFusedStats pins the telemetry contract: batches and root coins are
 // exact, occupancy is a valid fraction, and TakeStats drains.
 func TestFusedStats(t *testing.T) {

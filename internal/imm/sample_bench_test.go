@@ -109,9 +109,9 @@ func BenchmarkSampleSchedules(b *testing.B) {
 // counts — pure functions of the input, so the verdict is the same on any
 // machine (the wall-clock comparison is BenchmarkSampleBatch's scalar vs
 // fused pair under make bench-gate). On the soc-LiveJournal1 analog, under
-// both IC (constant-p) and WC weights: batches run full, every sample
-// member is expanded exactly once (one frontier pass per stored entry —
-// sharing a batch never re-expands a vertex), and the kernel draws at most
+// both IC (constant-p) and WC weights: batches run full, each sample
+// expands between one BFS level and one level per stored entry (sharing a
+// batch never adds a level), and the kernel draws at most
 // the coins the scalar kernel's traversal pays for, one root draw per
 // sample plus one per in-edge of a visited vertex.
 func TestFusedWorkGate(t *testing.T) {
@@ -148,8 +148,8 @@ func TestFusedWorkGate(t *testing.T) {
 			if full := int64(count+diffuse.MaxLanes-1) / diffuse.MaxLanes; st.Batches != full || st.ActiveLanes != count {
 				t.Fatalf("%d samples ran as %d batches with %d active lanes, want %d full batches", count, st.Batches, st.ActiveLanes, full)
 			}
-			if st.Passes != col.TotalSize() {
-				t.Fatalf("%d frontier passes for %d sample entries, want one each", st.Passes, col.TotalSize())
+			if st.Passes < count || st.Passes > col.TotalSize() {
+				t.Fatalf("%d frontier passes (BFS levels) for %d samples of %d entries, want within [one per sample, one per entry]", st.Passes, count, col.TotalSize())
 			}
 			if st.Coins < count || st.Coins > count+edgeVisits {
 				t.Fatalf("%d coins, want within [%d roots, roots + %d scalar edge visits]", st.Coins, count, edgeVisits)

@@ -39,9 +39,10 @@ type Config struct {
 	// (<= 0 uses all cores). Sketch builds run in PerSample mode, so the
 	// sketch content does not depend on it.
 	Workers int
-	// Store is the RRR store kind sketches are served under (flat by
-	// default; imm.StoreCoded gives the same seeds from a >= 3x smaller
-	// resident sketch).
+	// Store picks the labeling of the resident sketch, which is byte-coded
+	// under either kind: imm.StoreFlat (the default) codes samples under
+	// identity labels, imm.StoreCoded under the frequency relabeling of
+	// DESIGN.md §13.1. The seeds are the same.
 	Store imm.StoreKind
 	// MaxConcurrent, MaxQueue, QueryTimeout and RetryAfter configure the
 	// front's admission (internal/front): queries running at once (<= 0:
@@ -140,9 +141,10 @@ type Server struct {
 	deltaMu      sync.Mutex
 	deltaPending []*pendingDelta
 
-	mQueries, mBuilds, mDeltaBatches, mCoalesced *metrics.Counter
-	mSketches                                    *metrics.Gauge
-	mLatency                                     *metrics.Histogram
+	mQueries, mBuilds, mTrajBuilds *metrics.Counter
+	mDeltaBatches, mCoalesced      *metrics.Counter
+	mSketches                      *metrics.Gauge
+	mLatency                       *metrics.Histogram
 
 	// testQueryHook, when set, runs at the start of every admitted query —
 	// the seam load and drain tests use to hold a query in flight
@@ -182,6 +184,7 @@ func New(cfg Config) (*Server, error) {
 		mRejected:     reg.Counter("server/rejected"),
 		mTimeouts:     reg.Counter("server/timeouts"),
 		mBuilds:       reg.Counter("server/sketch-builds"),
+		mTrajBuilds:   reg.Counter("server/trajectory-builds"),
 		mSketches:     reg.Gauge("server/sketches"),
 		mQueueDepth:   reg.Gauge("server/queue-depth"),
 		mLatency:      reg.Histogram("server/query-us"),
@@ -352,7 +355,7 @@ func (b localBackend) Seeds(ctx context.Context, o front.Overrides, q imm.Query,
 		return nil, err
 	}
 	start := time.Now()
-	qr, err := sk.greedy(q, b.cfg.Workers, onSeed)
+	qr, err := b.answer(sk, q, onSeed)
 	if err != nil {
 		return nil, front.BadRequest(err)
 	}
@@ -370,6 +373,19 @@ func (b localBackend) Seeds(ctx context.Context, o front.Overrides, q imm.Query,
 		Eligible:         qr.Eligible,
 		SpentBudget:      qr.SpentBudget,
 	}, nil
+}
+
+// answer serves a Prefix q from the sketch's trajectory in O(k) and any
+// other shape with a fresh selection.
+func (b localBackend) answer(sk *Sketch, q imm.Query, onSeed func(int, graph.Vertex, int64)) (*imm.QueryResult, error) {
+	if q.Prefix() {
+		if t, err := sk.trajectory(b.cfg.Workers, b.mTrajBuilds); err == nil {
+			if qr, ok := t.Answer(q, onSeed); ok {
+				return qr, nil
+			}
+		}
+	}
+	return sk.greedy(q, b.cfg.Workers, onSeed)
 }
 
 // Spread is a stateless coverage count over the resolved sketch's samples

@@ -63,6 +63,13 @@ type Sketch struct {
 	// lazily on the first audience-filtered query.
 	rootsOnce sync.Once
 	roots     []graph.Vertex
+
+	// trajOnce/traj back trajectory(): the epoch's plain kMax run, built
+	// on the first query it answers. A dynamic server publishes a new
+	// Sketch per epoch, so a publish starts a fresh memo.
+	trajOnce sync.Once
+	traj     *imm.Trajectory
+	trajErr  error
 }
 
 // Roots returns the per-sample root column — sample i's root is the first
@@ -75,6 +82,19 @@ func (s *Sketch) Roots() []graph.Vertex {
 		s.roots = imm.RootsRange(s.Key.Seed, 0, s.Col.Count(), s.Col.NumVertices(), 0)
 	})
 	return s.roots
+}
+
+// trajectory returns the sketch's plain greedy run to Key.KMax with p
+// workers, running it on the first call (counted in builds) and keeping
+// it. Only the serving path reads it: Query, QueryEx and
+// imm.SelectSeedsSketch stay memo-free, the reference served answers are
+// checked against. Safe for concurrent callers; they wait for one run.
+func (s *Sketch) trajectory(p int, builds *metrics.Counter) (*imm.Trajectory, error) {
+	s.trajOnce.Do(func() {
+		builds.Inc()
+		s.traj, s.trajErr = imm.NewTrajectory(imm.NewCodedCoverage(s.Col, s.Idx, nil, p), s.Col.NumVertices(), s.Key.KMax)
+	})
+	return s.traj, s.trajErr
 }
 
 // QueryEx runs the general query shapes of DESIGN.md §17 — budgeted,
