@@ -313,37 +313,6 @@ func BenchmarkTable3Pipeline(b *testing.B) {
 	})
 }
 
-// --- Extension: graph-partitioned distributed IMM (future work i) ---
-
-func BenchmarkExtensionPartitionedDist(b *testing.B) {
-	g := benchGraph(b, "com-YouTube")
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("ranks=%d", p), func(b *testing.B) {
-			kk := clampK(g, 50)
-			for i := 0; i < b.N; i++ {
-				comms := mpi.NewLocalCluster(p)
-				errs := make([]error, p)
-				var wg sync.WaitGroup
-				for r := 0; r < p; r++ {
-					wg.Add(1)
-					go func(rank int) {
-						defer wg.Done()
-						_, errs[rank] = dist.RunPartitioned(comms[rank], g, dist.PartOptions{
-							K: kk, Epsilon: 0.3, Model: diffuse.IC, Seed: 1,
-						})
-					}(r)
-				}
-				wg.Wait()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // --- SelectSeeds: per-seed scan purge (the paper's Algorithm 4 verbatim)
 // vs inverted-index purge, on the largest synthetic graph in the suite.
 // The indexed side includes the index build, so the comparison is the full

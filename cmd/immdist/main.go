@@ -45,7 +45,6 @@ func main() {
 		ranks       = flag.Int("ranks", 4, "local mode: number of in-process ranks")
 		rank        = flag.Int("rank", -1, "TCP mode: this process's rank")
 		addrsStr    = flag.String("addrs", "", "TCP mode: comma-separated listen addresses, one per rank")
-		part        = flag.Bool("partitioned", false, "partition the graph across ranks too (future-work extension)")
 		netTimeout  = flag.Duration("net-timeout", 0, "per-message send/receive deadline; a peer silent past this bound surfaces as a rank failure instead of a hang (0 = wait forever)")
 		faultPlan   = flag.String("fault-plan", "", "inject deterministic transport faults for soak testing, e.g. 'seed=7,delay=0.2/5ms,drop=0.1/3,dup=0.05,reorder=0.1,kill=1@500' (see mpi.ParseFaultPlan)")
 		metricsJSON = flag.String("metrics-json", "", "write rank 0's merged RunReport (JSON, schema 1) to this file")
@@ -86,11 +85,7 @@ func main() {
 		if *addrsStr != "" {
 			nranks = len(strings.Split(*addrsStr, ","))
 		}
-		alg := "IMMdist"
-		if *part {
-			alg = "IMMpart"
-		}
-		disarm = cli.FlushOnSignal("immdist", *metricsJSON, alg, func(rep *metrics.RunReport) {
+		disarm = cli.FlushOnSignal("immdist", *metricsJSON, "IMMdist", func(rep *metrics.RunReport) {
 			rep.Model = model.String()
 			rep.K, rep.Epsilon, rep.Seed = *k, *eps, *seed
 			rep.Ranks, rep.ThreadsPerRank = nranks, *threads
@@ -107,7 +102,6 @@ func main() {
 		g.NormalizeLT()
 	}
 	opt := dist.Options{K: *k, Epsilon: *eps, Model: model, ThreadsPerRank: *threads, Seed: *seed, Store: store}
-	popt := dist.PartOptions{K: *k, Epsilon: *eps, Model: model, Seed: *seed, Threads: *threads, Store: store}
 
 	// writeReport stamps the graph summary on rank 0's merged report and
 	// persists it.
@@ -117,30 +111,12 @@ func main() {
 		return rep.WriteFile(*metricsJSON)
 	}
 
-	// run executes the chosen algorithm on one communicator endpoint.
-	// Every rank goes through it (report gathering is a collective);
-	// quiet suppresses the per-rank progress line in local mode. Callers
-	// wrap the transport with the fault plan and close the wrapped comm
-	// when run returns (Close releases the injector's in-flight state).
+	// run executes IMMdist on one communicator endpoint. Every rank goes
+	// through it (report gathering is a collective); quiet suppresses the
+	// per-rank progress line in local mode. Callers wrap the transport
+	// with the fault plan and close the wrapped comm when run returns
+	// (Close releases the injector's in-flight state).
 	run := func(c mpi.Comm, quiet bool) error {
-		if *part {
-			res, err := dist.RunPartitioned(c, g, popt)
-			if err != nil {
-				if res != nil {
-					fmt.Fprintf(os.Stderr, "immdist: rank %d degraded (blames rank %d): %d samples survive locally\n",
-						c.Rank(), res.FailedRank, res.SamplesGenerated)
-				}
-				return err
-			}
-			if !quiet {
-				reportPart(c.Rank(), res)
-				reportComm(res.CommStats)
-			}
-			if *metricsJSON != "" && c.Rank() == 0 {
-				return writeReport(dist.ReportPartitioned(popt, res))
-			}
-			return nil
-		}
 		res, err := dist.Run(c, g, opt)
 		if err != nil {
 			if res != nil {
@@ -215,18 +191,6 @@ func main() {
 	if err := stopProfiles(); err != nil {
 		fatal("%v", err)
 	}
-}
-
-func reportPart(rank int, res *dist.PartResult) {
-	if rank != 0 {
-		fmt.Printf("rank %d done: own [%d, %d)\n", rank, res.OwnedLo, res.OwnedHi)
-		return
-	}
-	fmt.Printf("graph-partitioned: %d ranks; theta: %d; samples: %d; store (this rank): %.2f MB (%s)\n",
-		res.Ranks, res.Theta, res.SamplesGenerated, float64(res.StoreBytes)/(1<<20), res.Store)
-	fmt.Printf("phases: %s (total %v)\n", res.Phases.String(), res.Phases.Total())
-	fmt.Printf("estimated spread: %.1f (coverage %.4f)\n", res.EstimatedSpread, res.CoverageFraction)
-	fmt.Printf("seeds: %v\n", res.Seeds)
 }
 
 func report(rank int, res *dist.Result) {

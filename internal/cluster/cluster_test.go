@@ -18,6 +18,7 @@ import (
 	"influmax/internal/diffuse"
 	"influmax/internal/graph"
 	"influmax/internal/imm"
+	"influmax/internal/metrics"
 	"influmax/internal/mpi"
 	"influmax/internal/par"
 	"influmax/internal/rng"
@@ -52,27 +53,28 @@ func refSeeds(t *testing.T, g *graph.Graph, opt cluster.BuildOptions, k int) ([]
 }
 
 // commFleet wires shards to a router over an in-process communicator:
-// rank 0 is the router, rank i+1 serves shard i. plans[i], when active,
-// decorates shard i's comm with fault injection.
+// rank 0 is the router, rank i+1 serves shard i. An active plan decorates
+// every endpoint, the router's included, with fault injection: the
+// injector frames each message with a sequence number, so both ends of a
+// channel must be wrapped. Its crashes name ranks, shard i being rank i+1.
 type commFleet struct {
 	comms []mpi.Comm
 	conns []cluster.Conn
 	done  sync.WaitGroup
 }
 
-func startCommFleet(t *testing.T, shards []*cluster.Shard, plans []mpi.FaultPlan, timeout time.Duration) *commFleet {
+func startCommFleet(t *testing.T, shards []*cluster.Shard, plan mpi.FaultPlan, timeout time.Duration) *commFleet {
 	t.Helper()
 	f := &commFleet{comms: mpi.NewLocalCluster(len(shards) + 1)}
+	for r, c := range f.comms {
+		f.comms[r] = mpi.WithFaults(c, plan)
+	}
 	for i, sh := range shards {
-		c := f.comms[i+1]
-		if plans != nil && plans[i].Active() {
-			c = mpi.WithFaults(c, plans[i])
-		}
 		f.done.Add(1)
 		go func(c mpi.Comm, sh *cluster.Shard) {
 			defer f.done.Done()
 			cluster.ServeComm(c, 0, sh)
-		}(c, sh)
+		}(f.comms[i+1], sh)
 		f.conns = append(f.conns, cluster.NewCommConn(f.comms[0], i+1, i, timeout))
 	}
 	t.Cleanup(func() {
@@ -103,7 +105,7 @@ func TestRouterMatchesSingleProcess(t *testing.T) {
 		if int64(total) != wantTheta {
 			t.Fatalf("s=%d: shards hold %d samples, single process holds theta = %d", s, total, wantTheta)
 		}
-		fleet := startCommFleet(t, shards, nil, 2*time.Second)
+		fleet := startCommFleet(t, shards, mpi.FaultPlan{}, 2*time.Second)
 		rt, err := cluster.NewRouter(fleet.conns, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -159,12 +161,15 @@ func TestRouterFailover(t *testing.T) {
 		// Shard 2 (rank 3) dies after 3 responses: info, session counts,
 		// purge of seed 1. The purge for seed 2 is the send that crashes,
 		// so seeds[0:2] are committed pre-kill.
-		plans := make([]mpi.FaultPlan, 4)
-		plans[2] = mpi.FaultPlan{Seed: 1, Crashes: []mpi.RankCrash{{Rank: 3, AfterSends: 3}}}
-		fleet := startCommFleet(t, shards, plans, netTimeout)
-		rt, err := cluster.NewRouter(fleet.conns, nil)
+		plan := mpi.FaultPlan{Seed: 1, Crashes: []mpi.RankCrash{{Rank: 3, AfterSends: 3}}}
+		fleet := startCommFleet(t, shards, plan, netTimeout)
+		reg := metrics.NewRegistry()
+		rt, err := cluster.NewRouter(fleet.conns, reg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if failed := rt.FailedShards(); len(failed) != 0 {
+			t.Fatalf("shards %v failed before the query; the kill must land inside it", failed)
 		}
 		start := time.Now()
 		res, err := rt.Select(k, nil)
@@ -176,6 +181,15 @@ func TestRouterFailover(t *testing.T) {
 		// would mean a hang.
 		if elapsed := time.Since(start); elapsed > 10*netTimeout {
 			t.Fatalf("query took %v with a %v net timeout", elapsed, netTimeout)
+		}
+		if n := reg.Counter("router/failovers").Value(); n != 1 {
+			t.Fatalf("router/failovers = %d, want 1 restart-and-replay", n)
+		}
+		// The restart must close the survivors' sessions of the lost round.
+		for i, sh := range shards {
+			if n := sh.Sessions(); i != 2 && n != 0 {
+				t.Fatalf("surviving shard %d holds %d sessions after the query", i, n)
+			}
 		}
 		return res
 	}
@@ -208,9 +222,8 @@ func TestRouterFailoverAtSessionStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := make([]mpi.FaultPlan, 3)
-	plans[1] = mpi.FaultPlan{Seed: 2, Crashes: []mpi.RankCrash{{Rank: 2, AfterSends: 1}}} // dies after info
-	fleet := startCommFleet(t, shards, plans, 300*time.Millisecond)
+	plan := mpi.FaultPlan{Seed: 2, Crashes: []mpi.RankCrash{{Rank: 2, AfterSends: 1}}} // shard 1 dies after info
+	fleet := startCommFleet(t, shards, plan, 300*time.Millisecond)
 	rt, err := cluster.NewRouter(fleet.conns, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +464,7 @@ func TestRouterServerStreamAndSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := startCommFleet(t, shards, nil, 2*time.Second)
+	fleet := startCommFleet(t, shards, mpi.FaultPlan{}, 2*time.Second)
 	rt, err := cluster.NewRouter(fleet.conns, nil)
 	if err != nil {
 		t.Fatal(err)

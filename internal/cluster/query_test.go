@@ -80,7 +80,7 @@ func TestRouterQueryModesMatchSingleProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fleet := startCommFleet(t, shards, nil, 2*time.Second)
+		fleet := startCommFleet(t, shards, mpi.FaultPlan{}, 2*time.Second)
 		rt, err := cluster.NewRouter(fleet.conns, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -164,12 +164,17 @@ func TestRouterQueryFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans := make([]mpi.FaultPlan, 4)
-		plans[2] = mpi.FaultPlan{Seed: 1, Crashes: []mpi.RankCrash{{Rank: 3, AfterSends: 3}}}
-		fleet := startCommFleet(t, shards, plans, netTimeout)
-		rt, err := cluster.NewRouter(fleet.conns, nil)
+		// Shard 2 (rank 3) answers info, the filtered start and the first
+		// purge, then dies on the second purge's reply.
+		plan := mpi.FaultPlan{Seed: 1, Crashes: []mpi.RankCrash{{Rank: 3, AfterSends: 3}}}
+		fleet := startCommFleet(t, shards, plan, netTimeout)
+		reg := metrics.NewRegistry()
+		rt, err := cluster.NewRouter(fleet.conns, reg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if failed := rt.FailedShards(); len(failed) != 0 {
+			t.Fatalf("shards %v failed before the query; the kill must land inside it", failed)
 		}
 		start := time.Now()
 		res, err := rt.SelectQuery(q, nil)
@@ -178,6 +183,15 @@ func TestRouterQueryFailover(t *testing.T) {
 		}
 		if elapsed := time.Since(start); elapsed > 10*netTimeout {
 			t.Fatalf("query took %v with a %v net timeout", elapsed, netTimeout)
+		}
+		if n := reg.Counter("router/failovers").Value(); n != 1 {
+			t.Fatalf("router/failovers = %d, want 1 restart-and-replay", n)
+		}
+		// The restart must close the survivors' sessions of the lost round.
+		for i, sh := range shards {
+			if n := sh.Sessions(); i != 2 && n != 0 {
+				t.Fatalf("surviving shard %d holds %d sessions after the query", i, n)
+			}
 		}
 		return res
 	}
@@ -241,7 +255,7 @@ func trajectoryFleet(t *testing.T, purgeAt int) (*cluster.Router, *dyingConn, *m
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := startCommFleet(t, shards, nil, 5*time.Second)
+	fleet := startCommFleet(t, shards, mpi.FaultPlan{}, 5*time.Second)
 	dc := &dyingConn{Conn: fleet.conns[2], purgeAt: purgeAt}
 	fleet.conns[2] = dc
 	reg := metrics.NewRegistry()
@@ -331,7 +345,7 @@ func TestRouterFilteredNeedsRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards[1].Roots = nil // simulate a warm restart from a v1 snapshot
-	fleet := startCommFleet(t, shards, nil, 2*time.Second)
+	fleet := startCommFleet(t, shards, mpi.FaultPlan{}, 2*time.Second)
 	rt, err := cluster.NewRouter(fleet.conns, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +381,7 @@ func TestRouterServerQueryEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := startCommFleet(t, shards, nil, 2*time.Second)
+	fleet := startCommFleet(t, shards, mpi.FaultPlan{}, 2*time.Second)
 	rt, err := cluster.NewRouter(fleet.conns, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -457,6 +457,7 @@ func (fc *fleetCoverage) Purge(v graph.Vertex) (bool, error) {
 		fc.restarts++
 		fc.slots = fc.rt.drop(fc.slots, failed)
 		fc.lastFailed = failed[len(failed)-1]
+		fc.End() // the restart opens a fresh session; close the survivors' old one
 		return true, nil
 	}
 	// Subtraction commutes, so arrival order is irrelevant.

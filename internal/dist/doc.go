@@ -26,11 +26,12 @@
 // Figures 7-8). Report is the collective that turns them into one
 // metrics.RunReport — every rank contributes a RankReport, gathered to
 // rank 0 over mpi.GatherBytes and merged there, so a distributed run
-// emits exactly one machine-readable JSON document. RunPartitioned (the
-// graph-partitioned future-work extension) reports through the same
-// RunReport type, minus the per-rank gather. It runs the same estimation
-// loop and engine, over a backend whose purges move only the touched
-// counts (partitioned.go).
+// emits exactly one machine-readable JSON document.
+//
+// The paper's future-work item (i), partitioning the graph across ranks
+// as well as R, is not implemented: measured, it lost to this
+// decomposition on time and on per-rank bytes at every width
+// (EXPERIMENTS.md, "Extension").
 //
 // dist is the paper's algorithm and only that: a run's per-rank sample
 // stores die with it. A serving fleet (internal/cluster) does not run

@@ -101,29 +101,3 @@ func buildReport(opt Options, root *Result, perRank []metrics.RankReport) *metri
 	}
 	return rep
 }
-
-// ReportPartitioned assembles the report of a graph-partitioned run
-// (RunPartitioned). The partitioned path keeps no per-rank gather —
-// every rank can call this locally; rank 0's report is the one to write.
-func ReportPartitioned(opt PartOptions, res *PartResult) *metrics.RunReport {
-	rep := metrics.NewRunReport("IMMpart", res.Phases)
-	rep.Model = opt.Model.String()
-	rep.K = opt.K
-	rep.Epsilon = opt.Epsilon
-	rep.Seed = opt.Seed
-	rep.Ranks = res.Ranks
-	rep.Theta = res.Theta
-	rep.SamplesGenerated = res.SamplesGenerated
-	rep.Seeds = res.Seeds
-	rep.CoverageFraction = res.CoverageFraction
-	rep.EstimatedSpread = res.EstimatedSpread
-	rep.Store = res.Store.String()
-	rep.StoreBytes = res.StoreBytes
-	rep.FlatStoreBytes = res.FlatStoreBytes
-	rep.IndexBytes = res.IndexBytes
-	rep.HeapBytes = trace.HeapAlloc()
-	if comm := res.CommStats.Map(); comm != nil {
-		rep.Metrics = &metrics.Snapshot{Counters: comm}
-	}
-	return rep
-}

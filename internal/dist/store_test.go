@@ -45,37 +45,6 @@ func TestDistStoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionedStoreEquivalence is the same gate for the
-// vertex-partitioned path: rank-local relabelings never cross the wire
-// (only original-id counters do), so the seeds cannot move.
-func TestPartitionedStoreEquivalence(t *testing.T) {
-	g := testGraph(6, 100, 800)
-	base := PartOptions{K: 5, Epsilon: 0.5, Model: diffuse.IC, Seed: 13, Threads: 2, Batch: 64}
-	for _, p := range []int{1, 2, 3} {
-		optFlat, optCoded := base, base
-		optFlat.Store = imm.StoreFlat
-		optCoded.Store = imm.StoreCoded
-		flat := runPart(t, p, g, optFlat)
-		coded := runPart(t, p, g, optCoded)
-		for rank := range coded {
-			if !slices.Equal(coded[rank].Seeds, flat[rank].Seeds) {
-				t.Fatalf("p=%d rank %d: coded seeds %v != flat %v",
-					p, rank, coded[rank].Seeds, flat[rank].Seeds)
-			}
-			if coded[rank].Theta != flat[rank].Theta {
-				t.Fatalf("p=%d rank %d: theta diverged", p, rank)
-			}
-			if coded[rank].Store != imm.StoreCoded {
-				t.Fatalf("p=%d rank %d: store kind not stamped", p, rank)
-			}
-			if coded[rank].StoreBytes >= coded[rank].FlatStoreBytes {
-				t.Fatalf("p=%d rank %d: coded store %d B not below flat layout %d B",
-					p, rank, coded[rank].StoreBytes, coded[rank].FlatStoreBytes)
-			}
-		}
-	}
-}
-
 // TestDistStoreEquivalenceLT repeats the sample-partitioned gate under the
 // LT model (the purge path is model-independent, but the samples differ).
 func TestDistStoreEquivalenceLT(t *testing.T) {

@@ -109,7 +109,6 @@ func Drivers() []Driver {
 		{"table3", Table3},
 		{"bio", Bio},
 		{"validate", Validate},
-		{"partitioned", Partitioned},
 		{"baselines", Baselines},
 	}
 }

@@ -165,15 +165,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestPartitionedDriver(t *testing.T) {
-	cfg := tiny()
-	tab, err := Partitioned(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTable(t, tab, 4) // 2 decompositions x 2 rank counts
-}
-
 func TestRunAllStreamsMarkdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full driver sweep in short mode")

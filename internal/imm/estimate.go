@@ -8,10 +8,10 @@ import (
 )
 
 // Samples is a growing sample set as Estimate sees it, wherever the
-// samples live: one process's store, the ranks of a sample-partitioned job
-// or those of a vertex-partitioned one (DESIGN.md §19). Both calls answer
-// for the whole job, so in a distributed run every rank calls them in step
-// and gets the same numbers back.
+// samples live: one process's store or the ranks of a sample-partitioned
+// job (DESIGN.md §19). Both calls answer for the whole job, so in a
+// distributed run every rank calls them in step and gets the same numbers
+// back.
 type Samples interface {
 	// Extend draws count more samples (none when count <= 0) and returns
 	// how many exist now.

@@ -14,7 +14,7 @@ const (
 	tagReduce
 	tagGather
 	tagAllGather
-	tagAllToAll
+	_ // unused: a blank keeps tagGatherBytes at -7, and the fault coins hash tags
 	tagGatherBytes
 )
 
@@ -324,38 +324,6 @@ func AllGather[T Number](c Comm, data []T) ([][]T, error) {
 	for r := range out {
 		out[r] = flat[off : off+lengths[r]]
 		off += lengths[r]
-	}
-	return out, nil
-}
-
-// AllToAll performs a personalized exchange: rank r receives, from every
-// rank s, the slice parts[s] that s passed at index r. parts must have
-// Size() entries (parts[Rank()] is delivered locally). Used by the
-// graph-partitioned sampler's frontier exchange.
-func AllToAll[T Number](c Comm, parts [][]T) ([][]T, error) {
-	p := c.Size()
-	if len(parts) != p {
-		return nil, fmt.Errorf("mpi: AllToAll needs %d parts, got %d", p, len(parts))
-	}
-	out := make([][]T, p)
-	out[c.Rank()] = parts[c.Rank()]
-	for dst := 0; dst < p; dst++ {
-		if dst == c.Rank() {
-			continue
-		}
-		if err := c.Send(dst, tagAllToAll, encode(parts[dst])); err != nil {
-			return nil, err
-		}
-	}
-	for src := 0; src < p; src++ {
-		if src == c.Rank() {
-			continue
-		}
-		payload, err := c.Recv(src, tagAllToAll)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = decode[T](payload)
 	}
 	return out, nil
 }

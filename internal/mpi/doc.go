@@ -22,10 +22,9 @@
 //     benchmarks.
 //   - Barrier and Broadcast implement the SPMD skeleton (all ranks run the
 //     same Algorithm 1 control flow and must agree on theta).
-//   - Gather, AllGather, AllToAll and GatherBytes support the harness and
+//   - Gather, AllGather and GatherBytes support the harness and
 //     observability layers: GatherBytes carries the per-rank RunReport
-//     sub-reports of internal/metrics to rank 0, and AllToAll carries the
-//     graph-partitioned sampler's frontier exchange.
+//     sub-reports of internal/metrics to rank 0.
 //
 // Usage contract (as in MPI): each rank drives its Comm from a single
 // goroutine, and all ranks issue the same sequence of collective calls.

@@ -291,55 +291,6 @@ func TestAllGather(t *testing.T) {
 	}
 }
 
-func TestAllToAll(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 5} {
-		runSPMD(t, p, func(c Comm) error {
-			parts := make([][]int64, p)
-			for dst := range parts {
-				// rank r sends [r*100+dst, r*100+dst+1] to dst.
-				parts[dst] = []int64{int64(c.Rank()*100 + dst), int64(c.Rank()*100 + dst + 1)}
-			}
-			out, err := AllToAll(c, parts)
-			if err != nil {
-				return err
-			}
-			for src := 0; src < p; src++ {
-				want0 := int64(src*100 + c.Rank())
-				if len(out[src]) != 2 || out[src][0] != want0 || out[src][1] != want0+1 {
-					return fmt.Errorf("p=%d: out[%d] = %v", p, src, out[src])
-				}
-			}
-			return nil
-		})
-	}
-}
-
-func TestAllToAllVariableLengths(t *testing.T) {
-	runSPMD(t, 3, func(c Comm) error {
-		parts := make([][]int64, 3)
-		for dst := range parts {
-			parts[dst] = make([]int64, (c.Rank()+1)*(dst+1)) // varied sizes
-		}
-		out, err := AllToAll(c, parts)
-		if err != nil {
-			return err
-		}
-		for src := 0; src < 3; src++ {
-			if len(out[src]) != (src+1)*(c.Rank()+1) {
-				return fmt.Errorf("len(out[%d]) = %d", src, len(out[src]))
-			}
-		}
-		return nil
-	})
-}
-
-func TestAllToAllWrongPartCount(t *testing.T) {
-	comms := NewLocalCluster(2)
-	if _, err := AllToAll(comms[0], [][]int64{{1}}); err == nil {
-		t.Fatal("wrong part count accepted")
-	}
-}
-
 func TestAllReduceRingMatchesTree(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for _, n := range []int{1, 3, 17, 100} {

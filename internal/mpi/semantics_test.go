@@ -232,32 +232,6 @@ func TestSemanticsGatherBytes(t *testing.T) {
 	}
 }
 
-func TestSemanticsAllToAllUnderChaos(t *testing.T) {
-	for _, tp := range semanticsPlans {
-		for _, p := range semanticsRanks {
-			t.Run(fmt.Sprintf("%s/p%d", tp.name, p), func(t *testing.T) {
-				runSPMDPlan(t, p, tp.plan, func(c Comm) error {
-					parts := make([][]int64, p)
-					for dst := range parts {
-						parts[dst] = []int64{int64(c.Rank()*100 + dst)}
-					}
-					out, err := AllToAll(c, parts)
-					if err != nil {
-						return err
-					}
-					for src := 0; src < p; src++ {
-						want := int64(src*100 + c.Rank())
-						if len(out[src]) != 1 || out[src][0] != want {
-							return fmt.Errorf("alltoall out[%d] = %v, want [%d]", src, out[src], want)
-						}
-					}
-					return nil
-				})
-			})
-		}
-	}
-}
-
 // expectVec compares a collective's output against the model's.
 func expectVec(what string, got, want []int64) error {
 	if len(got) != len(want) {
