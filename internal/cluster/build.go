@@ -55,7 +55,7 @@ func BuildShards(g *graph.Graph, opt BuildOptions) ([]*Shard, error) {
 }
 
 // BuildShard builds shard r of BuildShards(g, opt) alone, byte-identical:
-// the same draw, with only range r coded and indexed. It also returns the
+// the same draw, with only range r coded and cut. It also returns the
 // draw's sample count N; the shard holds ids par.Interval(N, Shards, r).
 func BuildShard(g *graph.Graph, opt BuildOptions, r int) (*Shard, int, error) {
 	if r < 0 || r >= opt.Shards {
@@ -71,9 +71,9 @@ func BuildShard(g *graph.Graph, opt BuildOptions, r int) (*Shard, int, error) {
 
 // draw runs the fleet's one sample draw and returns its sample count N and
 // cut, which codes shard r (ids par.Interval(N, Shards, r)) under its own
-// frequency relabeling and indexes it.
+// frequency relabeling and cuts its index from the draw's.
 func draw(g *graph.Graph, opt BuildOptions) (cut func(r int) (*Shard, error), n int, err error) {
-	res, col, err := imm.Draw(g, imm.Options{
+	res, col, idx, err := imm.Draw(g, imm.Options{
 		K: opt.K, Epsilon: opt.Epsilon, Model: opt.Model, Seed: opt.Seed,
 		Workers: opt.Workers, RNG: imm.PerSample,
 	})
@@ -91,6 +91,6 @@ func draw(g *graph.Graph, opt BuildOptions) (cut func(r int) (*Shard, error), n 
 	return func(r int) (*Shard, error) {
 		lo, hi := par.Interval(col.Count(), opt.Shards, r)
 		coded := imm.Transcode(col.Range(lo, hi), imm.StoreCoded, res.Workers)
-		return NewShard(meta, coded, nil, r, opt.Shards, uint64(lo), 0, res.Workers)
+		return NewShard(meta, coded, idx.Range(lo, hi, res.Workers), r, opt.Shards, uint64(lo), 0, res.Workers)
 	}, col.Count(), nil
 }

@@ -433,6 +433,42 @@ func TestBuildShardMatchesBuildShards(t *testing.T) {
 	}
 }
 
+// TestShardIndexCutFromDraw: a shard's index is cut from the draw's, and
+// equals the index built over the shard's own coded samples, for the
+// whole-fleet build and the single-replica build alike.
+func TestShardIndexCutFromDraw(t *testing.T) {
+	g := testGraph(13, 90, 600)
+	opt := cluster.BuildOptions{K: 6, Epsilon: 0.5, Model: diffuse.IC, Seed: 21, Workers: 2}
+	snapshot := func(sh *cluster.Shard) []byte {
+		var buf bytes.Buffer
+		if err := cluster.WriteShardSnapshot(&buf, sh); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, s := range []int{1, 3} {
+		opt.Shards = s
+		fleet, err := cluster.BuildShards(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, sh := range fleet {
+			one, _, err := cluster.BuildShard(g, opt, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A nil index makes NewShard build one over the coded store.
+			fresh, err := cluster.NewShard(sh.Meta, sh.Col, nil, r, s, sh.First, sh.Epoch, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := snapshot(fresh); !bytes.Equal(snapshot(sh), want) || !bytes.Equal(snapshot(one), want) {
+				t.Fatalf("s=%d shard %d: the cut index differs from a fresh build", s, r)
+			}
+		}
+	}
+}
+
 func TestFetchShardSnapshot(t *testing.T) {
 	g := testGraph(9, 50, 300)
 	opt := cluster.BuildOptions{K: 4, Epsilon: 0.5, Model: diffuse.IC, Seed: 5, Workers: 2, Shards: 2}

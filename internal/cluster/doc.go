@@ -1,7 +1,7 @@
 // Package cluster turns a fleet of immserve replicas into one logical
 // seed-serving system: each replica owns a shard of the RRR samples (a
-// contiguous id range of one imm.Draw; a replica's BuildShard codes and
-// indexes only its own) and a thin router runs the selection engine
+// contiguous id range of one imm.Draw; a replica's BuildShard codes only
+// its own and cuts its index from the draw's) and a thin router runs the selection engine
 // (imm.Greedy) over them — fleetCoverage, its coverage backend, fans each
 // start/purge/end out over the shard API and merges the shards' counts
 // and decrements.

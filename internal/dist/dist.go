@@ -98,6 +98,7 @@ type state struct {
 	g       *graph.Graph
 	col     *rrr.Collection
 	coded   *rrr.CodedCollection // non-nil once the shard is transcoded (Store == imm.StoreCoded)
+	idx     *rrr.Index           // the shard's incidence index, extended by each Cover
 	global  int64                // samples generated across all ranks so far
 	threads int
 
@@ -108,6 +109,13 @@ type state struct {
 // with the same graph and options; the identical seed set is returned on
 // every rank.
 func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
+	res, _, err := run(c, g, opt)
+	return res, err
+}
+
+// run is Run, also returning the rank's final state: its shard and the
+// shard's index.
+func run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, *state, error) {
 	if opt.L == 0 {
 		opt.L = 1
 	}
@@ -115,7 +123,7 @@ func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
 		opt.ThreadsPerRank = max(par.DefaultWorkers()/c.Size(), 1)
 	}
 	if err := validate(opt.K, opt.Epsilon, opt.Store, g.NumVertices()); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	res := &Result{Ranks: c.Size(), Rank: c.Rank(), ThreadsPerRank: opt.ThreadsPerRank, Store: opt.Store, FailedRank: -1}
@@ -167,14 +175,14 @@ func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
 	// report: the surviving rank's shard counters and any seeds already
 	// selected stay available to the caller alongside the typed error.
 	// Non-rank failures stay fatal.
-	degraded := func(err error) (*Result, error) {
+	degraded := func(err error) (*Result, *state, error) {
 		var rf *mpi.RankFailedError
 		if !errors.As(err, &rf) {
-			return nil, err
+			return nil, nil, err
 		}
 		res.FailedRank = rf.Rank
 		finish()
-		return res, err
+		return res, st, err
 	}
 
 	// Phases 1-2: distributed EstimateTheta and Sample. st extends the
@@ -185,21 +193,24 @@ func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
 	}
 
 	// Transcode and final index. A coded run re-expresses this rank's shard
-	// under its own frequency relabeling and drops the flat arena; the
-	// tables never cross the wire, collectives exchange original-id
-	// counters either way.
-	col := st.col
+	// under its own frequency relabeling and drops the flat arena before
+	// extending the index over its share of the final draw, read from the
+	// coded store; the index is labeling-invariant either way. The tables
+	// never cross the wire, collectives exchange original-id counters
+	// either way.
 	if opt.Store == imm.StoreCoded {
+		res.Phases.Measure(trace.Other, func() { st.coded = imm.Transcode(st.col, opt.Store, st.threads) })
 		st.col = nil
+		res.Phases.Measure(trace.IndexBuild, func() { st.idx = rrr.ExtendIndexCoded(st.idx, st.coded, st.threads) })
+	} else {
+		res.Phases.Measure(trace.IndexBuild, func() { st.idx = rrr.ExtendIndex(st.idx, st.col, st.threads) })
 	}
-	var idx *rrr.Index
-	st.coded, idx = imm.FinalIndex(col, opt.Store, opt.Store == imm.StoreCoded, st.threads, &res.Phases)
-	res.IndexBytes = idx.Bytes()
+	res.IndexBytes = st.idx.Bytes()
 
 	// Phase 3: distributed SelectSeeds. On a rank failure the seeds
 	// selected before the collective broke are kept — the partial result.
 	var sel *imm.QueryResult
-	res.Phases.Measure(trace.SelectSeeds, func() { sel, err = st.selectSeeds(idx, opt.K) })
+	res.Phases.Measure(trace.SelectSeeds, func() { sel, err = st.selectSeeds(opt.K) })
 	res.Seeds = sel.Seeds
 	res.CoverageFraction = float64(sel.Covered) / float64(st.global)
 	res.EstimatedSpread = res.CoverageFraction * tm.N()
@@ -208,7 +219,7 @@ func Run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, error) {
 	}
 
 	finish()
-	return res, nil
+	return res, st, nil
 }
 
 func validate(k int, eps float64, store imm.StoreKind, n int) error {
@@ -240,15 +251,17 @@ func (st *state) Extend(count int64) (int64, error) {
 	lo, hi := par.Interval(int(count), st.c.Size(), st.c.Rank())
 	if local := hi - lo; local > 0 {
 		st.sampler.SampleAt(st.col, uint64(st.global+int64(lo)), local)
+		st.sampler.Release()
 	}
 	st.global += count
 	return st.global, nil
 }
 
-// Cover builds the local shard's index and runs the distributed selection
-// (imm.Samples; the final selection times its build via FinalIndex).
+// Cover extends the local shard's index over the samples drawn since the
+// last Cover and runs the distributed selection (imm.Samples).
 func (st *state) Cover(k int) (int64, error) {
-	sel, err := st.selectSeeds(rrr.BuildIndex(st.col, st.threads), k)
+	st.idx = rrr.ExtendIndex(st.idx, st.col, st.threads)
+	sel, err := st.selectSeeds(k)
 	return sel.Covered, err
 }
 
@@ -256,12 +269,12 @@ func (st *state) Cover(k int) (int64, error) {
 // AllReduce of this rank's shard counts, so every rank runs the identical
 // argmax. On a collective failure the seeds chosen so far come back
 // alongside the error.
-func (st *state) selectSeeds(idx *rrr.Index, k int) (*imm.QueryResult, error) {
+func (st *state) selectSeeds(k int) (*imm.QueryResult, error) {
 	var local imm.Coverage[int32]
 	if st.coded != nil {
-		local = imm.NewCodedCoverage(st.coded, idx, nil, st.threads)
+		local = imm.NewCodedCoverage(st.coded, st.idx, nil, st.threads)
 	} else {
-		local = imm.NewFlatCoverage(st.col, idx, nil, st.threads)
+		local = imm.NewFlatCoverage(st.col, st.idx, nil, st.threads)
 	}
 	return imm.Greedy(&allReduceCoverage{c: st.c, local: local}, st.g.NumVertices(), imm.Query{K: k}, nil)
 }

@@ -2,10 +2,14 @@ package dist
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"influmax/internal/diffuse"
+	"influmax/internal/graph"
 	"influmax/internal/imm"
+	"influmax/internal/mpi"
+	"influmax/internal/rrr"
 )
 
 // TestDistStoreEquivalence pins the coded store on the sample-partitioned
@@ -59,6 +63,49 @@ func TestDistStoreEquivalenceLT(t *testing.T) {
 	for rank := range coded {
 		if !slices.Equal(coded[rank].Seeds, flat[rank].Seeds) {
 			t.Fatalf("rank %d: coded seeds %v != flat %v", rank, coded[rank].Seeds, flat[rank].Seeds)
+		}
+	}
+}
+
+// TestDistIndexMatchesFreshBuild: each rank's final index is the one its
+// estimation rounds extended, and equals a fresh build over the rank's
+// shard under either store.
+func TestDistIndexMatchesFreshBuild(t *testing.T) {
+	g := testGraph(4, 120, 900)
+	for _, store := range []imm.StoreKind{imm.StoreFlat, imm.StoreCoded} {
+		opt := Options{K: 6, Epsilon: 0.5, Model: diffuse.IC, ThreadsPerRank: 2, Seed: 17, Store: store}
+		const p = 3
+		comms := mpi.NewLocalCluster(p)
+		states := make([]*state, p)
+		errs := make([]error, p)
+		var wg sync.WaitGroup
+		for r := 0; r < p; r++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				_, states[rank], errs[rank] = run(comms[rank], g, opt)
+			}(r)
+		}
+		wg.Wait()
+		for r, st := range states {
+			if errs[r] != nil {
+				t.Fatalf("%s rank %d: %v", store, r, errs[r])
+			}
+			var fresh *rrr.Index
+			if st.coded != nil {
+				fresh = rrr.BuildIndexCoded(st.coded, 1)
+			} else {
+				fresh = rrr.BuildIndex(st.col, 1)
+			}
+			if st.idx.Count() != fresh.Count() || st.idx.Entries() != fresh.Entries() {
+				t.Fatalf("%s rank %d: index covers %d samples, %d entries; shard %d, %d",
+					store, r, st.idx.Count(), st.idx.Entries(), fresh.Count(), fresh.Entries())
+			}
+			for v := 0; v < g.NumVertices(); v++ {
+				if !slices.Equal(st.idx.SamplesOf(graph.Vertex(v)), fresh.SamplesOf(graph.Vertex(v))) {
+					t.Fatalf("%s rank %d: vertex %d's incidence differs from a fresh build", store, r, v)
+				}
+			}
 		}
 	}
 }

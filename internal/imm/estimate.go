@@ -3,6 +3,7 @@ package imm
 import (
 	"time"
 
+	"influmax/internal/metrics"
 	"influmax/internal/rrr"
 	"influmax/internal/trace"
 )
@@ -54,21 +55,42 @@ func Estimate(s Samples, tm Analysis, k int, phases *trace.Times) (theta int64, 
 	return theta, lb, err
 }
 
-// localSamples are one process's samples in a flat arena.
+// localSamples are one process's samples in a flat arena, and the
+// incidence index of every sample up to the last Cover: each Cover extends
+// the index over the samples drawn since, so a draw indexes each sample
+// once however many rounds re-select over it.
 type localSamples struct {
 	st  *BatchSampler
 	col *rrr.Collection
+	idx *rrr.Index // nil until the first Cover
 	p   int
+
+	mIndexEntries *metrics.Counter // rrr/index-entries, nil without metrics
 }
 
-func (s localSamples) Extend(count int64) (int64, error) {
+func (s *localSamples) Extend(count int64) (int64, error) {
 	s.st.Sample(s.col, int(count))
+	s.st.Release()
 	return int64(s.col.Count()), nil
 }
 
-func (s localSamples) Cover(k int) (int64, error) {
-	_, cov := SelectSeeds(s.col, k, s.p)
+func (s *localSamples) Cover(k int) (int64, error) {
+	s.setIndex(rrr.ExtendIndex(s.idx, s.col, s.p))
+	_, cov := SelectSeedsIndexed(s.col, s.idx, k, s.p)
 	return cov, nil
+}
+
+// setIndex installs next, an extension of the current index, and counts
+// the entries the extension wrote.
+func (s *localSamples) setIndex(next *rrr.Index) {
+	if s.mIndexEntries != nil {
+		var before int64
+		if s.idx != nil {
+			before = s.idx.Entries()
+		}
+		s.mIndexEntries.Add(next.Entries() - before)
+	}
+	s.idx = next
 }
 
 // naiveSamples are the baseline's samples in its bidirectional store,
@@ -88,32 +110,12 @@ func (s naiveSamples) Cover(k int) (int64, error) {
 	return cov, nil
 }
 
-// FinalIndex readies the finished samples for the final selection. With
-// transcode set, col is re-encoded by Transcode, accounted to Other, and
-// the index is built over the coded store; without, coded is nil and the
-// index is over col. Either build is accounted to IndexBuild. A caller
-// that transcodes should hold no other reference to col: the flat arena
-// is garbage once the coded store exists.
-func FinalIndex(col *rrr.Collection, store StoreKind, transcode bool, p int, phases *trace.Times) (coded *rrr.CodedCollection, idx *rrr.Index) {
-	if transcode {
-		start := time.Now()
-		coded, col = Transcode(col, store, p), nil
-		phases.Add(trace.Other, time.Since(start))
-	}
-	phases.Measure(trace.IndexBuild, func() {
-		if coded != nil {
-			idx = rrr.BuildIndexCoded(coded, p)
-		} else {
-			idx = rrr.BuildIndex(col, p)
-		}
-	})
-	return coded, idx
-}
-
 // Transcode re-encodes col into the byte-coded store: under the frequency
 // relabeling (DESIGN.md §13) of col's own incidence for StoreCoded, the
 // identity labeling otherwise. It is the one place a flat arena is
-// transcoded; FinalIndex, the shard cut and dynamic publication call it.
+// transcoded: DrawCoded, dist.Run, the shard cut and dynamic publication
+// call it. The index needs no transcode: it lives in
+// original-id space under any labeling (DESIGN.md §13.5).
 func Transcode(col *rrr.Collection, store StoreKind, p int) *rrr.CodedCollection {
 	var relab *rrr.Relabeling
 	if store == StoreCoded {

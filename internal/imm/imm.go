@@ -85,12 +85,48 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 
 // Draw is the front half of Algorithm 1: theta estimation (Algorithm 2)
 // and sampling to theta (Algorithm 3) into a flat arena — the only store
-// estimation's incremental appends and re-selections run on. It fills
-// only the sampling bookkeeping (theta, lower bound, sample count, flat
-// footprint, balance, fused-kernel counters, rrr/balance gauge): no index
-// is built and no seeds are selected. Every pipeline composes Draw,
-// FinalIndex and, when it wants seeds, a selection.
-func Draw(g *graph.Graph, opt Options) (*Result, *rrr.Collection, error) {
+// estimation's incremental appends and re-selections run on — and the
+// inverted incidence index of every sample drawn. Each estimation round
+// extends the index over the samples drawn since the last (accounted to
+// Estimation), and Draw extends it over the final draw (IndexBuild; free
+// when the search already overshot theta), so each sample is indexed
+// once. It fills only the sampling bookkeeping (theta, lower bound, sample
+// count, flat footprint, balance, fused-kernel counters, rrr/balance
+// gauge) and selects no seeds. Every pipeline composes Draw or DrawCoded
+// and, when it wants seeds, a selection over the drawn index.
+func Draw(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Index, error) {
+	res, s, err := draw(g, opt)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// Phase 2.5: the vertex->samples index the purge looks up, over the
+	// samples the final draw added.
+	res.Phases.Measure(trace.IndexBuild, func() { s.setIndex(rrr.ExtendIndex(s.idx, s.col, s.p)) })
+	return res, s.col, s.idx, nil
+}
+
+// DrawCoded is Draw with the samples transcoded into the byte-coded store
+// before the index is extended over the final draw: opt.Store picks the
+// labeling (StoreCoded: the frequency relabeling of DESIGN.md §13), the
+// transcode is accounted to Other, and the flat arena is dropped before
+// the extension reads the new samples from the coded store, so the arena
+// and both generations of the index are never resident together. The
+// index is labeling-invariant: it equals Draw's, byte for byte.
+func DrawCoded(g *graph.Graph, opt Options) (*Result, *rrr.CodedCollection, *rrr.Index, error) {
+	res, s, err := draw(g, opt)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var coded *rrr.CodedCollection
+	res.Phases.Measure(trace.Other, func() { coded = Transcode(s.col, opt.Store, s.p) })
+	s.col = nil
+	res.Phases.Measure(trace.IndexBuild, func() { s.setIndex(rrr.ExtendIndexCoded(s.idx, coded, s.p)) })
+	return res, coded, s.idx, nil
+}
+
+// draw runs Draw's estimation and sampling, returning the samples with the
+// index the estimation rounds left and the sampling bookkeeping filled.
+func draw(g *graph.Graph, opt Options) (*Result, *localSamples, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(g.NumVertices()); err != nil {
 		return nil, nil, err
@@ -101,14 +137,17 @@ func Draw(g *graph.Graph, opt Options) (*Result, *rrr.Collection, error) {
 	}
 	startOther := time.Now()
 	n := g.NumVertices()
-	col := rrr.NewCollection(n)
 	st := NewBatchSampler(g, opt)
+	s := &localSamples{st: st, col: rrr.NewCollection(n), p: opt.Workers}
+	if opt.Metrics != nil {
+		s.mIndexEntries = opt.Metrics.Counter("rrr/index-entries")
+	}
 	tm := NewAnalysis(n, opt.K, opt.Epsilon, opt.L)
 	res.Phases.Add(trace.Other, time.Since(startOther))
 	// Local samples never fail.
-	res.Theta, res.LowerBound, _ = Estimate(localSamples{st, col, opt.Workers}, tm, opt.K, &res.Phases)
-	res.SamplesGenerated = col.Count()
-	res.FlatStoreBytes = col.Bytes()
+	res.Theta, res.LowerBound, _ = Estimate(s, tm, opt.K, &res.Phases)
+	res.SamplesGenerated = s.col.Count()
+	res.FlatStoreBytes = s.col.Bytes()
 	res.WorkBalance = st.WorkBalance()
 	res.WorkerWork = append([]int64(nil), st.Work...)
 	fs := st.FusedStats()
@@ -119,7 +158,8 @@ func Draw(g *graph.Graph, opt Options) (*Result, *rrr.Collection, error) {
 		// Permille, because gauges are integers: 1000 = perfectly balanced.
 		opt.Metrics.Gauge("rrr/balance").Set(int64(res.WorkBalance * 1000))
 	}
-	return res, col, nil
+	s.st = nil // the sampler's per-worker state is garbage from here on
+	return res, s, nil
 }
 
 // selectFinal records the footprints of the selection's store and index
@@ -154,13 +194,10 @@ func selectFinal(res *Result, n float64, storeBytes int64, idx *rrr.Index, reg *
 // callers that want the byte-coded store use RunSketch.
 func RunCollect(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Index, error) {
 	opt.Store = StoreFlat
-	res, col, err := Draw(g, opt)
+	res, col, idx, err := Draw(g, opt)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Phase 2.5: the vertex->samples index the purge looks up. Builds in the
-	// estimation loop count as Estimation; this final one gets its own bar.
-	_, idx := FinalIndex(col, StoreFlat, false, res.Workers, &res.Phases)
 	// Phase 3: SelectSeeds (Algorithm 4, index-driven purge).
 	selectFinal(res, float64(g.NumVertices()), col.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
 		return SelectSeedsIndexed(col, idx, opt.K, res.Workers)
@@ -169,7 +206,7 @@ func RunCollect(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Ind
 }
 
 // RunSketch executes the pipeline with the finished samples transcoded
-// into a byte-coded store before index build and selection, returning the
+// into a byte-coded store before selection (DrawCoded), returning the
 // coded collection and its index — the resident sketch a serving process
 // keeps. opt.Store picks the labeling: StoreCoded transcodes under the
 // frequency-ordered relabeling (DESIGN.md §13); StoreFlat keeps the
@@ -179,11 +216,10 @@ func RunCollect(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Ind
 // transcode (incidence count, relabel-table build, re-encode) is
 // accounted to the Other phase.
 func RunSketch(g *graph.Graph, opt Options) (*Result, *rrr.CodedCollection, *rrr.Index, error) {
-	res, col, err := Draw(g, opt)
+	res, coded, idx, err := DrawCoded(g, opt)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	coded, idx := FinalIndex(col, opt.Store, true, res.Workers, &res.Phases)
 	selectFinal(res, float64(g.NumVertices()), coded.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
 		return SelectSeedsSketch(coded, idx, opt.K, res.Workers)
 	})

@@ -8,6 +8,7 @@ import (
 
 	"influmax/internal/diffuse"
 	"influmax/internal/graph"
+	"influmax/internal/metrics"
 	"influmax/internal/rng"
 	"influmax/internal/rrr"
 	"influmax/internal/trace"
@@ -413,23 +414,27 @@ func TestWorkBalanceRecorded(t *testing.T) {
 }
 
 // TestDrawMatchesRunCollect: Draw is RunCollect's front half alone — the
-// same samples, byte for byte, and the same sampling bookkeeping, with no
-// index built and no seeds selected.
+// same samples, byte for byte, the same sampling bookkeeping and the same
+// index, equal to a fresh build over the drawn samples, with no seeds
+// selected.
 func TestDrawMatchesRunCollect(t *testing.T) {
 	g := testGraph(30, 150, 1000)
 	for _, mode := range []RNGMode{PerSample, LeapFrog} {
 		for _, w := range []int{1, 4} {
 			opt := Options{K: 5, Epsilon: 0.4, Model: diffuse.IC, Workers: w, Seed: 3, RNG: mode}
-			full, fullCol, _, err := RunCollect(g, opt)
+			full, fullCol, fullIdx, err := RunCollect(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, col, err := Draw(g, opt)
+			res, col, idx, err := Draw(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameCollection(col, fullCol) {
 				t.Fatalf("%s w=%d: Draw's collection differs from RunCollect's", mode, w)
+			}
+			if !sameIndex(idx, rrr.BuildIndex(col, w)) || !sameIndex(idx, fullIdx) {
+				t.Fatalf("%s w=%d: Draw's index differs from a fresh build or RunCollect's", mode, w)
 			}
 			if res.Theta != full.Theta || res.LowerBound != full.LowerBound ||
 				res.SamplesGenerated != full.SamplesGenerated || res.CoinsGenerated != full.CoinsGenerated ||
@@ -438,16 +443,80 @@ func TestDrawMatchesRunCollect(t *testing.T) {
 					mode, w, res.Theta, res.LowerBound, res.SamplesGenerated, res.CoinsGenerated, res.FlatStoreBytes,
 					full.Theta, full.LowerBound, full.SamplesGenerated, full.CoinsGenerated, full.FlatStoreBytes)
 			}
-			for _, ph := range []trace.Phase{trace.IndexBuild, trace.SelectSeeds} {
-				if d := res.Phases.Get(ph); d != 0 {
-					t.Errorf("%s w=%d: Draw spent %v in %s, want 0", mode, w, d, ph)
-				}
+			if d := res.Phases.Get(trace.SelectSeeds); d != 0 {
+				t.Errorf("%s w=%d: Draw spent %v in %s, want 0", mode, w, d, trace.SelectSeeds)
 			}
-			if res.Seeds != nil || res.IndexBytes != 0 {
-				t.Errorf("%s w=%d: Draw selected %v or indexed %d bytes", mode, w, res.Seeds, res.IndexBytes)
+			if res.Seeds != nil {
+				t.Errorf("%s w=%d: Draw selected %v", mode, w, res.Seeds)
 			}
 		}
 	}
+}
+
+// sameIndex reports whether two indexes cover the same samples with the
+// same incidence lists.
+func sameIndex(a, b *rrr.Index) bool {
+	if a.Count() != b.Count() || a.NumVertices() != b.NumVertices() || a.Entries() != b.Entries() {
+		return false
+	}
+	for v := 0; v < a.NumVertices(); v++ {
+		if !slices.Equal(a.SamplesOf(graph.Vertex(v)), b.SamplesOf(graph.Vertex(v))) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIndexEachSampleOnce: estimation rounds extend one index, so a
+// multi-round run writes each sample's entries into an index exactly once
+// (rrr/index-entries == TotalSize), and every pipeline's index equals a
+// fresh build over its samples.
+func TestIndexEachSampleOnce(t *testing.T) {
+	g := testGraph(31, 400, 600)
+	opt := Options{K: 5, Epsilon: 0.3, Model: diffuse.IC, Workers: 2, Seed: 5}
+
+	// The configuration runs more than one estimation round.
+	o := opt.withDefaults()
+	cs := &coverCounter{Samples: &localSamples{st: NewBatchSampler(g, o), col: rrr.NewCollection(g.NumVertices()), p: o.Workers}}
+	Estimate(cs, NewAnalysis(g.NumVertices(), o.K, o.Epsilon, o.L), o.K, new(trace.Times))
+	if cs.covers < 2 {
+		t.Fatalf("estimation ran %d rounds, want a multi-round configuration", cs.covers)
+	}
+
+	reg := metrics.NewRegistry()
+	opt.Metrics = reg
+	_, col, idx, err := RunCollect(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("rrr/index-entries").Value(); got != col.TotalSize() {
+		t.Fatalf("rrr/index-entries = %d, want TotalSize %d", got, col.TotalSize())
+	}
+	fresh := rrr.BuildIndex(col, 1)
+	if !sameIndex(idx, fresh) {
+		t.Fatal("RunCollect's index differs from a fresh build")
+	}
+	for _, store := range []StoreKind{StoreFlat, StoreCoded} {
+		opt.Store, opt.Metrics = store, nil
+		_, coded, cidx, err := RunSketch(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIndex(cidx, fresh) || !sameIndex(cidx, rrr.BuildIndexCoded(coded, 1)) {
+			t.Fatalf("%s: RunSketch's index differs from a fresh build", store)
+		}
+	}
+}
+
+// coverCounter counts the estimation rounds (Cover calls) of a Samples.
+type coverCounter struct {
+	Samples
+	covers int
+}
+
+func (c *coverCounter) Cover(k int) (int64, error) {
+	c.covers++
+	return c.Samples.Cover(k)
 }
 
 // TestGoldenRegression pins the exact output of a fixed configuration so

@@ -132,10 +132,12 @@ type Options struct {
 	// at least 1 - 1/n^L. Zero means the customary 1.
 	L float64
 	// Metrics, when non-nil, receives engine-internal instrumentation
-	// during the run: the "rrr/samples" and "rrr/entries" counters and the
+	// during the run: the "rrr/samples" and "rrr/entries" counters, the
 	// "rrr/size" histogram of RRR-set cardinalities (the sampling-work
-	// distribution behind the paper's load-balance discussion). Recording
-	// is atomic and allocation-free; nil disables it entirely.
+	// distribution behind the paper's load-balance discussion) and the
+	// "rrr/index-entries" counter of entries written into the incidence
+	// index, which equals "rrr/entries" when each sample is indexed once.
+	// Recording is atomic and allocation-free; nil disables it entirely.
 	Metrics *metrics.Registry
 
 	// scalar and static force the scalar kernel and the static split in

@@ -278,6 +278,16 @@ func (b *BatchSampler) SampleAt(col *rrr.Collection, base uint64, count int) {
 	b.recordRange(col, first)
 }
 
+// Release drops every worker's arena, each a copy of the entries the last
+// batch merged into its collection. A sampler that grows one collection
+// batch by batch calls it after each batch, so the copy is not resident
+// beside the index built next; the next batch regrows the arenas. Without
+// it, steady-state batches reuse the arenas and allocate nothing per
+// sample.
+func (b *BatchSampler) Release() {
+	clear(b.arenas)
+}
+
 // recordFused drains the per-worker fused-kernel counters into the
 // cumulative totals and the optional metrics registry. Pass and batch
 // counts depend on chunk boundaries (schedule telemetry, like steal

@@ -118,7 +118,8 @@ func RunTIMPlus(g *graph.Graph, opt Options) (*TIMResult, error) {
 	})
 
 	// Phase 4: final selection, over the inverted incidence index.
-	_, idx := FinalIndex(col, StoreFlat, false, opt.Workers, &res.Phases)
+	var idx *rrr.Index
+	res.Phases.Measure(trace.IndexBuild, func() { idx = rrr.BuildIndex(col, opt.Workers) })
 	res.SamplesGenerated = col.Count()
 	selectFinal(&res.Result, nf, col.Bytes(), idx, nil, func() ([]graph.Vertex, int64) {
 		return SelectSeedsIndexed(col, idx, k, opt.Workers)

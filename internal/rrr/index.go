@@ -1,6 +1,9 @@
 package rrr
 
 import (
+	"fmt"
+	"slices"
+
 	"influmax/internal/graph"
 	"influmax/internal/par"
 )
@@ -10,16 +13,19 @@ import (
 // the lookup structure that turns Algorithm 4's purge step — "remove every
 // sample containing the chosen seed" — from a scan over all |R| samples into
 // a direct walk of the seed's incidence list, the strategy of HBMax and of
-// the sequential NaiveStore baseline, but built on demand from the compact
+// the sequential NaiveStore baseline, but kept beside the compact
 // one-directional store so sampling keeps its halved memory footprint.
 //
 // Unlike NaiveStore, which maintains per-vertex slices incrementally during
-// Append (one allocation-prone slice per vertex, resident for the whole
-// run), Index is two flat arrays built in one parallel pass after sampling
-// finishes and dropped when selection ends.
+// Append (one allocation-prone slice per vertex), Index is two flat arrays.
+// Sample ids only grow, so the index of ids [0, m) extends to the index of
+// [0, m') by copying each vertex's list and appending the new ids
+// (ExtendIndex): a draw indexes each sample exactly once, however many
+// estimation rounds re-select over it. An Index is immutable once built.
 type Index struct {
 	offsets []int64 // len = NumVertices()+1
-	samples []int32 // concatenated ascending sample ids; len = TotalSize()
+	samples []int32 // concatenated ascending sample ids; len = Entries()
+	count   int     // the index covers sample ids [0, count)
 }
 
 // BuildIndex constructs the inverted incidence of col with p workers
@@ -29,7 +35,15 @@ type Index struct {
 // so no atomics are needed — the same ownership discipline Algorithm 4 uses
 // for its counter updates.
 func BuildIndex(col *Collection, p int) *Index {
-	return buildIndex(col.NumVertices(), col.Count(), p,
+	return ExtendIndex(nil, col, p)
+}
+
+// ExtendIndex returns the index of col given idx, the index of col's first
+// idx.Count() samples (nil for none): byte-identical to BuildIndex(col, p),
+// but only the samples past idx.Count() are visited. idx itself is
+// returned when col has no new samples.
+func ExtendIndex(idx *Index, col *Collection, p int) *Index {
+	return buildIndex(idx, col.NumVertices(), col.Count(), p,
 		func(j int, vl, vh graph.Vertex, visit func(graph.Vertex)) {
 			for _, u := range col.RangeOf(j, vl, vh) {
 				visit(u)
@@ -43,43 +57,105 @@ func BuildIndex(col *Collection, p int) *Index {
 // of the store's labeling, because visitRange filters on original ids and
 // each vertex's sample list is kept sorted by the ascending sample loop
 // alone. Workers decode each sample instead of binary-searching it, so
-// the build costs one extra decode pass per worker — paid once at sketch
-// build, or when a snapshot carries samples but no index.
+// the build costs one extra decode pass per worker. The sampling pipelines
+// extend the index they drew instead; this build serves a snapshot that
+// carries samples but no index.
 func BuildIndexCoded(col *CodedCollection, p int) *Index {
-	return buildIndex(col.NumVertices(), col.Count(), p, col.visitRange)
+	return ExtendIndexCoded(nil, col, p)
 }
 
-// buildIndex is the store-agnostic core of the two-pass build: rangeOf
-// must invoke visit for every member of sample j falling in [vl, vh),
-// ascending — the only store access the scheme needs.
-func buildIndex(n, count, p int, rangeOf func(j int, vl, vh graph.Vertex, visit func(graph.Vertex))) *Index {
-	idx := &Index{offsets: make([]int64, n+1)}
+// ExtendIndexCoded is ExtendIndex over a byte-coded store: the index of
+// col given idx, the index of its first idx.Count() samples (nil for
+// none), decoding only the samples past idx.Count().
+func ExtendIndexCoded(idx *Index, col *CodedCollection, p int) *Index {
+	return buildIndex(idx, col.NumVertices(), col.Count(), p, col.visitRange)
+}
+
+// buildIndex is the store-agnostic core of every build: the index of
+// samples [0, count) from base, the index of samples [0, base.count) (nil
+// for none). rangeOf must invoke visit for every member of sample j
+// falling in [vl, vh), ascending — the only store access the scheme needs.
+// Counts start at base's degrees and the fill copies base's list ahead of
+// the new ids, so each vertex's list stays ascending.
+func buildIndex(base *Index, n, count, p int, rangeOf func(j int, vl, vh graph.Vertex, visit func(graph.Vertex))) *Index {
+	from := 0
+	if base != nil {
+		if base.count > count || base.NumVertices() != n {
+			panic("rrr: base index does not cover a prefix of the collection")
+		}
+		if base.count == count {
+			return base
+		}
+		from = base.count
+	}
+	idx := &Index{offsets: make([]int64, n+1), count: count}
 	if n == 0 || count == 0 {
 		return idx
 	}
-	if p <= 0 {
-		p = par.DefaultWorkers()
-	}
-	if p > n {
-		p = n
-	}
+	p = clampWorkers(p, n)
 
 	// Pass 1: per-vertex incidence counts. Each worker navigates to its
-	// interval within every sorted sample and increments only the counters
-	// it owns (offsets[v+1] doubles as the count slot).
+	// interval within every new sorted sample and increments only the
+	// counters it owns (offsets[v+1] doubles as the count slot). One visit
+	// closure per worker, not per sample: a closure handed to rangeOf
+	// escapes to the heap.
 	counts := idx.offsets[1:]
 	par.Run(p, func(rank int) {
 		vl, vh := par.Interval(n, p, rank)
-		for j := 0; j < count; j++ {
-			rangeOf(j, graph.Vertex(vl), graph.Vertex(vh), func(u graph.Vertex) {
-				counts[u]++
-			})
+		if base != nil {
+			for v := vl; v < vh; v++ {
+				counts[v] = base.Degree(graph.Vertex(v))
+			}
+		}
+		visit := func(u graph.Vertex) { counts[u]++ }
+		for j := from; j < count; j++ {
+			rangeOf(j, graph.Vertex(vl), graph.Vertex(vh), visit)
 		}
 	})
+	prefixSum(counts, p)
 
-	// Prefix sum, two-level: each worker scans its interval into a local
-	// running sum, the p interval totals are exclusive-scanned serially,
-	// and each worker rebases its interval — offsets stay worker-owned.
+	// Pass 2: fill. idx.offsets[v] is the start of v's list and next[v]
+	// tracks the cursor, placed past the copy of base's list; iterating
+	// samples in ascending j keeps each vertex's list sorted without a
+	// final sort pass. Workers again write only slots owned via their
+	// vertex interval.
+	idx.samples = make([]int32, idx.offsets[n])
+	next := make([]int64, n)
+	par.Run(p, func(rank int) {
+		vl, vh := par.Interval(n, p, rank)
+		for v := vl; v < vh; v++ {
+			next[v] = idx.offsets[v]
+			if base != nil {
+				next[v] += int64(copy(idx.samples[next[v]:], base.SamplesOf(graph.Vertex(v))))
+			}
+		}
+		var j int
+		visit := func(u graph.Vertex) {
+			idx.samples[next[u]] = int32(j)
+			next[u]++
+		}
+		for j = from; j < count; j++ {
+			rangeOf(j, graph.Vertex(vl), graph.Vertex(vh), visit)
+		}
+	})
+	return idx
+}
+
+// clampWorkers resolves p (<= 0: the default) to at most n workers.
+func clampWorkers(p, n int) int {
+	if p <= 0 {
+		p = par.DefaultWorkers()
+	}
+	return min(p, n)
+}
+
+// prefixSum turns per-vertex counts into their inclusive running sums in
+// place — offsets[1:] of a CSR whose offsets[0] is 0. Two-level: each of
+// p workers scans its vertex interval into a local running sum, the p
+// interval totals are exclusive-scanned serially, and each worker rebases
+// its interval, so every slot stays worker-owned.
+func prefixSum(counts []int64, p int) {
+	n := len(counts)
 	bases := make([]int64, p+1)
 	par.Run(p, func(rank int) {
 		vl, vh := par.Interval(n, p, rank)
@@ -99,26 +175,46 @@ func buildIndex(n, count, p int, rangeOf func(j int, vl, vh graph.Vertex, visit 
 			counts[v] += bases[rank]
 		}
 	})
+}
 
-	// Pass 2: fill. idx.offsets[v] is the start of v's list and next[v]
-	// tracks the cursor; iterating samples in ascending j keeps each
-	// vertex's list sorted without a final sort pass. Workers again write
-	// only slots owned via their vertex interval.
-	idx.samples = make([]int32, idx.offsets[n])
-	next := make([]int64, n)
+// Range returns the index of sample ids [lo, hi) rebased to 0 — the index
+// of col.Range(lo, hi) when x indexes col, under any labeling of its store —
+// cut with p workers: each vertex's window is found by binary search in its
+// ascending list and copied shifted by -lo.
+func (x *Index) Range(lo, hi, p int) *Index {
+	if lo < 0 || lo > hi || hi > x.count {
+		panic(fmt.Sprintf("rrr: index range [%d, %d) out of [0, %d)", lo, hi, x.count))
+	}
+	n := x.NumVertices()
+	out := &Index{offsets: make([]int64, n+1), count: hi - lo}
+	if n == 0 {
+		return out
+	}
+	p = clampWorkers(p, n)
+	counts := out.offsets[1:]
+	first := make([]int64, n) // position of v's first id >= lo in its list
 	par.Run(p, func(rank int) {
 		vl, vh := par.Interval(n, p, rank)
 		for v := vl; v < vh; v++ {
-			next[v] = idx.offsets[v]
-		}
-		for j := 0; j < count; j++ {
-			rangeOf(j, graph.Vertex(vl), graph.Vertex(vh), func(u graph.Vertex) {
-				idx.samples[next[u]] = int32(j)
-				next[u]++
-			})
+			s := x.SamplesOf(graph.Vertex(v))
+			a, _ := slices.BinarySearch(s, int32(lo))
+			b, _ := slices.BinarySearch(s[a:], int32(hi))
+			first[v], counts[v] = int64(a), int64(b)
 		}
 	})
-	return idx
+	prefixSum(counts, p)
+	out.samples = make([]int32, out.offsets[n])
+	par.Run(p, func(rank int) {
+		vl, vh := par.Interval(n, p, rank)
+		for v := vl; v < vh; v++ {
+			src := x.samples[x.offsets[v]+first[v]:]
+			dst := out.samples[out.offsets[v]:out.offsets[v+1]]
+			for i := range dst {
+				dst[i] = src[i] - int32(lo)
+			}
+		}
+	})
+	return out
 }
 
 // PatchIndex derives BuildIndex(next, p) from the index of a previous
@@ -141,13 +237,8 @@ func PatchIndex(idx *Index, prev, next *Collection, changed []int32, p int) *Ind
 		return idx
 	}
 	n := prev.NumVertices()
-	if p <= 0 {
-		p = par.DefaultWorkers()
-	}
-	if p > n {
-		p = n
-	}
-	out := &Index{offsets: make([]int64, n+1)}
+	p = clampWorkers(p, n)
+	out := &Index{offsets: make([]int64, n+1), count: idx.count}
 
 	// Pass 1: new counts = old incidence adjusted by the changed samples'
 	// membership deltas. Workers own vertex intervals exactly as in
@@ -168,26 +259,7 @@ func PatchIndex(idx *Index, prev, next *Collection, changed []int32, p int) *Ind
 		}
 	})
 
-	// Prefix sum, two-level (same scheme as buildIndex).
-	bases := make([]int64, p+1)
-	par.Run(p, func(rank int) {
-		vl, vh := par.Interval(n, p, rank)
-		var sum int64
-		for v := vl; v < vh; v++ {
-			sum += counts[v]
-			counts[v] = sum
-		}
-		bases[rank+1] = sum
-	})
-	for r := 1; r <= p; r++ {
-		bases[r] += bases[r-1]
-	}
-	par.Run(p, func(rank int) {
-		vl, vh := par.Interval(n, p, rank)
-		for v := vl; v < vh; v++ {
-			counts[v] += bases[rank]
-		}
-	})
+	prefixSum(counts, p)
 
 	// Pass 2: fill. Each worker inverts the changed samples over its
 	// interval into per-vertex removal (old membership) and addition (new
@@ -247,6 +319,14 @@ func PatchIndex(idx *Index, prev, next *Collection, changed []int32, p int) *Ind
 
 // NumVertices returns the vertex-universe size the index was built over.
 func (x *Index) NumVertices() int { return len(x.offsets) - 1 }
+
+// Count returns the number of samples indexed: the index covers ids
+// [0, Count()).
+func (x *Index) Count() int { return x.count }
+
+// Entries returns the number of (vertex, sample) incidences stored — the
+// TotalSize of the indexed samples.
+func (x *Index) Entries() int64 { return int64(len(x.samples)) }
 
 // SamplesOf returns the ascending ids of the samples containing v
 // (aliasing internal storage; do not modify).

@@ -242,3 +242,65 @@ func TestBuildIndexCodedMatchesPlain(t *testing.T) {
 		}
 	}
 }
+
+// sameIndex compares every field of two indexes.
+func sameIndex(a, b *Index) bool {
+	return a.count == b.count && slices.Equal(a.offsets, b.offsets) && slices.Equal(a.samples, b.samples)
+}
+
+// TestExtendIndexMatchesBuild pins the incremental build: extending the
+// index of the first m samples over the rest yields exactly BuildIndex of
+// the whole collection, at every split point and worker count, from a
+// flat store (ExtendIndex) and from a coded one under either labeling
+// (ExtendIndexCoded). At m = Count the base comes back as is.
+func TestExtendIndexMatchesBuild(t *testing.T) {
+	col, _ := randomCollection(13, 50, 170, 0.15)
+	want := BuildIndex(col, 1)
+	for _, m := range []int{0, col.Count() / 2, col.Count()} {
+		for _, p := range []int{1, 2, 4} {
+			base := BuildIndex(col.Range(0, m), p)
+			if base.Count() != m {
+				t.Fatalf("m=%d: base covers %d samples", m, base.Count())
+			}
+			got := ExtendIndex(base, col, p)
+			if !sameIndex(got, want) {
+				t.Fatalf("m=%d p=%d: extended index differs from a fresh build", m, p)
+			}
+			if m == col.Count() && got != base {
+				t.Fatalf("p=%d: extending over no new samples rebuilt the index", p)
+			}
+			for _, relab := range []*Relabeling{nil, NewRelabeling(IncidenceOf(col, p))} {
+				coded := FromCollection(col, relab)
+				got := ExtendIndexCoded(base, coded, p)
+				if !sameIndex(got, want) {
+					t.Fatalf("m=%d p=%d relabeled=%v: coded extension differs from a fresh build", m, p, relab != nil)
+				}
+			}
+		}
+	}
+	if got := ExtendIndex(nil, col, 3); !sameIndex(got, want) {
+		t.Fatal("extending no index differs from a fresh build")
+	}
+}
+
+// TestIndexRangeMatchesCodedBuild pins the range cut a shard takes its
+// index by: ids [lo, hi) of the whole draw's index, rebased to 0, equal
+// the index built over the range's own coded store, under either
+// labeling.
+func TestIndexRangeMatchesCodedBuild(t *testing.T) {
+	col, _ := randomCollection(17, 40, 150, 0.2)
+	idx := BuildIndex(col, 2)
+	for _, r := range [][2]int{{0, 0}, {0, 150}, {0, 37}, {37, 100}, {100, 150}, {149, 150}} {
+		lo, hi := r[0], r[1]
+		sub := col.Range(lo, hi)
+		for _, relab := range []*Relabeling{nil, NewRelabeling(IncidenceOf(sub, 2))} {
+			want := BuildIndexCoded(FromCollection(sub, relab), 2)
+			for _, p := range []int{1, 2, 4} {
+				if got := idx.Range(lo, hi, p); !sameIndex(got, want) {
+					t.Fatalf("[%d, %d) p=%d relabeled=%v: range cut differs from the range's own build",
+						lo, hi, p, relab != nil)
+				}
+			}
+		}
+	}
+}

@@ -241,7 +241,7 @@ func ReadSnapshot(r io.Reader, maxBytes int64) (SnapshotMeta, *CodedCollection, 
 	switch present := sr.u64(); {
 	case sr.err != nil:
 	case present == 1:
-		idx = &Index{offsets: sr.int64s(n+1, "index offsets")}
+		idx = &Index{offsets: sr.int64s(n+1, "index offsets"), count: col.count}
 		samplesLen := sr.claim("index samples length")
 		idx.samples = sr.int32s(samplesLen, "index samples")
 		if sr.err == nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"influmax/internal/imm"
 	"influmax/internal/metrics"
 	"influmax/internal/rng"
+	"influmax/internal/rrr"
 	"influmax/internal/trace"
 )
 
@@ -147,6 +149,36 @@ func TestBuildSketchSelectsNothing(t *testing.T) {
 		}
 		if got := reg.Gauge("rrr/index-bytes").Value(); got != sk.Idx.Bytes() {
 			t.Errorf("store %s: rrr/index-bytes %d, index holds %d", store, got, sk.Idx.Bytes())
+		}
+	}
+}
+
+// TestBuildSketchIndexMatchesFreshBuild: the sketch keeps the index its
+// draw extended round by round, which equals a fresh build over the coded
+// store under either labeling, and the draw wrote each sample's entries
+// into it once.
+func TestBuildSketchIndexMatchesFreshBuild(t *testing.T) {
+	g := testGraph(7, 200, 1500)
+	cfg := testConfig(g)
+	key := SketchKey{GraphDigest: g.Digest(), Model: cfg.Model, Epsilon: cfg.Epsilon, KMax: cfg.KMax, Seed: cfg.Seed}
+	for _, store := range []imm.StoreKind{imm.StoreFlat, imm.StoreCoded} {
+		reg := metrics.NewRegistry()
+		sk, err := BuildSketch(g, key, cfg.Workers, store, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := func(idx *rrr.Index) []byte {
+			var buf bytes.Buffer
+			if err := rrr.WriteSnapshot(&buf, sk.Meta(), sk.Col, idx, nil); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		if !bytes.Equal(snap(sk.Idx), snap(rrr.BuildIndexCoded(sk.Col, 1))) {
+			t.Errorf("store %s: the sketch's index differs from a fresh build", store)
+		}
+		if got := reg.Counter("rrr/index-entries").Value(); got != sk.Col.TotalSize() {
+			t.Errorf("store %s: rrr/index-entries %d, samples hold %d", store, got, sk.Col.TotalSize())
 		}
 	}
 }

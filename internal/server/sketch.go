@@ -131,10 +131,10 @@ func (s *Sketch) Spread(seeds, audience []graph.Vertex) (covered, eligible int64
 	return imm.CoverageOf(s.Col.Count(), s.Idx, roots, seeds, audience)
 }
 
-// BuildSketch samples a sketch for key over g: imm.Draw at K = key.KMax,
-// then imm.FinalIndex transcodes into the byte-coded store selected by
-// store (imm.StoreCoded adds the frequency-ordered relabeling) and builds
-// the index; seeds are selected only when a query asks. Builds run in
+// BuildSketch samples a sketch for key over g: imm.DrawCoded at K =
+// key.KMax draws the samples and their index, with the samples coded into
+// the store selected by store (imm.StoreCoded adds the frequency-ordered
+// relabeling). Seeds are selected only when a query asks. Builds run in
 // PerSample RNG mode, so workers does not change the samples, and store
 // does not change the query seeds.
 func BuildSketch(g *graph.Graph, key SketchKey, workers int, store imm.StoreKind, reg *metrics.Registry) (*Sketch, error) {
@@ -142,11 +142,10 @@ func BuildSketch(g *graph.Graph, key SketchKey, workers int, store imm.StoreKind
 		K: key.KMax, Epsilon: key.Epsilon, Model: key.Model,
 		Workers: workers, Seed: key.Seed, Store: store, Metrics: reg,
 	}
-	res, col, err := imm.Draw(g, opt)
+	res, coded, idx, err := imm.DrawCoded(g, opt)
 	if err != nil {
 		return nil, err
 	}
-	coded, idx := imm.FinalIndex(col, store, true, res.Workers, &res.Phases)
 	if reg != nil {
 		reg.Gauge("rrr/store-bytes").Set(coded.Bytes())
 		reg.Gauge("rrr/index-bytes").Set(idx.Bytes())

@@ -18,11 +18,12 @@ const (
 	Estimation Phase = iota
 	// Sampling is the direct call to Algorithm 3 from the skeleton.
 	Sampling
-	// IndexBuild is the construction of the inverted vertex->samples
-	// incidence index over the finished collection, the lookup structure
-	// the final SelectSeeds purges through. (Index builds inside the
-	// estimation loop are accounted to Estimation, like the Sample calls
-	// made there.)
+	// IndexBuild is the extension of the inverted vertex->samples
+	// incidence index, the lookup structure the final SelectSeeds purges
+	// through, over the samples the final draw added. (The estimation
+	// loop's extensions are accounted to Estimation, like the Sample calls
+	// made there; a pipeline that samples outside the loop builds the
+	// whole index here.)
 	IndexBuild
 	// SelectSeeds is the final Algorithm 4 invocation.
 	SelectSeeds
