@@ -546,49 +546,6 @@ func BenchmarkAblationCodedStore(b *testing.B) {
 	})
 }
 
-// Tree vs ring AllReduce at IMMdist-typical buffer sizes.
-func BenchmarkAblationAllReduce(b *testing.B) {
-	for _, size := range []int{1 << 10, 1 << 16} {
-		for _, p := range []int{4, 16} {
-			b.Run(fmt.Sprintf("tree/n=%d/p=%d", size, p), func(b *testing.B) {
-				benchAllReduce(b, size, p, func(c mpi.Comm, buf []int64) error {
-					return mpi.AllReduce(c, buf, mpi.Sum)
-				})
-			})
-			b.Run(fmt.Sprintf("ring/n=%d/p=%d", size, p), func(b *testing.B) {
-				benchAllReduce(b, size, p, func(c mpi.Comm, buf []int64) error {
-					return mpi.AllReduceRing(c, buf, mpi.Sum)
-				})
-			})
-		}
-	}
-}
-
-func benchAllReduce(b *testing.B, size, p int, f func(mpi.Comm, []int64) error) {
-	comms := mpi.NewLocalCluster(p)
-	bufs := make([][]int64, p)
-	for r := range bufs {
-		bufs[r] = make([]int64, size)
-		for i := range bufs[r] {
-			bufs[r][i] = int64(r + i)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < p; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				if err := f(comms[rank], bufs[rank]); err != nil {
-					b.Error(err)
-				}
-			}(r)
-		}
-		wg.Wait()
-	}
-}
-
 // BenchmarkStoreFootprintGate is the CI-enforced acceptance gate of the
 // byte-coded store (DESIGN.md section 13): on the soc-LiveJournal1 analog
 // the frequency-relabeled coding must hold the same samples in at most 1/3

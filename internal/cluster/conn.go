@@ -125,13 +125,7 @@ func (cc *CommConn) roundTrip(req request) ([]byte, error) {
 	if err := cc.c.Send(cc.peer, tagRequest, encodeRequest(req)); err != nil {
 		return nil, failedErr(cc.slot, err)
 	}
-	var payload []byte
-	var err error
-	if dr, ok := cc.c.(mpi.DeadlineRecver); ok {
-		payload, err = dr.RecvDeadline(cc.peer, tagResponse, cc.timeout)
-	} else {
-		payload, err = cc.c.Recv(cc.peer, tagResponse)
-	}
+	payload, err := cc.c.RecvDeadline(cc.peer, tagResponse, cc.timeout)
 	if err != nil {
 		return nil, failedErr(cc.slot, err)
 	}

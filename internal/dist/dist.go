@@ -315,5 +315,5 @@ func (a *allReduceCoverage) reduce() error {
 	for v, c := range a.shard {
 		a.global[v] = int64(c)
 	}
-	return mpi.AllReduce(a.c, a.global, mpi.Sum)
+	return mpi.AllReduce(a.c, a.global)
 }

@@ -26,7 +26,7 @@ func (r *Result) RankReport() metrics.RankReport {
 // identical opt, as with Run). Rank 0 returns the merged report carrying
 // one RankReport per rank; every other rank returns (nil, nil).
 func Report(c mpi.Comm, opt Options, res *Result) (*metrics.RunReport, error) {
-	perRank, err := metrics.GatherRankReports(c, 0, res.RankReport())
+	perRank, err := metrics.GatherRankReports(c, res.RankReport())
 	if err != nil {
 		return nil, err
 	}

@@ -7,21 +7,21 @@ import (
 	"influmax/internal/mpi"
 )
 
-// GatherRankReports gathers every rank's sub-report at root over the mpi
+// GatherRankReports gathers every rank's sub-report at rank 0 over the mpi
 // substrate. It is a collective: all ranks must call it with their own
-// local report; root receives the reports indexed by rank, other ranks
+// local report; rank 0 receives the reports indexed by rank, other ranks
 // receive nil. Wire format is JSON, carried by the GatherBytes collective,
 // so the struct can grow fields without touching the transport.
-func GatherRankReports(c mpi.Comm, root int, local RankReport) ([]RankReport, error) {
+func GatherRankReports(c mpi.Comm, local RankReport) ([]RankReport, error) {
 	payload, err := json.Marshal(local)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: encode rank report: %w", err)
 	}
-	parts, err := mpi.GatherBytes(c, root, payload)
+	parts, err := mpi.GatherBytes(c, payload)
 	if err != nil {
 		return nil, err
 	}
-	if c.Rank() != root {
+	if c.Rank() != 0 {
 		return nil, nil
 	}
 	out := make([]RankReport, len(parts))

@@ -94,7 +94,7 @@ func TestGatherRankReports(t *testing.T) {
 				PhaseSeconds: ph.Seconds(),
 				TotalSeconds: ph.Total().Seconds(),
 			}
-			outs[rank], errs[rank] = GatherRankReports(comms[rank], 0, local)
+			outs[rank], errs[rank] = GatherRankReports(comms[rank], local)
 		}(r)
 	}
 	wg.Wait()

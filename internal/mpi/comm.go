@@ -20,16 +20,12 @@ type Comm interface {
 	// available and returns its payload. Messages between a (src, dst,
 	// tag) triple are delivered in send order.
 	Recv(src, tag int) ([]byte, error)
+	// RecvDeadline is Recv with the wait bounded by timeout, overriding any
+	// receive timeout the transport was configured with; expiry reports src
+	// as failed via RankFailedError. A zero timeout sets no bound of its own.
+	RecvDeadline(src, tag int, timeout time.Duration) ([]byte, error)
 	// Close releases transport resources. Pending Recvs fail.
 	Close() error
-}
-
-// DeadlineRecver is implemented by transports whose Recv can be bounded by
-// a timeout. RecvDeadline with timeout 0 behaves like Recv; a positive
-// timeout that expires before a message arrives reports the peer as failed
-// via RankFailedError.
-type DeadlineRecver interface {
-	RecvDeadline(src, tag int, timeout time.Duration) ([]byte, error)
 }
 
 // ErrClosed is returned by operations on a closed communicator.

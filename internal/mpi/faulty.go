@@ -447,7 +447,15 @@ func (f *faultyComm) RecvDeadline(src, tag int, timeout time.Duration) ([]byte, 
 			ch.next++
 			return payload, nil
 		}
-		env, err := recvDeadline(f.inner, src, tag, timeout)
+		// Timeout 0 defers to the inner Recv, which applies the inner
+		// transport's own configured timeout (TCP's RecvTimeout).
+		var env []byte
+		var err error
+		if timeout > 0 {
+			env, err = f.inner.RecvDeadline(src, tag, timeout)
+		} else {
+			env, err = f.inner.Recv(src, tag)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -465,15 +473,4 @@ func (f *faultyComm) RecvDeadline(src, tag int, timeout time.Duration) ([]byte, 
 func (f *faultyComm) Close() error {
 	f.flushHeld()
 	return f.inner.Close()
-}
-
-// recvDeadline performs a receive honoring timeout when the transport
-// supports deadlines, falling back to a blocking Recv otherwise.
-func recvDeadline(c Comm, src, tag int, timeout time.Duration) ([]byte, error) {
-	if timeout > 0 {
-		if dr, ok := c.(DeadlineRecver); ok {
-			return dr.RecvDeadline(src, tag, timeout)
-		}
-	}
-	return c.Recv(src, tag)
 }

@@ -196,7 +196,7 @@ func TestFaultyDeterministicSchedule(t *testing.T) {
 		runSPMDPlan(t, 3, chaosPlan(21), func(c Comm) error {
 			for round := 0; round < 10; round++ {
 				buf := []int64{int64(c.Rank() + round)}
-				if err := AllReduce(c, buf, Sum); err != nil {
+				if err := AllReduce(c, buf); err != nil {
 					return err
 				}
 			}
@@ -237,7 +237,7 @@ func TestFaultyCrashAllReduceLocal(t *testing.T) {
 			c := WithFaults(comms[rank], plan)
 			for round := 0; round < 1000; round++ {
 				buf := []int64{int64(rank)}
-				if err := AllReduce(c, buf, Sum); err != nil {
+				if err := AllReduce(c, buf); err != nil {
 					errs[rank] = err
 					return
 				}
@@ -287,7 +287,7 @@ func TestFaultyCrashAllReduceTCP(t *testing.T) {
 			defer c.Close()
 			for round := 0; round < 1000; round++ {
 				buf := []int64{int64(rank)}
-				if err := AllReduce(c, buf, Sum); err != nil {
+				if err := AllReduce(c, buf); err != nil {
 					errs[rank] = err
 					return
 				}

@@ -12,7 +12,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendFrame(nil, 3, []byte("hello")))
-	f.Add(appendFrame(nil, tagBarrier, nil))
+	f.Add(appendFrame(nil, tagBcast, nil))
 	f.Add(appendFrame(nil, -9, bytes.Repeat([]byte{0xab}, 64))[:20]) // truncated payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // max-positive length claim

@@ -15,8 +15,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	}{
 		{0, 0},
 		{5, 1},
-		{tagBarrier, 0},  // collectives use negative tags
-		{tagGather, 100}, // negative tag with payload
+		{tagBcast, 0},         // collectives use negative tags
+		{tagGatherBytes, 100}, // negative tag with payload
 		{7, frameAllocChunk - 1},
 		{8, frameAllocChunk},
 		{9, frameAllocChunk + 1},

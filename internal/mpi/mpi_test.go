@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -119,17 +121,11 @@ func TestCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
-func TestBarrierAllSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8, 13} {
-		runSPMD(t, p, Barrier)
-	}
-}
-
 func TestAllReduceSum(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 7, 16} {
 		runSPMD(t, p, func(c Comm) error {
 			buf := []int64{int64(c.Rank()), 1, int64(c.Rank() * c.Rank())}
-			if err := AllReduce(c, buf, Sum); err != nil {
+			if err := AllReduce(c, buf); err != nil {
 				return err
 			}
 			wantRankSum := int64(p * (p - 1) / 2)
@@ -145,104 +141,52 @@ func TestAllReduceSum(t *testing.T) {
 	}
 }
 
-func TestAllReduceMaxMin(t *testing.T) {
-	runSPMD(t, 5, func(c Comm) error {
-		buf := []float64{float64(c.Rank())}
-		if err := AllReduce(c, buf, Max); err != nil {
-			return err
-		}
-		if buf[0] != 4 {
-			return fmt.Errorf("max = %v", buf[0])
-		}
-		buf[0] = float64(c.Rank())
-		if err := AllReduce(c, buf, Min); err != nil {
-			return err
-		}
-		if buf[0] != 0 {
-			return fmt.Errorf("min = %v", buf[0])
-		}
-		return nil
-	})
-}
-
 func TestAllReduceSignedValues(t *testing.T) {
 	runSPMD(t, 3, func(c Comm) error {
-		buf := []int32{int32(-10 * (c.Rank() + 1))}
-		if err := AllReduce(c, buf, Sum); err != nil {
+		buf := []int64{int64(-10 * (c.Rank() + 1)), -1 << 40}
+		if err := AllReduce(c, buf); err != nil {
 			return err
 		}
-		if buf[0] != -60 {
-			return fmt.Errorf("signed sum = %d, want -60", buf[0])
+		if buf[0] != -60 || buf[1] != -3<<40 {
+			return fmt.Errorf("signed sums = %v, want [-60 %d]", buf, int64(-3<<40))
 		}
 		return nil
 	})
 }
 
-func TestBroadcastFromEveryRoot(t *testing.T) {
-	p := 6
-	for root := 0; root < p; root++ {
-		root := root
-		runSPMD(t, p, func(c Comm) error {
-			var data []uint32
-			if c.Rank() == root {
-				data = []uint32{42, uint32(root), 7}
-			}
-			out, err := Broadcast(c, root, data)
-			if err != nil {
-				return err
-			}
-			if len(out) != 3 || out[0] != 42 || out[1] != uint32(root) || out[2] != 7 {
-				return fmt.Errorf("broadcast from %d: got %v", root, out)
-			}
-			return nil
-		})
-	}
-}
-
-func TestReduceToRoot(t *testing.T) {
-	p := 5
-	for root := 0; root < p; root++ {
-		root := root
-		runSPMD(t, p, func(c Comm) error {
-			out, err := Reduce(c, root, []int64{int64(c.Rank() + 1)}, Sum)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == root {
-				if len(out) != 1 || out[0] != int64(p*(p+1)/2) {
-					return fmt.Errorf("reduce at root %d: %v", root, out)
-				}
-			} else if out != nil {
-				return fmt.Errorf("non-root got %v", out)
-			}
-			return nil
-		})
-	}
-}
-
-func TestGather(t *testing.T) {
-	runSPMD(t, 4, func(c Comm) error {
-		// Variable-length contributions.
-		data := make([]uint64, c.Rank()+1)
-		for i := range data {
-			data[i] = uint64(c.Rank()*100 + i)
+// A peer payload of the wrong length fails AllReduce with an error naming
+// the peer, on the reduce side (rank 0 receives rank 1's five elements
+// into four) and on the broadcast side (rank 1 receives five from rank 0).
+func TestAllReduceLengthMismatch(t *testing.T) {
+	t.Run("reduce", func(t *testing.T) {
+		comms := NewLocalCluster(2)
+		done := make(chan error, 1)
+		go func() { done <- AllReduce(comms[1], make([]int64, 5)) }()
+		err := AllReduce(comms[0], make([]int64, 4))
+		if err == nil || !strings.Contains(err.Error(), "from rank 1") {
+			t.Fatalf("rank 0: %v, want a length error naming rank 1", err)
 		}
-		out, err := Gather(c, 2, data)
-		if err != nil {
-			return err
+		// Rank 1 waits for a broadcast that never comes; closing its comm
+		// releases it.
+		comms[1].Close()
+		if err := <-done; !errors.Is(err, ErrClosed) {
+			t.Fatalf("rank 1: %v, want ErrClosed", err)
 		}
-		if c.Rank() != 2 {
-			if out != nil {
-				return fmt.Errorf("non-root got %v", out)
-			}
-			return nil
+	})
+	t.Run("broadcast", func(t *testing.T) {
+		comms := NewLocalCluster(2)
+		done := make(chan error, 1)
+		go func() { done <- AllReduce(comms[1], make([]int64, 4)) }()
+		// Rank 0 plays a peer built with a longer buffer.
+		if _, err := comms[0].Recv(1, tagReduce); err != nil {
+			t.Fatal(err)
 		}
-		for r := 0; r < 4; r++ {
-			if len(out[r]) != r+1 || out[r][0] != uint64(r*100) {
-				return fmt.Errorf("gathered[%d] = %v", r, out[r])
-			}
+		if err := comms[0].Send(1, tagBcast, encode(make([]int64, 5))); err != nil {
+			t.Fatal(err)
 		}
-		return nil
+		if err := <-done; err == nil || !strings.Contains(err.Error(), "from rank 0") {
+			t.Fatalf("rank 1: %v, want a length error naming rank 0", err)
+		}
 	})
 }
 
@@ -250,7 +194,7 @@ func TestGatherBytes(t *testing.T) {
 	for _, p := range []int{1, 2, 5} {
 		runSPMD(t, p, func(c Comm) error {
 			payload := []byte(fmt.Sprintf("rank-%d-report", c.Rank()))
-			out, err := GatherBytes(c, 0, payload)
+			out, err := GatherBytes(c, payload)
 			if err != nil {
 				return err
 			}
@@ -274,91 +218,26 @@ func TestGatherBytes(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	for _, p := range []int{1, 3, 6} {
-		runSPMD(t, p, func(c Comm) error {
-			out, err := AllGather(c, []int32{int32(c.Rank()), int32(c.Rank() * 2)})
-			if err != nil {
-				return err
-			}
-			for r := 0; r < p; r++ {
-				if len(out[r]) != 2 || out[r][0] != int32(r) || out[r][1] != int32(r*2) {
-					return fmt.Errorf("allgather[%d] = %v", r, out[r])
-				}
-			}
-			return nil
-		})
-	}
-}
-
-func TestAllReduceRingMatchesTree(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		for _, n := range []int{1, 3, 17, 100} {
-			p, n := p, n
-			runSPMD(t, p, func(c Comm) error {
-				ring := make([]int64, n)
-				tree := make([]int64, n)
-				for i := range ring {
-					v := int64((c.Rank()+1)*(i+3)) % 97
-					ring[i], tree[i] = v, v
-				}
-				if err := AllReduceRing(c, ring, Sum); err != nil {
-					return err
-				}
-				if err := AllReduce(c, tree, Sum); err != nil {
-					return err
-				}
-				for i := range ring {
-					if ring[i] != tree[i] {
-						return fmt.Errorf("p=%d n=%d: ring[%d]=%d tree=%d", p, n, i, ring[i], tree[i])
-					}
-				}
-				return nil
-			})
-		}
-	}
-}
-
-func TestAllReduceRingMaxOp(t *testing.T) {
-	runSPMD(t, 4, func(c Comm) error {
-		buf := []float64{float64(c.Rank() * 10), -float64(c.Rank())}
-		if err := AllReduceRing(c, buf, Max); err != nil {
-			return err
-		}
-		if buf[0] != 30 || buf[1] != 0 {
-			return fmt.Errorf("ring max = %v", buf)
-		}
-		return nil
-	})
-}
-
-func TestAllReduceRingShortBuffer(t *testing.T) {
-	// Buffer shorter than the rank count: some chunks are empty.
-	runSPMD(t, 6, func(c Comm) error {
-		buf := []int64{int64(c.Rank()), 1}
-		if err := AllReduceRing(c, buf, Sum); err != nil {
-			return err
-		}
-		if buf[0] != 15 || buf[1] != 6 {
-			return fmt.Errorf("short ring = %v", buf)
-		}
-		return nil
-	})
-}
-
 func TestSequentialCollectivesDoNotInterfere(t *testing.T) {
 	runSPMD(t, 4, func(c Comm) error {
 		for round := 0; round < 20; round++ {
 			buf := []int64{int64(c.Rank() + round)}
-			if err := AllReduce(c, buf, Sum); err != nil {
+			if err := AllReduce(c, buf); err != nil {
 				return err
 			}
 			want := int64(6 + 4*round) // sum of ranks + p*round
 			if buf[0] != want {
 				return fmt.Errorf("round %d: %d != %d", round, buf[0], want)
 			}
-			if err := Barrier(c); err != nil {
+			payload := []byte{byte(c.Rank()), byte(round)}
+			out, err := GatherBytes(c, payload)
+			if err != nil {
 				return err
+			}
+			for r := range out {
+				if out[r][0] != byte(r) || out[r][1] != byte(round) {
+					return fmt.Errorf("round %d: gathered[%d] = %v", round, r, out[r])
+				}
 			}
 		}
 		return nil
@@ -389,7 +268,7 @@ func TestAllReduceQuickRandomVectors(t *testing.T) {
 				for i, x := range vals[rank] {
 					buf[i] = int64(x)
 				}
-				if err := AllReduce(comms[rank], buf, Sum); err != nil {
+				if err := AllReduce(comms[rank], buf); err != nil {
 					mu.Lock()
 					ok = false
 					mu.Unlock()
@@ -478,7 +357,7 @@ func TestTCPSendRecv(t *testing.T) {
 func TestTCPAllReduce(t *testing.T) {
 	runTCPCluster(t, 4, func(c Comm) error {
 		buf := []int64{int64(c.Rank()), 100}
-		if err := AllReduce(c, buf, Sum); err != nil {
+		if err := AllReduce(c, buf); err != nil {
 			return err
 		}
 		if buf[0] != 6 || buf[1] != 400 {
