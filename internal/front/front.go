@@ -202,22 +202,12 @@ func (f *Front) status(err error) int {
 	return se.status
 }
 
-// Decode reads r's JSON body, capped at 1 MiB, into v; a failure is a
-// BadRequest.
-func Decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return BadRequest(fmt.Errorf("bad request body: %v", err))
-	}
-	return nil
-}
-
-// admit refuses while draining or saturated, decodes the body into req,
-// runs validate (an error is a 400), then waits — bounded by QueryTimeout
-// and the client hanging up — for a worker slot. It returns the query's
-// context and the release to defer (Shutdown waits for it), or a nil
-// release once the refusal is written.
-func (f *Front) admit(w http.ResponseWriter, r *http.Request, req any, validate func() error) (context.Context, func()) {
+// admit refuses while draining or saturated, decodes the body, capped at
+// limit bytes, into req, runs validate (an error is a 400), then waits —
+// bounded by QueryTimeout and the client hanging up — for a worker slot.
+// It returns the query's context and the release to defer (Shutdown
+// waits for it), or a nil release once the refusal is written.
+func (f *Front) admit(w http.ResponseWriter, r *http.Request, limit int64, req any, validate func() error) (context.Context, func()) {
 	if f.Draining.Load() {
 		f.Error(w, Unavailable(errors.New("draining")))
 		return nil, nil
@@ -234,14 +224,21 @@ func (f *Front) admit(w http.ResponseWriter, r *http.Request, req any, validate 
 		return nil, nil
 	}
 	f.mQueueDepth.Set(adm)
-	err := Decode(w, r, req)
+	// Every way out but a granted slot leaves, a panic in decode or
+	// validate included, so no slot outlives its request.
+	granted := false
+	defer func() {
+		if !granted {
+			leave()
+		}
+	}()
+	err := decodeCapped(w, r, req, limit)
 	if err == nil {
 		if err = validate(); err != nil {
 			err = BadRequest(err)
 		}
 	}
 	if err != nil {
-		leave()
 		f.Error(w, err)
 		return nil, nil
 	}
@@ -251,9 +248,9 @@ func (f *Front) admit(w http.ResponseWriter, r *http.Request, req any, validate 
 	case <-ctx.Done():
 		f.Error(w, Unavailable(fmt.Errorf("queue wait exceeded: %w", ctx.Err())))
 		cancel()
-		leave()
 		return nil, nil
 	}
+	granted = true
 	f.mInflight.Add(1)
 	return ctx, func() {
 		f.mInflight.Add(-1)
@@ -268,7 +265,7 @@ func (f *Front) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		req SeedsRequest
 		q   imm.Query
 	)
-	ctx, release := f.admit(w, r, &req, func() error {
+	ctx, release := f.admit(w, r, seedsBodyCap(f.cfg.NumVertices), &req, func() error {
 		if err := f.be.Check(req.Overrides); err != nil {
 			return err
 		}
@@ -322,7 +319,7 @@ func (f *Front) handleSeeds(w http.ResponseWriter, r *http.Request) {
 
 func (f *Front) handleSpread(w http.ResponseWriter, r *http.Request) {
 	var req SpreadRequest
-	ctx, release := f.admit(w, r, &req, func() error {
+	ctx, release := f.admit(w, r, maxBody, &req, func() error {
 		if err := f.be.Check(req.Overrides); err != nil {
 			return err
 		}

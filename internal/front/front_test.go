@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,15 +20,20 @@ import (
 
 // fakeBackend answers every query with fixed seeds. While gate is non-nil
 // each admitted query parks on it after signalling entered, so a test can
-// hold slots deterministically; err, when set, is every query's answer.
+// hold slots deterministically; err, when set, is every query's answer,
+// and panics makes Check panic.
 type fakeBackend struct {
 	entered chan struct{}
 	gate    chan struct{}
 	err     error
 	fixed   bool
+	panics  bool
 }
 
 func (b *fakeBackend) Check(o Overrides) error {
+	if b.panics {
+		panic("fakeBackend.Check")
+	}
 	if b.fixed && o.Any() {
 		return ErrFixedSketch
 	}
@@ -186,6 +193,27 @@ func TestAdmission(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusServiceUnavailable || health["status"] != "draining" {
 		t.Fatalf("healthz while draining: %d %v", hr.StatusCode, health)
+	}
+	tf.settled(t)
+}
+
+// TestAdmissionSurvivesPanic: a request whose decode or validation
+// panics gets no answer, but its admission slot is released, so later
+// requests are served and not refused as saturated.
+func TestAdmissionSurvivesPanic(t *testing.T) {
+	tf := newTestFront(t, Config{MaxConcurrent: 1, MaxQueue: 1})
+	tf.srv.Config.ErrorLog = log.New(io.Discard, "", 0)
+	tf.be.panics = true
+	for range 3 {
+		if resp, err := tf.srv.Client().Post(tf.srv.URL+"/v1/seeds", "application/json", strings.NewReader(`{"k":1}`)); err == nil {
+			resp.Body.Close()
+			t.Fatalf("panicking validation answered %d", resp.StatusCode)
+		}
+	}
+	tf.settled(t)
+	tf.be.panics = false
+	if resp, body := tf.post(t, "/v1/seeds", `{"k":1}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the panics: %d %s", resp.StatusCode, body)
 	}
 	tf.settled(t)
 }

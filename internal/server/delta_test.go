@@ -212,10 +212,16 @@ func TestDeltaEndpointValidation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	abs := absentEdges(t, g, 2)
+	abs[0].W, abs[1].W = 0.5, 0.5
 	bad := []struct {
 		name, body string
 	}{
 		{"malformed json", `{"ops":`},
+		// Each batch is valid on its own: the second may not be dropped
+		// while the first is applied.
+		{"concatenated batches", opsJSON(graph.Delta{abs[0]}) + opsJSON(graph.Delta{abs[1]})},
+		{"trailing data", opsJSON(graph.Delta{abs[0]}) + " garbage"},
 		{"empty batch", `{"ops":[]}`},
 		{"no ops field", `{}`},
 		{"oversized batch", opsJSON(graph.Delta{{}, {}, {}})},

@@ -35,6 +35,26 @@ func FuzzSeedsRequest(f *testing.F) {
 	f.Add(true, []byte(`{"seeds":[5],"audience":[0,2,4]}`))
 	f.Add(true, []byte(`{"seeds":[],"audience":[4294967295]}`))
 	f.Add(true, []byte(`{"seeds"`))
+	// Number, key and array forms the hand-written body scanner must take
+	// exactly as json.Unmarshal does or leave to it.
+	for _, body := range []string{
+		`{"k":1,"costs":[01]}`, `{"k":1,"costs":[1.]}`, `{"k":1,"costs":[.5]}`, `{"k":1,"costs":[-]}`,
+		`{"k":1,"costs":[1e400]}`, `{"k":1,"budget":0x1}`, `{"k":1,"costs":[1,2,]}`,
+		`{"k":1,"costs":null,"audience":null,"blocked":null,"budget":null}`,
+		`{"k":1,"costs":[1,null,2],"audience":[null]}`,
+		`{"k":1,"blocked":[-1]}`, `{"k":1,"audience":[4294967296]}`,
+		`{"\u006b":1,"st\u0072eam":true}`, `{"K":2,"Budget":3}`, `{"k":1,"k":2,"blocked":[1],"blocked":[2,3]}`,
+		`{"k":1}{"k":2}`, `{"k":1} garbage`, `null`,
+		`{"k":1,"costs":[   1]}`, `{"k":1,"audience":[ 1 ,2 ],"blocked":[` + "\n\t " + `3]}`,
+	} {
+		f.Add(false, []byte(body))
+	}
+	for _, body := range []string{
+		`{"seeds":null,"audience":[null]}`, `{"seeds":[-1]}`, `{"seeds":[4294967296]}`,
+		`{"Seeds":[1],"seeds":[2]}`, `{"seeds":[1]}{"seeds":[2]}`, `{"seeds":[    1],"audience":[ 2]}`,
+	} {
+		f.Add(true, []byte(body))
+	}
 
 	g := testGraph(3, 40, 220)
 	cfg := testConfig(g)

@@ -685,3 +685,35 @@ func TestRequestBodyTooLarge(t *testing.T) {
 		t.Fatalf("oversized body = %d, want 400", status)
 	}
 }
+
+// TestRequestBodyCap: a /v1/seeds body may reach 1 MiB + 8 B a vertex
+// and not one byte more; a /v1/spread body keeps 1 MiB. Past either cap
+// the 400 is the cap's own.
+func TestRequestBodyCap(t *testing.T) {
+	g := testGraph(7, 50, 300)
+	cfg := testConfig(g)
+	cfg.KMax = 10
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	seedsCap := 1<<20 + 8*g.NumVertices()
+	pad := func(body string, size int) string { return body + strings.Repeat(" ", size-len(body)) }
+	for _, tc := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/seeds", pad(`{"k":5}`, seedsCap), http.StatusOK},
+		{"/v1/seeds", pad(`{"k":5}`, seedsCap+1), http.StatusBadRequest},
+		{"/v1/spread", pad(`{"seeds":[1]}`, 1<<20), http.StatusOK},
+		{"/v1/spread", pad(`{"seeds":[1]}`, 1<<20+1), http.StatusBadRequest},
+	} {
+		status, raw := postRaw(t, ts.URL+tc.path, tc.body)
+		if status != tc.status || (status == http.StatusBadRequest && !strings.Contains(string(raw), "too large")) {
+			t.Errorf("%s body of %d bytes: %d %s, want %d", tc.path, len(tc.body), status, raw, tc.status)
+		}
+	}
+}
