@@ -44,7 +44,9 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", uint8(m))
 }
 
-// ParseModel parses "IC" or "LT" (case-insensitive).
+// ParseModel parses "IC" or "LT" (case-insensitive). The error quotes at
+// most the first 32 characters of a rejected s, and its length: s may be
+// a client's, and a megabyte name must not come back as a megabyte error.
 func ParseModel(s string) (Model, error) {
 	switch strings.ToUpper(strings.TrimSpace(s)) {
 	case "IC":
@@ -52,5 +54,5 @@ func ParseModel(s string) (Model, error) {
 	case "LT":
 		return LT, nil
 	}
-	return IC, fmt.Errorf("diffuse: unknown model %q (want IC or LT)", s)
+	return IC, fmt.Errorf("diffuse: unknown model %.32q of %d bytes (want IC or LT)", s, len(s))
 }

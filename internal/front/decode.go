@@ -47,9 +47,19 @@ func decodeCapped(w http.ResponseWriter, r *http.Request, v any, limit int64) er
 		bodies.Put(buf)
 	}
 	if err != nil {
-		return BadRequest(fmt.Errorf("bad request body: %v", err))
+		return BadRequest(fmt.Errorf("bad request body: %s", clipped(err.Error())))
 	}
 	return nil
+}
+
+// clipped is a decoder's error message cut to its first 256 characters,
+// with its length, when longer: encoding/json quotes a number literal it
+// rejects whole, and a body may be most of a megabyte of one.
+func clipped(msg string) string {
+	if len(msg) <= 256 {
+		return msg
+	}
+	return fmt.Sprintf("%.256s... (%d bytes)", msg, len(msg))
 }
 
 // unmarshal is json.Unmarshal into the zero value v — the same accept or

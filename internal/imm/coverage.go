@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -10,7 +11,7 @@ import (
 	"influmax/internal/rrr"
 )
 
-// The two in-process coverage backends. The store (col), its incidence
+// The three in-process coverage backends. The store (col), its incidence
 // index and the root column are shared immutable state — a serving process
 // keeps one copy for all queries — and everything a selection mutates
 // (localState) is private to the backend value between Start and End, so
@@ -19,8 +20,8 @@ import (
 // seeds — do not depend on the worker count or on the order members decode
 // in.
 
-// localCoverage is what the flat and coded backends share: which samples a
-// seed purges is read off the incidence index, never found by scanning.
+// localCoverage is what the local backends share: which samples a seed
+// purges is read off the incidence index, never found by scanning.
 type localCoverage struct {
 	idx   *rrr.Index
 	roots []graph.Vertex
@@ -233,4 +234,73 @@ func (b *CodedCoverage) Start(audience []graph.Vertex) ([]int32, int64, error) {
 func (b *CodedCoverage) Purge(v graph.Vertex) (bool, error) {
 	b.apply(b.uncovered(v), -1)
 	return false, nil
+}
+
+// recountSparsity is the density rule's one constant: a selection
+// recounts while its samples' mean size is below n/recountSparsity. It is
+// read off BenchmarkSelectDensity's sweep (EXPERIMENTS.md): on the
+// served graph recounting still wins by a seventh at a mean size of
+// n/1400 and loses by an eighth at n/830.
+const recountSparsity = 1000
+
+// PreferRecount is the density rule: it reports whether a selection over
+// idx without an audience costs less on IndexCoverage than on a
+// decrementing backend — whether the mean sample size is below
+// n/recountSparsity.
+func PreferRecount(idx *rrr.Index) bool {
+	return idx.Entries()*recountSparsity < int64(idx.Count())*int64(idx.NumVertices())
+}
+
+// IndexCoverage is the recounting backend (DESIGN.md §18.1): it reads
+// the incidence index and nothing else. Start takes the counts off the
+// degree column, Purge only sets v's samples' covered bits, and Recount
+// counts a vertex's postings that are not yet covered. It holds no store,
+// so it never decodes a sample: a selection costs the postings of the
+// heap tops it recounts instead of the members of every sample it
+// covers, the better trade while samples are small next to n
+// (PreferRecount). It keeps no count between recounts: in the served
+// regime one recount in forty or fewer would find one still current.
+// It serves no audience — an audience query's postings are mostly
+// excluded samples, and it keeps decrementing.
+type IndexCoverage struct {
+	localCoverage
+}
+
+// NewIndexCoverage returns the recounting backend over idx.
+func NewIndexCoverage(idx *rrr.Index) *IndexCoverage {
+	return &IndexCoverage{localCoverage{idx: idx, n: idx.NumVertices(), p: 1}}
+}
+
+// Start copies the index's degree column into the counts.
+func (b *IndexCoverage) Start(audience []graph.Vertex) ([]int32, int64, error) {
+	if len(audience) > 0 {
+		return nil, 0, errors.New("imm: the recounting backend takes no audience")
+	}
+	_, eligible, _ := b.begin(b.idx.Count(), nil)
+	for v := range b.counter {
+		b.counter[v] = int32(b.idx.Degree(graph.Vertex(v)))
+	}
+	return b.counter, eligible, nil
+}
+
+// Purge sets the covered bits of v's samples. No count moves.
+func (b *IndexCoverage) Purge(v graph.Vertex) (bool, error) {
+	for _, j := range b.idx.SamplesOf(v) {
+		b.covered.Set(int(j))
+	}
+	return false, nil
+}
+
+// Recount counts each vertex's postings whose covered bit is clear,
+// branch-free.
+func (b *IndexCoverage) Recount(vs []graph.Vertex, out []int32) error {
+	covered := b.covered
+	for i, v := range vs {
+		var c uint64
+		for _, j := range b.idx.SamplesOf(v) {
+			c += ^(covered[uint32(j)>>6] >> (uint32(j) & 63)) & 1
+		}
+		out[i] = int32(c)
+	}
+	return nil
 }

@@ -38,6 +38,18 @@ type Coverage[C Count] interface {
 	End()
 }
 
+// Recounter is the optional half of the backend contract (DESIGN.md
+// §18.1). A backend that implements it may leave the counts slice as
+// upper bounds after a Purge — the counts Start returns are exact, and
+// none ever rises — and Greedy reads every count it acts on through
+// Recount instead: a heap top's, a blocked vertex's and a replayed
+// seed's.
+type Recounter[C Count] interface {
+	// Recount sets out[i] to vs[i]'s exact count: its uncovered eligible
+	// samples as of the purges so far.
+	Recount(vs []graph.Vertex, out []C) error
+}
+
 // ratioBetter is the budgeted argmax's total order: gain-per-cost
 // descending, then exact gain descending, then vertex ascending. Because
 // float64 division by a positive constant is monotone (non-strict) in the
@@ -65,7 +77,8 @@ type candidate[C Count] struct {
 // (chosen, heap), so nothing handed to the caller may point into it.
 type greedy[C Count] struct {
 	be Coverage[C]
-	q  Query // empty q.Costs (nil or "costs":[]) means unit costs, or no budget
+	rc Recounter[C] // be, when it recounts; nil when its counts stay exact
+	q  Query        // empty q.Costs (nil or "costs":[]) means unit costs, or no budget
 
 	counter []C
 	chosen  []bool
@@ -73,6 +86,10 @@ type greedy[C Count] struct {
 	minCost float64        // cheapest heap entry when it was built
 	pops    int            // heap entries argmax examined: the engine's work count
 	res     QueryResult
+
+	// Recount's arguments: the one vertex count reads.
+	vs  [1]graph.Vertex
+	out [1]C
 }
 
 // greedyPool recycles greedy values of either counter type; Get drops a
@@ -100,6 +117,7 @@ func Greedy[C Count](be Coverage[C], n int, q Query, onSeed func(i int, v graph.
 
 func (g *greedy[C]) run(be Coverage[C], n int, q Query, onSeed func(i int, v graph.Vertex, gain int64)) error {
 	g.be, g.q = be, q
+	g.rc, _ = be.(Recounter[C])
 	if n == 0 {
 		return nil
 	}
@@ -108,11 +126,12 @@ func (g *greedy[C]) run(be Coverage[C], n int, q Query, onSeed func(i int, v gra
 	g.res.Gains = make([]int64, 0, min(q.K, n))
 	err := g.establish()
 	for err == nil && len(g.res.Seeds) < q.K {
-		arg := g.argmax()
-		if arg < 0 {
-			break // every vertex chosen, or none affordable
+		var arg int
+		var count C
+		if arg, count, err = g.argmax(); arg < 0 {
+			break // every vertex chosen, none affordable, or a failed recount
 		}
-		v, gain := graph.Vertex(arg), int64(g.counter[arg])
+		v, gain := graph.Vertex(arg), int64(count)
 		g.res.Seeds = append(g.res.Seeds, v)
 		g.res.Gains = append(g.res.Gains, gain)
 		g.res.Covered += gain
@@ -150,20 +169,32 @@ func (g *greedy[C]) cost(v graph.Vertex) float64 {
 	return g.q.Costs[v]
 }
 
+// count is v's exact count: the counts slice's entry, or a Recounter's
+// recount of v.
+func (g *greedy[C]) count(v graph.Vertex) (C, error) {
+	if g.rc == nil {
+		return g.counter[v], nil
+	}
+	g.vs[0] = v
+	err := g.rc.Recount(g.vs[:1], g.out[:1])
+	return g.out[0], err
+}
+
 // establish (re)builds the committed state on a fresh backend session and
 // is both the set-up of a new query and the recovery after a backend
-// restart; it loops until one replay runs through undisturbed, then heaps
-// the surviving candidates — the one pass over all n a selection makes.
+// restart; it loops until one replay runs through undisturbed. The heap
+// is keyed by Start's counts, taken before the replay purges anything —
+// the one pass over all n a selection makes. Those are exact for every
+// backend, so a recounting one builds the very heap a decrementing one
+// does, and the two examine the same entries (DESIGN.md §18.5).
 func (g *greedy[C]) establish() error {
 	for {
 		var err error
 		if g.counter, g.res.Eligible, err = g.be.Start(g.q.Audience); err != nil {
 			return err
 		}
-		if restarted, err := g.replay(); restarted {
-			continue
-		} else if err != nil {
-			return err
+		for _, b := range g.q.Blocked {
+			g.chosen[b] = true
 		}
 		g.heap, g.minCost = slices.Grow(g.heap[:0], len(g.counter)), 1
 		if len(g.q.Costs) > 0 {
@@ -178,6 +209,11 @@ func (g *greedy[C]) establish() error {
 				g.minCost = min(g.minCost, g.q.Costs[v])
 			}
 		}
+		if restarted, err := g.replay(); restarted {
+			continue
+		} else if err != nil {
+			return err
+		}
 		for i := len(g.heap)/2 - 1; i >= 0; i-- {
 			g.siftDown(i)
 		}
@@ -185,15 +221,17 @@ func (g *greedy[C]) establish() error {
 	}
 }
 
-// replay takes the rival's blocked seeds off the table and purges their
-// coverage (competitive selection: it yields no gain to anyone), then
-// re-purges the seeds committed so far in order, restating their gains
-// over the samples now participating.
+// replay purges the rival's blocked seeds' coverage (competitive
+// selection: it yields no gain to anyone), then re-purges the seeds
+// committed so far in order, restating their gains over the samples now
+// participating.
 func (g *greedy[C]) replay() (restarted bool, err error) {
 	g.res.Covered = 0
+	var c C
 	for _, b := range g.q.Blocked {
-		g.chosen[b] = true
-		if g.counter[b] == 0 {
+		if c, err = g.count(b); err != nil {
+			return false, err
+		} else if c == 0 {
 			continue // nothing left to purge (or listed twice)
 		}
 		if restarted, err = g.be.Purge(b); restarted || err != nil {
@@ -201,7 +239,10 @@ func (g *greedy[C]) replay() (restarted bool, err error) {
 		}
 	}
 	for i, s := range g.res.Seeds {
-		g.res.Gains[i] = int64(g.counter[s])
+		if c, err = g.count(s); err != nil {
+			return false, err
+		}
+		g.res.Gains[i] = int64(c)
 		g.res.Covered += g.res.Gains[i]
 		if restarted, err = g.be.Purge(s); restarted || err != nil {
 			return restarted, err
@@ -238,28 +279,35 @@ func (g *greedy[C]) siftDown(i int) {
 	h[i] = e
 }
 
-// argmax picks the next seed: the best unchosen — under a budget, still
-// affordable — vertex in the before order, or -1 when none remains. Counts
-// only ever fall, so an entry's key is an upper bound on its count and its
-// heap position no later than its true rank: when the top's key equals its
-// count, the top is the exact argmax, ties included (DESIGN.md §18.5). A
-// stale top is re-keyed and sifted; an unaffordable one is dropped for
-// good, since spend only grows. Chosen vertices are never in the heap.
-func (g *greedy[C]) argmax() int {
+// argmax picks the next seed and its count: the best unchosen — under a
+// budget, still affordable — vertex in the before order, or -1 when none
+// remains (or a recount failed, with the error). Counts only ever fall,
+// so an entry's key is an upper bound on its count and its heap position
+// no later than its true rank: when the top's key equals its count, the
+// top is the exact argmax, ties included (DESIGN.md §18.5). A stale top is
+// re-keyed and sifted; an unaffordable one is dropped for good, since
+// spend only grows. Chosen vertices are never in the heap.
+func (g *greedy[C]) argmax() (int, C, error) {
 	spent, budget := g.res.SpentBudget, g.q.Budget
 	if !g.q.Budgeted() {
 		budget = math.Inf(1)
 	} else if spent+g.minCost > budget {
-		return -1 // not even the cheapest fits: popping all n would say the same
+		return -1, 0, nil // not even the cheapest fits: popping all n would say the same
 	}
 	for len(g.heap) > 0 {
 		g.pops++
 		top := g.heap[0]
 		drop := spent+g.cost(top.v) > budget
-		if c := g.counter[top.v]; !drop && c != top.key {
-			g.heap[0].key = c
-			g.siftDown(0)
-			continue
+		if !drop {
+			c, err := g.count(top.v)
+			if err != nil {
+				return -1, 0, err
+			}
+			if c != top.key {
+				g.heap[0].key = c
+				g.siftDown(0)
+				continue
+			}
 		}
 		last := len(g.heap) - 1
 		g.heap[0] = g.heap[last]
@@ -267,8 +315,8 @@ func (g *greedy[C]) argmax() int {
 			g.siftDown(0)
 		}
 		if !drop {
-			return int(top.v)
+			return int(top.v), top.key, nil
 		}
 	}
-	return -1
+	return -1, 0, nil
 }

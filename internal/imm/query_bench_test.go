@@ -1,11 +1,13 @@
 package imm
 
 import (
+	"fmt"
 	"testing"
 
 	"influmax/internal/diffuse"
 	"influmax/internal/gen"
 	"influmax/internal/graph"
+	"influmax/internal/rng"
 	"influmax/internal/rrr"
 )
 
@@ -131,6 +133,86 @@ func TestLazyArgmaxWorkGate(t *testing.T) {
 		t.Logf("%s: %d seeds, %d heap entries examined (n %d)", name, len(g.res.Seeds), g.pops, n)
 		if g.pops > n/8 {
 			t.Errorf("%s: examined %d heap entries for %d seeds, want at most n/8 = %d", name, g.pops, len(g.res.Seeds), n/8)
+		}
+	}
+}
+
+// BenchmarkSelectDensity prices the two sketch backends across the mean
+// sample size over n: CodedCoverage decodes the members of every sample a
+// purge covers, IndexCoverage re-reads the postings of every heap top it
+// recounts. The sweep is the served com-YouTube analog (n 113k), whose
+// samples go from a few vertices under weighted cascade to a large share
+// of n as a constant IC probability rises; two more points put the rule
+// on other graphs: soc-Epinions1 under weighted cascade (serve-delta's
+// graph) and com-DBLP under uniform IC (solve-ic's). Each point draws
+// samples up to a fixed entry total and times a plain and a blocked
+// k = 100 selection on each backend. recountSparsity, the constant of
+// PreferRecount, is read off where the two cross (EXPERIMENTS.md). The
+// benchmark prices a rule rather than guarding a path, so it is not
+// gated.
+func BenchmarkSelectDensity(b *testing.B) {
+	type point struct {
+		name, dataset string
+		scale         float64
+		weights       func(*graph.Graph)
+	}
+	wc := func(g *graph.Graph) { g.AssignWeightedCascade() }
+	ic := func(p float32) func(*graph.Graph) { return func(g *graph.Graph) { g.AssignConstant(p) } }
+	points := []point{
+		{"wc", "com-YouTube", 0.1, wc},
+		{"ic0.010", "com-YouTube", 0.1, ic(0.01)},
+		{"ic0.015", "com-YouTube", 0.1, ic(0.015)},
+		{"ic0.020", "com-YouTube", 0.1, ic(0.02)},
+		{"ic0.025", "com-YouTube", 0.1, ic(0.025)},
+		{"ic0.030", "com-YouTube", 0.1, ic(0.03)},
+		{"ic0.040", "com-YouTube", 0.1, ic(0.04)},
+		{"ic0.060", "com-YouTube", 0.1, ic(0.06)},
+		{"ic0.100", "com-YouTube", 0.1, ic(0.1)},
+		{"epinions-wc", "soc-Epinions1", 0.2, wc},
+		{"dblp-uniform", "com-DBLP", 0.03, func(g *graph.Graph) { g.AssignUniform(2) }},
+	}
+	const k, entries, maxCount = 100, 3_000_000, 165_000
+	for _, pt := range points {
+		d, err := gen.ByName(pt.dataset)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := d.Generate(pt.scale, 1)
+		pt.weights(g)
+		n := g.NumVertices()
+		col := rrr.NewCollection(n)
+		sampler := diffuse.NewSampler(g, diffuse.IC)
+		r := rng.New(rng.NewLCG(1))
+		var buf []graph.Vertex
+		for col.TotalSize() < entries && col.Count() < maxCount {
+			buf = sampler.GenerateRR(r, graph.Vertex(r.Intn(n)), buf[:0])
+			col.Append(buf)
+		}
+		idx := rrr.BuildIndex(col, 2)
+		coded := Transcode(col, StoreFlat, 2)
+		rival, _ := SelectSeedsSketch(coded, idx, 10, 2)
+		queries := []struct {
+			name string
+			q    Query
+		}{{"plain", Query{K: k}}, {"blocked", Query{K: k, Blocked: rival}}}
+		backends := []struct {
+			name string
+			be   func() Coverage[int32]
+		}{
+			{"decrement", func() Coverage[int32] { return NewCodedCoverage(coded, idx, nil, 2) }},
+			{"recount", func() Coverage[int32] { return NewIndexCoverage(idx) }},
+		}
+		density := float64(col.TotalSize()) / float64(col.Count()) / float64(n)
+		for _, qc := range queries {
+			for _, bc := range backends {
+				b.Run(fmt.Sprintf("%s/density=%.1e/%s/%s", pt.name, density, qc.name, bc.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := Greedy(bc.be(), n, qc.q, nil); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

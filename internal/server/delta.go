@@ -185,7 +185,7 @@ func (s *Server) decodeDelta(w http.ResponseWriter, r *http.Request) (graph.Delt
 		case "delete":
 			d[i].Kind = graph.DeltaDelete
 		default:
-			return nil, front.BadRequest(fmt.Errorf("ops[%d].op = %q, want \"insert\" or \"delete\"", i, op.Op))
+			return nil, front.BadRequest(fmt.Errorf("ops[%d].op = %.32q of %d bytes, want \"insert\" or \"delete\"", i, op.Op, len(op.Op)))
 		}
 		d[i].Src = graph.Vertex(op.Src)
 		d[i].Dst = graph.Vertex(op.Dst)

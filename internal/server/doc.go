@@ -17,9 +17,14 @@
 //   - Sketch: an immutable, query-ready unit — a byte-coded
 //     CodedCollection of theta samples (DESIGN.md §13), its CSR inverted
 //     incidence index, and the identifying key (graph digest, model,
-//     epsilon, kMax, seed). Every query shape runs imm.Greedy over an
-//     imm.CodedCoverage: copy-on-read state taken from a pool for the
-//     length of the query, so concurrent queries never mutate the sketch.
+//     epsilon, kMax, seed). Every query shape runs imm.Greedy over
+//     copy-on-read state taken from a pool for the length of the query,
+//     so concurrent queries never mutate the sketch. On a sparse sketch
+//     (imm.PreferRecount) the trajectory and every query without an
+//     audience run on imm.IndexCoverage, which marks purged samples and
+//     recounts heap tops from the index without decoding a sample; audience
+//     queries and dense sketches run on the decrementing imm.CodedCoverage.
+//     Both give the same answer (DESIGN.md §18).
 //   - Snapshots: the versioned, checksummed rrr format persists a sketch
 //     so a restarted server warm-starts in seconds instead of resampling.
 //   - Cache: sketches are cached by key with single-flight population — a

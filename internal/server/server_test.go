@@ -678,11 +678,41 @@ func TestRequestBodyTooLarge(t *testing.T) {
 	defer ts.Close()
 
 	// The padding sits inside the JSON value, so the decoder must read
-	// past the 1 MiB cap to finish it.
-	huge := `{"k":5,"model":"` + strings.Repeat("a", (1<<20)+64) + `"}`
-	status, _, _ := postSeeds(t, ts.Client(), ts.URL, huge)
-	if status != http.StatusBadRequest {
-		t.Fatalf("oversized body = %d, want 400", status)
+	// past the /v1/seeds cap of 1 MiB + 8 B a vertex to finish it.
+	huge := `{"k":5,"model":"` + strings.Repeat("a", 1<<20+8*g.NumVertices()+64) + `"}`
+	status, raw := postRaw(t, ts.URL+"/v1/seeds", huge)
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "too large") {
+		t.Fatalf("oversized body = %d %s, want the cap's 400", status, raw)
+	}
+}
+
+// TestErrorsClipClientStrings: a 400 quotes at most a short prefix of
+// the client string it rejects, with its length, so a megabyte model
+// name, number literal or delta op does not come back as a megabyte
+// error body.
+func TestErrorsClipClientStrings(t *testing.T) {
+	g := testGraph(7, 50, 300)
+	serve := func(cfg Config) string {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	static, dynamic := serve(testConfig(g)), serve(dynConfig(g)) // only a static server takes a model
+	long := strings.Repeat("a", 1<<20-64)
+	for _, tc := range []struct{ url, body, says string }{
+		{static + "/v1/seeds", `{"k":5,"model":"` + long + `"}`, "unknown model"},
+		{static + "/v1/seeds", `{"k":` + strings.Repeat("1", 1<<20-64) + `}`, "cannot unmarshal number"},
+		{dynamic + "/v1/graph/delta", `{"ops":[{"op":"` + long + `","src":0,"dst":1}]}`, "ops[0].op"},
+	} {
+		status, raw := postRaw(t, tc.url, tc.body)
+		if status != http.StatusBadRequest || len(raw) >= 1<<10 || !strings.Contains(string(raw), tc.says) {
+			t.Errorf("%s body of %d bytes: %d, %d-byte answer %.200q, want a 400 under 1 KB saying %q",
+				tc.url, len(tc.body), status, len(raw), raw, tc.says)
+		}
 	}
 }
 

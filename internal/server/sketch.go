@@ -92,7 +92,7 @@ func (s *Sketch) Roots() []graph.Vertex {
 func (s *Sketch) trajectory(p int, builds *metrics.Counter) (*imm.Trajectory, error) {
 	s.trajOnce.Do(func() {
 		builds.Inc()
-		s.traj, s.trajErr = imm.NewTrajectory(imm.NewCodedCoverage(s.Col, s.Idx, nil, p), s.Col.NumVertices(), s.Key.KMax)
+		s.traj, s.trajErr = imm.NewTrajectory(s.coverage(nil, p), s.Col.NumVertices(), s.Key.KMax)
 	})
 	return s.traj, s.trajErr
 }
@@ -112,11 +112,21 @@ func (s *Sketch) QueryEx(q imm.Query, p int) (*imm.QueryResult, error) {
 // onSeed, when non-nil, sees each seed as it is committed (the streaming
 // hook).
 func (s *Sketch) greedy(q imm.Query, p int, onSeed func(int, graph.Vertex, int64)) (*imm.QueryResult, error) {
-	var roots []graph.Vertex
-	if len(q.Audience) > 0 {
-		roots = s.Roots()
+	return imm.Greedy(s.coverage(q.Audience, p), s.Col.NumVertices(), q, onSeed)
+}
+
+// coverage is the backend a selection over the sketch runs on: without
+// an audience and on a sparse sketch (imm.PreferRecount) the recounting
+// imm.IndexCoverage, which never decodes a sample; otherwise the
+// decrementing imm.CodedCoverage. Both give the same answer.
+func (s *Sketch) coverage(audience []graph.Vertex, p int) imm.Coverage[int32] {
+	if len(audience) > 0 {
+		return imm.NewCodedCoverage(s.Col, s.Idx, s.Roots(), p)
 	}
-	return imm.Greedy(imm.NewCodedCoverage(s.Col, s.Idx, roots, p), s.Col.NumVertices(), q, onSeed)
+	if imm.PreferRecount(s.Idx) {
+		return imm.NewIndexCoverage(s.Idx)
+	}
+	return imm.NewCodedCoverage(s.Col, s.Idx, nil, p)
 }
 
 // Spread estimates the coverage of a caller-supplied seed set: how many

@@ -177,6 +177,44 @@ func checkServed(t *testing.T, label, url string, qs []imm.Query, want func(imm.
 	}
 }
 
+// TestSparseSketchServesRecounted: on a sketch whose samples are small
+// next to n (imm.PreferRecount), the trajectory and every query without
+// an audience run on the recounting backend. What the front serves must
+// be what the decrementing imm.SelectQuerySketch selects over the same
+// samples, for every shape trajectoryQueries sends.
+func TestSparseSketchServesRecounted(t *testing.T) {
+	g := testGraph(7, 20000, 30000)
+	g.AssignWeightedCascade()
+	cfg := testConfig(g)
+	cfg.KMax, cfg.Store = 20, imm.StoreCoded
+	key := SketchKey{GraphDigest: g.Digest(), Model: cfg.Model, Epsilon: cfg.Epsilon, KMax: cfg.KMax, Seed: cfg.Seed}
+	sk, err := BuildSketch(g, key, cfg.Workers, cfg.Store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sk.coverage(nil, cfg.Workers).(*imm.IndexCoverage); !ok {
+		t.Fatalf("a plain query on a sparse sketch (%d entries in %d samples over %d vertices) does not recount",
+			sk.Idx.Entries(), sk.Idx.Count(), g.NumVertices())
+	}
+	if _, ok := sk.coverage([]graph.Vertex{0}, cfg.Workers).(*imm.CodedCoverage); !ok {
+		t.Fatal("an audience query recounts")
+	}
+	cfg.Sketch = sk
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	checkServed(t, "sparse", ts.URL, trajectoryQueries(g.NumVertices(), cfg.KMax), func(q imm.Query) servedWant {
+		qr, err := imm.SelectQuerySketch(sk.Col, sk.Idx, sk.Roots(), q, cfg.Workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wantOf(qr, sk.Col.Count())
+	})
+}
+
 // TestPrefixAnswersMatchGreedy holds trajectory-served answers against
 // memo-free Greedy over the same samples, through the front on both
 // backends: immserve under either store, from a snapshot and after each
