@@ -36,7 +36,8 @@ type localState struct {
 	counter []int32
 	covered rrr.Bitset
 	matched []int32
-	decs    []int32 // CodedCoverage.apply's p columns of n, zero between uses
+	inAud   []bool  // begin's audience membership, all false between uses
+	decs    []int32 // CodedCoverage.apply's p columns of n, dropped in End
 }
 
 var localStatePool = sync.Pool{New: func() any { return new(localState) }}
@@ -51,34 +52,54 @@ func zeroed[T any](s []T, n int) []T {
 
 // begin takes the selection-private state for count samples and applies
 // the audience filter: samples rooted outside the audience are pre-covered
-// so neither the counts nor the purges ever see them. It returns the
-// excluded mask (nil without a filter) and the eligible sample total.
-func (lc *localCoverage) begin(count int, audience []graph.Vertex) (excluded []bool, eligible int64, err error) {
+// so neither the counts nor the purges ever see them. Under a filter it
+// sets every covered bit a word at a time, clears the eligible samples'
+// bits and leaves their ids, ascending, in matched. It returns the
+// eligible sample total. The counts come back sized but not cleared:
+// every Start writes each of them.
+func (lc *localCoverage) begin(count int, audience []graph.Vertex) (eligible int64, err error) {
 	if lc.localState == nil {
 		lc.localState = localStatePool.Get().(*localState)
 	}
-	lc.counter = zeroed(lc.counter, lc.n)
-	lc.covered = zeroed(lc.covered, (count+63)/64)
+	lc.counter = slices.Grow(lc.counter[:0], lc.n)[:lc.n]
+	words := (count + 63) / 64
 	if len(audience) == 0 {
-		return nil, int64(count), nil
+		lc.covered = zeroed(lc.covered, words)
+		return int64(count), nil
 	}
 	if len(lc.roots) != count {
-		return nil, 0, fmt.Errorf("imm: audience query needs %d sample roots, have %d", count, len(lc.roots))
+		return 0, fmt.Errorf("imm: audience query needs %d sample roots, have %d", count, len(lc.roots))
 	}
-	inAud := make([]bool, lc.n)
+	lc.covered = slices.Grow(lc.covered[:0], words)[:words]
+	for w := range lc.covered {
+		lc.covered[w] = ^uint64(0)
+	}
+	if len(lc.inAud) != lc.n {
+		lc.inAud = zeroed(lc.inAud, lc.n)
+	}
 	for _, v := range audience {
-		inAud[v] = true
+		lc.inAud[v] = true
 	}
-	excluded = make([]bool, count)
+	ids := lc.matched[:0]
 	for j, r := range lc.roots {
-		if inAud[r] {
-			eligible++
-			continue
+		if lc.inAud[r] {
+			lc.covered[j>>6] &^= 1 << (uint(j) & 63)
+			ids = append(ids, int32(j))
 		}
-		excluded[j] = true
-		lc.covered.Set(j)
 	}
-	return excluded, eligible, nil
+	for _, v := range audience {
+		lc.inAud[v] = false
+	}
+	lc.matched = ids
+	return int64(len(ids)), nil
+}
+
+// degrees sets the counts to the index's degree column: exactly the
+// population counts, without touching the store.
+func (lc *localCoverage) degrees() {
+	for v := range lc.counter {
+		lc.counter[v] = int32(lc.idx.Degree(graph.Vertex(v)))
+	}
 }
 
 // uncovered marks v's still-uncovered samples covered and returns them,
@@ -96,9 +117,12 @@ func (lc *localCoverage) uncovered(v graph.Vertex) []int32 {
 }
 
 // End returns the selection's state to the pool; the counts Start handed
-// out are void from here on.
+// out are void from here on. The decs slab (p·n counters, held only after
+// a purge in the paper's regime of huge samples) is dropped rather than
+// pooled, so a pooled state costs O(n + theta) whatever it served.
 func (lc *localCoverage) End() {
 	if lc.localState != nil {
+		lc.decs = nil
 		localStatePool.Put(lc.localState)
 		lc.localState = nil
 	}
@@ -120,13 +144,18 @@ func NewFlatCoverage(col *rrr.Collection, idx *rrr.Index, roots []graph.Vertex, 
 
 // Start counts populations, each worker over its own vertex interval.
 func (b *FlatCoverage) Start(audience []graph.Vertex) ([]int32, int64, error) {
-	excluded, eligible, err := b.begin(b.col.Count(), audience)
+	eligible, err := b.begin(b.col.Count(), audience)
 	if err != nil {
 		return nil, 0, err
 	}
+	var covered rrr.Bitset
+	if len(audience) > 0 {
+		covered = b.covered
+	}
 	par.Run(b.p, func(rank int) {
 		vl, vh := par.Interval(b.n, b.p, rank)
-		b.col.CountRange(b.counter, excluded, graph.Vertex(vl), graph.Vertex(vh))
+		clear(b.counter[vl:vh])
+		b.col.CountRange(b.counter, covered, graph.Vertex(vl), graph.Vertex(vh))
 	})
 	return b.counter, eligible, nil
 }
@@ -209,24 +238,16 @@ func (b *CodedCoverage) fold(sign int32) {
 // population counts, without touching the store — or, under an audience
 // filter, recounts over the eligible samples only.
 func (b *CodedCoverage) Start(audience []graph.Vertex) ([]int32, int64, error) {
-	excluded, eligible, err := b.begin(b.col.Count(), audience)
+	eligible, err := b.begin(b.col.Count(), audience)
 	if err != nil {
 		return nil, 0, err
 	}
-	if excluded == nil {
-		for v := range b.counter {
-			b.counter[v] = int32(b.idx.Degree(graph.Vertex(v)))
-		}
+	if len(audience) == 0 {
+		b.degrees()
 		return b.counter, eligible, nil
 	}
-	ids := b.matched[:0]
-	for j, x := range excluded {
-		if !x {
-			ids = append(ids, int32(j))
-		}
-	}
-	b.matched = ids
-	b.apply(ids, +1)
+	clear(b.counter)
+	b.apply(b.matched, +1)
 	return b.counter, eligible, nil
 }
 
@@ -276,10 +297,8 @@ func (b *IndexCoverage) Start(audience []graph.Vertex) ([]int32, int64, error) {
 	if len(audience) > 0 {
 		return nil, 0, errors.New("imm: the recounting backend takes no audience")
 	}
-	_, eligible, _ := b.begin(b.idx.Count(), nil)
-	for v := range b.counter {
-		b.counter[v] = int32(b.idx.Degree(graph.Vertex(v)))
-	}
+	eligible, _ := b.begin(b.idx.Count(), nil)
+	b.degrees()
 	return b.counter, eligible, nil
 }
 

@@ -76,7 +76,7 @@ func (s *localSamples) Extend(count int64) (int64, error) {
 
 func (s *localSamples) Cover(k int) (int64, error) {
 	s.setIndex(rrr.ExtendIndex(s.idx, s.col, s.p))
-	_, cov := SelectSeedsIndexed(s.col, s.idx, k, s.p)
+	_, cov := selectPlain(NewFlatCoverage(s.col, s.idx, nil, s.p), s.idx, k)
 	return cov, nil
 }
 

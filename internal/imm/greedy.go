@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -72,9 +73,17 @@ type candidate[C Count] struct {
 	v   graph.Vertex
 }
 
+// run is a stretch of the order whose vertices share one Start count:
+// the order from the previous run's end up to end.
+type run[C Count] struct {
+	key C
+	end int32
+}
+
 // greedy is one selection in flight: everything about it that does not
 // depend on where the samples live. The value is pooled for its O(n) parts
-// (chosen, heap), so nothing handed to the caller may point into it.
+// (chosen, order, runs, buckets), so nothing handed to the caller
+// may point into it.
 type greedy[C Count] struct {
 	be Coverage[C]
 	rc Recounter[C] // be, when it recounts; nil when its counts stay exact
@@ -82,9 +91,15 @@ type greedy[C Count] struct {
 
 	counter []C
 	chosen  []bool
-	heap    []candidate[C] // lazy max-heap over the unchosen vertices (argmax)
-	minCost float64        // cheapest heap entry when it was built
+	order   []graph.Vertex // the unchosen vertices by Start's count, descending, then by id
+	runs    []run[C]       // the order's counts, one entry per stretch of equal ones
+	next    int            // order[next:] is not yet in the heap
+	inRun   int            // the run order[next] is in
+	heap    []candidate[C] // lazy max-heap over the pulled vertices (argmax)
+	buckets []int32        // sortOrder's histogram
+	minCost float64        // cheapest cost in the order when it was sorted
 	pops    int            // heap entries argmax examined: the engine's work count
+	pulled  int            // order entries argmax moved into the heap
 	res     QueryResult
 
 	// Recount's arguments: the one vertex count reads.
@@ -110,7 +125,8 @@ func Greedy[C Count](be Coverage[C], n int, q Query, onSeed func(i int, v graph.
 	}
 	err := g.run(be, n, q, onSeed)
 	res := g.res
-	*g = greedy[C]{chosen: g.chosen, heap: g.heap[:0]}
+	*g = greedy[C]{chosen: g.chosen, order: g.order[:0], runs: g.runs[:0], heap: g.heap[:0],
+		buckets: g.buckets[:0]}
 	greedyPool.Put(g)
 	return &res, err
 }
@@ -182,11 +198,10 @@ func (g *greedy[C]) count(v graph.Vertex) (C, error) {
 
 // establish (re)builds the committed state on a fresh backend session and
 // is both the set-up of a new query and the recovery after a backend
-// restart; it loops until one replay runs through undisturbed. The heap
-// is keyed by Start's counts, taken before the replay purges anything —
-// the one pass over all n a selection makes. Those are exact for every
-// backend, so a recounting one builds the very heap a decrementing one
-// does, and the two examine the same entries (DESIGN.md §18.5).
+// restart; it loops until one replay runs through undisturbed. The order
+// is sorted by Start's counts, taken before the replay purges anything:
+// those are exact for every backend, so a recounting one pulls and
+// examines the very entries a decrementing one does (DESIGN.md §18.5).
 func (g *greedy[C]) establish() error {
 	for {
 		var err error
@@ -196,29 +211,89 @@ func (g *greedy[C]) establish() error {
 		for _, b := range g.q.Blocked {
 			g.chosen[b] = true
 		}
-		g.heap, g.minCost = slices.Grow(g.heap[:0], len(g.counter)), 1
-		if len(g.q.Costs) > 0 {
-			g.minCost = math.Inf(1)
-		}
-		for v, c := range g.counter {
-			if g.chosen[v] {
-				continue
-			}
-			g.heap = append(g.heap, candidate[C]{c, graph.Vertex(v)})
-			if len(g.q.Costs) > 0 {
-				g.minCost = min(g.minCost, g.q.Costs[v])
-			}
-		}
-		if restarted, err := g.replay(); restarted {
-			continue
-		} else if err != nil {
+		g.sortOrder()
+		if restarted, err := g.replay(); !restarted {
 			return err
 		}
-		for i := len(g.heap)/2 - 1; i >= 0; i-- {
-			g.siftDown(i)
-		}
-		return nil
 	}
+}
+
+// sortOrder lists the unchosen vertices by their counts — count
+// descending, vertex ascending, so zero counts come last in id order —
+// with the runs of equal counts beside them, and empties the heap. While
+// every count lies in [0, n) it counting-sorts them, a bucket per count;
+// wider counts (dist's and the fleet's merged int64s) are sorted in place
+// by comparison. It also records the cheapest cost among the listed
+// vertices, the bound argmax pulls and stops by.
+func (g *greedy[C]) sortOrder() {
+	counter, chosen, costs := g.counter, g.chosen[:len(g.counter)], g.q.Costs
+	n := len(counter)
+	g.heap, g.next, g.inRun, g.minCost = g.heap[:0], 0, 0, 1
+	if len(costs) > 0 {
+		least := math.Inf(1)
+		for v, c := range costs[:n] {
+			if c < least && !chosen[v] {
+				least = c
+			}
+		}
+		g.minCost = least
+	}
+	// buckets[c] counts the listed vertices of count c, growing with the
+	// largest count seen; a count outside [0, n) stops the histogram.
+	buckets, m, narrow := g.buckets[:0], 0, true
+	for v, c := range counter {
+		if chosen[v] {
+			continue
+		}
+		if u := uint64(int64(c)); u >= uint64(len(buckets)) {
+			if narrow = u < uint64(n); !narrow {
+				break
+			}
+			had := len(buckets)
+			buckets = slices.Grow(buckets, int(u)+1-had)[:u+1]
+			clear(buckets[had:])
+		}
+		buckets[c]++
+		m++
+	}
+	order, runs := g.order[:0], g.runs[:0]
+	if narrow {
+		order = slices.Grow(order, m)[:m]
+		var at int32
+		for c := len(buckets) - 1; c >= 0; c-- {
+			if k := buckets[c]; k > 0 {
+				buckets[c] = at
+				at += k
+				runs = append(runs, run[C]{C(c), at})
+			}
+		}
+		for v, c := range counter {
+			if !chosen[v] {
+				order[buckets[c]] = graph.Vertex(v)
+				buckets[c]++
+			}
+		}
+		g.order, g.runs, g.buckets = order, runs, buckets
+		return
+	}
+	for v := range counter {
+		if !chosen[v] {
+			order = append(order, graph.Vertex(v))
+		}
+	}
+	slices.SortFunc(order, func(a, b graph.Vertex) int {
+		if ca, cb := counter[a], counter[b]; ca != cb {
+			return cmp.Compare(cb, ca)
+		}
+		return cmp.Compare(a, b)
+	})
+	for i, v := range order {
+		if c := counter[v]; len(runs) == 0 || c != runs[len(runs)-1].key {
+			runs = append(runs, run[C]{key: c})
+		}
+		runs[len(runs)-1].end = int32(i + 1)
+	}
+	g.order, g.runs, g.buckets = order, runs, buckets
 }
 
 // replay purges the rival's blocked seeds' coverage (competitive
@@ -257,8 +332,57 @@ func (g *greedy[C]) before(a, b candidate[C]) bool {
 	if len(g.q.Costs) == 0 {
 		return a.key > b.key || a.key == b.key && a.v < b.v
 	}
-	return ratioBetter(float64(a.key)/g.q.Costs[a.v], int64(a.key), int(a.v),
+	return g.ratioBefore(a, g.q.Costs[a.v], b)
+}
+
+// ratioBefore is ratioBetter between a, at cost aCost, and b at its own.
+func (g *greedy[C]) ratioBefore(a candidate[C], aCost float64, b candidate[C]) bool {
+	return ratioBetter(float64(a.key)/aCost, int64(a.key), int(a.v),
 		float64(b.key)/g.q.Costs[b.v], int64(b.key), int(b.v))
+}
+
+// head is the first entry of the order not yet pulled, keyed by its
+// Start count.
+func (g *greedy[C]) head() candidate[C] {
+	return candidate[C]{g.runs[g.inRun].key, g.order[g.next]}
+}
+
+// headMayWin reports whether some entry not yet pulled could precede the
+// heap's top. Every such entry has a key (and so a count) no larger than
+// the head's, a larger id on an equal key, and — under costs — a cost no
+// smaller than minCost; the head at minCost is therefore a bound on all
+// of them in the before order, as correctly rounded division is monotone
+// in both operands.
+func (g *greedy[C]) headMayWin() bool {
+	if len(g.q.Costs) == 0 {
+		return g.before(g.head(), g.heap[0])
+	}
+	return g.ratioBefore(g.head(), g.minCost, g.heap[0])
+}
+
+// pull moves entries from the head of the order into the heap while the
+// heap is empty or the head may still win.
+func (g *greedy[C]) pull() {
+	for g.next < len(g.order) && (len(g.heap) == 0 || g.headMayWin()) {
+		g.heap = append(g.heap, g.head())
+		if g.next++; g.next == int(g.runs[g.inRun].end) {
+			g.inRun++
+		}
+		g.pulled++
+		g.siftUp(len(g.heap) - 1)
+	}
+}
+
+func (g *greedy[C]) siftUp(i int) {
+	h, e := g.heap, g.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !g.before(e, h[p]) {
+			break
+		}
+		h[i], i = h[p], p
+	}
+	h[i] = e
 }
 
 func (g *greedy[C]) siftDown(i int) {
@@ -283,10 +407,12 @@ func (g *greedy[C]) siftDown(i int) {
 // budget, still affordable — vertex in the before order, or -1 when none
 // remains (or a recount failed, with the error). Counts only ever fall,
 // so an entry's key is an upper bound on its count and its heap position
-// no later than its true rank: when the top's key equals its count, the
-// top is the exact argmax, ties included (DESIGN.md §18.5). A stale top is
-// re-keyed and sifted; an unaffordable one is dropped for good, since
-// spend only grows. Chosen vertices are never in the heap.
+// no later than its true rank; the entries still in the order are bounded
+// by its head (headMayWin). So when the top's key equals its count and
+// the head cannot win, the top is the exact argmax, ties included
+// (DESIGN.md §18.5). A stale top is re-keyed and sifted; an unaffordable
+// one is dropped for good, since spend only grows. Chosen vertices are
+// never in the order or the heap.
 func (g *greedy[C]) argmax() (int, C, error) {
 	spent, budget := g.res.SpentBudget, g.q.Budget
 	if !g.q.Budgeted() {
@@ -294,7 +420,10 @@ func (g *greedy[C]) argmax() (int, C, error) {
 	} else if spent+g.minCost > budget {
 		return -1, 0, nil // not even the cheapest fits: popping all n would say the same
 	}
-	for len(g.heap) > 0 {
+	for {
+		if g.pull(); len(g.heap) == 0 {
+			return -1, 0, nil
+		}
 		g.pops++
 		top := g.heap[0]
 		drop := spent+g.cost(top.v) > budget
@@ -318,5 +447,4 @@ func (g *greedy[C]) argmax() (int, C, error) {
 			return int(top.v), top.key, nil
 		}
 	}
-	return -1, 0, nil
 }

@@ -2,6 +2,7 @@ package imm
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -28,7 +29,11 @@ type fakeCoverage[C Count] struct {
 	covered   []bool
 	onFault   func() // called when a scripted fault fires
 	marksOnly bool   // purges mark samples covered and move no count (recountingFake)
+	weight    int64  // what one sample adds to a count and to eligible; 0 means 1
 }
+
+// w is one sample's weight.
+func (f *fakeCoverage[C]) w() int64 { return max(f.weight, 1) }
 
 var errFakeDown = errors.New("fake backend down")
 
@@ -44,9 +49,9 @@ func (f *fakeCoverage[C]) Start(audience []graph.Vertex) ([]C, int64, error) {
 			f.covered[j] = true
 			continue
 		}
-		eligible++
+		eligible += f.w()
 		for _, u := range s {
-			f.counts[u]++
+			f.counts[u] += C(f.w())
 		}
 	}
 	return f.counts, eligible, nil
@@ -77,7 +82,7 @@ func (f *fakeCoverage[C]) Purge(v graph.Vertex) (bool, error) {
 		f.covered[j] = true
 		for _, u := range s {
 			if !f.marksOnly {
-				f.counts[u]--
+				f.counts[u] -= C(f.w())
 			}
 		}
 	}
@@ -95,7 +100,7 @@ func (f recountingFake[C]) Recount(vs []graph.Vertex, out []C) error {
 		out[i] = 0
 		for j, s := range f.samples {
 			if !f.covered[j] && slices.Contains(s, v) {
-				out[i]++
+				out[i] += C(f.w())
 			}
 		}
 	}
@@ -313,31 +318,107 @@ func lazyMatchesDense[C Count](t *testing.T) {
 		// blocked replay included), then one on every purge until the
 		// backend gives up.
 		for at := 0; at <= 6; at++ {
-			script := func() *fakeCoverage[C] {
+			checkLazy(t, fmt.Sprintf("%s restart@%d", tc.name, at), n, tc.q, func() *fakeCoverage[C] {
 				return &fakeCoverage[C]{n: n, samples: tc.samples, restartAt: at, restartEvery: at == 6}
-			}
-			want, wantErr := denseGreedy[C](script(), n, tc.q)
-			f := script()
-			got, err := Greedy[C](f, n, tc.q, nil)
-			if !sameResult(got, want) || !errors.Is(err, wantErr) || !f.ended {
-				t.Fatalf("%s restart@%d: lazy %+v (%v), dense %+v (%v)", tc.name, at, got, err, want, wantErr)
-			}
-			// The same heap over a backend whose counts are upper bounds
-			// between recounts.
-			f = script()
-			f.marksOnly = true
-			got, err = Greedy[C](recountingFake[C]{f}, n, tc.q, nil)
-			if !sameResult(got, want) || !errors.Is(err, wantErr) || !f.ended {
-				t.Fatalf("%s restart@%d: recounted %+v (%v), dense %+v (%v)", tc.name, at, got, err, want, wantErr)
-			}
+			})
 		}
 	}
 }
 
-// TestLazyArgmaxMatchesDenseScan pins the lazy heap to the dense scan it
+// checkLazy runs q through Greedy and denseGreedy over fresh backends from
+// script, and through Greedy once more with the backend's purges leaving
+// its counts as upper bounds between recounts; all three must agree.
+func checkLazy[C Count](t *testing.T, name string, n int, q Query, script func() *fakeCoverage[C]) {
+	t.Helper()
+	want, wantErr := denseGreedy[C](script(), n, q)
+	f := script()
+	got, err := Greedy[C](f, n, q, nil)
+	if !sameResult(got, want) || !errors.Is(err, wantErr) || !f.ended {
+		t.Fatalf("%s: lazy %+v (%v), dense %+v (%v)", name, got, err, want, wantErr)
+	}
+	f = script()
+	f.marksOnly = true
+	got, err = Greedy[C](recountingFake[C]{f}, n, q, nil)
+	if !sameResult(got, want) || !errors.Is(err, wantErr) || !f.ended {
+		t.Fatalf("%s: recounted %+v (%v), dense %+v (%v)", name, got, err, want, wantErr)
+	}
+}
+
+// TestLazyArgmaxMatchesDenseScan pins the lazy argmax to the dense scan it
 // replaced, for both counter widths, over a decrementing and a
 // recounting backend.
 func TestLazyArgmaxMatchesDenseScan(t *testing.T) {
 	t.Run("int32", lazyMatchesDense[int32])
 	t.Run("int64", lazyMatchesDense[int64])
+}
+
+// FuzzGreedyMatchesDenseScan draws a tiny weighted sample set, a query
+// and a restart script from the input and holds Greedy to the dense scan
+// for both counter widths, over a decrementing and a recounting backend.
+// Costs in {1/2, 1, 3/2, 2} tie ratios, at the order's minCost bound too;
+// a blocked list can name the vertex of largest count (the order's head);
+// budgets drop unaffordable tops; k runs past n into padding; and sample
+// weights of up to 256 — up to 2^47 for int64 counts — put the largest
+// count past n, onto the comparison sort.
+func FuzzGreedyMatchesDenseScan(f *testing.F) {
+	f.Add([]byte{5, 12, 3, 0, 1, 2, 4, 3, 1, 4, 2, 0, 0, 0, 3, 1, 0, 0})
+	f.Add([]byte{8, 30, 6, 7, 1, 1, 1, 3, 5, 7, 2, 2, 9, 0, 4, 4, 4, 1, 6, 200, 39, 9, 15, 11, 1, 2, 3, 4, 5, 6, 7, 8, 2})
+	f.Add([]byte{16, 40, 200, 3, 17, 99, 250, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 0, 18, 11, 3, 2, 1, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b
+		}
+		n := 1 + next()%16
+		samples := make([][]graph.Vertex, 1+next()%40)
+		for j := range samples {
+			for range 1 + next()%n {
+				if v := graph.Vertex(next() % n); !slices.Contains(samples[j], v) {
+					samples[j] = append(samples[j], v)
+				}
+			}
+		}
+		weight, shift := int64(1+next()), next()%40
+		q := Query{K: 1 + next()%(n+2)}
+		mode := next()
+		if mode&1 != 0 {
+			q.Budget = float64(next()%(2*n)) / 2
+		}
+		if mode&2 != 0 && q.Budgeted() {
+			q.Costs = make([]float64, n)
+			for v := range q.Costs {
+				q.Costs[v] = float64(1+next()%4) / 2
+			}
+		}
+		if mode&4 != 0 {
+			for v := range n {
+				if next()%2 == 1 {
+					q.Audience = append(q.Audience, graph.Vertex(v))
+				}
+			}
+		}
+		if mode&8 != 0 {
+			deg := make([]int, n)
+			for _, s := range samples {
+				for _, u := range s {
+					deg[u]++
+				}
+			}
+			q.Blocked = append(q.Blocked, graph.Vertex(slices.Index(deg, slices.Max(deg))))
+		}
+		for range next() % 4 {
+			q.Blocked = append(q.Blocked, graph.Vertex(next()%n))
+		}
+		at := next() % 8
+		checkLazy(t, fmt.Sprintf("int32 %+v restart@%d", q, at), n, q, func() *fakeCoverage[int32] {
+			return &fakeCoverage[int32]{n: n, samples: samples, weight: weight, restartAt: at, restartEvery: at == 7}
+		})
+		checkLazy(t, fmt.Sprintf("int64 %+v restart@%d", q, at), n, q, func() *fakeCoverage[int64] {
+			return &fakeCoverage[int64]{n: n, samples: samples, weight: weight << shift, restartAt: at, restartEvery: at == 7}
+		})
+	})
 }

@@ -200,7 +200,7 @@ func RunCollect(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Ind
 	}
 	// Phase 3: SelectSeeds (Algorithm 4, index-driven purge).
 	selectFinal(res, float64(g.NumVertices()), col.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
-		return SelectSeedsIndexed(col, idx, opt.K, res.Workers)
+		return selectPlain(NewFlatCoverage(col, idx, nil, res.Workers), idx, opt.K)
 	})
 	return res, col, idx, nil
 }
@@ -221,7 +221,7 @@ func RunSketch(g *graph.Graph, opt Options) (*Result, *rrr.CodedCollection, *rrr
 		return nil, nil, nil, err
 	}
 	selectFinal(res, float64(g.NumVertices()), coded.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
-		return SelectSeedsSketch(coded, idx, opt.K, res.Workers)
+		return selectPlain(NewCodedCoverage(coded, idx, nil, res.Workers), idx, opt.K)
 	})
 	return res, coded, idx, nil
 }

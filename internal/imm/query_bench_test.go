@@ -118,9 +118,11 @@ func BenchmarkServeQuery(b *testing.B) {
 
 // TestLazyArgmaxWorkGate bounds the argmax's work by count, not by clock:
 // over a fixed-seed served-regime sketch, the heap entries one query
-// examines (pops, re-keys and drops together) stay under n/8 for every
-// shape at k 50 — the dense scan this replaced examined k·n. The budgeted
-// shape also pins the early stop: without it a spent budget pops all n.
+// examines (pops, re-keys and drops together) and the entries it pulls
+// from the sorted order into the heap each stay under n/8 for every shape
+// at k 50 — the dense scan this replaced examined k·n, and a heap over
+// every vertex holds n. The budgeted shape also pins the early stop:
+// without it a spent budget pops every entry.
 func TestLazyArgmaxWorkGate(t *testing.T) {
 	const k = 50
 	col, idx, roots := servedSketch(t, 0.02, k)
@@ -130,9 +132,12 @@ func TestLazyArgmaxWorkGate(t *testing.T) {
 		if err := g.run(NewCodedCoverage(col, idx, roots, 2), n, q, nil); err != nil || len(g.res.Seeds) == 0 {
 			t.Fatalf("%s: %d seeds, %v", name, len(g.res.Seeds), err)
 		}
-		t.Logf("%s: %d seeds, %d heap entries examined (n %d)", name, len(g.res.Seeds), g.pops, n)
+		t.Logf("%s: %d seeds, %d heap entries examined, %d pulled (n %d)", name, len(g.res.Seeds), g.pops, g.pulled, n)
 		if g.pops > n/8 {
 			t.Errorf("%s: examined %d heap entries for %d seeds, want at most n/8 = %d", name, g.pops, len(g.res.Seeds), n/8)
+		}
+		if g.pulled > n/8 {
+			t.Errorf("%s: pulled %d entries into the heap for %d seeds, want at most n/8 = %d", name, g.pulled, len(g.res.Seeds), n/8)
 		}
 	}
 }

@@ -41,6 +41,20 @@ func SelectSeedsSketch(col *rrr.CodedCollection, idx *rrr.Index, k, p int) ([]gr
 	return res.Seeds, res.Covered
 }
 
+// selectPlain is the plain top-k the pipelines run — Estimate's
+// re-selects and the final selection — on the cheaper backend for idx
+// (PreferRecount): the recounting IndexCoverage while samples are small
+// next to n, be otherwise. Both select the same seeds; SelectSeedsIndexed
+// and SelectSeedsSketch stay on their decrementing backends, as the
+// references.
+func selectPlain(be Coverage[int32], idx *rrr.Index, k int) ([]graph.Vertex, int64) {
+	if PreferRecount(idx) {
+		be = NewIndexCoverage(idx)
+	}
+	res, _ := Greedy(be, idx.NumVertices(), Query{K: k}, nil)
+	return res.Seeds, res.Covered
+}
+
 // SelectSeedsScan is the paper's Algorithm 4 verbatim: every purge
 // re-scans the whole collection for samples containing the chosen seed
 // (worker 0 records the matches — "if i=0 then R <- R\{Rj}"). Kept as the

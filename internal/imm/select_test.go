@@ -202,6 +202,65 @@ func TestSelectSeedsSketchConcurrentReads(t *testing.T) {
 	}
 }
 
+// TestPooledStateDropsDecs pins what a pooled selection state holds: a
+// purge in the paper's regime (few samples, each a large share of n)
+// decodes into p scratch columns of n counters, and End returns the state
+// to the pool without them.
+func TestPooledStateDropsDecs(t *testing.T) {
+	const n, p = 200, 2
+	col := collectionOf(n, randomSets(3, n, 40, 0.5))
+	coded := Transcode(col, StoreCoded, p)
+	b := NewCodedCoverage(coded, rrr.BuildIndexCoded(coded, p), nil, p)
+	if _, _, err := b.Start(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Purge(0); err != nil {
+		t.Fatal(err)
+	}
+	st := b.localState
+	if len(st.decs) != p*n {
+		t.Fatalf("a purge of %d-member samples held %d scratch counters, want the %d of a dense purge",
+			coded.TotalSize()/int64(coded.Count()), len(st.decs), p*n)
+	}
+	b.End()
+	if st.decs != nil {
+		t.Fatalf("the pooled state still holds %d scratch counters", len(st.decs))
+	}
+}
+
+// TestPooledStateForgetsAudience runs targeted selections over disjoint
+// audiences one after another, so each takes the state the last one
+// pooled: each must count only its own audience's samples, as CoverageOf
+// does without a pool.
+func TestPooledStateForgetsAudience(t *testing.T) {
+	col := rrrCollection(testGraph(88, 120, 900), 0xfeed, 300)
+	n := col.NumVertices()
+	idx := rrr.BuildIndex(col, 1)
+	coded := Transcode(col, StoreCoded, 1)
+	cidx := rrr.BuildIndexCoded(coded, 1)
+	roots := RootsRange(1, 0, col.Count(), n, 1)
+	for _, first := range []int{0, 1, 2, 0} {
+		var audience []graph.Vertex
+		for v := first; v < n; v += 3 {
+			audience = append(audience, graph.Vertex(v))
+		}
+		for name, be := range map[string]Coverage[int32]{
+			"flat":  NewFlatCoverage(col, idx, roots, 2),
+			"coded": NewCodedCoverage(coded, cidx, roots, 2),
+		} {
+			res, err := Greedy(be, n, Query{K: 5, Audience: audience}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			covered, eligible, err := CoverageOf(col.Count(), idx, roots, res.Seeds, audience)
+			if err != nil || res.Covered != covered || res.Eligible != eligible {
+				t.Fatalf("%s, audience from %d: covered %d of %d eligible, CoverageOf says %d of %d (%v)",
+					name, first, res.Covered, res.Eligible, covered, eligible, err)
+			}
+		}
+	}
+}
+
 // TestRunCollectMatchesRun checks the sketch-building entry point returns
 // the very collection and index the run selected over: same Result, and a
 // re-selection over the returned sketch reproduces the seeds.

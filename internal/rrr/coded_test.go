@@ -95,12 +95,10 @@ func TestCodedCountAllMatchesFlat(t *testing.T) {
 		covered := NewBitset(25)
 		covered.Set(3)
 		covered.Set(17)
-		coveredBool := make([]bool, 25)
-		coveredBool[3], coveredBool[17] = true, true
 		a := make([]int32, 100)
 		b := make([]int32, 100)
 		c.CountAll(a, covered)
-		flat.CountRange(b, coveredBool, 0, graph.Vertex(100))
+		flat.CountRange(b, covered, 0, graph.Vertex(100))
 		if !slices.Equal(a, b) {
 			t.Fatalf("relabeled=%v: coded counting disagrees with flat store", relabeled)
 		}

@@ -143,11 +143,12 @@ func (c *Collection) CheckInvariants() int {
 }
 
 // CountRange accumulates, into counter, the number of samples each vertex
-// in [vl, vh) belongs to, skipping samples marked covered. This is the
-// first phase of Algorithm 4 executed by the rank owning [vl, vh).
-func (c *Collection) CountRange(counter []int32, covered []bool, vl, vh graph.Vertex) {
+// in [vl, vh) belongs to, skipping samples marked in covered (may be nil
+// to count everything). This is the first phase of Algorithm 4 executed by
+// the rank owning [vl, vh).
+func (c *Collection) CountRange(counter []int32, covered Bitset, vl, vh graph.Vertex) {
 	for i := 0; i < c.Count(); i++ {
-		if covered != nil && covered[i] {
+		if covered != nil && covered.Get(i) {
 			continue
 		}
 		for _, u := range c.RangeOf(i, vl, vh) {

@@ -176,7 +176,9 @@ func TestCountRangeSkipsCovered(t *testing.T) {
 	c.Append([]graph.Vertex{0, 1})
 	c.Append([]graph.Vertex{1, 2})
 	counter := make([]int32, 4)
-	c.CountRange(counter, []bool{true, false}, 0, 4)
+	covered := NewBitset(2)
+	covered.Set(0)
+	c.CountRange(counter, covered, 0, 4)
 	want := []int32{0, 1, 1, 0}
 	if !slices.Equal(counter, want) {
 		t.Fatalf("counter = %v, want %v", counter, want)

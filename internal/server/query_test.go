@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -338,5 +341,50 @@ func TestQueryExSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per plain query (k %d, n %d)", allocs, q.K, g.NumVertices())
 	if allocs > 40 {
 		t.Fatalf("plain QueryEx allocates %.0f objects per call in steady state, want at most 40", allocs)
+	}
+}
+
+// TestTargetedQueryAllocatesUnderN pins the audience filter's pooled
+// state: once warm, a targeted Sketch.QueryEx allocates its result and a
+// few headers, not an n-sized audience mask or a theta-sized exclusion
+// column, which came to about n + theta bytes per query. It takes the
+// least of 20 queries' allocated bytes with the collector off, since the
+// race detector's pool drops a quarter of all Puts at random.
+func TestTargetedQueryAllocatesUnderN(t *testing.T) {
+	g := testGraph(7, 20000, 30000)
+	g.AssignWeightedCascade()
+	cfg := testConfig(g)
+	sk, err := BuildSketch(g, SketchKey{
+		GraphDigest: g.Digest(), Model: cfg.Model, Epsilon: cfg.Epsilon,
+		KMax: cfg.KMax, Seed: cfg.Seed,
+	}, cfg.Workers, imm.StoreCoded, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	var audience []graph.Vertex
+	for v := 0; v < n; v += 100 {
+		audience = append(audience, graph.Vertex(v))
+	}
+	q := imm.Query{K: cfg.KMax, Audience: audience}
+	query := func() {
+		if res, err := sk.QueryEx(q, cfg.Workers); err != nil || len(res.Seeds) != q.K {
+			t.Fatalf("query: %v", err)
+		}
+	}
+	query() // fills the pools and the root column
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for range 20 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		query()
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	t.Logf("%d bytes allocated by a targeted query (k %d, n %d, %d samples)", least, q.K, n, sk.Col.Count())
+	if least >= uint64(n) {
+		t.Fatalf("a warm targeted QueryEx allocates %d bytes, want fewer than n = %d", least, n)
 	}
 }
