@@ -177,7 +177,7 @@ func main() {
 
 	fmt.Printf("theta: %d (lower bound on OPT: %.1f); samples generated: %d; store: %.2f MB (%s)\n",
 		res.Theta, res.LowerBound, res.SamplesGenerated, float64(res.StoreBytes)/(1<<20), res.Store)
-	if res.Store == imm.StoreCoded && res.StoreBytes > 0 {
+	if res.Store != imm.StoreFlat && res.StoreBytes > 0 {
 		fmt.Printf("store compression: %.2fx vs flat (%.2f MB)\n",
 			float64(res.FlatStoreBytes)/float64(res.StoreBytes), float64(res.FlatStoreBytes)/(1<<20))
 	}

@@ -32,9 +32,13 @@ func main() {
 // run executes the same configuration under both stores and writes the
 // demonstration output to w (the Example test pins this output).
 func run(w io.Writer) error {
-	// A deterministic scaled analog of the soc-Epinions1 social network.
+	// A deterministic scaled analog of the soc-Epinions1 social network,
+	// with an edge probability low enough that samples stay sparse: a
+	// dense draw (a mean sample of n/32 vertices or more) is held as a bit
+	// matrix whatever Store says, since that beats both stores (DESIGN.md
+	// §13.6).
 	g := influmax.Generate("soc-Epinions1", 0.02, 3)
-	g.AssignUniform(11)
+	g.AssignConstant(0.05)
 
 	opt := influmax.Options{
 		K: 5, Epsilon: 0.5, Model: influmax.IC, Workers: 4, Seed: 42,

@@ -12,8 +12,8 @@ func Example() {
 		panic(err)
 	}
 	// Output:
-	// flat : theta 1057, seeds [27 507 920 1071 1402]
-	// coded: theta 1057, seeds [27 507 920 1071 1402]
+	// flat : theta 5210, seeds [0 257 422 452 730]
+	// coded: theta 5210, seeds [0 257 422 452 730]
 	// seed sets identical: true
 	// same samples generated: true
 	// flat bytes match across runs: true

@@ -88,7 +88,9 @@ const (
 
 // StoreKind selects the in-memory representation of the finished RRR
 // sample store — the memory/decode-time trade-off of DESIGN.md §13. The
-// selected seeds are identical for every kind.
+// selected seeds are identical for every kind. A dense draw is held and
+// selected on as a bit matrix whatever kind was asked for, and its
+// Result.Store then prints as "matrix" (DESIGN.md §13.6).
 type StoreKind = imm.StoreKind
 
 // RRR store kinds.

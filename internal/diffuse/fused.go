@@ -350,9 +350,78 @@ func (f *FusedSampler) GenerateIDs(seed uint64, ids []int32, verts []graph.Verte
 	return verts, sizes
 }
 
+// GenerateBlock expands the lanes samples first, first+1, ... as Generate
+// draws them, but emits them as words instead of lists: it ORs each
+// touched vertex's lane mask, shifted left by shift, into row[v], so bit
+// shift+i of row[v] says that sample first+i contains v, and it stores
+// sample first+i's cardinality in sizes[i]. This is the bit matrix's
+// writer (rrr.Matrix): lanes+shift must not exceed MaxLanes, and row is
+// the n-word row of the block the samples fall in. Like the drain, it
+// clears every word it reads for the next batch.
+func (f *FusedSampler) GenerateBlock(seed, first uint64, lanes int, shift uint, row []uint64, sizes []int32) {
+	for b := range lanes {
+		f.stream[b] = first + uint64(b)
+	}
+	f.expand(seed, lanes)
+	if f.model == IC {
+		for b := range lanes {
+			sizes[b] = int32(len(f.queue[b])) // the queue IS the sample
+		}
+		for di, dw := range f.dirty {
+			if dw == 0 {
+				continue
+			}
+			f.dirty[di] = 0
+			base := di << 6
+			for ; dw != 0; dw &= dw - 1 {
+				v := base + bits.TrailingZeros64(dw)
+				row[v] |= f.visited[v] << shift
+				f.visited[v] = 0
+			}
+		}
+		return
+	}
+	for b := range lanes {
+		sizes[b] = int32(len(f.outs[b]))
+		for _, v := range f.outs[b] {
+			row[v] |= f.visited[v] << shift
+			f.visited[v] = 0
+		}
+	}
+}
+
 // batch runs one fused expansion of `lanes` samples (lanes <= MaxLanes),
-// lane b drawing from the stream rng.Derive(seed, f.stream[b]).
+// lane b drawing from the stream rng.Derive(seed, f.stream[b]), and
+// appends them to verts as sorted lists.
 func (f *FusedSampler) batch(seed uint64, lanes int, verts []graph.Vertex, sizes []int32) ([]graph.Vertex, []int32) {
+	f.expand(seed, lanes)
+	if f.model == IC {
+		return f.drainByExtraction(lanes, verts, sizes)
+	}
+
+	// LT drain: RRR sets under LT are short reverse walks, so per-lane
+	// sorting beats a full bitset walk. Drain lanes in index order, sort
+	// each sample and append it to the caller's arena, clearing its
+	// visited bits as we go (clearing by output walk costs O(entries),
+	// not O(n), per batch).
+	for b := 0; b < lanes; b++ {
+		out := f.outs[b]
+		mask := ^(uint64(1) << uint(b))
+		for _, v := range out {
+			f.visited[v] &= mask
+		}
+		slices.Sort(out)
+		verts = append(verts, out...)
+		sizes = append(sizes, int32(len(out)))
+	}
+	return verts, sizes
+}
+
+// expand runs the expansion of a batch: every lane's root, then its
+// reverse BFS (IC) or walk (LT), leaving the lanes' members set in
+// visited (and, under IC, in the dirty summary and the lanes' queues;
+// under LT, in the lanes' outs).
+func (f *FusedSampler) expand(seed uint64, lanes int) {
 	n := uint64(f.g.NumVertices())
 	f.frontier = f.frontier[:0]
 	f.next = f.next[:0]
@@ -382,27 +451,9 @@ func (f *FusedSampler) batch(seed uint64, lanes int, verts []graph.Vertex, sizes
 	switch f.model {
 	case IC:
 		f.expandIC(lanes)
-		return f.drainByExtraction(lanes, verts, sizes)
 	case LT:
 		f.walkLT()
 	}
-
-	// LT drain: RRR sets under LT are short reverse walks, so per-lane
-	// sorting beats a full bitset walk. Drain lanes in index order, sort
-	// each sample and append it to the caller's arena, clearing its
-	// visited bits as we go (clearing by output walk costs O(entries),
-	// not O(n), per batch).
-	for b := 0; b < lanes; b++ {
-		out := f.outs[b]
-		mask := ^(uint64(1) << uint(b))
-		for _, v := range out {
-			f.visited[v] &= mask
-		}
-		slices.Sort(out)
-		verts = append(verts, out...)
-		sizes = append(sizes, int32(len(out)))
-	}
-	return verts, sizes
 }
 
 // drainByExtraction reconstructs every lane's sample from the visited

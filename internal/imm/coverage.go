@@ -3,6 +3,7 @@ package imm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -11,8 +12,8 @@ import (
 	"influmax/internal/rrr"
 )
 
-// The three in-process coverage backends. The store (col), its incidence
-// index and the root column are shared immutable state — a serving process
+// The in-process coverage backends. The store (col or the matrix), its
+// incidence index and the root column are shared immutable state — a serving process
 // keeps one copy for all queries — and everything a selection mutates
 // (localState) is private to the backend value between Start and End, so
 // any number of concurrent selections never disturb the sketch or each
@@ -20,8 +21,10 @@ import (
 // seeds — do not depend on the worker count or on the order members decode
 // in.
 
-// localCoverage is what the local backends share: which samples a seed
-// purges is read off the incidence index, never found by scanning.
+// localCoverage is what the local backends share: the pooled selection
+// state and, for the list stores, the incidence index which samples a
+// seed purges is read off, never found by scanning (the bit matrix is its
+// own index, and CoverageOf borrows only the state).
 type localCoverage struct {
 	idx   *rrr.Index
 	roots []graph.Vertex
@@ -318,6 +321,66 @@ func (b *IndexCoverage) Recount(vs []graph.Vertex, out []int32) error {
 		var c uint64
 		for _, j := range b.idx.SamplesOf(v) {
 			c += ^(covered[uint32(j)>>6] >> (uint32(j) & 63)) & 1
+		}
+		out[i] = int32(c)
+	}
+	return nil
+}
+
+// MatrixCoverage is the recounting backend over a bit matrix (DESIGN.md
+// §13.6, §18.1), the store of a dense draw: rows hold every sample as one
+// lane bit per vertex, so the matrix is its own index. Start is a
+// popcount pass over the rows, split across the workers by vertex
+// interval; Purge ORs the seed's word of every block into the covered
+// bitset, whose word b is block b's lanes; Recount is the popcount of a
+// vertex's words with the covered lanes masked out. Each of the last two
+// costs one word per 64 samples, not one operation per member or posting.
+// It serves no audience, as IndexCoverage does not.
+type MatrixCoverage struct {
+	localCoverage
+	m *rrr.Matrix
+}
+
+// NewMatrixCoverage returns the recounting backend over m, counting with
+// p workers.
+func NewMatrixCoverage(m *rrr.Matrix, p int) *MatrixCoverage {
+	n := m.NumVertices()
+	return &MatrixCoverage{localCoverage{n: n, p: clampWorkers(p, n)}, m}
+}
+
+// Start counts every vertex's samples: the popcount of its words.
+func (b *MatrixCoverage) Start(audience []graph.Vertex) ([]int32, int64, error) {
+	if len(audience) > 0 {
+		return nil, 0, errors.New("imm: the matrix backend takes no audience")
+	}
+	eligible, _ := b.begin(b.m.Count(), nil)
+	par.Run(b.p, func(rank int) {
+		vl, vh := par.Interval(b.n, b.p, rank)
+		counter := b.counter[vl:vh]
+		clear(counter)
+		for blk := range b.m.Blocks() {
+			for i, w := range b.m.Row(blk)[vl:vh] {
+				counter[i] += int32(bits.OnesCount64(w))
+			}
+		}
+	})
+	return b.counter, eligible, nil
+}
+
+// Purge marks v's samples covered, a word per block. No count moves.
+func (b *MatrixCoverage) Purge(v graph.Vertex) (bool, error) {
+	for blk := range b.covered {
+		b.covered[blk] |= b.m.Row(blk)[v]
+	}
+	return false, nil
+}
+
+// Recount counts each vertex's samples whose covered bit is clear.
+func (b *MatrixCoverage) Recount(vs []graph.Vertex, out []int32) error {
+	for i, v := range vs {
+		var c int
+		for blk, cw := range b.covered {
+			c += bits.OnesCount64(b.m.Row(blk)[v] &^ cw)
 		}
 		out[i] = int32(c)
 	}

@@ -31,17 +31,20 @@ type Result struct {
 	SamplesGenerated int
 	// LowerBound is the martingale lower bound on OPT found by Algorithm 2.
 	LowerBound float64
-	// Store is the representation the final seed selection ran over.
+	// Store is the representation the final seed selection ran over:
+	// StoreMatrix when Run found the draw dense (DESIGN.md §13.6).
 	Store StoreKind
-	// StoreBytes is the RRR store footprint (the Table 2 memory column).
+	// StoreBytes is the footprint of the store the selection ran over.
 	StoreBytes int64
 	// FlatStoreBytes is what the same samples cost in the flat arena layout
-	// (4 bytes per entry + 8 per sample offset) — equal to StoreBytes for
-	// flat runs, the compression-ratio denominator for coded ones.
+	// (4 bytes per entry + 8 per sample offset; the Table 2 memory column) —
+	// equal to StoreBytes for flat runs, the compression-ratio denominator
+	// for coded and matrix ones.
 	FlatStoreBytes int64
 	// IndexBytes is the footprint of the inverted incidence index built for
 	// the final seed selection (zero for the baseline, whose NaiveStore
-	// carries the incidence permanently inside StoreBytes).
+	// carries the incidence permanently inside StoreBytes, and for the bit
+	// matrix, which is its own index).
 	IndexBytes int64
 	// Phases is the wall-clock breakdown of the figures' stacked bars.
 	Phases trace.Times
@@ -72,37 +75,51 @@ type Result struct {
 
 // Run executes parallel IMM (Algorithm 1) over g: IMMopt when
 // opt.Workers == 1, IMMmt when opt.Workers > 1. opt.Store picks the
-// representation the final seed selection runs over; the seeds are
+// representation the final seed selection runs over, unless the draw was
+// dense: then it selects on the bit matrix the samples were drawn into
+// (StoreMatrix, DESIGN.md §13.6), which needs no index. The seeds are
 // identical either way.
 func Run(g *graph.Graph, opt Options) (*Result, error) {
-	if opt.Store == StoreCoded {
-		res, _, _, err := RunSketch(g, opt)
-		return res, err
+	res, s, err := draw(g, opt)
+	if err != nil {
+		return nil, err
 	}
-	res, _, _, err := RunCollect(g, opt)
-	return res, err
+	n := float64(g.NumVertices())
+	switch {
+	case s.mat != nil:
+		res.Store = StoreMatrix
+		selectFinal(res, n, s.mat.Bytes(), nil, opt.Metrics, func() ([]graph.Vertex, int64) {
+			return selectMatrix(s.mat, s.p, opt.K)
+		})
+	case opt.Store == StoreCoded:
+		coded, idx := s.coded(res, opt.Store)
+		selectCoded(res, n, opt, coded, idx)
+	default:
+		col, idx := s.flat(res)
+		selectFlat(res, n, opt, col, idx)
+	}
+	return res, nil
 }
 
 // Draw is the front half of Algorithm 1: theta estimation (Algorithm 2)
-// and sampling to theta (Algorithm 3) into a flat arena — the only store
-// estimation's incremental appends and re-selections run on — and the
-// inverted incidence index of every sample drawn. Each estimation round
-// extends the index over the samples drawn since the last (accounted to
+// and sampling to theta (Algorithm 3) into a flat arena, and the inverted
+// incidence index of every sample drawn. Each estimation round extends
+// the index over the samples drawn since the last (accounted to
 // Estimation), and Draw extends it over the final draw (IndexBuild; free
 // when the search already overshot theta), so each sample is indexed
-// once. It fills only the sampling bookkeeping (theta, lower bound, sample
-// count, flat footprint, balance, fused-kernel counters, rrr/balance
-// gauge) and selects no seeds. Every pipeline composes Draw or DrawCoded
-// and, when it wants seeds, a selection over the drawn index.
+// once. A dense draw is held as a bit matrix instead (DESIGN.md §13.6)
+// and materialised into the arena and index once, at the end. Draw fills
+// only the sampling bookkeeping (theta, lower bound, sample count, flat
+// footprint, balance, fused-kernel counters, rrr/balance gauge) and
+// selects no seeds. Every pipeline composes Draw or DrawCoded and, when
+// it wants seeds, a selection over the drawn index.
 func Draw(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Index, error) {
 	res, s, err := draw(g, opt)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Phase 2.5: the vertex->samples index the purge looks up, over the
-	// samples the final draw added.
-	res.Phases.Measure(trace.IndexBuild, func() { s.setIndex(rrr.ExtendIndex(s.idx, s.col, s.p)) })
-	return res, s.col, s.idx, nil
+	col, idx := s.flat(res)
+	return res, col, idx, nil
 }
 
 // DrawCoded is Draw with the samples transcoded into the byte-coded store
@@ -117,15 +134,14 @@ func DrawCoded(g *graph.Graph, opt Options) (*Result, *rrr.CodedCollection, *rrr
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var coded *rrr.CodedCollection
-	res.Phases.Measure(trace.Other, func() { coded = Transcode(s.col, opt.Store, s.p) })
-	s.col = nil
-	res.Phases.Measure(trace.IndexBuild, func() { s.setIndex(rrr.ExtendIndexCoded(s.idx, coded, s.p)) })
-	return res, coded, s.idx, nil
+	coded, idx := s.coded(res, opt.Store)
+	return res, coded, idx, nil
 }
 
 // draw runs Draw's estimation and sampling, returning the samples with the
 // index the estimation rounds left and the sampling bookkeeping filled.
+// It is where the density switch lives: on the fused engine the first
+// round decides between the flat arena and the bit matrix (localSamples).
 func draw(g *graph.Graph, opt Options) (*Result, *localSamples, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(g.NumVertices()); err != nil {
@@ -138,7 +154,7 @@ func draw(g *graph.Graph, opt Options) (*Result, *localSamples, error) {
 	startOther := time.Now()
 	n := g.NumVertices()
 	st := NewBatchSampler(g, opt)
-	s := &localSamples{st: st, col: rrr.NewCollection(n), p: opt.Workers}
+	s := &localSamples{st: st, col: rrr.NewCollection(n), p: opt.Workers, densify: opt.fused()}
 	if opt.Metrics != nil {
 		s.mIndexEntries = opt.Metrics.Counter("rrr/index-entries")
 	}
@@ -146,8 +162,12 @@ func draw(g *graph.Graph, opt Options) (*Result, *localSamples, error) {
 	res.Phases.Add(trace.Other, time.Since(startOther))
 	// Local samples never fail.
 	res.Theta, res.LowerBound, _ = Estimate(s, tm, opt.K, &res.Phases)
-	res.SamplesGenerated = s.col.Count()
-	res.FlatStoreBytes = s.col.Bytes()
+	res.SamplesGenerated = s.count()
+	if s.mat != nil {
+		res.FlatStoreBytes = rrr.FlatBytes(s.mat.Count(), s.mat.TotalSize())
+	} else {
+		res.FlatStoreBytes = s.col.Bytes()
+	}
 	res.WorkBalance = st.WorkBalance()
 	res.WorkerWork = append([]int64(nil), st.Work...)
 	fs := st.FusedStats()
@@ -185,13 +205,28 @@ func selectFinal(res *Result, n float64, storeBytes int64, idx *rrr.Index, reg *
 	})
 }
 
+// selectFlat is phase 3 over a flat collection and its index.
+func selectFlat(res *Result, n float64, opt Options, col *rrr.Collection, idx *rrr.Index) {
+	selectFinal(res, n, col.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
+		return selectPlain(NewFlatCoverage(col, idx, nil, res.Workers), idx, opt.K)
+	})
+}
+
+// selectCoded is phase 3 over a byte-coded collection and its index.
+func selectCoded(res *Result, n float64, opt Options, coded *rrr.CodedCollection, idx *rrr.Index) {
+	selectFinal(res, n, coded.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
+		return selectPlain(NewCodedCoverage(coded, idx, nil, res.Workers), idx, opt.K)
+	})
+}
+
 // RunCollect executes the same pipeline as Run but additionally returns
 // the finished sample collection and the inverted incidence index the
 // final selection used — the resident sketch a serving process keeps so
 // later queries for any k <= opt.K skip sampling entirely. The returned
 // collection and index must be treated as immutable if they are shared.
-// RunCollect always works on the flat arena (opt.Store is ignored);
-// callers that want the byte-coded store use RunSketch.
+// RunCollect always works on the flat arena (opt.Store is ignored, and a
+// dense draw is materialised into it); callers that want the byte-coded
+// store use RunSketch.
 func RunCollect(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Index, error) {
 	opt.Store = StoreFlat
 	res, col, idx, err := Draw(g, opt)
@@ -199,9 +234,7 @@ func RunCollect(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Ind
 		return nil, nil, nil, err
 	}
 	// Phase 3: SelectSeeds (Algorithm 4, index-driven purge).
-	selectFinal(res, float64(g.NumVertices()), col.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
-		return selectPlain(NewFlatCoverage(col, idx, nil, res.Workers), idx, opt.K)
-	})
+	selectFlat(res, float64(g.NumVertices()), opt, col, idx)
 	return res, col, idx, nil
 }
 
@@ -220,9 +253,7 @@ func RunSketch(g *graph.Graph, opt Options) (*Result, *rrr.CodedCollection, *rrr
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	selectFinal(res, float64(g.NumVertices()), coded.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
-		return selectPlain(NewCodedCoverage(coded, idx, nil, res.Workers), idx, opt.K)
-	})
+	selectCoded(res, float64(g.NumVertices()), opt, coded, idx)
 	return res, coded, idx, nil
 }
 

@@ -72,9 +72,14 @@ const (
 	// payloads, >= 3x smaller on clustered graphs at a bounded selection
 	// slowdown (DESIGN.md §13). Selection output is byte-identical to
 	// StoreFlat; only the memory/time trade-off changes. Estimation and
-	// sampling always run on the flat arena — the transcode happens once,
-	// after the final theta samples exist.
+	// sampling run on the flat arena (or a dense draw's bit matrix) — the
+	// transcode happens once, after the final theta samples exist.
 	StoreCoded
+	// StoreMatrix is not an option but a report: Run stamps it on a
+	// dense draw, whose samples it keeps and selects on as the n × theta
+	// bit matrix the fused kernel computes (rrr.Matrix, DESIGN.md §13.6)
+	// whatever Options.Store says. ParseStoreKind does not accept it.
+	StoreMatrix
 )
 
 // String names the store kind, matching the CLI -store flag values.
@@ -84,6 +89,8 @@ func (s StoreKind) String() string {
 		return "flat"
 	case StoreCoded:
 		return "coded"
+	case StoreMatrix:
+		return "matrix"
 	}
 	return fmt.Sprintf("StoreKind(%d)", uint8(s))
 }
@@ -136,7 +143,9 @@ type Options struct {
 	// "rrr/size" histogram of RRR-set cardinalities (the sampling-work
 	// distribution behind the paper's load-balance discussion) and the
 	// "rrr/index-entries" counter of entries written into the incidence
-	// index, which equals "rrr/entries" when each sample is indexed once.
+	// index, which equals "rrr/entries" when each sample is indexed once
+	// (and reads 0 after a Run that selected on a dense draw's bit matrix,
+	// which needs no index).
 	// Recording is atomic and allocation-free; nil disables it entirely.
 	Metrics *metrics.Registry
 

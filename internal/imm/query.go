@@ -158,7 +158,10 @@ func SelectQuerySketch(col *rrr.CodedCollection, idx *rrr.Index, roots []graph.V
 // (eligible reports how many pass the filter; it equals sampleCount
 // without one). The unbiased spread estimate is n * covered / sampleCount
 // — and n * covered/sampleCount restricted-to-audience for targeted
-// queries, since roots are uniform over all n vertices.
+// queries, since roots are uniform over all n vertices. Its covered
+// bitset and audience mask come from the selections' pool and are filled
+// as a selection's are, a word at a time, so a warm call allocates
+// neither.
 func CoverageOf(sampleCount int, idx *rrr.Index, roots []graph.Vertex, seeds, audience []graph.Vertex) (covered, eligible int64, err error) {
 	n := idx.NumVertices()
 	for _, v := range seeds {
@@ -171,32 +174,17 @@ func CoverageOf(sampleCount int, idx *rrr.Index, roots []graph.Vertex, seeds, au
 			return 0, 0, fmt.Errorf("imm: audience vertex %d out of range (n = %d)", v, n)
 		}
 	}
-	seen := rrr.NewBitset(sampleCount)
-	if len(audience) > 0 {
-		if len(roots) != sampleCount {
-			return 0, 0, fmt.Errorf("imm: audience estimate needs %d sample roots, have %d", sampleCount, len(roots))
-		}
-		inAud := make([]bool, n)
-		for _, v := range audience {
-			inAud[v] = true
-		}
-		for j, r := range roots {
-			if inAud[r] {
-				eligible++
-			} else {
-				seen.Set(j)
-			}
-		}
-	} else {
-		eligible = int64(sampleCount)
+	lc := localCoverage{idx: idx, roots: roots, n: n}
+	defer lc.End()
+	if eligible, err = lc.begin(sampleCount, audience); err != nil {
+		return 0, 0, err
 	}
 	for _, s := range seeds {
 		for _, j := range idx.SamplesOf(s) {
-			if seen.Get(int(j)) {
-				continue
+			if !lc.covered.Get(int(j)) {
+				lc.covered.Set(int(j))
+				covered++
 			}
-			seen.Set(int(j))
-			covered++
 		}
 	}
 	return covered, eligible, nil

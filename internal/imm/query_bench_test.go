@@ -142,19 +142,23 @@ func TestLazyArgmaxWorkGate(t *testing.T) {
 	}
 }
 
-// BenchmarkSelectDensity prices the two sketch backends across the mean
+// BenchmarkSelectDensity prices the sketch backends across the mean
 // sample size over n: CodedCoverage decodes the members of every sample a
 // purge covers, IndexCoverage re-reads the postings of every heap top it
-// recounts. The sweep is the served com-YouTube analog (n 113k), whose
+// recounts, and MatrixCoverage recounts a heap top from one word per 64
+// samples. The sweep is the served com-YouTube analog (n 113k), whose
 // samples go from a few vertices under weighted cascade to a large share
-// of n as a constant IC probability rises; two more points put the rule
-// on other graphs: soc-Epinions1 under weighted cascade (serve-delta's
-// graph) and com-DBLP under uniform IC (solve-ic's). Each point draws
-// samples up to a fixed entry total and times a plain and a blocked
-// k = 100 selection on each backend. recountSparsity, the constant of
-// PreferRecount, is read off where the two cross (EXPERIMENTS.md). The
-// benchmark prices a rule rather than guarding a path, so it is not
-// gated.
+// of n as a constant IC probability rises; more points put the rules on
+// other graphs: soc-Epinions1 under weighted cascade (serve-delta's
+// graph), and com-DBLP under uniform IC (solve-ic's) and under constant
+// IC probabilities that sweep the mean size across n/32, where the bit
+// matrix becomes smaller than the flat arena. Each point draws samples
+// up to a fixed entry total and times a plain and a blocked k = 100
+// selection on each backend; the matrix runs only where it is at most
+// four times the flat arena, near and past that break-even.
+// recountSparsity, the constant of PreferRecount, is read off where the
+// first two cross (EXPERIMENTS.md). The benchmark prices rules rather
+// than guarding a path, so it is not gated.
 func BenchmarkSelectDensity(b *testing.B) {
 	type point struct {
 		name, dataset string
@@ -175,6 +179,10 @@ func BenchmarkSelectDensity(b *testing.B) {
 		{"ic0.100", "com-YouTube", 0.1, ic(0.1)},
 		{"epinions-wc", "soc-Epinions1", 0.2, wc},
 		{"dblp-uniform", "com-DBLP", 0.03, func(g *graph.Graph) { g.AssignUniform(2) }},
+		{"dblp-ic0.15", "com-DBLP", 0.03, ic(0.15)},
+		{"dblp-ic0.20", "com-DBLP", 0.03, ic(0.2)},
+		{"dblp-ic0.25", "com-DBLP", 0.03, ic(0.25)},
+		{"dblp-ic0.30", "com-DBLP", 0.03, ic(0.3)},
 	}
 	const k, entries, maxCount = 100, 3_000_000, 165_000
 	for _, pt := range points {
@@ -206,6 +214,13 @@ func BenchmarkSelectDensity(b *testing.B) {
 		}{
 			{"decrement", func() Coverage[int32] { return NewCodedCoverage(coded, idx, nil, 2) }},
 			{"recount", func() Coverage[int32] { return NewIndexCoverage(idx) }},
+		}
+		if rrr.MatrixBytes(n, col.Count()) <= 4*col.Bytes() {
+			mat := rrr.MatrixOf(col, 2)
+			backends = append(backends, struct {
+				name string
+				be   func() Coverage[int32]
+			}{"matrix", func() Coverage[int32] { return NewMatrixCoverage(mat, 2) }})
 		}
 		density := float64(col.TotalSize()) / float64(col.Count()) / float64(n)
 		for _, qc := range queries {

@@ -88,8 +88,8 @@ func checkRecount(t *testing.T, n int, idx *rrr.Index, refs map[string]func() Co
 // TestRecountMatchesDecrement is the equivalence suite: over the three
 // fixed-seed graphs and the IC, LT and WC configurations, and over a
 // hand-built collection in which some vertices are in no sample, the
-// recounting backend matches the flat and coded backends at one and four
-// workers.
+// recounting backend matches the flat and coded backends, and the bit
+// matrix's recounting backend, at one and four workers.
 func TestRecountMatchesDecrement(t *testing.T) {
 	for _, gc := range queryGraphs {
 		for _, cfg := range queryConfigs {
@@ -97,10 +97,12 @@ func TestRecountMatchesDecrement(t *testing.T) {
 				g, col, idx, ccol, cidx, _ := queryStores(t, gc, cfg)
 				n := g.NumVertices()
 				checkRecount(t, n, cidx, map[string]func() Coverage[int32]{
-					"flat/1":  func() Coverage[int32] { return NewFlatCoverage(col, idx, nil, 1) },
-					"flat/4":  func() Coverage[int32] { return NewFlatCoverage(col, idx, nil, 4) },
-					"coded/1": func() Coverage[int32] { return NewCodedCoverage(ccol, cidx, nil, 1) },
-					"coded/4": func() Coverage[int32] { return NewCodedCoverage(ccol, cidx, nil, 4) },
+					"flat/1":   func() Coverage[int32] { return NewFlatCoverage(col, idx, nil, 1) },
+					"flat/4":   func() Coverage[int32] { return NewFlatCoverage(col, idx, nil, 4) },
+					"coded/1":  func() Coverage[int32] { return NewCodedCoverage(ccol, cidx, nil, 1) },
+					"coded/4":  func() Coverage[int32] { return NewCodedCoverage(ccol, cidx, nil, 4) },
+					"matrix/1": func() Coverage[int32] { return NewMatrixCoverage(rrr.MatrixOf(col, 1), 1) },
+					"matrix/4": func() Coverage[int32] { return NewMatrixCoverage(rrr.MatrixOf(col, 4), 4) },
 				})
 			})
 		}
@@ -115,8 +117,9 @@ func TestRecountMatchesDecrement(t *testing.T) {
 		ccol := Transcode(col, StoreCoded, 1)
 		cidx := rrr.BuildIndexCoded(ccol, 1)
 		checkRecount(t, n, idx, map[string]func() Coverage[int32]{
-			"flat":  func() Coverage[int32] { return NewFlatCoverage(col, idx, nil, 2) },
-			"coded": func() Coverage[int32] { return NewCodedCoverage(ccol, cidx, nil, 2) },
+			"flat":   func() Coverage[int32] { return NewFlatCoverage(col, idx, nil, 2) },
+			"coded":  func() Coverage[int32] { return NewCodedCoverage(ccol, cidx, nil, 2) },
+			"matrix": func() Coverage[int32] { return NewMatrixCoverage(rrr.MatrixOf(col, 2), 2) },
 		})
 	})
 }
@@ -162,8 +165,9 @@ func TestPreferRecount(t *testing.T) {
 }
 
 // FuzzRecountMatchesDecrement draws a tiny collection and a query from
-// the input and requires the recounting backend to match the coded one:
-// answer and heap entries examined.
+// the input and requires the recounting backends over the index and over
+// the bit matrix to match the coded one: answer and heap entries
+// examined.
 func FuzzRecountMatchesDecrement(f *testing.F) {
 	f.Add([]byte{5, 3, 0, 1, 2, 4, 3, 1, 4, 2, 0, 0})
 	f.Add([]byte{8, 12, 6, 7, 1, 1, 1, 3, 5, 7, 2, 2, 9, 0, 4, 4, 4, 1, 6})
@@ -215,6 +219,14 @@ func FuzzRecountMatchesDecrement(f *testing.F) {
 		}
 		if !sameResult(&got, &want) || gotPops != wantPops {
 			t.Fatalf("n %d, %d samples, %+v: recount %+v (%d pops), decrement %+v (%d pops)",
+				n, col.Count(), q, got, gotPops, want, wantPops)
+		}
+		got, gotPops, err = selectOn(NewMatrixCoverage(rrr.MatrixOf(col, 1), 1), n, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(&got, &want) || gotPops != wantPops {
+			t.Fatalf("n %d, %d samples, %+v: matrix %+v (%d pops), decrement %+v (%d pops)",
 				n, col.Count(), q, got, gotPops, want, wantPops)
 		}
 	})

@@ -30,6 +30,8 @@ const minDynamicChunk = 8
 //
 // It is exported for the distributed ranks (internal/dist), which sample
 // disjoint global index ranges into rank-local collections via SampleAt.
+// A dense draw skips the lists altogether: SampleMatrix keeps the fused
+// kernel's lane words as a bit matrix (DESIGN.md §13.6).
 // A BatchSampler is not safe for concurrent use.
 type BatchSampler struct {
 	g      *graph.Graph
@@ -232,28 +234,7 @@ func (b *BatchSampler) SampleAt(col *rrr.Collection, base uint64, count int) {
 		b.Work[rank] += int64(len(a.verts) - v0)
 	}
 
-	// Pinned streams (LeapFrog) make randomness a function of the executing
-	// worker, so only the static split keeps them well-defined; PerSample
-	// runs go through the work-stealing loop.
-	if !pinned && !b.opt.static && p > 1 {
-		st := par.DynamicSteal(count, p, minDynamicChunk, run)
-		b.steals += st.Steals
-		b.chunks += st.Chunks
-		if b.mChunks != nil {
-			b.mSteals.Add(st.Steals)
-			b.mChunks.Add(st.Chunks)
-		}
-	} else {
-		par.ForEach(count, p, run)
-		var c int64
-		for w := 0; w < p; w++ {
-			c += int64(len(b.arenas[w].recs))
-		}
-		b.chunks += c
-		if b.mChunks != nil {
-			b.mChunks.Add(c)
-		}
-	}
+	b.schedule(count, p, minDynamicChunk, run)
 
 	// Deterministic merge: append every chunk in global-index order. Chunk
 	// boundaries always tile [0, count) contiguously, so sorting records by
@@ -276,6 +257,66 @@ func (b *BatchSampler) SampleAt(col *rrr.Collection, base uint64, count int) {
 		b.recordFused(p)
 	}
 	b.recordRange(col, first)
+}
+
+// SampleMatrix generates count new RRR sets, the next count global sample
+// indexes, straight into the bit matrix m as the fused kernel's lane
+// words (diffuse.FusedSampler.GenerateBlock): no list, arena or merge
+// exists. m must hold exactly the samples drawn so far. The scheduler
+// hands out whole 64-id blocks, so every block is written by one worker
+// and no atomics are needed; a call that starts mid-block ORs its lanes
+// in at that block's shift. Every word is a pure function of (seed, id),
+// so m does not depend on the worker count or the schedule. It needs the
+// fused kernel (PerSample RNG).
+func (b *BatchSampler) SampleMatrix(m *rrr.Matrix, count int) {
+	if count <= 0 {
+		return
+	}
+	if b.fused == nil || b.streams != nil || uint64(m.Count()) != b.nextID {
+		panic("imm: SampleMatrix needs the fused kernel and a matrix of every sample drawn so far")
+	}
+	base := b.nextID
+	end := base + uint64(count)
+	sizes := m.Grow(count)
+	first := int(base >> 6)
+	blocks := int((end-1)>>6) - first + 1
+	p := min(b.opt.Workers, blocks)
+	run := func(rank, lo, hi int) {
+		for blk := first + lo; blk < first+hi; blk++ {
+			idLo := max(base, uint64(blk)<<6)
+			idHi := min(end, uint64(blk+1)<<6)
+			sz := sizes[idLo-base : idHi-base]
+			b.fused[rank].GenerateBlock(b.opt.Seed, idLo, int(idHi-idLo), uint(idLo&63), m.Row(blk), sz)
+			for _, s := range sz {
+				b.Work[rank] += int64(s)
+			}
+		}
+	}
+	b.schedule(blocks, p, 1, run)
+	b.nextID = end
+	b.recordFused(p)
+	b.recordSizes(sizes)
+}
+
+// schedule runs fn over [0, count) with p <= count workers: under
+// work-stealing with chunks of at least chunk items, or on the static
+// split when one worker runs, the options force it or pinned streams
+// (LeapFrog) make randomness a function of the executing worker, which
+// only the static split keeps well-defined. It adds the chunk and steal
+// counts to the totals and the metrics.
+func (b *BatchSampler) schedule(count, p, chunk int, fn func(rank, lo, hi int)) {
+	st := par.StealStats{Chunks: int64(p)} // the static split runs fn once per worker
+	if b.streams == nil && !b.opt.static && p > 1 {
+		st = par.DynamicSteal(count, p, chunk, fn)
+	} else {
+		par.ForEach(count, p, fn)
+	}
+	b.steals += st.Steals
+	b.chunks += st.Chunks
+	if b.mChunks != nil {
+		b.mSteals.Add(st.Steals)
+		b.mChunks.Add(st.Chunks)
+	}
 }
 
 // Release drops every worker's arena, each a copy of the entries the last
@@ -325,6 +366,21 @@ func (b *BatchSampler) recordRange(col *rrr.Collection, first int) {
 		sz := int64(len(col.Sample(i)))
 		entries += sz
 		b.mSize.Observe(sz)
+	}
+	b.mEntries.Add(entries)
+}
+
+// recordSizes is recordRange for samples whose cardinalities are sizes,
+// in id order.
+func (b *BatchSampler) recordSizes(sizes []int32) {
+	if b.mSize == nil {
+		return
+	}
+	b.mSamples.Add(int64(len(sizes)))
+	var entries int64
+	for _, sz := range sizes {
+		entries += int64(sz)
+		b.mSize.Observe(int64(sz))
 	}
 	b.mEntries.Add(entries)
 }

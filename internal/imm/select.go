@@ -55,6 +55,14 @@ func selectPlain(be Coverage[int32], idx *rrr.Index, k int) ([]graph.Vertex, int
 	return res.Seeds, res.Covered
 }
 
+// selectMatrix is the plain top-k over a dense draw's bit matrix, on
+// its recounting backend: Estimate's re-selects and Run's final
+// selection once the draw went dense.
+func selectMatrix(m *rrr.Matrix, p, k int) ([]graph.Vertex, int64) {
+	res, _ := Greedy(NewMatrixCoverage(m, p), m.NumVertices(), Query{K: k}, nil)
+	return res.Seeds, res.Covered
+}
+
 // SelectSeedsScan is the paper's Algorithm 4 verbatim: every purge
 // re-scans the whole collection for samples containing the chosen seed
 // (worker 0 records the matches — "if i=0 then R <- R\{Rj}"). Kept as the

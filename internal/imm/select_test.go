@@ -122,24 +122,34 @@ func TestSelectSeedsZeroVertexUniverse(t *testing.T) {
 }
 
 // TestRunRecordsIndex checks the Run plumbing: the index footprint must be
-// reported in the Result, the BuildIndex phase populated, and the
-// rrr/index-bytes gauge set when a registry is attached.
+// reported in the Result and the report, and the rrr/index-bytes gauge
+// set when a registry is attached. A sparse draw builds an index; a dense
+// one selects on its bit matrix and reports none.
 func TestRunRecordsIndex(t *testing.T) {
-	g := testGraph(50, 120, 900)
-	reg := metrics.NewRegistry()
-	res, err := Run(g, Options{K: 5, Epsilon: 0.5, Model: diffuse.IC, Workers: 4, Seed: 2, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IndexBytes <= 0 {
-		t.Fatal("IndexBytes not recorded")
-	}
-	if got := reg.Gauge("rrr/index-bytes").Value(); got != res.IndexBytes {
-		t.Fatalf("rrr/index-bytes gauge %d != IndexBytes %d", got, res.IndexBytes)
-	}
-	rep := res.Report(Options{K: 5, Epsilon: 0.5, Model: diffuse.IC, Seed: 2, Metrics: reg})
-	if rep.IndexBytes != res.IndexBytes {
-		t.Fatalf("report IndexBytes %d != %d", rep.IndexBytes, res.IndexBytes)
+	for _, dense := range []bool{false, true} {
+		g := testGraph(50, 120, 900)
+		if !dense {
+			g = testGraph(50, 400, 600)
+			g.AssignWeightedCascade()
+		}
+		reg := metrics.NewRegistry()
+		res, err := Run(g, Options{K: 5, Epsilon: 0.5, Model: diffuse.IC, Workers: 4, Seed: 2, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dense != (res.Store == StoreMatrix) {
+			t.Fatalf("dense %v: store %v", dense, res.Store)
+		}
+		if dense != (res.IndexBytes == 0) {
+			t.Fatalf("dense %v: IndexBytes %d", dense, res.IndexBytes)
+		}
+		if got := reg.Gauge("rrr/index-bytes").Value(); got != res.IndexBytes {
+			t.Fatalf("rrr/index-bytes gauge %d != IndexBytes %d", got, res.IndexBytes)
+		}
+		rep := res.Report(Options{K: 5, Epsilon: 0.5, Model: diffuse.IC, Seed: 2, Metrics: reg})
+		if rep.IndexBytes != res.IndexBytes {
+			t.Fatalf("report IndexBytes %d != %d", rep.IndexBytes, res.IndexBytes)
+		}
 	}
 }
 

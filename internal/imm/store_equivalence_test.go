@@ -9,12 +9,15 @@ import (
 )
 
 // TestStoreEquivalence is the acceptance gate of the byte-coded store: over
-// three fixed-seed graphs, the IC, LT and weighted-cascade configurations,
+// four fixed-seed graphs, the IC, LT and weighted-cascade configurations,
 // and one and four workers, a StoreCoded run must return byte-identical
 // seeds, coverage and theta bookkeeping to the StoreFlat run with the same
 // options. The coded path differs only in the representation the selection
 // reads — the DESIGN.md §13 determinism argument says that cannot move a
-// single seed, and this test is that argument made executable.
+// single seed, and this test is that argument made executable. Where the
+// draw is dense, Run selects on the bit matrix under either store, so the
+// coded and flat selections are RunSketch's and RunCollect's; the fixtures
+// must reach both regimes.
 func TestStoreEquivalence(t *testing.T) {
 	type config struct {
 		name  string
@@ -33,7 +36,11 @@ func TestStoreEquivalence(t *testing.T) {
 		{101, 150, 1200},
 		{202, 80, 250},
 		{303, 300, 3000},
+		// Sparse enough that the density rule keeps every
+		// configuration's draw on lists.
+		{404, 400, 600},
 	}
+	dense, sparse := 0, 0
 	for _, gc := range graphs {
 		for _, cfg := range configs {
 			for _, workers := range []int{1, 4} {
@@ -65,6 +72,38 @@ func TestStoreEquivalence(t *testing.T) {
 						coded.Theta, flat.Theta,
 						coded.SamplesGenerated, flat.SamplesGenerated)
 				}
+				// A dense draw selects on its bit matrix whatever opt.Store
+				// says: both runs report the matrix, one footprint and no
+				// index (DESIGN.md §13.6). The stores the two runs name are
+				// then compared through RunCollect, which selects over the
+				// flat arena, and RunSketch, which selects over the coded
+				// store; both must also agree with the matrix selection.
+				if flat.Store == StoreMatrix || coded.Store == StoreMatrix {
+					dense++
+					if coded.Store != flat.Store || coded.StoreBytes != flat.StoreBytes ||
+						coded.FlatStoreBytes != flat.FlatStoreBytes || coded.IndexBytes != 0 || flat.IndexBytes != 0 {
+						t.Fatalf("graph %d %s w=%d: dense runs diverged: store %v/%v, %d/%d B, flat %d/%d B, index %d/%d B",
+							gc.seed, cfg.name, workers, coded.Store, flat.Store, coded.StoreBytes, flat.StoreBytes,
+							coded.FlatStoreBytes, flat.FlatStoreBytes, coded.IndexBytes, flat.IndexBytes)
+					}
+					matrix := flat
+					if flat, _, _, err = RunCollect(g, opt); err != nil {
+						t.Fatalf("graph %d %s w=%d collect: %v", gc.seed, cfg.name, workers, err)
+					}
+					if coded, _, _, err = RunSketch(g, opt); err != nil {
+						t.Fatalf("graph %d %s w=%d sketch: %v", gc.seed, cfg.name, workers, err)
+					}
+					for _, r := range []*Result{flat, coded} {
+						if !slices.Equal(r.Seeds, matrix.Seeds) || r.CoverageFraction != matrix.CoverageFraction ||
+							r.Theta != matrix.Theta || r.SamplesGenerated != matrix.SamplesGenerated {
+							t.Fatalf("graph %d %s w=%d: %v seeds %v coverage %v theta %d samples %d, matrix %v %v %d %d",
+								gc.seed, cfg.name, workers, r.Store, r.Seeds, r.CoverageFraction, r.Theta, r.SamplesGenerated,
+								matrix.Seeds, matrix.CoverageFraction, matrix.Theta, matrix.SamplesGenerated)
+						}
+					}
+				} else {
+					sparse++
+				}
 				// The coded run must actually have compressed: its store is
 				// smaller than the flat layout it reports as denominator, and
 				// that denominator matches the flat run's actual footprint.
@@ -85,6 +124,10 @@ func TestStoreEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+	t.Logf("%d dense and %d sparse cases", dense, sparse)
+	if dense == 0 || sparse == 0 {
+		t.Fatalf("fixtures reach %d dense and %d sparse cases; the gate needs both regimes", dense, sparse)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"influmax/internal/graph"
+	"influmax/internal/par"
 )
 
 // CodedCollection stores RRR sets byte-coded: each sample's member list is
@@ -57,17 +58,54 @@ func NewCodedCollection(n int, relab *Relabeling) *CodedCollection {
 }
 
 // FromCollection transcodes every sample of col into a coded store under
-// relab (nil for identity). The flat arena is left untouched; callers drop
-// it when the transcode is what they keep.
+// relab (nil for identity), with the default worker count
+// (FromCollectionParallel). The flat arena is left untouched; callers
+// drop it when the transcode is what they keep.
 func FromCollection(col *Collection, relab *Relabeling) *CodedCollection {
-	c := NewCodedCollection(col.NumVertices(), relab)
-	// Size the data buffer for the common case (most gaps fit one byte)
-	// to avoid repeated growth; excess capacity is clipped at the end.
-	c.data = make([]byte, 0, col.TotalSize()+int64(col.Count())*2)
-	for i := 0; i < col.Count(); i++ {
-		c.Append(col.Sample(i))
+	return FromCollectionParallel(col, relab, 0)
+}
+
+// FromCollectionParallel is FromCollection with p workers (p <= 0: the
+// default), byte for byte. Blocks of 64 samples are independent apart
+// from their byte offsets, so each worker encodes a contiguous run of
+// whole blocks into a buffer of its own — including, under a relabeling,
+// the sort of every sample's codes, the costly part — and the buffers
+// are concatenated at the prefix sums of their lengths.
+func FromCollectionParallel(col *Collection, relab *Relabeling, p int) *CodedCollection {
+	n, count := col.NumVertices(), col.Count()
+	blocks := (count + codedBlockSamples - 1) / codedBlockSamples
+	p = max(1, clampWorkers(p, blocks))
+	parts := make([]*CodedCollection, p)
+	par.ForEach(blocks, p, func(rank, lo, hi int) {
+		part := NewCodedCollection(n, relab)
+		first, end := lo*codedBlockSamples, min(hi*codedBlockSamples, count)
+		// Size the buffer for the common case (most gaps fit one byte) to
+		// avoid repeated growth.
+		part.data = make([]byte, 0, col.offsets[end]-col.offsets[first]+int64(end-first)*2)
+		for i := first; i < end; i++ {
+			part.Append(col.Sample(i))
+		}
+		part.data = slices.Clip(part.data)
+		parts[rank] = part
+	})
+	if p == 1 {
+		return parts[0]
 	}
-	c.data = slices.Clip(c.data)
+	c := NewCodedCollection(n, relab)
+	bases := make([]int64, p+1)
+	for r, part := range parts {
+		bases[r+1] = bases[r] + int64(len(part.data))
+		c.count += part.count
+		c.total += part.total
+	}
+	c.data = make([]byte, bases[p])
+	c.blockOffs = make([]int64, 0, blocks)
+	for r, part := range parts {
+		for _, off := range part.blockOffs {
+			c.blockOffs = append(c.blockOffs, bases[r]+off)
+		}
+	}
+	par.Run(p, func(rank int) { copy(c.data[bases[rank]:], parts[rank].data) })
 	return c
 }
 

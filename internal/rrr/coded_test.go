@@ -359,3 +359,27 @@ func TestRunDecoderMatchesColdDecode(t *testing.T) {
 		}
 	}
 }
+
+// TestFromCollectionParallelMatchesSerial: the block-parallel transcode is
+// byte-identical to the serial encoder — one Append per sample into one
+// buffer — at any worker count, for sample counts that do and do not fill
+// their last block, under the identity and the frequency labeling.
+func TestFromCollectionParallelMatchesSerial(t *testing.T) {
+	for _, count := range []int{0, 1, 63, 64, 65, 200, 449} {
+		flat, _ := randomCollection(uint64(count)+5, 300, count, 0.05)
+		for _, relab := range []*Relabeling{nil, NewRelabeling(IncidenceOf(flat, 2))} {
+			serial := NewCodedCollection(flat.NumVertices(), relab)
+			for i := range flat.Count() {
+				serial.Append(flat.Sample(i))
+			}
+			for _, p := range []int{1, 2, 4, 7} {
+				got := FromCollectionParallel(flat, relab, p)
+				if got.Count() != serial.Count() || got.TotalSize() != serial.TotalSize() ||
+					!slices.Equal(got.data, serial.data) || !slices.Equal(got.blockOffs, serial.blockOffs) {
+					t.Fatalf("count %d relabeled %v p %d: parallel transcode differs from the serial encoder",
+						count, relab != nil, p)
+				}
+			}
+		}
+	}
+}

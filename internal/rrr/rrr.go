@@ -16,6 +16,10 @@
 //     as Tang et al.'s reference implementation does. It makes seed
 //     selection cheaper but roughly doubles the memory footprint — the
 //     trade-off quantified in Table 2.
+//
+// Beyond the paper, CodedCollection (coded.go) byte-codes sparse samples,
+// and Matrix (matrix.go) keeps dense ones as the fused kernel's lane
+// words, one bit per (vertex, sample).
 package rrr
 
 import (
@@ -120,9 +124,11 @@ func (c *Collection) Range(lo, hi int) *Collection {
 
 // Bytes returns the memory footprint of the stored samples, matching the
 // accounting used for Table 2's memory columns.
-func (c *Collection) Bytes() int64 {
-	return int64(len(c.verts))*4 + int64(len(c.offsets))*8
-}
+func (c *Collection) Bytes() int64 { return FlatBytes(c.Count(), c.TotalSize()) }
+
+// FlatBytes is the flat arena's footprint for count samples holding
+// entries members: 4 bytes per entry plus 8 per sample offset.
+func FlatBytes(count int, entries int64) int64 { return entries*4 + int64(count+1)*8 }
 
 // CheckInvariants verifies that every sample is sorted and duplicate-free
 // and that offsets are monotone. It is used by tests and returns the index

@@ -388,3 +388,51 @@ func TestTargetedQueryAllocatesUnderN(t *testing.T) {
 		t.Fatalf("a warm targeted QueryEx allocates %d bytes, want fewer than n = %d", least, n)
 	}
 }
+
+// TestSpreadAllocatesUnderTheta: a warm Sketch.Spread takes its covered
+// bitset and audience mask from the selections' pool, so it allocates
+// less than the θ/8 bytes of one covered bitset, with and without an
+// audience.
+func TestSpreadAllocatesUnderTheta(t *testing.T) {
+	g := testGraph(7, 20000, 30000)
+	g.AssignWeightedCascade()
+	cfg := testConfig(g)
+	sk, err := BuildSketch(g, SketchKey{
+		GraphDigest: g.Digest(), Model: cfg.Model, Epsilon: cfg.Epsilon,
+		KMax: cfg.KMax, Seed: cfg.Seed,
+	}, cfg.Workers, imm.StoreCoded, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	var audience []graph.Vertex
+	for v := 0; v < n; v += 100 {
+		audience = append(audience, graph.Vertex(v))
+	}
+	seeds, _ := sk.Query(10, cfg.Workers)
+	theta := sk.Col.Count()
+	for _, aud := range [][]graph.Vertex{nil, audience} {
+		spread := func() {
+			if covered, _, err := sk.Spread(seeds, aud); err != nil || covered == 0 {
+				t.Fatalf("spread: %d covered, %v", covered, err)
+			}
+		}
+		spread() // fills the pool and the root column
+		least := uint64(math.MaxUint64)
+		func() {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var ms runtime.MemStats
+			for range 20 {
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				spread()
+				runtime.ReadMemStats(&ms)
+				least = min(least, ms.TotalAlloc-before)
+			}
+		}()
+		t.Logf("%d bytes allocated by a spread estimate (audience %d, %d samples)", least, len(aud), theta)
+		if least >= uint64(theta/8) {
+			t.Fatalf("a warm Spread with %d audience vertices allocates %d bytes, want fewer than θ/8 = %d", len(aud), least, theta/8)
+		}
+	}
+}
