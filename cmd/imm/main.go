@@ -39,7 +39,6 @@ func main() {
 		weights     = flag.String("weights", "uniform", "weight scheme when generating: uniform, wc, const:<p>, none")
 		baseline    = flag.Bool("baseline", false, "run the Tang-style sequential baseline instead")
 		leapfrog    = flag.Bool("leapfrog", false, "sample with the paper's engine: leap-frog RNG splitting, scalar kernel, static split (default: per-sample streams, fused kernel, work-stealing)")
-		storeStr    = flag.String("store", "flat", "RRR store for the final selection: flat (uint32 arena) or coded (byte-coded, ~3x smaller; same seeds)")
 		verify      = flag.Int("verify", 0, "if > 0, evaluate the seed set with this many Monte Carlo cascades")
 		audience    = flag.String("audience", "", "comma-separated vertex ids: maximize influence over this audience only (targeted query mode)")
 		budget      = flag.Float64("budget", 0, "total budget for cost-aware selection with unit costs (budgeted query mode; selection may stop before -k seeds)")
@@ -57,10 +56,6 @@ func main() {
 	}
 
 	model, err := diffuse.ParseModel(*modelStr)
-	if err != nil {
-		fatal("%v", err)
-	}
-	store, err := imm.ParseStoreKind(*storeStr)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -103,14 +98,14 @@ func main() {
 	if *audience != "" || *budget > 0 || *blocked != "" {
 		// Query-diversity mode: build a resident sketch and run the general
 		// selection shapes of DESIGN.md §17 over it.
-		if err := runQueryMode(g, st, model, store, reg,
+		if err := runQueryMode(g, st, model, reg,
 			*k, *eps, *seed, *workers, *audience, *budget, *blocked, *verify, *jsonOut); err != nil {
 			fatal("%v", err)
 		}
 		return
 	}
 
-	opt := imm.Options{K: *k, Epsilon: *eps, Model: model, Workers: *workers, Seed: *seed, Store: store}
+	opt := imm.Options{K: *k, Epsilon: *eps, Model: model, Workers: *workers, Seed: *seed}
 	if *leapfrog {
 		opt.RNG = imm.LeapFrog
 	}
@@ -230,9 +225,10 @@ type jsonResult struct {
 
 // runQueryMode builds a resident sketch and runs the budgeted / targeted /
 // blocked selection shapes over it, then reports like a normal run (the
-// estimated spread is the RIS estimate over the sketch's samples).
-func runQueryMode(g *graph.Graph, st graph.Stats, model diffuse.Model,
-	store imm.StoreKind, reg *metrics.Registry,
+// estimated spread is the RIS estimate over the sketch's samples). The
+// sketch answers one query, which never repays a frequency relabeling, so
+// it is coded under the vertex ids (imm.StoreFlat).
+func runQueryMode(g *graph.Graph, st graph.Stats, model diffuse.Model, reg *metrics.Registry,
 	k int, eps float64, seed uint64, workers int,
 	audience string, budget float64, blocked string, verify int, jsonOut bool) error {
 	aud, err := cli.ParseVertexList(audience, g.NumVertices())
@@ -244,7 +240,7 @@ func runQueryMode(g *graph.Graph, st graph.Stats, model diffuse.Model,
 		return fmt.Errorf("-blocked: %w", err)
 	}
 	key := server.SketchKey{GraphDigest: g.Digest(), Model: model, Epsilon: eps, KMax: k, Seed: seed}
-	sk, err := server.BuildSketch(g, key, workers, store, reg)
+	sk, err := server.BuildSketch(g, key, workers, imm.StoreFlat, reg)
 	if err != nil {
 		return err
 	}
@@ -275,7 +271,7 @@ func runQueryMode(g *graph.Graph, st graph.Stats, model diffuse.Model,
 			Model: model.String(), K: k, Epsilon: eps, Workers: workers,
 			Seeds: qr.Seeds, Theta: theta, SamplesGenerated: sk.Col.Count(),
 			EstimatedSpread: estimated, CoverageFraction: coverage,
-			Store: sk.Store().String(), StoreBytes: sk.Col.Bytes(),
+			Store: sk.Store().String(), StoreBytes: sk.Col.Bytes(), FlatStoreBytes: sk.Col.FlatBytes(),
 			Gains: qr.Gains, Covered: qr.Covered, Eligible: qr.Eligible,
 			SpentBudget: qr.SpentBudget, Verified: verified,
 		}

@@ -26,7 +26,6 @@ import (
 	"influmax/internal/cli"
 	"influmax/internal/diffuse"
 	"influmax/internal/dist"
-	"influmax/internal/imm"
 	"influmax/internal/metrics"
 	"influmax/internal/mpi"
 )
@@ -40,7 +39,6 @@ func main() {
 		eps         = flag.Float64("eps", 0.13, "accuracy parameter")
 		modelStr    = flag.String("model", "IC", "diffusion model: IC or LT")
 		threads     = flag.Int("threads", 1, "threads per rank (hybrid model)")
-		storeStr    = flag.String("store", "flat", "rank-local RRR store for selection: flat (uint32 arena) or coded (byte-coded, ~3x smaller; same seeds; must agree across ranks)")
 		seed        = flag.Uint64("seed", 1, "random seed (must agree across ranks)")
 		ranks       = flag.Int("ranks", 4, "local mode: number of in-process ranks")
 		rank        = flag.Int("rank", -1, "TCP mode: this process's rank")
@@ -59,10 +57,6 @@ func main() {
 	}
 
 	model, err := diffuse.ParseModel(*modelStr)
-	if err != nil {
-		fatal("%v", err)
-	}
-	store, err := imm.ParseStoreKind(*storeStr)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -101,7 +95,7 @@ func main() {
 	if model == diffuse.LT {
 		g.NormalizeLT()
 	}
-	opt := dist.Options{K: *k, Epsilon: *eps, Model: model, ThreadsPerRank: *threads, Seed: *seed, Store: store}
+	opt := dist.Options{K: *k, Epsilon: *eps, Model: model, ThreadsPerRank: *threads, Seed: *seed}
 
 	// writeReport stamps the graph summary on rank 0's merged report and
 	// persists it.
@@ -198,8 +192,8 @@ func report(rank int, res *dist.Result) {
 		fmt.Printf("rank %d done: %d local samples\n", rank, res.LocalSamples)
 		return
 	}
-	fmt.Printf("ranks: %d; theta: %d; samples: %d (this rank: %d); store: %.2f MB (%s)\n",
-		res.Ranks, res.Theta, res.SamplesGenerated, res.LocalSamples, float64(res.StoreBytes)/(1<<20), res.Store)
+	fmt.Printf("ranks: %d; theta: %d; samples: %d (this rank: %d); store: %.2f MB\n",
+		res.Ranks, res.Theta, res.SamplesGenerated, res.LocalSamples, float64(res.StoreBytes)/(1<<20))
 	fmt.Printf("phases: %s (total %v)\n", res.Phases.String(), res.Phases.Total())
 	fmt.Printf("estimated spread: %.1f (coverage %.4f)\n", res.EstimatedSpread, res.CoverageFraction)
 	fmt.Printf("seeds: %v\n", res.Seeds)

@@ -42,7 +42,8 @@
 //     and Generate over DatasetNames for synthetic SNAP analogs;
 //   - models, options and phases: Model (IC, LT), Options, Result, the
 //     PerSample and LeapFrog RNG disciplines, StoreKind (StoreFlat,
-//     StoreCoded), and Phase with the five Algorithm 1 phases;
+//     StoreCoded: a kept sketch's labeling), and Phase with the five
+//     Algorithm 1 phases;
 //   - maximizing: Maximize, MaximizeBaseline, and MaximizeDistributed over
 //     LocalCluster's Comms with DistOptions and DistResult;
 //   - spread and baselines: Spread, SpreadCurve, CELF, TopDegree and

@@ -1,16 +1,17 @@
-// Compression: the byte-coded RRR store against the flat arena — same
-// seeds, a fraction of the memory.
+// Compression: the byte-coded RRR store of a kept sketch against the flat
+// arena of a one-shot run — same seeds, a fraction of the memory.
 //
 //	go run ./examples/compression
 //
-// Options.Store picks the representation the final seed selection runs
-// over. StoreFlat keeps the samples in a uint32 arena (4 bytes per entry
-// plus 8 per sample); StoreCoded relabels vertices by incidence frequency
-// and delta+varint codes each sample (DESIGN.md §13), shrinking the
-// resident footprint several-fold on clustered graphs. The coding is a
-// pure re-representation: counters, index and greedy argmax consume the
-// identical sample sets, so theta, coverage and every selected seed match
-// the flat run exactly.
+// Maximize selects over the samples as drawn: a uint32 arena (4 bytes per
+// entry plus 8 per sample). A sketch kept to answer many queries
+// (BuildSketch) delta+varint codes each sample instead (DESIGN.md §13),
+// shrinking the resident footprint several-fold on clustered graphs; the
+// store argument picks its labeling, the vertex ids (StoreFlat) or a
+// frequency-ordered relabeling (StoreCoded). The coding is a pure
+// re-representation: counters, index and greedy argmax consume the
+// identical sample sets, so theta and every selected seed match the
+// one-shot run exactly.
 package main
 
 import (
@@ -29,47 +30,49 @@ func main() {
 	}
 }
 
-// run executes the same configuration under both stores and writes the
-// demonstration output to w (the Example test pins this output).
+// run maximizes once over the flat arena, builds the sketch of the same
+// configuration under both labelings, and writes the demonstration output
+// to w (the Example test pins this output).
 func run(w io.Writer) error {
 	// A deterministic scaled analog of the soc-Epinions1 social network,
 	// with an edge probability low enough that samples stay sparse: a
 	// dense draw (a mean sample of n/32 vertices or more) is held as a bit
-	// matrix whatever Store says, since that beats both stores (DESIGN.md
-	// §13.6).
+	// matrix, since that beats both the arena and the coded store
+	// (DESIGN.md §13.6).
 	g := influmax.Generate("soc-Epinions1", 0.02, 3)
 	g.AssignConstant(0.05)
 
-	opt := influmax.Options{
-		K: 5, Epsilon: 0.5, Model: influmax.IC, Workers: 4, Seed: 42,
-	}
-
-	opt.Store = influmax.StoreFlat
-	flat, err := influmax.Maximize(g, opt)
+	const k, eps, seed = 5, 0.5, 42
+	flat, err := influmax.Maximize(g, influmax.Options{
+		K: k, Epsilon: eps, Model: influmax.IC, Workers: 4, Seed: seed,
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "flat : theta %d, seeds %v\n", flat.Theta, flat.Seeds)
+	fmt.Fprintf(w, "flat arena : theta %d, seeds %v\n", flat.Theta, flat.Seeds)
 
-	opt.Store = influmax.StoreCoded
-	coded, err := influmax.Maximize(g, opt)
-	if err != nil {
-		return err
+	key := influmax.SketchKey{GraphDigest: g.Digest(), Model: influmax.IC, Epsilon: eps, KMax: k, Seed: seed}
+	for _, c := range []struct {
+		name  string
+		store influmax.StoreKind
+	}{{"vertex ids", influmax.StoreFlat}, {"relabeled ", influmax.StoreCoded}} {
+		sk, err := influmax.BuildSketch(g, key, 4, c.store, nil)
+		if err != nil {
+			return err
+		}
+		q, err := influmax.QuerySketch(sk, influmax.SketchQuery{K: k}, 4)
+		if err != nil {
+			return err
+		}
+		// The store cannot change the answer — only what it costs to
+		// hold. Col.FlatBytes is the flat-arena cost of the same samples,
+		// so its quotient by Col.Bytes is the compression ratio (byte
+		// counts shift with sampling details across versions, so print
+		// the ratio's floor, which is the stable claim).
+		ratio := float64(sk.Col.FlatBytes()) / float64(sk.Col.Bytes())
+		fmt.Fprintf(w, "%s : theta %d, same seeds %v, same samples %v, flat bytes match %v, at least 3x smaller %v\n",
+			c.name, sk.Theta, slices.Equal(q.Seeds, flat.Seeds), sk.Col.Count() == flat.SamplesGenerated,
+			sk.Col.FlatBytes() == flat.StoreBytes, ratio >= 3.0)
 	}
-	fmt.Fprintf(w, "coded: theta %d, seeds %v\n", coded.Theta, coded.Seeds)
-
-	// The store cannot change the answer — only what it costs to hold.
-	fmt.Fprintf(w, "seed sets identical: %v\n", slices.Equal(flat.Seeds, coded.Seeds))
-	fmt.Fprintf(w, "same samples generated: %v\n",
-		flat.SamplesGenerated == coded.SamplesGenerated)
-
-	// The memory story: StoreBytes is each run's resident store;
-	// FlatStoreBytes is the flat-layout cost of the same samples, so
-	// their quotient is the compression ratio (byte counts shift with
-	// sampling details across versions, so print the ratio's floor,
-	// which is the stable claim).
-	ratio := float64(coded.FlatStoreBytes) / float64(coded.StoreBytes)
-	fmt.Fprintf(w, "flat bytes match across runs: %v\n", coded.FlatStoreBytes == flat.StoreBytes)
-	fmt.Fprintf(w, "coded store at least 3x smaller: %v\n", ratio >= 3.0)
 	return nil
 }

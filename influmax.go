@@ -86,20 +86,21 @@ const (
 	LeapFrog = imm.LeapFrog
 )
 
-// StoreKind selects the in-memory representation of the finished RRR
-// sample store — the memory/decode-time trade-off of DESIGN.md §13. The
-// selected seeds are identical for every kind. A dense draw is held and
-// selected on as a bit matrix whatever kind was asked for, and its
-// Result.Store then prints as "matrix" (DESIGN.md §13.6).
+// StoreKind is the labeling of a kept byte-coded sketch (BuildSketch,
+// LoadSnapshot, ServeConfig.Store) — the bytes/purge-speed trade-off of
+// DESIGN.md §13. The selected seeds are identical under either labeling.
+// Maximize does not read it: it selects over the samples as drawn, and
+// its Result.Store prints "flat" (the uint32 arena) or, for a dense draw,
+// "matrix" (DESIGN.md §13.6).
 type StoreKind = imm.StoreKind
 
-// RRR store kinds.
+// Sketch labelings.
 const (
-	// StoreFlat is the compact uint32 arena (4 B/entry + 8 B/sample) —
-	// the default.
+	// StoreFlat codes the samples under the vertex ids (delta+varint
+	// payloads) — the default.
 	StoreFlat = imm.StoreFlat
-	// StoreCoded is the byte-coded store: frequency-ordered relabeling +
-	// delta+varint payloads, >= 3x smaller on clustered graphs.
+	// StoreCoded codes them under the frequency-ordered relabeling: more
+	// bytes and a slower transcode, a faster decrementing purge.
 	StoreCoded = imm.StoreCoded
 )
 
@@ -226,7 +227,7 @@ func Serve(cfg ServeConfig) (*SeedServer, error) { return server.New(cfg) }
 
 // BuildSketch samples a query-ready sketch for key over g — the full IMM
 // estimation + sampling pipeline at K = key.KMax, transcoded into the
-// byte-coded store selected by store and indexed. Neither the sketch
+// byte-coded store under the labeling store and indexed. Neither the sketch
 // content nor the query seeds depend on workers or store; reg may be nil.
 func BuildSketch(g *Graph, key SketchKey, workers int, store StoreKind, reg *MetricsRegistry) (*Sketch, error) {
 	return server.BuildSketch(g, key, workers, store, reg)

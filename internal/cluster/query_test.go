@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -145,6 +146,69 @@ func TestRouterQueryModesMatchSingleProcess(t *testing.T) {
 	}
 }
 
+// TestRouterServeQueryHonoursContext: a routed costs, audience or blocked
+// query whose context is cancelled after its first seed runs no further
+// shard round, returns the context's error and leaves no shard holding a
+// session, and the next query is answered in full, byte-identically to a
+// fresh SelectQuery.
+func TestRouterServeQueryHonoursContext(t *testing.T) {
+	g := testGraph(13, 100, 700)
+	opt := cluster.BuildOptions{K: 8, Epsilon: 0.5, Model: diffuse.IC, Seed: 31, Workers: 2, Shards: 3}
+	const k = 6
+	costs, audience, blocked := queryTestInputs(g.NumVertices(), refQuery(t, g, opt, imm.Query{K: k}).Seeds)
+	shards, err := cluster.BuildShards(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := startCommFleet(t, shards, mpi.FaultPlan{}, 2*time.Second)
+	reg := metrics.NewRegistry()
+	rt, err := cluster.NewRouter(fleet.conns, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := reg.Counter("router/rounds")
+	for name, q := range map[string]imm.Query{
+		"costs":    {K: k, Costs: costs, Budget: 7},
+		"audience": {K: k, Audience: audience},
+		"blocked":  {K: k, Blocked: blocked},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		before, seeds := rounds.Value(), 0
+		_, err := rt.ServeQuery(ctx, q, func(int, graph.Vertex, int64) {
+			seeds++
+			cancel()
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled query returned %v", name, err)
+		}
+		// Only the blocked vertices' purges ran before the first seed.
+		if ran := rounds.Value() - before; seeds != 1 || ran != int64(len(q.Blocked)) {
+			t.Fatalf("%s: %d seeds and %d rounds after the cancel, want 1 seed and %d rounds",
+				name, seeds, ran, len(q.Blocked))
+		}
+		for i, sh := range shards {
+			if open := sh.Sessions(); open != 0 {
+				t.Fatalf("%s: shard %d holds %d sessions after the cancelled query", name, i, open)
+			}
+		}
+
+		got, err := rt.ServeQuery(context.Background(), q, nil)
+		if err != nil {
+			t.Fatalf("%s: query after the cancel: %v", name, err)
+		}
+		want, err := rt.SelectQuery(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Seeds, want.Seeds) || !slices.Equal(got.Gains, want.Gains) ||
+			got.Eligible != want.Eligible || got.SpentBudget != want.SpentBudget ||
+			got.CoverageFraction != want.CoverageFraction || got.Rounds != want.Rounds {
+			t.Fatalf("%s: after the cancel %+v, fresh %+v", name, got, want)
+		}
+	}
+}
+
 // TestRouterQueryFailover runs a filtered budgeted query under a
 // deterministic kill plan: the query must finish degraded on the
 // survivors, and the whole scenario must reproduce exactly.
@@ -271,7 +335,7 @@ func trajectoryFleet(t *testing.T, purgeAt int) (*cluster.Router, *dyingConn, *m
 // the served answer cost.
 func checkPlain(t *testing.T, rt *cluster.Router, k int, failed []int, rounds int) {
 	t.Helper()
-	got, err := rt.ServeQuery(cluster.RouterQuery{K: k}, nil)
+	got, err := rt.ServeQuery(context.Background(), cluster.RouterQuery{K: k}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +358,7 @@ func checkPlain(t *testing.T, rt *cluster.Router, k int, failed []int, rounds in
 // exact greedy answer, and later ones reuse that build.
 func TestRouterTrajectoryAfterFailover(t *testing.T) {
 	rt, _, builds := trajectoryFleet(t, 3)
-	first, err := rt.ServeQuery(cluster.RouterQuery{K: 6}, nil)
+	first, err := rt.ServeQuery(context.Background(), cluster.RouterQuery{K: 6}, nil)
 	if err != nil || !slices.Equal(first.FailedShards, []int{2}) || first.Rounds <= 8 || builds.Value() != 1 {
 		t.Fatalf("failover build: %+v, %d builds, %v; want shard 2 lost at round 3 and a replay", first, builds.Value(), err)
 	}
@@ -316,7 +380,7 @@ func TestRouterTrajectoryFollowsLiveSlots(t *testing.T) {
 	checkPlain(t, rt, 5, nil, 8)
 	checkPlain(t, rt, 7, nil, 0)
 	dc.down = true
-	if res, err := rt.ServeQuery(cluster.RouterQuery{K: 7}, nil); err != nil || res.Degraded || res.Rounds != 0 {
+	if res, err := rt.ServeQuery(context.Background(), cluster.RouterQuery{K: 7}, nil); err != nil || res.Degraded || res.Rounds != 0 {
 		t.Fatalf("a memo hit with shard 2 down: %+v, %v; want the full fleet's answer, no rounds", res, err)
 	}
 	if res, err := rt.SelectQuery(cluster.RouterQuery{K: 4, Blocked: []graph.Vertex{0}}, nil); err != nil || !res.Degraded {

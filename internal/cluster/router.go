@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -265,11 +266,17 @@ func (rt *Router) Select(k int, onSeed func(i int, v graph.Vertex, gain int64)) 
 // result is the survivors' exact answer. It never reads the trajectory,
 // so it is the reference ServeQuery is checked against.
 func (rt *Router) SelectQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
+	return rt.selectQuery(context.Background(), q, onSeed)
+}
+
+// selectQuery is SelectQuery, abandoned before the next shard round once
+// ctx is done: the shards' sessions are ended and ctx's error returned.
+func (rt *Router) selectQuery(ctx context.Context, q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
 	start := time.Now()
 	if err := rt.check(q); err != nil {
 		return nil, err
 	}
-	fc := &fleetCoverage{rt: rt, slots: rt.alive()}
+	fc := &fleetCoverage{rt: rt, ctx: ctx, slots: rt.alive()}
 	if len(fc.slots) == 0 {
 		return nil, ErrNoShards
 	}
@@ -284,22 +291,25 @@ func (rt *Router) SelectQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, 
 // ServeQuery answers q the way the router's front serves it: a Prefix
 // query (imm.Query.Prefix) from the live slots' trajectory, which costs
 // no shard round once built, and any other shape by SelectQuery. The
-// trajectory's lines carry the result's gains.
-func (rt *Router) ServeQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
+// trajectory's lines carry the result's gains. Once ctx is done the query
+// runs no further shard round, ends its sessions and returns ctx's error;
+// a trajectory build in flight is shared by every plain query, so it runs
+// to the end, but a query waiting for it stops waiting.
+func (rt *Router) ServeQuery(ctx context.Context, q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
 	if !q.Prefix() {
-		return rt.SelectQuery(q, onSeed)
+		return rt.selectQuery(ctx, q, onSeed)
 	}
 	start := time.Now()
 	if err := rt.check(q); err != nil {
 		return nil, err
 	}
-	t, slots, rounds, err := rt.trajectory()
+	t, slots, rounds, err := rt.trajectory(ctx)
 	if err != nil {
 		return nil, err
 	}
 	qr, ok := t.Answer(q, onSeed)
 	if !ok {
-		return rt.SelectQuery(q, onSeed)
+		return rt.selectQuery(ctx, q, onSeed)
 	}
 	rt.mQueries.Inc()
 	return rt.result(qr, slots, rounds, start), nil
@@ -329,8 +339,8 @@ type trajMemo struct {
 // no shard op (alive's rate-limited rejoin probe of failed shards aside),
 // so a shard that dies is noticed by the next query that runs rounds.
 // When the memo holds another slot set's, the call builds one or waits
-// for the build in flight.
-func (rt *Router) trajectory() (*imm.Trajectory, []int, int, error) {
+// for the build in flight, until ctx is done.
+func (rt *Router) trajectory(ctx context.Context) (*imm.Trajectory, []int, int, error) {
 	m := &rt.memo
 	for {
 		slots := rt.alive()
@@ -345,7 +355,11 @@ func (rt *Router) trajectory() (*imm.Trajectory, []int, int, error) {
 		}
 		if wait := m.building; wait != nil {
 			m.mu.Unlock()
-			<-wait
+			select {
+			case <-wait:
+			case <-ctx.Done():
+				return nil, nil, 0, ctx.Err()
+			}
 			continue
 		}
 		done := make(chan struct{})
@@ -353,7 +367,7 @@ func (rt *Router) trajectory() (*imm.Trajectory, []int, int, error) {
 		m.mu.Unlock()
 
 		rt.mTrajBuilds.Inc()
-		fc := &fleetCoverage{rt: rt, slots: slots}
+		fc := &fleetCoverage{rt: rt, ctx: context.Background(), slots: slots}
 		t, err := imm.NewTrajectory(fc, rt.canon.NumVertices, rt.canon.KMax)
 		m.mu.Lock()
 		if err == nil && fc.restarts == 0 {
@@ -419,11 +433,13 @@ func (rt *Router) samplesOn(slots []int) (total int64) {
 // fleetCoverage is the remote-shard coverage backend of one routed query:
 // a session on every live slot, the shards' counts merged by integer
 // addition. A slot whose purge fails is marked failed and dropped, and
-// the engine is told to restart on the survivors.
+// the engine is told to restart on the survivors. Each round first checks
+// ctx, and fails with its error once it is done.
 type fleetCoverage struct {
 	rt         *Router
-	slots      []int // live slots holding this query's session
-	session    uint64
+	ctx        context.Context
+	slots      []int  // live slots holding this query's session
+	session    uint64 // 0 while no session is open
 	counter    []int64
 	rounds     int
 	restarts   int // purges that lost a slot and restarted the engine
@@ -433,6 +449,9 @@ type fleetCoverage struct {
 func (fc *fleetCoverage) Start(audience []graph.Vertex) ([]int64, int64, error) {
 	if len(fc.slots) == 0 {
 		return nil, 0, fmt.Errorf("cluster: every shard failed mid-query (last: shard %d)", fc.lastFailed)
+	}
+	if err := fc.ctx.Err(); err != nil {
+		return nil, 0, err
 	}
 	fc.session = fc.rt.nextSession.Add(1)
 	var eligible int64
@@ -445,6 +464,9 @@ func (fc *fleetCoverage) Start(audience []graph.Vertex) ([]int64, int64, error) 
 }
 
 func (fc *fleetCoverage) Purge(v graph.Vertex) (bool, error) {
+	if err := fc.ctx.Err(); err != nil {
+		return false, err
+	}
 	fc.rounds++
 	fc.rt.mRounds.Inc()
 	decs := make([][]DecPair, len(fc.slots))
@@ -469,9 +491,13 @@ func (fc *fleetCoverage) Purge(v graph.Vertex) (bool, error) {
 	return false, nil
 }
 
-// End closes the sessions, best-effort.
+// End closes the open session, best-effort.
 func (fc *fleetCoverage) End() {
+	if fc.session == 0 {
+		return
+	}
 	fc.rt.fanout(fc.slots, func(i, slot int) error { return fc.rt.conns[slot].End(fc.session) })
+	fc.session = 0
 }
 
 // startRound opens session on every slot in parallel — plain, or filtered

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"time"
@@ -91,8 +92,8 @@ func (b fleetBackend) Check(o front.Overrides) error {
 	return nil
 }
 
-func (b fleetBackend) Seeds(_ context.Context, _ front.Overrides, q imm.Query, onSeed func(int, graph.Vertex, int64)) (*front.SeedsResponse, error) {
-	res, err := b.rt.ServeQuery(q, onSeed)
+func (b fleetBackend) Seeds(ctx context.Context, _ front.Overrides, q imm.Query, onSeed func(int, graph.Vertex, int64)) (*front.SeedsResponse, error) {
+	res, err := b.rt.ServeQuery(ctx, q, onSeed)
 	if err != nil {
 		return nil, fleetErr(err)
 	}
@@ -109,7 +110,10 @@ func (b fleetBackend) Seeds(_ context.Context, _ front.Overrides, q imm.Query, o
 	}, nil
 }
 
-func (b fleetBackend) Spread(_ context.Context, _ front.Overrides, seeds, audience []graph.Vertex) (*front.SpreadResponse, error) {
+func (b fleetBackend) Spread(ctx context.Context, _ front.Overrides, seeds, audience []graph.Vertex) (*front.SpreadResponse, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fleetErr(err)
+	}
 	res, err := b.rt.Spread(seeds, audience)
 	if err != nil {
 		return nil, fleetErr(err)
@@ -145,9 +149,10 @@ func fleetOf(st FleetStatus) front.Fleet {
 		FailedShards: append([]int{}, st.FailedShards...)}
 }
 
-// fleetErr marks a fleet with no live shard as a transient 503.
+// fleetErr marks a fleet with no live shard, and a query abandoned at
+// its deadline or by its client, as a transient 503.
 func fleetErr(err error) error {
-	if err == ErrNoShards {
+	if err == ErrNoShards || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return front.Unavailable(err)
 	}
 	return err

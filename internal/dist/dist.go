@@ -35,13 +35,6 @@ type Options struct {
 	// the fused kernel under work-stealing for PerSample, the scalar
 	// kernel on the static split for LeapFrog.
 	RNG imm.RNGMode
-	// Store selects each rank's resident store for the final selection:
-	// imm.StoreCoded transcodes the rank's samples into the byte-coded
-	// store after sampling, under a rank-local frequency relabeling (each
-	// rank gets its own table — the labeling never crosses the wire, only
-	// original-id counters do, so the seeds are unchanged). The store
-	// lives only for the run. Must agree across ranks.
-	Store imm.StoreKind
 	// L is the confidence exponent (0 means 1).
 	L float64
 }
@@ -62,13 +55,9 @@ type Result struct {
 	LocalSamples int
 	// LowerBound is the martingale lower bound on OPT.
 	LowerBound float64
-	// Store is the representation this rank's final selection ran over.
-	Store imm.StoreKind
-	// StoreBytes is this rank's RRR store footprint.
+	// StoreBytes is this rank's RRR store footprint: its shard in the
+	// flat arena the final selection ran over.
 	StoreBytes int64
-	// FlatStoreBytes is what this rank's shard costs in the flat layout
-	// (equal to StoreBytes for flat runs).
-	FlatStoreBytes int64
 	// IndexBytes is this rank's inverted-incidence index footprint (the
 	// transient lookup structure of the final seed selection).
 	IndexBytes int64
@@ -97,9 +86,8 @@ type state struct {
 	c       mpi.Comm
 	g       *graph.Graph
 	col     *rrr.Collection
-	coded   *rrr.CodedCollection // non-nil once the shard is transcoded (Store == imm.StoreCoded)
-	idx     *rrr.Index           // the shard's incidence index, extended by each Cover
-	global  int64                // samples generated across all ranks so far
+	idx     *rrr.Index // the shard's incidence index, extended by each Cover
+	global  int64      // samples generated across all ranks so far
 	threads int
 
 	sampler *imm.BatchSampler // intra-rank multithreaded sampling machinery
@@ -122,11 +110,11 @@ func run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, *state, error) {
 	if opt.ThreadsPerRank <= 0 {
 		opt.ThreadsPerRank = max(par.DefaultWorkers()/c.Size(), 1)
 	}
-	if err := validate(opt.K, opt.Epsilon, opt.Store, g.NumVertices()); err != nil {
+	if err := validate(opt.K, opt.Epsilon, g.NumVertices()); err != nil {
 		return nil, nil, err
 	}
 
-	res := &Result{Ranks: c.Size(), Rank: c.Rank(), ThreadsPerRank: opt.ThreadsPerRank, Store: opt.Store, FailedRank: -1}
+	res := &Result{Ranks: c.Size(), Rank: c.Rank(), ThreadsPerRank: opt.ThreadsPerRank, FailedRank: -1}
 	startOther := time.Now()
 	st := &state{
 		c: c, g: g,
@@ -158,17 +146,9 @@ func run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, *state, error) {
 	// shard this rank holds.
 	finish := func() {
 		res.SamplesGenerated = st.global
-		if st.coded != nil {
-			res.LocalSamples = st.coded.Count()
-			res.StoreBytes = st.coded.Bytes()
-			res.FlatStoreBytes = st.coded.FlatBytes()
-			res.LocalWork = st.coded.TotalSize()
-		} else {
-			res.LocalSamples = st.col.Count()
-			res.StoreBytes = st.col.Bytes()
-			res.FlatStoreBytes = st.col.Bytes()
-			res.LocalWork = st.col.TotalSize()
-		}
+		res.LocalSamples = st.col.Count()
+		res.StoreBytes = st.col.Bytes()
+		res.LocalWork = st.col.TotalSize()
 		res.CommStats = mpi.StatsOf(c)
 	}
 	// degraded converts a rank failure into a partial-result-with-error
@@ -192,19 +172,9 @@ func run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, *state, error) {
 		return degraded(err)
 	}
 
-	// Transcode and final index. A coded run re-expresses this rank's shard
-	// under its own frequency relabeling and drops the flat arena before
-	// extending the index over its share of the final draw, read from the
-	// coded store; the index is labeling-invariant either way. The tables
-	// never cross the wire, collectives exchange original-id counters
-	// either way.
-	if opt.Store == imm.StoreCoded {
-		res.Phases.Measure(trace.Other, func() { st.coded = imm.Transcode(st.col, opt.Store, st.threads) })
-		st.col = nil
-		res.Phases.Measure(trace.IndexBuild, func() { st.idx = rrr.ExtendIndexCoded(st.idx, st.coded, st.threads) })
-	} else {
-		res.Phases.Measure(trace.IndexBuild, func() { st.idx = rrr.ExtendIndex(st.idx, st.col, st.threads) })
-	}
+	// Final index: the shard's index extended over its share of the final
+	// draw. Each rank selects on its flat shard, as the paper does.
+	res.Phases.Measure(trace.IndexBuild, func() { st.idx = rrr.ExtendIndex(st.idx, st.col, st.threads) })
 	res.IndexBytes = st.idx.Bytes()
 
 	// Phase 3: distributed SelectSeeds. On a rank failure the seeds
@@ -222,7 +192,7 @@ func run(c mpi.Comm, g *graph.Graph, opt Options) (*Result, *state, error) {
 	return res, st, nil
 }
 
-func validate(k int, eps float64, store imm.StoreKind, n int) error {
+func validate(k int, eps float64, n int) error {
 	if n < 2 {
 		return fmt.Errorf("dist: graph must have at least 2 vertices")
 	}
@@ -231,9 +201,6 @@ func validate(k int, eps float64, store imm.StoreKind, n int) error {
 	}
 	if eps <= 0 || eps >= 1 {
 		return fmt.Errorf("dist: epsilon = %v out of (0, 1)", eps)
-	}
-	if store > imm.StoreCoded {
-		return fmt.Errorf("dist: unknown store kind %d", uint8(store))
 	}
 	return nil
 }
@@ -270,12 +237,7 @@ func (st *state) Cover(k int) (int64, error) {
 // argmax. On a collective failure the seeds chosen so far come back
 // alongside the error.
 func (st *state) selectSeeds(k int) (*imm.QueryResult, error) {
-	var local imm.Coverage[int32]
-	if st.coded != nil {
-		local = imm.NewCodedCoverage(st.coded, st.idx, nil, st.threads)
-	} else {
-		local = imm.NewFlatCoverage(st.col, st.idx, nil, st.threads)
-	}
+	local := imm.NewFlatCoverage(st.col, st.idx, nil, st.threads)
 	return imm.Greedy(&allReduceCoverage{c: st.c, local: local}, st.g.NumVertices(), imm.Query{K: k}, nil)
 }
 

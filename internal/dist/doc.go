@@ -33,7 +33,8 @@
 // decomposition on time and on per-rank bytes at every width
 // (EXPERIMENTS.md, "Extension").
 //
-// dist is the paper's algorithm and only that: a run's per-rank sample
-// stores die with it. A serving fleet (internal/cluster) does not run
-// dist; it cuts one in-process sample draw into id ranges instead.
+// dist is the paper's algorithm and only that: each rank selects on its
+// flat shard, the uint32 arena of Section 3.1, and a run's per-rank
+// sample stores die with it. A serving fleet (internal/cluster) does not
+// run dist; it cuts one in-process sample draw into id ranges instead.
 package dist

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"influmax/internal/imm"
 	"influmax/internal/metrics"
 	"influmax/internal/mpi"
 	"influmax/internal/trace"
@@ -9,15 +10,14 @@ import (
 // RankReport converts this rank's result into its metrics sub-report.
 func (r *Result) RankReport() metrics.RankReport {
 	return metrics.RankReport{
-		Rank:           r.Rank,
-		LocalSamples:   int64(r.LocalSamples),
-		LocalWork:      r.LocalWork,
-		StoreBytes:     r.StoreBytes,
-		FlatStoreBytes: r.FlatStoreBytes,
-		IndexBytes:     r.IndexBytes,
-		PhaseSeconds:   r.Phases.Seconds(),
-		TotalSeconds:   r.Phases.Total().Seconds(),
-		Comm:           r.CommStats.Map(),
+		Rank:         r.Rank,
+		LocalSamples: int64(r.LocalSamples),
+		LocalWork:    r.LocalWork,
+		StoreBytes:   r.StoreBytes,
+		IndexBytes:   r.IndexBytes,
+		PhaseSeconds: r.Phases.Seconds(),
+		TotalSeconds: r.Phases.Total().Seconds(),
+		Comm:         r.CommStats.Map(),
 	}
 }
 
@@ -68,14 +68,13 @@ func buildReport(opt Options, root *Result, perRank []metrics.RankReport) *metri
 	rep.EstimatedSpread = root.EstimatedSpread
 	rep.HeapBytes = trace.HeapAlloc()
 	rep.PerRank = perRank
-	rep.Store = root.Store.String()
+	rep.Store = imm.StoreFlat.String()
 
 	work := make([]int64, len(perRank))
 	h := metrics.NewHistogram()
 	comm := make(map[string]int64)
 	for r, sub := range perRank {
 		rep.StoreBytes += sub.StoreBytes
-		rep.FlatStoreBytes += sub.FlatStoreBytes
 		rep.IndexBytes += sub.IndexBytes
 		work[r] = sub.LocalWork
 		h.Observe(sub.LocalWork)
@@ -83,6 +82,7 @@ func buildReport(opt Options, root *Result, perRank []metrics.RankReport) *metri
 			comm[name] += v
 		}
 	}
+	rep.FlatStoreBytes = rep.StoreBytes // every shard is a flat arena
 	rep.WorkerWork = work
 	rep.WorkBalance = metrics.WorkBalanceOf(work)
 	rep.WorkHistogram = h.Snapshot()

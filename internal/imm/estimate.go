@@ -189,8 +189,8 @@ func (s naiveSamples) Cover(k int) (int64, error) {
 // (rrr.FromCollectionParallel, byte-identical at any p): under the
 // frequency relabeling (DESIGN.md §13) of col's own incidence for
 // StoreCoded, the identity labeling otherwise. It is the one place a flat
-// arena is transcoded: DrawCoded, dist.Run, the shard cut and dynamic
-// publication call it. The index needs no transcode: it lives in
+// arena is transcoded: DrawCoded, the shard cut and dynamic publication
+// call it. The index needs no transcode: it lives in
 // original-id space under any labeling (DESIGN.md §13.5).
 func Transcode(col *rrr.Collection, store StoreKind, p int) *rrr.CodedCollection {
 	var relab *rrr.Relabeling

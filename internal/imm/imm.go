@@ -31,8 +31,10 @@ type Result struct {
 	SamplesGenerated int
 	// LowerBound is the martingale lower bound on OPT found by Algorithm 2.
 	LowerBound float64
-	// Store is the representation the final seed selection ran over:
-	// StoreMatrix when Run found the draw dense (DESIGN.md §13.6).
+	// Store is the representation the final seed selection ran over: the
+	// flat arena, or the bit matrix when Run found the draw dense
+	// (StoreMatrix, DESIGN.md §13.6); for RunSketch, the labeling of the
+	// coded store it kept.
 	Store StoreKind
 	// StoreBytes is the footprint of the store the selection ran over.
 	StoreBytes int64
@@ -74,30 +76,27 @@ type Result struct {
 }
 
 // Run executes parallel IMM (Algorithm 1) over g: IMMopt when
-// opt.Workers == 1, IMMmt when opt.Workers > 1. opt.Store picks the
-// representation the final seed selection runs over, unless the draw was
-// dense: then it selects on the bit matrix the samples were drawn into
-// (StoreMatrix, DESIGN.md §13.6), which needs no index. The seeds are
-// identical either way.
+// opt.Workers == 1, IMMmt when opt.Workers > 1. The final seed selection
+// runs over the samples as drawn: the flat arena and the index the
+// estimation rounds extended (StoreFlat), or, when the draw was dense, the
+// bit matrix the samples were drawn into (StoreMatrix, DESIGN.md §13.6),
+// which needs no index. opt.Store is not read: a coded store only pays
+// where it is kept, which RunSketch and the serving layer do.
 func Run(g *graph.Graph, opt Options) (*Result, error) {
 	res, s, err := draw(g, opt)
 	if err != nil {
 		return nil, err
 	}
 	n := float64(g.NumVertices())
-	switch {
-	case s.mat != nil:
+	if s.mat != nil {
 		res.Store = StoreMatrix
 		selectFinal(res, n, s.mat.Bytes(), nil, opt.Metrics, func() ([]graph.Vertex, int64) {
 			return selectMatrix(s.mat, s.p, opt.K)
 		})
-	case opt.Store == StoreCoded:
-		coded, idx := s.coded(res, opt.Store)
-		selectCoded(res, n, opt, coded, idx)
-	default:
-		col, idx := s.flat(res)
-		selectFlat(res, n, opt, col, idx)
+		return res, nil
 	}
+	col, idx := s.flat(res)
+	selectFlat(res, n, opt, col, idx)
 	return res, nil
 }
 
@@ -134,6 +133,7 @@ func DrawCoded(g *graph.Graph, opt Options) (*Result, *rrr.CodedCollection, *rrr
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	res.Store = opt.Store
 	coded, idx := s.coded(res, opt.Store)
 	return res, coded, idx, nil
 }
@@ -147,7 +147,7 @@ func draw(g *graph.Graph, opt Options) (*Result, *localSamples, error) {
 	if err := opt.validate(g.NumVertices()); err != nil {
 		return nil, nil, err
 	}
-	res := &Result{Algorithm: "IMMopt", Workers: opt.Workers, Store: opt.Store, scalar: !opt.fused()}
+	res := &Result{Algorithm: "IMMopt", Workers: opt.Workers, scalar: !opt.fused()}
 	if opt.Workers > 1 {
 		res.Algorithm = "IMMmt"
 	}
@@ -212,13 +212,6 @@ func selectFlat(res *Result, n float64, opt Options, col *rrr.Collection, idx *r
 	})
 }
 
-// selectCoded is phase 3 over a byte-coded collection and its index.
-func selectCoded(res *Result, n float64, opt Options, coded *rrr.CodedCollection, idx *rrr.Index) {
-	selectFinal(res, n, coded.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
-		return selectPlain(NewCodedCoverage(coded, idx, nil, res.Workers), idx, opt.K)
-	})
-}
-
 // RunCollect executes the same pipeline as Run but additionally returns
 // the finished sample collection and the inverted incidence index the
 // final selection used — the resident sketch a serving process keeps so
@@ -228,7 +221,6 @@ func selectCoded(res *Result, n float64, opt Options, coded *rrr.CodedCollection
 // dense draw is materialised into it); callers that want the byte-coded
 // store use RunSketch.
 func RunCollect(g *graph.Graph, opt Options) (*Result, *rrr.Collection, *rrr.Index, error) {
-	opt.Store = StoreFlat
 	res, col, idx, err := Draw(g, opt)
 	if err != nil {
 		return nil, nil, nil, err
@@ -253,7 +245,9 @@ func RunSketch(g *graph.Graph, opt Options) (*Result, *rrr.CodedCollection, *rrr
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	selectCoded(res, float64(g.NumVertices()), opt, coded, idx)
+	selectFinal(res, float64(g.NumVertices()), coded.Bytes(), idx, opt.Metrics, func() ([]graph.Vertex, int64) {
+		return selectPlain(NewCodedCoverage(coded, idx, nil, res.Workers), idx, opt.K)
+	})
 	return res, coded, idx, nil
 }
 

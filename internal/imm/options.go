@@ -58,27 +58,30 @@ func (m RNGMode) String() string {
 	return fmt.Sprintf("RNGMode(%d)", uint8(m))
 }
 
-// StoreKind selects the in-memory representation of the finished RRR
-// sample collection — the store the final seed selection runs over.
+// StoreKind names a representation of the finished RRR sample
+// collection. As Options.Store it is the labeling of a byte-coded store
+// that is kept (DrawCoded, RunSketch, the serving layer); in a Result it
+// is the store the final seed selection ran over.
 type StoreKind uint8
 
 const (
-	// StoreFlat keeps the compact one-directional uint32 arena
-	// (rrr.Collection): 4 bytes per entry plus 8 bytes per sample, binary-
-	// searchable, the paper's Section 3.1 layout. This is the default.
+	// StoreFlat is the default. Run and RunCollect report it for a
+	// selection over the compact one-directional uint32 arena
+	// (rrr.Collection: 4 bytes per entry plus 8 bytes per sample, the
+	// paper's Section 3.1 layout). As a labeling it codes the kept store
+	// (rrr.CodedCollection, delta+varint payloads) under the original
+	// vertex ids.
 	StoreFlat StoreKind = iota
-	// StoreCoded transcodes the finished samples into the byte-coded store
-	// (rrr.CodedCollection): frequency-ordered relabeling plus delta+varint
-	// payloads, >= 3x smaller on clustered graphs at a bounded selection
-	// slowdown (DESIGN.md §13). Selection output is byte-identical to
-	// StoreFlat; only the memory/time trade-off changes. Estimation and
-	// sampling run on the flat arena (or a dense draw's bit matrix) — the
-	// transcode happens once, after the final theta samples exist.
+	// StoreCoded codes the kept store under the frequency-ordered
+	// relabeling of DESIGN.md §13.1: a larger store and a slower
+	// transcode than StoreFlat's labeling, bought back by a faster
+	// decrementing purge (EXPERIMENTS.md "Labeling: bytes against purge
+	// speed"). Selection output is byte-identical under either labeling.
 	StoreCoded
 	// StoreMatrix is not an option but a report: Run stamps it on a
 	// dense draw, whose samples it keeps and selects on as the n × theta
-	// bit matrix the fused kernel computes (rrr.Matrix, DESIGN.md §13.6)
-	// whatever Options.Store says. ParseStoreKind does not accept it.
+	// bit matrix the fused kernel computes (rrr.Matrix, DESIGN.md §13.6).
+	// ParseStoreKind does not accept it.
 	StoreMatrix
 )
 
@@ -131,9 +134,11 @@ type Options struct {
 	// sequence, which neither a batched expansion nor a stolen chunk can
 	// reproduce (DESIGN.md §12, §14).
 	RNG RNGMode
-	// Store selects the representation of the finished sample collection
-	// (flat arena by default; StoreCoded trades decode time during seed
-	// selection for a >= 3x smaller store). Seeds are identical either way.
+	// Store is the labeling of the byte-coded store DrawCoded and
+	// RunSketch keep: StoreFlat (the default) keeps the vertex ids,
+	// StoreCoded relabels by frequency. Run, Draw and RunCollect select
+	// over the samples as drawn and do not read it. Seeds are identical
+	// either way.
 	Store StoreKind
 	// L is the confidence exponent: the guarantee holds with probability
 	// at least 1 - 1/n^L. Zero means the customary 1.

@@ -2,6 +2,7 @@ package imm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"influmax/internal/diffuse"
@@ -64,19 +65,83 @@ func BenchmarkSelectBudgeted(b *testing.B) {
 // entries it decodes.
 func servedSketch(tb testing.TB, scale float64, k int) (*rrr.CodedCollection, *rrr.Index, []graph.Vertex) {
 	tb.Helper()
+	opt := servedOptions(k)
+	opt.Store = StoreCoded
+	_, col, idx, err := RunSketch(servedGraph(tb, scale), opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Logf("n %d, %d samples of mean size %.1f", col.NumVertices(), col.Count(), float64(col.TotalSize())/float64(col.Count()))
+	return col, idx, RootsRange(opt.Seed, 0, col.Count(), col.NumVertices(), 2)
+}
+
+// servedGraph is the com-YouTube analog at scale under weighted cascade,
+// and servedOptions the sketch sizing immserve uses over it.
+func servedGraph(tb testing.TB, scale float64) *graph.Graph {
+	tb.Helper()
 	d, err := gen.ByName("com-YouTube")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	g := d.Generate(scale, 1)
 	g.AssignWeightedCascade()
-	opt := Options{K: k, Epsilon: 0.3, Model: diffuse.IC, Workers: 2, Seed: 1, Store: StoreCoded}
-	_, col, idx, err := RunSketch(g, opt)
+	return g
+}
+
+func servedOptions(k int) Options {
+	return Options{K: k, Epsilon: 0.3, Model: diffuse.IC, Workers: 2, Seed: 1}
+}
+
+// BenchmarkLabeling records what the frequency relabeling (StoreCoded)
+// costs and buys against identity labels (StoreFlat) on serve-routed's
+// sketch (n 113k, k 100, two workers): the transcode from the flat arena,
+// the store's bytes (the relabel table's among them, reported by the
+// transcode sub-benchmark) and the decrementing selection a shard runs,
+// plain and with the plain answer's first ten seeds blocked. The seeds
+// are the same under both labelings.
+func BenchmarkLabeling(b *testing.B) {
+	const k, p = 100, 2
+	_, col, idx, err := Draw(servedGraph(b, 0.1), servedOptions(k))
 	if err != nil {
-		tb.Fatal(err)
+		b.Fatal(err)
 	}
-	tb.Logf("n %d, %d samples of mean size %.1f", col.NumVertices(), col.Count(), float64(col.TotalSize())/float64(col.Count()))
-	return col, idx, RootsRange(opt.Seed, 0, col.Count(), col.NumVertices(), 2)
+	n := col.NumVertices()
+	selectOn := func(coded *rrr.CodedCollection, q Query) []graph.Vertex {
+		res, err := Greedy(NewCodedCoverage(coded, idx, nil, p), n, q, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.Seeds
+	}
+	var rival []graph.Vertex
+	for _, lab := range []struct {
+		name  string
+		store StoreKind
+	}{{"identity", StoreFlat}, {"relabeled", StoreCoded}} {
+		coded := Transcode(col, lab.store, p)
+		if seeds := selectOn(coded, Query{K: 10}); rival == nil {
+			rival = seeds
+		} else if !slices.Equal(seeds, rival) {
+			b.Fatalf("%s selects %v, identity labels %v", lab.name, seeds, rival)
+		}
+		b.Run(lab.name+"/transcode", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Transcode(col, lab.store, p)
+			}
+			b.ReportMetric(float64(coded.Bytes()), "store-B")
+			b.ReportMetric(float64(coded.Relabeling().Bytes()), "table-B")
+		})
+		for _, q := range []struct {
+			name string
+			q    Query
+		}{{"plain", Query{K: k}}, {"blocked", Query{K: k, Blocked: rival}}} {
+			b.Run(lab.name+"/"+q.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					selectOn(coded, q.q)
+				}
+			})
+		}
+	}
 }
 
 // servedQueries is one query of each shape over a served sketch: a 1 %

@@ -1,23 +1,27 @@
 package imm
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
 	"influmax/internal/diffuse"
 	"influmax/internal/graph"
+	"influmax/internal/metrics"
+	"influmax/internal/rrr"
 )
 
 // TestStoreEquivalence is the acceptance gate of the byte-coded store: over
 // four fixed-seed graphs, the IC, LT and weighted-cascade configurations,
-// and one and four workers, a StoreCoded run must return byte-identical
-// seeds, coverage and theta bookkeeping to the StoreFlat run with the same
-// options. The coded path differs only in the representation the selection
-// reads — the DESIGN.md §13 determinism argument says that cannot move a
-// single seed, and this test is that argument made executable. Where the
-// draw is dense, Run selects on the bit matrix under either store, so the
-// coded and flat selections are RunSketch's and RunCollect's; the fixtures
-// must reach both regimes.
+// and one and four workers, the sketch RunSketch keeps under either
+// labeling must select byte-identical seeds, coverage and theta
+// bookkeeping to RunCollect's flat arena with the same options, and hold
+// them in fewer bytes. The coded path differs only in the representation
+// the selection reads — the DESIGN.md §13 determinism argument says that
+// cannot move a single seed, and this test is that argument made
+// executable. Run selects over the samples as drawn, the arena or, where
+// the draw is dense, the bit matrix, and must agree with all of them; the
+// fixtures must reach both regimes.
 func TestStoreEquivalence(t *testing.T) {
 	type config struct {
 		name  string
@@ -47,80 +51,57 @@ func TestStoreEquivalence(t *testing.T) {
 				g := testGraph(gc.seed, gc.n, gc.m)
 				cfg.prep(g)
 				opt := Options{K: 10, Epsilon: 0.5, Model: cfg.model, Workers: workers, Seed: gc.seed}
+				name := fmt.Sprintf("graph %d %s w=%d", gc.seed, cfg.name, workers)
 
-				opt.Store = StoreFlat
-				flat, err := Run(g, opt)
+				flat, _, _, err := RunCollect(g, opt)
 				if err != nil {
-					t.Fatalf("graph %d %s w=%d flat: %v", gc.seed, cfg.name, workers, err)
+					t.Fatalf("%s collect: %v", name, err)
 				}
-				opt.Store = StoreCoded
-				coded, err := Run(g, opt)
+				run, err := Run(g, opt)
 				if err != nil {
-					t.Fatalf("graph %d %s w=%d coded: %v", gc.seed, cfg.name, workers, err)
+					t.Fatalf("%s run: %v", name, err)
 				}
-
-				if !slices.Equal(coded.Seeds, flat.Seeds) {
-					t.Fatalf("graph %d %s w=%d: coded seeds %v != flat %v",
-						gc.seed, cfg.name, workers, coded.Seeds, flat.Seeds)
-				}
-				if coded.CoverageFraction != flat.CoverageFraction ||
-					coded.Theta != flat.Theta ||
-					coded.SamplesGenerated != flat.SamplesGenerated {
-					t.Fatalf("graph %d %s w=%d: bookkeeping diverged: coverage %v/%v theta %d/%d samples %d/%d",
-						gc.seed, cfg.name, workers,
-						coded.CoverageFraction, flat.CoverageFraction,
-						coded.Theta, flat.Theta,
-						coded.SamplesGenerated, flat.SamplesGenerated)
-				}
-				// A dense draw selects on its bit matrix whatever opt.Store
-				// says: both runs report the matrix, one footprint and no
-				// index (DESIGN.md §13.6). The stores the two runs name are
-				// then compared through RunCollect, which selects over the
-				// flat arena, and RunSketch, which selects over the coded
-				// store; both must also agree with the matrix selection.
-				if flat.Store == StoreMatrix || coded.Store == StoreMatrix {
+				sameSelection(t, name+" run", run, flat)
+				// A dense draw selects on its bit matrix, which is its own
+				// index (DESIGN.md §13.6); a sparse one on RunCollect's
+				// arena and index.
+				if run.Store == StoreMatrix {
 					dense++
-					if coded.Store != flat.Store || coded.StoreBytes != flat.StoreBytes ||
-						coded.FlatStoreBytes != flat.FlatStoreBytes || coded.IndexBytes != 0 || flat.IndexBytes != 0 {
-						t.Fatalf("graph %d %s w=%d: dense runs diverged: store %v/%v, %d/%d B, flat %d/%d B, index %d/%d B",
-							gc.seed, cfg.name, workers, coded.Store, flat.Store, coded.StoreBytes, flat.StoreBytes,
-							coded.FlatStoreBytes, flat.FlatStoreBytes, coded.IndexBytes, flat.IndexBytes)
-					}
-					matrix := flat
-					if flat, _, _, err = RunCollect(g, opt); err != nil {
-						t.Fatalf("graph %d %s w=%d collect: %v", gc.seed, cfg.name, workers, err)
-					}
-					if coded, _, _, err = RunSketch(g, opt); err != nil {
-						t.Fatalf("graph %d %s w=%d sketch: %v", gc.seed, cfg.name, workers, err)
-					}
-					for _, r := range []*Result{flat, coded} {
-						if !slices.Equal(r.Seeds, matrix.Seeds) || r.CoverageFraction != matrix.CoverageFraction ||
-							r.Theta != matrix.Theta || r.SamplesGenerated != matrix.SamplesGenerated {
-							t.Fatalf("graph %d %s w=%d: %v seeds %v coverage %v theta %d samples %d, matrix %v %v %d %d",
-								gc.seed, cfg.name, workers, r.Store, r.Seeds, r.CoverageFraction, r.Theta, r.SamplesGenerated,
-								matrix.Seeds, matrix.CoverageFraction, matrix.Theta, matrix.SamplesGenerated)
-						}
+					if run.IndexBytes != 0 {
+						t.Fatalf("%s: matrix run reports %d index bytes", name, run.IndexBytes)
 					}
 				} else {
 					sparse++
+					if run.Store != StoreFlat || run.StoreBytes != flat.StoreBytes || run.IndexBytes != flat.IndexBytes {
+						t.Fatalf("%s: run store %v %d B index %d B, arena %d B index %d B",
+							name, run.Store, run.StoreBytes, run.IndexBytes, flat.StoreBytes, flat.IndexBytes)
+					}
 				}
-				// The coded run must actually have compressed: its store is
-				// smaller than the flat layout it reports as denominator, and
-				// that denominator matches the flat run's actual footprint.
-				if coded.Store != StoreCoded || flat.Store != StoreFlat {
-					t.Fatalf("store kinds not stamped: %v / %v", coded.Store, flat.Store)
-				}
-				if coded.FlatStoreBytes != flat.StoreBytes {
-					t.Fatalf("graph %d %s w=%d: coded FlatStoreBytes %d != flat StoreBytes %d",
-						gc.seed, cfg.name, workers, coded.FlatStoreBytes, flat.StoreBytes)
-				}
-				if coded.StoreBytes >= flat.StoreBytes {
-					t.Fatalf("graph %d %s w=%d: coded store %d B not below flat %d B",
-						gc.seed, cfg.name, workers, coded.StoreBytes, flat.StoreBytes)
-				}
-				if coded.IndexBytes != flat.IndexBytes {
-					t.Fatalf("graph %d %s w=%d: index bytes diverged %d != %d (index is label-invariant)",
-						gc.seed, cfg.name, workers, coded.IndexBytes, flat.IndexBytes)
+
+				for _, store := range []StoreKind{StoreFlat, StoreCoded} {
+					opt.Store = store
+					coded, _, _, err := RunSketch(g, opt)
+					if err != nil {
+						t.Fatalf("%s sketch %v: %v", name, store, err)
+					}
+					sname := fmt.Sprintf("%s sketch %v", name, store)
+					sameSelection(t, sname, coded, flat)
+					// The coded store must actually have compressed: it is
+					// smaller than the flat layout it reports as denominator,
+					// and that denominator is the arena's actual footprint.
+					if coded.Store != store {
+						t.Fatalf("%s: labeling not stamped: %v", sname, coded.Store)
+					}
+					if coded.FlatStoreBytes != flat.StoreBytes {
+						t.Fatalf("%s: FlatStoreBytes %d != arena StoreBytes %d", sname, coded.FlatStoreBytes, flat.StoreBytes)
+					}
+					if coded.StoreBytes >= flat.StoreBytes {
+						t.Fatalf("%s: coded store %d B not below flat %d B", sname, coded.StoreBytes, flat.StoreBytes)
+					}
+					if coded.IndexBytes != flat.IndexBytes {
+						t.Fatalf("%s: index bytes diverged %d != %d (index is label-invariant)",
+							sname, coded.IndexBytes, flat.IndexBytes)
+					}
 				}
 			}
 		}
@@ -128,6 +109,68 @@ func TestStoreEquivalence(t *testing.T) {
 	t.Logf("%d dense and %d sparse cases", dense, sparse)
 	if dense == 0 || sparse == 0 {
 		t.Fatalf("fixtures reach %d dense and %d sparse cases; the gate needs both regimes", dense, sparse)
+	}
+}
+
+// sameSelection fails unless got selected want's seeds with want's
+// coverage over the same theta and sample count.
+func sameSelection(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if !slices.Equal(got.Seeds, want.Seeds) || got.CoverageFraction != want.CoverageFraction ||
+		got.Theta != want.Theta || got.SamplesGenerated != want.SamplesGenerated {
+		t.Fatalf("%s: seeds %v coverage %v theta %d samples %d, want %v %v %d %d",
+			name, got.Seeds, got.CoverageFraction, got.Theta, got.SamplesGenerated,
+			want.Seeds, want.CoverageFraction, want.Theta, want.SamplesGenerated)
+	}
+}
+
+// TestRunSelectsOnDrawnSamples: Run selects over the samples as drawn and
+// does not read Options.Store, so both labelings return the same Result —
+// the flat arena and its index on a sparse draw, the bit matrix on a
+// dense one — and the rrr/store-bytes gauge reads the footprint of the
+// store the selection ran over.
+func TestRunSelectsOnDrawnSamples(t *testing.T) {
+	sparse := testGraph(50, 400, 600)
+	sparse.AssignWeightedCascade()
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		want StoreKind
+	}{{"sparse", sparse, StoreFlat}, {"dense", denseGraph(t), StoreMatrix}} {
+		opt := Options{K: 10, Epsilon: 0.5, Model: diffuse.IC, Workers: 2, Seed: 3}
+		_, col, idx, err := RunCollect(c.g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStore, wantIndex := col.Bytes(), idx.Bytes()
+		if c.want == StoreMatrix {
+			wantStore, wantIndex = rrr.MatrixOf(col, 2).Bytes(), 0
+		}
+		var runs []*Result
+		for _, store := range []StoreKind{StoreFlat, StoreCoded} {
+			reg := metrics.NewRegistry()
+			opt.Store, opt.Metrics = store, reg
+			res, err := Run(c.g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Store != c.want || res.StoreBytes != wantStore || res.IndexBytes != wantIndex {
+				t.Fatalf("%s %v: store %v %d B index %d B, want %v %d B index %d B",
+					c.name, store, res.Store, res.StoreBytes, res.IndexBytes, c.want, wantStore, wantIndex)
+			}
+			if got := reg.Gauge("rrr/store-bytes").Value(); got != wantStore {
+				t.Fatalf("%s %v: rrr/store-bytes %d, want %d", c.name, store, got, wantStore)
+			}
+			runs = append(runs, res)
+		}
+		flat, coded := runs[0], runs[1]
+		sameSelection(t, c.name, coded, flat)
+		if coded.FlatStoreBytes != flat.FlatStoreBytes || coded.LowerBound != flat.LowerBound ||
+			coded.EstimatedSpread != flat.EstimatedSpread {
+			t.Fatalf("%s: flat bytes %d/%d, lower bound %v/%v, spread %v/%v", c.name,
+				coded.FlatStoreBytes, flat.FlatStoreBytes, coded.LowerBound, flat.LowerBound,
+				coded.EstimatedSpread, flat.EstimatedSpread)
+		}
 	}
 }
 
