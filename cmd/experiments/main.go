@@ -5,7 +5,8 @@
 //	experiments -scale 0.01 -csv fig2       # CSV instead of markdown
 //	experiments -scale 0.005 -o results all # everything, one file per experiment
 //
-// Experiments: fig1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table3 bio all.
+// Experiments: fig1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table3 bio
+// validate baselines all.
 package main
 
 import (
@@ -43,7 +44,11 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fatal("pass experiment names (fig1..fig8, table2, table3, bio) or 'all'")
+		var names []string
+		for _, d := range harness.Drivers() {
+			names = append(names, d.Name)
+		}
+		fatal("pass experiment names (%s) or 'all'", strings.Join(names, ", "))
 	}
 
 	if err := cli.ServePprof("experiments", *pprofAddr); err != nil {

@@ -146,6 +146,14 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
+	if sketch != nil && sketch.Source == "snapshot" {
+		if *dynamic {
+			fmt.Fprintf(os.Stderr, "immserve: dynamic sketch warm-started from %s (theta %d, epoch %d)\n",
+				*snapshot, sketch.Theta, sketch.DeltaEpoch)
+		} else {
+			fmt.Fprintf(os.Stderr, "immserve: sketch warm-started from %s (theta %d, store %s)\n", *snapshot, sketch.Theta, sketch.Store())
+		}
+	}
 	// Install the drain handler before announcing the address: a client
 	// that sees "listening" may immediately SIGTERM us (the e2e tests
 	// do), and an uninstalled handler means death instead of a drain.
@@ -235,8 +243,9 @@ func prepareShard(g *graph.Graph, key server.SketchKey, idx, count int, path, fr
 	return sh, nil
 }
 
-// prepareSketch resolves the resident sketch: a valid snapshot at path
-// warm-starts the server (transcoded into the -store kind if it was
+// prepareSketch resolves the resident sketch: a snapshot at path of this
+// graph warm-starts the server, once server.New has checked its key
+// against the flags' (transcoded into the -store kind if it was
 // written with the other one; in dynamic mode it restores the mutated
 // state, whose delta log New replays over the base graph). Otherwise a
 // static sketch is sampled and — when a path was given — persisted for the
@@ -246,21 +255,7 @@ func prepareShard(g *graph.Graph, key server.SketchKey, idx, count int, path, fr
 func prepareSketch(g *graph.Graph, key server.SketchKey, path string, workers int, store imm.StoreKind, reg *metrics.Registry, dynamic bool) (*server.Sketch, error) {
 	if path != "" {
 		if _, err := os.Stat(path); err == nil {
-			s, err := server.LoadSketch(path, g, workers, store, 0)
-			if err != nil {
-				return nil, err
-			}
-			if s.Key != key {
-				return nil, fmt.Errorf("snapshot %s was sampled with (%s), flags say (%s); delete it or match the flags",
-					path, s.Key, key)
-			}
-			if dynamic {
-				fmt.Fprintf(os.Stderr, "immserve: dynamic sketch warm-started from %s (theta %d, epoch %d)\n",
-					path, s.Theta, s.DeltaEpoch)
-			} else {
-				fmt.Fprintf(os.Stderr, "immserve: sketch warm-started from %s (theta %d, store %s)\n", path, s.Theta, s.Store())
-			}
-			return s, nil
+			return server.LoadSketch(path, g, workers, store, 0)
 		}
 	}
 	if dynamic {

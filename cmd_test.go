@@ -7,6 +7,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -633,10 +634,16 @@ func TestCmdExperiments(t *testing.T) {
 	runCmdExpectError(t, "experiments", "nonexistent-exp") // unknown name
 }
 
+var updateReadme = flag.Bool("update-readme", false, "rewrite README's -h flag blocks from the binaries' output")
+
 // TestReadmeFlagsMatchHelp keeps README's flag documentation in step with
 // the binaries: each ```text flag block under "### cmd/<name>" must equal
 // that binary's -h output minus the "Usage of" line, and the flag column
 // of the immserve table must list exactly the flags immserve -h prints.
+// With -update-readme it rewrites the flag blocks instead of failing on
+// them:
+//
+//	go test -run TestReadmeFlagsMatchHelp . -update-readme
 func TestReadmeFlagsMatchHelp(t *testing.T) {
 	raw, err := os.ReadFile("README.md")
 	if err != nil {
@@ -652,17 +659,32 @@ func TestReadmeFlagsMatchHelp(t *testing.T) {
 		return body
 	}
 	for _, name := range []string{"imm", "immdist", "graphgen", "experiments"} {
-		_, section, ok := strings.Cut(readme, "### cmd/"+name+" ")
-		if !ok {
+		section := strings.Index(readme, "### cmd/"+name+" ")
+		if section < 0 {
 			t.Fatalf("README has no cmd/%s section", name)
 		}
-		_, block, ok := strings.Cut(section, "```text\n")
-		if !ok {
+		open := strings.Index(readme[section:], "```text\n")
+		if open < 0 {
 			t.Fatalf("README cmd/%s section has no text block", name)
 		}
-		block, _, _ = strings.Cut(block, "```")
-		if want := help(name); block != want {
-			t.Errorf("README cmd/%s flag block differs from -h output; want:\n%s", name, want)
+		start := section + open + len("```text\n")
+		end := strings.Index(readme[start:], "```")
+		if end < 0 {
+			t.Fatalf("README cmd/%s text block is not closed", name)
+		}
+		end += start
+		want := help(name)
+		switch {
+		case readme[start:end] == want:
+		case *updateReadme:
+			readme = readme[:start] + want + readme[end:]
+		default:
+			t.Errorf("README cmd/%s flag block differs from -h output (rerun with -update-readme); want:\n%s", name, want)
+		}
+	}
+	if *updateReadme && readme != string(raw) {
+		if err := os.WriteFile("README.md", []byte(readme), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 

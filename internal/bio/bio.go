@@ -124,49 +124,11 @@ func pearson(a, b []float64) float64 {
 	return cov / math.Sqrt(va*vb)
 }
 
-// InferNetwork builds a directed co-expression network: for every feature,
-// the outDegree most correlated partners become outgoing edges weighted by
-// |correlation| (the GENIE3 stand-in; GENIE3 likewise emits, per target,
-// ranked regulator importances that are thresholded into a directed
-// graph). O(Features^2 * Samples).
-func InferNetwork(e *Expression, outDegree int) *graph.Graph {
-	nf := len(e.Values)
-	if outDegree < 1 || outDegree >= nf {
-		panic("bio: outDegree out of [1, features)")
-	}
-	type scored struct {
-		v graph.Vertex
-		c float64
-	}
-	b := graph.NewBuilder(nf)
-	cand := make([]scored, 0, nf)
-	for f := 0; f < nf; f++ {
-		cand = cand[:0]
-		for g2 := 0; g2 < nf; g2++ {
-			if g2 == f {
-				continue
-			}
-			c := math.Abs(pearson(e.Values[f], e.Values[g2]))
-			cand = append(cand, scored{graph.Vertex(g2), c})
-		}
-		sort.Slice(cand, func(i, j int) bool {
-			if cand[i].c != cand[j].c {
-				return cand[i].c > cand[j].c
-			}
-			return cand[i].v < cand[j].v
-		})
-		for i := 0; i < outDegree; i++ {
-			b.Add(graph.Vertex(f), cand[i].v, float32(cand[i].c))
-		}
-	}
-	return b.Build()
-}
-
-// InferNetworkTop builds a co-expression network by global thresholding:
-// all feature pairs are ranked by |correlation| and the strongest `edges`
-// pairs become edges (in both directions, as co-expression is symmetric
-// evidence). Unlike InferNetwork's fixed per-feature out-degree, degree
-// here varies with how strongly co-regulated a feature is — the structure
+// InferNetworkTop builds a co-expression network by global thresholding
+// (the GENIE3 stand-in): all feature pairs are ranked by |correlation| and
+// the strongest `edges` pairs become edges, weighted by |correlation|, in
+// both directions, as co-expression is symmetric evidence. Degree varies
+// with how strongly co-regulated a feature is — the structure
 // GENIE3-plus-threshold produces, and the one the Section 5 centrality
 // comparison presumes. O(Features^2 * Samples).
 func InferNetworkTop(e *Expression, edges int) *graph.Graph {

@@ -89,8 +89,9 @@ func TestPearson(t *testing.T) {
 
 func TestInferNetworkRecoversModules(t *testing.T) {
 	e := SyntheticExpression(smallConfig(3))
-	g := InferNetwork(e, 5)
-	if g.NumVertices() != 120 || g.NumEdges() != 120*5 {
+	const pairs = 120 * 5 / 2
+	g := InferNetworkTop(e, pairs)
+	if g.NumVertices() != 120 || g.NumEdges() != 2*pairs {
 		t.Fatalf("network size = (%d, %d)", g.NumVertices(), g.NumEdges())
 	}
 	// Most edges out of module members should stay within their module.
@@ -116,10 +117,10 @@ func TestInferNetworkPanics(t *testing.T) {
 	e := SyntheticExpression(smallConfig(4))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("bad outDegree accepted")
+			t.Fatal("edges = 0 accepted")
 		}
 	}()
-	InferNetwork(e, 0)
+	InferNetworkTop(e, 0)
 }
 
 func TestSyntheticPathways(t *testing.T) {

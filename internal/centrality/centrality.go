@@ -1,7 +1,7 @@
 // Package centrality implements the topological node-importance measures
 // that Section 5 compares influence maximization against on biological
-// networks: degree centrality and betweenness centrality (Brandes'
-// algorithm, exact and pivot-sampled), with top-k ranking helpers.
+// networks: degree centrality and exact betweenness centrality (Brandes'
+// algorithm), with top-k ranking helpers.
 package centrality
 
 import (
@@ -9,18 +9,7 @@ import (
 
 	"influmax/internal/graph"
 	"influmax/internal/par"
-	"influmax/internal/rng"
 )
-
-// Degree returns each vertex's out-degree as a score vector.
-func Degree(g *graph.Graph) []float64 {
-	n := g.NumVertices()
-	scores := make([]float64, n)
-	for v := 0; v < n; v++ {
-		scores[v] = float64(g.OutDegree(graph.Vertex(v)))
-	}
-	return scores
-}
 
 // TotalDegree returns each vertex's in+out degree.
 func TotalDegree(g *graph.Graph) []float64 {
@@ -38,54 +27,22 @@ func TotalDegree(g *graph.Graph) []float64 {
 // source, parallelized over sources. O(n m) time.
 func Betweenness(g *graph.Graph, workers int) []float64 {
 	n := g.NumVertices()
-	sources := make([]graph.Vertex, n)
-	for i := range sources {
-		sources[i] = graph.Vertex(i)
-	}
-	return brandes(g, sources, workers, 1)
-}
-
-// BetweennessSampled estimates betweenness from `pivots` random sources
-// (Brandes-Pich pivot sampling), scaling dependencies by n/pivots. Far
-// cheaper than the exact computation on large graphs; used for the
-// large biology networks.
-func BetweennessSampled(g *graph.Graph, pivots int, workers int, seed uint64) []float64 {
-	n := g.NumVertices()
-	if pivots >= n {
-		return Betweenness(g, workers)
-	}
-	r := rng.New(rng.NewLCG(seed))
-	perm := r.Perm(n)
-	sources := make([]graph.Vertex, pivots)
-	for i := 0; i < pivots; i++ {
-		sources[i] = graph.Vertex(perm[i])
-	}
-	return brandes(g, sources, workers, float64(n)/float64(pivots))
-}
-
-// brandes accumulates source dependencies over the given sources, each
-// scaled by `scale`, across workers goroutines.
-func brandes(g *graph.Graph, sources []graph.Vertex, workers int, scale float64) []float64 {
-	n := g.NumVertices()
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
 	}
 	partial := make([][]float64, workers)
-	par.ForEach(len(sources), workers, func(rank, lo, hi int) {
+	par.ForEach(n, workers, func(rank, lo, hi int) {
 		bc := make([]float64, n)
 		st := newBrandesState(n)
-		for i := lo; i < hi; i++ {
-			st.accumulate(g, sources[i], bc)
+		for s := lo; s < hi; s++ {
+			st.accumulate(g, graph.Vertex(s), bc)
 		}
 		partial[rank] = bc
 	})
 	out := make([]float64, n)
 	for _, bc := range partial {
-		if bc == nil {
-			continue
-		}
 		for v, x := range bc {
-			out[v] += x * scale
+			out[v] += x
 		}
 	}
 	return out

@@ -2,7 +2,7 @@ package centrality
 
 import "influmax/internal/graph"
 
-// KShell computes the k-shell (k-core) decomposition of the undirected
+// kShell computes the k-shell (k-core) decomposition of the undirected
 // view of g: iteratively peel vertices of total degree <= k for k = 0, 1,
 // 2, ...; a vertex's shell index is the k at which it is peeled. Wu et
 // al. (CollaborateCom 2016) — reference [18] of the paper — select
@@ -11,7 +11,7 @@ import "influmax/internal/graph"
 // Nature Physics 2010).
 //
 // Runs in O(n + m) with the bucket-peeling algorithm of Batagelj-Zaversnik.
-func KShell(g *graph.Graph) []int {
+func kShell(g *graph.Graph) []int {
 	n := g.NumVertices()
 	deg := make([]int, n)
 	maxDeg := 0
@@ -80,7 +80,7 @@ func KShellSeeds(g *graph.Graph, k int) []graph.Vertex {
 	if k > n {
 		k = n
 	}
-	shell := KShell(g)
+	shell := kShell(g)
 	scores := make([]float64, n)
 	for v := 0; v < n; v++ {
 		td := g.OutDegree(graph.Vertex(v)) + g.InDegree(graph.Vertex(v))

@@ -68,7 +68,7 @@ func TestKShellClique(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	shell := KShell(g)
+	shell := kShell(g)
 	for v, s := range shell {
 		if s != shell[0] {
 			t.Fatalf("clique shells differ at %d: %v", v, shell)
@@ -90,7 +90,7 @@ func TestKShellCoreWithPendants(t *testing.T) {
 	b.Add(4, 1, 1)
 	b.Add(5, 2, 1)
 	g := b.Build()
-	shell := KShell(g)
+	shell := kShell(g)
 	for _, pendant := range []int{3, 4, 5} {
 		if shell[pendant] >= shell[0] {
 			t.Fatalf("pendant %d shell %d not below core shell %d", pendant, shell[pendant], shell[0])
@@ -110,17 +110,17 @@ func TestKShellMatchesReference(t *testing.T) {
 			}
 		}
 		g := b.Build()
-		got := KShell(g)
+		got := kShell(g)
 		want := refKShell(g)
 		if !slices.Equal(got, want) {
-			t.Fatalf("seed %d: KShell = %v, want %v", seed, got, want)
+			t.Fatalf("seed %d: kShell = %v, want %v", seed, got, want)
 		}
 	}
 }
 
 func TestKShellIsolatedVertices(t *testing.T) {
 	g := graph.NewBuilder(4).Build()
-	shell := KShell(g)
+	shell := kShell(g)
 	for v, s := range shell {
 		if s != 0 {
 			t.Fatalf("isolated vertex %d shell = %d", v, s)

@@ -91,6 +91,6 @@ func draw(g *graph.Graph, opt BuildOptions) (cut func(r int) (*Shard, error), n 
 	return func(r int) (*Shard, error) {
 		lo, hi := par.Interval(col.Count(), opt.Shards, r)
 		coded := imm.Transcode(col.Range(lo, hi), imm.StoreCoded, res.Workers)
-		return NewShard(meta, coded, idx.Range(lo, hi, res.Workers), r, opt.Shards, uint64(lo), 0, res.Workers)
+		return newShard(meta, coded, idx.Range(lo, hi, res.Workers), r, opt.Shards, uint64(lo), 0, res.Workers)
 	}, col.Count(), nil
 }

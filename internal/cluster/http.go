@@ -44,7 +44,7 @@ func (sh *Shard) ServeInfo(w http.ResponseWriter, r *http.Request) {
 // resampling; net/http chunks the transfer.
 func (sh *Shard) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := WriteShardSnapshot(w, sh); err != nil {
+	if err := writeShardSnapshot(w, sh); err != nil {
 		// Headers are gone; all we can do is cut the stream so the peer's
 		// CRC check fails instead of accepting a truncated shard.
 		if f, ok := w.(http.Flusher); ok {

@@ -264,7 +264,7 @@ func (rt *Router) Select(k int, onSeed func(i int, v graph.Vertex, gain int64)) 
 // the fleet's merged counts (fleetCoverage), byte-identically to
 // imm.SelectQuerySketch over the union of the shards' samples; a degraded
 // result is the survivors' exact answer. It never reads the trajectory,
-// so it is the reference ServeQuery is checked against.
+// so it is the reference serveQuery is checked against.
 func (rt *Router) SelectQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
 	return rt.selectQuery(context.Background(), q, onSeed)
 }
@@ -288,14 +288,14 @@ func (rt *Router) selectQuery(ctx context.Context, q RouterQuery, onSeed func(i 
 	return rt.result(qr, fc.slots, fc.rounds, start), nil
 }
 
-// ServeQuery answers q the way the router's front serves it: a Prefix
+// serveQuery answers q the way the router's front serves it: a Prefix
 // query (imm.Query.Prefix) from the live slots' trajectory, which costs
 // no shard round once built, and any other shape by SelectQuery. The
 // trajectory's lines carry the result's gains. Once ctx is done the query
 // runs no further shard round, ends its sessions and returns ctx's error;
 // a trajectory build in flight is shared by every plain query, so it runs
 // to the end, but a query waiting for it stops waiting.
-func (rt *Router) ServeQuery(ctx context.Context, q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
+func (rt *Router) serveQuery(ctx context.Context, q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
 	if !q.Prefix() {
 		return rt.selectQuery(ctx, q, onSeed)
 	}

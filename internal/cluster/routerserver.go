@@ -93,7 +93,7 @@ func (b fleetBackend) Check(o front.Overrides) error {
 }
 
 func (b fleetBackend) Seeds(ctx context.Context, _ front.Overrides, q imm.Query, onSeed func(int, graph.Vertex, int64)) (*front.SeedsResponse, error) {
-	res, err := b.rt.ServeQuery(ctx, q, onSeed)
+	res, err := b.rt.serveQuery(ctx, q, onSeed)
 	if err != nil {
 		return nil, fleetErr(err)
 	}

@@ -39,7 +39,7 @@ type Shard struct {
 	// at different epochs.
 	Epoch uint64
 	// Roots maps each local sample to its root vertex, re-derived by
-	// NewShard from First (imm.RootsRange): a PerSample root is a pure
+	// newShard from First (imm.RootsRange): a PerSample root is a pure
 	// function of (seed, global id, n), so it is never stored. Required
 	// only by the audience-filtered ops; a shard without it answers those
 	// ops with an in-band error while everything else keeps serving.
@@ -62,10 +62,10 @@ type session struct {
 	covered rrr.Bitset
 }
 
-// NewShard assembles a query-ready shard whose samples are global ids
+// newShard assembles a query-ready shard whose samples are global ids
 // [first, first+col.Count()), deriving their roots with p workers. idx may
 // be nil, in which case the incidence index is built with p workers too.
-func NewShard(meta rrr.SnapshotMeta, col *rrr.CodedCollection, idx *rrr.Index, shardIdx, shardCount int, first, epoch uint64, p int) (*Shard, error) {
+func newShard(meta rrr.SnapshotMeta, col *rrr.CodedCollection, idx *rrr.Index, shardIdx, shardCount int, first, epoch uint64, p int) (*Shard, error) {
 	if col == nil {
 		return nil, fmt.Errorf("cluster: shard needs a sample collection")
 	}
@@ -241,13 +241,6 @@ func (sh *Shard) End(id uint64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	delete(sh.sessions, id)
-}
-
-// Sessions reports the open session count (observability and tests).
-func (sh *Shard) Sessions() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.sessions)
 }
 
 // handle executes one encoded wire request and encodes the reply (a

@@ -14,7 +14,7 @@ import (
 // Shard snapshots wrap the standard v3 sketch snapshot (rrr.WriteSnapshot)
 // in a 32-byte shard header carrying what SnapshotMeta cannot: the shard's
 // place in the fleet partition, its mutation epoch and the global id of
-// its first sample, from which NewShard re-derives the root column. The
+// its first sample, from which newShard re-derives the root column. The
 // same bytes travel over GET /v1/snapshot for peer bootstrap.
 
 // shardMagic opens a shard snapshot; the trailing byte is the header
@@ -30,8 +30,8 @@ var (
 	shardMagicV2 = [8]byte{'I', 'M', 'X', 'S', 'H', 'R', 'D', 2}
 )
 
-// WriteShardSnapshot writes sh (header v3 + v3 sketch snapshot) to w.
-func WriteShardSnapshot(w io.Writer, sh *Shard) error {
+// writeShardSnapshot writes sh (header v3 + v3 sketch snapshot) to w.
+func writeShardSnapshot(w io.Writer, sh *Shard) error {
 	var hdr [32]byte
 	copy(hdr[:8], shardMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(sh.ShardIdx))
@@ -44,11 +44,11 @@ func WriteShardSnapshot(w io.Writer, sh *Shard) error {
 	return rrr.WriteSnapshot(w, sh.Meta, sh.Col, sh.Idx, nil)
 }
 
-// ReadShardSnapshot reads a shard snapshot from r. maxBytes bounds the
+// readShardSnapshot reads a shard snapshot from r. maxBytes bounds the
 // inner snapshot's payload claims (<= 0 uses rrr.DefaultMaxSnapshotBytes);
 // p is the worker count for the root column and for an index rebuild if
 // the snapshot carries none.
-func ReadShardSnapshot(r io.Reader, maxBytes int64, p int) (*Shard, error) {
+func readShardSnapshot(r io.Reader, maxBytes int64, p int) (*Shard, error) {
 	var hdr [32]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("cluster: reading shard header: %w", err)
@@ -71,12 +71,12 @@ func ReadShardSnapshot(r io.Reader, maxBytes int64, p int) (*Shard, error) {
 	if len(deltas) > 0 {
 		return nil, fmt.Errorf("cluster: shard snapshot carries a delta log; shards serve static sketches")
 	}
-	return NewShard(meta, col, idx, shardIdx, shardCount, first, epoch, p)
+	return newShard(meta, col, idx, shardIdx, shardCount, first, epoch, p)
 }
 
 // SaveShardSnapshotFile persists sh at path atomically (temp + rename).
 func SaveShardSnapshotFile(path string, sh *Shard) error {
-	return rrr.SaveAtomic(path, func(w io.Writer) error { return WriteShardSnapshot(w, sh) })
+	return rrr.SaveAtomic(path, func(w io.Writer) error { return writeShardSnapshot(w, sh) })
 }
 
 // LoadShardSnapshotFile reads a shard snapshot from path.
@@ -86,7 +86,7 @@ func LoadShardSnapshotFile(path string, maxBytes int64, p int) (*Shard, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadShardSnapshot(bufio.NewReaderSize(f, 64<<10), maxBytes, p)
+	return readShardSnapshot(bufio.NewReaderSize(f, 64<<10), maxBytes, p)
 }
 
 // FetchShardSnapshot bootstraps a shard from a peer replica: it streams
@@ -106,5 +106,5 @@ func FetchShardSnapshot(base string, client *http.Client, maxBytes int64, p int)
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("cluster: peer %s answered %s: %s", base, resp.Status, body)
 	}
-	return ReadShardSnapshot(bufio.NewReaderSize(resp.Body, 64<<10), maxBytes, p)
+	return readShardSnapshot(bufio.NewReaderSize(resp.Body, 64<<10), maxBytes, p)
 }

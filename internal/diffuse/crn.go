@@ -25,92 +25,30 @@ func crnU01(trialSeed, id uint64) float64 {
 	return float64(rng.Mix64(trialSeed^(id*0x9e3779b97f4a7c15+0x632be59bd9b4e019))>>11) * (1.0 / (1 << 53))
 }
 
-// CascadeCRN runs one live-edge trial from seeds and returns the number of
-// reachable (activated) vertices. Trials with the same id and simulator
-// are identical regardless of the seed set, so marginal gains computed
-// against a common trial set are exactly submodular.
+// cascadeCRN runs one live-edge trial under key (see mixTrial) from seeds
+// and returns the number of reachable (activated) vertices. Trials with
+// the same key are identical regardless of the seed set, so marginal gains
+// computed against a common trial set are exactly submodular.
 //
 // Under IC, out-edge e is live iff coin(e) < p(e). Under LT, every vertex
 // selects at most one incoming edge (proportionally to its in-weights,
 // using one coin per vertex); an edge is live iff its destination selected
 // it.
-func (s *Simulator) CascadeCRN(trial uint64, trialSeed uint64, seeds []graph.Vertex) int {
-	switch s.model {
-	case IC:
-		return s.crnIC(mixTrial(trialSeed, trial), seeds)
-	case LT:
-		return s.crnLT(mixTrial(trialSeed, trial), seeds)
+func (s *Simulator) cascadeCRN(key uint64, seeds []graph.Vertex) int {
+	s.nextEpoch()
+	s.queue = s.queue[:0]
+	for _, v := range seeds {
+		if s.active[v] != s.epoch {
+			s.active[v] = s.epoch
+			s.queue = append(s.queue, v)
+		}
 	}
-	panic("diffuse: unknown model")
+	return len(s.queue) + s.expandCRN(key, 0)
 }
 
 // mixTrial collapses (seed, trial) into one 64-bit trial key.
 func mixTrial(seed, trial uint64) uint64 {
 	return rng.Mix64(seed + trial*0xd1342543de82ef95)
-}
-
-func (s *Simulator) crnIC(key uint64, seeds []graph.Vertex) int {
-	s.nextEpoch()
-	s.queue = s.queue[:0]
-	count := 0
-	for _, v := range seeds {
-		if s.active[v] == s.epoch {
-			continue
-		}
-		s.active[v] = s.epoch
-		s.queue = append(s.queue, v)
-		count++
-	}
-	for head := 0; head < len(s.queue); head++ {
-		u := s.queue[head]
-		dsts, ws := s.g.OutNeighbors(u)
-		base := uint64(s.g.OutEdgeBase(u))
-		for i, v := range dsts {
-			if s.active[v] == s.epoch {
-				continue
-			}
-			if crnU01(key, base+uint64(i)) < float64(ws[i]) {
-				s.active[v] = s.epoch
-				s.queue = append(s.queue, v)
-				count++
-			}
-		}
-	}
-	return count
-}
-
-// crnLT computes reachability in the one-in-edge-per-vertex live graph.
-// The selected in-slot of a vertex is derived lazily from its single
-// per-vertex coin; an out-edge (u->v) is live iff its in-slot equals v's
-// selection.
-func (s *Simulator) crnLT(key uint64, seeds []graph.Vertex) int {
-	s.nextEpoch()
-	s.queue = s.queue[:0]
-	count := 0
-	for _, v := range seeds {
-		if s.active[v] == s.epoch {
-			continue
-		}
-		s.active[v] = s.epoch
-		s.queue = append(s.queue, v)
-		count++
-	}
-	for head := 0; head < len(s.queue); head++ {
-		u := s.queue[head]
-		dsts, _ := s.g.OutNeighbors(u)
-		inSlots := s.g.OutEdgeInSlots(u)
-		for i, v := range dsts {
-			if s.active[v] == s.epoch {
-				continue
-			}
-			if s.selectedInSlot(key, v) == inSlots[i] {
-				s.active[v] = s.epoch
-				s.queue = append(s.queue, v)
-				count++
-			}
-		}
-	}
-	return count
 }
 
 // selectedInSlot returns the global in-CSR slot of the single incoming
@@ -146,9 +84,9 @@ func EstimateSpreadCRN(g *graph.Graph, model Model, seeds []graph.Vertex, trials
 	sums := make([]float64, workers)
 	sqs := make([]float64, workers)
 	par.ForEach(trials, workers, func(rank, lo, hi int) {
-		sim := NewSimulator(g, model)
+		sim := newSimulator(g, model)
 		for t := lo; t < hi; t++ {
-			c := float64(sim.CascadeCRN(uint64(t), seed, seeds))
+			c := float64(sim.cascadeCRN(mixTrial(seed, uint64(t)), seeds))
 			sums[rank] += c
 			sqs[rank] += c * c
 		}

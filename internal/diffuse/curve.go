@@ -25,7 +25,7 @@ func SpreadCurve(g *graph.Graph, model Model, seeds []graph.Vertex, trials, work
 	partial := make([][]float64, workers)
 	par.ForEach(trials, workers, func(rank, lo, hi int) {
 		sums := make([]float64, k)
-		sim := NewSimulator(g, model)
+		sim := newSimulator(g, model)
 		for t := lo; t < hi; t++ {
 			key := mixTrial(seed, uint64(t))
 			sim.nextEpoch()

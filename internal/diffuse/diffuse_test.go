@@ -155,9 +155,9 @@ func TestLTSmallerThanICOnAverage(t *testing.T) {
 func TestCascadeSeedsCounted(t *testing.T) {
 	g := line(5, 0.0)
 	for _, model := range []Model{IC, LT} {
-		sim := NewSimulator(g, model)
+		sim := newSimulator(g, model)
 		r := rng.New(rng.NewLCG(1))
-		if got := sim.Cascade(r, []graph.Vertex{0, 2, 4}); got != 3 {
+		if got := sim.cascade(r, []graph.Vertex{0, 2, 4}); got != 3 {
 			t.Fatalf("%v: spread with zero weights = %d, want 3", model, got)
 		}
 	}
@@ -165,21 +165,21 @@ func TestCascadeSeedsCounted(t *testing.T) {
 
 func TestCascadeDuplicateSeeds(t *testing.T) {
 	g := line(5, 0.0)
-	sim := NewSimulator(g, IC)
+	sim := newSimulator(g, IC)
 	r := rng.New(rng.NewLCG(1))
-	if got := sim.Cascade(r, []graph.Vertex{1, 1, 1}); got != 1 {
+	if got := sim.cascade(r, []graph.Vertex{1, 1, 1}); got != 1 {
 		t.Fatalf("duplicate seeds counted: %d", got)
 	}
 }
 
 func TestCascadeICWeightOneReachesAll(t *testing.T) {
 	g := line(10, 1.0)
-	sim := NewSimulator(g, IC)
+	sim := newSimulator(g, IC)
 	r := rng.New(rng.NewLCG(1))
-	if got := sim.Cascade(r, []graph.Vertex{0}); got != 10 {
+	if got := sim.cascade(r, []graph.Vertex{0}); got != 10 {
 		t.Fatalf("full-weight IC cascade = %d, want 10", got)
 	}
-	if got := sim.Cascade(r, []graph.Vertex{5}); got != 5 {
+	if got := sim.cascade(r, []graph.Vertex{5}); got != 5 {
 		t.Fatalf("full-weight IC cascade from middle = %d, want 5", got)
 	}
 }
@@ -188,9 +188,9 @@ func TestCascadeLTWeightOneChainActivates(t *testing.T) {
 	// With a single in-edge of weight 1.0 and thresholds drawn from [0,1),
 	// every touched vertex activates (1.0 >= threshold always).
 	g := line(10, 1.0)
-	sim := NewSimulator(g, LT)
+	sim := newSimulator(g, LT)
 	r := rng.New(rng.NewLCG(1))
-	if got := sim.Cascade(r, []graph.Vertex{0}); got != 10 {
+	if got := sim.cascade(r, []graph.Vertex{0}); got != 10 {
 		t.Fatalf("full-weight LT cascade = %d, want 10", got)
 	}
 }
@@ -198,10 +198,10 @@ func TestCascadeLTWeightOneChainActivates(t *testing.T) {
 func TestCascadeEpochReuse(t *testing.T) {
 	// Back-to-back trials must not leak activation state.
 	g := line(8, 1.0)
-	sim := NewSimulator(g, IC)
+	sim := newSimulator(g, IC)
 	r := rng.New(rng.NewLCG(1))
 	for i := 0; i < 100; i++ {
-		if got := sim.Cascade(r, []graph.Vertex{4}); got != 4 {
+		if got := sim.cascade(r, []graph.Vertex{4}); got != 4 {
 			t.Fatalf("trial %d: spread = %d, want 4", i, got)
 		}
 	}

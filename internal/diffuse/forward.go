@@ -25,8 +25,8 @@ type Simulator struct {
 	touched   []uint32
 }
 
-// NewSimulator returns a forward simulator over g for the given model.
-func NewSimulator(g *graph.Graph, model Model) *Simulator {
+// newSimulator returns a forward simulator over g for the given model.
+func newSimulator(g *graph.Graph, model Model) *Simulator {
 	n := g.NumVertices()
 	s := &Simulator{g: g, model: model, active: make([]uint32, n)}
 	if model == LT {
@@ -48,10 +48,10 @@ func (s *Simulator) nextEpoch() {
 	}
 }
 
-// Cascade runs one Monte Carlo diffusion trial from seeds and returns the
+// cascade runs one Monte Carlo diffusion trial from seeds and returns the
 // number of activated vertices |I(S)| (the seeds count as activated).
 // Duplicate seeds are counted once.
-func (s *Simulator) Cascade(r *rng.Rand, seeds []graph.Vertex) int {
+func (s *Simulator) cascade(r *rng.Rand, seeds []graph.Vertex) int {
 	switch s.model {
 	case IC:
 		return s.cascadeIC(r, seeds)
@@ -146,10 +146,10 @@ func EstimateSpread(g *graph.Graph, model Model, seeds []graph.Vertex, trials in
 	sums := make([]float64, workers)
 	sqs := make([]float64, workers)
 	par.ForEach(trials, workers, func(rank, lo, hi int) {
-		sim := NewSimulator(g, model)
+		sim := newSimulator(g, model)
 		for t := lo; t < hi; t++ {
 			r := rng.New(rng.Derive(seed, uint64(t)))
-			c := float64(sim.Cascade(r, seeds))
+			c := float64(sim.cascade(r, seeds))
 			sums[rank] += c
 			sqs[rank] += c * c
 		}

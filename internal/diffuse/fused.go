@@ -268,11 +268,11 @@ func (s *FusedShared) Rebind(prev, ng *graph.Graph, model Model, changed []bool)
 	return out
 }
 
-// NewFusedSampler returns a fused sampler over g for the given model,
+// newFusedSampler returns a fused sampler over g for the given model,
 // building its own shared tables. For LT the graph's in-weights must form
 // a valid configuration, as for NewSampler. Workers sampling the same
 // graph should build one FusedShared and use NewFusedSamplerShared.
-func NewFusedSampler(g *graph.Graph, model Model) *FusedSampler {
+func newFusedSampler(g *graph.Graph, model Model) *FusedSampler {
 	return NewFusedSamplerShared(g, model, NewFusedShared(g, model))
 }
 

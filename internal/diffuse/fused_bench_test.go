@@ -52,7 +52,7 @@ func BenchmarkGenerate(b *testing.B) {
 	b.Run("fused", func(b *testing.B) {
 		var verts []graph.Vertex
 		var sizes []int32
-		f := NewFusedSampler(g, IC)
+		f := newFusedSampler(g, IC)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			verts, sizes = f.Generate(7, 0, count, verts[:0], sizes[:0])

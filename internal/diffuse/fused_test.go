@@ -56,7 +56,7 @@ func TestFusedGenerateMatchesScalar(t *testing.T) {
 		for _, mc := range models {
 			g := randomGraph(gc.seed, gc.n, gc.m)
 			mc.prep(g, gc.seed)
-			f := NewFusedSampler(g, mc.model)
+			f := newFusedSampler(g, mc.model)
 			for _, count := range counts {
 				base := uint64(1000) * gc.seed
 				wantV, wantS := scalarGenerate(g, mc.model, gc.seed, base, count)
@@ -77,7 +77,7 @@ func TestFusedGenerateMatchesScalar(t *testing.T) {
 func TestFusedVisitedClearedBetweenBatches(t *testing.T) {
 	g := randomGraph(17, 60, 700)
 	g.AssignUniform(17)
-	f := NewFusedSampler(g, IC)
+	f := newFusedSampler(g, IC)
 	for round := 0; round < 5; round++ {
 		base := uint64(round * 200)
 		wantV, wantS := scalarGenerate(g, IC, 17, base, 150)
@@ -115,7 +115,7 @@ func TestFusedDegenerateGraphs(t *testing.T) {
 			if model == LT {
 				g.NormalizeLT()
 			}
-			f := NewFusedSampler(g, model)
+			f := newFusedSampler(g, model)
 			// count=3 < MaxLanes exercises the B > theta partial batch.
 			for _, count := range []int{3, 100} {
 				wantV, wantS := scalarGenerate(g, model, 7, 0, count)
@@ -146,7 +146,7 @@ func TestFusedPassesCountLevels(t *testing.T) {
 		}
 		g := b.Build()
 		g.AssignConstant(1)
-		f := NewFusedSampler(g, IC)
+		f := newFusedSampler(g, IC)
 		var want, entries int64
 		for id := uint64(0); id < MaxLanes; id++ {
 			_, sizes := f.Generate(5, id, 1, nil, nil)
@@ -172,7 +172,7 @@ func TestFusedPassesCountLevels(t *testing.T) {
 func TestFusedStats(t *testing.T) {
 	g := randomGraph(21, 80, 800)
 	g.AssignUniform(21)
-	f := NewFusedSampler(g, IC)
+	f := newFusedSampler(g, IC)
 	const count = 200
 	f.Generate(21, 0, count, nil, nil)
 	st := f.TakeStats()
@@ -266,7 +266,7 @@ func TestFusedGenerateIDsMatchesScalar(t *testing.T) {
 		if tc.class != nil && !slices.ContainsFunc(NewFusedShared(g, tc.model).uniform, tc.class) {
 			t.Fatalf("%s: graph has no in-list of the intended scan class", tc.name)
 		}
-		f := NewFusedSampler(g, tc.model)
+		f := newFusedSampler(g, tc.model)
 		s := NewSampler(g, tc.model)
 		gen := rng.NewSplitMix64(0)
 		r := rng.New(gen)

@@ -197,9 +197,6 @@ func (ov *Overlay) Apply(d Delta) error {
 	return nil
 }
 
-// Mutated reports whether the applied batch changed the edge set at all.
-func (ov *Overlay) Mutated() bool { return ov.deadCount > 0 || ov.liveIns > 0 }
-
 // Compact materializes the mutated graph as a fresh CSR in canonical edge
 // order: per vertex, surviving base edges keep their base relative order
 // (in BOTH adjacency directions) and inserted edges follow in batch op

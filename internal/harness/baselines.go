@@ -11,12 +11,12 @@ import (
 	"influmax/internal/imm"
 )
 
-// Baselines produces the classic cross-algorithm comparison every IM paper
+// baselines produces the classic cross-algorithm comparison every IM paper
 // (and the paper's related-work section) rests on: solution quality
 // (Monte Carlo spread) and wall-clock for IMM at two accuracies, TIM+,
 // CELF/CELF++ with a Monte Carlo oracle, and the degree / degree-discount
 // / k-shell heuristics, all at the same budget k.
-func Baselines(cfg Config) (*Table, error) {
+func baselines(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	g, err := loadAnalog("soc-Epinions1", cfg)
 	if err != nil {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"influmax/internal/bio"
 	"influmax/internal/centrality"
@@ -48,11 +47,11 @@ func buildBioNetworks(cfg Config) []bioNetwork {
 	return out
 }
 
-// Bio regenerates the Section 5 case study: the top-k feature sets of IMM,
+// bioStudy regenerates the Section 5 case study: the top-k feature sets of IMM,
 // degree centrality and betweenness centrality are compared by pathway
 // enrichment (significant pathways at adjusted p < 0.05, and how many of
 // them are planted ground-truth modules).
-func Bio(cfg Config) (*Table, error) {
+func bioStudy(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
 		ID:    "Section 5",
@@ -97,32 +96,18 @@ type Driver struct {
 // Drivers lists every experiment in paper order.
 func Drivers() []Driver {
 	return []Driver{
-		{"fig1", Fig1},
-		{"table2", Table2},
-		{"fig2", Fig2},
-		{"fig3", Fig3},
-		{"fig4", Fig4},
-		{"fig5", Fig5},
-		{"fig6", Fig6},
-		{"fig7", Fig7},
-		{"fig8", Fig8},
-		{"table3", Table3},
-		{"bio", Bio},
-		{"validate", Validate},
-		{"baselines", Baselines},
+		{"fig1", fig1},
+		{"table2", table2},
+		{"fig2", fig2},
+		{"fig3", fig3},
+		{"fig4", fig4},
+		{"fig5", fig5},
+		{"fig6", fig6},
+		{"fig7", fig7},
+		{"fig8", fig8},
+		{"table3", table3},
+		{"bio", bioStudy},
+		{"validate", validate},
+		{"baselines", baselines},
 	}
-}
-
-// RunAll executes every driver and streams markdown to w.
-func RunAll(cfg Config, w io.Writer) error {
-	for _, d := range Drivers() {
-		t, err := d.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("harness: %s: %w", d.Name, err)
-		}
-		if _, err := io.WriteString(w, t.Markdown()+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -63,10 +63,10 @@ var defaultSmall = []string{"cit-HepTh", "soc-Epinions1", "com-Amazon", "com-DBL
 // as in the paper ("Smaller graphs do not produce sufficient work").
 var defaultBig = []string{"com-YouTube", "soc-Pokec", "soc-LiveJournal1", "com-Orkut"}
 
-// Fig1 regenerates Figure 1: activated vertices as a function of the seed
+// fig1 regenerates Figure 1: activated vertices as a function of the seed
 // set size k at the state-of-the-art accuracy (eps = 0.5) and this paper's
 // accuracy (eps = 0.13), evaluated by forward Monte Carlo.
-func Fig1(cfg Config) (*Table, error) {
+func fig1(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	g, err := loadAnalog("cit-HepTh", cfg)
 	if err != nil {
@@ -100,10 +100,10 @@ func Fig1(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Table2 regenerates Table 2: serial IMM (Tang-style bidirectional store)
+// table2 regenerates Table 2: serial IMM (Tang-style bidirectional store)
 // vs IMMopt (compact store) — time, RRR-store memory, speedup and savings,
 // per dataset, at eps = 0.5, k = 50.
-func Table2(cfg Config) (*Table, error) {
+func table2(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
 		ID:    "Table 2",
@@ -148,9 +148,9 @@ func Table2(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Fig2 regenerates Figure 2: theta as a function of eps and k on the
+// fig2 regenerates Figure 2: theta as a function of eps and k on the
 // cit-HepTh analog (log-scale growth as eps shrinks).
-func Fig2(cfg Config) (*Table, error) {
+func fig2(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	g, err := loadAnalog("cit-HepTh", cfg)
 	if err != nil {
@@ -209,9 +209,9 @@ func phaseRow(prefix []string, ph trace.Times) []string {
 
 var phaseHeader = []string{"EstimateTheta (s)", "Sample (s)", "BuildIndex (s)", "SelectSeeds (s)", "Other (s)", "Total (s)"}
 
-// Fig3 regenerates Figure 3: runtime vs eps at k = 50, IC model, with the
+// fig3 regenerates Figure 3: runtime vs eps at k = 50, IC model, with the
 // per-phase breakdown, for each dataset.
-func Fig3(cfg Config) (*Table, error) {
+func fig3(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	epss := cfg.EpsValues
 	if epss == nil {
@@ -242,9 +242,9 @@ func Fig3(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Fig4 regenerates Figure 4: runtime vs k at eps = 0.5, IC model, phase
+// fig4 regenerates Figure 4: runtime vs k at eps = 0.5, IC model, phase
 // breakdown.
-func Fig4(cfg Config) (*Table, error) {
+func fig4(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	ks := cfg.KValues
 	if ks == nil {
@@ -324,11 +324,11 @@ func scaling(cfg Config, model diffuse.Model, id string) (*Table, error) {
 	return t, nil
 }
 
-// Fig5 regenerates Figure 5 (LT multithreaded scaling).
-func Fig5(cfg Config) (*Table, error) { return scaling(cfg, diffuse.LT, "Figure 5") }
+// fig5 regenerates Figure 5 (LT multithreaded scaling).
+func fig5(cfg Config) (*Table, error) { return scaling(cfg, diffuse.LT, "Figure 5") }
 
-// Fig6 regenerates Figure 6 (IC multithreaded scaling).
-func Fig6(cfg Config) (*Table, error) { return scaling(cfg, diffuse.IC, "Figure 6") }
+// fig6 regenerates Figure 6 (IC multithreaded scaling).
+func fig6(cfg Config) (*Table, error) { return scaling(cfg, diffuse.IC, "Figure 6") }
 
 // distScaling runs the rank sweep behind Figures 7 and 8 on an in-process
 // cluster (each rank is a goroutine over the local transport).
@@ -385,14 +385,14 @@ func distScaling(cfg Config, id string, ranks []int, models []diffuse.Model) (*T
 	return t, nil
 }
 
-// Fig7 regenerates Figure 7: distributed scaling at Puma-like rank counts.
-func Fig7(cfg Config) (*Table, error) {
+// fig7 regenerates Figure 7: distributed scaling at Puma-like rank counts.
+func fig7(cfg Config) (*Table, error) {
 	return distScaling(cfg, "Figure 7", []int{2, 4, 8, 16}, []diffuse.Model{diffuse.IC, diffuse.LT})
 }
 
-// Fig8 regenerates Figure 8: distributed scaling at Edison-like rank
+// fig8 regenerates Figure 8: distributed scaling at Edison-like rank
 // counts (scaled down: the shape, not the node count, is the target).
-func Fig8(cfg Config) (*Table, error) {
+func fig8(cfg Config) (*Table, error) {
 	return distScaling(cfg, "Figure 8", []int{4, 8, 16, 32}, []diffuse.Model{diffuse.IC, diffuse.LT})
 }
 
@@ -433,12 +433,12 @@ func runDistributed(cfg Config, g *graph.Graph, p int, opt dist.Options) (*dist.
 	return results[0], balance, nil
 }
 
-// Table3 regenerates Table 3: end-to-end runtime of the four
+// table3 regenerates Table 3: end-to-end runtime of the four
 // implementations on the two largest graphs, with speedups relative to the
 // serial Tang-style baseline. IMM/IMMopt/IMMmt run at eps=0.5, k=100;
 // IMMdist runs at the higher accuracy eps=0.13 with k=200, as in the
 // paper's headline comparison.
-func Table3(cfg Config) (*Table, error) {
+func table3(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	names := []string{"com-Orkut", "soc-LiveJournal1"}
 	t := &Table{

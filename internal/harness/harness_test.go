@@ -48,7 +48,7 @@ func checkTable(t *testing.T, tab *Table, minRows int) {
 
 func TestFig1(t *testing.T) {
 	cfg := tiny()
-	tab, err := Fig1(cfg)
+	tab, err := fig1(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFig1(t *testing.T) {
 func TestTable2(t *testing.T) {
 	cfg := tiny()
 	cfg.Datasets = []string{"cit-HepTh", "soc-Epinions1"}
-	tab, err := Table2(cfg)
+	tab, err := table2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestTable2(t *testing.T) {
 
 func TestFig2(t *testing.T) {
 	cfg := tiny()
-	tab, err := Fig2(cfg)
+	tab, err := fig2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestFig2(t *testing.T) {
 func TestFig3AndFig4(t *testing.T) {
 	cfg := tiny()
 	cfg.Datasets = []string{"cit-HepTh"}
-	tab3, err := Fig3(cfg)
+	tab3, err := fig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkTable(t, tab3, 1)
-	tab4, err := Fig4(cfg)
+	tab4, err := fig4(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFig3AndFig4(t *testing.T) {
 func TestFig5AndFig6(t *testing.T) {
 	cfg := tiny()
 	cfg.Datasets = []string{"cit-HepTh"}
-	for _, f := range []func(Config) (*Table, error){Fig5, Fig6} {
+	for _, f := range []func(Config) (*Table, error){fig5, fig6} {
 		tab, err := f(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +111,7 @@ func TestFig5AndFig6(t *testing.T) {
 func TestFig7AndFig8(t *testing.T) {
 	cfg := tiny()
 	cfg.Datasets = []string{"com-YouTube"}
-	for _, f := range []func(Config) (*Table, error){Fig7, Fig8} {
+	for _, f := range []func(Config) (*Table, error){fig7, fig8} {
 		tab, err := f(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestFig7AndFig8(t *testing.T) {
 func TestTable3(t *testing.T) {
 	cfg := tiny()
 	cfg.Datasets = []string{"com-Orkut"}
-	tab, err := Table3(cfg)
+	tab, err := table3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTable3(t *testing.T) {
 
 func TestBio(t *testing.T) {
 	cfg := tiny()
-	tab, err := Bio(cfg)
+	tab, err := bioStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestBio(t *testing.T) {
 func TestValidate(t *testing.T) {
 	cfg := tiny()
 	cfg.Datasets = []string{"cit-HepTh"}
-	tab, err := Validate(cfg)
+	tab, err := validate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,21 +165,18 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestRunAllStreamsMarkdown(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full driver sweep in short mode")
-	}
-	cfg := tiny()
-	cfg.Datasets = []string{"cit-HepTh", "com-YouTube", "com-Orkut", "soc-LiveJournal1"}
-	var b strings.Builder
-	if err := RunAll(cfg, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, id := range []string{"Figure 1", "Table 2", "Figure 8", "Table 3", "Section 5"} {
-		if !strings.Contains(out, id) {
-			t.Fatalf("RunAll output missing %q", id)
+// TestDriverNamesUnique checks the registry cmd/experiments selects from:
+// every driver has a run function and a name no other driver shares.
+func TestDriverNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, d := range Drivers() {
+		if d.Name == "" || d.Run == nil {
+			t.Fatalf("incomplete driver %+v", d)
 		}
+		if seen[d.Name] {
+			t.Fatalf("driver name %q registered twice", d.Name)
+		}
+		seen[d.Name] = true
 	}
 }
 
@@ -199,7 +196,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestBaselinesDriver(t *testing.T) {
 	cfg := tiny()
-	tab, err := Baselines(cfg)
+	tab, err := baselines(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

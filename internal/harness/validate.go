@@ -8,7 +8,7 @@ import (
 	"influmax/internal/stats"
 )
 
-// Validate reproduces the paper's implementation-validation methodology
+// validate reproduces the paper's implementation-validation methodology
 // (Section 4, "Sequential Baseline Construction"): the seed rankings of
 // the baseline IMM and the optimized/parallel implementations are compared
 // by rank-biased overlap, and their spread estimates by forward Monte
@@ -17,7 +17,7 @@ import (
 // schemes"; here the per-sample RNG mode makes baseline vs IMMopt vs IMMmt
 // identical (RBO = 1), while the leap-frog mode reproduces the paper's
 // near-but-not-exactly-one behaviour.
-func Validate(cfg Config) (*Table, error) {
+func validate(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
 		ID:    "Validation",

@@ -138,7 +138,7 @@ type FlatCoverage struct {
 }
 
 // NewFlatCoverage returns a backend over col and the index built from it,
-// working with p workers. roots is the per-sample root column (see RootAt);
+// working with p workers. roots is the per-sample root column (see rootAt);
 // only audience-filtered selections need it.
 func NewFlatCoverage(col *rrr.Collection, idx *rrr.Index, roots []graph.Vertex, p int) *FlatCoverage {
 	n := col.NumVertices()
@@ -341,9 +341,9 @@ type MatrixCoverage struct {
 	m *rrr.Matrix
 }
 
-// NewMatrixCoverage returns the recounting backend over m, counting with
+// newMatrixCoverage returns the recounting backend over m, counting with
 // p workers.
-func NewMatrixCoverage(m *rrr.Matrix, p int) *MatrixCoverage {
+func newMatrixCoverage(m *rrr.Matrix, p int) *MatrixCoverage {
 	n := m.NumVertices()
 	return &MatrixCoverage{localCoverage{n: n, p: clampWorkers(p, n)}, m}
 }

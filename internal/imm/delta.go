@@ -246,22 +246,10 @@ func (s *DynamicSketch) Stats() DeltaStats { return s.stats }
 // Options returns the resolved build options.
 func (s *DynamicSketch) Options() Options { return s.opt }
 
-// Policy returns the weight policy.
-func (s *DynamicSketch) Policy() WeightPolicy { return s.policy }
-
 // Log returns the applied delta batches in order (aliases internal
 // storage; treat as read-only). Persisted into the v3 snapshot so warm
 // restarts replay it.
 func (s *DynamicSketch) Log() []graph.Delta { return s.log }
-
-// Query runs the indexed greedy over the maintained sketch, returning the
-// seed set and the number of samples it covers.
-func (s *DynamicSketch) Query(k, workers int) ([]graph.Vertex, int64) {
-	if workers <= 0 {
-		workers = s.opt.Workers
-	}
-	return SelectSeedsIndexed(s.col, s.idx, k, workers)
-}
 
 // ApplyDelta folds one batch of edge ops into the sketch: mutate the graph
 // (overlay + compact + reweight), regenerate exactly the samples whose

@@ -248,7 +248,7 @@ func TestDeltaDifferentialConsistency(t *testing.T) {
 					dyn := buildDynamic(t, g, cfg, 4)
 					applyScript(t, dyn, randomScript(dyn.Graph(), kind, 97, 4, 8))
 
-					incSeeds, _ := dyn.Query(dyn.Options().K, 4)
+					incSeeds, _ := SelectSeedsIndexed(dyn.Collection(), dyn.Index(), dyn.Options().K, 4)
 
 					cold, coldCol, _, err := RunCollect(dyn.Graph(), dyn.Options())
 					if err != nil {
@@ -286,8 +286,8 @@ func TestDeltaWorkerDeterminism(t *testing.T) {
 				if a.Stats() != b.Stats() {
 					t.Fatalf("repair telemetry diverges: %+v vs %+v", a.Stats(), b.Stats())
 				}
-				sa, ca := a.Query(5, 1)
-				sb, cb := b.Query(5, 4)
+				sa, ca := SelectSeedsIndexed(a.Collection(), a.Index(), 5, 1)
+				sb, cb := SelectSeedsIndexed(b.Collection(), b.Index(), 5, 4)
 				if ca != cb || len(sa) != len(sb) {
 					t.Fatalf("query results diverge: %v (%d) vs %v (%d)", sa, ca, sb, cb)
 				}
@@ -309,8 +309,8 @@ func TestDeltaGreedyPrefixConsistency(t *testing.T) {
 	cfg := deltaConfigs()[0]
 	dyn := buildDynamic(t, g, cfg, 4)
 	applyScript(t, dyn, randomScript(dyn.Graph(), "mixed", 13, 4, 8))
-	full, _ := dyn.Query(4, 4)
-	half, _ := dyn.Query(2, 4)
+	full, _ := SelectSeedsIndexed(dyn.Collection(), dyn.Index(), 4, 4)
+	half, _ := SelectSeedsIndexed(dyn.Collection(), dyn.Index(), 2, 4)
 	if len(full) < len(half) {
 		t.Fatalf("k=4 returned %d seeds, k=2 returned %d", len(full), len(half))
 	}
@@ -332,7 +332,7 @@ func TestDeltaBothStores(t *testing.T) {
 			dyn := buildDynamic(t, g, cfg, 4)
 			applyScript(t, dyn, randomScript(dyn.Graph(), "mixed", 29, 3, 8))
 
-			flatSeeds, flatCov := dyn.Query(5, 4)
+			flatSeeds, flatCov := SelectSeedsIndexed(dyn.Collection(), dyn.Index(), 5, 4)
 			for _, relabeled := range []bool{false, true} {
 				var relab *rrr.Relabeling
 				if relabeled {
@@ -380,8 +380,8 @@ func TestDeltaRestoreReplay(t *testing.T) {
 			if restored.Epoch() != dyn.Epoch() {
 				t.Fatalf("replayed epoch %d != live %d", restored.Epoch(), dyn.Epoch())
 			}
-			ra, _ := restored.Query(5, 4)
-			la, _ := dyn.Query(5, 4)
+			ra, _ := SelectSeedsIndexed(restored.Collection(), restored.Index(), 5, 4)
+			la, _ := SelectSeedsIndexed(dyn.Collection(), dyn.Index(), 5, 4)
 			for i := range la {
 				if ra[i] != la[i] {
 					t.Fatalf("restored seeds %v != live %v", ra, la)

@@ -34,19 +34,19 @@ func Estimate(s Samples, tm Analysis, k int, phases *trace.Times) (theta int64, 
 	lb = 1
 	var total, cov int64
 	for x := 1; x <= tm.maxX; x++ {
-		if total, err = s.Extend(tm.ThetaAt(x) - total); err == nil {
+		if total, err = s.Extend(tm.thetaAt(x) - total); err == nil {
 			cov, err = s.Cover(k)
 		}
 		if err != nil {
 			phases.Add(trace.Estimation, time.Since(start))
 			return 0, 0, err
 		}
-		if nF := tm.N() * float64(cov) / float64(total); nF >= tm.ThresholdAt(x) {
+		if nF := tm.N() * float64(cov) / float64(total); nF >= tm.thresholdAt(x) {
 			lb = tm.LowerBound(nF)
 			break
 		}
 	}
-	theta = tm.FinalTheta(lb)
+	theta = tm.finalTheta(lb)
 	phases.Add(trace.Estimation, time.Since(start))
 
 	start = time.Now()
@@ -81,7 +81,7 @@ type localSamples struct {
 // and every later round is emitted as the kernel's words.
 func (s *localSamples) Extend(count int64) (int64, error) {
 	if s.mat != nil {
-		s.st.SampleMatrix(s.mat, int(count))
+		s.st.sampleMatrix(s.mat, int(count))
 		return int64(s.mat.Count()), nil
 	}
 	s.st.Sample(s.col, int(count))

@@ -68,8 +68,8 @@ func handFinal(tm Analysis, lb float64) int64 {
 func TestEstimateStopsAtFirstCertifiedIteration(t *testing.T) {
 	const n, k = 10000, 5
 	tm := NewAnalysis(n, k, 0.5, 1)
-	if tm.MaxX() < 4 {
-		t.Fatalf("MaxX %d leaves no room for the script", tm.MaxX())
+	if tm.maxX < 4 {
+		t.Fatalf("maxX %d leaves no room for the script", tm.maxX)
 	}
 	// Iterations 1 and 2 cover too little; iteration 3 covers a quarter of
 	// the samples, which clears (1 + eps') n / 8.
@@ -126,10 +126,10 @@ func TestEstimateWithoutCertificateUsesUnitBound(t *testing.T) {
 	if want := handFinal(tm, 1); theta != want {
 		t.Fatalf("theta = %d, want %d", theta, want)
 	}
-	if len(s.ks) != tm.MaxX() || len(s.extends) != tm.MaxX()+1 {
-		t.Fatalf("%d Cover / %d Extend calls, want %d / %d", len(s.ks), len(s.extends), tm.MaxX(), tm.MaxX()+1)
+	if len(s.ks) != tm.maxX || len(s.extends) != tm.maxX+1 {
+		t.Fatalf("%d Cover / %d Extend calls, want %d / %d", len(s.ks), len(s.extends), tm.maxX, tm.maxX+1)
 	}
-	if last := handTheta(tm, tm.MaxX()); s.total != max(theta, last) {
+	if last := handTheta(tm, tm.maxX); s.total != max(theta, last) {
 		t.Fatalf("samples drawn %d, want max(theta %d, last iteration %d)", s.total, theta, last)
 	}
 }

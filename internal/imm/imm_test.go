@@ -158,7 +158,7 @@ func TestThetaMathShapes(t *testing.T) {
 	n := 30000
 	thetaOf := func(k int, eps float64) int64 {
 		tm := NewAnalysis(n, k, eps, 1)
-		return tm.FinalTheta(float64(n) / 50) // fixed plausible LB
+		return tm.finalTheta(float64(n) / 50) // fixed plausible LB
 	}
 	if !(thetaOf(50, 0.2) > thetaOf(50, 0.3) && thetaOf(50, 0.3) > thetaOf(50, 0.5)) {
 		t.Fatal("theta not decreasing in eps")
@@ -180,10 +180,10 @@ func TestThetaMathEpsPrime(t *testing.T) {
 	if tm.lambdaP <= 0 || tm.lambdaS <= 0 {
 		t.Fatal("lambda constants must be positive")
 	}
-	if tm.ThetaAt(2) <= tm.ThetaAt(1) {
+	if tm.thetaAt(2) <= tm.thetaAt(1) {
 		t.Fatal("thetaAt must grow with x")
 	}
-	if tm.FinalTheta(0.5) != tm.FinalTheta(1) {
+	if tm.finalTheta(0.5) != tm.finalTheta(1) {
 		t.Fatal("LB below 1 must clamp")
 	}
 }
@@ -546,7 +546,7 @@ func TestThetaInverseSquareLaw(t *testing.T) {
 	tmA := NewAnalysis(100000, 50, 0.2, 1)
 	tmB := NewAnalysis(100000, 50, 0.4, 1)
 	lb := 5000.0
-	ratio := float64(tmA.FinalTheta(lb)) / float64(tmB.FinalTheta(lb))
+	ratio := float64(tmA.finalTheta(lb)) / float64(tmB.finalTheta(lb))
 	if ratio < 3.5 || ratio > 4.5 {
 		t.Fatalf("theta(0.2)/theta(0.4) = %.2f, want ~4", ratio)
 	}

@@ -59,20 +59,16 @@ func NewAnalysis(n int, k int, eps, l float64) Analysis {
 // N returns the vertex count as a float.
 func (m Analysis) N() float64 { return m.n }
 
-// MaxX returns the number of lower-bound search iterations (Algorithm 2's
-// loop bound, log2(n)-1).
-func (m Analysis) MaxX() int { return m.maxX }
-
-// ThetaAt returns the number of samples required by lower-bound search
+// thetaAt returns the number of samples required by lower-bound search
 // iteration x (Algorithm 2's f(x, k, eps, |V|)): lambda' / (n / 2^x).
-func (m Analysis) ThetaAt(x int) int64 {
+func (m Analysis) thetaAt(x int) int64 {
 	y := m.n / math.Pow(2, float64(x))
 	return int64(math.Ceil(m.lambdaP / y))
 }
 
-// ThresholdAt returns the acceptance threshold on n*F for iteration x: the
+// thresholdAt returns the acceptance threshold on n*F for iteration x: the
 // lower-bound search stops when n*F(S) >= (1 + eps') * n / 2^x.
-func (m Analysis) ThresholdAt(x int) float64 {
+func (m Analysis) thresholdAt(x int) float64 {
 	return (1 + m.epsPrime) * m.n / math.Pow(2, float64(x))
 }
 
@@ -82,9 +78,9 @@ func (m Analysis) LowerBound(nF float64) float64 {
 	return nF / (1 + m.epsPrime)
 }
 
-// FinalTheta returns theta = lambda* / LB (Algorithm 2's
+// finalTheta returns theta = lambda* / LB (Algorithm 2's
 // f'(k, eps, |V|, LB)).
-func (m Analysis) FinalTheta(lb float64) int64 {
+func (m Analysis) finalTheta(lb float64) int64 {
 	if lb < 1 {
 		lb = 1
 	}

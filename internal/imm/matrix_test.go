@@ -174,7 +174,7 @@ func FuzzMatrixMatchesFlat(f *testing.F) {
 				rounds--
 				step = 1 + r.Intn(left)
 			}
-			st.SampleMatrix(m, step)
+			st.sampleMatrix(m, step)
 			left -= step
 		}
 

@@ -104,12 +104,12 @@ type QueryResult struct {
 	SpentBudget float64
 }
 
-// RootAt re-derives the root vertex of global sample `index` for a
+// rootAt re-derives the root vertex of global sample `index` for a
 // PerSample-mode build over n vertices and stream seed `seed`: the root is
 // the sample stream's first draw, so it is a pure function of (seed,
 // index, n) and never needs storing. Valid across dynamic-sketch epochs —
 // incremental maintenance regenerates samples with their original streams.
-func RootAt(seed, index uint64, n int) graph.Vertex {
+func rootAt(seed, index uint64, n int) graph.Vertex {
 	return graph.Vertex(rng.New(rng.Derive(seed, index)).Intn(n))
 }
 
@@ -130,7 +130,7 @@ func RootsRange(seed, first uint64, count, n, p int) []graph.Vertex {
 }
 
 // SelectQueryIndexed answers q over a flat collection and its incidence
-// index. roots is the per-sample root column (see RootAt); it is required
+// index. roots is the per-sample root column (see rootAt); it is required
 // only for audience-filtered queries and may be nil otherwise. A plain q
 // returns exactly SelectSeedsIndexed's seeds, byte-identically, at any
 // worker count.

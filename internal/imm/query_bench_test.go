@@ -285,7 +285,7 @@ func BenchmarkSelectDensity(b *testing.B) {
 			backends = append(backends, struct {
 				name string
 				be   func() Coverage[int32]
-			}{"matrix", func() Coverage[int32] { return NewMatrixCoverage(mat, 2) }})
+			}{"matrix", func() Coverage[int32] { return newMatrixCoverage(mat, 2) }})
 		}
 		density := float64(col.TotalSize()) / float64(col.Count()) / float64(n)
 		for _, qc := range queries {

@@ -263,7 +263,7 @@ func TestQueryDifferential(t *testing.T) {
 }
 
 // TestQueryRootsIdentity checks the PerSample root derivation against the
-// store itself: RootAt is consistent with RootsRange, and every derived
+// store itself: rootAt is consistent with RootsRange, and every derived
 // root is a member of its own sample (the RR construction starts at the
 // root), verified through the incidence index of both stores.
 func TestQueryRootsIdentity(t *testing.T) {
@@ -271,8 +271,8 @@ func TestQueryRootsIdentity(t *testing.T) {
 	_, col, idx, _, cidx, roots := queryStores(t, gc, queryConfigs[0])
 	n := col.NumVertices()
 	for j := range roots {
-		if want := RootAt(gc.seed, uint64(j), n); roots[j] != want {
-			t.Fatalf("roots[%d] = %d, RootAt says %d", j, roots[j], want)
+		if want := rootAt(gc.seed, uint64(j), n); roots[j] != want {
+			t.Fatalf("roots[%d] = %d, rootAt says %d", j, roots[j], want)
 		}
 	}
 	for _, index := range []*rrr.Index{idx, cidx} {

@@ -101,8 +101,8 @@ func TestRecountMatchesDecrement(t *testing.T) {
 					"flat/4":   func() Coverage[int32] { return NewFlatCoverage(col, idx, nil, 4) },
 					"coded/1":  func() Coverage[int32] { return NewCodedCoverage(ccol, cidx, nil, 1) },
 					"coded/4":  func() Coverage[int32] { return NewCodedCoverage(ccol, cidx, nil, 4) },
-					"matrix/1": func() Coverage[int32] { return NewMatrixCoverage(rrr.MatrixOf(col, 1), 1) },
-					"matrix/4": func() Coverage[int32] { return NewMatrixCoverage(rrr.MatrixOf(col, 4), 4) },
+					"matrix/1": func() Coverage[int32] { return newMatrixCoverage(rrr.MatrixOf(col, 1), 1) },
+					"matrix/4": func() Coverage[int32] { return newMatrixCoverage(rrr.MatrixOf(col, 4), 4) },
 				})
 			})
 		}
@@ -119,7 +119,7 @@ func TestRecountMatchesDecrement(t *testing.T) {
 		checkRecount(t, n, idx, map[string]func() Coverage[int32]{
 			"flat":   func() Coverage[int32] { return NewFlatCoverage(col, idx, nil, 2) },
 			"coded":  func() Coverage[int32] { return NewCodedCoverage(ccol, cidx, nil, 2) },
-			"matrix": func() Coverage[int32] { return NewMatrixCoverage(rrr.MatrixOf(col, 2), 2) },
+			"matrix": func() Coverage[int32] { return newMatrixCoverage(rrr.MatrixOf(col, 2), 2) },
 		})
 	})
 }
@@ -221,7 +221,7 @@ func FuzzRecountMatchesDecrement(f *testing.F) {
 			t.Fatalf("n %d, %d samples, %+v: recount %+v (%d pops), decrement %+v (%d pops)",
 				n, col.Count(), q, got, gotPops, want, wantPops)
 		}
-		got, gotPops, err = selectOn(NewMatrixCoverage(rrr.MatrixOf(col, 1), 1), n, q)
+		got, gotPops, err = selectOn(newMatrixCoverage(rrr.MatrixOf(col, 1), 1), n, q)
 		if err != nil {
 			t.Fatal(err)
 		}

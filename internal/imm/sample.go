@@ -30,7 +30,7 @@ const minDynamicChunk = 8
 //
 // It is exported for the distributed ranks (internal/dist), which sample
 // disjoint global index ranges into rank-local collections via SampleAt.
-// A dense draw skips the lists altogether: SampleMatrix keeps the fused
+// A dense draw skips the lists altogether: sampleMatrix keeps the fused
 // kernel's lane words as a bit matrix (DESIGN.md §13.6).
 // A BatchSampler is not safe for concurrent use.
 type BatchSampler struct {
@@ -259,7 +259,7 @@ func (b *BatchSampler) SampleAt(col *rrr.Collection, base uint64, count int) {
 	b.recordRange(col, first)
 }
 
-// SampleMatrix generates count new RRR sets, the next count global sample
+// sampleMatrix generates count new RRR sets, the next count global sample
 // indexes, straight into the bit matrix m as the fused kernel's lane
 // words (diffuse.FusedSampler.GenerateBlock): no list, arena or merge
 // exists. m must hold exactly the samples drawn so far. The scheduler
@@ -268,12 +268,12 @@ func (b *BatchSampler) SampleAt(col *rrr.Collection, base uint64, count int) {
 // in at that block's shift. Every word is a pure function of (seed, id),
 // so m does not depend on the worker count or the schedule. It needs the
 // fused kernel (PerSample RNG).
-func (b *BatchSampler) SampleMatrix(m *rrr.Matrix, count int) {
+func (b *BatchSampler) sampleMatrix(m *rrr.Matrix, count int) {
 	if count <= 0 {
 		return
 	}
 	if b.fused == nil || b.streams != nil || uint64(m.Count()) != b.nextID {
-		panic("imm: SampleMatrix needs the fused kernel and a matrix of every sample drawn so far")
+		panic("imm: sampleMatrix needs the fused kernel and a matrix of every sample drawn so far")
 	}
 	base := b.nextID
 	end := base + uint64(count)

@@ -59,7 +59,7 @@ func selectPlain(be Coverage[int32], idx *rrr.Index, k int) ([]graph.Vertex, int
 // its recounting backend: Estimate's re-selects and Run's final
 // selection once the draw went dense.
 func selectMatrix(m *rrr.Matrix, p, k int) ([]graph.Vertex, int64) {
-	res, _ := Greedy(NewMatrixCoverage(m, p), m.NumVertices(), Query{K: k}, nil)
+	res, _ := Greedy(newMatrixCoverage(m, p), m.NumVertices(), Query{K: k}, nil)
 	return res.Seeds, res.Covered
 }
 

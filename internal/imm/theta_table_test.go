@@ -10,19 +10,19 @@ import (
 )
 
 // thetaRow renders one line of testdata/theta_table.txt: the point
-// "n k eps l", then ThetaAt(x) for x = 1..MaxX, then FinalTheta at the
+// "n k eps l", then thetaAt(x) for x = 1..MaxX, then finalTheta at the
 // lower bounds 1, sqrt(n), n/7 and n.
 func thetaRow(n, k int, eps, l float64) string {
 	m := NewAnalysis(n, k, eps, l)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d %d %g %g |", n, k, eps, l)
-	for x := 1; x <= m.MaxX(); x++ {
-		fmt.Fprintf(&sb, " %d", m.ThetaAt(x))
+	for x := 1; x <= m.maxX; x++ {
+		fmt.Fprintf(&sb, " %d", m.thetaAt(x))
 	}
 	sb.WriteString(" |")
 	nf := float64(n)
 	for _, lb := range []float64{1, math.Sqrt(nf), nf / 7, nf} {
-		fmt.Fprintf(&sb, " %d", m.FinalTheta(lb))
+		fmt.Fprintf(&sb, " %d", m.finalTheta(lb))
 	}
 	return sb.String()
 }

@@ -78,12 +78,6 @@ type RankCrash struct {
 	AfterSends int
 }
 
-// Active reports whether the plan changes any behavior.
-func (p FaultPlan) Active() bool {
-	return p.DelayProb > 0 || p.DropProb > 0 || p.DupProb > 0 || p.ReorderProb > 0 ||
-		p.RecvTimeout > 0 || len(p.Crashes) > 0
-}
-
 func (p FaultPlan) maxDelay() time.Duration {
 	if p.MaxDelay <= 0 {
 		return 2 * time.Millisecond
@@ -268,13 +262,15 @@ type faultyComm struct {
 	stats statCounters
 }
 
-// WithFaults wraps inner in the fault-injecting decorator. An inactive
-// plan returns inner unchanged. Close the returned Comm once the rank's
-// conversation is over: the reorder fault may still be holding the
-// channel's final envelope, and only a later Send, a Recv, or Close
-// releases it.
+// WithFaults wraps inner in the fault-injecting decorator. A plan that
+// changes no behavior returns inner unchanged. Close the returned Comm
+// once the rank's conversation is over: the reorder fault may still be
+// holding the channel's final envelope, and only a later Send, a Recv,
+// or Close releases it.
 func WithFaults(inner Comm, plan FaultPlan) Comm {
-	if !plan.Active() {
+	active := plan.DelayProb > 0 || plan.DropProb > 0 || plan.DupProb > 0 || plan.ReorderProb > 0 ||
+		plan.RecvTimeout > 0 || len(plan.Crashes) > 0
+	if !active {
 		return inner
 	}
 	f := &faultyComm{

@@ -56,10 +56,7 @@ func TestParseFaultPlanErrors(t *testing.T) {
 }
 
 func TestFaultPlanActive(t *testing.T) {
-	if (FaultPlan{}).Active() {
-		t.Error("zero plan reported active")
-	}
-	if WithFaults(NewLocalCluster(1)[0], FaultPlan{}).(*localComm) == nil {
+	if _, ok := WithFaults(NewLocalCluster(1)[0], FaultPlan{}).(*localComm); !ok {
 		t.Error("inactive plan did not return the inner transport")
 	}
 	for _, p := range []FaultPlan{
@@ -70,9 +67,11 @@ func TestFaultPlanActive(t *testing.T) {
 		{RecvTimeout: time.Second},
 		{Crashes: []RankCrash{{Rank: 0, AfterSends: 5}}},
 	} {
-		if !p.Active() {
-			t.Errorf("plan %+v reported inactive", p)
+		c := WithFaults(NewLocalCluster(1)[0], p)
+		if _, ok := c.(*localComm); ok {
+			t.Errorf("plan %+v left the transport undecorated", p)
 		}
+		c.Close()
 	}
 }
 

@@ -8,10 +8,9 @@
 // one well-defined stream regardless of p. Jump-ahead is O(log n) by
 // exponentiating the affine transition map.
 //
-// Two alternative generators (SplitMix64 and xoshiro256**) are provided for
-// ablation studies, together with a per-sample derivation scheme that makes
-// every Monte Carlo sample's randomness independent of how samples are
-// scheduled onto workers.
+// SplitMix64 is provided beside it, together with a per-sample derivation
+// scheme that makes every Monte Carlo sample's randomness independent of
+// how samples are scheduled onto workers.
 package rng
 
 import (
@@ -71,8 +70,8 @@ func affinePow(a, c, n uint64) (an, cn uint64) {
 	return an, cn
 }
 
-// Jump advances the generator by n steps in O(log n) time.
-func (g *LCG) Jump(n uint64) {
+// jump advances the generator by n steps in O(log n) time.
+func (g *LCG) jump(n uint64) {
 	an, cn := affinePow(g.a, g.c, n)
 	g.state = an*g.state + cn
 }
@@ -105,9 +104,6 @@ func mulInverse(a uint64) uint64 {
 	}
 	return x
 }
-
-// State returns the raw internal state (for tests and checkpointing).
-func (g *LCG) State() uint64 { return g.state }
 
 // Mix64 is the SplitMix64 finalizer: a bijective scrambling of 64-bit
 // values with good avalanche behaviour.
@@ -177,37 +173,6 @@ func (g *SplitMix64) Reseed(seed, index uint64) {
 	g.state = SplitMixState(seed, index)
 }
 
-// Xoshiro256 is the xoshiro256** generator of Blackman and Vigna.
-type Xoshiro256 struct{ s [4]uint64 }
-
-// NewXoshiro256 returns a xoshiro256** generator seeded from seed via
-// SplitMix64, as recommended by its authors.
-func NewXoshiro256(seed uint64) *Xoshiro256 {
-	sm := NewSplitMix64(seed)
-	var g Xoshiro256
-	for i := range g.s {
-		g.s[i] = sm.Uint64()
-	}
-	if g.s == [4]uint64{} {
-		g.s[0] = 1 // the all-zero state is invalid
-	}
-	return &g
-}
-
-// Uint64 returns the next value of the stream.
-func (g *Xoshiro256) Uint64() uint64 {
-	s := &g.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
-}
-
 // Rand wraps a Source with convenience distributions.
 type Rand struct{ Src Source }
 
@@ -227,11 +192,11 @@ func (r *Rand) Float32() float32 {
 	return float32(r.Src.Uint64()>>40) * (1.0 / (1 << 24))
 }
 
-// Uint32n returns a uniform value in [0, n) using Lemire's multiply-shift
+// uint32n returns a uniform value in [0, n) using Lemire's multiply-shift
 // method (no modulo bias worth worrying about at 64->32 bits).
-func (r *Rand) Uint32n(n uint32) uint32 {
+func (r *Rand) uint32n(n uint32) uint32 {
 	if n == 0 {
-		panic("rng: Uint32n(0)")
+		panic("rng: uint32n(0)")
 	}
 	hi, _ := bits.Mul64(r.Src.Uint64(), uint64(n))
 	return uint32(hi)

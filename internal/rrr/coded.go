@@ -25,7 +25,7 @@ import (
 // DESIGN.md §13.
 //
 // The store is append-only and immutable once shared; decode paths
-// (AppendMembers, Contains, visitRange, CountAll) are safe for any number
+// (appendMembers, visitRange, CountAll) are safe for any number
 // of concurrent readers.
 type CodedCollection struct {
 	n         int
@@ -48,9 +48,9 @@ const (
 	codedBlockSamples = 1 << codedBlockShift
 )
 
-// NewCodedCollection returns an empty coded store over n vertices. relab
+// newCodedCollection returns an empty coded store over n vertices. relab
 // may be nil for the identity labeling; otherwise relab.Len() must equal n.
-func NewCodedCollection(n int, relab *Relabeling) *CodedCollection {
+func newCodedCollection(n int, relab *Relabeling) *CodedCollection {
 	if relab != nil && relab.Len() != n {
 		panic(fmt.Sprintf("rrr: relabeling covers %d vertices, store has %d", relab.Len(), n))
 	}
@@ -77,7 +77,7 @@ func FromCollectionParallel(col *Collection, relab *Relabeling, p int) *CodedCol
 	p = max(1, clampWorkers(p, blocks))
 	parts := make([]*CodedCollection, p)
 	par.ForEach(blocks, p, func(rank, lo, hi int) {
-		part := NewCodedCollection(n, relab)
+		part := newCodedCollection(n, relab)
 		first, end := lo*codedBlockSamples, min(hi*codedBlockSamples, count)
 		// Size the buffer for the common case (most gaps fit one byte) to
 		// avoid repeated growth.
@@ -91,7 +91,7 @@ func FromCollectionParallel(col *Collection, relab *Relabeling, p int) *CodedCol
 	if p == 1 {
 		return parts[0]
 	}
-	c := NewCodedCollection(n, relab)
+	c := newCodedCollection(n, relab)
 	bases := make([]int64, p+1)
 	for r, part := range parts {
 		bases[r+1] = bases[r] + int64(len(part.data))
@@ -238,7 +238,7 @@ func (d *RunDecoder) Append(i int, buf []graph.Vertex) []graph.Vertex {
 		if relab == nil {
 			buf = append(buf, graph.Vertex(cur))
 		} else {
-			buf = append(buf, relab.Orig(cur))
+			buf = append(buf, relab.origOf(cur))
 		}
 	}
 	return buf
@@ -267,8 +267,8 @@ func (d *RunDecoder) Accum(i int, counts []int32, delta int32) {
 	}
 }
 
-// AppendMembers is RunDecoder.Append for one sample looked up cold.
-func (c *CodedCollection) AppendMembers(i int, buf []graph.Vertex) []graph.Vertex {
+// appendMembers is RunDecoder.Append for one sample looked up cold.
+func (c *CodedCollection) appendMembers(i int, buf []graph.Vertex) []graph.Vertex {
 	d := c.Run()
 	return d.Append(i, buf)
 }
@@ -276,42 +276,13 @@ func (c *CodedCollection) AppendMembers(i int, buf []graph.Vertex) []graph.Verte
 // SampleSorted decodes sample i into buf (reused if capacious) and returns
 // its members sorted ascending by original id — the canonical order
 // Collection.Sample yields, regardless of the store's labeling. Used by
-// transcoding and equivalence tests; hot paths use AppendMembers.
+// transcoding and equivalence tests; hot paths use appendMembers.
 func (c *CodedCollection) SampleSorted(i int, buf []graph.Vertex) []graph.Vertex {
-	buf = c.AppendMembers(i, buf[:0])
+	buf = c.appendMembers(i, buf[:0])
 	if c.relab != nil {
 		slices.Sort(buf)
 	}
 	return buf
-}
-
-// Contains reports membership of v in sample i by streaming the deltas in
-// code space with early exit once the running code passes v's code.
-func (c *CodedCollection) Contains(i int, v graph.Vertex) bool {
-	want := uint32(v)
-	if c.relab != nil {
-		want = c.relab.Code(v)
-	}
-	p := c.payload(i)
-	prev := uint32(0)
-	first := true
-	for pos := 0; pos < len(p); {
-		delta, k := binary.Uvarint(p[pos:])
-		pos += k
-		cur := uint32(delta)
-		if !first {
-			cur = prev + 1 + uint32(delta)
-		}
-		if cur == want {
-			return true
-		}
-		if cur > want {
-			return false
-		}
-		prev = cur
-		first = false
-	}
-	return false
 }
 
 // visitRange streams sample i and invokes visit for every member whose
@@ -343,7 +314,7 @@ func (c *CodedCollection) visitRange(i int, vl, vh graph.Vertex, visit func(grap
 			}
 			continue
 		}
-		if v := c.relab.Orig(cur); v >= vl && v < vh {
+		if v := c.relab.origOf(cur); v >= vl && v < vh {
 			visit(v)
 		}
 	}
@@ -367,7 +338,7 @@ func (c *CodedCollection) CountAll(counter []int32, covered Bitset) {
 // snapshot cross-loading path: a snapshot written with one labeling is
 // transcoded once at load time into the store kind the server runs.
 func (c *CodedCollection) Recode(relab *Relabeling) *CodedCollection {
-	out := NewCodedCollection(c.n, relab)
+	out := newCodedCollection(c.n, relab)
 	out.data = make([]byte, 0, len(c.data))
 	var buf []graph.Vertex
 	for i := 0; i < c.count; i++ {

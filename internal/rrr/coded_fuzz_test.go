@@ -12,13 +12,13 @@ import (
 
 // FuzzDecodeSample hammers the per-sample payload validator with
 // adversarial bytes: it must never panic, and whatever it accepts must
-// decode through the real AppendMembers path to exactly the cardinality it
+// decode through the real appendMembers path to exactly the cardinality it
 // reported, with strictly ascending codes below n. The seed corpus covers
 // honest payloads under both labelings, boundary codes, truncated varints
 // and oversized deltas.
 func FuzzDecodeSample(f *testing.F) {
 	encode := func(set []graph.Vertex) []byte {
-		c := NewCodedCollection(min(1<<31, math.MaxInt), nil) // 2^31, or MaxInt32 on a 32-bit int
+		c := newCodedCollection(min(1<<31, math.MaxInt), nil) // 2^31, or MaxInt32 on a 32-bit int
 		c.Append(set)
 		return slices.Clone(c.payload(0))
 	}
@@ -53,7 +53,7 @@ func FuzzDecodeSample(f *testing.F) {
 			blockOffs: []int64{0},
 			data:      append(binary.AppendUvarint(nil, uint64(len(p))), p...),
 		}
-		got := c.AppendMembers(0, nil)
+		got := c.appendMembers(0, nil)
 		if len(got) != card {
 			t.Fatalf("validator counted %d members, decoder produced %d", card, len(got))
 		}

@@ -60,31 +60,18 @@ func TestCodedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodedAppendMembersSetEqual checks the hot decode path: AppendMembers
+// TestCodedAppendMembersSetEqual checks the hot decode path: appendMembers
 // yields the same member set as the flat store (in code order, which under
 // a relabeling is not id order — the consumers are order-insensitive).
 func TestCodedAppendMembersSetEqual(t *testing.T) {
 	flat, c := codedPair(21, 120, 30, 0.25, true)
 	var buf []graph.Vertex
 	for i := 0; i < flat.Count(); i++ {
-		buf = c.AppendMembers(i, buf[:0])
+		buf = c.appendMembers(i, buf[:0])
 		got := slices.Clone(buf)
 		slices.Sort(got)
 		if !slices.Equal(got, flat.Sample(i)) && !(len(got) == 0 && len(flat.Sample(i)) == 0) {
 			t.Fatalf("sample %d decodes to %v, want %v", i, got, flat.Sample(i))
-		}
-	}
-}
-
-func TestCodedContainsMatchesFlat(t *testing.T) {
-	for _, relabeled := range []bool{false, true} {
-		flat, c := codedPair(5, 150, 30, 0.2, relabeled)
-		for i := 0; i < 30; i++ {
-			for v := 0; v < 150; v++ {
-				if c.Contains(i, graph.Vertex(v)) != flat.Contains(i, graph.Vertex(v)) {
-					t.Fatalf("relabeled=%v: Contains(%d, %d) disagrees with flat store", relabeled, i, v)
-				}
-			}
 		}
 	}
 }
@@ -131,7 +118,7 @@ func TestCodedSmallerOnClusteredSets(t *testing.T) {
 }
 
 func TestCodedEmptySample(t *testing.T) {
-	c := NewCodedCollection(10, nil)
+	c := newCodedCollection(10, nil)
 	c.Append(nil)
 	c.Append([]graph.Vertex{0, 9})
 	if got := c.SampleSorted(0, nil); len(got) != 0 {
@@ -140,9 +127,6 @@ func TestCodedEmptySample(t *testing.T) {
 	if !slices.Equal(c.SampleSorted(1, nil), []graph.Vertex{0, 9}) {
 		t.Fatal("boundary sample wrong")
 	}
-	if c.Contains(0, 3) {
-		t.Fatal("empty sample claims membership")
-	}
 }
 
 func TestCodedLargeIDs(t *testing.T) {
@@ -150,7 +134,7 @@ func TestCodedLargeIDs(t *testing.T) {
 	// universe is 2^31, one short of it on a 32-bit int (Append reads
 	// only the ids).
 	n := min(1<<31, math.MaxInt)
-	c := NewCodedCollection(n, nil)
+	c := newCodedCollection(n, nil)
 	set := []graph.Vertex{5, 1 << 20, 1 << 28, 1<<31 - 1}
 	c.Append(set)
 	if !slices.Equal(c.SampleSorted(0, nil), set) {
@@ -214,7 +198,7 @@ func TestRelabelingFrequencyOrder(t *testing.T) {
 		t.Fatalf("table %v, want %v", r.Table(), want)
 	}
 	for c, v := range want {
-		if r.Code(graph.Vertex(v)) != uint32(c) || r.Orig(uint32(c)) != graph.Vertex(v) {
+		if r.Code(graph.Vertex(v)) != uint32(c) || r.origOf(uint32(c)) != graph.Vertex(v) {
 			t.Fatalf("code/orig not inverse at code %d vertex %d", c, v)
 		}
 	}
@@ -228,17 +212,17 @@ func TestRelabelingFrequencyOrder(t *testing.T) {
 }
 
 func TestRelabelingFromTable(t *testing.T) {
-	r, err := RelabelingFromTable([]uint32{2, 0, 1})
+	r, err := relabelingFromTable([]uint32{2, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Code(2) != 0 || r.Orig(2) != 1 {
+	if r.Code(2) != 0 || r.origOf(2) != 1 {
 		t.Fatal("reconstructed mapping wrong")
 	}
-	if _, err := RelabelingFromTable([]uint32{0, 3, 1}); err == nil {
+	if _, err := relabelingFromTable([]uint32{0, 3, 1}); err == nil {
 		t.Fatal("out-of-range entry accepted")
 	}
-	if _, err := RelabelingFromTable([]uint32{0, 1, 1}); err == nil {
+	if _, err := relabelingFromTable([]uint32{0, 1, 1}); err == nil {
 		t.Fatal("duplicate entry accepted")
 	}
 }
@@ -291,7 +275,7 @@ func TestValidateCoded(t *testing.T) {
 // TestRunDecoderMatchesColdDecode pins the run decoder to the per-sample
 // lookup it shortcuts: for id lists that start mid-block, cross block
 // boundaries, end on the last short block, repeat or run backwards, under
-// both labelings, Append yields AppendMembers' members in the same order
+// both labelings, Append yields appendMembers' members in the same order
 // and Accum the same counts. The samples hold gaps of every varint width
 // (the identity store's reach past 2^21, the four-byte form) and a few are
 // empty.
@@ -340,7 +324,7 @@ func TestRunDecoderMatchesColdDecode(t *testing.T) {
 			run, acc := c.Run(), c.Run()
 			got, want := make([]int32, n), make([]int32, n)
 			for _, i := range ids {
-				members := c.AppendMembers(int(i), nil)
+				members := c.appendMembers(int(i), nil)
 				sorted := slices.Clone(members)
 				if slices.Sort(sorted); !slices.Equal(sorted, flat.Sample(int(i))) && len(sorted)+len(flat.Sample(int(i))) > 0 {
 					t.Fatalf("relabeled=%v: sample %d decodes cold to %v, want %v", relabeled, i, sorted, flat.Sample(int(i)))
@@ -368,7 +352,7 @@ func TestFromCollectionParallelMatchesSerial(t *testing.T) {
 	for _, count := range []int{0, 1, 63, 64, 65, 200, 449} {
 		flat, _ := randomCollection(uint64(count)+5, 300, count, 0.05)
 		for _, relab := range []*Relabeling{nil, NewRelabeling(IncidenceOf(flat, 2))} {
-			serial := NewCodedCollection(flat.NumVertices(), relab)
+			serial := newCodedCollection(flat.NumVertices(), relab)
 			for i := range flat.Count() {
 				serial.Append(flat.Sample(i))
 			}

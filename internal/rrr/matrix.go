@@ -33,8 +33,8 @@ func MatrixBytes(n, count int) int64 {
 	return int64((count+63)/64) * int64(n) * 8
 }
 
-// NewMatrix returns an empty matrix over n vertices.
-func NewMatrix(n int) *Matrix { return &Matrix{n: n} }
+// newMatrix returns an empty matrix over n vertices.
+func newMatrix(n int) *Matrix { return &Matrix{n: n} }
 
 // NumVertices returns the vertex-universe size.
 func (m *Matrix) NumVertices() int { return m.n }
@@ -81,7 +81,7 @@ func (m *Matrix) Grow(count int) []int32 {
 // MatrixOf converts col into a matrix with p workers, each owning whole
 // blocks of 64 samples.
 func MatrixOf(col *Collection, p int) *Matrix {
-	m := NewMatrix(col.NumVertices())
+	m := newMatrix(col.NumVertices())
 	sizes := m.Grow(col.Count())
 	par.ForEach(m.Blocks(), p, func(_, lo, hi int) {
 		for b := lo; b < hi; b++ {

@@ -47,7 +47,7 @@ func TestMatrixRoundTrip(t *testing.T) {
 // TestMatrixGrowKeepsLanes: growing a matrix that ends mid-block keeps the
 // block's earlier lanes and hands out the new samples' size column.
 func TestMatrixGrowKeepsLanes(t *testing.T) {
-	m := NewMatrix(4)
+	m := newMatrix(4)
 	sizes := m.Grow(3)
 	m.Row(0)[2] |= 1 << 1
 	sizes[1] = 1

@@ -1,10 +1,6 @@
 package rrr
 
-import (
-	"sort"
-
-	"influmax/internal/graph"
-)
+import "influmax/internal/graph"
 
 // NaiveStore reproduces the storage strategy of the Tang et al. reference
 // implementation, the sequential baseline "IMM" of Table 2: every sample is
@@ -45,13 +41,6 @@ func (s *NaiveStore) Sample(i int) []graph.Vertex { return s.samples[i] }
 
 // SamplesOf returns the indices of samples containing v.
 func (s *NaiveStore) SamplesOf(v graph.Vertex) []int32 { return s.incidence[v] }
-
-// Contains reports membership of v in sample i.
-func (s *NaiveStore) Contains(i int, v graph.Vertex) bool {
-	sm := s.samples[i]
-	j := sort.Search(len(sm), func(k int) bool { return sm[k] >= v })
-	return j < len(sm) && sm[j] == v
-}
 
 // TotalSize returns the summed cardinality of all samples.
 func (s *NaiveStore) TotalSize() int64 {

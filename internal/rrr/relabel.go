@@ -18,7 +18,7 @@ import (
 // scale, and frequency ordering is what unlocks byte-level coding.
 //
 // The zero value is not useful; construct with NewRelabeling or
-// RelabelingFromTable. A nil *Relabeling everywhere means the identity
+// relabelingFromTable. A nil *Relabeling everywhere means the identity
 // labeling (code space == original id space).
 type Relabeling struct {
 	code []uint32 // original id -> code
@@ -65,10 +65,10 @@ func NewRelabeling(freq []int32) *Relabeling {
 	return r
 }
 
-// RelabelingFromTable reconstructs a relabeling from its code -> original
+// relabelingFromTable reconstructs a relabeling from its code -> original
 // table (the snapshot form), validating that the table is a permutation of
 // [0, len(table)).
-func RelabelingFromTable(table []uint32) (*Relabeling, error) {
+func relabelingFromTable(table []uint32) (*Relabeling, error) {
 	n := len(table)
 	r := &Relabeling{code: make([]uint32, n), orig: table}
 	seen := make([]bool, n)
@@ -91,8 +91,8 @@ func (r *Relabeling) Len() int { return len(r.orig) }
 // Code maps an original vertex id to its code.
 func (r *Relabeling) Code(v graph.Vertex) uint32 { return r.code[v] }
 
-// Orig maps a code back to the original vertex id.
-func (r *Relabeling) Orig(c uint32) graph.Vertex { return graph.Vertex(r.orig[c]) }
+// origOf maps a code back to the original vertex id.
+func (r *Relabeling) origOf(c uint32) graph.Vertex { return graph.Vertex(r.orig[c]) }
 
 // Table returns the code -> original column, the form the snapshot codec
 // persists (aliasing internal storage; do not modify).

@@ -251,7 +251,7 @@ func TestHypergraphIncidenceMatchesMembership(t *testing.T) {
 			fromIncidence := len(h.SamplesOf(graph.Vertex(v)))
 			direct := 0
 			for s := 0; s < h.Count(); s++ {
-				if h.Contains(s, graph.Vertex(v)) {
+				if slices.Contains(h.Sample(s), graph.Vertex(v)) {
 					direct++
 				}
 			}

@@ -219,7 +219,7 @@ func ReadSnapshot(r io.Reader, maxBytes int64) (SnapshotMeta, *CodedCollection, 
 	case present == 1:
 		table := sr.uint32s(n, "relabel table")
 		if sr.err == nil {
-			relab, err := RelabelingFromTable(table)
+			relab, err := relabelingFromTable(table)
 			if err != nil {
 				sr.fail(err.Error())
 			} else {

@@ -163,7 +163,7 @@ func TestDeltaEndpointDifferential(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("batch %d k=%d: status %d", bi, k, status)
 			}
-			wantSeeds, _ := direct.Query(k, cfg.Workers)
+			wantSeeds, _ := imm.SelectSeedsIndexed(direct.Collection(), direct.Index(), k, cfg.Workers)
 			if !slices.Equal(got.Seeds, wantSeeds) {
 				t.Fatalf("batch %d k=%d: served %v != direct %v", bi, k, got.Seeds, wantSeeds)
 			}

@@ -64,10 +64,12 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Sketch, when non-nil, is a prebuilt (typically snapshot-loaded)
-	// sketch installed at startup — the warm start. Its graph digest must
-	// match Graph. In dynamic mode the sketch's delta log is replayed to
-	// restore the mutated graph; outside it, a sketch carrying a delta log
-	// is rejected (its samples no longer describe Graph).
+	// sketch installed at startup — the warm start. Its key must equal the
+	// configuration's (Server.DefaultKey: graph digest, model, epsilon,
+	// KMax and seed), in both modes. In dynamic mode the sketch's delta
+	// log is replayed to restore the mutated graph; outside it, a sketch
+	// carrying a delta log is rejected (its samples no longer describe
+	// Graph).
 	Sketch *Sketch
 	// Dynamic enables dynamic-graph mode: the server owns one incremental
 	// sketch over Graph, serves every query from it, and accepts edge
@@ -189,9 +191,9 @@ func New(cfg Config) (*Server, error) {
 		mQueueDepth:   reg.Gauge("server/queue-depth"),
 		mLatency:      reg.Histogram("server/query-us"),
 	}
-	if cfg.Sketch != nil && cfg.Sketch.Key.GraphDigest != s.digest {
-		return nil, fmt.Errorf("server: provided sketch is for graph %016x, loaded graph is %016x",
-			cfg.Sketch.Key.GraphDigest, s.digest)
+	if cfg.Sketch != nil && cfg.Sketch.Key != s.DefaultKey() {
+		return nil, fmt.Errorf("server: provided sketch was sampled with (%s), the configuration asks for (%s)",
+			cfg.Sketch.Key, s.DefaultKey())
 	}
 	if sh := cfg.ClusterShard; sh != nil {
 		if cfg.Dynamic {

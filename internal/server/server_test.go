@@ -573,6 +573,15 @@ func TestNewValidation(t *testing.T) {
 		{"foreign sketch", func(c *Config) {
 			c.Sketch = &Sketch{Key: SketchKey{GraphDigest: 0xdead}}
 		}},
+		// Same graph, another seed: served under this key, its samples
+		// would answer for streams they were not drawn from.
+		{"sketch of another seed", func(c *Config) {
+			c.Sketch = &Sketch{Key: SketchKey{GraphDigest: g.Digest(), Model: c.Model, Epsilon: c.Epsilon, KMax: c.KMax, Seed: 7}}
+		}},
+		{"dynamic, sketch of another seed", func(c *Config) {
+			c.Dynamic = true
+			c.Sketch = &Sketch{Key: SketchKey{GraphDigest: g.Digest(), Model: c.Model, Epsilon: c.Epsilon, KMax: c.KMax, Seed: 7}}
+		}},
 	}
 	for _, tc := range cases {
 		cfg := testConfig(g)

@@ -5,9 +5,9 @@ import (
 	"sort"
 )
 
-// HypergeomPMF returns the probability of drawing exactly k successes in a
+// hypergeomPMF returns the probability of drawing exactly k successes in a
 // sample of size n from a population of size N containing K successes.
-func HypergeomPMF(N, K, n, k int64) float64 {
+func hypergeomPMF(N, K, n, k int64) float64 {
 	lp := LogBinomial(K, k) + LogBinomial(N-K, n-k) - LogBinomial(N, n)
 	if math.IsInf(lp, -1) {
 		return 0
@@ -33,7 +33,7 @@ func FisherExactGreater(N, K, n, k int64) float64 {
 	}
 	p := 0.0
 	for i := k; i <= hi; i++ {
-		p += HypergeomPMF(N, K, n, i)
+		p += hypergeomPMF(N, K, n, i)
 	}
 	if p > 1 {
 		p = 1

@@ -1,14 +1,11 @@
 // Package stats provides the mathematical and statistical helpers used
 // across the reproduction: log-binomial coefficients (the theta-estimation
-// formulas of IMM), descriptive statistics, rank-biased overlap (the metric
-// the paper uses to validate IMM vs IMMopt seed sets), Fisher's exact test
-// and Benjamini-Hochberg adjustment (the Section 5 enrichment analysis).
+// formulas of IMM), rank-biased overlap (the metric the paper uses to
+// validate IMM vs IMMopt seed sets), Fisher's exact test and
+// Benjamini-Hochberg adjustment (the Section 5 enrichment analysis).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // LogBinomial returns ln(n choose k). It is exact up to floating point via
 // the log-gamma function. Out-of-range k yields -Inf (an impossible event).
@@ -23,96 +20,4 @@ func LogBinomial(n, k int64) float64 {
 	lk1, _ := math.Lgamma(float64(k + 1))
 	lnk1, _ := math.Lgamma(float64(n - k + 1))
 	return ln1 - lk1 - lnk1
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance (0 for fewer than 2 values).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MinMax returns the extrema of xs; it panics on empty input.
-func MinMax(xs []float64) (minV, maxV float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	minV, maxV = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < minV {
-			minV = x
-		}
-		if x > maxV {
-			maxV = x
-		}
-	}
-	return minV, maxV
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It panics on empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// GeoMean returns the geometric mean of strictly positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean of non-positive value")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Harmonic returns the n-th harmonic number H_n.
-func Harmonic(n int) float64 {
-	h := 0.0
-	for i := 1; i <= n; i++ {
-		h += 1 / float64(i)
-	}
-	return h
 }

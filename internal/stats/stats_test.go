@@ -59,64 +59,6 @@ func TestLogBinomialPascal(t *testing.T) {
 	}
 }
 
-func TestDescriptive(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	approx(t, "Mean", Mean(xs), 5, 1e-12)
-	approx(t, "Variance", Variance(xs), 32.0/7.0, 1e-12)
-	approx(t, "StdDev", StdDev(xs), math.Sqrt(32.0/7.0), 1e-12)
-	mn, mx := MinMax(xs)
-	if mn != 2 || mx != 9 {
-		t.Fatalf("MinMax = (%v, %v)", mn, mx)
-	}
-}
-
-func TestDescriptiveDegenerate(t *testing.T) {
-	if Mean(nil) != 0 || Variance([]float64{3}) != 0 {
-		t.Fatal("degenerate inputs mishandled")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	approx(t, "median", Quantile(xs, 0.5), 3, 1e-12)
-	approx(t, "min", Quantile(xs, 0), 1, 1e-12)
-	approx(t, "max", Quantile(xs, 1), 5, 1e-12)
-	approx(t, "q25", Quantile(xs, 0.25), 2, 1e-12)
-	approx(t, "interp", Quantile([]float64{0, 10}, 0.35), 3.5, 1e-12)
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Quantile(nil, 0.5) },
-		func() { Quantile([]float64{1}, -0.1) },
-		func() { Quantile([]float64{1}, 1.1) },
-		func() { MinMax(nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	approx(t, "GeoMean", GeoMean([]float64{1, 4, 16}), 4, 1e-9)
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil) != 0")
-	}
-}
-
-func TestHarmonic(t *testing.T) {
-	approx(t, "H_4", Harmonic(4), 1+0.5+1.0/3+0.25, 1e-12)
-	if Harmonic(0) != 0 {
-		t.Fatal("H_0 != 0")
-	}
-}
-
 func TestRBOIdentical(t *testing.T) {
 	a := []uint32{1, 2, 3, 4, 5}
 	approx(t, "RBO(identical)", RBO(a, a, 0.9), 1, 1e-12)
@@ -184,7 +126,7 @@ func TestHypergeomPMFSumsToOne(t *testing.T) {
 	N, K, n := int64(30), int64(12), int64(9)
 	sum := 0.0
 	for k := int64(0); k <= n; k++ {
-		sum += HypergeomPMF(N, K, n, k)
+		sum += hypergeomPMF(N, K, n, k)
 	}
 	approx(t, "hypergeom total mass", sum, 1, 1e-9)
 }
@@ -194,7 +136,7 @@ func TestFisherExactKnownValue(t *testing.T) {
 	// P(X >= 5) with N=24, K=8, n=8.
 	want := 0.0
 	for k := int64(5); k <= 8; k++ {
-		want += HypergeomPMF(24, 8, 8, k)
+		want += hypergeomPMF(24, 8, 8, k)
 	}
 	approx(t, "Fisher", FisherExactGreater(24, 8, 8, 5), want, 1e-12)
 	// Sanity: must be small (observing 5+ of 8 successes in a sample of 8

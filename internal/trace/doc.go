@@ -13,14 +13,13 @@
 //     SelectSeeds is Algorithm 4, and Other is setup and accounting.
 //   - Times accumulates wall-clock durations per phase; Measure wraps a
 //     phase body the way the paper's implementations wrap their OpenMP
-//     regions with timers. Merge combines breakdowns across restarts or
-//     ranks (rank 0 of IMMdist merges nothing — each rank reports its own
-//     breakdown; internal/metrics gathers them instead).
+//     regions with timers. Each IMMdist rank reports its own breakdown;
+//     internal/metrics gathers them rather than summing them.
 //   - HeapAlloc is the coarse stand-in for the Massif peak-memory probe of
 //     Table 2; the precise quantity compared there (the RRR store size) is
 //     accounted exactly by the rrr package's Bytes methods.
 //
-// Phase.String and AllPhases are the single source of phase-name truth:
+// Phase.String and allPhases are the single source of phase-name truth:
 // internal/metrics keys its RunReport phase map by Phase.String(), and the
 // harness renders its table headers from the same names, so a figure
 // legend, a JSON report and a markdown table can never disagree.

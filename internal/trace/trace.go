@@ -52,8 +52,8 @@ func (p Phase) String() string {
 	return fmt.Sprintf("Phase(%d)", int(p))
 }
 
-// AllPhases returns every phase in legend order.
-func AllPhases() []Phase {
+// allPhases returns every phase in legend order.
+func allPhases() []Phase {
 	return []Phase{Estimation, Sampling, IndexBuild, SelectSeeds, Other}
 }
 
@@ -84,8 +84,8 @@ func (t *Times) Measure(p Phase, fn func()) {
 	t.d[p] += time.Since(start)
 }
 
-// Merge adds other's durations into t.
-func (t *Times) Merge(other Times) {
+// merge adds other's durations into t.
+func (t *Times) merge(other Times) {
 	for i := range t.d {
 		t.d[i] += other.d[i]
 	}
@@ -94,7 +94,7 @@ func (t *Times) Merge(other Times) {
 // String formats the breakdown in legend order.
 func (t *Times) String() string {
 	var b strings.Builder
-	for i, p := range AllPhases() {
+	for i, p := range allPhases() {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
@@ -107,7 +107,7 @@ func (t *Times) String() string {
 // form the metrics RunReport serializes.
 func (t *Times) Seconds() map[string]float64 {
 	m := make(map[string]float64, len(phaseNames))
-	for _, p := range AllPhases() {
+	for _, p := range allPhases() {
 		m[p.String()] = t.d[p].Seconds()
 	}
 	return m

@@ -30,17 +30,17 @@ func TestPhaseString(t *testing.T) {
 	}
 }
 
-// TestAllPhasesCoversEveryPhase pins AllPhases to the full legend-ordered
+// TestAllPhasesCoversEveryPhase pins allPhases to the full legend-ordered
 // enumeration, so consumers iterating it (metrics, harness) can never miss
 // a phase added later.
 func TestAllPhasesCoversEveryPhase(t *testing.T) {
-	all := AllPhases()
+	all := allPhases()
 	if len(all) != int(numPhases) {
-		t.Fatalf("AllPhases() has %d entries, want %d", len(all), numPhases)
+		t.Fatalf("allPhases() has %d entries, want %d", len(all), numPhases)
 	}
 	for i, p := range all {
 		if p != Phase(i) {
-			t.Errorf("AllPhases()[%d] = %v, want %v", i, p, Phase(i))
+			t.Errorf("allPhases()[%d] = %v, want %v", i, p, Phase(i))
 		}
 	}
 }
@@ -74,7 +74,7 @@ func TestMerge(t *testing.T) {
 	a.Add(Other, time.Second)
 	b.Add(Other, 2*time.Second)
 	b.Add(Sampling, time.Second)
-	a.Merge(b)
+	a.merge(b)
 	if a.Get(Other) != 3*time.Second || a.Get(Sampling) != time.Second {
 		t.Fatalf("merge wrong: %v", a.String())
 	}
@@ -87,7 +87,7 @@ func TestStringUsesPhaseNames(t *testing.T) {
 	var tm Times
 	s := tm.String()
 	prev := -1
-	for _, p := range AllPhases() {
+	for _, p := range allPhases() {
 		idx := strings.Index(s, p.String()+"=")
 		if idx < 0 {
 			t.Fatalf("String() missing %s: %q", p, s)
@@ -106,7 +106,7 @@ func TestSecondsKeyedByPhaseNames(t *testing.T) {
 	if len(m) != int(numPhases) {
 		t.Fatalf("Seconds() has %d keys, want %d", len(m), numPhases)
 	}
-	for _, p := range AllPhases() {
+	for _, p := range allPhases() {
 		if _, ok := m[p.String()]; !ok {
 			t.Fatalf("Seconds() missing key %q", p.String())
 		}
