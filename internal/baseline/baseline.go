@@ -1,8 +1,9 @@
 // Package baseline implements the classic influence-maximization
 // algorithms the literature (and the paper's related-work section) compares
 // against: the greedy hill-climbing of Kempe et al. with a Monte Carlo
-// spread oracle, the CELF lazy-greedy of Leskovec et al., and the degree /
-// single-discount / degree-discount heuristics of Chen et al.
+// spread oracle, run as the CELF lazy-greedy of Leskovec et al. (the plain
+// greedy is the tests' reference), and the degree / single-discount /
+// degree-discount heuristics of Chen et al.
 package baseline
 
 import (
@@ -13,40 +14,6 @@ import (
 	"influmax/internal/diffuse"
 	"influmax/internal/graph"
 )
-
-// Greedy is the hill-climbing algorithm of Kempe et al.: k rounds, each
-// evaluating the marginal Monte Carlo gain of every remaining vertex. The
-// approximation guarantee is 1-1/e (up to Monte Carlo error), but the cost
-// is O(k * n * trials) cascades — the scalability wall the RIS line of
-// work removes. trials Monte Carlo cascades are used per evaluation.
-func Greedy(g *graph.Graph, model diffuse.Model, k, trials, workers int, seed uint64) ([]graph.Vertex, []float64, error) {
-	n := g.NumVertices()
-	if err := checkArgs(n, k, trials); err != nil {
-		return nil, nil, err
-	}
-	seeds := make([]graph.Vertex, 0, k)
-	gains := make([]float64, 0, k)
-	chosen := make([]bool, n)
-	prevSpread := 0.0
-	for len(seeds) < k {
-		bestGain, bestV := -1.0, -1
-		for v := 0; v < n; v++ {
-			if chosen[v] {
-				continue
-			}
-			cand := append(seeds, graph.Vertex(v))
-			spread, _ := diffuse.EstimateSpreadCRN(g, model, cand, trials, workers, seed)
-			if gain := spread - prevSpread; gain > bestGain {
-				bestGain, bestV = gain, v
-			}
-		}
-		seeds = append(seeds, graph.Vertex(bestV))
-		gains = append(gains, bestGain)
-		chosen[bestV] = true
-		prevSpread += bestGain
-	}
-	return seeds, gains, nil
-}
 
 // celfEntry is a lazily evaluated marginal gain.
 type celfEntry struct {
@@ -76,8 +43,8 @@ func (h *celfHeap) Pop() any {
 // CELF is the Cost-Effective Lazy Forward optimization of the greedy
 // algorithm: marginal gains are kept in a max-heap and only re-evaluated
 // when stale, exploiting submodularity (a vertex's marginal gain can only
-// shrink as the seed set grows). Exact same output as Greedy up to Monte
-// Carlo noise, typically with far fewer oracle calls.
+// shrink as the seed set grows). Exact same output as plain greedy up to
+// Monte Carlo noise, typically with far fewer oracle calls.
 func CELF(g *graph.Graph, model diffuse.Model, k, trials, workers int, seed uint64) ([]graph.Vertex, []float64, error) {
 	n := g.NumVertices()
 	if err := checkArgs(n, k, trials); err != nil {

@@ -3,7 +3,6 @@ package diffuse
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"influmax/internal/graph"
 	"influmax/internal/rng"
@@ -16,21 +15,19 @@ import (
 // deduplicated per lane — in one ascending walk over the touched words.
 const MaxLanes = 64
 
-// coinBlock is the fixed size of an LT lane's coin buffer (the IC kernel
-// sizes its blocks to each adjacency scan instead; see scanGeneral).
-// Refills run as a tight loop over independent Mix64 finalizations (the
-// state chain is plain adds), so the per-coin cost is a fraction of an
-// interface-dispatched Uint64 call; at most coinBlock-1 coins per sample
-// are generated and never consumed.
+// coinBlock is the starting size of the IC kernel's gather and coin
+// buffers; each grows to the longest in-list it has scanned (see
+// expandLane and scanGeneral).
 const coinBlock = 64
 
 // FusedSampler generates random reverse reachable sets with the fused CSR
 // frontier kernel. A batch of up to MaxLanes samples shares one packed
 // visited bitset (word v = the lane mask of vertex v), one L1-resident
 // byte visited map reused lane after lane, and one sorted drain pass over
-// the touched words; each lane's edge coins come in blocks of independent
-// Mix64 finalizations off a pure counter state instead of one dispatched
-// generator call per edge. See DESIGN.md §14 for the full cost model.
+// the touched words; each lane's coins are Mix64 finalizations of a pure
+// counter state, drawn inline (or, on IC's general path, in one exact-size
+// block per scan) instead of one dispatched generator call per edge. See
+// DESIGN.md §14 for the full cost model.
 //
 // The kernel is byte-identical to the scalar Sampler in per-sample RNG
 // mode: lane b of a batch holding global sample id i consumes the exact
@@ -68,36 +65,33 @@ type FusedSampler struct {
 	// v/64 is set iff visited[v] != 0. Fires are rare next to visited
 	// tests, so maintaining the summary costs one OR on the fire path and
 	// saves the drain from reading n words per batch (it reads n/64 plus
-	// the touched ones). IC only.
+	// the touched ones).
 	dirty []uint64
 
-	// shared holds the read-only per-edge tables all workers' samplers can
-	// reuse (the IC coin thresholds).
+	// shared holds the read-only tables all workers' samplers can reuse
+	// (the IC coin thresholds, the LT pick classes).
 	shared *FusedShared
 
 	stream [MaxLanes]uint64 // lane b's sample id (stream index) this batch
 
-	// Per-lane SplitMix64 states and coin buffers. The IC kernel draws
+	// Per-lane SplitMix64 states and IC coin buffers. The IC kernel draws
 	// each scan's coins inline in the decide loop (uniform thresholds) or
 	// as one exact-size block into coinBits (general path, after the
-	// gather phase has packed vertex+threshold words into gather). coins64
-	// serves the LT kernel (fixed blocks of one float64 per step). Only
-	// the active model's buffers are allocated.
+	// gather phase has packed vertex+threshold words into gather); the LT
+	// kernel draws one float64 inline per walk step. Only IC allocates
+	// the buffers.
 	state    [MaxLanes]uint64
 	gather   []uint64
 	gatherU  []graph.Vertex
 	coinBits []uint32
-	coins64  [][]float64
-	coinPos  [MaxLanes]int
 
-	// queue[b] is lane b's BFS FIFO for the IC kernel: the root plus every
-	// fired vertex in discovery order. Consuming it in order reproduces
-	// the scalar reverseBFS coin order exactly.
+	// queue[b] is lane b's sample in discovery order: under IC its BFS
+	// FIFO, the root plus every fired vertex (consuming it in order
+	// reproduces the scalar reverseBFS coin order exactly); under LT its
+	// walk.
 	queue [MaxLanes][]graph.Vertex
 
-	// outs collects each lane's sample members for the drain (IC) or in
-	// discovery order (LT, where short walks make a per-lane sort cheaper
-	// than a bitset walk).
+	// outs collects each lane's sorted sample members for the drain.
 	outs [MaxLanes][]graph.Vertex
 
 	// frontier/next are the LT walk lists: one entry per lane still
@@ -123,8 +117,8 @@ type FusedStats struct {
 	// Passes is the total number of frontier expansions (BFS levels per
 	// lane for IC, walk rounds for LT) across all batches.
 	Passes int64
-	// Coins is the number of pseudorandom coins generated (edge draws
-	// plus one root draw per sample; LT counts whole block refills).
+	// Coins is the number of pseudorandom coins generated: edge draws
+	// (one per LT walk step) plus one root draw per sample.
 	Coins int64
 	// LaneSlots is Batches times the full batch width MaxLanes, and
 	// ActiveLanes the slots that carried a sample; ActiveLanes/LaneSlots
@@ -173,6 +167,9 @@ type FusedShared struct {
 	// as the scalar kernel does). nonUniform marks distinct per-edge
 	// thresholds, routed to the general path.
 	uniform []uint32
+	// ltUniform[v] marks an LT in-list of d copies of one weight, where a
+	// walk step picks its edge in O(1) (see uniformLT). Empty for IC.
+	ltUniform []bool
 }
 
 // dupMark flags a uniform-threshold vertex whose in-list contains parallel
@@ -209,6 +206,43 @@ func icThreshold(w float32) uint32 {
 	return uint32(t)
 }
 
+// uniformLT reports whether an LT in-list may take pickUniform: d > 0
+// copies, d < 2^29, of one finite weight w > 0. The scalar walk's running
+// float64 sum over such a list is exact — w has a 24-bit significand, so
+// j·w needs at most 53 bits for j < 2^29 — and equals j·w after j terms.
+// Every other list (mixed weights, w <= 0, NaN, Inf) keeps the scan.
+func uniformLT(ws []float32) bool {
+	if len(ws) == 0 || len(ws) >= 1<<29 {
+		return false
+	}
+	w := ws[0]
+	if !(w > 0) || math.IsInf(float64(w), 1) {
+		return false
+	}
+	for _, x := range ws[1:] {
+		if x != w {
+			return false
+		}
+	}
+	return true
+}
+
+// pickUniform returns the in-edge the scalar walk's running sum selects
+// for coin t over d copies of weight w (a uniformLT list): the first i
+// with t < (i+1)·w, or d if there is none — floor(t/w), which the
+// correctly rounded quotient q keeps exactly. For an integer m <= d, m·w
+// is exact: t >= m·w gives q >= m, as rounding is monotone; t < m·w
+// means t <= m·w - u, where the gap u below m·w is at least m·w·2^-53, so
+// t/w lies at least m·2^-53 below m, past the midpoint between m and the
+// float below it, and q < m. q is clamped in float before the conversion
+// to int, which is undefined out of range.
+func pickUniform(t, w float64, d int) int {
+	if q := t / w; q < float64(d) {
+		return int(q)
+	}
+	return d
+}
+
 // NewFusedShared precomputes the shared tables for fused sampling over g.
 func NewFusedShared(g *graph.Graph, model Model) *FusedShared {
 	return (*FusedShared)(nil).Rebind(nil, g, model, nil)
@@ -222,10 +256,19 @@ func NewFusedShared(g *graph.Graph, model Model) *FusedShared {
 // every in-list, as NewFusedShared does.
 func (s *FusedShared) Rebind(prev, ng *graph.Graph, model Model, changed []bool) *FusedShared {
 	out := &FusedShared{}
-	if model != IC {
+	n := ng.NumVertices()
+	if model == LT {
+		out.ltUniform = make([]bool, n)
+		for v := range n {
+			if s != nil && prev != nil && !changed[v] {
+				out.ltUniform[v] = s.ltUniform[v]
+			} else {
+				_, ws := ng.InNeighbors(graph.Vertex(v))
+				out.ltUniform[v] = uniformLT(ws)
+			}
+		}
 		return out
 	}
-	n := ng.NumVertices()
 	out.thresh = make([]uint32, ng.NumEdges())
 	out.uniform = make([]uint32, n)
 	seen := make([]int32, n)
@@ -285,6 +328,7 @@ func NewFusedSamplerShared(g *graph.Graph, model Model, shared *FusedShared) *Fu
 		model:   model,
 		shared:  shared,
 		visited: rrr.NewBitset(g.NumVertices() * MaxLanes),
+		dirty:   make([]uint64, (g.NumVertices()+63)/64),
 	}
 	switch model {
 	case IC:
@@ -294,12 +338,7 @@ func NewFusedSamplerShared(g *graph.Graph, model Model, shared *FusedShared) *Fu
 		f.gatherU = make([]graph.Vertex, coinBlock)
 		f.coinBits = make([]uint32, coinBlock)
 		f.vbyte = make([]uint8, g.NumVertices())
-		f.dirty = make([]uint64, (g.NumVertices()+63)/64)
-	case LT:
-		f.coins64 = make([][]float64, MaxLanes)
-		for i := range f.coins64 {
-			f.coins64[i] = make([]float64, coinBlock)
-		}
+	case LT: // walks draw their coins inline and scan the CSR directly
 	default:
 		panic("diffuse: unknown model")
 	}
@@ -363,27 +402,17 @@ func (f *FusedSampler) GenerateBlock(seed, first uint64, lanes int, shift uint, 
 		f.stream[b] = first + uint64(b)
 	}
 	f.expand(seed, lanes)
-	if f.model == IC {
-		for b := range lanes {
-			sizes[b] = int32(len(f.queue[b])) // the queue IS the sample
-		}
-		for di, dw := range f.dirty {
-			if dw == 0 {
-				continue
-			}
-			f.dirty[di] = 0
-			base := di << 6
-			for ; dw != 0; dw &= dw - 1 {
-				v := base + bits.TrailingZeros64(dw)
-				row[v] |= f.visited[v] << shift
-				f.visited[v] = 0
-			}
-		}
-		return
-	}
 	for b := range lanes {
-		sizes[b] = int32(len(f.outs[b]))
-		for _, v := range f.outs[b] {
+		sizes[b] = int32(len(f.queue[b])) // the queue IS the sample
+	}
+	for di, dw := range f.dirty {
+		if dw == 0 {
+			continue
+		}
+		f.dirty[di] = 0
+		base := di << 6
+		for ; dw != 0; dw &= dw - 1 {
+			v := base + bits.TrailingZeros64(dw)
 			row[v] |= f.visited[v] << shift
 			f.visited[v] = 0
 		}
@@ -395,32 +424,12 @@ func (f *FusedSampler) GenerateBlock(seed, first uint64, lanes int, shift uint, 
 // appends them to verts as sorted lists.
 func (f *FusedSampler) batch(seed uint64, lanes int, verts []graph.Vertex, sizes []int32) ([]graph.Vertex, []int32) {
 	f.expand(seed, lanes)
-	if f.model == IC {
-		return f.drainByExtraction(lanes, verts, sizes)
-	}
-
-	// LT drain: RRR sets under LT are short reverse walks, so per-lane
-	// sorting beats a full bitset walk. Drain lanes in index order, sort
-	// each sample and append it to the caller's arena, clearing its
-	// visited bits as we go (clearing by output walk costs O(entries),
-	// not O(n), per batch).
-	for b := 0; b < lanes; b++ {
-		out := f.outs[b]
-		mask := ^(uint64(1) << uint(b))
-		for _, v := range out {
-			f.visited[v] &= mask
-		}
-		slices.Sort(out)
-		verts = append(verts, out...)
-		sizes = append(sizes, int32(len(out)))
-	}
-	return verts, sizes
+	return f.drainByExtraction(lanes, verts, sizes)
 }
 
 // expand runs the expansion of a batch: every lane's root, then its
-// reverse BFS (IC) or walk (LT), leaving the lanes' members set in
-// visited (and, under IC, in the dirty summary and the lanes' queues;
-// under LT, in the lanes' outs).
+// reverse BFS (IC) or walk (LT), leaving the lanes' members in their
+// queues and set in visited and the dirty summary.
 func (f *FusedSampler) expand(seed uint64, lanes int) {
 	n := uint64(f.g.NumVertices())
 	f.frontier = f.frontier[:0]
@@ -431,16 +440,14 @@ func (f *FusedSampler) expand(seed uint64, lanes int) {
 	for b := 0; b < lanes; b++ {
 		st := rng.SplitMixState(seed, f.stream[b]) + rng.SplitMixGamma
 		f.state[b] = st
-		f.coinPos[b] = coinBlock // buffer empty; first use refills
 		root, _ := bits.Mul64(rng.Mix64(st), n)
+		f.queue[b] = append(f.queue[b][:0], graph.Vertex(root))
+		// Under IC the packed bit and dirty mark follow at the end of the
+		// lane's expansion (see expandIC).
 		if f.model == LT {
-			f.outs[b] = append(f.outs[b][:0], graph.Vertex(root))
 			f.frontier = append(f.frontier, laneVertex{graph.Vertex(root), uint32(b)})
 			f.visited[root] |= 1 << uint(b)
-		} else {
-			// The packed bit and dirty mark follow at the end of the
-			// lane's expansion (see expandIC); queue slot 0 is the root.
-			f.queue[b] = append(f.queue[b][:0], graph.Vertex(root))
+			f.dirty[root>>6] |= 1 << (root & 63)
 		}
 	}
 	f.stats.Coins += int64(lanes)
@@ -459,10 +466,10 @@ func (f *FusedSampler) expand(seed uint64, lanes int) {
 // drainByExtraction reconstructs every lane's sample from the visited
 // lane masks in one ascending walk: vertex v with bit b set belongs to
 // lane b's sample, so scattering v in walk order emits every lane already
-// sorted — the fused IC drain needs no sort at all, where the scalar
-// kernel pays a pdqsort per sample. The dirty summary narrows the walk to
-// n/64 summary words plus the words actually touched, and the walk clears
-// everything it reads for the next batch.
+// sorted — the fused drain needs no sort at all, under either model,
+// where the scalar kernel pays a pdqsort per sample. The dirty summary
+// narrows the walk to n/64 summary words plus the words actually touched,
+// and the walk clears everything it reads for the next batch.
 func (f *FusedSampler) drainByExtraction(lanes int, verts []graph.Vertex, sizes []int32) ([]graph.Vertex, []int32) {
 	for b := 0; b < lanes; b++ {
 		f.outs[b] = f.outs[b][:0]
@@ -709,12 +716,16 @@ func (f *FusedSampler) scanGeneral(v graph.Vertex, srcs []graph.Vertex, allThres
 }
 
 // walkLT is the fused LT kernel: all lanes advance their reverse walk one
-// step per pass. Each step draws one Float64 coin off the lane's block to
-// select at most one in-edge of the lane's current vertex, exactly as the
-// scalar reverseWalk does.
+// step per pass. Each step draws one Float64 coin inline off the lane's
+// state to select at most one in-edge of the lane's current vertex,
+// exactly as the scalar reverseWalk does: a uniformLT list picks in O(1)
+// with pickUniform, any other list runs the scalar kernel's running sum.
 func (f *FusedSampler) walkLT() {
 	g := f.g
 	visited := f.visited
+	dirty := f.dirty
+	uniform := f.shared.ltUniform
+	var coins int64
 	for len(f.frontier) > 0 {
 		f.stats.Passes++
 		f.next = f.next[:0]
@@ -724,46 +735,36 @@ func (f *FusedSampler) walkLT() {
 				continue
 			}
 			lane := fe.lane
-			if f.coinPos[lane] == coinBlock {
-				f.refill64(lane)
-			}
-			t := f.coins64[lane][f.coinPos[lane]]
-			f.coinPos[lane]++
-			cum := 0.0
-			next := -1
-			for i, w := range ws {
-				cum += float64(w)
-				if t < cum {
-					next = int(srcs[i])
-					break
+			st := f.state[lane] + rng.SplitMixGamma
+			f.state[lane] = st
+			t := float64(rng.Mix64(st)>>11) * (1.0 / (1 << 53)) // rng.Rand.Float64
+			coins++
+			i := 0
+			if uniform[fe.v] {
+				i = pickUniform(t, float64(ws[0]), len(ws))
+			} else {
+				cum := 0.0
+				for ; i < len(ws); i++ {
+					cum += float64(ws[i])
+					if t < cum {
+						break
+					}
 				}
 			}
-			if next < 0 {
+			if i == len(ws) {
 				continue // no edge selected: the walk dies here
 			}
-			u := graph.Vertex(next)
+			u := srcs[i]
 			bit := uint64(1) << uint(lane)
 			if visited[u]&bit != 0 {
 				continue // reached an already-selected vertex: stop
 			}
 			visited[u] |= bit
-			f.outs[lane] = append(f.outs[lane], u)
+			dirty[u>>6] |= 1 << (u & 63)
+			f.queue[lane] = append(f.queue[lane], u)
 			f.next = append(f.next, laneVertex{u, lane})
 		}
 		f.frontier, f.next = f.next, f.frontier
 	}
-}
-
-// refill64 regenerates lane's float64 coin block (rng.Rand.Float64
-// conversion: top 53 bits).
-func (f *FusedSampler) refill64(lane uint32) {
-	st := f.state[lane]
-	coins := f.coins64[lane]
-	for j := range coins {
-		st += rng.SplitMixGamma
-		coins[j] = float64(rng.Mix64(st)>>11) * (1.0 / (1 << 53))
-	}
-	f.state[lane] = st
-	f.coinPos[lane] = 0
-	f.stats.Coins += coinBlock
+	f.stats.Coins += coins
 }

@@ -25,37 +25,51 @@ func benchFusedGraph(seed uint64, n, m int) *graph.Graph {
 }
 
 // BenchmarkGenerate compares the scalar and fused kernels head to head at
-// the diffuse level (no scheduler, no merge): pure kernel cost.
+// the diffuse level (no scheduler, no merge): pure kernel cost, for IC at
+// a constant p and for LT over WC-normalised weights (every in-list
+// uniform: the fused walk's closed-form pick) and over uniform-random
+// weights (the running-sum scan).
 func BenchmarkGenerate(b *testing.B) {
-	g := benchFusedGraph(1, 10000, 140000)
-	g.AssignConstant(0.06)
 	const count = 2000
-	b.Run("scalar", func(b *testing.B) {
-		var verts []graph.Vertex
-		var sizes []int32
-		s := NewSampler(g, IC)
-		gen := rng.NewSplitMix64(0)
-		r := rng.New(gen)
-		n := g.NumVertices()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			verts, sizes = verts[:0], sizes[:0]
-			for j := 0; j < count; j++ {
-				gen.Reseed(7, uint64(j))
-				root := graph.Vertex(r.Intn(n))
-				before := len(verts)
-				verts = s.GenerateRR(r, root, verts)
-				sizes = append(sizes, int32(len(verts)-before))
+	regimes := []struct {
+		name  string
+		model Model
+		prep  func(g *graph.Graph)
+	}{
+		{"IC", IC, func(g *graph.Graph) { g.AssignConstant(0.06) }},
+		{"LT-WC", LT, func(g *graph.Graph) { g.AssignWeightedCascade(); g.NormalizeLT() }},
+		{"LT-uniform", LT, func(g *graph.Graph) { g.AssignUniform(1); g.NormalizeLT() }},
+	}
+	for _, rc := range regimes {
+		g := benchFusedGraph(1, 10000, 140000)
+		rc.prep(g)
+		b.Run(rc.name+"/scalar", func(b *testing.B) {
+			var verts []graph.Vertex
+			var sizes []int32
+			s := NewSampler(g, rc.model)
+			gen := rng.NewSplitMix64(0)
+			r := rng.New(gen)
+			n := g.NumVertices()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				verts, sizes = verts[:0], sizes[:0]
+				for j := 0; j < count; j++ {
+					gen.Reseed(7, uint64(j))
+					root := graph.Vertex(r.Intn(n))
+					before := len(verts)
+					verts = s.GenerateRR(r, root, verts)
+					sizes = append(sizes, int32(len(verts)-before))
+				}
 			}
-		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		var verts []graph.Vertex
-		var sizes []int32
-		f := newFusedSampler(g, IC)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			verts, sizes = f.Generate(7, 0, count, verts[:0], sizes[:0])
-		}
-	})
+		})
+		b.Run(rc.name+"/fused", func(b *testing.B) {
+			var verts []graph.Vertex
+			var sizes []int32
+			f := newFusedSampler(g, rc.model)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				verts, sizes = f.Generate(7, 0, count, verts[:0], sizes[:0])
+			}
+		})
+	}
 }

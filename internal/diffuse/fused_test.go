@@ -1,6 +1,7 @@
 package diffuse
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -50,6 +51,9 @@ func TestFusedGenerateMatchesScalar(t *testing.T) {
 		{"IC", IC, func(g *graph.Graph, seed uint64) { g.AssignUniform(seed) }},
 		{"LT", LT, func(g *graph.Graph, seed uint64) { g.AssignUniform(seed); g.NormalizeLT() }},
 		{"WC", IC, func(g *graph.Graph, seed uint64) { g.AssignWeightedCascade() }},
+		// LT as the benchmark runs it: every in-list is uniform, so walks
+		// take pickUniform.
+		{"LT-WC", LT, func(g *graph.Graph, seed uint64) { g.AssignWeightedCascade(); g.NormalizeLT() }},
 	}
 	counts := []int{1, 8, MaxLanes - 1, MaxLanes, MaxLanes + 1, 3*MaxLanes + 17}
 	for _, gc := range graphs {
@@ -126,6 +130,125 @@ func TestFusedDegenerateGraphs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFusedLTInLists pins the LT pick on the in-list shapes at the edge of
+// uniformLT's class: a hub far longer than any walk's random graph gives,
+// uniform lists of zeros and of a weight whose sum passes 1, and lists
+// graph.Builder accepts with a negative, NaN or infinite weight, which
+// must stay on the running-sum scan. Each graph's vertex 0 holds the list
+// under test; the others feed walks into it and out of it. No
+// NormalizeLT: the weights are walked as given.
+func TestFusedLTInLists(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	// star builds n vertices whose in-edges into 0 carry ws in order (from
+	// sources 1, 2, ...), plus 0 -> v and v -> v+1 at weight 0.4.
+	star := func(n int, ws ...float32) *graph.Graph {
+		b := graph.NewBuilder(n)
+		for i, w := range ws {
+			b.Add(graph.Vertex(1+i%(n-1)), 0, w)
+		}
+		for v := 1; v < n; v++ {
+			b.Add(0, graph.Vertex(v), 0.4)
+			if v+1 < n {
+				b.Add(graph.Vertex(v), graph.Vertex(v+1), 0.4)
+			}
+		}
+		return b.Build()
+	}
+	repeat := func(d int, w float32) []float32 {
+		ws := make([]float32, d)
+		for i := range ws {
+			ws[i] = w
+		}
+		return ws
+	}
+	hub := star(2501, repeat(2500, 1)...)
+	hub.AssignWeightedCascade()
+	hub.NormalizeLT()
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		uniform bool // vertex 0's class
+	}{
+		{"hub-2500", hub, true},
+		{"zeros", star(6, repeat(5, 0)...), false},
+		{"sum-over-1", star(6, repeat(5, 0.3)...), true},
+		{"parallel-sum-over-1", star(3, repeat(7, 0.75)...), true},
+		{"negative", star(6, -0.5, 0.7, 0.4), false},
+		{"uniform-negative", star(6, repeat(4, -0.2)...), false},
+		{"nan", star(6, nan, 0.5), false},
+		{"uniform-nan", star(6, repeat(3, nan)...), false},
+		{"uniform-inf", star(6, repeat(3, inf)...), false},
+	}
+	for _, tc := range cases {
+		if got := NewFusedShared(tc.g, LT).ltUniform[0]; got != tc.uniform {
+			t.Fatalf("%s: uniformLT(vertex 0) = %v, want %v", tc.name, got, tc.uniform)
+		}
+		f := newFusedSampler(tc.g, LT)
+		for _, count := range []int{3, 100, 3 * MaxLanes} {
+			wantV, wantS := scalarGenerate(tc.g, LT, 7, 0, count)
+			gotV, gotS := f.Generate(7, 0, count, nil, nil)
+			if !slices.Equal(gotV, wantV) || !slices.Equal(gotS, wantS) {
+				t.Fatalf("%s count=%d: fused != scalar", tc.name, count)
+			}
+		}
+	}
+}
+
+// scanPick is the scalar walk's running-sum selection over d copies of
+// w: the index of the picked in-edge, or d when the walk dies.
+func scanPick(t float64, w float32, d int) int {
+	cum := 0.0
+	for i := 0; i < d; i++ {
+		cum += float64(w)
+		if t < cum {
+			return i
+		}
+	}
+	return d
+}
+
+// FuzzUniformPickMatchesScan checks pickUniform against the running sum
+// it replaces, for any finite float32 w > 0 and d in [1, 2^16]. When at
+// is 0 the coin is t = (k>>11)·2^-53, any value rng.Rand.Float64 yields;
+// otherwise it is j·w (at 1) or its float64 neighbour below (2) or above
+// (3), for j = k mod (d+1), where the quotient t/w rounds across an
+// integer and the fix-up loops have to settle the index. Those points
+// may be finer than the coin grid when w is small, which only makes the
+// check stricter.
+func FuzzUniformPickMatchesScan(f *testing.F) {
+	for _, w := range []float32{1, 0.5, 1.0 / 3, 0.1, 1.0 / 7, 1.0 / 11, 1.0 / 2000, 0.3, 0x1p-149} {
+		for _, j := range []uint64{1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 29, 1999} {
+			for at := uint8(1); at <= 3; at++ {
+				f.Add(math.Float32bits(w), uint32(2000), j, at)
+			}
+		}
+		f.Add(math.Float32bits(w), uint32(16), uint64(0x9e3779b97f4a7c15), uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, wBits, dRaw uint32, k uint64, at uint8) {
+		w := math.Float32frombits(wBits)
+		if !(w > 0) || math.IsInf(float64(w), 1) {
+			return // not a uniformLT weight
+		}
+		d := int(dRaw%(1<<16)) + 1
+		c := float64(k>>11) * (1.0 / (1 << 53))
+		if at%4 != 0 {
+			c = float64(k%uint64(d+1)) * float64(w)
+			switch at % 4 {
+			case 2:
+				c = math.Nextafter(c, -1)
+			case 3:
+				c = math.Nextafter(c, 2)
+			}
+			if !(c >= 0 && c < 1) {
+				return // not a coin value
+			}
+		}
+		if got, want := pickUniform(c, float64(w), d), scanPick(c, w, d); got != want {
+			t.Fatalf("w=%g d=%d t=%v: pickUniform = %d, running sum = %d", w, d, c, got, want)
+		}
+	})
 }
 
 // TestFusedPassesCountLevels pins what Passes means on IC: BFS levels,

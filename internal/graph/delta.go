@@ -111,9 +111,6 @@ func NewOverlay(base *Graph) *Overlay {
 	}
 }
 
-// Base returns the immutable graph the overlay stages mutations over.
-func (ov *Overlay) Base() *Graph { return ov.base }
-
 // deadSlot reports whether base in-CSR slot j is marked deleted.
 func (ov *Overlay) deadSlot(j int64) bool {
 	return ov.deadIn != nil && ov.deadIn[j>>6]&(1<<(uint64(j)&63)) != 0

@@ -177,7 +177,7 @@ func TestFusedLeapFrogFallsBack(t *testing.T) {
 		if !sameCollection(ref, col) {
 			t.Fatalf("workers=%d: LeapFrog collection != scalar-static LeapFrog collection", w)
 		}
-		if st := bs.FusedStats(); st != (diffuse.FusedStats{}) {
+		if st := bs.fusedTotals; st != (diffuse.FusedStats{}) {
 			t.Fatalf("workers=%d: LeapFrog run recorded fused work: %+v", w, st)
 		}
 	}

@@ -170,7 +170,7 @@ func draw(g *graph.Graph, opt Options) (*Result, *localSamples, error) {
 	}
 	res.WorkBalance = st.WorkBalance()
 	res.WorkerWork = append([]int64(nil), st.Work...)
-	fs := st.FusedStats()
+	fs := st.fusedTotals
 	res.FrontierPasses = fs.Passes
 	res.CoinsGenerated = fs.Coins
 	res.BatchOccupancy = fs.Occupancy()

@@ -49,7 +49,8 @@ type BatchSampler struct {
 	naiveBuf []graph.Vertex // scratch for the sequential baseline path
 
 	// fusedTotals accumulates the fused kernel's work counters across all
-	// Sample calls (all workers); see diffuse.FusedStats.
+	// Sample calls (all workers; zero when the scalar kernel ran); see
+	// diffuse.FusedStats.
 	fusedTotals diffuse.FusedStats
 
 	// Work accumulates, per worker, the number of RRR-set entries it
@@ -57,6 +58,9 @@ type BatchSampler struct {
 	// strong-scaling efficiency of the sampling phase.
 	Work []int64
 
+	// steals and chunks count the work-stealing operations (zero under the
+	// static split) and the scheduler chunks executed so far. Scheduling
+	// telemetry — not deterministic.
 	steals, chunks int64
 
 	// Instrumentation resolved once from Options.Metrics (all nil when
@@ -152,14 +156,6 @@ func (b *BatchSampler) SetStreams(streams []*rng.Rand) {
 	}
 	b.streams = streams
 }
-
-// Steals returns the total number of work-stealing operations performed so
-// far (zero under the static split). Scheduling telemetry — not
-// deterministic.
-func (b *BatchSampler) Steals() int64 { return b.steals }
-
-// Chunks returns the total number of scheduler chunks executed so far.
-func (b *BatchSampler) Chunks() int64 { return b.chunks }
 
 // WorkBalance returns avg/max of per-worker sampling work (1.0 = perfect
 // balance), or 0 if no work was recorded.
@@ -347,10 +343,6 @@ func (b *BatchSampler) recordFused(p int) {
 		b.mOccupancy.Set(int64(b.fusedTotals.Occupancy() * 1000))
 	}
 }
-
-// FusedStats returns the fused kernel's cumulative work counters (zero
-// when the scalar kernel ran).
-func (b *BatchSampler) FusedStats() diffuse.FusedStats { return b.fusedTotals }
 
 // recordRange feeds the samples col gained since count was first into the
 // optional metrics registry: sample and entry counters plus the

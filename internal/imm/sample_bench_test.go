@@ -63,7 +63,7 @@ func BenchmarkSampleBatch(b *testing.B) {
 				b.StopTimer()
 				b.ReportMetric(bs.WorkBalance()*1000, "balance‰")
 				b.ReportMetric(float64(col.TotalSize())/count, "entries/sample")
-				if st := bs.FusedStats(); st.Batches > 0 {
+				if st := bs.fusedTotals; st.Batches > 0 {
 					b.ReportMetric(st.Occupancy()*1000, "occupancy‰")
 					b.ReportMetric(float64(st.Coins)/float64(b.N), "coins/op")
 				}
@@ -99,7 +99,7 @@ func BenchmarkSampleSchedules(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(bs.WorkBalance()*1000, "balance‰")
-			b.ReportMetric(float64(bs.Steals())/float64(b.N), "steals/op")
+			b.ReportMetric(float64(bs.steals)/float64(b.N), "steals/op")
 			b.ReportMetric(float64(col.TotalSize())/count, "entries/sample")
 		})
 	}
@@ -136,7 +136,7 @@ func TestFusedWorkGate(t *testing.T) {
 			bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: 1, Seed: 7})
 			col := rrr.NewCollection(g.NumVertices())
 			bs.Sample(col, count)
-			st := bs.FusedStats()
+			st := bs.fusedTotals
 			var edgeVisits int64
 			for j := 0; j < col.Count(); j++ {
 				for _, u := range col.Sample(j) {

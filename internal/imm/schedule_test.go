@@ -10,9 +10,10 @@ import (
 	"influmax/internal/rrr"
 )
 
-// scheduleModels are the three weighting/diffusion regimes the equivalence
-// suite sweeps: uniform-IC, LT, and the paper's weighted-cascade (WC,
-// p(u,v) = 1/indeg(v) under IC).
+// scheduleModels are the four weighting/diffusion regimes the equivalence
+// suite sweeps: uniform-IC, LT, the paper's weighted-cascade (WC,
+// p(u,v) = 1/indeg(v) under IC), and LT over WC weights, where every
+// in-list is uniform and the fused walk picks its edge in closed form.
 var scheduleModels = []struct {
 	name  string
 	model diffuse.Model
@@ -21,6 +22,7 @@ var scheduleModels = []struct {
 	{"IC", diffuse.IC, func(g *graph.Graph, seed uint64) { g.AssignUniform(seed ^ 0xbeef) }},
 	{"LT", diffuse.LT, func(g *graph.Graph, seed uint64) { g.AssignUniform(seed ^ 0xbeef); g.NormalizeLT() }},
 	{"WC", diffuse.IC, func(g *graph.Graph, seed uint64) { g.AssignWeightedCascade() }},
+	{"LT-WC", diffuse.LT, func(g *graph.Graph, seed uint64) { g.AssignWeightedCascade(); g.NormalizeLT() }},
 }
 
 // scheduleGraph builds one of the suite's fixed-seed graphs with the given
@@ -200,21 +202,21 @@ func TestSchedulerCountersReported(t *testing.T) {
 	col := rrr.NewCollection(120)
 	bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: 4, Seed: 4, Metrics: reg})
 	bs.Sample(col, 500)
-	if bs.Chunks() < 4 {
-		t.Fatalf("dynamic run claimed %d chunks, want >= workers", bs.Chunks())
+	if bs.chunks < 4 {
+		t.Fatalf("dynamic run claimed %d chunks, want >= workers", bs.chunks)
 	}
-	if got := reg.Counter("par/chunks").Value(); got != bs.Chunks() {
-		t.Fatalf("par/chunks counter %d != Chunks() %d", got, bs.Chunks())
+	if got := reg.Counter("par/chunks").Value(); got != bs.chunks {
+		t.Fatalf("par/chunks counter %d != chunks %d", got, bs.chunks)
 	}
-	if got := reg.Counter("par/steals").Value(); got != bs.Steals() {
-		t.Fatalf("par/steals counter %d != Steals() %d", got, bs.Steals())
+	if got := reg.Counter("par/steals").Value(); got != bs.steals {
+		t.Fatalf("par/steals counter %d != steals %d", got, bs.steals)
 	}
 
 	reg2 := metrics.NewRegistry()
 	col2 := rrr.NewCollection(120)
 	bs2 := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: 4, Seed: 4, static: true, Metrics: reg2})
 	bs2.Sample(col2, 500)
-	if got := reg2.Counter("par/steals").Value(); got != 0 || bs2.Steals() != 0 {
+	if got := reg2.Counter("par/steals").Value(); got != 0 || bs2.steals != 0 {
 		t.Fatalf("static run recorded %d steals, want 0", got)
 	}
 	if got := reg2.Counter("par/chunks").Value(); got != 4 {
@@ -237,8 +239,8 @@ func TestLeapFrogForcesStatic(t *testing.T) {
 		col := rrr.NewCollection(100)
 		bs := NewBatchSampler(g, Options{Model: diffuse.IC, Workers: w, Seed: 6, RNG: LeapFrog})
 		bs.Sample(col, count)
-		if bs.Steals() != 0 {
-			t.Fatalf("workers=%d: LeapFrog run stole %d times; pinned streams must force static", w, bs.Steals())
+		if bs.steals != 0 {
+			t.Fatalf("workers=%d: LeapFrog run stole %d times; pinned streams must force static", w, bs.steals)
 		}
 		if !sameCollection(ref, col) {
 			t.Fatalf("workers=%d: LeapFrog collection != scalar-static LeapFrog collection", w)

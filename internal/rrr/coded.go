@@ -83,7 +83,7 @@ func FromCollectionParallel(col *Collection, relab *Relabeling, p int) *CodedCol
 		// avoid repeated growth.
 		part.data = make([]byte, 0, col.offsets[end]-col.offsets[first]+int64(end-first)*2)
 		for i := first; i < end; i++ {
-			part.Append(col.Sample(i))
+			part.appendSet(col.Sample(i))
 		}
 		part.data = slices.Clip(part.data)
 		parts[rank] = part
@@ -125,9 +125,9 @@ func (c *CodedCollection) Relabeled() bool { return c.relab != nil }
 // Relabeling returns the store's labeling, nil for identity.
 func (c *CodedCollection) Relabeling() *Relabeling { return c.relab }
 
-// Append adds one sample; the vertex list must be sorted ascending and
+// appendSet adds one sample; the vertex list must be sorted ascending and
 // duplicate-free (the same contract as Collection.Append).
-func (c *CodedCollection) Append(set []graph.Vertex) {
+func (c *CodedCollection) appendSet(set []graph.Vertex) {
 	codes := c.codeBuf[:0]
 	if c.relab == nil {
 		for _, v := range set {
@@ -135,7 +135,7 @@ func (c *CodedCollection) Append(set []graph.Vertex) {
 		}
 	} else {
 		for _, v := range set {
-			codes = append(codes, c.relab.Code(v))
+			codes = append(codes, c.relab.codeOf(v))
 		}
 		slices.Sort(codes)
 	}
@@ -343,7 +343,7 @@ func (c *CodedCollection) Recode(relab *Relabeling) *CodedCollection {
 	var buf []graph.Vertex
 	for i := 0; i < c.count; i++ {
 		buf = c.SampleSorted(i, buf)
-		out.Append(buf)
+		out.appendSet(buf)
 	}
 	out.data = slices.Clip(out.data)
 	return out

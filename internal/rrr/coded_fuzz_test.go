@@ -19,7 +19,7 @@ import (
 func FuzzDecodeSample(f *testing.F) {
 	encode := func(set []graph.Vertex) []byte {
 		c := newCodedCollection(min(1<<31, math.MaxInt), nil) // 2^31, or MaxInt32 on a 32-bit int
-		c.Append(set)
+		c.appendSet(set)
 		return slices.Clone(c.payload(0))
 	}
 	f.Add([]byte{}, uint32(100))

@@ -119,8 +119,8 @@ func TestCodedSmallerOnClusteredSets(t *testing.T) {
 
 func TestCodedEmptySample(t *testing.T) {
 	c := newCodedCollection(10, nil)
-	c.Append(nil)
-	c.Append([]graph.Vertex{0, 9})
+	c.appendSet(nil)
+	c.appendSet([]graph.Vertex{0, 9})
 	if got := c.SampleSorted(0, nil); len(got) != 0 {
 		t.Fatalf("empty sample decoded to %v", got)
 	}
@@ -136,7 +136,7 @@ func TestCodedLargeIDs(t *testing.T) {
 	n := min(1<<31, math.MaxInt)
 	c := newCodedCollection(n, nil)
 	set := []graph.Vertex{5, 1 << 20, 1 << 28, 1<<31 - 1}
-	c.Append(set)
+	c.appendSet(set)
 	if !slices.Equal(c.SampleSorted(0, nil), set) {
 		t.Fatalf("large ids corrupted: %v", c.SampleSorted(0, nil))
 	}
@@ -198,7 +198,7 @@ func TestRelabelingFrequencyOrder(t *testing.T) {
 		t.Fatalf("table %v, want %v", r.Table(), want)
 	}
 	for c, v := range want {
-		if r.Code(graph.Vertex(v)) != uint32(c) || r.origOf(uint32(c)) != graph.Vertex(v) {
+		if r.codeOf(graph.Vertex(v)) != uint32(c) || r.origOf(uint32(c)) != graph.Vertex(v) {
 			t.Fatalf("code/orig not inverse at code %d vertex %d", c, v)
 		}
 	}
@@ -216,7 +216,7 @@ func TestRelabelingFromTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Code(2) != 0 || r.origOf(2) != 1 {
+	if r.codeOf(2) != 0 || r.origOf(2) != 1 {
 		t.Fatal("reconstructed mapping wrong")
 	}
 	if _, err := relabelingFromTable([]uint32{0, 3, 1}); err == nil {
@@ -354,7 +354,7 @@ func TestFromCollectionParallelMatchesSerial(t *testing.T) {
 		for _, relab := range []*Relabeling{nil, NewRelabeling(IncidenceOf(flat, 2))} {
 			serial := newCodedCollection(flat.NumVertices(), relab)
 			for i := range flat.Count() {
-				serial.Append(flat.Sample(i))
+				serial.appendSet(flat.Sample(i))
 			}
 			for _, p := range []int{1, 2, 4, 7} {
 				got := FromCollectionParallel(flat, relab, p)

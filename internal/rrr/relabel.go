@@ -88,8 +88,8 @@ func relabelingFromTable(table []uint32) (*Relabeling, error) {
 // Len returns the size of the labeled universe.
 func (r *Relabeling) Len() int { return len(r.orig) }
 
-// Code maps an original vertex id to its code.
-func (r *Relabeling) Code(v graph.Vertex) uint32 { return r.code[v] }
+// codeOf maps an original vertex id to its code.
+func (r *Relabeling) codeOf(v graph.Vertex) uint32 { return r.code[v] }
 
 // origOf maps a code back to the original vertex id.
 func (r *Relabeling) origOf(c uint32) graph.Vertex { return graph.Vertex(r.orig[c]) }
