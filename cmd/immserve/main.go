@@ -55,7 +55,7 @@ func main() {
 		kMax         = flag.Int("k-max", 100, "largest seed-set size the sketch serves")
 		eps          = flag.Float64("eps", 0.5, "accuracy parameter the sketch is sized for")
 		modelStr     = flag.String("model", "IC", "diffusion model: IC or LT")
-		seed         = flag.Uint64("seed", 1, "random seed")
+		seed         = flag.Uint64("seed", 1, "random seed of both the generated -dataset graph and the sampling streams")
 		workers      = flag.Int("workers", 0, "threads for sampling and selection (0 = all cores)")
 		storeStr     = flag.String("store", "flat", "resident RRR store, byte-coded either way: flat (identity labels) or coded (frequency relabeling); same seeds")
 		concurrency  = flag.Int("concurrency", 2, "queries executing at once")

@@ -3,6 +3,7 @@ package diffuse
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"influmax/internal/graph"
 	"influmax/internal/rng"
@@ -15,19 +16,30 @@ import (
 // deduplicated per lane — in one ascending walk over the touched words.
 const MaxLanes = 64
 
-// coinBlock is the starting size of the IC kernel's gather and coin
-// buffers; each grows to the longest in-list it has scanned (see
-// expandLane and scanGeneral).
-const coinBlock = 64
+// chunkCap is the starting size of the IC kernel's gather buffers, the
+// most in-edges one chunk of a BFS level packs before it is decided; a
+// single in-list longer than that grows them (see expandLane).
+const chunkCap = 1024
+
+// regMin is the shortest in-list the IC kernel scans against a register
+// threshold (see FusedShared.uniform). Shorter lists cost more per vertex
+// than per edge, and the chunk amortizes those costs over the level;
+// longer ones (WC's hubs) gain nothing from it and lose the per-coin
+// visited re-check. 4 and 8 measured alike.
+const regMin = 4
+
+// gammaInv is the inverse of rng.SplitMixGamma modulo 2^64: a lane state
+// advanced by c coins moved by c·SplitMixGamma, so c is the move times
+// gammaInv.
+const gammaInv uint64 = 0xf1de83e19937733d
 
 // FusedSampler generates random reverse reachable sets with the fused CSR
 // frontier kernel. A batch of up to MaxLanes samples shares one packed
 // visited bitset (word v = the lane mask of vertex v), one L1-resident
 // byte visited map reused lane after lane, and one sorted drain pass over
 // the touched words; each lane's coins are Mix64 finalizations of a pure
-// counter state, drawn inline (or, on IC's general path, in one exact-size
-// block per scan) instead of one dispatched generator call per edge. See
-// DESIGN.md §14 for the full cost model.
+// counter state, drawn inline instead of one dispatched generator call
+// per edge. See DESIGN.md §14 for the full cost model.
 //
 // The kernel is byte-identical to the scalar Sampler in per-sample RNG
 // mode: lane b of a batch holding global sample id i consumes the exact
@@ -74,16 +86,14 @@ type FusedSampler struct {
 
 	stream [MaxLanes]uint64 // lane b's sample id (stream index) this batch
 
-	// Per-lane SplitMix64 states and IC coin buffers. The IC kernel draws
-	// each scan's coins inline in the decide loop (uniform thresholds) or
-	// as one exact-size block into coinBits (general path, after the
-	// gather phase has packed vertex+threshold words into gather); the LT
-	// kernel draws one float64 inline per walk step. Only IC allocates
-	// the buffers.
-	state    [MaxLanes]uint64
-	gather   []uint64
-	gatherU  []graph.Vertex
-	coinBits []uint32
+	// Per-lane SplitMix64 states, and the IC kernel's gather buffers: the
+	// unvisited in-neighbors of a scan (gatherU) and, for a chunk, each
+	// one's coin threshold (gatherT), which the decide loop draws coins
+	// against inline. The LT kernel draws one float64 inline per walk
+	// step. Only IC allocates the buffers.
+	state   [MaxLanes]uint64
+	gatherU []graph.Vertex
+	gatherT []uint32
 
 	// queue[b] is lane b's sample in discovery order: under IC its BFS
 	// FIFO, the root plus every fired vertex (consuming it in order
@@ -156,29 +166,24 @@ type FusedShared struct {
 	// k < thresh[slot], which decides exactly like the scalar kernel's
 	// float32(k)*2^-24 < w (see icThreshold). Empty for LT.
 	thresh []uint32
-	// uniform[v] classifies v's in-edge scan. When all in-edges share one
-	// threshold t (both of the paper's standard IC weightings are uniform
-	// per list: constant p trivially, weighted cascade because every
-	// in-edge of v carries 1/indeg(v)) the whole scan compares against one
-	// register: uniform[v] = t if the list is also free of parallel
-	// duplicate sources (every unvisited neighbor then consumes a coin
-	// unconditionally), or t|dupMark if duplicates are present (the scan
-	// re-tests visited before each draw, which handles duplicates exactly
-	// as the scalar kernel does). nonUniform marks distinct per-edge
-	// thresholds, routed to the general path.
+	// uniform[v] classifies v's in-edge scan. A register list — at least
+	// regMin in-edges that share one threshold t and no parallel duplicate
+	// source (both of the paper's standard IC weightings are uniform per
+	// list: constant p trivially, weighted cascade because every in-edge
+	// of v carries 1/indeg(v)) — has uniform[v] = t: the whole scan
+	// compares against one register, and every unvisited neighbor
+	// consumes a coin unconditionally. Every other list (per-edge
+	// thresholds, duplicates, short lists) is chunked: uniform[v] is
+	// chunked and the level's chunk reads thresh.
 	uniform []uint32
 	// ltUniform[v] marks an LT in-list of d copies of one weight, where a
 	// walk step picks its edge in O(1) (see uniformLT). Empty for IC.
 	ltUniform []bool
 }
 
-// dupMark flags a uniform-threshold vertex whose in-list contains parallel
-// duplicate sources; real thresholds are at most 2^24, leaving the bit
-// free. nonUniform (all ones, dupMark included) marks per-edge thresholds.
-const (
-	dupMark    = uint32(1) << 30
-	nonUniform = ^uint32(0)
-)
+// chunked marks an in-list scanned in its level's chunk; real thresholds
+// are at most 2^24.
+const chunked = ^uint32(0)
 
 // pow2AtLeast returns the smallest power of two >= max(n, 1).
 func pow2AtLeast(n int) int {
@@ -284,39 +289,26 @@ func (s *FusedShared) Rebind(prev, ng *graph.Graph, model Model, changed []bool)
 			continue
 		}
 		uni := uint32(0)
-		sameT := true
-		dupFree := true
+		register := len(ws) >= regMin
 		for i, w := range ws {
 			t := icThreshold(w)
 			out.thresh[base+int64(i)] = t
 			if i == 0 {
 				uni = t
 			} else if t != uni {
-				sameT = false
+				register = false
 			}
 			if seen[srcs[i]] == int32(v) {
-				dupFree = false // parallel duplicate source
+				register = false // parallel duplicate source
 			}
 			seen[srcs[i]] = int32(v)
 		}
-		switch {
-		case sameT && dupFree:
+		out.uniform[v] = chunked
+		if register {
 			out.uniform[v] = uni
-		case sameT:
-			out.uniform[v] = uni | dupMark
-		default:
-			out.uniform[v] = nonUniform
 		}
 	}
 	return out
-}
-
-// newFusedSampler returns a fused sampler over g for the given model,
-// building its own shared tables. For LT the graph's in-weights must form
-// a valid configuration, as for NewSampler. Workers sampling the same
-// graph should build one FusedShared and use NewFusedSamplerShared.
-func newFusedSampler(g *graph.Graph, model Model) *FusedSampler {
-	return NewFusedSamplerShared(g, model, NewFusedShared(g, model))
 }
 
 // NewFusedSamplerShared returns a fused sampler over g reusing previously
@@ -332,11 +324,8 @@ func NewFusedSamplerShared(g *graph.Graph, model Model, shared *FusedShared) *Fu
 	}
 	switch model {
 	case IC:
-		// Scan blocks are sized to each adjacency list; start small and
-		// grow to the maximum in-degree on demand.
-		f.gather = make([]uint64, coinBlock)
-		f.gatherU = make([]graph.Vertex, coinBlock)
-		f.coinBits = make([]uint32, coinBlock)
+		f.gatherU = make([]graph.Vertex, chunkCap)
+		f.gatherT = make([]uint32, chunkCap)
 		f.vbyte = make([]uint8, g.NumVertices())
 	case LT: // walks draw their coins inline and scan the CSR directly
 	default:
@@ -512,13 +501,11 @@ func (f *FusedSampler) drainByExtraction(lanes int, verts []graph.Vertex, sizes 
 // map entries are undone by walking its queue — exactly its sample —
 // when it finishes.
 func (f *FusedSampler) expandIC(lanes int) {
-	allThresh := f.shared.thresh
-	uniform := f.shared.uniform
 	vb := f.vbyte
 	var levels, coins int64
 	for b := 0; b < lanes; b++ {
 		vb[f.queue[b][0]] = 1
-		c, l := f.expandLane(uint32(b), uniform, allThresh)
+		c, l := f.expandLane(uint32(b))
 		coins += c
 		levels += l
 		// Lane done: its queue IS its sample. One short walk resets the
@@ -540,179 +527,166 @@ func (f *FusedSampler) expandIC(lanes int) {
 // coins consumed and the BFS levels expanded. The lane's stream state and
 // queue stay in registers across all its scans — per-scan spills to the
 // sampler struct would cost as much as the scans themselves on low-degree
-// graphs. The scan over a uniform duplicate-free in-list (both standard IC
-// weightings) is inlined here in two branch-disciplined phases:
+// graphs. Every scan has two branch-disciplined phases:
 //
-//  1. gather — a branch-free pass that compacts the unvisited neighbors,
-//     hand unrolled to keep several visited-byte loads in flight. A
-//     per-edge visited branch would mispredict constantly (cascades are
-//     locally clustered, so scans mix visited and unvisited neighbors
-//     with no pattern); the unconditional store + counter bump never
-//     mispredicts.
+//  1. gather — a branch-free pass that compacts the unvisited neighbors
+//     (gu[cnt] = u; cnt += 1 - vb[u]). A per-edge visited branch would
+//     mispredict constantly (cascades are locally clustered, so scans mix
+//     visited and unvisited neighbors with no pattern); the unconditional
+//     store + counter bump never mispredicts.
 //  2. decide — the lane's next coin generated and compared per gathered
 //     neighbor in one loop. The state chain is plain adds and the Mix64
 //     chains are independent across iterations, so the compare overlaps
-//     the next coin's finalization; every gathered neighbor consumes a
-//     coin unconditionally (no duplicates), keeping the stream aligned
-//     with the scalar kernel by construction.
+//     the next coin's finalization.
 //
-// Lists with duplicate sources or per-edge thresholds take the out-of-
-// line scanDup/scanGeneral paths (the lane state is written back around
-// the call).
-func (f *FusedSampler) expandLane(b uint32, uniform, allThresh []uint32) (coins, levels int64) {
+// A register list (see FusedShared.uniform) is gathered 4-wide and
+// decided at once against its one threshold: with no duplicate source,
+// every gathered neighbor consumes a coin unconditionally. Consecutive
+// chunked lists of a level are gathered into one chunk, each neighbor
+// with its edge's threshold, and decided together by decideChunk when a
+// register list, the level's end or a full buffer interrupts the run.
+// A chunk pays its loop setup and exit once per run of lists, not once
+// per list, which matters on lists of 1–3 edges.
+func (f *FusedSampler) expandLane(b uint32) (coins, levels int64) {
 	g := f.g
+	uniform := f.shared.uniform
 	vb := f.vbyte
 	st := f.state[b]
 	q := f.queue[b]
+	gu, gt := f.gatherU, f.gatherT
 	// Each outer pass expands one level, which ends where the queue stood
-	// when it began: the inner bound is the only per-vertex compare.
+	// when it began.
 	for head := 0; head < len(q); levels++ {
 		levelEnd := len(q)
-		for qi := head; qi < levelEnd; qi++ {
-			srcs := g.InSources(q[qi])
-			if len(srcs) == 0 {
-				continue
+		for qi := head; qi < levelEnd; {
+			cnt, k := f.gatherChunk(q[qi:levelEnd], gu, gt)
+			qi += k
+			if cnt > 0 {
+				q = slices.Grow(q, cnt)
+				var fired int
+				st, fired = decideChunk(vb, gu[:cnt], gt[:cnt], st, q[len(q):len(q)+cnt])
+				q = q[:len(q)+fired]
 			}
-			uni := uniform[q[qi]]
-			if uni&dupMark != 0 {
-				// Outcome-dependent coin consumption: spill the lane state,
-				// run the ordered out-of-line scan, reload.
-				f.state[b] = st
-				f.queue[b] = q
-				if uni != nonUniform {
-					coins += f.scanDup(srcs, uni&^dupMark, b)
-				} else {
-					coins += f.scanGeneral(q[qi], srcs, allThresh, b)
-				}
-				st = f.state[b]
-				q = f.queue[b]
-				continue
+			if qi == levelEnd {
+				break
 			}
-
-			gu := f.gatherU
-			if len(gu) < len(srcs) {
+			v := q[qi]
+			srcs := g.InSources(v)
+			if len(srcs) > len(gu) {
 				gu = make([]graph.Vertex, pow2AtLeast(len(srcs)))
-				f.gatherU = gu
+				gt = make([]uint32, len(gu))
 			}
-			cnt := 0
-			i := 0
-			for ; i+4 <= len(srcs); i += 4 {
-				u0, u1, u2, u3 := srcs[i], srcs[i+1], srcs[i+2], srcs[i+3]
-				h0, h1, h2, h3 := vb[u0], vb[u1], vb[u2], vb[u3]
-				gu[cnt] = u0
-				cnt += 1 - int(h0)
-				gu[cnt] = u1
-				cnt += 1 - int(h1)
-				gu[cnt] = u2
-				cnt += 1 - int(h2)
-				gu[cnt] = u3
-				cnt += 1 - int(h3)
-			}
-			for ; i < len(srcs); i++ {
-				u := srcs[i]
-				gu[cnt] = u
-				cnt += 1 - int(vb[u])
-			}
-			coins += int64(cnt)
-
-			for _, u := range gu[:cnt] {
-				st += rng.SplitMixGamma
-				if rng.Mix64Hi24(st) < uni {
-					vb[u] = 1
-					q = append(q, u)
-				}
+			if uni := uniform[v]; uni != chunked {
+				st, q = scanRegister(vb, srcs, gu, uni, st, q)
+				qi++
 			}
 		}
 		head = levelEnd
 	}
+	// Every coin advances the state by one gamma.
+	coins = int64((st - f.state[b]) * gammaInv)
 	f.state[b] = st
 	f.queue[b] = q
+	f.gatherU, f.gatherT = gu, gt
 	return coins, levels
 }
 
-// scanDup is the scan for a uniform in-list that carries parallel
-// duplicate sources: whether a later occurrence of a duplicate draws a
-// coin depends on whether an earlier one fired, so the scan must
-// interleave the visited test and the draw exactly as the scalar kernel
-// does — one fused pass: test, draw inline, decide.
-func (f *FusedSampler) scanDup(srcs []graph.Vertex, t uint32, lane uint32) int64 {
-	vb := f.vbyte
-	st := f.state[lane]
-	q := f.queue[lane]
-	drawn := 0
-	for _, u := range srcs {
-		if vb[u] != 0 {
-			continue
+// gatherChunk gathers the chunk of a run of chunked lists: for each
+// vertex of level in order, while its list is chunked and fits in gu
+// beside the entries already gathered, it appends the list's unvisited
+// in-neighbors to gu and their edges' thresholds to gt (gt as long as
+// gu). It returns the entries gathered and the vertices consumed; it
+// stops at a register list, a list that does not fit, or the end of
+// level. The tables are read through f once per list, so that the edge
+// loop's state fits in registers.
+func (f *FusedSampler) gatherChunk(level, gu []graph.Vertex, gt []uint32) (cnt, k int) {
+	gt = gt[:len(gu)]
+	for ; k < len(level); k++ {
+		v := level[k]
+		srcs := f.g.InSources(v)
+		if f.shared.uniform[v] != chunked || cnt+len(srcs) > len(gu) {
+			break
 		}
-		drawn++
+		base := f.g.InEdgeBase(v)
+		th := f.shared.thresh[base : base+int64(len(srcs))]
+		vb := f.vbyte
+		for i, u := range srcs {
+			gu[cnt] = u
+			gt[cnt] = th[i]
+			cnt += 1 - int(vb[u])
+		}
+	}
+	return cnt, k
+}
+
+// scanRegister scans a register list srcs against its one threshold t
+// off the lane state st, using gu as gather scratch (at least len(srcs)
+// entries), appends the fired neighbors to q, and returns the advanced
+// state and q. The gather is hand unrolled to keep several visited-byte
+// loads in flight. With no duplicate source, every gathered neighbor
+// consumes a coin unconditionally, keeping the stream aligned with the
+// scalar kernel by construction. Out of line, its loops keep their state
+// in registers; a register list has at least regMin edges to pay for the
+// call.
+func scanRegister(vb []uint8, srcs, gu []graph.Vertex, t uint32, st uint64, q []graph.Vertex) (uint64, []graph.Vertex) {
+	cnt := 0
+	i := 0
+	for ; i+4 <= len(srcs); i += 4 {
+		u0, u1, u2, u3 := srcs[i], srcs[i+1], srcs[i+2], srcs[i+3]
+		h0, h1, h2, h3 := vb[u0], vb[u1], vb[u2], vb[u3]
+		gu[cnt] = u0
+		cnt += 1 - int(h0)
+		gu[cnt] = u1
+		cnt += 1 - int(h1)
+		gu[cnt] = u2
+		cnt += 1 - int(h2)
+		gu[cnt] = u3
+		cnt += 1 - int(h3)
+	}
+	for ; i < len(srcs); i++ {
+		u := srcs[i]
+		gu[cnt] = u
+		cnt += 1 - int(vb[u])
+	}
+	for _, u := range gu[:cnt] {
 		st += rng.SplitMixGamma
 		if rng.Mix64Hi24(st) < t {
 			vb[u] = 1
 			q = append(q, u)
 		}
 	}
-	f.queue[lane] = q
-	f.state[lane] = st
-	return int64(drawn)
+	return st, q
 }
 
-// scanGeneral is the scan for distinct per-edge thresholds (parallel
-// duplicates possible). Three phases:
-//
-//  1. gather — branch-free compaction of the unvisited neighbors, packed
-//     as threshold<<32 | vertex so the decide loop reads one sequential
-//     stream and never touches the CSR again.
-//  2. coin block — the lane's next cnt coins in one exact-size block.
-//  3. decide — threshold compare and append. A re-check of the visited
-//     byte catches parallel edges to a vertex won earlier in this same
-//     scan, which must not consume a coin (the scalar kernel's visited
-//     test precedes its draw); the lane's stream state advances by
-//     exactly the coins consumed, so the block's over-generated tail is
-//     discarded without desynchronizing the stream.
-func (f *FusedSampler) scanGeneral(v graph.Vertex, srcs []graph.Vertex, allThresh []uint32, lane uint32) int64 {
-	vb := f.vbyte
-	base := f.g.InEdgeBase(v)
-	thresh := allThresh[base : base+int64(len(srcs))]
-	if cap(f.gather) < len(srcs) {
-		f.gather = make([]uint64, len(srcs))
-		f.coinBits = make([]uint32, len(srcs))
-	}
-
-	gather := f.gather[:len(srcs)]
-	cnt := 0
-	for i := 0; i < len(srcs); i++ {
-		u := srcs[i]
-		gather[cnt] = uint64(thresh[i])<<32 | uint64(u)
-		cnt += 1 - int(vb[u])
-	}
-	if cnt == 0 {
-		return 0
-	}
-
-	st := f.state[lane]
-	cblock := f.coinBits[:cnt]
-	for j := range cblock {
-		st += rng.SplitMixGamma
-		cblock[j] = rng.Mix64Hi24(st)
-	}
-
-	q := f.queue[lane]
-	used := 0
-	for _, packed := range gather[:cnt] {
-		u := graph.Vertex(packed)
+// decideChunk decides a chunk — the unvisited in-neighbors gu of a run of
+// one level's chunked lists, in queue-then-edge order, with their edges'
+// thresholds gt — off the lane state st, writes the fired neighbors to
+// the front of out (as long as gu), and returns the advanced state and
+// how many fired. The gather tested each
+// neighbor against the visited map as it stood before the chunk, so an entry fired earlier in the same chunk (a neighbor shared
+// by two lists, or a parallel duplicate edge) is still in gu: the
+// re-check of vb skips it without a coin, as the scalar kernel's visited
+// test precedes its draw. Entries the gather dropped were visited then
+// and are visited still, so the coins drawn are exactly the scalar
+// kernel's, in its order. The fire itself is branch-free: at per-edge
+// thresholds a fire branch mispredicts unless p is near 0 or 1, about
+// half the time at p ~ U(0,1).
+func decideChunk(vb []uint8, gu []graph.Vertex, gt []uint32, st uint64, out []graph.Vertex) (uint64, int) {
+	gt = gt[:len(gu)]
+	out = out[:len(gu)]
+	fired := 0
+	for j, u := range gu {
 		if vb[u] != 0 {
-			continue // parallel edge to a vertex won this scan: no coin
+			continue // fired earlier in this chunk: no coin
 		}
-		k := cblock[used]
-		used++
-		if uint64(k) < packed>>32 {
-			vb[u] = 1
-			q = append(q, u)
-		}
+		st += rng.SplitMixGamma
+		// k < t as a sign bit: both are below 2^25.
+		fire := int((uint64(rng.Mix64Hi24(st)) - uint64(gt[j])) >> 63)
+		out[fired] = u
+		vb[u] = uint8(fire)
+		fired += fire
 	}
-	f.queue[lane] = q
-	f.state[lane] += rng.SplitMixGamma * uint64(used)
-	return int64(cnt)
+	return st, fired
 }
 
 // walkLT is the fused LT kernel: all lanes advance their reverse walk one

@@ -26,22 +26,28 @@ func benchFusedGraph(seed uint64, n, m int) *graph.Graph {
 
 // BenchmarkGenerate compares the scalar and fused kernels head to head at
 // the diffuse level (no scheduler, no merge): pure kernel cost, for IC at
-// a constant p and for LT over WC-normalised weights (every in-list
-// uniform: the fused walk's closed-form pick) and over uniform-random
-// weights (the running-sum scan).
+// a constant p, under uniform-random per-edge weights (solve-ic's
+// weighting: per-edge thresholds, most samples huge) and under weighted
+// cascade (one threshold per list), and for LT over WC-normalised weights
+// (every in-list uniform: the fused walk's closed-form pick) and over
+// uniform-random weights (the running-sum scan).
 func BenchmarkGenerate(b *testing.B) {
 	const count = 2000
 	regimes := []struct {
 		name  string
 		model Model
+		m     int // edges drawn over 10,000 vertices
 		prep  func(g *graph.Graph)
 	}{
-		{"IC", IC, func(g *graph.Graph) { g.AssignConstant(0.06) }},
-		{"LT-WC", LT, func(g *graph.Graph) { g.AssignWeightedCascade(); g.NormalizeLT() }},
-		{"LT-uniform", LT, func(g *graph.Graph) { g.AssignUniform(1); g.NormalizeLT() }},
+		{"IC", IC, 140000, func(g *graph.Graph) { g.AssignConstant(0.06) }},
+		// solve-ic's in-lists average about 3.3 edges.
+		{"IC-uniform", IC, 35000, func(g *graph.Graph) { g.AssignUniform(1) }},
+		{"IC-WC", IC, 140000, func(g *graph.Graph) { g.AssignWeightedCascade() }},
+		{"LT-WC", LT, 140000, func(g *graph.Graph) { g.AssignWeightedCascade(); g.NormalizeLT() }},
+		{"LT-uniform", LT, 140000, func(g *graph.Graph) { g.AssignUniform(1); g.NormalizeLT() }},
 	}
 	for _, rc := range regimes {
-		g := benchFusedGraph(1, 10000, 140000)
+		g := benchFusedGraph(1, 10000, rc.m)
 		rc.prep(g)
 		b.Run(rc.name+"/scalar", func(b *testing.B) {
 			var verts []graph.Vertex

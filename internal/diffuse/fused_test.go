@@ -9,6 +9,28 @@ import (
 	"influmax/internal/rng"
 )
 
+// newFusedSampler returns a fused sampler over g for the given model,
+// building its own shared tables. For LT the graph's in-weights must form
+// a valid configuration, as for NewSampler. Production workers
+// share one FusedShared through NewFusedSamplerShared.
+func newFusedSampler(g *graph.Graph, model Model) *FusedSampler {
+	return NewFusedSamplerShared(g, model, NewFusedShared(g, model))
+}
+
+// listShape describes v's in-list: its length, whether all its edges
+// share one coin threshold, and whether a source repeats.
+func listShape(g *graph.Graph, v graph.Vertex) (d int, sameT, dup bool) {
+	srcs, ws := g.InNeighbors(v)
+	seen := map[graph.Vertex]bool{}
+	sameT = true
+	for i, u := range srcs {
+		sameT = sameT && icThreshold(ws[i]) == icThreshold(ws[0])
+		dup = dup || seen[u]
+		seen[u] = true
+	}
+	return len(srcs), sameT, dup
+}
+
 // scalarGenerate reproduces the per-sample scalar discipline the fused
 // kernel must match byte for byte: sample i draws its root and all its
 // coins from the stream rng.Derive(seed, base+i).
@@ -331,13 +353,56 @@ func TestFusedStats(t *testing.T) {
 	}
 }
 
+// countingSource counts the draws made from the source it wraps.
+type countingSource struct {
+	rng.Source
+	n int64
+}
+
+func (c *countingSource) Uint64() uint64 { c.n++; return c.Source.Uint64() }
+
+// TestFusedCoinsCountDraws: FusedStats.Coins is exactly the number of
+// draws the scalar kernel makes for the same samples — one root draw per
+// sample plus one per coin — on register lists, chunks and LT walks.
+func TestFusedCoinsCountDraws(t *testing.T) {
+	if gamma := rng.SplitMixGamma; gamma*gammaInv != 1 {
+		t.Fatal("gammaInv is not the inverse of SplitMixGamma")
+	}
+	for _, c := range []struct {
+		name  string
+		model Model
+		prep  func(g *graph.Graph)
+	}{
+		{"IC-uniform", IC, func(g *graph.Graph) { g.AssignUniform(4) }},
+		{"WC", IC, func(g *graph.Graph) { g.AssignWeightedCascade() }},
+		{"LT", LT, func(g *graph.Graph) { g.AssignUniform(4); g.NormalizeLT() }},
+	} {
+		g := randomGraph(4, 150, 1500)
+		c.prep(g)
+		const seed, count = 9, 3*MaxLanes + 5
+		s := NewSampler(g, c.model)
+		gen := rng.NewSplitMix64(0)
+		src := &countingSource{Source: gen}
+		r := rng.New(src)
+		for id := range uint64(count) {
+			gen.Reseed(seed, id)
+			s.GenerateRR(r, graph.Vertex(r.Intn(g.NumVertices())), nil)
+		}
+		f := newFusedSampler(g, c.model)
+		f.Generate(seed, 0, count, nil, nil)
+		if got := f.TakeStats().Coins; got != src.n {
+			t.Fatalf("%s: Coins = %d, the scalar kernel draws %d", c.name, got, src.n)
+		}
+	}
+}
+
 // TestFusedGenerateIDsMatchesScalar: GenerateIDs over an arbitrary id list
 // (unsorted, repeated, gapped) must emit, for each id in list order, the
 // exact sample the scalar kernel draws after Reseed(seed, id) — at every
-// batch shape from empty to several batches, and on every IC scan class
-// (uniform duplicate-free, uniform with duplicate sources, per-edge
-// thresholds) plus LT. One sampler serves every length, so stale lane
-// state between calls would show too.
+// batch shape from empty to several batches, and on every IC scan path
+// (register list, and chunked lists of per-edge thresholds, of duplicate
+// sources and of fewer than regMin edges) plus LT. One sampler serves
+// every length, so stale lane state between calls would show too.
 func TestFusedGenerateIDsMatchesScalar(t *testing.T) {
 	// simpleGraph drops randomGraph's parallel edges, so every in-list is
 	// duplicate-free and a constant weight makes the uniform class.
@@ -359,23 +424,39 @@ func TestFusedGenerateIDsMatchesScalar(t *testing.T) {
 		name  string
 		model Model
 		g     func() *graph.Graph
-		class func(uni uint32) bool // an in-list class the case must contain
+		// class reports whether v's in-list takes the case's scan path,
+		// given v's class uni in the shared tables.
+		class func(g *graph.Graph, v graph.Vertex, uni uint32) bool
 	}{
-		{"IC-uniform", IC, func() *graph.Graph {
+		{"IC-register", IC, func() *graph.Graph {
 			g := simpleGraph(3, 150, 1200)
 			g.AssignConstant(0.2)
 			return g
-		}, func(uni uint32) bool { return uni&dupMark == 0 && uni != 0 }},
+		}, func(g *graph.Graph, v graph.Vertex, uni uint32) bool { return uni != chunked && uni != 0 }},
 		{"IC-dup", IC, func() *graph.Graph {
 			g := randomGraph(5, 120, 1500)
 			g.AssignConstant(0.15)
 			return g
-		}, func(uni uint32) bool { return uni != nonUniform && uni&dupMark != 0 }},
-		{"IC-general", IC, func() *graph.Graph {
+		}, func(g *graph.Graph, v graph.Vertex, uni uint32) bool {
+			d, sameT, dup := listShape(g, v)
+			return uni == chunked && d >= regMin && sameT && dup
+		}},
+		{"IC-per-edge", IC, func() *graph.Graph {
 			g := randomGraph(9, 200, 1800)
 			g.AssignUniform(9)
 			return g
-		}, func(uni uint32) bool { return uni == nonUniform }},
+		}, func(g *graph.Graph, v graph.Vertex, uni uint32) bool {
+			_, sameT, _ := listShape(g, v)
+			return uni == chunked && !sameT
+		}},
+		{"IC-short", IC, func() *graph.Graph {
+			g := simpleGraph(13, 200, 400)
+			g.AssignConstant(0.6)
+			return g
+		}, func(g *graph.Graph, v graph.Vertex, uni uint32) bool {
+			d, sameT, dup := listShape(g, v)
+			return uni == chunked && d > 0 && d < regMin && sameT && !dup
+		}},
 		{"LT", LT, func() *graph.Graph {
 			g := randomGraph(11, 200, 2000)
 			g.AssignUniform(11)
@@ -386,8 +467,15 @@ func TestFusedGenerateIDsMatchesScalar(t *testing.T) {
 	const seed = 77
 	for _, tc := range cases {
 		g := tc.g()
-		if tc.class != nil && !slices.ContainsFunc(NewFusedShared(g, tc.model).uniform, tc.class) {
-			t.Fatalf("%s: graph has no in-list of the intended scan class", tc.name)
+		if tc.class != nil {
+			uniform := NewFusedShared(g, tc.model).uniform
+			found := false
+			for v, uni := range uniform {
+				found = found || tc.class(g, graph.Vertex(v), uni)
+			}
+			if !found {
+				t.Fatalf("%s: graph has no in-list of the intended scan class", tc.name)
+			}
 		}
 		f := newFusedSampler(g, tc.model)
 		s := NewSampler(g, tc.model)
@@ -421,4 +509,146 @@ func TestFusedGenerateIDsMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzICGraph builds the multigraph FuzzFusedICMatchesScalar samples: n
+// vertices, m edges drawn from seed, parallel edges and self-loops kept,
+// and targets skewed toward vertex 0 so that a few in-lists run long.
+// Each target's in-list is uniform — every edge carries rep, one of 0, 1,
+// NaN or a random float32 — or mixed, each edge drawing 0, 1, NaN, rep or
+// a random float32. So the graph holds register lists, short uniform
+// lists, uniform lists with parallel duplicates and per-edge lists.
+func fuzzICGraph(seed uint64, n, m int) *graph.Graph {
+	r := rng.New(rng.NewLCG(seed))
+	nan := float32(math.NaN())
+	rep := []float32{0, 1, nan, r.Float32(), r.Float32()}[r.Intn(5)]
+	uniform := make([]bool, n)
+	for v := range uniform {
+		uniform[v] = r.Intn(2) == 0
+	}
+	b := graph.NewBuilder(n)
+	for range m {
+		u, v := r.Intn(n), r.Intn(n)*r.Intn(n)/n
+		w := rep
+		if !uniform[v] {
+			w = []float32{0, 1, nan, rep, r.Float32(), r.Float32()}[r.Intn(6)]
+		}
+		b.Add(graph.Vertex(u), graph.Vertex(v), w)
+	}
+	return b.Build()
+}
+
+// fuzzICSeeds are FuzzFusedICMatchesScalar's seed inputs: seed, n, m and
+// the chunk buffer's starting size.
+var fuzzICSeeds = []struct {
+	seed uint64
+	n    uint8
+	m    uint16
+	buf  uint8
+}{
+	{1, 64, 600, 8}, {2, 64, 600, 64}, {3, 40, 300, 1}, {4, 16, 600, 16},
+	{5, 64, 120, 4}, {6, 2, 30, 2}, {7, 64, 600, 255}, {8, 30, 0, 8},
+}
+
+// fuzzICShape maps raw fuzz inputs onto the generator's ranges: n in
+// [2, 64], m in [0, 600] and a starting buffer of 1 to 64 entries.
+func fuzzICShape(nRaw uint8, mRaw uint16, bufRaw uint8) (n, m, buf int) {
+	return 2 + int(nRaw)%63, int(mRaw) % 601, 1 + int(bufRaw)%64
+}
+
+// TestFuzzICSeedsReachEveryScan: across the seed inputs, the graphs hold
+// every in-list class the IC kernel treats apart — a register list, and
+// chunked lists of per-edge thresholds, of parallel duplicates and of
+// fewer than regMin edges — and lists longer than the chunk buffer they
+// start with, so the chunk fills and grows.
+func TestFuzzICSeedsReachEveryScan(t *testing.T) {
+	var register, perEdge, dup, short, long bool
+	for _, s := range fuzzICSeeds {
+		n, m, buf := fuzzICShape(s.n, s.m, s.buf)
+		g := fuzzICGraph(s.seed, n, m)
+		sh := NewFusedShared(g, IC)
+		for v := range n {
+			d, sameT, hasDup := listShape(g, graph.Vertex(v))
+			register = register || sh.uniform[v] != chunked
+			perEdge = perEdge || !sameT
+			dup = dup || sameT && hasDup && d >= regMin
+			short = short || sameT && !hasDup && d > 0 && d < regMin
+			long = long || d > buf
+		}
+	}
+	if !register || !perEdge || !dup || !short || !long {
+		t.Fatalf("seed graphs miss a scan: register %v per-edge %v dup %v short %v long %v", register, perEdge, dup, short, long)
+	}
+}
+
+// FuzzFusedICMatchesScalar holds the IC kernel's chunked scan against the
+// scalar reverse BFS on small random multigraphs (see fuzzICGraph) with a
+// chunk buffer of 1 to 64 entries, so that chunks fill, flush and grow:
+// Generate over a contiguous range, GenerateIDs over an unsorted list
+// with repeats and GenerateBlock's lane words must each hold the exact
+// samples GenerateRR draws after Reseed(seed, id).
+func FuzzFusedICMatchesScalar(f *testing.F) {
+	for _, s := range fuzzICSeeds {
+		f.Add(s.seed, s.n, s.m, s.buf)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, mRaw uint16, bufRaw uint8) {
+		n, m, buf := fuzzICShape(nRaw, mRaw, bufRaw)
+		g := fuzzICGraph(seed, n, m)
+		fs := newFusedSampler(g, IC)
+		fs.gatherU, fs.gatherT = make([]graph.Vertex, buf), make([]uint32, buf)
+
+		s := NewSampler(g, IC)
+		gen := rng.NewSplitMix64(0)
+		r := rng.New(gen)
+		scalar := func(id uint64) []graph.Vertex {
+			gen.Reseed(seed, id)
+			return s.GenerateRR(r, graph.Vertex(r.Intn(n)), nil)
+		}
+		check := func(what string, ids []uint64, verts []graph.Vertex, sizes []int32) {
+			t.Helper()
+			if len(sizes) != len(ids) {
+				t.Fatalf("%s: %d samples, want %d", what, len(sizes), len(ids))
+			}
+			for i, id := range ids {
+				want := scalar(id)
+				got := verts[:sizes[i]]
+				verts = verts[sizes[i]:]
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: sample %d (id %d) = %v, scalar %v", what, i, id, got, want)
+				}
+			}
+		}
+
+		const base, count = 100, 2*MaxLanes + 5
+		ids := make([]uint64, count)
+		for i := range ids {
+			ids[i] = base + uint64(i)
+		}
+		verts, sizes := fs.Generate(seed, base, count, nil, nil)
+		check("Generate", ids, verts, sizes)
+
+		ids32 := make([]int32, count)
+		for i := range ids32 {
+			ids32[i] = int32((i * 37) % 50)
+			ids[i] = uint64(ids32[i])
+		}
+		verts, sizes = fs.GenerateIDs(seed, ids32, nil, nil)
+		check("GenerateIDs", ids, verts, sizes)
+
+		shift := uint(bufRaw % 8)
+		lanes := MaxLanes - int(shift)
+		row := make([]uint64, n)
+		sizes = make([]int32, lanes)
+		fs.GenerateBlock(seed, base, lanes, shift, row, sizes)
+		verts = verts[:0]
+		for i := range lanes {
+			ids[i] = base + uint64(i)
+			for v, w := range row {
+				if w>>(shift+uint(i))&1 != 0 {
+					verts = append(verts, graph.Vertex(v))
+				}
+			}
+		}
+		check("GenerateBlock", ids[:lanes], verts, sizes)
+	})
 }

@@ -138,7 +138,7 @@ type FlatCoverage struct {
 }
 
 // NewFlatCoverage returns a backend over col and the index built from it,
-// working with p workers. roots is the per-sample root column (see rootAt);
+// working with p workers. roots is the per-sample root column (see RootsRange);
 // only audience-filtered selections need it.
 func NewFlatCoverage(col *rrr.Collection, idx *rrr.Index, roots []graph.Vertex, p int) *FlatCoverage {
 	n := col.NumVertices()

@@ -3,6 +3,7 @@ package imm
 import (
 	"time"
 
+	"influmax/internal/diffuse"
 	"influmax/internal/metrics"
 	"influmax/internal/rrr"
 	"influmax/internal/trace"
@@ -69,30 +70,34 @@ type localSamples struct {
 	p   int
 
 	// densify arms the density rule for the next Extend: draw sets it on
-	// the fused engine, and the first round clears it.
+	// the fused engine, and the first block of the first round clears it.
 	densify bool
 
 	mIndexEntries *metrics.Counter // rrr/index-entries, nil without metrics
 }
 
-// Extend draws into the store the samples are in. The first round is
-// drawn into the flat arena; if that arena is then no smaller than the
-// matrix of the same samples would be, the samples move to the matrix
-// and every later round is emitted as the kernel's words.
+// Extend draws into the store the samples are in. The first block of
+// the first round, one batch of diffuse.MaxLanes samples, is drawn into
+// the flat arena; if that arena is then no smaller than the matrix of the
+// same samples would be, the samples move to the matrix and the rest of
+// the draw is emitted as the kernel's words.
 func (s *localSamples) Extend(count int64) (int64, error) {
+	if s.densify && count > 0 {
+		s.densify = false
+		head := min(count, diffuse.MaxLanes)
+		s.st.Sample(s.col, int(head))
+		s.st.Release()
+		count -= head
+		if matrixPays(s.col) {
+			s.mat, s.col = rrr.MatrixOf(s.col, s.p), nil
+		}
+	}
 	if s.mat != nil {
 		s.st.sampleMatrix(s.mat, int(count))
 		return int64(s.mat.Count()), nil
 	}
 	s.st.Sample(s.col, int(count))
 	s.st.Release()
-	if s.densify {
-		s.densify = false
-		if matrixPays(s.col) {
-			s.mat, s.col = rrr.MatrixOf(s.col, s.p), nil
-			return int64(s.mat.Count()), nil
-		}
-	}
 	return int64(s.col.Count()), nil
 }
 

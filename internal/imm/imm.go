@@ -141,7 +141,8 @@ func DrawCoded(g *graph.Graph, opt Options) (*Result, *rrr.CodedCollection, *rrr
 // draw runs Draw's estimation and sampling, returning the samples with the
 // index the estimation rounds left and the sampling bookkeeping filled.
 // It is where the density switch lives: on the fused engine the first
-// round decides between the flat arena and the bit matrix (localSamples).
+// block of the first round decides between the flat arena and the bit
+// matrix (localSamples).
 func draw(g *graph.Graph, opt Options) (*Result, *localSamples, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(g.NumVertices()); err != nil {

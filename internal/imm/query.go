@@ -104,18 +104,12 @@ type QueryResult struct {
 	SpentBudget float64
 }
 
-// rootAt re-derives the root vertex of global sample `index` for a
-// PerSample-mode build over n vertices and stream seed `seed`: the root is
-// the sample stream's first draw, so it is a pure function of (seed,
-// index, n) and never needs storing. Valid across dynamic-sketch epochs —
-// incremental maintenance regenerates samples with their original streams.
-func rootAt(seed, index uint64, n int) graph.Vertex {
-	return graph.Vertex(rng.New(rng.Derive(seed, index)).Intn(n))
-}
-
 // RootsRange derives the roots of global samples [first, first+count)
 // with p workers — the root column of a sketch (first 0) or of a shard's
-// id range.
+// id range. A PerSample-mode root is its sample stream's first draw, so
+// it is a pure function of (seed, index, n) and never needs storing. The
+// column stays valid across dynamic-sketch epochs: incremental
+// maintenance regenerates samples with their original streams.
 func RootsRange(seed, first uint64, count, n, p int) []graph.Vertex {
 	roots := make([]graph.Vertex, count)
 	par.ForEach(count, p, func(_, lo, hi int) {
@@ -130,10 +124,10 @@ func RootsRange(seed, first uint64, count, n, p int) []graph.Vertex {
 }
 
 // SelectQueryIndexed answers q over a flat collection and its incidence
-// index. roots is the per-sample root column (see rootAt); it is required
-// only for audience-filtered queries and may be nil otherwise. A plain q
-// returns exactly SelectSeedsIndexed's seeds, byte-identically, at any
-// worker count.
+// index. roots is the per-sample root column (see RootsRange); it is
+// required only for audience-filtered queries and may be nil otherwise. A
+// plain q returns exactly SelectSeedsIndexed's seeds, byte-identically, at
+// any worker count.
 func SelectQueryIndexed(col *rrr.Collection, idx *rrr.Index, roots []graph.Vertex, q Query, p int) (*QueryResult, error) {
 	if err := q.Validate(col.NumVertices()); err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"influmax/internal/baseline"
 	"influmax/internal/diffuse"
 	"influmax/internal/graph"
+	"influmax/internal/rng"
 	"influmax/internal/rrr"
 )
 
@@ -312,4 +313,11 @@ func TestCoverageOfMatchesMonteCarlo(t *testing.T) {
 				cfg.name, est, mc, se, tol)
 		}
 	}
+}
+
+// rootAt re-derives the root vertex of global sample index for a
+// PerSample-mode build over n vertices and stream seed seed, one sample
+// at a time: the reference RootsRange is checked against.
+func rootAt(seed, index uint64, n int) graph.Vertex {
+	return graph.Vertex(rng.New(rng.Derive(seed, index)).Intn(n))
 }

@@ -70,12 +70,6 @@ func affinePow(a, c, n uint64) (an, cn uint64) {
 	return an, cn
 }
 
-// jump advances the generator by n steps in O(log n) time.
-func (g *LCG) jump(n uint64) {
-	an, cn := affinePow(g.a, g.c, n)
-	g.state = an*g.state + cn
-}
-
 // LeapFrog returns the rank-th of stride interleaved substreams of g.
 // Substream rank produces exactly the elements rank, rank+stride,
 // rank+2*stride, ... of g's future output sequence. g itself is not
@@ -190,16 +184,6 @@ func (r *Rand) Float64() float64 {
 // Float32 returns a uniform value in [0, 1) with 24 bits of precision.
 func (r *Rand) Float32() float32 {
 	return float32(r.Src.Uint64()>>40) * (1.0 / (1 << 24))
-}
-
-// uint32n returns a uniform value in [0, n) using Lemire's multiply-shift
-// method (no modulo bias worth worrying about at 64->32 bits).
-func (r *Rand) uint32n(n uint32) uint32 {
-	if n == 0 {
-		panic("rng: uint32n(0)")
-	}
-	hi, _ := bits.Mul64(r.Src.Uint64(), uint64(n))
-	return uint32(hi)
 }
 
 // Intn returns a uniform value in [0, n).

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -342,4 +343,20 @@ func TestMix64Hi24MatchesMix64(t *testing.T) {
 	for i := 0; i < 1_000_000; i++ {
 		check(g.Uint64())
 	}
+}
+
+// jump advances the generator by n steps in O(log n) time.
+func (g *LCG) jump(n uint64) {
+	an, cn := affinePow(g.a, g.c, n)
+	g.state = an*g.state + cn
+}
+
+// uint32n returns a uniform value in [0, n) using Lemire's multiply-shift
+// method (no modulo bias worth worrying about at 64->32 bits).
+func (r *Rand) uint32n(n uint32) uint32 {
+	if n == 0 {
+		panic("rng: uint32n(0)")
+	}
+	hi, _ := bits.Mul64(r.Src.Uint64(), uint64(n))
+	return uint32(hi)
 }

@@ -84,13 +84,6 @@ func (t *Times) Measure(p Phase, fn func()) {
 	t.d[p] += time.Since(start)
 }
 
-// merge adds other's durations into t.
-func (t *Times) merge(other Times) {
-	for i := range t.d {
-		t.d[i] += other.d[i]
-	}
-}
-
 // String formats the breakdown in legend order.
 func (t *Times) String() string {
 	var b strings.Builder

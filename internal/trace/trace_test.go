@@ -121,3 +121,10 @@ func TestHeapAllocPositive(t *testing.T) {
 		t.Fatal("HeapAlloc returned 0")
 	}
 }
+
+// merge adds other's durations into t.
+func (t *Times) merge(other Times) {
+	for i := range t.d {
+		t.d[i] += other.d[i]
+	}
+}
